@@ -5,12 +5,11 @@
 // one shard while the rest keep serving. The HTTP surface itself
 // lives in internal/node; this binary is flags + lifecycle.
 //
-// API (versioned under /v1; the unversioned paths remain as
-// deprecated aliases that answer identically but carry a
-// `Deprecation: true` header and a successor-version Link):
+// API (everything under /v1; the data-path bodies of /v1/kv and
+// /v1/batch are internal/wire's compact JSON):
 //
 //	PUT  /v1/kv/{key}      store the raw request body (≤ 63 bytes)
-//	GET  /v1/kv/{key}      -> {"key":.., "value_b64":..}
+//	GET  /v1/kv/{key}      -> {"key":..,"value_b64":..}
 //	POST /v1/batch         {"puts":[{"key":..,"value_b64":..}],"gets":[..]}
 //	                       one group-commit round trip; per-key results
 //	POST /v1/flush         global persist barrier

@@ -44,7 +44,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"flag"
@@ -53,6 +52,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,6 +61,7 @@ import (
 	"amnt/internal/cluster"
 	"amnt/internal/stats"
 	"amnt/internal/telemetry/span"
+	"amnt/internal/wire"
 	"amnt/internal/workload"
 )
 
@@ -170,7 +171,6 @@ func main() {
 	for p := range phaseHist {
 		phaseHist[p] = stats.NewHistogram()
 	}
-	nodeHists := map[string]*stats.Histogram{}
 	nodeSums := map[string]*nodeAgg{}
 	for _, r := range results {
 		merged.Gets += r.gets
@@ -194,13 +194,12 @@ func main() {
 			if sum == nil {
 				sum = &nodeAgg{lat: stats.NewHistogram()}
 				nodeSums[id] = sum
-				nodeHists[id] = sum.lat
 			}
 			sum.gets += agg.gets
 			sum.puts += agg.puts
 			sum.retries += agg.retries
 			sum.redirects += agg.redirects
-			nodeHists[id].Merge(agg.lat)
+			sum.lat.Merge(agg.lat)
 		}
 	}
 	total := merged.Gets + merged.Puts
@@ -384,8 +383,9 @@ func (res *clientResult) node(id string) *nodeAgg {
 // client's aggregates. Phases the request never entered report 0 and
 // contribute no sample (the zero-sample contract keeps their
 // quantiles honest).
-func (res *clientResult) observeTiming(t *span.Timing) {
-	if t == nil {
+func (res *clientResult) observeTiming(raw []byte) {
+	var t span.Timing
+	if raw == nil || json.Unmarshal(raw, &t) != nil {
 		return
 	}
 	res.timings++
@@ -499,17 +499,19 @@ func valueFor(key uint64, n int) []byte {
 	return v
 }
 
+// valueIntact reports whether b64, a value_b64 as it came off the
+// wire, decodes (into buf's slab) to the canonical value of key.
+func valueIntact(buf *wire.Buf, key uint64, b64 []byte) bool {
+	v, err := buf.Value(b64)
+	return err == nil && bytes.Equal(v, valueFor(key, len(v)))
+}
+
 // preloadKeyspace stores valueFor(k) at every key in [0, keyspace),
 // untimed, returning how many keys could not be stored after retries.
 // Standalone mode loads through POST /v1/batch in 128-key chunks;
 // cluster mode PUTs per key through the router (a chunk would span
 // owners).
 func preloadKeyspace(addr string, router *cluster.Client, keyspace uint64, valueLen, clients int) uint64 {
-	type batchOp struct {
-		Key      uint64 `json:"key"`
-		ValueB64 string `json:"value_b64,omitempty"`
-		Error    string `json:"error,omitempty"`
-	}
 	if clients < 1 {
 		clients = 1
 	}
@@ -520,42 +522,30 @@ func preloadKeyspace(addr string, router *cluster.Client, keyspace uint64, value
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			post := func(base string, puts []batchOp) bool {
-				body, _ := json.Marshal(map[string]any{"puts": puts})
+			buf := wire.Get()
+			defer buf.Release()
+			refused := func(o wire.Op) bool { return o.Err != "" }
+			// post stores puts at base, retrying until every key is acked.
+			post := func(base string, puts []wire.Op) bool {
+				buf.Out = wire.AppendRequest(buf.Out[:0], puts, nil)
 				for try := 0; try < 8; try++ {
 					if try > 0 {
 						time.Sleep(time.Duration(try) * 25 * time.Millisecond)
 					}
-					resp, err := httpc.Post(base+"/v1/batch", "application/json", bytes.NewReader(body))
+					resp, err := httpc.Post(base+"/v1/batch", "application/json", bytes.NewReader(buf.Out))
 					if err != nil {
 						continue
 					}
-					rb, _ := io.ReadAll(resp.Body)
+					rb, err := buf.ReadBody(resp.Body, 2*wire.MaxBatchBody)
 					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						continue
+					if err == nil && resp.StatusCode == http.StatusOK && buf.Resp.Decode(rb) == nil && !slices.ContainsFunc(buf.Resp.Puts, refused) {
+						return true
 					}
-					var out struct {
-						Puts []batchOp `json:"puts"`
-					}
-					if json.Unmarshal(rb, &out) != nil {
-						continue
-					}
-					retryable := false
-					for _, p := range out.Puts {
-						if p.Error != "" {
-							retryable = true
-						}
-					}
-					if retryable {
-						continue
-					}
-					return true
 				}
 				return false
 			}
 			const chunk = 128
-			puts := make([]batchOp, 0, chunk)
+			puts := make([]wire.Op, 0, chunk)
 			flush := func() {
 				if len(puts) > 0 && !post(addr, puts) {
 					failed[g] += uint64(len(puts))
@@ -563,7 +553,7 @@ func preloadKeyspace(addr string, router *cluster.Client, keyspace uint64, value
 				puts = puts[:0]
 			}
 			for k := uint64(g); k < keyspace; k += uint64(clients) {
-				op := batchOp{Key: k, ValueB64: base64.StdEncoding.EncodeToString(valueFor(k, valueLen))}
+				op := wire.Op{Key: k, Value: valueFor(k, valueLen)}
 				if router == nil {
 					puts = append(puts, op)
 					if len(puts) == chunk {
@@ -575,7 +565,7 @@ func preloadKeyspace(addr string, router *cluster.Client, keyspace uint64, value
 				if _, b, err := router.Route(k); err == nil {
 					base = b
 				}
-				if !post(base, []batchOp{op}) {
+				if !post(base, []wire.Op{op}) {
 					failed[g]++
 				}
 			}
@@ -648,90 +638,69 @@ func runClient(addr string, router *cluster.Client, trace *workload.Trace, keysp
 		}
 		return a, id
 	}
+	var kv wire.KV
 	for {
 		acc, ok := trace.Next()
 		if !ok {
 			break
 		}
 		key := (acc.VAddr / 64) % keyspace
+		method, count, lat := http.MethodGet, &res.gets, res.getLat
 		if acc.Write {
-			a, nid := doKV(key, func(url string) attempt {
-				req, _ := http.NewRequest(http.MethodPut, url, bytes.NewReader(valueFor(key, valueLen)))
-				return timedDo(httpc, req)
-			})
-			res.puts++
-			if a.err != nil {
-				res.errors++
-				res.errLat.Observe(a.us)
-				continue
-			}
-			switch {
-			case a.resp.StatusCode == http.StatusServiceUnavailable:
-				res.overloads++
-				res.errLat.Observe(a.us)
-			case a.resp.StatusCode/100 != 2:
-				res.errors++
-				res.errLat.Observe(a.us)
-			default:
-				res.putLat.Observe(a.us)
-				if agg := res.node(nid); agg != nil {
-					agg.puts++
-					agg.lat.Observe(a.us)
-				}
-				var out struct {
-					Timing *span.Timing `json:"timing"`
-				}
-				if json.Unmarshal(a.body, &out) == nil {
-					res.observeTiming(out.Timing)
-				}
-			}
-			continue
+			method, count, lat = http.MethodPut, &res.puts, res.putLat
 		}
 		a, nid := doKV(key, func(url string) attempt {
-			req, _ := http.NewRequest(http.MethodGet, url, nil)
+			var body io.Reader
+			if acc.Write {
+				body = bytes.NewReader(valueFor(key, valueLen))
+			}
+			req, _ := http.NewRequest(method, url, body)
 			return timedDo(httpc, req)
 		})
-		res.gets++
-		if a.err != nil {
+		*count++
+		status := 0 // a transport error
+		if a.err == nil {
+			status = a.resp.StatusCode
+		}
+		// A miss is a valid answer: success latency, not error.
+		miss := !acc.Write && status == http.StatusNotFound
+		switch {
+		case miss:
+			res.notFound++
+		case status == http.StatusServiceUnavailable:
+			res.overloads++
+		case status/100 != 2:
 			res.errors++
+		}
+		if status/100 != 2 && !miss {
 			res.errLat.Observe(a.us)
 			continue
 		}
-		switch a.resp.StatusCode {
-		case http.StatusOK:
-			res.getLat.Observe(a.us)
-			if agg := res.node(nid); agg != nil {
+		lat.Observe(a.us)
+		if agg := res.node(nid); agg != nil {
+			if acc.Write {
+				agg.puts++
+			} else {
 				agg.gets++
-				agg.lat.Observe(a.us)
 			}
-			var out struct {
-				Key      uint64       `json:"key"`
-				ValueB64 string       `json:"value_b64"`
-				Timing   *span.Timing `json:"timing"`
-			}
-			if err := json.Unmarshal(a.body, &out); err != nil {
+			agg.lat.Observe(a.us)
+		}
+		if miss {
+			continue
+		}
+		if err := kv.Decode(a.body); err != nil {
+			if !acc.Write {
 				res.errors++
-				continue
 			}
-			res.observeTiming(out.Timing)
-			v, err := base64.StdEncoding.DecodeString(out.ValueB64)
-			if err != nil || !bytes.Equal(v, valueFor(key, len(v))) {
+			continue
+		}
+		res.observeTiming(kv.Timing)
+		if !acc.Write {
+			buf := wire.Get()
+			if !valueIntact(buf, key, kv.B64) {
 				res.corruptions++
 			}
-		case http.StatusNotFound:
-			// A miss is a valid answer: success latency, not error.
-			res.notFound++
-			res.getLat.Observe(a.us)
-			if agg := res.node(nid); agg != nil {
-				agg.gets++
-				agg.lat.Observe(a.us)
-			}
-		case http.StatusServiceUnavailable:
-			res.overloads++
-			res.errLat.Observe(a.us)
-		default:
-			res.errors++
-			res.errLat.Observe(a.us)
+			buf.Release()
 		}
 	}
 	return res
@@ -746,16 +715,12 @@ func runClient(addr string, router *cluster.Client, trace *workload.Trace, keysp
 // spans nodes — and a per-key not-owned answer refreshes the local
 // ring from that node before the next bucket fills.
 func runBatched(addr string, router *cluster.Client, trace *workload.Trace, keyspace uint64, valueLen int, batch int, httpc *http.Client, res *clientResult, rp *retryPolicy) {
-	type batchOp struct {
-		Key      uint64 `json:"key"`
-		ValueB64 string `json:"value_b64,omitempty"`
-		Error    string `json:"error,omitempty"`
-	}
 	type bucket struct {
 		id, base string
-		puts     []batchOp
+		puts     []wire.Op
 		gets     []uint64
 	}
+	var out wire.Response
 	buckets := map[string]*bucket{}
 	bucketFor := func(key uint64) *bucket {
 		id, base := "", addr
@@ -777,7 +742,7 @@ func runBatched(addr string, router *cluster.Client, trace *workload.Trace, keys
 			return
 		}
 		nOps := len(b.puts) + len(b.gets)
-		body, _ := json.Marshal(map[string]any{"puts": b.puts, "gets": b.gets})
+		body := wire.AppendRequest(nil, b.puts, b.gets)
 		agg := res.node(b.id)
 		before := res.retries
 		a := rp.do(res, func() attempt {
@@ -819,12 +784,7 @@ func runBatched(addr string, router *cluster.Client, trace *workload.Trace, keys
 			agg.gets += uint64(len(b.gets))
 			observeAll(agg.lat, nOps)
 		}
-		var out struct {
-			Puts   []batchOp    `json:"puts"`
-			Gets   []batchOp    `json:"gets"`
-			Timing *span.Timing `json:"timing"`
-		}
-		if err := json.Unmarshal(a.body, &out); err != nil {
+		if err := out.Decode(a.body); err != nil {
 			res.errors += uint64(nOps)
 			return
 		}
@@ -853,17 +813,16 @@ func runBatched(addr string, router *cluster.Client, trace *workload.Trace, keys
 			}
 		}
 		for _, p := range out.Puts {
-			if p.Error != "" {
-				classify(p.Error)
+			if p.Err != "" {
+				classify(p.Err)
 			}
 		}
+		buf := wire.Get()
+		defer buf.Release()
 		for _, g := range out.Gets {
-			if g.Error != "" {
-				classify(g.Error)
-				continue
-			}
-			v, err := base64.StdEncoding.DecodeString(g.ValueB64)
-			if err != nil || !bytes.Equal(v, valueFor(g.Key, len(v))) {
+			if g.Err != "" {
+				classify(g.Err)
+			} else if !valueIntact(buf, g.Key, g.B64) {
 				res.corruptions++
 			}
 		}
@@ -886,10 +845,7 @@ func runBatched(addr string, router *cluster.Client, trace *workload.Trace, keys
 		key := (acc.VAddr / 64) % keyspace
 		b := bucketFor(key)
 		if acc.Write {
-			b.puts = append(b.puts, batchOp{
-				Key:      key,
-				ValueB64: base64.StdEncoding.EncodeToString(valueFor(key, valueLen)),
-			})
+			b.puts = append(b.puts, wire.Op{Key: key, Value: valueFor(key, valueLen)})
 		} else {
 			b.gets = append(b.gets, key)
 		}

@@ -55,16 +55,6 @@ func (c *Client) Install(s *State) bool {
 	return true
 }
 
-// Epoch returns the installed ring epoch.
-func (c *Client) Epoch() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.state == nil {
-		return 0
-	}
-	return c.state.Epoch
-}
-
 // Partitions returns the installed partition count.
 func (c *Client) Partitions() int {
 	c.mu.RLock()
@@ -123,21 +113,6 @@ func (c *Client) Hint(h OwnershipHint) {
 		return
 	}
 	c.patches[h.Partition] = Member{ID: h.Owner, Addr: h.OwnerAddr}
-}
-
-// GroupKeys buckets key indices by owning node for a batched
-// fan-out: index positions of keys, grouped by node address.
-// Unroutable keys land under the empty address.
-func (c *Client) GroupKeys(keys []uint64) map[string][]int {
-	out := map[string][]int{}
-	for i, k := range keys {
-		_, addr, err := c.Route(k)
-		if err != nil {
-			addr = ""
-		}
-		out[addr] = append(out[addr], i)
-	}
-	return out
 }
 
 // Refresh fetches GET {addr}/v1/ring and installs the result if

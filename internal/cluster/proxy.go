@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"amnt/internal/telemetry/span"
+	"amnt/internal/wire"
 )
 
 // ProxyOptions configures a Proxy beyond its registry.
@@ -110,12 +111,8 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 // detects before any node is reached (orphaned partition mid-
 // adoption, owner down).
 func unavailable(w http.ResponseWriter, reason string, wait time.Duration, err error) {
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Retry-After", "1")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(map[string]any{
+	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"error":          err.Error(),
 		"reason":         reason,
 		"retry_after_ms": wait.Milliseconds(),
@@ -142,31 +139,74 @@ func (p *Proxy) route(v *View, part int) (id, addr string, reason string, wait t
 	return id, st.Addr, "", 0, nil
 }
 
-// forward relays one request to a node and streams the answer back,
-// preserving status, body, and the contract headers. Returns the
-// upstream status (0 on transport error, with a 502 already
-// written).
-func (p *Proxy) forward(ctx context.Context, w http.ResponseWriter, method, url, reqID string, body []byte) int {
+// send issues one upstream request under the client's request id.
+func (p *Proxy) send(ctx context.Context, method, url, reqID string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, err)
-		return 0
+		return nil, err
 	}
-	req.Header.Set("X-Request-Id", reqID)
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if reqID != "" {
+		req.Header.Set("X-Request-Id", reqID)
 	}
 	resp, err := p.opts.HTTP.Do(req)
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, fmt.Errorf("upstream %s: %w", url, err))
-		return 0
+		return nil, fmt.Errorf("upstream %s: %w", url, err)
+	}
+	return resp, nil
+}
+
+// fetch is send for a small answer wanted whole: the status and the
+// body, read to its end so the connection is reusable.
+func (p *Proxy) fetch(ctx context.Context, method, url, reqID string, body []byte) (int, []byte, error) {
+	resp, err := p.send(ctx, method, url, reqID, body)
+	if err != nil {
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Retry-After", "Deprecation", "Link"} {
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
+	return resp.StatusCode, raw, err
+}
+
+// eachLive fetches path from every live node at once and hands each
+// answer to fn, one call at a time.
+func (p *Proxy) eachLive(ctx context.Context, v *View, method, path, reqID string, body []byte, fn func(id string, status int, raw []byte, err error)) {
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for id, st := range v.Status {
+		if !st.Alive {
+			continue
+		}
+		wg.Add(1)
+		go func(id, addr string) {
+			defer wg.Done()
+			status, raw, err := p.fetch(ctx, method, addr+path, reqID, body)
+			mu.Lock()
+			defer mu.Unlock()
+			fn(id, status, raw, err)
+		}(id, st.Addr)
+	}
+	wg.Wait()
+}
+
+// healthStatus extracts the status field of a /v1/health body, "" when
+// there is none.
+func healthStatus(raw []byte) string {
+	var rep struct {
+		Status string `json:"status"`
+	}
+	_ = json.Unmarshal(raw, &rep)
+	return rep.Status
+}
+
+// relay streams an upstream answer back: status, body, and the
+// contract headers. It returns the status.
+func relay(w http.ResponseWriter, resp *http.Response) int {
+	defer resp.Body.Close()
+	for _, h := range []string{"Content-Type", "Content-Length", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
@@ -216,96 +256,72 @@ func (p *Proxy) kvHandler(w http.ResponseWriter, r *http.Request) {
 
 	// First try the owner we know; a 421 teaches us the real owner
 	// and is retried exactly once.
-	url := addr + r.URL.RequestURI()
-	status, retried, err := p.forwardWith421Retry(ctx, w, r.Method, url, reqID, body)
+	status, err := p.forwardWith421Retry(ctx, w, r.Method, addr+r.URL.RequestURI(), reqID, body)
 	sp.Mark(span.Forward)
 	if err == nil && status/100 != 2 && status != http.StatusNotFound {
 		err = fmt.Errorf("upstream status %d", status)
 	}
 	op.Done(sp, t0, err)
-	_ = retried
 }
 
 // forwardWith421Retry forwards, and on a 421 re-resolves via the
 // hint and forwards once more. The second answer is final either
-// way.
-func (p *Proxy) forwardWith421Retry(ctx context.Context, w http.ResponseWriter, method, url, reqID string, body []byte) (status int, retried bool, err error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		writeErr(w, http.StatusBadGateway, err)
-		return 0, false, err
-	}
-	req.Header.Set("X-Request-Id", reqID)
-	resp, err := p.opts.HTTP.Do(req)
-	if err != nil {
-		writeErr(w, http.StatusBadGateway, fmt.Errorf("upstream %s: %w", url, err))
-		return 0, false, err
-	}
-	if resp.StatusCode == http.StatusMisdirectedRequest {
+// way. A transport failure is answered 502 and returned.
+func (p *Proxy) forwardWith421Retry(ctx context.Context, w http.ResponseWriter, method, url, reqID string, body []byte) (status int, err error) {
+	resp, err := p.send(ctx, method, url, reqID, body)
+	if err == nil && resp.StatusCode == http.StatusMisdirectedRequest {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 		resp.Body.Close()
 		var hint OwnershipHint
-		if json.Unmarshal(raw, &hint) == nil && hint.OwnerAddr != "" {
-			loc := resp.Header.Get("Location")
-			if loc == "" {
-				loc = hint.OwnerAddr + req.URL.RequestURI()
-			}
-			return p.forward(ctx, w, method, loc, reqID, body), true, nil
+		if json.Unmarshal(raw, &hint) != nil || hint.OwnerAddr == "" {
+			// No usable hint: pass the 421 through.
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusMisdirectedRequest)
+			_, _ = w.Write(raw)
+			return http.StatusMisdirectedRequest, nil
 		}
-		// No usable hint: pass the 421 through.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusMisdirectedRequest)
-		_, _ = w.Write(raw)
-		return http.StatusMisdirectedRequest, false, nil
-	}
-	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Retry-After", "Deprecation", "Link"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
+		loc := resp.Header.Get("Location")
+		if loc == "" {
+			loc = hint.OwnerAddr + resp.Request.URL.RequestURI()
 		}
+		resp, err = p.send(ctx, method, loc, reqID, body)
 	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	return resp.StatusCode, false, nil
+	if err != nil {
+		writeErr(w, http.StatusBadGateway, err)
+		return 0, err
+	}
+	return relay(w, resp), nil
 }
 
-// batch fan-out types mirror the node's /v1/batch wire shapes.
-type batchPut struct {
-	Key      uint64 `json:"key"`
-	ValueB64 string `json:"value_b64"`
-}
-type batchRequest struct {
-	Puts []batchPut `json:"puts,omitempty"`
-	Gets []uint64   `json:"gets,omitempty"`
-}
-type batchResult struct {
-	Key      uint64 `json:"key"`
-	ValueB64 string `json:"value_b64,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
-type batchResponse struct {
-	Puts   []batchResult `json:"puts"`
-	Gets   []batchResult `json:"gets"`
-	Timing *span.Timing  `json:"timing,omitempty"`
+// batchLeg is one owning node's share of a fanned-out batch: its
+// sub-request and the node's answer live in buf, and putIdx/getIdx
+// say where in the client's batch each of its results belongs.
+type batchLeg struct {
+	addr           string
+	buf            *wire.Buf
+	putIdx, getIdx []int
 }
 
 // batchHandler fans one /v1/batch out per owning node and merges the
-// per-key results back into request order. Keys whose partitions are
-// unroutable (owner down, adoption in flight) fail in place with a
-// retryable error string; the batch itself stays 200 — the same
-// contract a single node's partially-failing batch has. The merged
-// timing's forward_us is the slowest node leg (the critical path).
+// per-key results back into request order. Values travel both ways as
+// the base64 text they arrived in; the proxy never decodes one. Keys
+// whose partitions are unroutable (owner down, adoption in flight)
+// fail in place with a retryable error string; the batch itself stays
+// 200 — the same contract a single node's partially-failing batch
+// has. The merged timing's forward_us is the slowest node leg (the
+// critical path).
 func (p *Proxy) batchHandler(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
-	var req batchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
+	buf := wire.Get()
+	defer buf.Release()
+	body, err := buf.ReadBody(r.Body, wire.MaxBatchBody)
+	if err == nil {
+		err = buf.Req.Decode(body)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad batch body: %w", err))
 		return
 	}
@@ -314,51 +330,46 @@ func (p *Proxy) batchHandler(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 
 	v := p.reg.View()
-	parts := v.State.Partitions
-	out := batchResponse{
-		Puts: make([]batchResult, len(req.Puts)),
-		Gets: make([]batchResult, len(req.Gets)),
-	}
-	for i, pu := range req.Puts {
-		out.Puts[i].Key = pu.Key
-	}
-	for i, k := range req.Gets {
-		out.Gets[i].Key = k
-	}
-
-	// Group indices by owning node address.
-	type sub struct {
-		addr   string
-		putIdx []int
-		getIdx []int
-	}
-	subs := map[string]*sub{}
-	routeKey := func(key uint64) (*sub, string) {
-		part := int(key % uint64(parts))
-		_, addr, _, _, err := p.route(v, part)
+	req, out := &buf.Req, &buf.Resp
+	legs := map[string]*batchLeg{}
+	// The legs' answers alias their buffers, so those are held until
+	// the merged response is written.
+	defer func() {
+		for _, l := range legs {
+			l.buf.Release()
+		}
+	}()
+	legFor := func(key uint64) (*batchLeg, string) {
+		_, addr, _, _, err := p.route(v, int(key%uint64(v.State.Partitions)))
 		if err != nil {
 			return nil, err.Error() + " (retryable)"
 		}
-		s := subs[addr]
-		if s == nil {
-			s = &sub{addr: addr}
-			subs[addr] = s
+		l := legs[addr]
+		if l == nil {
+			l = &batchLeg{addr: addr, buf: wire.Get()}
+			legs[addr] = l
 		}
-		return s, ""
+		return l, ""
 	}
 	for i, pu := range req.Puts {
-		if s, errstr := routeKey(pu.Key); s != nil {
-			s.putIdx = append(s.putIdx, i)
+		res := wire.Op{Key: pu.Key}
+		if l, msg := legFor(pu.Key); l != nil {
+			l.putIdx = append(l.putIdx, i)
+			l.buf.Req.Puts = append(l.buf.Req.Puts, pu)
 		} else {
-			out.Puts[i].Error = errstr
+			res.Err = msg
 		}
+		out.Puts = append(out.Puts, res)
 	}
 	for i, k := range req.Gets {
-		if s, errstr := routeKey(k); s != nil {
-			s.getIdx = append(s.getIdx, i)
+		res := wire.Op{Key: k}
+		if l, msg := legFor(k); l != nil {
+			l.getIdx = append(l.getIdx, i)
+			l.buf.Req.Gets = append(l.buf.Req.Gets, k)
 		} else {
-			out.Gets[i].Error = errstr
+			res.Err = msg
 		}
+		out.Gets = append(out.Gets, res)
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), p.opts.ReqTimeout)
@@ -369,81 +380,68 @@ func (p *Proxy) batchHandler(w http.ResponseWriter, r *http.Request) {
 		slowest  time.Duration
 		firstErr error
 	)
-	for _, s := range subs {
+	for _, l := range legs {
 		wg.Add(1)
-		go func(s *sub) {
+		go func(l *batchLeg) {
 			defer wg.Done()
-			subReq := batchRequest{}
-			for _, i := range s.putIdx {
-				subReq.Puts = append(subReq.Puts, req.Puts[i])
-			}
-			for _, i := range s.getIdx {
-				subReq.Gets = append(subReq.Gets, req.Gets[i])
-			}
-			body, _ := json.Marshal(subReq)
 			legStart := time.Now()
-			subResp, err := p.postBatch(ctx, s.addr, reqID, body)
-			leg := time.Since(legStart)
+			err := p.postBatch(ctx, l.addr, reqID, l.buf)
+			took := time.Since(legStart)
 			mu.Lock()
 			defer mu.Unlock()
-			if leg > slowest {
-				slowest = leg
+			if took > slowest {
+				slowest = took
 			}
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
-				msg := "node " + s.addr + ": " + err.Error() + " (retryable)"
-				for _, i := range s.putIdx {
-					out.Puts[i].Error = msg
+				msg := "node " + l.addr + ": " + err.Error() + " (retryable)"
+				for _, i := range l.putIdx {
+					out.Puts[i].Err = msg
 				}
-				for _, i := range s.getIdx {
-					out.Gets[i].Error = msg
+				for _, i := range l.getIdx {
+					out.Gets[i].Err = msg
 				}
 				return
 			}
 			// Sub-batch results come back in submission order.
-			for j, i := range s.putIdx {
-				if j < len(subResp.Puts) {
-					out.Puts[i] = subResp.Puts[j]
+			sub := &l.buf.Resp
+			for j, i := range l.putIdx {
+				if j < len(sub.Puts) {
+					out.Puts[i] = sub.Puts[j]
 				}
 			}
-			for j, i := range s.getIdx {
-				if j < len(subResp.Gets) {
-					out.Gets[i] = subResp.Gets[j]
+			for j, i := range l.getIdx {
+				if j < len(sub.Gets) {
+					out.Gets[i] = sub.Gets[j]
 				}
 			}
-		}(s)
+		}(l)
 	}
 	wg.Wait()
 
 	sp.Add(span.Forward, int64(slowest))
 	sp.Reset()
 	p.ops.batch.Done(sp, t0, firstErr)
-	if sp != nil {
-		out.Timing = sp.Timing()
-	}
-	writeJSON(w, http.StatusOK, out)
+	buf.Out = wire.AppendResponse(buf.Out[:0], out.Puts, out.Gets, sp.Timing())
+	wire.WriteBody(w, buf.Out)
 }
 
-// postBatch sends one node its slice of a fanned-out batch. A
-// non-200 answer (whole-node 503) is surfaced as an error so every
-// key of the slice fails retryably in place.
-func (p *Proxy) postBatch(ctx context.Context, addr, reqID string, body []byte) (*batchResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/batch", bytes.NewReader(body))
+// postBatch sends one node the sub-request gathered in b.Req and
+// decodes its answer into b.Resp. A non-200 answer (whole-node 503)
+// is surfaced as an error so every key of the slice fails retryably
+// in place.
+func (p *Proxy) postBatch(ctx context.Context, addr, reqID string, b *wire.Buf) error {
+	b.Out = wire.AppendRequest(b.Out[:0], b.Req.Puts, b.Req.Gets)
+	resp, err := p.send(ctx, http.MethodPost, addr+"/v1/batch", reqID, b.Out)
 	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Request-Id", reqID)
-	resp, err := p.opts.HTTP.Do(req)
-	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	raw, err := b.ReadBody(resp.Body, 2*wire.MaxBatchBody)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e struct {
@@ -451,15 +449,11 @@ func (p *Proxy) postBatch(ctx context.Context, addr, reqID string, body []byte) 
 			Reason string `json:"reason"`
 		}
 		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			return nil, fmt.Errorf("%s (%s)", e.Error, e.Reason)
+			return fmt.Errorf("%s (%s)", e.Error, e.Reason)
 		}
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
+		return fmt.Errorf("status %d", resp.StatusCode)
 	}
-	var out batchResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return b.Resp.Decode(raw)
 }
 
 // nodeHealth is one node's slice of the aggregated /v1/health.
@@ -479,48 +473,26 @@ func (p *Proxy) healthHandler(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), p.opts.ReqTimeout)
 	defer cancel()
 
-	type fetched struct {
-		id     string
-		raw    json.RawMessage
-		status string
-		ok     bool
-	}
-	ch := make(chan fetched, len(v.Status))
-	for id, st := range v.Status {
-		go func(id string, st NodeStatus) {
-			f := fetched{id: id, status: "unreachable"}
-			if st.Alive {
-				req, _ := http.NewRequestWithContext(ctx, http.MethodGet, st.Addr+"/v1/health", nil)
-				if resp, err := p.opts.HTTP.Do(req); err == nil {
-					raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-					resp.Body.Close()
-					var rep struct {
-						Status string `json:"status"`
-					}
-					if json.Unmarshal(raw, &rep) == nil && rep.Status != "" {
-						f = fetched{id: id, raw: raw, status: rep.Status, ok: true}
-					}
-				}
-			} else {
-				f.status = "down"
-			}
-			ch <- f
-		}(id, st)
-	}
-
 	nodes := map[string]nodeHealth{}
 	overall, code := "ok", http.StatusOK
-	for range v.Status {
-		f := <-ch
-		st := v.Status[f.id]
-		nodes[f.id] = nodeHealth{Status: st, Report: f.raw, FetchOK: f.ok}
-		switch {
-		case !st.Alive || !f.ok || f.status == "degraded":
+	for id, st := range v.Status {
+		nodes[id] = nodeHealth{Status: st}
+		if !st.Alive {
 			overall, code = "degraded", http.StatusServiceUnavailable
-		case f.status == "recovering" && overall == "ok":
-			overall = "recovering"
 		}
 	}
+	p.eachLive(ctx, v, http.MethodGet, "/v1/health", "", nil, func(id string, _ int, raw []byte, err error) {
+		switch status := healthStatus(raw); {
+		case err != nil || status == "":
+			overall, code = "degraded", http.StatusServiceUnavailable
+			return
+		case status == "degraded":
+			overall, code = "degraded", http.StatusServiceUnavailable
+		case status == "recovering" && overall == "ok":
+			overall = "recovering"
+		}
+		nodes[id] = nodeHealth{Status: v.Status[id], Report: raw, FetchOK: true}
+	})
 	if len(v.Pending) > 0 {
 		overall, code = "degraded", http.StatusServiceUnavailable
 	}
@@ -538,28 +510,11 @@ func (p *Proxy) statsHandler(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), p.opts.ReqTimeout)
 	defer cancel()
 	nodes := map[string]json.RawMessage{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for id, st := range v.Status {
-		if !st.Alive {
-			continue
-		}
-		wg.Add(1)
-		go func(id, addr string) {
-			defer wg.Done()
-			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/v1/store/stats", nil)
-			resp, err := p.opts.HTTP.Do(req)
-			if err != nil {
-				return
-			}
-			raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-			resp.Body.Close()
-			mu.Lock()
+	p.eachLive(ctx, v, http.MethodGet, "/v1/store/stats", "", nil, func(id string, _ int, raw []byte, err error) {
+		if err == nil {
 			nodes[id] = raw
-			mu.Unlock()
-		}(id, st.Addr)
-	}
-	wg.Wait()
+		}
+	})
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ring_epoch": v.State.Epoch,
 		"nodes":      nodes,
@@ -581,46 +536,22 @@ func (p *Proxy) broadcastHandler(path string) http.HandlerFunc {
 		ctx, cancel := context.WithTimeout(r.Context(), 60*time.Second)
 		defer cancel()
 		results := map[string]string{}
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		allOK := true
+		code := http.StatusOK
 		for id, st := range v.Status {
 			if !st.Alive {
-				mu.Lock()
-				results[id] = "down"
-				allOK = false
-				mu.Unlock()
-				continue
+				results[id], code = "down", http.StatusBadGateway
 			}
-			wg.Add(1)
-			go func(id, addr string) {
-				defer wg.Done()
-				req, _ := http.NewRequestWithContext(ctx, http.MethodPost, addr+path, nil)
-				req.Header.Set("X-Request-Id", reqID)
-				resp, err := p.opts.HTTP.Do(req)
-				outcome := "ok"
-				if err != nil {
-					outcome = err.Error()
-				} else {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						outcome = fmt.Sprintf("status %d", resp.StatusCode)
-					}
-				}
-				mu.Lock()
-				results[id] = outcome
-				if outcome != "ok" {
-					allOK = false
-				}
-				mu.Unlock()
-			}(id, st.Addr)
 		}
-		wg.Wait()
-		code := http.StatusOK
-		if !allOK {
-			code = http.StatusBadGateway
-		}
+		p.eachLive(ctx, v, http.MethodPost, path, reqID, nil, func(id string, status int, _ []byte, err error) {
+			switch {
+			case err != nil:
+				results[id], code = err.Error(), http.StatusBadGateway
+			case status != http.StatusOK:
+				results[id], code = fmt.Sprintf("status %d", status), http.StatusBadGateway
+			default:
+				results[id] = "ok"
+			}
+		})
 		writeJSON(w, code, map[string]any{"op": path, "nodes": results})
 	}
 }
@@ -695,54 +626,21 @@ func (p *Proxy) PushRing(ctx context.Context) {
 	if err != nil {
 		return
 	}
-	var wg sync.WaitGroup
-	for _, st := range v.Status {
-		if !st.Alive {
-			continue
-		}
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/ring", bytes.NewReader(body))
-			if err != nil {
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			if resp, err := p.opts.HTTP.Do(req); err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}(st.Addr)
-	}
-	wg.Wait()
+	p.eachLive(ctx, v, http.MethodPost, "/v1/ring", "", body, func(string, int, []byte, error) {})
 }
 
 // Pulse polls one node's /v1/health and feeds the result into the
 // registry — the proxy-driven heartbeat. Nodes that cannot be
 // reached simply miss their pulse and age toward the TTL.
 func (p *Proxy) Pulse(ctx context.Context, id string, now time.Time) {
-	v := p.reg.View()
-	st, ok := v.Status[id]
+	st, ok := p.reg.View().Status[id]
 	if !ok {
 		return
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, st.Addr+"/v1/health", nil)
-	if err != nil {
-		return
+	_, raw, err := p.fetch(ctx, http.MethodGet, st.Addr+"/v1/health", "", nil)
+	if status := healthStatus(raw); err == nil && status != "" {
+		_, _ = p.reg.Pulse(id, status, now)
 	}
-	resp, err := p.opts.HTTP.Do(req)
-	if err != nil {
-		return
-	}
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	var rep struct {
-		Status string `json:"status"`
-	}
-	if json.Unmarshal(raw, &rep) != nil || rep.Status == "" {
-		return
-	}
-	_, _ = p.reg.Pulse(id, rep.Status, now)
 }
 
 // SweepOnce runs one pulse+sweep round: poll every member, apply the
@@ -776,17 +674,8 @@ func (p *Proxy) SweepOnce(ctx context.Context, now time.Time) []Reassign {
 	if p.opts.AutoAdopt {
 		for _, mv := range moves {
 			url := fmt.Sprintf("%s/v1/migrate/adopt?part=%d", mv.ToAddr, mv.Partition)
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
-			if err != nil {
-				continue
-			}
-			resp, err := p.opts.HTTP.Do(req)
-			if err != nil {
-				continue // stays pending; the next sweep retries
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
+			// A failed adoption stays pending; the next sweep retries.
+			if status, _, err := p.fetch(ctx, http.MethodPost, url, "", nil); err == nil && status == http.StatusOK {
 				p.reg.AdoptDone(mv.Partition, now)
 				p.adoptions.Add(1)
 			}

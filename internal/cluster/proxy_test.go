@@ -21,6 +21,7 @@ import (
 	"amnt/internal/node"
 	"amnt/internal/store"
 	"amnt/internal/telemetry/span"
+	"amnt/internal/wire"
 )
 
 // miniCluster is a proxy fronting live in-process nodes.
@@ -239,6 +240,94 @@ func TestProxyBatchFanOut(t *testing.T) {
 	}
 	if getOut.Timing.ForwardUs <= 0 {
 		t.Error("batch timing missing forward phase")
+	}
+}
+
+// TestProxyBatchSubBatchFailure pins how a node-level failure of one
+// leg surfaces: whether the node refuses its whole sub-batch with 503
+// or with 421, every key of that leg fails in place with a
+// "(retryable)" message naming the node, the other leg's keys succeed,
+// and the batch stays 200. A malformed client body is still a 400.
+func TestProxyBatchSubBatchFailure(t *testing.T) {
+	for _, refusal := range []struct {
+		code int
+		body string
+		want string
+	}{
+		{http.StatusServiceUnavailable, `{"error":"store: shard recovering","reason":"recovering","retry_after_ms":100}`, "store: shard recovering (recovering) (retryable)"},
+		{http.StatusMisdirectedRequest, `{"error":"partition 1 not owned by this node","partition":1}`, "partition 1 not owned by this node () (retryable)"},
+	} {
+		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/batch" {
+				w.WriteHeader(refusal.code)
+			}
+			io.WriteString(w, refusal.body)
+		}))
+		t.Cleanup(stub.Close)
+		mux := http.NewServeMux()
+		real := httptest.NewServer(mux)
+		t.Cleanup(real.Close)
+		ring := cluster.InitialState(8, 0, []cluster.Member{{ID: "n1", Addr: real.URL}, {ID: "n2", Addr: stub.URL}})
+		st, err := store.Open(store.Config{
+			Shards: len(cluster.OwnedBy(ring, "n1")), Partitions: 8, Owned: cluster.OwnedBy(ring, "n1"),
+			ShardMemBytes: 256 << 10, Protocol: "leaf", QueueDepth: 64, BatchMax: 8,
+		})
+		if err != nil {
+			t.Fatalf("open store: %v", err)
+		}
+		t.Cleanup(func() { _ = st.Close(context.Background()) })
+		node.New(st, nil, node.Options{NodeID: "n1", Advertise: real.URL, Ring: ring}).Mount(mux)
+		pmux := http.NewServeMux()
+		cluster.NewProxy(cluster.NewRegistry(ring, time.Minute, time.Now()), cluster.ProxyOptions{}).Mount(pmux)
+		proxy := httptest.NewServer(pmux)
+		t.Cleanup(proxy.Close)
+
+		var puts []wire.Op
+		var gets []uint64
+		for key := uint64(0); key < 16; key++ {
+			puts = append(puts, wire.Op{Key: key, Value: []byte(fmt.Sprintf("s-%d", key))})
+			gets = append(gets, key)
+		}
+		resp, err := http.Post(proxy.URL+"/v1/batch", "application/json", bytes.NewReader(wire.AppendRequest(nil, puts, gets)))
+		if err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var out wire.Response
+		if err := out.Decode(raw); resp.StatusCode != http.StatusOK || err != nil || len(out.Puts) != 16 || len(out.Gets) != 16 {
+			t.Fatalf("partially failing batch answered %d %s (%v)", resp.StatusCode, raw, err)
+		}
+		var buf wire.Buf
+		failed := 0
+		for i, key := range gets {
+			p, g := out.Puts[i], out.Gets[i]
+			if p.Key != key || g.Key != key {
+				t.Fatalf("result %d is for keys %d/%d, want %d", i, p.Key, g.Key, key)
+			}
+			if ring.Owner(int(key%8)) == "n1" {
+				if v, _ := buf.Value(g.B64); p.Err != "" || g.Err != "" || string(v) != fmt.Sprintf("s-%d", key) {
+					t.Errorf("key %d on the healthy node: put %q get %q value %q", key, p.Err, g.Err, v)
+				}
+				continue
+			}
+			failed++
+			if want := "node " + stub.URL + ": " + refusal.want; p.Err != want || g.Err != want {
+				t.Errorf("key %d on the refusing node: put %q get %q, want %q", key, p.Err, g.Err, want)
+			}
+		}
+		if failed == 0 || failed == 16 {
+			t.Fatalf("ring put %d of 16 keys on the refusing node; the test needs both legs", failed)
+		}
+
+		resp, err = http.Post(proxy.URL+"/v1/batch", "application/json", strings.NewReader(`{"puts":[{"key":"1"}]}`))
+		if err != nil {
+			t.Fatalf("malformed batch: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("malformed body answered %d at the proxy, want 400", resp.StatusCode)
+		}
 	}
 }
 

@@ -150,7 +150,12 @@ func (b *BMF) maintain(now uint64) uint64 {
 	var hot nodeID
 	var hotCount uint64
 	for id, n := range b.freq {
-		if n > hotCount && id.level <= g.Levels-2 {
+		if id.level > g.Levels-2 || n < hotCount || n == 0 {
+			continue
+		}
+		// Equally hot roots tie-break on (level, index), never on map
+		// order, so identical runs prune identical roots.
+		if n > hotCount || id.level < hot.level || (id.level == hot.level && id.idx < hot.idx) {
 			hot, hotCount = id, n
 		}
 	}

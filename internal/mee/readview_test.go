@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -274,6 +275,10 @@ func TestReadViewHammer(t *testing.T) {
 	// Owner: 8 write bursts per loop, mimicking a put-epoch cadence.
 	rng := rand.New(rand.NewSource(99))
 	version := uint64(1)
+	// One waiter for the whole run: a goroutine per burst would bury
+	// the readers under thousands of runnable waiters on a small host.
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
 	for !stop.Load() {
 		for w := 0; w < 8; w++ {
 			b := uint64(rng.Intn(blocks))
@@ -282,18 +287,15 @@ func TestReadViewHammer(t *testing.T) {
 			}
 			version++
 		}
+		// Stop once the readers are done; otherwise give them the gap
+		// between epochs that a real owner leaves.
 		select {
 		case err := <-errCh:
 			t.Fatal(err)
-		default:
-		}
-		// Stop once the readers are done.
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
 		case <-done:
 			stop.Store(true)
 		default:
+			runtime.Gosched()
 		}
 	}
 	wg.Wait()

@@ -2,11 +2,9 @@ package node
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -14,68 +12,14 @@ import (
 
 	"amnt/internal/store"
 	"amnt/internal/telemetry/span"
+	"amnt/internal/wire"
 )
 
-// Mount attaches the node's routes to mux: the canonical surface
-// lives under /v1/, and every pre-versioning path stays mounted as a
-// deprecated alias of its /v1 successor.
+// Mount attaches the node's routes to mux, all under /v1/.
 func (n *Node) Mount(mux *http.ServeMux) {
 	st, tr := n.st, n.tr
-	kv := func(prefix string) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			key, err := strconv.ParseUint(strings.TrimPrefix(r.URL.Path, prefix), 10, 64)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad key: %w", err))
-				return
-			}
-			ctx, cancel := context.WithTimeout(r.Context(), n.reqTimeout)
-			defer cancel()
-			switch r.Method {
-			case http.MethodGet:
-				sp, t0 := tr.begin(tr.kvGet, w, r)
-				v, err := st.Get(span.NewContext(ctx, sp), key)
-				tr.kvGet.Done(sp, t0, redErr(err))
-				if err != nil {
-					n.kvError(w, r, err)
-					return
-				}
-				resp := map[string]any{
-					"key":       key,
-					"value_b64": base64.StdEncoding.EncodeToString(v),
-				}
-				if sp != nil {
-					resp["timing"] = sp.Timing()
-				}
-				writeJSON(w, resp)
-			case http.MethodPut, http.MethodPost:
-				body, err := io.ReadAll(io.LimitReader(r.Body, store.MaxValueLen+1))
-				if err != nil {
-					httpError(w, http.StatusBadRequest, err)
-					return
-				}
-				sp, t0 := tr.begin(tr.kvPut, w, r)
-				err = st.Put(span.NewContext(ctx, sp), key, body)
-				tr.kvPut.Done(sp, t0, err)
-				if err != nil {
-					n.kvError(w, r, err)
-					return
-				}
-				resp := map[string]any{"ok": true, "key": key}
-				if sp != nil {
-					resp["timing"] = sp.Timing()
-				}
-				writeJSON(w, resp)
-			default:
-				httpError(w, http.StatusMethodNotAllowed, errors.New("use GET or PUT"))
-			}
-		}
-	}
 	control := func(name string, op *span.Op, fn func(context.Context) error) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-				return
-			}
+		return postOnly(func(w http.ResponseWriter, r *http.Request) {
 			// Control ops (recover runs a full verify) get a wider
 			// deadline than the data path.
 			ctx, cancel := context.WithTimeout(r.Context(), 30*time.Second)
@@ -91,14 +35,10 @@ func (n *Node) Mount(mux *http.ServeMux) {
 			if sp != nil {
 				resp["timing"] = sp.Timing()
 			}
-			writeJSON(w, resp)
-		}
+			writeJSON(w, http.StatusOK, resp)
+		})
 	}
 	chaos := func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-			return
-		}
 		q := r.URL.Query()
 		spec := store.ChaosSpec{Kind: q.Get("kind")}
 		if spec.Kind == "" {
@@ -129,13 +69,9 @@ func (n *Node) Mount(mux *http.ServeMux) {
 			httpError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, res)
+		writeJSON(w, http.StatusOK, res)
 	}
 	quarantine := func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-			return
-		}
 		shard := 0
 		if v := r.URL.Query().Get("shard"); v != "" {
 			n, err := strconv.Atoi(v)
@@ -154,10 +90,10 @@ func (n *Node) Mount(mux *http.ServeMux) {
 			httpError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, map[string]any{"ok": true, "op": "quarantine", "shard": shard})
+		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "op": "quarantine", "shard": shard})
 	}
 	stats := func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, st.Stats())
+		writeJSON(w, http.StatusOK, st.Stats())
 	}
 	spans := func(w http.ResponseWriter, r *http.Request) {
 		nSpans := 100
@@ -173,33 +109,28 @@ func (n *Node) Mount(mux *http.ServeMux) {
 		_ = tr.rec.WriteJSONL(w, nSpans)
 	}
 
-	mux.HandleFunc("/v1/kv/", kv("/v1/kv/"))
-	mux.HandleFunc("/v1/batch", n.batchHandler())
+	mux.HandleFunc("/v1/kv/", n.kvHandler)
+	mux.HandleFunc("/v1/batch", postOnly(n.batchHandler))
 	mux.HandleFunc("/v1/flush", control("flush", tr.flush, st.Flush))
 	mux.HandleFunc("/v1/checkpoint", control("checkpoint", tr.checkpoint, st.Checkpoint))
 	mux.HandleFunc("/v1/recover", control("recover", tr.recover, st.Recover))
-	mux.HandleFunc("/v1/chaos", chaos)
-	mux.HandleFunc("/v1/quarantine", quarantine)
+	mux.HandleFunc("/v1/chaos", postOnly(chaos))
+	mux.HandleFunc("/v1/quarantine", postOnly(quarantine))
 	mux.HandleFunc("/v1/store/stats", stats)
 	mux.HandleFunc("/v1/health", n.healthHandler)
 	mux.HandleFunc("/v1/spans", spans)
 	n.mountMigrate(mux)
+}
 
-	// Pre-versioning aliases. Answer identically but advertise the
-	// successor route so clients can migrate before removal.
-	alias := func(old, successor string, h http.HandlerFunc) {
-		mux.HandleFunc(old, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-			h(w, r)
-		})
+// postOnly refuses every method but POST.
+func postOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
+			return
+		}
+		h(w, r)
 	}
-	alias("/kv/", "/v1/kv/", kv("/kv/"))
-	alias("/flush", "/v1/flush", control("flush", tr.flush, st.Flush))
-	alias("/checkpoint", "/v1/checkpoint", control("checkpoint", tr.checkpoint, st.Checkpoint))
-	alias("/recover", "/v1/recover", control("recover", tr.recover, st.Recover))
-	alias("/chaos", "/v1/chaos", chaos)
-	alias("/store/stats", "/v1/store/stats", stats)
 }
 
 // kvError routes a data-path error: a NotOwnedError answers 421 with
@@ -226,96 +157,117 @@ func (n *Node) write421(w http.ResponseWriter, r *http.Request, part int) {
 			w.Header().Set("Location", h.OwnerAddr+r.URL.RequestURI())
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusMisdirectedRequest)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(h)
+	writeJSON(w, http.StatusMisdirectedRequest, h)
 }
 
-// batchPut is one write in a /v1/batch request body.
-type batchPut struct {
-	Key      uint64 `json:"key"`
-	ValueB64 string `json:"value_b64"`
-}
-
-// batchRequest is the /v1/batch body: puts apply before gets, so a
-// batch can read back its own writes.
-type batchRequest struct {
-	Puts []batchPut `json:"puts,omitempty"`
-	Gets []uint64   `json:"gets,omitempty"`
-}
-
-// batchResult is one per-key outcome in a /v1/batch response.
-type batchResult struct {
-	Key      uint64 `json:"key"`
-	ValueB64 string `json:"value_b64,omitempty"`
-	Error    string `json:"error,omitempty"`
+// kvHandler serves GET|PUT /v1/kv/{key}.
+func (n *Node) kvHandler(w http.ResponseWriter, r *http.Request) {
+	st, tr := n.st, n.tr
+	key, err := strconv.ParseUint(strings.TrimPrefix(r.URL.Path, "/v1/kv/"), 10, 64)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad key: %w", err))
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), n.reqTimeout)
+	defer cancel()
+	buf := wire.Get()
+	defer buf.Release()
+	switch r.Method {
+	case http.MethodGet:
+		sp, t0 := tr.begin(tr.kvGet, w, r)
+		v, err := st.Get(span.NewContext(ctx, sp), key)
+		tr.kvGet.Done(sp, t0, redErr(err))
+		if err != nil {
+			n.kvError(w, r, err)
+			return
+		}
+		buf.Out = wire.AppendGet(buf.Out[:0], key, v, sp.Timing())
+	case http.MethodPut, http.MethodPost:
+		body, err := buf.ReadBody(r.Body, store.MaxValueLen)
+		if errors.Is(err, wire.ErrTooLarge) {
+			err = store.ErrValueTooLarge
+		}
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		sp, t0 := tr.begin(tr.kvPut, w, r)
+		err = st.Put(span.NewContext(ctx, sp), key, body)
+		tr.kvPut.Done(sp, t0, err)
+		if err != nil {
+			n.kvError(w, r, err)
+			return
+		}
+		buf.Out = wire.AppendAck(buf.Out[:0], key, sp.Timing())
+	default:
+		httpError(w, http.StatusMethodNotAllowed, errors.New("use GET or PUT"))
+		return
+	}
+	wire.WriteBody(w, buf.Out)
 }
 
 // batchHandler serves POST /v1/batch: the whole batch travels as one
 // multi-op request per shard and the writes commit as group-commit
 // epochs. Per-key failures are reported in place; the HTTP status
 // stays 200 unless the request itself is malformed.
-func (n *Node) batchHandler() http.HandlerFunc {
+func (n *Node) batchHandler(w http.ResponseWriter, r *http.Request) {
 	st, tr := n.st, n.tr
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-			return
-		}
-		var req batchRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad batch body: %w", err))
-			return
-		}
-		sp, t0 := tr.begin(tr.batch, w, r)
-		ctx, cancel := context.WithTimeout(span.NewContext(r.Context(), sp), n.reqTimeout)
-		defer cancel()
-
-		putRes := make([]batchResult, len(req.Puts))
-		kvs := make([]store.KV, 0, len(req.Puts))
-		kvIdx := make([]int, 0, len(req.Puts))
-		for i, p := range req.Puts {
-			putRes[i].Key = p.Key
-			v, err := base64.StdEncoding.DecodeString(p.ValueB64)
-			if err != nil {
-				putRes[i].Error = "bad value_b64: " + err.Error()
-				continue
-			}
-			kvs = append(kvs, store.KV{Key: p.Key, Value: v})
-			kvIdx = append(kvIdx, i)
-		}
-		var firstErr error
-		for j, err := range st.PutBatch(ctx, kvs) {
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				putRes[kvIdx[j]].Error = err.Error()
-			}
-		}
-
-		getRes := make([]batchResult, len(req.Gets))
-		values, errs := st.GetBatch(ctx, req.Gets)
-		for i, key := range req.Gets {
-			getRes[i].Key = key
-			if errs[i] != nil {
-				if firstErr == nil {
-					firstErr = redErr(errs[i])
-				}
-				getRes[i].Error = errs[i].Error()
-				continue
-			}
-			getRes[i].ValueB64 = base64.StdEncoding.EncodeToString(values[i])
-		}
-		tr.batch.Done(sp, t0, firstErr)
-		resp := map[string]any{"puts": putRes, "gets": getRes}
-		if sp != nil {
-			resp["timing"] = sp.Timing()
-		}
-		writeJSON(w, resp)
+	buf := wire.Get()
+	defer buf.Release()
+	body, err := buf.ReadBody(r.Body, wire.MaxBatchBody)
+	if err == nil {
+		err = buf.Req.Decode(body)
 	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad batch body: %w", err))
+		return
+	}
+	sp, t0 := tr.begin(tr.batch, w, r)
+	ctx, cancel := context.WithTimeout(span.NewContext(r.Context(), sp), n.reqTimeout)
+	defer cancel()
+
+	req, resp := &buf.Req, &buf.Resp
+	kvs := make([]store.KV, 0, len(req.Puts))
+	for _, p := range req.Puts {
+		res := wire.Op{Key: p.Key}
+		if v, err := buf.Value(p.B64); err != nil {
+			res.Err = "bad value_b64: " + err.Error()
+		} else {
+			kvs = append(kvs, store.KV{Key: p.Key, Value: v})
+		}
+		resp.Puts = append(resp.Puts, res)
+	}
+	// PutBatch copies the values, so they may live in buf. Its errors
+	// are parallel to kvs, which skips the puts that did not decode.
+	var firstErr error
+	putErrs := st.PutBatch(ctx, kvs)
+	for i := range resp.Puts {
+		if resp.Puts[i].Err != "" {
+			continue
+		}
+		if err := putErrs[0]; err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			resp.Puts[i].Err = err.Error()
+		}
+		putErrs = putErrs[1:]
+	}
+
+	values, errs := st.GetBatch(ctx, req.Gets)
+	for i, key := range req.Gets {
+		res := wire.Op{Key: key, Value: values[i]}
+		if errs[i] != nil {
+			if firstErr == nil {
+				firstErr = redErr(errs[i])
+			}
+			res.Err = errs[i].Error()
+		}
+		resp.Gets = append(resp.Gets, res)
+	}
+	tr.batch.Done(sp, t0, firstErr)
+	buf.Out = wire.AppendResponse(buf.Out[:0], resp.Puts, resp.Gets, sp.Timing())
+	wire.WriteBody(w, buf.Out)
 }
 
 // ShardHealthState is one shard's entry in the /v1/health report:
@@ -401,11 +353,7 @@ func (n *Node) healthHandler(w http.ResponseWriter, _ *http.Request) {
 		}
 		out.Node = ident
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
+	writeJSON(w, code, out)
 }
 
 // degradation classifies the retryable serving failures: which
@@ -450,8 +398,12 @@ func statusFor(err error) int {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON writes an indented body. Control, health, stats and
+// error answers take it; the data path's success bodies are
+// internal/wire's.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
@@ -463,7 +415,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 // the HTTP contract) and a finer-grained retry_after_ms field in the
 // body.
 func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
 	body := map[string]any{"error": err.Error()}
 	if reason, wait, ok := degradation(err); ok {
 		code = http.StatusServiceUnavailable
@@ -475,8 +426,5 @@ func httpError(w http.ResponseWriter, code int, err error) {
 		body["reason"] = reason
 		body["retry_after_ms"] = wait.Milliseconds()
 	}
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	writeJSON(w, code, body)
 }

@@ -44,19 +44,10 @@ func (n *Node) mountMigrate(mux *http.ServeMux) {
 		}
 		return p, true
 	}
-	post := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-				return
-			}
-			h(w, r)
-		}
-	}
 	// step wraps the fixed-shape migration steps: POST, part param,
 	// traced, {"ok":true} on success.
 	step := func(name string, fn func(ctx context.Context, part int) error) http.HandlerFunc {
-		return post(func(w http.ResponseWriter, r *http.Request) {
+		return postOnly(func(w http.ResponseWriter, r *http.Request) {
 			p, ok := part(w, r)
 			if !ok {
 				return
@@ -70,11 +61,11 @@ func (n *Node) mountMigrate(mux *http.ServeMux) {
 				n.migrateError(w, r, p, err)
 				return
 			}
-			writeJSON(w, map[string]any{"ok": true, "op": name, "partition": p})
+			writeJSON(w, http.StatusOK, map[string]any{"ok": true, "op": name, "partition": p})
 		})
 	}
 
-	mux.HandleFunc("/v1/migrate/begin", post(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/migrate/begin", postOnly(func(w http.ResponseWriter, r *http.Request) {
 		p, ok := part(w, r)
 		if !ok {
 			return
@@ -119,10 +110,10 @@ func (n *Node) mountMigrate(mux *http.ServeMux) {
 		if ops == nil {
 			ops = []store.DeltaOp{}
 		}
-		writeJSON(w, map[string]any{"ops": ops, "remaining": remaining})
+		writeJSON(w, http.StatusOK, map[string]any{"ops": ops, "remaining": remaining})
 	})
 
-	mux.HandleFunc("/v1/migrate/attach", post(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/migrate/attach", postOnly(func(w http.ResponseWriter, r *http.Request) {
 		p, ok := part(w, r)
 		if !ok {
 			return
@@ -141,10 +132,10 @@ func (n *Node) mountMigrate(mux *http.ServeMux) {
 			n.migrateError(w, r, p, err)
 			return
 		}
-		writeJSON(w, map[string]any{"ok": true, "op": "attach", "partition": p, "image_bytes": len(image)})
+		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "op": "attach", "partition": p, "image_bytes": len(image)})
 	}))
 
-	mux.HandleFunc("/v1/migrate/apply", post(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/migrate/apply", postOnly(func(w http.ResponseWriter, r *http.Request) {
 		p, ok := part(w, r)
 		if !ok {
 			return
@@ -163,7 +154,7 @@ func (n *Node) mountMigrate(mux *http.ServeMux) {
 			n.migrateError(w, r, p, err)
 			return
 		}
-		writeJSON(w, map[string]any{"ok": true, "op": "apply", "partition": p, "applied": len(body.Ops)})
+		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "op": "apply", "partition": p, "applied": len(body.Ops)})
 	}))
 
 	mux.HandleFunc("/v1/migrate/fence", step("fence", st.MigrateFence))
@@ -187,7 +178,7 @@ func (n *Node) mountMigrate(mux *http.ServeMux) {
 				httpError(w, http.StatusNotFound, errors.New("node is not in cluster mode"))
 				return
 			}
-			writeJSON(w, s)
+			writeJSON(w, http.StatusOK, s)
 		case http.MethodPost:
 			var s cluster.State
 			if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&s); err != nil {
@@ -196,7 +187,7 @@ func (n *Node) mountMigrate(mux *http.ServeMux) {
 			}
 			installed := n.InstallRing(&s)
 			cur := n.ring.Load()
-			writeJSON(w, map[string]any{"installed": installed, "epoch": cur.Epoch})
+			writeJSON(w, http.StatusOK, map[string]any{"installed": installed, "epoch": cur.Epoch})
 		default:
 			httpError(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
 		}

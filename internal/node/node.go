@@ -86,9 +86,6 @@ func (n *Node) InstallRing(s *cluster.State) bool {
 	}
 }
 
-// Ring returns the cached ring state, nil standalone.
-func (n *Node) Ring() *cluster.State { return n.ring.Load() }
-
 // hintFor builds the 421 ownership hint for a partition this node
 // does not host, from the cached ring state when present.
 func (n *Node) hintFor(part int) cluster.OwnershipHint {

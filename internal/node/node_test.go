@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	_ "amnt/internal/core"
 	"amnt/internal/store"
 	"amnt/internal/telemetry/span"
+	"amnt/internal/wire"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *store.Store) {
@@ -69,9 +71,6 @@ func TestServerV1KV(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("put status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("versioned route flagged as deprecated")
 	}
 
 	resp, err = http.Get(srv.URL + "/v1/kv/7")
@@ -151,70 +150,157 @@ func TestServerBatch(t *testing.T) {
 	}
 }
 
-// TestServerDeprecatedAliases pins the compatibility contract: every
-// unversioned route still answers, carries a Deprecation header, and
-// links its /v1 successor.
-func TestServerDeprecatedAliases(t *testing.T) {
+// TestServerBatchValidation pins what the batch endpoint refuses and
+// how: a malformed or oversized body fails the request with 400,
+// while a value that is too large or is not base64 fails its own key
+// and leaves the batch at 200 — and every data-path body is compact.
+func TestServerBatchValidation(t *testing.T) {
 	srv, _ := testServer(t)
+	post := func(body []byte) (int, []byte) {
+		resp, err := http.Post(srv.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, raw
+	}
+	for _, bad := range []string{``, `{"puts":[`, `{"gets":[1]} trailing`, `{"gets":["1"]}`, `{"puts":{}}`, `[]`} {
+		if code, raw := post([]byte(bad)); code != http.StatusBadRequest || !bytes.Contains(raw, []byte("bad batch body")) {
+			t.Errorf("malformed body %q answered %d %s, want 400", bad, code, raw)
+		}
+	}
+	huge := append(append([]byte(`{"gets":[1`), bytes.Repeat([]byte(" "), wire.MaxBatchBody)...), `]}`...)
+	if code, raw := post(huge); code != http.StatusBadRequest {
+		t.Errorf("body over 8 MiB answered %d %.80s, want 400", code, raw)
+	}
 
-	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/kv/11", strings.NewReader("old"))
+	big := base64.StdEncoding.EncodeToString(make([]byte, store.MaxValueLen+1))
+	code, raw := post([]byte(`{"unknown":{"x":[1]},"gets":[4,2],"puts":[{"value_b64":"` + big + `","key":2},{"key":4,"value_b64":"!!"},{"key":6,"value_b64":"b2s="}]}`))
+	if code != http.StatusOK {
+		t.Fatalf("batch with per-key failures answered %d %s, want 200", code, raw)
+	}
+	if bytes.Contains(raw, []byte("\n")) || bytes.Contains(raw, []byte(`": `)) || bytes.Contains(raw, []byte(`, "`)) {
+		t.Fatalf("response is not compact: %s", raw)
+	}
+	var out wire.Response
+	if err := out.Decode(raw); err != nil || len(out.Puts) != 3 || len(out.Gets) != 2 {
+		t.Fatalf("decode %s: %v", raw, err)
+	}
+	if out.Puts[0].Key != 2 || out.Puts[0].Err != store.ErrValueTooLarge.Error() {
+		t.Errorf("oversized value: %+v, want key 2 failing with %q", out.Puts[0], store.ErrValueTooLarge)
+	}
+	if out.Puts[1].Key != 4 || !strings.HasPrefix(out.Puts[1].Err, "bad value_b64: ") {
+		t.Errorf("bad base64: %+v, want key 4 failing with bad value_b64", out.Puts[1])
+	}
+	if out.Puts[2].Key != 6 || out.Puts[2].Err != "" {
+		t.Errorf("good put next to bad ones: %+v", out.Puts[2])
+	}
+	if out.Gets[0].Err == "" || out.Gets[1].Err == "" {
+		t.Errorf("refused puts are readable: %+v", out.Gets)
+	}
+
+	// The kv route has the same cap on a single value, and compact bodies.
+	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/kv/8", bytes.NewReader(make([]byte, store.MaxValueLen+1)))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("alias put: %v", err)
+		t.Fatalf("put: %v", err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("alias put status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized kv put answered %d, want 400", resp.StatusCode)
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("alias missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/kv/") {
-		t.Fatalf("alias Link %q does not name successor", link)
-	}
-
-	// The alias and the versioned route hit the same store.
-	resp, err = http.Get(srv.URL + "/v1/kv/11")
+	resp, err = http.Get(srv.URL + "/v1/kv/6")
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	defer resp.Body.Close()
-	var out struct {
-		ValueB64 string `json:"value_b64"`
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var kv wire.KV
+	if err := kv.Decode(raw); err != nil || kv.Key != 6 || string(kv.B64) != "b2s=" || bytes.ContainsAny(raw, " \n") {
+		t.Errorf("kv get body %s (%v), want compact key 6 = b2s=", raw, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if v, _ := base64.StdEncoding.DecodeString(out.ValueB64); string(v) != "old" {
-		t.Fatalf("alias write not visible via /v1: %q", v)
-	}
+}
 
-	for old, successor := range map[string]string{
-		"/flush":       "/v1/flush",
-		"/checkpoint":  "/v1/checkpoint",
-		"/recover":     "/v1/recover",
-		"/store/stats": "/v1/store/stats",
-	} {
-		method := http.MethodPost
-		if old == "/store/stats" {
-			method = http.MethodGet
-		}
-		req, _ := http.NewRequest(method, srv.URL+old, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("%s: %v", old, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status %d", old, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("%s missing Deprecation header", old)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, successor) {
-			t.Fatalf("%s Link %q does not name %s", old, link, successor)
-		}
+// batchBody builds a /v1/batch body putting and then getting n keys
+// from base, each value naming its owner and key.
+func batchBody(owner, base, n int) ([]byte, []string) {
+	var puts []wire.Op
+	var gets []uint64
+	var want []string
+	for k := base; k < base+n; k++ {
+		want = append(want, fmt.Sprintf("owner-%d-key-%d", owner, k))
+		puts = append(puts, wire.Op{Key: uint64(k), Value: []byte(want[len(want)-1])})
+		gets = append(gets, uint64(k))
 	}
+	return wire.AppendRequest(nil, puts, gets), want
+}
+
+// TestBatchHandlerAllocs is the ceiling on what one 128-op batch may
+// allocate in the handler and the store under it. The codec itself
+// allocates nothing once its buffers are warm; what is left is the
+// store's fan-out, the values GetBatch returns and the recorder.
+func TestBatchHandlerAllocs(t *testing.T) {
+	st, err := store.Open(store.Config{Shards: 4, ShardMemBytes: 1 << 20, Protocol: "amnt"})
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	defer st.Close(context.Background())
+	mux := http.NewServeMux()
+	New(st, span.New(span.Config{SampleEvery: 0, Shards: 4}), Options{}).Mount(mux)
+	body, _ := batchBody(0, 0, 64)
+	allocs := testing.AllocsPerRun(200, func() {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	})
+	t.Logf("%.0f allocations per 128-op batch", allocs)
+	if allocs > 480 {
+		t.Fatalf("%.0f allocations per 128-op batch, ceiling 480 (416 when written, 852 with encoding/json)", allocs)
+	}
+}
+
+// TestBatchHandlerNoBleed hammers /v1/batch from many clients whose
+// keys are disjoint and whose values name their owner. The handler's
+// buffers are pooled and the values it hands to PutBatch live in
+// them, so this pins both that a buffer never serves two requests at
+// once and PutBatch's contract that values are copied before it
+// returns: a violation of either shows up as another client's bytes.
+func TestBatchHandlerNoBleed(t *testing.T) {
+	srv, _ := testServerCfg(t, store.Config{Shards: 4, ShardMemBytes: 1 << 20, Protocol: "amnt", QueueDepth: 256})
+	const clients, rounds, width = 8, 40, 32
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var out wire.Response
+			var buf wire.Buf
+			for r := 0; r < rounds; r++ {
+				body, want := batchBody(c, (c*rounds+r)*width, width)
+				resp, err := http.Post(srv.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err := out.Decode(raw); err != nil || len(out.Gets) != width || len(out.Puts) != width {
+					t.Errorf("client %d: bad response %.200s: %v", c, raw, err)
+					return
+				}
+				for i, g := range out.Gets {
+					if v, _ := buf.Value(g.B64); string(v) != want[i] || out.Puts[i].Err != "" {
+						t.Errorf("client %d round %d: key %d reads %q (put error %q), want %q", c, r, g.Key, v, out.Puts[i].Err, want[i])
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }
 
 // TestServerStats checks /v1/store/stats decodes and reflects epoch

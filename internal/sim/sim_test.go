@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -305,5 +306,34 @@ func TestTamperSurfacesThroughMachine(t *testing.T) {
 	}
 	if !sawViolation {
 		t.Fatal("tampering never surfaced through the machine")
+	}
+}
+
+// TestBMFCellIsBitIdentical runs one bmf cell repeatedly and requires
+// every field of the result to repeat. Uniform writes over a small
+// footprint touch the forest's roots about equally often, so most
+// maintenance intervals choose the root to prune among exact ties;
+// the choice once followed map iteration order, and Figure 4's bmf
+// column moved between identical runs.
+func TestBMFCellIsBitIdentical(t *testing.T) {
+	spec := workload.Spec{
+		Name: "uniform", Suite: "test", FootprintBytes: 4 << 20,
+		WriteRatio: 1, GapMean: 4, Model: workload.Chase, Accesses: 40_000,
+	}
+	first, err := Run(smallConfig(), mee.NewBMF(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.PolicyCycles == 0 {
+		t.Fatal("bmf never ran its prune/merge maintenance; the cell decides nothing")
+	}
+	for i := 0; i < 4; i++ {
+		again, err := Run(smallConfig(), mee.NewBMF(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("run %d of the same bmf cell differs:\n%+v\n%+v", i+2, first, again)
+		}
 	}
 }

@@ -35,6 +35,52 @@ type KV struct {
 	Value []byte
 }
 
+// leg is one shard's share of a batch: the positions of its keys in
+// the caller's slice, in the caller's order.
+type leg struct {
+	sh  *shard
+	n   int // keys routed here; idx is sized from it
+	idx []int
+}
+
+// fanOut groups n keys by owning shard. Keys whose errs entry is
+// already set are left out; a key no hosted shard can hold gets its
+// errs entry set here. The groups are indexed by partition and a
+// group's idx is sized exactly, so the grouping costs one allocation
+// per shard touched however many keys there are.
+func (s *Store) fanOut(n int, key func(i int) uint64, errs []error) []leg {
+	tab, parts := s.table(), uint64(s.cfg.Partitions)
+	legs := make([]leg, parts)
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			continue
+		}
+		k := key(i)
+		p := k % parts
+		sh := tab.parts[int(p)]
+		switch {
+		case sh == nil:
+			errs[i] = &NotOwnedError{Partition: int(p)}
+		case k/parts >= sh.blocks:
+			errs[i] = ErrOutOfRange
+		default:
+			legs[p].sh = sh
+			legs[p].n++
+		}
+	}
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			continue
+		}
+		l := &legs[key(i)%parts]
+		if l.idx == nil {
+			l.idx = make([]int, 0, l.n)
+		}
+		l.idx = append(l.idx, i)
+	}
+	return legs
+}
+
 // PutBatch stores every pair in kvs, submitting one multi-op request
 // per shard (fan-out/fan-in) instead of one queue round-trip per key —
 // the client-side expression of a group-commit epoch. The result is
@@ -46,60 +92,50 @@ type KV struct {
 // acknowledged write is.
 func (s *Store) PutBatch(ctx context.Context, kvs []KV) []error {
 	errs := make([]error, len(kvs))
-	type shardPut struct {
-		pairs []kvPair
-		idx   []int // original positions, parallel to pairs
-	}
-	group := make(map[*shard]*shardPut)
-	var order []*shard
 	for i, kv := range kvs {
 		if len(kv.Value) > MaxValueLen {
 			errs[i] = ErrValueTooLarge
-			continue
 		}
-		sh, block, err := s.shardFor(kv.Key)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		if block >= sh.blocks {
-			errs[i] = ErrOutOfRange
-			continue
-		}
-		g := group[sh]
-		if g == nil {
-			g = &shardPut{}
-			group[sh] = g
-			order = append(order, sh)
-		}
-		v := make([]byte, len(kv.Value))
-		copy(v, kv.Value)
-		g.pairs = append(g.pairs, kvPair{block: block, value: v})
-		g.idx = append(g.idx, i)
 	}
+	parts := uint64(s.cfg.Partitions)
 	parent := span.FromContext(ctx)
-	legs := make([]*span.Span, 0, len(order))
+	legs := s.fanOut(len(kvs), func(i int) uint64 { return kvs[i].Key }, errs)
+	spans := make([]*span.Span, 0, len(legs))
 	var wg sync.WaitGroup
-	for _, sh := range order {
-		g := group[sh]
-		leg := parent.Leg()
-		legs = append(legs, leg)
+	for _, l := range legs {
+		if l.sh == nil {
+			continue
+		}
+		// The leg's values are copied into one slab the request owns.
+		size := 0
+		for _, i := range l.idx {
+			size += len(kvs[i].Value)
+		}
+		slab := make([]byte, 0, size)
+		pairs := make([]kvPair, len(l.idx))
+		for j, i := range l.idx {
+			off := len(slab)
+			slab = append(slab, kvs[i].Value...)
+			pairs[j] = kvPair{block: kvs[i].Key / parts, value: slab[off:len(slab):len(slab)]}
+		}
+		sp := parent.Leg()
+		spans = append(spans, sp)
 		wg.Add(1)
-		go func(sh *shard, g *shardPut, leg *span.Span) {
+		go func(l leg, sp *span.Span) {
 			defer wg.Done()
-			resp, err := s.submit(ctx, sh, request{op: opPutMulti, kvs: g.pairs, sp: leg, resp: make(chan response, 1)})
-			leg.End()
-			for j, i := range g.idx {
+			resp, err := s.submit(ctx, l.sh, request{op: opPutMulti, kvs: pairs, sp: sp, resp: make(chan response, 1)})
+			sp.End()
+			for j, i := range l.idx {
 				if err != nil {
 					errs[i] = err
 					continue
 				}
 				errs[i] = resp.errs[j]
 			}
-		}(sh, g, leg)
+		}(l, sp)
 	}
 	wg.Wait()
-	absorbSlowest(parent, legs)
+	absorbSlowest(parent, spans)
 	return errs
 }
 
@@ -110,77 +146,52 @@ func (s *Store) PutBatch(ctx context.Context, kvs []KV) []error {
 func (s *Store) GetBatch(ctx context.Context, keys []uint64) ([][]byte, []error) {
 	values := make([][]byte, len(keys))
 	errs := make([]error, len(keys))
-	type shardGet struct {
-		blocks []uint64
-		idx    []int
-	}
-	group := make(map[*shard]*shardGet)
-	var order []*shard
-	for i, key := range keys {
-		sh, block, err := s.shardFor(key)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		if block >= sh.blocks {
-			errs[i] = ErrOutOfRange
-			continue
-		}
-		g := group[sh]
-		if g == nil {
-			g = &shardGet{}
-			group[sh] = g
-			order = append(order, sh)
-		}
-		g.blocks = append(g.blocks, block)
-		g.idx = append(g.idx, i)
-	}
+	parts := uint64(s.cfg.Partitions)
 	parent := span.FromContext(ctx)
-	legs := make([]*span.Span, 0, len(order))
+	legs := s.fanOut(len(keys), func(i int) uint64 { return keys[i] }, errs)
+	spans := make([]*span.Span, 0, len(legs))
 	var wg sync.WaitGroup
-	for _, sh := range order {
-		g := group[sh]
-		leg := parent.Leg()
-		legs = append(legs, leg)
+	for _, l := range legs {
+		if l.sh == nil {
+			continue
+		}
+		blocks := make([]uint64, len(l.idx))
+		for j, i := range l.idx {
+			blocks[j] = keys[i] / parts
+		}
+		sp := parent.Leg()
+		spans = append(spans, sp)
 		wg.Add(1)
-		go func(sh *shard, g *shardGet, leg *span.Span) {
+		go func(l leg, sp *span.Span) {
 			defer wg.Done()
+			defer sp.End()
 			// Reader-pool fast path: serve the whole leg off the read
 			// view, then queue only the blocks it could not serve.
-			if vals, ves, leftover, served := s.serveLegConcurrent(ctx, sh, g.blocks, leg); served {
-				for j, i := range g.idx {
+			todo := l.idx
+			if vals, ves, leftover, served := s.serveLegConcurrent(ctx, l.sh, blocks, sp); served {
+				for j, i := range l.idx {
 					values[i], errs[i] = vals[j], ves[j]
 				}
-				if len(leftover) > 0 {
-					blocks := make([]uint64, len(leftover))
-					for k, j := range leftover {
-						blocks[k] = g.blocks[j]
-					}
-					resp, err := s.submit(ctx, sh, request{op: opGetMulti, blocks: blocks, sp: leg, resp: make(chan response, 1)})
-					for k, j := range leftover {
-						i := g.idx[j]
-						if err != nil {
-							errs[i] = err
-							continue
-						}
-						values[i], errs[i] = resp.values[k], resp.errs[k]
-					}
+				if len(leftover) == 0 {
+					return
 				}
-				leg.End()
-				return
+				todo = make([]int, len(leftover))
+				for k, j := range leftover {
+					todo[k], blocks[k] = l.idx[j], blocks[j]
+				}
+				blocks = blocks[:len(leftover)]
 			}
-			resp, err := s.submit(ctx, sh, request{op: opGetMulti, blocks: g.blocks, sp: leg, resp: make(chan response, 1)})
-			leg.End()
-			for j, i := range g.idx {
+			resp, err := s.submit(ctx, l.sh, request{op: opGetMulti, blocks: blocks, sp: sp, resp: make(chan response, 1)})
+			for k, i := range todo {
 				if err != nil {
 					errs[i] = err
 					continue
 				}
-				values[i], errs[i] = resp.values[j], resp.errs[j]
+				values[i], errs[i] = resp.values[k], resp.errs[k]
 			}
-		}(sh, g, leg)
+		}(l, sp)
 	}
 	wg.Wait()
-	absorbSlowest(parent, legs)
+	absorbSlowest(parent, spans)
 	return values, errs
 }

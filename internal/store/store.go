@@ -1252,13 +1252,18 @@ func (sh *shard) serve(r request) response {
 // cycle so recovery traffic does not pollute the fault journal.
 func (sh *shard) powerCycle() error {
 	sh.inj.Detach()
-	sh.ctrl.Crash()
+	// degraded goes up before health, and comes down only if the
+	// protocol turns out to need the blocking rebuild: submit refuses a
+	// recovering shard that is not degraded, and this worker is busy
+	// until it returns, so whatever is admitted meanwhile just queues.
+	sh.degraded.Store(true)
 	sh.health.Store(int32(healthRecovering))
+	sh.ctrl.Crash()
 	if s, ok := sh.ctrl.BeginRecovery(sh.now); ok {
 		sh.session = s
-		sh.degraded.Store(true)
 		return nil
 	}
+	sh.degraded.Store(false)
 	if _, err := sh.ctrl.Recover(sh.now); err != nil {
 		sh.fail()
 		return fmt.Errorf("%w: recovery: %v", ErrShardFailed, err)
@@ -1293,7 +1298,6 @@ func (sh *shard) barrier() {
 func (sh *shard) finishRecovery() {
 	sess := sh.session
 	sh.session = nil
-	sh.degraded.Store(false)
 	sh.m.degradedWrites.Add(sess.DegradedWrites())
 	sh.m.provisionalLoads.Add(sess.ProvisionalFetches())
 	if _, err := sess.Finish(sh.now); err != nil {
@@ -1301,7 +1305,12 @@ func (sh *shard) finishRecovery() {
 		sh.fail()
 		return
 	}
+	// degraded stays set until health says serving: submit refuses a
+	// recovering shard that is not degraded, so clearing it first would
+	// nack everything that arrives during the audit. What is admitted
+	// meanwhile waits in the queue and is served off the audited tree.
 	sh.health.Store(int32(healthServing))
+	sh.degraded.Store(false)
 	sh.m.recoveries.Add(1)
 	sh.inj = faults.NewInjector(sh.ctrl)
 	sh.inj.Attach()
