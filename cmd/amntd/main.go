@@ -76,10 +76,8 @@ func main() {
 		protocol   = flag.String("protocol", "amnt", "persistence protocol (mee registry name)")
 		level      = flag.Int("level", 3, "AMNT subtree level")
 		queue      = flag.Int("queue", 64, "bounded request queue depth per shard")
-		batch      = flag.Int("batch", 16, "max requests drained per worker wakeup")
+		batch      = flag.Int("batch", 16, "max requests drained per worker wakeup, and max writes per group-commit epoch")
 		readWork   = flag.Int("read-workers", 4, "max concurrent verified readers per shard bypassing the write queue (0 = serialize every get through the shard worker)")
-		epochMax   = flag.Int("epoch-max", 0, "max writes per group-commit epoch (0 = batch size, 1 = per-op commits)")
-		epochWait  = flag.Duration("epoch-wait", 0, "how long a worker lingers for more writes before committing a short epoch")
 		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory (empty = no checkpoints; cluster kill-drills need a shared one)")
 		reqTimeout = flag.Duration("req-timeout", 2*time.Second, "per-request serving deadline")
 		sample     = flag.Duration("sample", 250*time.Millisecond, "telemetry sampling period")
@@ -111,8 +109,6 @@ func main() {
 		QueueDepth:      *queue,
 		BatchMax:        *batch,
 		ReadConcurrency: *readWork,
-		EpochMax:        *epochMax,
-		EpochWait:       *epochWait,
 		CheckpointDir:   *ckptDir,
 		RecoveryChunk:   *recChunk,
 		HealBackoff:     *healBack,

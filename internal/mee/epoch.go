@@ -110,9 +110,10 @@ func (e *Epoch) Abort() {
 // every logical write so stateful policies (Osiris stop-loss, AMNT
 // movement) observe the same sequence a per-op replay would. On error
 // the epoch's effects may be partially applied to volatile state (the
-// caller degrades to per-op writes, which remain individually
-// verifiable); device state is never left integrity-inconsistent with
-// what a subsequent per-op write path can repair or loudly detect.
+// caller re-commits each op as its own epoch, which remains
+// individually verifiable); device state is never left
+// integrity-inconsistent with what a subsequent per-op write path can
+// repair or loudly detect.
 func (e *Epoch) Commit() (EpochResult, error) {
 	if e.done {
 		return EpochResult{}, fmt.Errorf("mee: Commit on a committed epoch")
@@ -124,11 +125,6 @@ func (e *Epoch) Commit() (EpochResult, error) {
 	c := e.c
 	c.enter()
 	defer c.exit()
-	if c.session != nil {
-		// A group commit climbs the (mid-rebuild) tree; the serving
-		// layer writes per-op while a recovery session is active.
-		return EpochResult{}, ErrRecovering
-	}
 	return c.commitEpoch(e.now, e.ops)
 }
 
@@ -164,14 +160,28 @@ func (c *Controller) commitEpoch(now uint64, ops []epochOp) (EpochResult, error)
 	g := c.geo
 	res := EpochResult{Ops: len(ops)}
 	wallStart := time.Now()
-	if len(ops) == 1 {
+	if len(ops) == 1 || c.session != nil {
 		// A one-write epoch is exactly one per-op write (the property
-		// the equivalence test pins); skip the dedup bookkeeping.
-		cycles, err := c.writeBlock(now, ops[0].block, ops[0].value[:])
-		res.Blocks, res.Counters, res.TreeNodes = 1, 1, g.Levels-2
-		res.Cycles = cycles
+		// the equivalence test pins); skip the dedup bookkeeping. An
+		// epoch committed during a recovery session takes the same
+		// route for every op: the merged climb below would mix in
+		// unaudited ancestors, while writeBlock freezes the leaf
+		// pre-image, writes data, HMAC and counter through, and leaves
+		// the climb to the session's Finish. Dedup is what degraded
+		// mode gives up.
+		for i := range ops {
+			cycles, err := c.writeBlock(now+res.Cycles, ops[i].block, ops[i].value[:])
+			res.Cycles += cycles
+			if err != nil {
+				return res, err
+			}
+		}
+		res.Blocks, res.Counters = len(ops), len(ops)
+		if c.session == nil {
+			res.TreeNodes = g.Levels - 2
+		}
 		res.ClimbNs = time.Since(wallStart).Nanoseconds()
-		return res, err
+		return res, nil
 	}
 	var cycles uint64
 	var persistNs int64

@@ -2,6 +2,7 @@ package mee_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	_ "amnt/internal/core" // register the AMNT protocol family
@@ -193,5 +194,99 @@ func TestEpochLifecycle(t *testing.T) {
 	ep = c.BeginEpoch(0)
 	if err := ep.Put(c.Device().DataBlocks(), v); err == nil {
 		t.Fatal("out-of-capacity Put succeeded")
+	}
+}
+
+// TestDegradedEpochMatchesPerOp is the equivalence property for
+// epochs committed during an online recovery session: a session that
+// takes its writes as epochs of any size must end, after Finish, with
+// the same root register, the same device tree bytes and the same
+// read-back contents as one that takes them as per-op WriteBlocks —
+// so the leaf pre-image freeze, the write-through of data, HMAC and
+// counter, and the deferred climb all hold per staged op.
+func TestDegradedEpochMatchesPerOp(t *testing.T) {
+	for _, proto := range []string{"leaf", "amnt"} {
+		for _, size := range []int{1, 2, 16, 128} {
+			proto, size := proto, size
+			t.Run(fmt.Sprintf("%s/%d", proto, size), func(t *testing.T) {
+				t.Parallel()
+				perOp := newEpochTestController(t, proto)
+				grouped := newEpochTestController(t, proto)
+				const seed, n = 300, 300
+				ops, vals := epochTestOps(seed+n, perOp.Device().DataBlocks())
+				sessions := make([]*mee.RecoverySession, 2)
+				for k, c := range []*mee.Controller{perOp, grouped} {
+					for i := 0; i < seed; i++ {
+						if _, err := c.WriteBlock(0, ops[i], vals[i]); err != nil {
+							t.Fatalf("seed write %d: %v", i, err)
+						}
+					}
+					c.Crash()
+					s, ok := c.BeginRecovery(0)
+					if !ok {
+						t.Fatalf("%s must support online recovery", proto)
+					}
+					sessions[k] = s
+				}
+				// Same interleaving on both sides: one rebuild step per
+				// chunk of `size` writes.
+				for i := seed; i < seed+n; {
+					end := min(i+size, seed+n)
+					ep := grouped.BeginEpoch(0)
+					for ; i < end; i++ {
+						if _, err := perOp.WriteBlock(0, ops[i], vals[i]); err != nil {
+							t.Fatalf("degraded write %d: %v", i, err)
+						}
+						if err := ep.Put(ops[i], vals[i]); err != nil {
+							t.Fatalf("stage %d: %v", i, err)
+						}
+					}
+					if _, err := ep.Commit(); err != nil {
+						t.Fatalf("degraded commit at op %d: %v", i, err)
+					}
+					sessions[0].Step(2)
+					sessions[1].Step(2)
+				}
+				if a, b := sessions[0].DegradedWrites(), sessions[1].DegradedWrites(); a != n || b != n {
+					t.Fatalf("degraded writes: per-op %d, epoch %d, want %d", a, b, n)
+				}
+				for k, s := range sessions {
+					if _, err := s.Finish(0); err != nil {
+						t.Fatalf("finish %d: %v", k, err)
+					}
+				}
+				if perOp.Root() != grouped.Root() {
+					t.Fatalf("roots diverge: per-op %x, epoch %x", perOp.Root(), grouped.Root())
+				}
+				da, db := perOp.Device(), grouped.Device()
+				flats := da.Indices(scm.Tree)
+				if len(flats) != len(db.Indices(scm.Tree)) {
+					t.Fatalf("tree node count: per-op %d, epoch %d", len(flats), len(db.Indices(scm.Tree)))
+				}
+				for _, flat := range flats {
+					if !bytes.Equal(da.Peek(scm.Tree, flat), db.Peek(scm.Tree, flat)) {
+						t.Fatalf("tree node %d diverged", flat)
+					}
+				}
+				final := make(map[uint64][]byte)
+				for i, b := range ops {
+					final[b] = vals[i]
+				}
+				buf := make([]byte, scm.BlockSize)
+				for name, c := range map[string]*mee.Controller{"per-op": perOp, "epoch": grouped} {
+					if err := c.VerifyAll(0); err != nil {
+						t.Fatalf("%s verify: %v", name, err)
+					}
+					for b, want := range final {
+						if _, err := c.ReadBlock(0, b, buf); err != nil {
+							t.Fatalf("%s read %d: %v", name, b, err)
+						}
+						if !bytes.Equal(buf, want) {
+							t.Fatalf("%s block %d: wrong contents", name, b)
+						}
+					}
+				}
+			})
+		}
 	}
 }

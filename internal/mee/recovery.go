@@ -58,9 +58,10 @@ type OnlineRecoverer interface {
 //     for the rebuild audit, skip the ancestral tree climb, and defer
 //     the root-register update; Finish patches the dirty paths after
 //     the audit passes.
-//   - Epoch commits, checkpoints, flushes, and further recoveries are
-//     refused (ErrRecovering) — the serving layer finishes the
-//     session first.
+//   - Epoch commits run every staged op through that same degraded
+//     write: no dedup, one deferred climb per dirty leaf at Finish.
+//   - Checkpoints, flushes, and further recoveries are refused
+//     (ErrRecovering) — the serving layer finishes the session first.
 type RecoverySession struct {
 	c  *Controller
 	rb *bmt.Rebuilder

@@ -186,17 +186,6 @@ func TestOnlineRecoveryGuards(t *testing.T) {
 	if _, err := c.Recover(0); !errors.Is(err, ErrRecovering) {
 		t.Fatalf("Recover during session: %v", err)
 	}
-	ep := c.BeginEpoch(0)
-	if err := ep.Put(1, pattern(1)); err != nil {
-		t.Fatalf("epoch put: %v", err)
-	}
-	if err := ep.Put(2, pattern(2)); err != nil {
-		t.Fatalf("epoch put: %v", err)
-	}
-	if _, err := ep.Commit(); !errors.Is(err, ErrRecovering) {
-		t.Fatalf("epoch Commit during session: %v", err)
-	}
-
 	// Power failure mid-session: the session dies with volatile state
 	// and a fresh (blocking) recovery succeeds.
 	c.Crash()

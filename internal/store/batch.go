@@ -81,9 +81,9 @@ func (s *Store) fanOut(n int, key func(i int) uint64, errs []error) []leg {
 	return legs
 }
 
-// PutBatch stores every pair in kvs, submitting one multi-op request
-// per shard (fan-out/fan-in) instead of one queue round-trip per key —
-// the client-side expression of a group-commit epoch. The result is
+// PutBatch stores every pair in kvs, submitting one request per shard
+// (fan-out/fan-in) instead of one queue round-trip per key — the
+// client-side expression of a group-commit epoch. The result is
 // one error per input pair, nil on success; a shard-level failure
 // (ErrOverloaded, ErrClosed, ErrShardFailed, context expiry) is
 // reported on every key routed to that shard. Values are copied;
@@ -123,7 +123,7 @@ func (s *Store) PutBatch(ctx context.Context, kvs []KV) []error {
 		wg.Add(1)
 		go func(l leg, sp *span.Span) {
 			defer wg.Done()
-			resp, err := s.submit(ctx, l.sh, request{op: opPutMulti, kvs: pairs, sp: sp, resp: make(chan response, 1)})
+			resp, err := s.submit(ctx, l.sh, request{op: opPut, kvs: pairs, sp: sp})
 			sp.End()
 			for j, i := range l.idx {
 				if err != nil {
@@ -155,9 +155,9 @@ func (s *Store) GetBatch(ctx context.Context, keys []uint64) ([][]byte, []error)
 		if l.sh == nil {
 			continue
 		}
-		blocks := make([]uint64, len(l.idx))
+		blocks := make([]kvPair, len(l.idx))
 		for j, i := range l.idx {
-			blocks[j] = keys[i] / parts
+			blocks[j].block = keys[i] / parts
 		}
 		sp := parent.Leg()
 		spans = append(spans, sp)
@@ -181,7 +181,7 @@ func (s *Store) GetBatch(ctx context.Context, keys []uint64) ([][]byte, []error)
 				}
 				blocks = blocks[:len(leftover)]
 			}
-			resp, err := s.submit(ctx, l.sh, request{op: opGetMulti, blocks: blocks, sp: sp, resp: make(chan response, 1)})
+			resp, err := s.submit(ctx, l.sh, request{op: opGet, kvs: blocks, sp: sp})
 			for k, i := range todo {
 				if err != nil {
 					errs[i] = err

@@ -67,7 +67,7 @@ func (s *Store) Chaos(ctx context.Context, spec ChaosSpec) (*ChaosResult, error)
 		return nil, err
 	}
 	sp := spec
-	resp, err := s.submit(ctx, sh, request{op: opChaos, chaos: &sp, resp: make(chan response, 1)})
+	resp, err := s.submit(ctx, sh, request{op: opChaos, chaos: &sp})
 	if err != nil {
 		return nil, err
 	}
@@ -126,10 +126,7 @@ func (sh *shard) runChaos(spec ChaosSpec) *ChaosResult {
 				sh.dev.Erase(in.Region, in.Index)
 			}
 		}
-		sh.ctrl.Crash()
-		if _, err := sh.ctrl.Recover(sh.now); err != nil {
-			sh.fail()
-		} else if err := sh.ctrl.VerifyAll(sh.now); err != nil {
+		if err := sh.heal(false); err != nil {
 			sh.fail()
 		} else {
 			res.Repaired = true
@@ -140,11 +137,11 @@ func (sh *shard) runChaos(spec ChaosSpec) *ChaosResult {
 		sh.fail()
 	}
 
-	if shardHealth(sh.health.Load()) != healthQuarantined {
+	res.Serving = sh.load() != stateQuarantined
+	if res.Serving {
 		sh.inj = faults.NewInjector(sh.ctrl)
 		sh.inj.Attach()
 	}
-	res.Serving = shardHealth(sh.health.Load()) != healthQuarantined
 	res.WallMS = float64(time.Since(start).Microseconds()) / 1e3
 	return res
 }

@@ -191,7 +191,8 @@ func TestStoreExpiredContextNack(t *testing.T) {
 	var live chan response
 	for i := 0; i < 8; i++ {
 		sh, block, _ := s.shardFor(uint64(i))
-		req := request{op: opPut, ctx: expired, block: block, value: stamp(uint64(i)), resp: make(chan response, 1)}
+		req := putReq(block, stamp(uint64(i)))
+		req.ctx = expired
 		if i == 3 {
 			req.ctx = context.Background()
 			live = req.resp
@@ -219,42 +220,18 @@ func TestStoreExpiredContextNack(t *testing.T) {
 	}
 	select {
 	case r := <-live:
-		if r.err != nil {
-			t.Fatalf("live request failed: %v", r.err)
+		if err := firstErr(r); err != nil {
+			t.Fatalf("live request failed: %v", err)
 		}
 	default:
 		t.Fatal("live request dropped")
 	}
 }
 
-// TestStoreEpochDisabled pins the EpochMax=1 escape hatch: the per-op
-// write path serves everything and no epochs are committed.
-func TestStoreEpochDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.EpochMax = 1
-	s := mustOpen(t, cfg)
-	ctx := context.Background()
-	for i, err := range s.PutBatch(ctx, []KV{{Key: 1, Value: stamp(1)}, {Key: 2, Value: stamp(2)}}) {
-		if err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	v, err := s.Get(ctx, 1)
-	if err != nil {
-		t.Fatalf("get: %v", err)
-	}
-	checkStamp(t, 1, v)
-	if snap := s.Stats(); totalEpochs(snap) != 0 {
-		t.Fatal("epochs committed with group commit disabled")
-	}
-}
-
 // TestStoreEpochMetrics checks that group-commit accounting is
 // published: epochs carry the write volume, and no commit degraded.
 func TestStoreEpochMetrics(t *testing.T) {
-	cfg := testConfig()
-	cfg.EpochWait = time.Millisecond
-	s := mustOpen(t, cfg)
+	s := mustOpen(t, testConfig())
 	ctx := context.Background()
 	kvs := make([]KV, 0, 64)
 	for key := uint64(0); key < 64; key++ {

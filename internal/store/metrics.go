@@ -142,11 +142,11 @@ func (s *Store) Stats() Snapshot {
 	}
 	for i, sh := range shards {
 		m := &sh.m
-		health := shardHealth(sh.health.Load())
+		state := sh.load()
 		ss := ShardSnapshot{
 			Shard:          sh.id,
-			Health:         health.String(),
-			Serving:        health != healthQuarantined,
+			Health:         state.String(),
+			Serving:        state != stateQuarantined,
 			Fenced:         sh.fenced.Load(),
 			QueueLen:       len(sh.ch),
 			Gets:           m.gets.Load(),
@@ -194,13 +194,64 @@ func (s *Store) Stats() Snapshot {
 	return out
 }
 
-// sum folds one atomic counter across currently hosted shards.
-func (s *Store) sum(pick func(*shardMetrics) *atomic.Uint64) uint64 {
-	var t uint64
-	for _, sh := range s.table().list {
-		t += pick(&sh.m).Load()
+// Where a shardCounter is registered.
+const (
+	perShard  = 1 << iota // store.shardN.<suffix>
+	aggregate             // store.<suffix>, summed over hosted shards
+)
+
+// shardCounters declares every counter column once; RegisterMetrics
+// derives the per-shard and the aggregate series from it.
+var shardCounters = []struct {
+	suffix, help string
+	pick         func(*shardMetrics) *atomic.Uint64
+	where        int
+}{
+	{"gets", "get requests served", func(m *shardMetrics) *atomic.Uint64 { return &m.gets }, perShard | aggregate},
+	{"puts", "put requests served", func(m *shardMetrics) *atomic.Uint64 { return &m.puts }, perShard | aggregate},
+	{"misses", "gets of never-written keys", func(m *shardMetrics) *atomic.Uint64 { return &m.misses }, perShard},
+	{"overloads", "requests rejected by the bounded queue", func(m *shardMetrics) *atomic.Uint64 { return &m.overloads }, perShard},
+	{"integrity_errors", "requests failed on integrity violations", func(m *shardMetrics) *atomic.Uint64 { return &m.integrityErrs }, perShard | aggregate},
+	{"recoveries", "successful power-cycle recoveries", func(m *shardMetrics) *atomic.Uint64 { return &m.recoveries }, perShard},
+	{"batch_items", "requests drained in batches", func(m *shardMetrics) *atomic.Uint64 { return &m.batchItems }, aggregate},
+	{"batches", "worker batch wakeups", func(m *shardMetrics) *atomic.Uint64 { return &m.batches }, aggregate},
+	{"epochs", "group-commit epochs committed", func(m *shardMetrics) *atomic.Uint64 { return &m.epochs }, perShard | aggregate},
+	{"epoch_ops", "writes committed through epochs", func(m *shardMetrics) *atomic.Uint64 { return &m.epochOps }, perShard | aggregate},
+	{"epoch_fallbacks", "epoch commits repaired by per-op replay", func(m *shardMetrics) *atomic.Uint64 { return &m.epochFallbacks }, perShard | aggregate},
+	{"chaos_runs", "chaos injections executed", func(m *shardMetrics) *atomic.Uint64 { return &m.chaosRuns }, perShard},
+	{"sim_cycles", "simulated cycles consumed", func(m *shardMetrics) *atomic.Uint64 { return &m.cycles }, perShard},
+	{"data_reads", "verified data block reads", func(m *shardMetrics) *atomic.Uint64 { return &m.dataReads }, perShard},
+	{"data_writes", "encrypted data block writes", func(m *shardMetrics) *atomic.Uint64 { return &m.dataWrites }, perShard},
+	{"meta_fetches", "metadata blocks fetched from SCM", func(m *shardMetrics) *atomic.Uint64 { return &m.metaFetches }, perShard},
+	{"posted_writes", "posted SCM writes", func(m *shardMetrics) *atomic.Uint64 { return &m.postedWrites }, perShard},
+	{"stall_cycles", "write-queue stall cycles", func(m *shardMetrics) *atomic.Uint64 { return &m.stallCycles }, perShard},
+	{"failures", "recovery-contract violations that quarantined the shard", func(m *shardMetrics) *atomic.Uint64 { return &m.failures }, perShard},
+	{"heal_attempts", "supervised heal attempts on quarantined shards", func(m *shardMetrics) *atomic.Uint64 { return &m.healAttempts }, perShard | aggregate},
+	{"heals", "heal attempts that restored service", func(m *shardMetrics) *atomic.Uint64 { return &m.heals }, perShard | aggregate},
+	{"recovering_nacks", "requests nacked with ErrRecovering", func(m *shardMetrics) *atomic.Uint64 { return &m.recoveringNacks }, perShard | aggregate},
+	{"degraded_writes", "writes served during recovery sessions (climb deferred)", func(m *shardMetrics) *atomic.Uint64 { return &m.degradedWrites }, perShard | aggregate},
+	{"provisional_loads", "counter leaves loaded provisionally during recovery sessions", func(m *shardMetrics) *atomic.Uint64 { return &m.provisionalLoads }, perShard},
+	{"concurrent_reads", "gets served off the concurrent read view", func(m *shardMetrics) *atomic.Uint64 { return &m.concurrentReads }, perShard | aggregate},
+	{"read_retries", "read-view snapshot retries on seq conflicts", func(m *shardMetrics) *atomic.Uint64 { return &m.readRetries }, perShard | aggregate},
+	{"read_fallbacks", "read-view attempts abandoned to the queue path", func(m *shardMetrics) *atomic.Uint64 { return &m.readFallbacks }, perShard | aggregate},
+}
+
+// total folds fn over the currently hosted shards.
+func (s *Store) total(fn func(*shard) float64) func() float64 {
+	return func() float64 {
+		var t float64
+		for _, sh := range s.table().list {
+			t += fn(sh)
+		}
+		return t
 	}
-	return t
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // RegisterMetrics adds per-shard and aggregate store columns to reg.
@@ -210,160 +261,53 @@ func (s *Store) sum(pick func(*shardMetrics) *atomic.Uint64) uint64 {
 // that attach later feed the aggregate columns (which read the live
 // table) but get no dedicated columns until the next restart.
 func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
+	for _, c := range shardCounters {
+		if c.where&perShard != 0 {
+			for _, sh := range s.table().list {
+				reg.Counter(fmt.Sprintf("store.shard%d.%s", sh.id, c.suffix), c.help, c.pick(&sh.m).Load)
+			}
+		}
+		if c.where&aggregate != 0 {
+			reg.Counter("store."+c.suffix, c.help+", all shards", func() uint64 {
+				var t uint64
+				for _, sh := range s.table().list {
+					t += c.pick(&sh.m).Load()
+				}
+				return t
+			})
+		}
+	}
+	reg.Counter("store.overloads", "requests rejected by bounded queues", s.overloads.Load)
+
+	active := func(sh *shard) float64 { return b2f(sh.prog.Snapshot().Active) }
+	done := func(sh *shard) float64 { return float64(sh.prog.Snapshot().Done) }
+	leaves := func(sh *shard) float64 { return float64(sh.prog.Snapshot().Total) }
+	serving := func(sh *shard) float64 { return b2f(sh.load() != stateQuarantined) }
 	for _, sh := range s.table().list {
-		sh := sh
 		p := fmt.Sprintf("store.shard%d", sh.id)
-		reg.Counter(p+".gets", "get requests served", sh.m.gets.Load)
-		reg.Counter(p+".puts", "put requests served", sh.m.puts.Load)
-		reg.Counter(p+".misses", "gets of never-written keys", sh.m.misses.Load)
-		reg.Counter(p+".overloads", "requests rejected by the bounded queue", sh.m.overloads.Load)
-		reg.Counter(p+".integrity_errors", "requests failed on integrity violations", sh.m.integrityErrs.Load)
-		reg.Counter(p+".recoveries", "successful power-cycle recoveries", sh.m.recoveries.Load)
-		reg.Counter(p+".epochs", "group-commit epochs committed", sh.m.epochs.Load)
-		reg.Counter(p+".epoch_ops", "writes committed through epochs", sh.m.epochOps.Load)
-		reg.Counter(p+".epoch_fallbacks", "epoch commits degraded to per-op replay", sh.m.epochFallbacks.Load)
 		reg.Histogram(p+".epoch_size", "staged writes per committed epoch", sh.epochSizeHistogram)
 		reg.Histogram(p+".epoch_kcycles", "epoch commit latency (256-cycle buckets)", sh.epochCycleHistogram)
-		reg.Counter(p+".chaos_runs", "chaos injections executed", sh.m.chaosRuns.Load)
-		reg.Counter(p+".sim_cycles", "simulated cycles consumed", sh.m.cycles.Load)
-		reg.Counter(p+".data_reads", "verified data block reads", sh.m.dataReads.Load)
-		reg.Counter(p+".data_writes", "encrypted data block writes", sh.m.dataWrites.Load)
-		reg.Counter(p+".meta_fetches", "metadata blocks fetched from SCM", sh.m.metaFetches.Load)
-		reg.Counter(p+".posted_writes", "posted SCM writes", sh.m.postedWrites.Load)
-		reg.Counter(p+".stall_cycles", "write-queue stall cycles", sh.m.stallCycles.Load)
-		reg.Gauge(p+".queue_len", "requests waiting in the shard queue", func() float64 {
-			return float64(len(sh.ch))
-		})
-		reg.Gauge(p+".recovery_leaves_done", "BMT leaves rebuilt by the latest recovery", func() float64 {
-			return float64(sh.prog.Snapshot().Done)
-		})
-		reg.Gauge(p+".recovery_leaves_total", "BMT leaves the latest recovery must rebuild", func() float64 {
-			return float64(sh.prog.Snapshot().Total)
-		})
-		reg.Gauge(p+".recovery_active", "1 while a recovery rebuild is in flight", func() float64 {
-			if sh.prog.Snapshot().Active {
-				return 1
-			}
-			return 0
-		})
+		reg.Gauge(p+".queue_len", "requests waiting in the shard queue", func() float64 { return float64(len(sh.ch)) })
+		reg.Gauge(p+".recovery_leaves_done", "BMT leaves rebuilt by the latest recovery", func() float64 { return done(sh) })
+		reg.Gauge(p+".recovery_leaves_total", "BMT leaves the latest recovery must rebuild", func() float64 { return leaves(sh) })
+		reg.Gauge(p+".recovery_active", "1 while a recovery rebuild is in flight", func() float64 { return active(sh) })
 		reg.Gauge(p+".recovery_wall_ms", "wall time of the latest completed recovery, ms", func() float64 {
 			return float64(sh.prog.Snapshot().WallNs) / 1e6
 		})
-		reg.Counter(p+".failures", "recovery-contract violations that quarantined the shard", sh.m.failures.Load)
-		reg.Counter(p+".heal_attempts", "supervised heal attempts on the quarantined shard", sh.m.healAttempts.Load)
-		reg.Counter(p+".heals", "heal attempts that restored service", sh.m.heals.Load)
-		reg.Counter(p+".recovering_nacks", "requests nacked with ErrRecovering", sh.m.recoveringNacks.Load)
-		reg.Counter(p+".degraded_writes", "writes served during recovery sessions (climb deferred)", sh.m.degradedWrites.Load)
-		reg.Counter(p+".provisional_loads", "counter leaves loaded provisionally during recovery sessions", sh.m.provisionalLoads.Load)
-		reg.Gauge(p+".serving", "1 while the shard accepts requests", func() float64 {
-			if shardHealth(sh.health.Load()) == healthQuarantined {
-				return 0
-			}
-			return 1
-		})
-		reg.Gauge(p+".health", "serving state: 0 serving, 1 recovering, 2 quarantined", func() float64 {
-			return float64(sh.health.Load())
-		})
-		reg.Counter(p+".concurrent_reads", "gets served off the concurrent read view", sh.m.concurrentReads.Load)
-		reg.Counter(p+".read_retries", "read-view snapshot retries on seq conflicts", sh.m.readRetries.Load)
-		reg.Counter(p+".read_fallbacks", "read-view attempts abandoned to the queue path", sh.m.readFallbacks.Load)
+		reg.Gauge(p+".serving", "1 while the shard accepts requests", func() float64 { return serving(sh) })
+		reg.Gauge(p+".health", "serving state: 0 serving, 1 recovering, 2 quarantined", func() float64 { return health[sh.load()].gauge })
 	}
-	reg.Counter("store.gets", "get requests served, all shards", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.gets })
-	})
-	reg.Counter("store.puts", "put requests served, all shards", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.puts })
-	})
-	reg.Counter("store.overloads", "requests rejected by bounded queues", s.overloads.Load)
-	reg.Counter("store.integrity_errors", "integrity violations surfaced to clients", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.integrityErrs })
-	})
-	reg.Counter("store.batch_items", "requests drained in batches", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.batchItems })
-	})
-	reg.Counter("store.batches", "worker batch wakeups", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.batches })
-	})
-	reg.Counter("store.epochs", "group-commit epochs committed, all shards", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.epochs })
-	})
-	reg.Counter("store.epoch_ops", "writes committed through epochs, all shards", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.epochOps })
-	})
-	reg.Counter("store.epoch_fallbacks", "epoch commits degraded to per-op replay", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.epochFallbacks })
-	})
-	reg.Counter("store.concurrent_reads", "gets served off the concurrent read view, all shards", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.concurrentReads })
-	})
-	reg.Counter("store.read_retries", "read-view snapshot retries on seq conflicts, all shards", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.readRetries })
-	})
-	reg.Counter("store.read_fallbacks", "read-view attempts abandoned to the queue path, all shards", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.readFallbacks })
-	})
-	reg.Gauge("store.recovery_leaves_done", "BMT leaves rebuilt by the latest recoveries, all shards", func() float64 {
-		var n uint64
-		for _, sh := range s.table().list {
-			n += sh.prog.Snapshot().Done
-		}
-		return float64(n)
-	})
-	reg.Gauge("store.recovery_leaves_total", "BMT leaves the latest recoveries must rebuild, all shards", func() float64 {
-		var n uint64
-		for _, sh := range s.table().list {
-			n += sh.prog.Snapshot().Total
-		}
-		return float64(n)
-	})
-	reg.Gauge("store.recoveries_active", "shards with a recovery rebuild in flight", func() float64 {
-		var n float64
-		for _, sh := range s.table().list {
-			if sh.prog.Snapshot().Active {
-				n++
-			}
-		}
-		return n
-	})
-	reg.Gauge("store.shards_serving", "shards currently in service", func() float64 {
-		var n float64
-		for _, sh := range s.table().list {
-			if shardHealth(sh.health.Load()) != healthQuarantined {
-				n++
-			}
-		}
-		return n
-	})
-	reg.Gauge("store.shards_recovering", "shards with a rebuild in flight", func() float64 {
-		var n float64
-		for _, sh := range s.table().list {
-			if shardHealth(sh.health.Load()) == healthRecovering {
-				n++
-			}
-		}
-		return n
-	})
-	reg.Gauge("store.shards_quarantined", "shards waiting on the heal loop", func() float64 {
-		var n float64
-		for _, sh := range s.table().list {
-			if shardHealth(sh.health.Load()) == healthQuarantined {
-				n++
-			}
-		}
-		return n
-	})
-	reg.Counter("store.heal_attempts", "supervised heal attempts, all shards", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.healAttempts })
-	})
-	reg.Counter("store.heals", "heal attempts that restored service, all shards", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.heals })
-	})
-	reg.Counter("store.degraded_writes", "writes served during recovery sessions, all shards", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.degradedWrites })
-	})
-	reg.Counter("store.recovering_nacks", "requests nacked with ErrRecovering, all shards", func() uint64 {
-		return s.sum(func(m *shardMetrics) *atomic.Uint64 { return &m.recoveringNacks })
-	})
+	reg.Gauge("store.recovery_leaves_done", "BMT leaves rebuilt by the latest recoveries, all shards", s.total(done))
+	reg.Gauge("store.recovery_leaves_total", "BMT leaves the latest recoveries must rebuild, all shards", s.total(leaves))
+	reg.Gauge("store.recoveries_active", "shards with a recovery rebuild in flight", s.total(active))
+	reg.Gauge("store.shards_serving", "shards currently in service", s.total(serving))
+	reg.Gauge("store.shards_recovering", "shards with a rebuild in flight", s.total(func(sh *shard) float64 {
+		st := sh.load()
+		return b2f(st == stateRecoveringOnline || st == stateRecoveringBlocking)
+	}))
+	reg.Gauge("store.shards_quarantined", "shards waiting on the heal loop", s.total(func(sh *shard) float64 {
+		return b2f(sh.load() == stateQuarantined)
+	}))
 }
 
 // epochSizeHistogram returns a race-free clone of the shard's

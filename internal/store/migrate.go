@@ -59,24 +59,36 @@ type DeltaOp struct {
 	Value []byte `json:"value"`
 }
 
-// journalPut appends one acknowledged write to the delta journal.
-// Worker-goroutine only; a no-op unless an outbound migration is
-// copying this shard.
-func (sh *shard) journalPut(block uint64, value []byte) {
+// journal appends one acknowledged request's durable writes (errs[i]
+// == nil) to the delta journal. Worker-goroutine only; a no-op unless
+// an outbound migration is copying this shard.
+func (sh *shard) journal(kvs []kvPair, errs []error) {
 	if !sh.migActive.Load() {
 		return
 	}
 	sh.migMu.Lock()
-	if sh.migOn {
+	defer sh.migMu.Unlock()
+	if !sh.migOn {
+		return
+	}
+	for i, kv := range kvs {
+		if errs[i] != nil {
+			continue
+		}
 		if len(sh.migLog) >= migJournalCap {
 			sh.migOverflow = true
-		} else {
-			v := make([]byte, len(value))
-			copy(v, value)
-			sh.migLog = append(sh.migLog, DeltaOp{Block: block, Value: v})
+			return
 		}
+		sh.migLog = append(sh.migLog, DeltaOp{Block: kv.block, Value: append([]byte(nil), kv.value...)})
 	}
+}
+
+// setJournal turns the delta journal on or off, emptying it.
+func (sh *shard) setJournal(on bool) {
+	sh.migMu.Lock()
+	sh.migOn, sh.migLog, sh.migOverflow = on, nil, false
 	sh.migMu.Unlock()
+	sh.migActive.Store(on)
 }
 
 // MigrateBegin starts an outbound migration of one partition: it
@@ -85,13 +97,8 @@ func (sh *shard) journalPut(block uint64, value []byte) {
 // journal on. The returned image is what MigrateAttach loads on the
 // destination. The shard keeps serving reads and writes.
 func (s *Store) MigrateBegin(ctx context.Context, part int) ([]byte, error) {
-	sh, err := s.lookup(part)
-	if err != nil {
-		return nil, err
-	}
 	var buf bytes.Buffer
-	_, err = s.submit(ctx, sh, request{op: opMigrateBegin, migBuf: &buf, resp: make(chan response, 1)})
-	if err != nil {
+	if err := s.control(ctx, part, request{op: opMigrateBegin, migBuf: &buf}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -132,23 +139,13 @@ func (s *Store) MigrateDelta(part, max int) (ops []DeltaOp, remaining int, err e
 // every put drained after it is refused. Call MigrateDelta once more
 // after the fence for the complete final delta.
 func (s *Store) MigrateFence(ctx context.Context, part int) error {
-	sh, err := s.lookup(part)
-	if err != nil {
-		return err
-	}
-	_, err = s.submit(ctx, sh, request{op: opMigrateFence, resp: make(chan response, 1)})
-	return err
+	return s.control(ctx, part, request{op: opMigrateFence})
 }
 
 // MigrateAbort cancels an outbound migration: the fence lifts, the
 // journal drops, and the shard resumes normal service.
 func (s *Store) MigrateAbort(ctx context.Context, part int) error {
-	sh, err := s.lookup(part)
-	if err != nil {
-		return err
-	}
-	_, err = s.submit(ctx, sh, request{op: opMigrateAbort, resp: make(chan response, 1)})
-	return err
+	return s.control(ctx, part, request{op: opMigrateAbort})
 }
 
 // MigrateDetach removes the migrated-away partition from this store
@@ -235,8 +232,10 @@ func (s *Store) MigrateAttach(part int, r io.Reader) error {
 }
 
 // MigrateApply replays one batch of journaled writes onto the staged
-// partition. Single-threaded per partition by contract (the migration
-// driver is the only writer until activation).
+// partition as one epoch, through the same drain the worker runs.
+// Single-threaded per partition by contract (the migration driver is
+// the only writer until activation, and the staged shard has no
+// worker yet). The first error aborts the apply.
 func (s *Store) MigrateApply(part int, ops []DeltaOp) error {
 	s.mu.Lock()
 	sh := s.staging[part]
@@ -244,15 +243,24 @@ func (s *Store) MigrateApply(part int, ops []DeltaOp) error {
 	if sh == nil {
 		return ErrNoMigration
 	}
-	for _, op := range ops {
+	req := request{op: opPut, kvs: make([]kvPair, len(ops)), resp: make(chan response, 1)}
+	for i, op := range ops {
 		if op.Block >= sh.blocks {
 			return fmt.Errorf("store: apply partition %d: %w", part, ErrOutOfRange)
 		}
 		if len(op.Value) > MaxValueLen {
 			return fmt.Errorf("store: apply partition %d: %w", part, ErrValueTooLarge)
 		}
-		if err := sh.putBlock(op.Block, op.Value); err != nil {
-			return fmt.Errorf("store: apply partition %d block %d: %w", part, op.Block, err)
+		req.kvs[i] = kvPair{op.Block, op.Value}
+	}
+	sh.serveBatch([]request{req})
+	resp := <-req.resp
+	if resp.err != nil {
+		return fmt.Errorf("store: apply partition %d: %w", part, resp.err)
+	}
+	for i, err := range resp.errs {
+		if err != nil {
+			return fmt.Errorf("store: apply partition %d block %d: %w", part, ops[i].Block, err)
 		}
 	}
 	return nil

@@ -159,13 +159,13 @@ func TestMigrateFenceNacksQueuedPuts(t *testing.T) {
 	}
 
 	// One drained batch, in queue order: put A, fence, put B.
-	putA := request{op: opPut, block: 1, value: []byte("before"), resp: make(chan response, 1)}
+	putA := putReq(1, []byte("before"))
 	fence := request{op: opMigrateFence, resp: make(chan response, 1)}
-	putB := request{op: opPut, block: 2, value: []byte("after"), resp: make(chan response, 1)}
+	putB := putReq(2, []byte("after"))
 	sh.serveBatch([]request{putA, fence, putB})
 
-	if r := <-putA.resp; r.err != nil {
-		t.Fatalf("pre-fence put: %v, want ack", r.err)
+	if err := firstErr(<-putA.resp); err != nil {
+		t.Fatalf("pre-fence put: %v, want ack", err)
 	}
 	if r := <-fence.resp; r.err != nil {
 		t.Fatalf("fence: %v", r.err)
@@ -202,10 +202,10 @@ func TestMigrateFenceNacksQueuedPuts(t *testing.T) {
 	if r := <-abort.resp; r.err != nil {
 		t.Fatalf("abort: %v", r.err)
 	}
-	putC := request{op: opPut, block: 3, value: []byte("resumed"), resp: make(chan response, 1)}
+	putC := putReq(3, []byte("resumed"))
 	sh.serveBatch([]request{putC})
-	if r := <-putC.resp; r.err != nil {
-		t.Fatalf("post-abort put: %v", r.err)
+	if err := firstErr(<-putC.resp); err != nil {
+		t.Fatalf("post-abort put: %v", err)
 	}
 	if _, _, err := s.MigrateDelta(0, 0); !errors.Is(err, ErrNoMigration) {
 		t.Fatalf("post-abort delta: %v, want ErrNoMigration", err)

@@ -21,13 +21,12 @@ import (
 // NotOwnedError — all unchanged from the pre-pool behavior.
 
 // readEligible reports whether a get may try the reader pool right
-// now. Recovering shards are excluded even when degraded-serving:
-// the read view refuses mid-rebuild state anyway (ErrRecovering), so
-// skipping the attempt saves the bounce.
+// now: the shard admits reads and its tree is whole. Recovering
+// shards are excluded even when they admit degraded traffic — the
+// worker leaves stateServing before it crashes the controller, and
+// the read view refuses mid-rebuild state anyway (ErrRecovering).
 func (sh *shard) readEligible() bool {
-	return sh.readSem != nil &&
-		shardHealth(sh.health.Load()) == healthServing &&
-		!sh.stopped.Load()
+	return sh.readSem != nil && sh.load() == stateServing && sh.admit(false) == nil
 }
 
 // readViewBlock runs one verified read off the shard's read view and
@@ -77,18 +76,18 @@ func (s *Store) getConcurrent(ctx context.Context, sh *shard, block uint64) (v [
 		return nil, true, ctx.Err()
 	}
 	defer func() { <-sh.readSem }()
-	// Health may have flipped while waiting for a slot.
-	if shardHealth(sh.health.Load()) != healthServing || sh.stopped.Load() {
+	// The state may have flipped while waiting for a slot.
+	if !sh.readEligible() {
 		return nil, false, nil
 	}
 	v, fallback, err := sh.readViewBlock(block)
 	if fallback {
 		return nil, false, nil
 	}
-	if sh.stopped.Load() {
-		// The shard detached (migration hand-off) while the read ran;
-		// re-serve through the queue so the caller gets the ownership
-		// hint instead of possibly stale data.
+	if sh.admit(false) != nil {
+		// The shard detached (migration hand-off) or failed while the
+		// read ran; re-serve through the queue so the caller gets the
+		// ownership hint or the nack instead of possibly stale data.
 		return nil, false, nil
 	}
 	sp := span.FromContext(ctx)
@@ -106,7 +105,7 @@ func (s *Store) getConcurrent(ctx context.Context, sh *shard, block uint64) (v [
 // are parallel to blocks and leftover lists positions that still need
 // the queue (their values/errs entries are unset); the pool slot is
 // released before returning, so the caller may block on submit.
-func (s *Store) serveLegConcurrent(ctx context.Context, sh *shard, blocks []uint64, leg *span.Span) (values [][]byte, errs []error, leftover []int, served bool) {
+func (s *Store) serveLegConcurrent(ctx context.Context, sh *shard, blocks []kvPair, leg *span.Span) (values [][]byte, errs []error, leftover []int, served bool) {
 	if !sh.readEligible() {
 		return nil, nil, nil, false
 	}
@@ -116,20 +115,20 @@ func (s *Store) serveLegConcurrent(ctx context.Context, sh *shard, blocks []uint
 		return nil, nil, nil, false
 	}
 	defer func() { <-sh.readSem }()
-	if shardHealth(sh.health.Load()) != healthServing || sh.stopped.Load() {
+	if !sh.readEligible() {
 		return nil, nil, nil, false
 	}
 	values = make([][]byte, len(blocks))
 	errs = make([]error, len(blocks))
 	for i, b := range blocks {
-		v, fallback, err := sh.readViewBlock(b)
+		v, fallback, err := sh.readViewBlock(b.block)
 		if fallback {
 			leftover = append(leftover, i)
 			continue
 		}
 		values[i], errs[i] = v, err
 	}
-	if sh.stopped.Load() {
+	if sh.admit(false) != nil {
 		return nil, nil, nil, false
 	}
 	leg.SetShard(sh.id)

@@ -36,7 +36,6 @@ func newBareShard(t *testing.T, protocol string, mem uint64) *shard {
 		done:           make(chan struct{}),
 		blocks:         mem / scm.BlockSize,
 		batchMax:       8,
-		epochMax:       1,
 		epochSizes:     stats.NewHistogram(),
 		epochCycles:    stats.NewHistogram(),
 		prog:           &bmt.Progress{},
@@ -51,18 +50,40 @@ func newBareShard(t *testing.T, protocol string, mem uint64) *shard {
 	return sh
 }
 
+// putReq builds the 1-entry put request Store.Put submits.
+func putReq(block uint64, v []byte) request {
+	return request{op: opPut, kvs: []kvPair{{block, v}}, resp: make(chan response, 1)}
+}
+
+// firstErr collapses a 1-entry response to its outcome: the
+// whole-request error if any, else the entry's.
+func firstErr(r response) error {
+	if r.err != nil || len(r.errs) == 0 {
+		return r.err
+	}
+	return r.errs[0]
+}
+
+// barePut and bareGet drive one request through the worker's drain
+// from the test's own goroutine.
 func barePut(t *testing.T, sh *shard, block uint64, v []byte) {
 	t.Helper()
-	resp := sh.serve(request{op: opPut, block: block, value: v})
-	if resp.err != nil {
-		t.Fatalf("put block %d: %v", block, resp.err)
+	req := putReq(block, v)
+	sh.serveBatch([]request{req})
+	if err := firstErr(<-req.resp); err != nil {
+		t.Fatalf("put block %d: %v", block, err)
 	}
 }
 
 func bareGet(t *testing.T, sh *shard, block uint64) ([]byte, error) {
 	t.Helper()
-	resp := sh.serve(request{op: opGet, block: block})
-	return resp.value, resp.err
+	req := request{op: opGet, kvs: []kvPair{{block: block}}, resp: make(chan response, 1)}
+	sh.serveBatch([]request{req})
+	resp := <-req.resp
+	if resp.err != nil {
+		return nil, resp.err
+	}
+	return resp.values[0], resp.errs[0]
 }
 
 // TestShardDegradedServingDeterministic drives the full degraded-mode
@@ -81,11 +102,8 @@ func TestShardDegradedServingDeterministic(t *testing.T) {
 	if sh.session == nil {
 		t.Fatal("leaf shard must power-cycle into an online session")
 	}
-	if h := shardHealth(sh.health.Load()); h != healthRecovering {
-		t.Fatalf("health = %s, want recovering", h)
-	}
-	if !sh.degraded.Load() {
-		t.Fatal("degraded flag not set during online recovery")
+	if st := sh.load(); st != stateRecoveringOnline {
+		t.Fatalf("state = %d (%s), want recovering-online", st, st)
 	}
 
 	// Interleave a degraded overwrite + verified readback with every
@@ -105,10 +123,10 @@ func TestShardDegradedServingDeterministic(t *testing.T) {
 		}
 	}
 	sh.finishRecovery()
-	if h := shardHealth(sh.health.Load()); h != healthServing {
+	if h := sh.load(); h != stateServing {
 		t.Fatalf("health after finish = %s, want serving", h)
 	}
-	if sh.session != nil || sh.degraded.Load() {
+	if sh.session != nil {
 		t.Fatal("session state not cleared after finish")
 	}
 	if sh.m.degradedWrites.Load() == 0 {
@@ -130,7 +148,7 @@ func TestShardDegradedServingDeterministic(t *testing.T) {
 		t.Fatalf("second power cycle: %v", err)
 	}
 	sh.barrier()
-	if h := shardHealth(sh.health.Load()); h != healthServing {
+	if h := sh.load(); h != stateServing {
 		t.Fatalf("health after barrier = %s, want serving", h)
 	}
 	for b := uint64(0); b < keys; b++ {
@@ -142,46 +160,190 @@ func TestShardDegradedServingDeterministic(t *testing.T) {
 	}
 }
 
-// TestStoreAdmissionByHealth pins the submit fast path per health
-// state: quarantined nacks ErrShardFailed, a blocking (non-degraded)
-// recovery nacks ErrRecovering, and a degraded recovery admits.
+// TestStoreAdmissionByHealth pins the one admission decision over its
+// whole input space — state × fenced × stopped × {get, put, control} —
+// both at admit itself and through the public API that consults it,
+// plus the external health vocabulary each state publishes.
 func TestStoreAdmissionByHealth(t *testing.T) {
-	sh := &shard{id: 0, ch: make(chan request, 4), done: make(chan struct{}), blocks: 1 << 10, batchMax: 1}
-	s := &Store{cfg: Config{Partitions: 1}, staging: map[int]*shard{}}
-	s.tab.Store(newShardTable([]*shard{sh}))
-	ctx := context.Background()
+	type health struct {
+		name    string
+		serving bool
+	}
+	states := map[shardState]health{
+		stateServing:            {"serving", true},
+		stateRecoveringOnline:   {"recovering", true},
+		stateRecoveringBlocking: {"recovering", true},
+		stateQuarantined:        {"quarantined", false},
+	}
+	ops := map[string]func(context.Context, *Store) error{
+		"get":     func(ctx context.Context, s *Store) error { _, err := s.Get(ctx, 0); return err },
+		"put":     func(ctx context.Context, s *Store) error { return s.Put(ctx, 0, []byte("x")) },
+		"control": func(ctx context.Context, s *Store) error { return s.Flush(ctx) },
+	}
+	for st, h := range states {
+		for _, fenced := range []bool{false, true} {
+			for _, stopped := range []bool{false, true} {
+				for op, call := range ops {
+					var want error
+					switch {
+					case st == stateQuarantined:
+						want = ErrShardFailed
+					case st == stateRecoveringBlocking:
+						want = ErrRecovering
+					case fenced && op == "put":
+						want = ErrFenced
+					case stopped:
+						want = ErrNotOwned
+					}
+					name := fmt.Sprintf("state%d/fenced=%v/stopped=%v/%s", st, fenced, stopped, op)
+					// A shard with no worker: an admitted request parks
+					// in the queue until its deadline.
+					sh := &shard{id: 0, ch: make(chan request, 4), done: make(chan struct{}), blocks: 1 << 10, batchMax: 1}
+					sh.setState(st)
+					sh.fenced.Store(fenced)
+					sh.stopped.Store(stopped)
+					s := &Store{cfg: Config{Partitions: 1}, staging: map[int]*shard{}}
+					s.tab.Store(newShardTable([]*shard{sh}))
 
-	sh.health.Store(int32(healthQuarantined))
-	if err := s.Put(ctx, 0, []byte("x")); !errors.Is(err, ErrShardFailed) {
-		t.Fatalf("quarantined put: %v, want ErrShardFailed", err)
+					if err := sh.admit(op == "put"); !errors.Is(err, want) || (want == nil && err != nil) {
+						t.Fatalf("%s: admit = %v, want %v", name, err, want)
+					}
+					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+					err := call(ctx, s)
+					cancel()
+					if want == nil {
+						if !errors.Is(err, context.DeadlineExceeded) || len(sh.ch) != 1 {
+							t.Fatalf("%s: %v with %d queued, want deadline (admitted)", name, err, len(sh.ch))
+						}
+					} else if !errors.Is(err, want) || len(sh.ch) != 0 {
+						t.Fatalf("%s: %v with %d queued, want %v", name, err, len(sh.ch), want)
+					}
+					var noe *NotOwnedError
+					if want == ErrNotOwned && (!errors.As(err, &noe) || noe.Partition != sh.id) {
+						t.Fatalf("%s: %v does not name partition %d", name, err, sh.id)
+					}
+					// Each nack is counted where it is produced: once by the
+					// admit above, once by the API call.
+					nacks := func(sentinel error) uint64 {
+						if want == sentinel {
+							return 2
+						}
+						return 0
+					}
+					if n := sh.m.recoveringNacks.Load(); n != nacks(ErrRecovering) {
+						t.Fatalf("%s: recovering_nacks = %d", name, n)
+					}
+					if n := sh.m.fencedNacks.Load(); n != nacks(ErrFenced) {
+						t.Fatalf("%s: fenced_nacks = %d", name, n)
+					}
+					if ss := s.Stats().Shards[0]; ss.Health != h.name || ss.Serving != h.serving || ss.Fenced != fenced {
+						t.Fatalf("%s: snapshot %+v, want health %q serving %v", name, ss, h.name, h.serving)
+					}
+				}
+			}
+		}
 	}
-	if ss := s.Stats().Shards[0]; ss.Health != "quarantined" || ss.Serving {
-		t.Fatalf("quarantined snapshot: %+v", ss)
-	}
+}
 
-	sh.health.Store(int32(healthRecovering))
-	if err := s.Put(ctx, 0, []byte("x")); !errors.Is(err, ErrRecovering) {
-		t.Fatalf("blocking-recovery put: %v, want ErrRecovering", err)
+// degradedBatch seeds a bare shard, power-cycles it into an online
+// session, and drives one multi-put request (the shape a PutBatch leg
+// builds) of the first n seeded blocks through the worker's drain
+// while the session is open.
+func degradedBatch(t *testing.T, protocol string, seeded, n uint64) *shard {
+	t.Helper()
+	sh := newBareShard(t, protocol, 256<<10)
+	for b := uint64(0); b < seeded; b++ {
+		barePut(t, sh, b, stamp(b))
 	}
-	if n := sh.m.recoveringNacks.Load(); n != 1 {
-		t.Fatalf("recovering_nacks = %d, want 1", n)
+	if err := sh.powerCycle(); err != nil {
+		t.Fatalf("power cycle: %v", err)
 	}
-	if ss := s.Stats().Shards[0]; ss.Health != "recovering" || !ss.Serving {
-		t.Fatalf("recovering snapshot: %+v", ss)
+	if sh.session == nil {
+		t.Fatalf("%s shard must power-cycle into an online session", protocol)
 	}
+	epochs := sh.m.epochs.Load()
+	req := request{op: opPut, kvs: make([]kvPair, n), resp: make(chan response, 1)}
+	for b := range req.kvs {
+		req.kvs[b] = kvPair{uint64(b), stamp(uint64(b) + 1000)}
+	}
+	sh.serveBatch([]request{req})
+	resp := <-req.resp
+	if resp.err != nil {
+		t.Fatalf("degraded batch: %v", resp.err)
+	}
+	for b, err := range resp.errs {
+		if err != nil {
+			t.Fatalf("degraded batch block %d: %v", b, err)
+		}
+	}
+	if got := sh.m.epochs.Load(); got != epochs+1 {
+		t.Fatalf("epochs = %d after a degraded batch, want %d: the batch did not commit as one epoch", got, epochs+1)
+	}
+	if sh.m.epochFallbacks.Load() != 0 {
+		t.Fatal("degraded batch fell back to per-op replay")
+	}
+	return sh
+}
 
-	// Degraded recovery admits: with no worker the request parks until
-	// the deadline, proving it entered the queue.
-	sh.degraded.Store(true)
-	dctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-	defer cancel()
-	if err := s.Put(dctx, 0, []byte("x")); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("degraded put: %v, want deadline (admitted)", err)
+// TestShardDegradedEpoch: a batch written while a recovery session is
+// open commits as an epoch whose every op is a degraded write (climb
+// deferred to Finish), and the patched tree is a valid crash image — a
+// second power cycle reads every acknowledged key back.
+func TestShardDegradedEpoch(t *testing.T) {
+	for _, protocol := range []string{"leaf", "amnt"} {
+		t.Run(protocol, func(t *testing.T) {
+			const seeded, n = 256, 96
+			sh := degradedBatch(t, protocol, seeded, n)
+			sh.barrier()
+			if h := sh.load(); h != stateServing {
+				t.Fatalf("state after finish = %s, want serving", h)
+			}
+			if got := sh.m.degradedWrites.Load(); got != n {
+				t.Fatalf("degraded_writes = %d, want %d (one per key written)", got, n)
+			}
+			if err := sh.powerCycle(); err != nil {
+				t.Fatalf("second power cycle: %v", err)
+			}
+			sh.barrier()
+			if h := sh.load(); h != stateServing {
+				t.Fatalf("state after second cycle = %s, want serving", h)
+			}
+			for b := uint64(0); b < seeded; b++ {
+				v, err := bareGet(t, sh, b)
+				if err != nil {
+					t.Fatalf("get %d after second cycle: %v", b, err)
+				}
+				if b < n {
+					checkStamp(t, b+1000, v)
+				} else {
+					checkStamp(t, b, v)
+				}
+			}
+		})
 	}
+}
 
-	sh.health.Store(int32(healthServing))
-	if ss := s.Stats().Shards[0]; ss.Health != "serving" || !ss.Serving {
-		t.Fatalf("serving snapshot: %+v", ss)
+// TestShardDegradedEpochTamper: a counter leaf replayed on the device
+// while the shard serves degraded batches must fail the finish audit
+// and quarantine the shard — never serve silently.
+func TestShardDegradedEpochTamper(t *testing.T) {
+	const seeded, n = 256, 64 // the batch dirties leaf 0 only
+	sh := degradedBatch(t, "leaf", seeded, n)
+	// Leaf 3 (blocks 192-255) holds seeded data the batch never
+	// touched: the rebuild reads it from the device, not from a frozen
+	// pre-image.
+	if !sh.dev.TamperByte(scm.Counter, 3, 3, 0x20) {
+		t.Fatal("tamper failed")
+	}
+	sh.barrier()
+	if h := sh.load(); h != stateQuarantined {
+		t.Fatalf("state after tampered session = %s, want quarantined", h)
+	}
+	if sh.m.failures.Load() != 1 || sh.m.integrityErrs.Load() == 0 {
+		t.Fatalf("failures = %d, integrity_errors = %d", sh.m.failures.Load(), sh.m.integrityErrs.Load())
+	}
+	if _, err := bareGet(t, sh, 0); !errors.Is(err, ErrShardFailed) {
+		t.Fatalf("get on tampered shard: %v, want ErrShardFailed", err)
 	}
 }
 
@@ -211,7 +373,7 @@ func TestShardHealBackoffAndEscalation(t *testing.T) {
 	}
 	sh.inj.Detach()
 	sh.fail()
-	if h := shardHealth(sh.health.Load()); h != healthQuarantined {
+	if h := sh.load(); h != stateQuarantined {
 		t.Fatalf("health after fail = %s", h)
 	}
 	if sh.healWait != sh.healBackoff {
@@ -220,7 +382,7 @@ func TestShardHealBackoffAndEscalation(t *testing.T) {
 
 	// Attempt 1 recovers in place and must fail on the tampered media.
 	sh.healOnce()
-	if h := shardHealth(sh.health.Load()); h != healthQuarantined {
+	if h := sh.load(); h != stateQuarantined {
 		t.Fatal("in-place heal succeeded on tampered media")
 	}
 	if sh.healWait != 2*sh.healBackoff {
@@ -229,7 +391,7 @@ func TestShardHealBackoffAndEscalation(t *testing.T) {
 	// Attempt 2 escalates to the checkpoint image, clearing the
 	// tamper.
 	sh.healOnce()
-	if h := shardHealth(sh.health.Load()); h != healthServing {
+	if h := sh.load(); h != stateServing {
 		t.Fatal("checkpoint-restore heal did not restore service")
 	}
 	if got, want := sh.m.healAttempts.Load(), uint64(2); got != want {
@@ -266,7 +428,7 @@ func TestShardHealBackoffCap(t *testing.T) {
 	sh.fail()
 	for i := 0; i < 5; i++ {
 		sh.healOnce()
-		if h := shardHealth(sh.health.Load()); h != healthQuarantined {
+		if h := sh.load(); h != stateQuarantined {
 			t.Fatalf("heal attempt %d succeeded on tampered media", i+1)
 		}
 	}
@@ -280,7 +442,7 @@ func TestShardHealBackoffCap(t *testing.T) {
 	// restores service with every write intact.
 	sh.dev.TamperByte(scm.Counter, idxs[0], 7, 0x11)
 	sh.healOnce()
-	if h := shardHealth(sh.health.Load()); h != healthServing {
+	if h := sh.load(); h != stateServing {
 		t.Fatal("heal after media repair did not restore service")
 	}
 	for b := uint64(0); b < keys; b++ {

@@ -111,33 +111,42 @@ func (e *NotOwnedError) Error() string {
 // Is makes errors.Is(err, ErrNotOwned) true for NotOwnedError.
 func (e *NotOwnedError) Is(target error) bool { return target == ErrNotOwned }
 
-// shardHealth is the shard's serving state, published for lock-free
-// reads by submit and the metrics samplers.
-type shardHealth int32
+// shardState is the shard's one serving-state word, published for
+// lock-free reads by admit and the metrics samplers. Only the worker
+// writes it (and Open, before the worker starts).
+type shardState int32
 
 const (
-	// healthServing: normal operation.
-	healthServing shardHealth = iota
-	// healthRecovering: the tree is rebuilding. Degraded-capable
-	// shards still accept requests (sh.degraded); others nack with
-	// ErrRecovering until the blocking recovery completes.
-	healthRecovering
-	// healthQuarantined: the recovery contract was violated; the
-	// shard nacks everything while the heal loop retries.
-	healthQuarantined
+	// stateServing: normal operation.
+	stateServing shardState = iota
+	// stateRecoveringOnline: a recovery session is open; the tree is
+	// rebuilding between request waves and degraded traffic is
+	// admitted.
+	stateRecoveringOnline
+	// stateRecoveringBlocking: the protocol has no online recovery and
+	// the worker is inside a blocking rebuild; requests nack
+	// ErrRecovering so callers back off instead of piling into the
+	// queue.
+	stateRecoveringBlocking
+	// stateQuarantined: the recovery contract was violated; the shard
+	// nacks everything while the heal loop retries.
+	stateQuarantined
 )
 
-func (h shardHealth) String() string {
-	switch h {
-	case healthServing:
-		return "serving"
-	case healthRecovering:
-		return "recovering"
-	case healthQuarantined:
-		return "quarantined"
-	}
-	return "unknown"
+// health is the external vocabulary (/v1/health, /v1/store/stats,
+// the health gauge), which does not tell the two recovering states
+// apart.
+var health = [...]struct {
+	name  string
+	gauge float64
+}{
+	stateServing:            {"serving", 0},
+	stateRecoveringOnline:   {"recovering", 1},
+	stateRecoveringBlocking: {"recovering", 1},
+	stateQuarantined:        {"quarantined", 2},
 }
+
+func (st shardState) String() string { return health[st].name }
 
 // Config sizes the store.
 type Config struct {
@@ -171,8 +180,10 @@ type Config struct {
 	MEE mee.Config
 	// QueueDepth bounds each shard's request queue. Default 64.
 	QueueDepth int
-	// BatchMax is the most requests a worker drains per wakeup.
-	// Default 16.
+	// BatchMax is the most requests a worker drains per wakeup, and
+	// the most staged writes one group-commit epoch holds before the
+	// worker commits it. One request is never split across epochs, so
+	// a single oversized batch request may exceed the cap. Default 16.
 	BatchMax int
 	// ReadConcurrency, when positive, serves gets on healthy shards
 	// through a per-shard pool of at most this many concurrent
@@ -183,17 +194,6 @@ type Config struct {
 	// whose degradation semantics are unchanged. 0 (the default)
 	// serializes every get through the owner goroutine.
 	ReadConcurrency int
-	// EpochMax is the most staged writes one group-commit integrity
-	// epoch holds before the worker commits it. 1 disables group
-	// commit entirely (every put runs the per-op write path); 0
-	// defaults to BatchMax. A single multi-put request is never split
-	// across epochs, so one oversized batch request may exceed the cap.
-	EpochMax int
-	// EpochWait is how long a worker with an under-full batch waits
-	// for more requests to join the epoch once at least one put is
-	// pending — the extra latency a put may pay to amortize the climb.
-	// 0 commits as soon as the queue runs dry.
-	EpochWait time.Duration
 	// CheckpointDir, when set, is where Checkpoint persists shard
 	// images and where Open looks for them; Close writes a final
 	// checkpoint there. Checkpoint files are keyed by partition id,
@@ -242,9 +242,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchMax <= 0 {
 		c.BatchMax = 16
 	}
-	if c.EpochMax <= 0 {
-		c.EpochMax = c.BatchMax
-	}
 	if c.RecoveryChunk <= 0 {
 		c.RecoveryChunk = 256
 	}
@@ -265,8 +262,9 @@ type opKind int
 const (
 	opGet opKind = iota
 	opPut
-	opGetMulti
-	opPutMulti
+	// Everything past opPut is a control op: it observes whole-shard
+	// state, so the worker commits the open epoch and completes any
+	// in-flight rebuild before running it.
 	opFlush
 	opCheckpoint
 	opRecover
@@ -277,30 +275,32 @@ const (
 	opMigrateAbort
 )
 
-// kvPair is one key's share of a multi-put, already resolved to its
-// shard-local block.
+// kvPair is one key's share of a get or put, already resolved to its
+// shard-local block. A get leaves value nil.
 type kvPair struct {
 	block uint64
 	value []byte
 }
 
+// request is one shard's share of a client call. Gets and puts carry
+// the same shape — a slice of entries — and Store.Get / Store.Put are
+// its 1-entry case.
 type request struct {
 	op     opKind
 	ctx    context.Context // caller's context; expired requests are nacked, not served
 	sp     *span.Span      // latency-attribution span (nil = untraced)
-	block  uint64
-	value  []byte   // put payload, owned by the request
-	blocks []uint64 // multi-get blocks
-	kvs    []kvPair // multi-put payload, owned by the request
+	kvs    []kvPair        // get blocks / put payload, owned by the request
 	chaos  *ChaosSpec
 	migBuf *bytes.Buffer // opMigrateBegin: checkpoint image sink
-	resp   chan response // buffered(1): the worker's send never blocks
+	resp   chan response // buffered(1), made by submit: the worker's send never blocks
 }
 
+// response answers one request: err is a whole-request failure (nack,
+// control-op error); otherwise errs (and, for gets, values) are
+// parallel to request.kvs.
 type response struct {
-	value  []byte
-	values [][]byte // multi-get results, parallel to request.blocks
-	errs   []error  // per-entry multi-op results
+	values [][]byte
+	errs   []error
 	chaos  *ChaosResult
 	err    error
 }
@@ -308,31 +308,26 @@ type response struct {
 // shard bundles everything one worker goroutine owns. Its id is the
 // global partition id it hosts, not a dense local index.
 type shard struct {
-	id        int // partition id
-	dev       *scm.Device
-	ctrl      *mee.Controller
-	inj       *faults.Injector
-	ch        chan request
-	done      chan struct{}
-	blocks    uint64 // data blocks this shard can hold
-	now       uint64 // simulated cycle clock, worker-owned
-	batchMax  int
-	epochMax  int
-	epochWait time.Duration
-	ckpt      string        // checkpoint path, "" = none
-	prog      *bmt.Progress // live recovery rebuild watermark
-	closeErr  error         // final flush/checkpoint error, read after done
-	m         shardMetrics
+	id       int // partition id
+	dev      *scm.Device
+	ctrl     *mee.Controller
+	inj      *faults.Injector
+	ch       chan request
+	done     chan struct{}
+	blocks   uint64 // data blocks this shard can hold
+	now      uint64 // simulated cycle clock, worker-owned
+	batchMax int
+	ckpt     string        // checkpoint path, "" = none
+	prog     *bmt.Progress // live recovery rebuild watermark
+	closeErr error         // final flush/checkpoint error, read after done
+	m        shardMetrics
 
 	// readSem, when non-nil, bounds the concurrent verified readers
 	// serving gets off this shard's read view from caller goroutines
 	// (see readpath.go). Nil = every get goes through the queue.
 	readSem chan struct{}
 
-	// Serving state, read lock-free by submit and samplers; written
-	// only by the worker (and by Open before the worker starts).
-	health   atomic.Int32 // shardHealth
-	degraded atomic.Bool  // recovering AND serving degraded traffic
+	state atomic.Int32 // shardState; see load/setState/admit
 
 	// Migration state. stopped marks a shard detached from the table
 	// (set under the store write lock before its channel closes, so
@@ -488,8 +483,6 @@ func (s *Store) newShard(part int) (*shard, error) {
 		done:           make(chan struct{}),
 		blocks:         cfg.ShardMemBytes / scm.BlockSize,
 		batchMax:       cfg.BatchMax,
-		epochMax:       cfg.EpochMax,
-		epochWait:      cfg.EpochWait,
 		epochSizes:     stats.NewHistogram(),
 		epochCycles:    stats.NewHistogram(),
 		prog:           &bmt.Progress{},
@@ -529,8 +522,7 @@ func (sh *shard) boot() error {
 	}
 	if s, ok := sh.ctrl.BeginRecovery(sh.now); ok {
 		sh.session = s
-		sh.health.Store(int32(healthRecovering))
-		sh.degraded.Store(true)
+		sh.setState(stateRecoveringOnline)
 		return nil
 	}
 	if _, err := sh.ctrl.Recover(sh.now); err != nil {
@@ -578,29 +570,51 @@ func (s *Store) lookup(id int) (*shard, error) {
 	return sh, nil
 }
 
-// submit enqueues req on sh, failing fast with ErrOverloaded on a
-// full queue, then waits for the response or ctx. The closed check
-// and the send share the read lock so Close and MigrateDetach (which
-// hold the write lock while closing channels) can never race a send
-// onto a closed channel.
-func (s *Store) submit(ctx context.Context, sh *shard, req request) (response, error) {
-	switch shardHealth(sh.health.Load()) {
-	case healthQuarantined:
-		return response{}, ErrShardFailed
-	case healthRecovering:
-		// Degraded-capable shards keep admitting; a shard stuck in a
-		// blocking rebuild fast-fails so callers can back off instead
-		// of piling into the queue.
-		if !sh.degraded.Load() {
-			sh.m.recoveringNacks.Add(1)
-			return response{}, ErrRecovering
-		}
+// load reads the shard's state word.
+func (sh *shard) load() shardState { return shardState(sh.state.Load()) }
+
+// setState publishes a state transition. Worker-only.
+func (sh *shard) setState(st shardState) { sh.state.Store(int32(st)) }
+
+// admit is the shard's one admission decision, consulted by submit
+// before a request may queue, by the worker again at drain time (the
+// state, the fence or the table may have changed while the request
+// waited), and by the reader pool. nil means serve it.
+func (sh *shard) admit(write bool) error {
+	switch sh.load() {
+	case stateQuarantined:
+		return ErrShardFailed
+	case stateRecoveringBlocking:
+		sh.m.recoveringNacks.Add(1)
+		return ErrRecovering
 	}
-	if sh.fenced.Load() && (req.op == opPut || req.op == opPutMulti) {
+	if write && sh.fenced.Load() {
 		sh.m.fencedNacks.Add(1)
-		return response{}, ErrFenced
+		return ErrFenced
 	}
-	req.ctx = ctx
+	if sh.stopped.Load() {
+		return &NotOwnedError{Partition: sh.id}
+	}
+	return nil
+}
+
+// control runs one control op on partition id's worker.
+func (s *Store) control(ctx context.Context, id int, req request) error {
+	sh, err := s.lookup(id)
+	if err != nil {
+		return err
+	}
+	_, err = s.submit(ctx, sh, req)
+	return err
+}
+
+// submit enqueues req on sh, failing fast with ErrOverloaded on a
+// full queue, then waits for the response or ctx. The closed and
+// admission checks and the send share the read lock so Close and
+// MigrateDetach (which hold the write lock while closing channels)
+// can never race a send onto a closed channel.
+func (s *Store) submit(ctx context.Context, sh *shard, req request) (response, error) {
+	req.ctx, req.resp = ctx, make(chan response, 1)
 	if req.sp == nil {
 		req.sp = span.FromContext(ctx)
 	}
@@ -610,9 +624,9 @@ func (s *Store) submit(ctx context.Context, sh *shard, req request) (response, e
 		s.mu.RUnlock()
 		return response{}, ErrClosed
 	}
-	if sh.stopped.Load() {
+	if err := sh.admit(req.op == opPut); err != nil {
 		s.mu.RUnlock()
-		return response{}, &NotOwnedError{Partition: sh.id}
+		return response{}, err
 	}
 	select {
 	case sh.ch <- req:
@@ -647,11 +661,11 @@ func (s *Store) Get(ctx context.Context, key uint64) ([]byte, error) {
 			return v, err
 		}
 	}
-	resp, err := s.submit(ctx, sh, request{op: opGet, block: block, resp: make(chan response, 1)})
+	resp, err := s.submit(ctx, sh, request{op: opGet, kvs: []kvPair{{block: block}}})
 	if err != nil {
 		return nil, err
 	}
-	return resp.value, nil
+	return resp.values[0], resp.errs[0]
 }
 
 // Put stores value (at most MaxValueLen bytes) at key.
@@ -668,8 +682,11 @@ func (s *Store) Put(ctx context.Context, key uint64, value []byte) error {
 	}
 	v := make([]byte, len(value)) // callers may reuse their buffer
 	copy(v, value)
-	_, err = s.submit(ctx, sh, request{op: opPut, block: block, value: v, resp: make(chan response, 1)})
-	return err
+	resp, err := s.submit(ctx, sh, request{op: opPut, kvs: []kvPair{{block, v}}})
+	if err != nil {
+		return err
+	}
+	return resp.errs[0]
 }
 
 // broadcast sends one control op to every hosted shard concurrently
@@ -683,7 +700,7 @@ func (s *Store) broadcast(ctx context.Context, op opKind) error {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			_, errs[i] = s.submit(ctx, sh, request{op: op, resp: make(chan response, 1)})
+			_, errs[i] = s.submit(ctx, sh, request{op: op})
 		}(i, sh)
 	}
 	wg.Wait()
@@ -717,12 +734,7 @@ func (s *Store) Recover(ctx context.Context) error { return s.broadcast(ctx, opR
 
 // RecoverShard power-cycles a single shard.
 func (s *Store) RecoverShard(ctx context.Context, id int) error {
-	sh, err := s.lookup(id)
-	if err != nil {
-		return err
-	}
-	_, err = s.submit(ctx, sh, request{op: opRecover, resp: make(chan response, 1)})
-	return err
+	return s.control(ctx, id, request{op: opRecover})
 }
 
 // Quarantine deliberately takes one shard out of service — a
@@ -730,12 +742,7 @@ func (s *Store) RecoverShard(ctx context.Context, id int) error {
 // path a real recovery violation takes. The shard nacks requests with
 // ErrShardFailed until the supervised heal loop restores it.
 func (s *Store) Quarantine(ctx context.Context, id int) error {
-	sh, err := s.lookup(id)
-	if err != nil {
-		return err
-	}
-	_, err = s.submit(ctx, sh, request{op: opQuarantine, resp: make(chan response, 1)})
-	return err
+	return s.control(ctx, id, request{op: opQuarantine})
 }
 
 // Close drains every shard's queue, flushes, writes a final
@@ -772,9 +779,8 @@ func (s *Store) Close(ctx context.Context) error {
 
 // run is the shard worker: it owns the controller. In normal
 // operation requests are drained in batches — one blocking receive,
-// then opportunistic ones, then (when EpochWait is set and a put is
-// pending) a bounded wait for stragglers — so bursty load amortizes
-// both the per-wakeup bookkeeping and the group-commit climb.
+// then opportunistic ones — so bursty load amortizes both the
+// per-wakeup bookkeeping and the group-commit climb.
 //
 // While an online recovery session is active the worker instead
 // interleaves rebuild chunks with request service: traffic takes
@@ -808,7 +814,7 @@ func (sh *shard) run() {
 			}
 			continue
 		}
-		if shardHealth(sh.health.Load()) == healthQuarantined {
+		if sh.load() == stateQuarantined {
 			open = sh.quarantineTick()
 			continue
 		}
@@ -824,7 +830,7 @@ func (sh *shard) run() {
 	// shard skips the checkpoint: the partition's image now belongs
 	// to its new owner.
 	sh.barrier()
-	if shardHealth(sh.health.Load()) != healthQuarantined {
+	if sh.load() != stateQuarantined {
 		sh.now += sh.ctrl.Flush(sh.now)
 		if sh.ckpt != "" && !sh.noFinalCkpt.Load() {
 			sh.closeErr = sh.checkpoint()
@@ -833,16 +839,11 @@ func (sh *shard) run() {
 	sh.publish()
 }
 
-// serveWave drains a batch behind req and serves it. The epoch
-// straggler linger is skipped while a recovery session is active —
-// rebuild work is the better use of idle time, and degraded writes
-// bypass group commit anyway. Returns the (possibly regrown) batch
-// buffer and false once the request channel is closed.
+// serveWave drains a batch behind req and serves it. Returns the
+// (possibly regrown) batch buffer and false once the request channel
+// is closed.
 func (sh *shard) serveWave(batch []request, req request) ([]request, bool) {
-	// Dequeue stamps close the queue_wait phase per request: a
-	// request arriving during the linger below charges the linger
-	// to queue_wait, while already-drained writes charge it to
-	// epoch_stage — the honest attribution either way.
+	// Dequeue stamps close the queue_wait phase per request.
 	req.sp.Mark(span.QueueWait)
 	batch = append(batch[:0], req)
 	open := true
@@ -860,24 +861,6 @@ fill:
 			break fill
 		}
 	}
-	if open && sh.session == nil && sh.epochWait > 0 && len(batch) < sh.batchMax && hasPut(batch) {
-		timer := time.NewTimer(sh.epochWait)
-	wait:
-		for len(batch) < sh.batchMax {
-			select {
-			case r, ok := <-sh.ch:
-				if !ok {
-					open = false
-					break wait
-				}
-				r.sp.Mark(span.QueueWait)
-				batch = append(batch, r)
-			case <-timer.C:
-				break wait
-			}
-		}
-		timer.Stop()
-	}
 	sh.serveBatch(batch)
 	sh.m.batches.Add(1)
 	sh.m.batchItems.Add(uint64(len(batch)))
@@ -885,39 +868,29 @@ fill:
 	return batch, open
 }
 
-// hasPut reports whether the batch carries at least one write — the
-// only requests worth delaying for a larger epoch.
-func hasPut(batch []request) bool {
-	for _, r := range batch {
-		if r.op == opPut || r.op == opPutMulti {
-			return true
-		}
-	}
-	return false
-}
-
-// stagedAck is one put-carrying request whose acknowledgment is
-// deferred until its epoch commits: the durability contract is that a
-// response is sent only once the write is as durable as a per-op
-// acknowledged write.
+// stagedAck is one put request whose acknowledgment is deferred until
+// its epoch commits: the durability contract is that a response is
+// sent only once the write is durable.
 type stagedAck struct {
 	req  request
-	errs []error // per-kv results for multi-puts, nil for single puts
+	errs []error // per-entry results, parallel to req.kvs
 }
 
-// serveBatch executes one drained batch. Writes are staged into a
-// group-commit epoch and acknowledged together after it commits; reads
-// are served inline against the pre-epoch state (legal — the staged
-// writes are unacknowledged, so a concurrent reader may be ordered
-// before them); control operations (flush, checkpoint, recover,
-// chaos) force the open epoch to commit first so they observe and
-// persist exactly the acknowledged state.
+// serveBatch executes one drained batch. Every put is staged into a
+// group-commit epoch and acknowledged after it commits; an open
+// recovery session is something the commit consults (mee.commitEpoch),
+// not a reason to route around it. Reads are served inline against the
+// pre-epoch state (legal — the staged writes are unacknowledged, so a
+// concurrent reader may be ordered before them); control operations
+// (flush, checkpoint, power cycle, chaos, quarantine, migration)
+// commit the open epoch and complete any in-flight rebuild first, so
+// they observe and persist exactly the acknowledged state.
 //
-// The write fence is checked here, at drain time: a put that was
-// queued before MigrateFence but drained after it must be nacked, not
-// acknowledged against the stale source — FIFO order through the
-// queue makes the fence a precise cut between journaled and refused
-// writes.
+// Admission is re-decided here, at drain time: a put queued before
+// MigrateFence but drained after it must be nacked, not acknowledged
+// against the stale source — FIFO order through the queue makes the
+// fence a precise cut between journaled and refused writes — and a
+// control op's barrier may itself have quarantined the shard.
 func (sh *shard) serveBatch(batch []request) {
 	var ep *mee.Epoch
 	var acks []stagedAck
@@ -932,62 +905,34 @@ func (sh *shard) serveBatch(batch []request) {
 			r.resp <- response{err: r.ctx.Err()}
 			continue
 		}
-		if shardHealth(sh.health.Load()) == healthQuarantined {
-			r.resp <- response{err: ErrShardFailed}
-			continue
-		}
-		switch r.op {
-		case opPut, opPutMulti:
-			if sh.fenced.Load() {
-				sh.m.fencedNacks.Add(1)
-				r.resp <- response{err: ErrFenced}
-				continue
-			}
-			// Degraded writes bypass group commit: multi-op epochs
-			// refuse to commit mid-rebuild (the climb would mix
-			// unaudited ancestors), while the per-op path defers its
-			// climb to the session's finish audit.
-			if sh.epochMax <= 1 || sh.session != nil {
-				r.resp <- sh.serve(r)
-				continue
-			}
-			if ep == nil {
-				ep = sh.ctrl.BeginEpoch(sh.now)
-			}
-			acks = append(acks, sh.stage(ep, r))
-			if ep.Len() >= sh.epochMax {
-				commit()
-			}
-		case opGet, opGetMulti:
-			r.resp <- sh.serve(r)
-		default:
-			// Control operations (flush, checkpoint, power cycle,
-			// chaos, quarantine, migration) observe whole-shard state:
-			// commit the open epoch and complete any in-flight rebuild
-			// first.
+		if r.op > opPut {
 			commit()
 			sh.barrier()
+		}
+		if err := sh.admit(r.op == opPut); err != nil {
+			r.resp <- response{err: err}
+			continue
+		}
+		if r.op != opPut {
 			r.resp <- sh.serve(r)
+			continue
+		}
+		if ep == nil {
+			ep = sh.ctrl.BeginEpoch(sh.now)
+		}
+		acks = append(acks, sh.stage(ep, r))
+		if ep.Len() >= sh.batchMax {
+			commit()
 		}
 	}
 	commit()
 }
 
-// stage buffers one put-carrying request into the open epoch.
+// stage buffers one put request into the open epoch.
 func (sh *shard) stage(ep *mee.Epoch, r request) stagedAck {
-	a := stagedAck{req: r}
-	var blk [scm.BlockSize]byte
-	if r.op == opPut {
-		sh.m.puts.Add(1)
-		packValue(&blk, r.value)
-		if err := ep.Put(r.block, blk[:]); err != nil {
-			sh.countErr(err)
-			a.errs = []error{err}
-		}
-		return a
-	}
-	a.errs = make([]error, len(r.kvs))
+	a := stagedAck{req: r, errs: make([]error, len(r.kvs))}
 	sh.m.puts.Add(uint64(len(r.kvs)))
+	var blk [scm.BlockSize]byte
 	for i, kv := range r.kvs {
 		packValue(&blk, kv.value)
 		if err := ep.Put(kv.block, blk[:]); err != nil {
@@ -999,28 +944,33 @@ func (sh *shard) stage(ep *mee.Epoch, r request) stagedAck {
 }
 
 // commitStaged commits the open epoch and acknowledges every staged
-// request. On a commit error the worker degrades to per-op writes —
-// each staged write replays through WriteBlock individually, so one
-// poisoned request fails alone instead of nacking the whole batch.
+// request. A failed commit may be half applied; the repair is to
+// re-commit each staged write as its own 1-op epoch, so one poisoned
+// write fails alone instead of nacking the whole batch.
 func (sh *shard) commitStaged(ep *mee.Epoch, acks []stagedAck) {
 	if ep == nil {
 		return
 	}
-	staged := ep.Len()
-	if staged == 0 {
-		ep.Abort()
-		for _, a := range acks {
-			sh.ackStaged(a)
-		}
-		return
-	}
 	// The staging wait ends here: everything since dequeue was epoch
-	// residency (buffering, linger, earlier batch items).
+	// residency (buffering, earlier batch items).
 	for _, a := range acks {
 		a.req.sp.Mark(span.EpochStage)
 	}
+	staged := ep.Len()
 	res, err := ep.Commit()
-	if err == nil {
+	switch {
+	case err != nil:
+		sh.m.epochFallbacks.Add(1)
+		sh.countErr(err)
+		for _, a := range acks {
+			for i, kv := range a.req.kvs {
+				if a.errs[i] == nil {
+					a.errs[i] = sh.commitOne(kv)
+				}
+			}
+			a.req.sp.Mark(span.EpochFallback)
+		}
+	case staged > 0: // else every entry was rejected at staging
 		sh.now += res.Cycles
 		sh.m.epochs.Add(1)
 		sh.m.epochOps.Add(uint64(staged))
@@ -1036,73 +986,32 @@ func (sh *shard) commitStaged(ep *mee.Epoch, acks []stagedAck) {
 			a.req.sp.Add(span.CommitClimb, res.ClimbNs)
 			a.req.sp.Add(span.Persist, res.PersistNs)
 			a.req.sp.Reset()
-			sh.journalAck(a)
-			sh.ackStaged(a)
 		}
-		return
 	}
-	sh.m.epochFallbacks.Add(1)
-	sh.countErr(err)
 	for _, a := range acks {
-		switch a.req.op {
-		case opPut:
-			if a.errs != nil { // rejected at staging
-				a.req.sp.Mark(span.EpochFallback)
-				a.req.resp <- response{err: a.errs[0]}
-				continue
-			}
-			err := sh.putBlock(a.req.block, a.req.value)
-			if err == nil {
-				sh.journalPut(a.req.block, a.req.value)
-			}
-			a.req.sp.Mark(span.EpochFallback)
-			a.req.resp <- response{err: err}
-		case opPutMulti:
-			for i, kv := range a.req.kvs {
-				if a.errs[i] != nil {
-					continue
-				}
-				a.errs[i] = sh.putBlock(kv.block, kv.value)
-				if a.errs[i] == nil {
-					sh.journalPut(kv.block, kv.value)
-				}
-			}
-			a.req.sp.Mark(span.EpochFallback)
-			a.req.resp <- response{errs: a.errs}
-		}
+		// The ack point: what is now durable goes into an outbound
+		// migration's delta journal, then the answer goes out.
+		sh.journal(a.req.kvs, a.errs)
+		a.req.resp <- response{errs: a.errs}
 	}
 }
 
-// journalAck records one committed staged request into the migration
-// delta journal (no-op when no migration is copying this shard).
-func (sh *shard) journalAck(a stagedAck) {
-	if !sh.migActive.Load() {
-		return
+// commitOne commits one write as its own epoch.
+func (sh *shard) commitOne(kv kvPair) error {
+	var blk [scm.BlockSize]byte
+	packValue(&blk, kv.value)
+	ep := sh.ctrl.BeginEpoch(sh.now)
+	err := ep.Put(kv.block, blk[:])
+	if err == nil {
+		var res mee.EpochResult
+		res, err = ep.Commit()
+		sh.now += res.Cycles
 	}
-	if a.req.op == opPut {
-		if a.errs == nil {
-			sh.journalPut(a.req.block, a.req.value)
-		}
-		return
+	if err != nil {
+		sh.countErr(err)
+		return asStoreErr(err)
 	}
-	for i, kv := range a.req.kvs {
-		if a.errs[i] == nil {
-			sh.journalPut(kv.block, kv.value)
-		}
-	}
-}
-
-// ackStaged sends the post-commit response for one staged request.
-func (sh *shard) ackStaged(a stagedAck) {
-	if a.req.op == opPut {
-		var err error
-		if a.errs != nil {
-			err = a.errs[0]
-		}
-		a.req.resp <- response{err: err}
-		return
-	}
-	a.req.resp <- response{errs: a.errs}
+	return nil
 }
 
 // packValue frames a value into its 64 B block image (length prefix +
@@ -1113,19 +1022,6 @@ func packValue(blk *[scm.BlockSize]byte, value []byte) {
 	for i := len(value) + 1; i < scm.BlockSize; i++ {
 		blk[i] = 0
 	}
-}
-
-// putBlock runs the per-op secure write path for one framed value.
-func (sh *shard) putBlock(block uint64, value []byte) error {
-	var blk [scm.BlockSize]byte
-	packValue(&blk, value)
-	cycles, err := sh.ctrl.WriteBlock(sh.now, block, blk[:])
-	sh.now += cycles
-	if err != nil {
-		sh.countErr(err)
-		return asStoreErr(err)
-	}
-	return nil
 }
 
 // getBlock runs the verified read path and unframes the value.
@@ -1147,51 +1043,22 @@ func (sh *shard) getBlock(block uint64) ([]byte, error) {
 	return v, nil
 }
 
-// serve executes one request against the worker-owned controller.
+// serve executes one admitted get or control request against the
+// worker-owned controller. Puts never come here: they are staged.
 func (sh *shard) serve(r request) response {
-	if shardHealth(sh.health.Load()) == healthQuarantined {
-		return response{err: ErrShardFailed}
-	}
 	switch r.op {
 	case opGet:
-		sh.m.gets.Add(1)
+		values := make([][]byte, len(r.kvs))
+		errs := make([]error, len(r.kvs))
+		sh.m.gets.Add(uint64(len(r.kvs)))
 		// In-batch wait since dequeue is staging-equivalent residency;
 		// the verified read walk itself is the climb.
 		r.sp.Mark(span.EpochStage)
-		v, err := sh.getBlock(r.block)
-		r.sp.Mark(span.CommitClimb)
-		return response{value: v, err: err}
-	case opGetMulti:
-		values := make([][]byte, len(r.blocks))
-		errs := make([]error, len(r.blocks))
-		sh.m.gets.Add(uint64(len(r.blocks)))
-		r.sp.Mark(span.EpochStage)
-		for i, b := range r.blocks {
-			values[i], errs[i] = sh.getBlock(b)
+		for i, kv := range r.kvs {
+			values[i], errs[i] = sh.getBlock(kv.block)
 		}
 		r.sp.Mark(span.CommitClimb)
 		return response{values: values, errs: errs}
-	case opPut:
-		sh.m.puts.Add(1)
-		r.sp.Mark(span.EpochStage)
-		err := sh.putBlock(r.block, r.value)
-		if err == nil {
-			sh.journalPut(r.block, r.value)
-		}
-		r.sp.Mark(span.CommitClimb)
-		return response{err: err}
-	case opPutMulti:
-		errs := make([]error, len(r.kvs))
-		sh.m.puts.Add(uint64(len(r.kvs)))
-		r.sp.Mark(span.EpochStage)
-		for i, kv := range r.kvs {
-			errs[i] = sh.putBlock(kv.block, kv.value)
-			if errs[i] == nil {
-				sh.journalPut(kv.block, kv.value)
-			}
-		}
-		r.sp.Mark(span.CommitClimb)
-		return response{errs: errs}
 	case opFlush:
 		sh.now += sh.ctrl.Flush(sh.now)
 		sh.m.flushes.Add(1)
@@ -1218,12 +1085,7 @@ func (sh *shard) serve(r request) response {
 		if err := sh.ctrl.SaveCheckpoint(r.migBuf); err != nil {
 			return response{err: err}
 		}
-		sh.migMu.Lock()
-		sh.migOn = true
-		sh.migLog = nil
-		sh.migOverflow = false
-		sh.migMu.Unlock()
-		sh.migActive.Store(true)
+		sh.setJournal(true)
 		sh.m.migrations.Add(1)
 		return response{}
 	case opMigrateFence:
@@ -1231,12 +1093,7 @@ func (sh *shard) serve(r request) response {
 		return response{}
 	case opMigrateAbort:
 		sh.fenced.Store(false)
-		sh.migActive.Store(false)
-		sh.migMu.Lock()
-		sh.migOn = false
-		sh.migLog = nil
-		sh.migOverflow = false
-		sh.migMu.Unlock()
+		sh.setJournal(false)
 		return response{}
 	}
 	return response{err: fmt.Errorf("store: unknown op %d", r.op)}
@@ -1244,7 +1101,7 @@ func (sh *shard) serve(r request) response {
 
 // powerCycle crashes the shard's controller and restarts it. When the
 // protocol supports online recovery the shard returns immediately in
-// recovering+degraded state and the worker rebuilds between drains —
+// recovering-online state and the worker rebuilds between drains —
 // the rebuild's finish audit replaces the blocking whole-shard verify
 // (any pre-crash tamper is still detected, just at session end:
 // bounded deferred detection). Otherwise the cycle blocks on the full
@@ -1252,18 +1109,17 @@ func (sh *shard) serve(r request) response {
 // cycle so recovery traffic does not pollute the fault journal.
 func (sh *shard) powerCycle() error {
 	sh.inj.Detach()
-	// degraded goes up before health, and comes down only if the
-	// protocol turns out to need the blocking rebuild: submit refuses a
-	// recovering shard that is not degraded, and this worker is busy
-	// until it returns, so whatever is admitted meanwhile just queues.
-	sh.degraded.Store(true)
-	sh.health.Store(int32(healthRecovering))
+	// Leave serving before the crash so the reader pool is excluded
+	// first. The shard keeps admitting unless the protocol turns out to
+	// need the blocking rebuild; this worker is busy until it returns,
+	// so whatever is admitted meanwhile just queues.
+	sh.setState(stateRecoveringOnline)
 	sh.ctrl.Crash()
 	if s, ok := sh.ctrl.BeginRecovery(sh.now); ok {
 		sh.session = s
 		return nil
 	}
-	sh.degraded.Store(false)
+	sh.setState(stateRecoveringBlocking)
 	if _, err := sh.ctrl.Recover(sh.now); err != nil {
 		sh.fail()
 		return fmt.Errorf("%w: recovery: %v", ErrShardFailed, err)
@@ -1272,11 +1128,16 @@ func (sh *shard) powerCycle() error {
 		sh.fail()
 		return fmt.Errorf("%w: post-recovery verify: %v", ErrShardFailed, err)
 	}
-	sh.health.Store(int32(healthServing))
+	sh.resume()
+	return nil
+}
+
+// resume returns a recovered shard to service with a fresh fault journal.
+func (sh *shard) resume() {
+	sh.setState(stateServing)
 	sh.m.recoveries.Add(1)
 	sh.inj = faults.NewInjector(sh.ctrl)
 	sh.inj.Attach()
-	return nil
 }
 
 // barrier completes any in-flight online recovery synchronously so
@@ -1305,19 +1166,13 @@ func (sh *shard) finishRecovery() {
 		sh.fail()
 		return
 	}
-	// degraded stays set until health says serving: submit refuses a
-	// recovering shard that is not degraded, so clearing it first would
-	// nack everything that arrives during the audit. What is admitted
-	// meanwhile waits in the queue and is served off the audited tree.
-	sh.health.Store(int32(healthServing))
-	sh.degraded.Store(false)
-	sh.m.recoveries.Add(1)
-	sh.inj = faults.NewInjector(sh.ctrl)
-	sh.inj.Attach()
+	// What was admitted during the audit waited in the queue and is
+	// served off the audited tree.
+	sh.resume()
 }
 
 // quarantineTick parks the worker until the next heal attempt is due,
-// nacking any request that slipped past the submit fast-path. Returns
+// nacking any request that was admitted before the quarantine. Returns
 // false when the store is closing.
 func (sh *shard) quarantineTick() bool {
 	var due <-chan time.Time
@@ -1332,7 +1187,7 @@ func (sh *shard) quarantineTick() bool {
 			return false
 		}
 		req.sp.Mark(span.QueueWait)
-		req.resp <- response{err: ErrShardFailed}
+		req.resp <- response{err: sh.admit(req.op == opPut)}
 	case <-due:
 		sh.healOnce()
 	}
@@ -1358,11 +1213,8 @@ func (sh *shard) healOnce() {
 		sh.publish()
 		return
 	}
-	sh.health.Store(int32(healthServing))
 	sh.m.heals.Add(1)
-	sh.m.recoveries.Add(1)
-	sh.inj = faults.NewInjector(sh.ctrl)
-	sh.inj.Attach()
+	sh.resume()
 	sh.publish()
 }
 
@@ -1419,8 +1271,7 @@ func (sh *shard) checkpoint() error {
 
 // fail quarantines the shard and arms the heal loop. Worker-only.
 func (sh *shard) fail() {
-	sh.health.Store(int32(healthQuarantined))
-	sh.degraded.Store(false)
+	sh.setState(stateQuarantined)
 	sh.m.failures.Add(1)
 	sh.healTried = 0
 	sh.healWait = sh.healBackoff

@@ -476,7 +476,7 @@ func TestStoreCloseIdempotentAndDrains(t *testing.T) {
 	resps := make([]chan response, 0, 32)
 	for i := 0; i < 32; i++ {
 		sh, block, _ := s.shardFor(uint64(i))
-		req := request{op: opPut, block: block, value: stamp(uint64(i)), resp: make(chan response, 1)}
+		req := putReq(block, stamp(uint64(i)))
 		select {
 		case sh.ch <- req:
 			resps = append(resps, req.resp)
@@ -489,8 +489,8 @@ func TestStoreCloseIdempotentAndDrains(t *testing.T) {
 	for i, ch := range resps {
 		select {
 		case r := <-ch:
-			if r.err != nil {
-				t.Fatalf("drained request %d: %v", i, r.err)
+			if err := firstErr(r); err != nil {
+				t.Fatalf("drained request %d: %v", i, err)
 			}
 		default:
 			t.Fatalf("request %d dropped on close", i)
