@@ -80,16 +80,41 @@ var seedBaseline = stats.BenchSet{
 	},
 }
 
+// parentBaseline is the same sweep on the map-backed device
+// (enumerate, sort, look each leaf up), measured with this file's
+// setup at commit 83417ad in the session that took the committed
+// "after" column — the "parent" column of BENCH_recovery.json.
+var parentBaseline = stats.BenchSet{
+	Label: "flat-slice rebuild over the map-backed device (commit 83417ad, same session)",
+	Results: []stats.BenchResult{
+		{Name: "BenchmarkRebuildSerial/leaves=4096", N: 2029, NsPerOp: 553750, AllocsPerOp: 6, BytesPerOp: 73894},
+		{Name: "BenchmarkRebuildParallel/leaves=4096/workers=1", N: 2224, NsPerOp: 540953, AllocsPerOp: 6, BytesPerOp: 73891},
+		{Name: "BenchmarkRebuildParallel/leaves=4096/workers=2", N: 2259, NsPerOp: 544363, AllocsPerOp: 122, BytesPerOp: 279954},
+		{Name: "BenchmarkRebuildParallel/leaves=4096/workers=4", N: 1990, NsPerOp: 589696, AllocsPerOp: 665, BytesPerOp: 278395},
+		{Name: "BenchmarkRebuildParallel/leaves=4096/workers=8", N: 1927, NsPerOp: 586788, AllocsPerOp: 673, BytesPerOp: 279422},
+		{Name: "BenchmarkRebuildSerial/leaves=32768", N: 236, NsPerOp: 5109556, AllocsPerOp: 26, BytesPerOp: 592482},
+		{Name: "BenchmarkRebuildParallel/leaves=32768/workers=1", N: 235, NsPerOp: 5052052, AllocsPerOp: 26, BytesPerOp: 592492},
+		{Name: "BenchmarkRebuildParallel/leaves=32768/workers=2", N: 255, NsPerOp: 4600448, AllocsPerOp: 157, BytesPerOp: 1595026},
+		{Name: "BenchmarkRebuildParallel/leaves=32768/workers=4", N: 240, NsPerOp: 5093181, AllocsPerOp: 877, BytesPerOp: 2238749},
+		{Name: "BenchmarkRebuildParallel/leaves=32768/workers=8", N: 237, NsPerOp: 5036663, AllocsPerOp: 885, BytesPerOp: 2239804},
+		{Name: "BenchmarkRebuildSerial/leaves=262144", N: 15, NsPerOp: 70240519, AllocsPerOp: 2521, BytesPerOp: 5036170},
+		{Name: "BenchmarkRebuildParallel/leaves=262144/workers=1", N: 15, NsPerOp: 70760879, AllocsPerOp: 2521, BytesPerOp: 5036170},
+		{Name: "BenchmarkRebuildParallel/leaves=262144/workers=2", N: 22, NsPerOp: 50222816, AllocsPerOp: 1901, BytesPerOp: 18586354},
+		{Name: "BenchmarkRebuildParallel/leaves=262144/workers=4", N: 21, NsPerOp: 48724086, AllocsPerOp: 2782, BytesPerOp: 12965152},
+		{Name: "BenchmarkRebuildParallel/leaves=262144/workers=8", N: 21, NsPerOp: 48324109, AllocsPerOp: 2790, BytesPerOp: 12966191},
+	},
+}
+
 // TestWriteRecoveryBench regenerates BENCH_recovery.json: the fixed
-// seed baseline alongside live measurements of the flat-slice serial
-// and parallel rebuild. Run with
+// seed and parent baselines alongside live measurements of the serial
+// and parallel rebuild over the slab device. Run with
 //
 //	go test ./internal/bmt -run WriteRecoveryBench -benchjson BENCH_recovery.json
 func TestWriteRecoveryBench(t *testing.T) {
 	if *benchJSON == "" {
 		t.Skip("-benchjson not set")
 	}
-	after := stats.BenchSet{Label: "flat-slice rebuild (this tree)"}
+	after := stats.BenchSet{Label: "scan-driven rebuild over the slab device (this tree)"}
 	for _, leaves := range benchGeometries {
 		leaves := leaves
 		r := testing.Benchmark(func(b *testing.B) { benchRebuild(b, leaves, 1) })
@@ -113,6 +138,7 @@ func TestWriteRecoveryBench(t *testing.T) {
 		}
 	}
 	t.Logf("baseline:\n%s", seedBaseline.Benchstat())
+	t.Logf("parent:\n%s", parentBaseline.Benchstat())
 	t.Logf("after:\n%s", after.Benchstat())
 	doc := struct {
 		Note     string         `json:"note"`
@@ -120,15 +146,18 @@ func TestWriteRecoveryBench(t *testing.T) {
 		GoArch   string         `json:"goarch"`
 		CPUs     int            `json:"cpus"`
 		Baseline stats.BenchSet `json:"baseline"`
+		Parent   stats.BenchSet `json:"parent"`
 		After    stats.BenchSet `json:"after"`
 	}{
 		Note: "BMT recovery rebuild, persist=true over a fully occupied counter span; " +
-			"baseline is the seed's per-level map pipeline, after is the flat-slice " +
-			"engine (serial and sharded-parallel)",
+			"baseline is the seed's per-level map pipeline, parent the flat-slice engine " +
+			"(serial and sharded-parallel) over the map-backed device, after the same " +
+			"engine driven by one ordered walk of the slab device",
 		GoOS:     runtime.GOOS,
 		GoArch:   runtime.GOARCH,
 		CPUs:     runtime.NumCPU(),
 		Baseline: seedBaseline,
+		Parent:   parentBaseline,
 		After:    after,
 	}
 	f, err := os.Create(*benchJSON)

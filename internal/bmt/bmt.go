@@ -19,7 +19,9 @@
 // O(memory size).
 //
 // Rebuilds run on a flat, index-sorted pipeline (no per-level maps)
-// and can optionally shard the leaf span across a bounded worker pool
+// fed by one ordered walk of the device (scm.Device.Scan: no index
+// enumeration, no sort, no per-node lookup), and can optionally shard
+// the leaf span across a bounded worker pool
 // (RebuildOptions.Workers): each chunk's subtree is reconstructed
 // independently below a fan-in level and the chunk roots are merged
 // serially above it. Because every RebuildResult field is either pure
@@ -31,7 +33,6 @@ package bmt
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -298,17 +299,7 @@ func Rebuild(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, rootIdx 
 // RebuildWith is Rebuild with explicit options (parallelism).
 func RebuildWith(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, rootIdx uint64, opts RebuildOptions) RebuildResult {
 	lo, hi := g.LeafSpan(rootLevel, rootIdx)
-	idxs := dev.Indices(scm.Counter)
-	n := 0
-	for _, li := range idxs {
-		if li >= lo && li < hi {
-			idxs[n] = li
-			n++
-		}
-	}
-	idxs = idxs[:n]
-	slices.Sort(idxs)
-	return rebuildFrom(dev, e, g, source{level: g.Levels, region: scm.Counter}, idxs, rootLevel, rootIdx, opts)
+	return rebuildFrom(dev, e, g, source{level: g.Levels, region: scm.Counter}, lo, hi, rootLevel, rootIdx, opts)
 }
 
 // RebuildAbove recomputes tree levels [2, boundary) from the nodes
@@ -333,46 +324,38 @@ func RebuildAboveWith(dev *scm.Device, e *cme.Engine, g Geometry, boundary int, 
 	if boundary > g.Levels {
 		boundary = g.Levels
 	}
-	var src source
-	var idxs []uint64
-	if boundary == g.Levels {
-		src = source{level: boundary, region: scm.Counter}
-		idxs = dev.Indices(scm.Counter)
-	} else {
-		off := g.FlatIndex(boundary, 0)
-		end := off + capacityAt(boundary)
-		src = source{level: boundary, region: scm.Tree, flatOff: off}
-		flats := dev.Indices(scm.Tree)
-		for _, flat := range flats {
-			if flat >= off && flat < end {
-				idxs = append(idxs, flat-off)
-			}
-		}
+	src := source{level: boundary, region: scm.Counter}
+	if boundary < g.Levels {
+		src = source{level: boundary, region: scm.Tree, flatOff: g.FlatIndex(boundary, 0)}
 	}
-	slices.Sort(idxs)
-	return rebuildFrom(dev, e, g, src, idxs, 1, 0, opts)
+	return rebuildFrom(dev, e, g, src, 0, capacityAt(boundary), 1, 0, opts)
 }
 
 // rebuildFrom reconstructs levels [rootLevel, src.level] from the
-// sorted occupied source-node indices idxs, dispatching to the
-// parallel engine when the options ask for it.
-func rebuildFrom(dev *scm.Device, e *cme.Engine, g Geometry, src source, idxs []uint64, rootLevel int, rootIdx uint64, opts RebuildOptions) RebuildResult {
+// occupied source nodes with level-relative index in [lo, hi),
+// dispatching to the parallel engine when the options ask for it.
+// The serial path is one ordered walk of the device: each source node
+// is hashed in place as the walk hands it over.
+func rebuildFrom(dev *scm.Device, e *cme.Engine, g Geometry, src source, lo, hi uint64, rootLevel int, rootIdx uint64, opts RebuildOptions) RebuildResult {
 	zero := ZeroDigests(e, g)
-	opts.Progress.begin(uint64(len(idxs)))
+	lo, hi = src.flatOff+lo, src.flatOff+hi
+	n := dev.Count(src.region, lo, hi)
+	opts.Progress.begin(uint64(n))
 	defer opts.Progress.end()
-	if opts.Workers > 1 && src.level > rootLevel && len(idxs) >= parallelMinSource {
-		return rebuildParallel(dev, e, g, zero, src, idxs, rootLevel, rootIdx, opts)
+	if opts.Workers > 1 && src.level > rootLevel && n >= parallelMinSource {
+		return rebuildParallel(dev, e, g, zero, src, lo, hi, n, rootLevel, rootIdx, opts)
 	}
 
 	var res RebuildResult
-	digs := make([]uint64, len(idxs))
-	var buf [scm.BlockSize]byte
-	for i, idx := range idxs {
-		res.Cycles += dev.Read(src.region, src.flatOff+idx, buf[:])
-		res.CounterReads++
-		digs[i] = Hash(e, src.level, buf[:])
-		opts.Progress.add(1)
-	}
+	idxs := make([]uint64, 0, n)
+	digs := make([]uint64, 0, n)
+	res.Cycles += dev.Scan(src.region, lo, hi, func(flat uint64, blk []byte) bool {
+		idxs = append(idxs, flat-src.flatOff)
+		digs = append(digs, Hash(e, src.level, blk))
+		return true
+	})
+	res.CounterReads = uint64(n)
+	opts.Progress.add(uint64(n))
 	idxs, digs = climb(e, g, zero, src.level, rootLevel, idxs, digs,
 		persistEmitter(dev, g, rootLevel, rootIdx, opts.Persist, &res))
 	finish(zero, g, rootLevel, idxs, digs, rootIdx, &res)
@@ -477,37 +460,39 @@ func fanInLevel(rootLevel, srcLevel, workers int) int {
 	return b
 }
 
-// rebuildParallel shards the sorted source span by fan-in ancestor,
-// rebuilds each chunk's subtree on a bounded worker pool, then
-// serially applies the buffered node writes and merges the chunk
-// roots up to the rebuild root.
+// rebuildParallel shards the source span [lo, hi) (device indices, n
+// of them occupied) by fan-in ancestor, rebuilds each chunk's subtree
+// on a bounded worker pool, then serially applies the buffered node
+// writes and merges the chunk roots up to the rebuild root.
 //
-// Workers touch the device only through scm.PeekInto (read-only, no
-// statistics), which is safe to call concurrently while nothing
-// mutates the device; all writes and statistics happen on the calling
-// goroutine afterwards, via scm.AccountReads and ordinary Writes, so
-// device counters and the RebuildResult match the serial path bit for
-// bit.
-func rebuildParallel(dev *scm.Device, e *cme.Engine, g Geometry, zero []uint64, src source, idxs []uint64, rootLevel int, rootIdx uint64, opts RebuildOptions) RebuildResult {
+// The calling goroutine finds the chunks with one ordered walk of the
+// span's indices; each worker then walks its own chunk, hashing the
+// source nodes in place. Workers touch the device only through
+// scm.PeekScan, which only reads (no statistics, and the ordering is
+// current: rebuildFrom's Count took it and nothing mutates the device
+// during the fan-out); all writes and statistics happen on the
+// calling goroutine afterwards, via scm.AccountReads and ordinary
+// Writes, so device counters and the RebuildResult match the serial
+// path bit for bit.
+func rebuildParallel(dev *scm.Device, e *cme.Engine, g Geometry, zero []uint64, src source, lo, hi uint64, n int, rootLevel int, rootIdx uint64, opts RebuildOptions) RebuildResult {
 	fanIn := fanInLevel(rootLevel, src.level, opts.Workers)
 	shift := uint(arityShift * (src.level - fanIn))
 
-	// Partition the sorted span into per-chunk subslices: one task per
-	// occupied fan-in ancestor.
+	// One task per occupied fan-in ancestor, sized by a pass over the
+	// span's indices alone.
 	type chunkTask struct {
 		fanIdx uint64
-		idxs   []uint64
+		n      int
 	}
 	var tasks []chunkTask
-	for i := 0; i < len(idxs); {
-		fanIdx := idxs[i] >> shift
-		j := i + 1
-		for j < len(idxs) && idxs[j]>>shift == fanIdx {
-			j++
+	dev.PeekScan(src.region, lo, hi, func(flat uint64, _ []byte) bool {
+		fanIdx := (flat - src.flatOff) >> shift
+		if len(tasks) == 0 || tasks[len(tasks)-1].fanIdx != fanIdx {
+			tasks = append(tasks, chunkTask{fanIdx: fanIdx})
 		}
-		tasks = append(tasks, chunkTask{fanIdx: fanIdx, idxs: idxs[i:j]})
-		i = j
-	}
+		tasks[len(tasks)-1].n++
+		return true
+	})
 
 	outs := make([]chunkOut, len(tasks))
 	workers := opts.Workers
@@ -520,20 +505,21 @@ func rebuildParallel(dev *scm.Device, e *cme.Engine, g Geometry, zero []uint64, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf [scm.BlockSize]byte
 			for {
 				t := int(nextTask.Add(1) - 1)
 				if t >= len(tasks) {
 					return
 				}
 				task := tasks[t]
-				cIdxs := slices.Clone(task.idxs)
-				cDigs := make([]uint64, len(cIdxs))
-				for i, idx := range cIdxs {
-					dev.PeekInto(src.region, src.flatOff+idx, buf[:])
-					cDigs[i] = Hash(e, src.level, buf[:])
-				}
-				opts.Progress.add(uint64(len(cIdxs)))
+				cIdxs := make([]uint64, 0, task.n)
+				cDigs := make([]uint64, 0, task.n)
+				cLo := src.flatOff + task.fanIdx<<shift
+				dev.PeekScan(src.region, cLo, cLo+1<<shift, func(flat uint64, blk []byte) bool {
+					cIdxs = append(cIdxs, flat-src.flatOff)
+					cDigs = append(cDigs, Hash(e, src.level, blk))
+					return true
+				})
+				opts.Progress.add(uint64(task.n))
 				out := &outs[t]
 				_, cDigs = climb(e, g, zero, src.level, fanIn, cIdxs, cDigs,
 					func(level int, idx uint64, node *[NodeSize]byte) {
@@ -551,8 +537,8 @@ func rebuildParallel(dev *scm.Device, e *cme.Engine, g Geometry, zero []uint64, 
 	// their buffered node writes in chunk order, then merge the chunk
 	// roots up to the rebuild root.
 	var res RebuildResult
-	res.CounterReads = uint64(len(idxs))
-	res.Cycles += dev.AccountReads(src.region, uint64(len(idxs)))
+	res.CounterReads = uint64(n)
+	res.Cycles += dev.AccountReads(src.region, uint64(n))
 	emit := persistEmitter(dev, g, rootLevel, rootIdx, opts.Persist, &res)
 	mIdx := make([]uint64, len(tasks))
 	mDig := make([]uint64, len(tasks))

@@ -86,6 +86,9 @@ func (p *Progress) begin(n uint64) {
 }
 
 // add records n more source nodes rehashed. Safe from pool workers.
+// It is an atomic read-modify-write, several times the cost of one
+// leaf hash, so the engines call it once per serial pass, per Step
+// and per parallel chunk — never per node.
 func (p *Progress) add(n uint64) {
 	if p == nil {
 		return

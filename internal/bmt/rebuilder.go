@@ -1,8 +1,6 @@
 package bmt
 
 import (
-	"slices"
-
 	"amnt/internal/cme"
 	"amnt/internal/scm"
 )
@@ -13,16 +11,17 @@ import (
 // work with foreground traffic. When no overrides are supplied the
 // final RebuildResult and the device statistics are bit-identical to
 // a serial RebuildWith over the same span (pinned by test), because
-// Step replays the serial loop exactly — sorted occupied leaves, one
-// Read + one Hash each — and the climb runs once at the end.
+// Step resumes the same ordered walk of the occupied leaves — one
+// read charged and one Hash each — and the climb runs once at the
+// end.
 //
 // Overrides support degraded serving: a foreground write that lands
 // on counter leaf L mid-rebuild snapshots L's pre-write content and
 // registers it as an override, so the audit hashes the frozen image
 // the crash left behind rather than the moving target. A nil override
 // marks a leaf that did not exist at freeze time (first-touch during
-// degraded serving); such leaves are excluded from the rebuild span
-// entirely. Override reads are charged through scm.AccountReads so
+// degraded serving); the walk steps over such leaves, uncharged.
+// Reads are charged through scm.AccountReads, once per Step, so
 // cycle sums stay comparable to the blocking path.
 //
 // A Rebuilder is single-goroutine: the owner calls Step/Done/Result
@@ -37,36 +36,30 @@ type Rebuilder struct {
 	opts      RebuildOptions
 	frozen    map[uint64][]byte
 
-	idxs []uint64
-	digs []uint64
-	pos  int
-	res  RebuildResult
-	done bool
-	open bool // Progress.begin called, end pending
+	next, hi uint64 // leaves in [next, hi) are still to be walked
+	total    int    // source leaves planned at construction
+	idxs     []uint64
+	digs     []uint64
+	res      RebuildResult
+	done     bool
+	open     bool // Progress.begin called, end pending
 }
 
 // NewRebuilder plans a resumable rebuild of the subtree rooted at
 // (rootLevel, rootIdx). frozen maps counter-leaf indices to their
 // content at freeze time: a non-nil entry overrides the device block,
 // a nil entry excludes the leaf (it was absent at freeze time). The
-// map may be nil. opts.Workers is ignored — Step always runs the
-// serial pipeline, since resumability is the point.
+// map may be nil, and the owner may add to it between Steps.
+// opts.Workers is ignored — Step always runs the serial pipeline,
+// since resumability is the point.
 func NewRebuilder(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, rootIdx uint64, opts RebuildOptions, frozen map[uint64][]byte) *Rebuilder {
 	lo, hi := g.LeafSpan(rootLevel, rootIdx)
-	idxs := dev.Indices(scm.Counter)
-	n := 0
-	for _, li := range idxs {
-		if li < lo || li >= hi {
-			continue
+	total := dev.Count(scm.Counter, lo, hi)
+	for li, ov := range frozen {
+		if ov == nil && li >= lo && li < hi && dev.Contains(scm.Counter, li) {
+			total-- // first-touch after freeze: not part of the crash image
 		}
-		if ov, ok := frozen[li]; ok && ov == nil {
-			continue // first-touch after freeze: not part of the crash image
-		}
-		idxs[n] = li
-		n++
 	}
-	idxs = idxs[:n]
-	slices.Sort(idxs)
 	r := &Rebuilder{
 		dev:       dev,
 		e:         e,
@@ -76,16 +69,16 @@ func NewRebuilder(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, roo
 		rootIdx:   rootIdx,
 		opts:      opts,
 		frozen:    frozen,
-		idxs:      idxs,
-		digs:      make([]uint64, len(idxs)),
+		next:      lo,
+		hi:        hi,
+		total:     total,
+		idxs:      make([]uint64, 0, total),
+		digs:      make([]uint64, 0, total),
 	}
-	r.opts.Progress.begin(uint64(len(idxs)))
+	r.opts.Progress.begin(uint64(total))
 	r.open = true
 	return r
 }
-
-// Remaining reports how many source leaves have not been hashed yet.
-func (r *Rebuilder) Remaining() int { return len(r.idxs) - r.pos }
 
 // Done reports whether the rebuild has completed (Result is valid).
 func (r *Rebuilder) Done() bool { return r.done }
@@ -97,24 +90,31 @@ func (r *Rebuilder) Step(maxLeaves int) bool {
 	if r.done {
 		return true
 	}
-	end := len(r.idxs)
-	if maxLeaves > 0 && r.pos+maxLeaves < end {
-		end = r.pos + maxLeaves
-	}
-	var buf [scm.BlockSize]byte
-	for ; r.pos < end; r.pos++ {
-		idx := r.idxs[r.pos]
-		if ov := r.frozen[idx]; ov != nil {
-			copy(buf[:], ov)
-			r.res.Cycles += r.dev.AccountReads(scm.Counter, 1)
-		} else {
-			r.res.Cycles += r.dev.Read(scm.Counter, idx, buf[:])
+	was := len(r.idxs)
+	stopped := false
+	r.dev.PeekScan(scm.Counter, r.next, r.hi, func(idx uint64, blk []byte) bool {
+		r.next = idx + 1
+		if len(r.frozen) > 0 { // usually empty: keep the map probe off the per-leaf path
+
+			if ov, ok := r.frozen[idx]; ok {
+				if ov == nil {
+					return true
+				}
+				blk = ov
+			}
 		}
-		r.res.CounterReads++
-		r.digs[r.pos] = Hash(r.e, r.g.Levels, buf[:])
-		r.opts.Progress.add(1)
-	}
-	if r.pos < len(r.idxs) {
+		r.idxs = append(r.idxs, idx)
+		r.digs = append(r.digs, Hash(r.e, r.g.Levels, blk))
+		stopped = len(r.idxs)-was == maxLeaves
+		return !stopped
+	})
+	n := uint64(len(r.idxs) - was)
+	r.res.Cycles += r.dev.AccountReads(scm.Counter, n)
+	r.res.CounterReads += n
+	r.opts.Progress.add(n)
+	// A walk that stopped on the last planned leaf is done too: the
+	// caller should not need one more Step to learn it.
+	if stopped && len(r.idxs) < r.total {
 		return false
 	}
 	idxs, digs := climb(r.e, r.g, r.zero, r.g.Levels, r.rootLevel, r.idxs, r.digs,

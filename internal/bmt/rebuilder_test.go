@@ -143,14 +143,48 @@ func TestRebuilderFrozenOverrides(t *testing.T) {
 	dLive.Write(scm.Counter, 42, scribble[:])
 
 	r := NewRebuilder(dLive, e, g, 1, 0, RebuildOptions{Persist: true}, frozen)
+	readsBefore := dLive.Stats().RegionReads[scm.Counter].Value()
+	if r.Step(1) {
+		t.Fatal("rebuild of three leaves done after one")
+	}
+	// With the walk parked after leaf 3, the foreground first-touches
+	// leaf 100 and overwrites leaf 200, both ahead of it inside the
+	// scanned range: the walk must step over the one and hash the
+	// frozen image of the other.
+	frozen[100] = nil
+	dLive.Write(scm.Counter, 100, scribble[:])
+	frozen[200] = dLive.SnapshotBlock(scm.Counter, 200)
+	dLive.Write(scm.Counter, 200, scribble[:])
 	for !r.Step(2) {
 	}
 	got := r.Result()
 	if got.Digest != want.Digest || got.Content != want.Content {
 		t.Fatalf("frozen rebuild root %x != crash-image root %x", got.Digest, want.Digest)
 	}
-	if got.CounterReads != want.CounterReads {
-		t.Fatalf("frozen rebuild read %d leaves, crash image has %d", got.CounterReads, want.CounterReads)
+	if got.CounterReads != want.CounterReads || got.Cycles != want.Cycles {
+		t.Fatalf("frozen rebuild read %d leaves in %d cycles, crash image has %d in %d",
+			got.CounterReads, got.Cycles, want.CounterReads, want.Cycles)
+	}
+	// Leaves stepped over are not charged as device reads.
+	if reads := dLive.Stats().RegionReads[scm.Counter].Value() - readsBefore; reads != want.CounterReads {
+		t.Fatalf("device charged %d counter reads for %d leaves hashed", reads, want.CounterReads)
+	}
+}
+
+// TestRebuilderStepNoAllocs: a Step in the middle of a rebuild works
+// in the buffers NewRebuilder sized; the serving goroutine that
+// interleaves Steps with requests must not feed the collector.
+func TestRebuilderStepNoAllocs(t *testing.T) {
+	const leaves = 1 << 14
+	g := NewGeometry(leaves)
+	d := newBenchDevice(leaves)
+	r := NewRebuilder(d, eng(), g, 1, 0, RebuildOptions{Persist: true, Progress: &Progress{}}, nil)
+	r.Step(256) // so the measured Steps are mid-rebuild
+	if n := testing.AllocsPerRun(20, func() { r.Step(256) }); n != 0 {
+		t.Fatalf("Step(256): %v allocs per call, want 0", n)
+	}
+	if r.Done() {
+		t.Fatal("rebuild finished inside the measured Steps")
 	}
 }
 

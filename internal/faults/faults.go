@@ -30,7 +30,6 @@ package faults
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"amnt/internal/mee"
@@ -385,7 +384,6 @@ func (j *Injector) applyBitRot(rng *rand.Rand) []Injection {
 	if len(indices) == 0 {
 		return nil
 	}
-	sort.Slice(indices, func(a, b int) bool { return indices[a] < indices[b] })
 	idx := indices[rng.Intn(len(indices))]
 	offset := rng.Intn(scm.BlockSize)
 	mask := byte(1) << rng.Intn(8)

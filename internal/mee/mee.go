@@ -293,6 +293,7 @@ type Controller struct {
 	viewReads     atomic.Uint64 // verified reads served off the view
 	viewRetries   atomic.Uint64 // snapshot attempts retried on a seq change
 	viewConflicts atomic.Uint64 // reads abandoned to the serialized path
+	viewFetches   atomic.Uint64 // metadata blocks the view peeked from the device
 	// recoveryWallNs accumulates the host wall-clock time spent inside
 	// Recover. Atomic because the telemetry HTTP server reads it
 	// concurrently; never folded into simulated results.
@@ -544,11 +545,13 @@ func (c *Controller) FetchVerified(now uint64, level int, idx uint64) ([]byte, u
 	// there; the sparse device synthesizes it instead.
 	region, devIdx := key.region()
 	content := new([scm.BlockSize]byte)
-	if region == scm.Tree && !c.dev.Contains(region, devIdx) {
+	if region != scm.Tree {
+		cycles += c.readCharge(c.dev.Read(region, devIdx, content[:]))
+	} else if rc, ok := c.dev.ReadIfPresent(region, devIdx, content[:]); ok {
+		cycles += c.readCharge(rc)
+	} else {
 		cycles += c.readCharge(c.dev.Config().ReadCycles)
 		*content = c.zeroNode[level]
-	} else {
-		cycles += c.readCharge(c.dev.Read(region, devIdx, content[:]))
 	}
 	c.st.MetaFetches.Inc()
 
@@ -700,7 +703,7 @@ func (c *Controller) LevelHitRates() []float64 {
 func (c *Controller) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.Counter(prefix+".data_reads", "verified data block reads", c.st.DataReads.Value)
 	reg.Counter(prefix+".data_writes", "encrypted data block writes", c.st.DataWrites.Value)
-	reg.Counter(prefix+".meta_fetches", "metadata blocks fetched from SCM", c.st.MetaFetches.Value)
+	reg.Counter(prefix+".meta_fetches", "metadata blocks fetched from SCM", c.MetaFetches)
 	reg.Counter(prefix+".sync_persists", "blocking metadata persists", c.st.SyncPersists.Value)
 	reg.Counter(prefix+".posted_writes", "posted (queued) SCM writes", c.st.PostedWrites.Value)
 	reg.Counter(prefix+".stall_cycles", "cycles spent waiting on the write queue", c.st.StallCycles.Value)
@@ -760,10 +763,13 @@ func (c *Controller) readBlock(now uint64, b uint64, dst []byte) (uint64, error)
 	rc := c.policy.OnDataRead(now, b)
 	c.st.PolicyCycles.Add(rc)
 	cycles += rc
-	if !c.dev.Contains(scm.Data, b) {
-		for i := range dst {
-			dst[i] = 0
-		}
+	// One lookup both detects first touch and fetches the ciphertext;
+	// its cost is charged where the access sits in the modelled
+	// sequence, after the counter fetch.
+	var ct [scm.BlockSize]byte
+	dataCycles, ok := c.dev.ReadIfPresent(scm.Data, b, ct[:])
+	if !ok {
+		clear(dst)
 		return cycles + c.readCharge(c.dev.Config().ReadCycles), nil
 	}
 	ctrContent, cc, err := c.FetchVerified(now+cycles, c.geo.Levels, counters.CounterIndex(b))
@@ -773,9 +779,7 @@ func (c *Controller) readBlock(now uint64, b uint64, dst []byte) (uint64, error)
 	}
 	blk := counters.Decode(ctrContent)
 	major, minor := blk.Get(counters.MinorSlot(b))
-
-	var ct [scm.BlockSize]byte
-	cycles += c.readCharge(c.dev.Read(scm.Data, b, ct[:]))
+	cycles += c.readCharge(dataCycles)
 
 	hmacBlk, hc := c.fetchHMAC(now+cycles, b/hmacSlotsPerBlock)
 	cycles += hc
@@ -936,10 +940,11 @@ func (c *Controller) reencryptPage(now uint64, ctrIdx uint64, old, fresh *counte
 	var ct, pt [scm.BlockSize]byte
 	for j := uint64(0); j < counters.BlocksPerPage; j++ {
 		db := first + j
-		if !c.dev.Contains(scm.Data, db) {
+		rc, ok := c.dev.ReadIfPresent(scm.Data, db, ct[:])
+		if !ok {
 			continue
 		}
-		cycles += c.readCharge(c.dev.Read(scm.Data, db, ct[:]))
+		cycles += c.readCharge(rc)
 		oldMajor, oldMinor := old.Get(int(j))
 		if db != skip {
 			// Verify with the old MAC before trusting the ciphertext.
@@ -1081,12 +1086,12 @@ func (c *Controller) VerifyAll(now uint64) error {
 		return ErrRecovering
 	}
 	var buf [scm.BlockSize]byte
-	for _, b := range c.dev.Indices(scm.Data) {
-		if _, err := c.readBlock(now, b, buf[:]); err != nil {
-			return err
-		}
-	}
-	return nil
+	var err error
+	c.dev.PeekScan(scm.Data, 0, c.dev.DataBlocks(), func(b uint64, _ []byte) bool {
+		_, err = c.readBlock(now, b, buf[:])
+		return err == nil
+	})
+	return err
 }
 
 // DirtyTreeKeys returns the tree-node keys currently dirty in the

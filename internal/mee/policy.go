@@ -1,8 +1,6 @@
 package mee
 
 import (
-	"sort"
-
 	"amnt/internal/bmt"
 	"amnt/internal/cme"
 	"amnt/internal/counters"
@@ -300,57 +298,59 @@ func (o *Osiris) Recover(now uint64) (RecoveryReport, error) {
 	eng := c.Engine()
 	rep := RecoveryReport{Protocol: o.Name(), StaleFraction: 1.0}
 
-	// Derive the page set from initialized data: with the stop-loss a
-	// counter block with fewer than N lifetime updates may never have
-	// been persisted at all — its device copy is the (valid) zero
-	// state, and the replay below advances it to the live value.
-	pages := make(map[uint64]bool)
-	for _, db := range dev.Indices(scm.Data) {
-		pages[counters.CounterIndex(db)] = true
-	}
-	pageList := make([]uint64, 0, len(pages))
-	for p := range pages {
-		pageList = append(pageList, p)
-	}
-	sort.Slice(pageList, func(i, j int) bool { return pageList[i] < pageList[j] })
-
-	var ctrRaw, ct, hm [scm.BlockSize]byte
-	for _, ctrIdx := range pageList {
-		rep.Cycles += dev.Read(scm.Counter, ctrIdx, ctrRaw[:])
-		rep.CounterReads++
-		// Replay every slot against the original (possibly stale)
-		// decoded counters, collecting corrections, then apply them
-		// together: a major bump found by one slot applies to the
-		// whole page (overflow re-encrypts the page atomically).
-		orig := counters.Decode(ctrRaw[:])
-		fixed := orig
-		changed := false
-		first := counters.PageFirstBlock(ctrIdx)
-		for j := uint64(0); j < counters.BlocksPerPage; j++ {
-			db := first + j
-			if !dev.Contains(scm.Data, db) {
-				continue
-			}
-			rep.Cycles += dev.Read(scm.Data, db, ct[:])
-			rep.DataReads++
-			rep.Cycles += dev.Read(scm.HMAC, db/hmacSlotsPerBlock, hm[:])
-			stored := bmt.ChildDigest(hm[:], int(db%hmacSlotsPerBlock))
-			major, minor := orig.Get(int(j))
-			cand, ok := o.replayCounter(eng, db, major, minor, stored, ct[:])
-			if !ok {
-				return rep, &IntegrityError{What: "osiris: no counter candidate matches HMAC", Addr: dataAddr(db)}
-			}
-			if cand.major != major || cand.minor != minor {
-				fixed.Major = cand.major
-				fixed.Minors[j] = cand.minor
-				changed = true
-			}
-		}
+	// Walk the initialized data in address order, a page at a time.
+	// The page set derives from the data, not from the counter region:
+	// with the stop-loss a counter block with fewer than N lifetime
+	// updates may never have been persisted at all — its device copy
+	// is the (valid) zero state, and the replay advances it to the
+	// live value.
+	//
+	// Every slot is replayed against the original (possibly stale)
+	// decoded counters, collecting corrections that are applied
+	// together when the walk leaves the page: a major bump found by
+	// one slot applies to the whole page (overflow re-encrypts the
+	// page atomically).
+	var ctrRaw, hm [scm.BlockSize]byte
+	var orig, fixed counters.Block
+	page, open, changed := uint64(0), false, false
+	closePage := func() {
 		if changed {
 			fixed.Encode(ctrRaw[:])
-			rep.Cycles += dev.Write(scm.Counter, ctrIdx, ctrRaw[:])
+			rep.Cycles += dev.Write(scm.Counter, page, ctrRaw[:])
 		}
 	}
+	var err error
+	dataCycles := dev.Scan(scm.Data, 0, dev.DataBlocks(), func(db uint64, ct []byte) bool {
+		if ctrIdx := counters.CounterIndex(db); !open || ctrIdx != page {
+			closePage()
+			page, open, changed = ctrIdx, true, false
+			rep.Cycles += dev.Read(scm.Counter, page, ctrRaw[:])
+			rep.CounterReads++
+			orig = counters.Decode(ctrRaw[:])
+			fixed = orig
+		}
+		rep.DataReads++
+		rep.Cycles += dev.Read(scm.HMAC, db/hmacSlotsPerBlock, hm[:])
+		stored := bmt.ChildDigest(hm[:], int(db%hmacSlotsPerBlock))
+		j := counters.MinorSlot(db)
+		major, minor := orig.Get(j)
+		cand, ok := o.replayCounter(eng, db, major, minor, stored, ct)
+		if !ok {
+			err = &IntegrityError{What: "osiris: no counter candidate matches HMAC", Addr: dataAddr(db)}
+			return false
+		}
+		if cand.major != major || cand.minor != minor {
+			fixed.Major = cand.major
+			fixed.Minors[j] = cand.minor
+			changed = true
+		}
+		return true
+	})
+	rep.Cycles += dataCycles // not "+=" on the call: the walk adds to rep.Cycles itself
+	if err != nil {
+		return rep, err
+	}
+	closePage()
 
 	res := bmt.RebuildWith(dev, eng, c.Geometry(), 1, 0, c.RebuildOptions(true))
 	rep.NodeWrites = res.NodeWrites

@@ -35,7 +35,8 @@
 //     matches under the captured counters. There is no unverified
 //     fast path.
 //  2. Readers mutate nothing: cache probes (Probe, not Access),
-//     device peeks (PeekInto, not Read), and private atomics only.
+//     device peeks (PeekInto, not Read), and private atomics only
+//     (the peeks are counted in one of them, viewFetches).
 //     Consequently the simulated clock, LRU state, and Stats are
 //     untouched — simulated timing remains a property of the
 //     serialized path.
@@ -49,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"amnt/internal/bmt"
 	"amnt/internal/counters"
@@ -83,6 +85,31 @@ func (c *Controller) ViewSeq() uint64 { return c.viewSeq.Load() }
 func (c *Controller) ConcurrentReadStats() (reads, retries, conflicts uint64) {
 	return c.viewReads.Load(), c.viewRetries.Load(), c.viewConflicts.Load()
 }
+
+// MetaFetches returns how many metadata blocks (counter, tree, HMAC)
+// have been fetched from the device: the serialized path's
+// Stats.MetaFetches (owner-written and unsynchronized, like the rest
+// of Stats) plus the read view's own device peeks.
+func (c *Controller) MetaFetches() uint64 { return c.st.MetaFetches.Value() + c.viewFetches.Load() }
+
+// ViewMetaFetches returns the metadata blocks the read view fetched
+// from the device. Safe from any goroutine.
+func (c *Controller) ViewMetaFetches() uint64 { return c.viewFetches.Load() }
+
+// viewChainLevels is the chain length a pooled snapshot holds: a tree
+// this deep covers 8^11 pages (32 TiB). Deeper trees still work;
+// append grows the chain past the pooled array.
+const viewChainLevels = 12
+
+// viewScratch is the private memory of one snapshot attempt. Hashing
+// goes through the cme.Hasher interface, so these buffers cannot live
+// on the reader's stack; the pool keeps them off the allocator.
+type viewScratch struct {
+	chain       [viewChainLevels]viewNode
+	ct, hmacBlk [scm.BlockSize]byte
+}
+
+var viewScratchPool = sync.Pool{New: func() any { return new(viewScratch) }}
 
 // viewNode is one captured link of a counter/tree chain: the node's
 // position plus a private copy of its content. The last node of a
@@ -163,7 +190,9 @@ func (c *Controller) tryViewRead(b uint64, dst []byte, attempt int) (done bool, 
 		}
 		return true, nil
 	}
-	chain := make([]viewNode, 0, c.geo.Levels)
+	sc := viewScratchPool.Get().(*viewScratch)
+	defer viewScratchPool.Put(sc)
+	chain := sc.chain[:0]
 	level, idx := c.geo.Levels, counters.CounterIndex(b)
 	for {
 		node := viewNode{level: level, idx: idx}
@@ -176,6 +205,8 @@ func (c *Controller) tryViewRead(b uint64, dst []byte, attempt int) (done bool, 
 	}
 	seq1 := c.viewSeq.Load()
 	c.viewMu.RUnlock()
+	// Every link but the trusted last one came from the device.
+	c.viewFetches.Add(uint64(len(chain) - 1))
 
 	if c.viewHook != nil {
 		c.viewHook(attempt)
@@ -185,13 +216,14 @@ func (c *Controller) tryViewRead(b uint64, dst []byte, attempt int) (done bool, 
 	if !c.viewMu.TryRLock() {
 		return false, nil
 	}
-	var ct, hmacBlk [scm.BlockSize]byte
+	ct, hmacBlk := &sc.ct, &sc.hmacBlk
 	c.dev.PeekInto(scm.Data, b, ct[:])
 	hmacKey := HMACKey(b / hmacSlotsPerBlock)
 	if c.meta.Probe(uint64(hmacKey)) {
-		hmacBlk = *c.buf[hmacKey]
+		*hmacBlk = *c.buf[hmacKey]
 	} else {
 		c.dev.PeekInto(scm.HMAC, b/hmacSlotsPerBlock, hmacBlk[:])
+		c.viewFetches.Add(1)
 	}
 	seq2 := c.viewSeq.Load()
 	c.viewMu.RUnlock()
@@ -250,10 +282,8 @@ func (c *Controller) captureNode(node *viewNode) (trusted bool) {
 		return true
 	}
 	region, devIdx := key.region()
-	if region == scm.Tree && !c.dev.Contains(region, devIdx) {
+	if !c.dev.PeekInto(region, devIdx, node.content[:]) && region == scm.Tree {
 		node.content = c.zeroNode[node.level]
-		return false
 	}
-	c.dev.PeekInto(region, devIdx, node.content[:])
 	return false
 }

@@ -67,6 +67,41 @@ func TestReadBlockConcurrentMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestReadViewFetchAccounting: what the view fetches from the device
+// is counted — in its own reader-side counter, folded into
+// MetaFetches beside the serialized path's — and a view read leaves
+// the allocator alone.
+func TestReadViewFetchAccounting(t *testing.T) {
+	c := New(testDevice(), tinyCacheConfig(), NewLeaf())
+	// One block in each of 64 pages: far more counter leaves and tree
+	// nodes than the 16-line cache holds.
+	for p := uint64(0); p < 64; p++ {
+		if _, err := c.WriteBlock(0, p*64, pattern(byte(p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Flush(0)
+	owner := c.Stats().MetaFetches.Value()
+	dst := make([]byte, scm.BlockSize)
+	for p := uint64(0); p < 64; p++ {
+		if _, err := c.ReadBlockConcurrent(p*64, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view := c.ViewMetaFetches()
+	// Every read needs its counter leaf and its HMAC block; at most 16
+	// of those 128 blocks can be cache-resident.
+	if view < 128-16 {
+		t.Fatalf("64 view reads over a 16-line cache counted %d device fetches", view)
+	}
+	if c.Stats().MetaFetches.Value() != owner || c.MetaFetches() != owner+view {
+		t.Fatalf("MetaFetches = %d, want owner %d + view %d", c.MetaFetches(), owner, view)
+	}
+	if n := testing.AllocsPerRun(50, func() { c.ReadBlockConcurrent(7*64, dst) }); n != 0 {
+		t.Fatalf("view read: %v allocs, want 0", n)
+	}
+}
+
 // TestReadViewSeqConflictRetries injects a write between the two
 // snapshot sections of the first attempt and proves the reader
 // detects the seq change, retries exactly once, and still returns

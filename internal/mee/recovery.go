@@ -258,10 +258,10 @@ func (c *Controller) patchDirty(now uint64, dirty map[uint64]struct{}, rep *Reco
 		for level := g.Levels - 1; level >= 2; level-- {
 			idx := childIdx >> 3
 			flat := g.FlatIndex(level, idx)
-			if c.dev.Contains(scm.Tree, flat) {
-				rep.Cycles += c.dev.Read(scm.Tree, flat, node[:])
+			if rc, ok := c.dev.ReadIfPresent(scm.Tree, flat, node[:]); ok {
+				rep.Cycles += rc
 			} else {
-				node = bmt.ZeroNode(c.eng, g, level)
+				node = c.zeroNode[level]
 			}
 			bmt.SetChildDigest(node[:], bmt.ChildSlot(childIdx), digest)
 			rep.Cycles += c.dev.Write(scm.Tree, flat, node[:])

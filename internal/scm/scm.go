@@ -99,9 +99,15 @@ type WriteObserver func(region Region, index uint64, old, new []byte)
 // Device is a simulated SCM DIMM. Storage is sparse: blocks never
 // written read as zero and are reported as absent by Contains (the
 // memory controller uses absence to detect first-touch blocks).
+//
+// Each region keeps its blocks in one regionStore (store.go). A
+// Device is driven by one goroutine; the exception is PeekInto and
+// Contains (and PeekScan, under the condition it documents), which
+// never write to the device and may run concurrently with each other
+// while nothing else does.
 type Device struct {
 	cfg   Config
-	store [numRegions]map[uint64]*[BlockSize]byte
+	store [numRegions]regionStore
 	stat  Stats
 	obs   WriteObserver
 }
@@ -118,11 +124,7 @@ func New(cfg Config) *Device {
 	if cfg.WriteCycles == 0 {
 		cfg.WriteCycles = DefaultWriteCycles
 	}
-	d := &Device{cfg: cfg}
-	for r := range d.store {
-		d.store[r] = make(map[uint64]*[BlockSize]byte)
-	}
-	return d
+	return &Device{cfg: cfg}
 }
 
 // Config returns the device configuration.
@@ -157,14 +159,28 @@ func (d *Device) Read(region Region, index uint64, dst []byte) uint64 {
 	}
 	d.stat.Reads.Inc()
 	d.stat.RegionReads[region].Inc()
-	if blk, ok := d.store[region][index]; ok {
+	if blk := d.store[region].find(index); blk != nil {
 		copy(dst, blk[:])
 	} else {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	}
 	return d.cfg.ReadCycles
+}
+
+// ReadIfPresent is Read for a block that may be absent: a present
+// block is copied into dst and charged like Read; an absent one
+// leaves dst alone, touches no statistics and costs nothing. It is
+// the one-lookup form of Contains followed by Read.
+func (d *Device) ReadIfPresent(region Region, index uint64, dst []byte) (cycles uint64, ok bool) {
+	if len(dst) != BlockSize {
+		panic("scm: read buffer must be BlockSize bytes")
+	}
+	blk := d.store[region].find(index)
+	if blk == nil {
+		return 0, false
+	}
+	copy(dst, blk[:])
+	return d.AccountReads(region, 1), true
 }
 
 // PeekInto copies block (region, index) into dst without timing or
@@ -178,25 +194,61 @@ func (d *Device) PeekInto(region Region, index uint64, dst []byte) bool {
 	if len(dst) != BlockSize {
 		panic("scm: peek buffer must be BlockSize bytes")
 	}
-	if blk, ok := d.store[region][index]; ok {
+	if blk := d.store[region].find(index); blk != nil {
 		copy(dst, blk[:])
 		return true
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	return false
 }
 
 // AccountReads records n block reads against a region's traffic
 // counters without touching storage, returning their total cost in
-// cycles (n × ReadCycles). Together with PeekInto it lets a bulk
-// reader (the parallel rebuild engine) keep device statistics and
-// cycle sums bit-identical to n individual Read calls.
+// cycles (n × ReadCycles). Together with PeekInto and PeekScan it
+// lets a bulk reader keep device statistics and cycle sums
+// bit-identical to n individual Read calls.
 func (d *Device) AccountReads(region Region, n uint64) uint64 {
 	d.stat.Reads.Add(n)
 	d.stat.RegionReads[region].Add(n)
 	return n * d.cfg.ReadCycles
+}
+
+// Scan visits the present blocks of a region whose index lies in
+// [lo, hi), in ascending index order, until fn returns false. fn
+// sees each block in place: blk aliases device storage, is valid
+// only for the duration of the call and must not be written through.
+// Every block handed to fn is charged as one Read; the total cost in
+// cycles is returned. fn may use the device, except that it must not
+// add or remove blocks of the region being scanned.
+func (d *Device) Scan(region Region, lo, hi uint64, fn func(index uint64, blk []byte) bool) uint64 {
+	return d.AccountReads(region, d.PeekScan(region, lo, hi, fn))
+}
+
+// PeekScan is Scan without timing or statistics; it returns how many
+// blocks fn was handed. Like Scan, Count, Indices and WriteTo — and
+// unlike PeekInto — it refreshes the device's cached index ordering
+// if the region's key set changed since the ordering was last taken,
+// so in general it belongs to the goroutine that drives the device.
+// Once that goroutine has taken the ordering (any of those calls) and
+// for as long as nothing changes the key set, PeekScan only reads and
+// may run concurrently like PeekInto: the parallel rebuild's workers
+// each walk their own chunk this way.
+func (d *Device) PeekScan(region Region, lo, hi uint64, fn func(index uint64, blk []byte) bool) uint64 {
+	s := &d.store[region]
+	var n uint64
+	for _, e := range s.span(lo, hi) {
+		n++
+		if !fn(e.key, s.block(e.ref - 1)[:]) {
+			break
+		}
+	}
+	return n
+}
+
+// Count returns the number of present blocks of a region whose index
+// lies in [lo, hi), without timing or statistics.
+func (d *Device) Count(region Region, lo, hi uint64) int {
+	return len(d.store[region].span(lo, hi))
 }
 
 // Write persists src into block (region, index) and returns the
@@ -207,19 +259,20 @@ func (d *Device) Write(region Region, index uint64, src []byte) uint64 {
 	}
 	d.stat.Writes.Inc()
 	d.stat.RegionWrites[region].Inc()
-	blk, ok := d.store[region][index]
+	s := &d.store[region]
+	blk := s.find(index)
 	if d.obs != nil {
-		if ok {
+		if blk != nil {
 			d.obs(region, index, blk[:], src)
 		} else {
 			d.obs(region, index, nil, src)
 		}
 	}
-	if !ok {
-		blk = new([BlockSize]byte)
-		d.store[region][index] = blk
+	if blk != nil {
+		copy(blk[:], src)
+	} else {
+		s.add(index, src)
 	}
-	copy(blk[:], src)
 	return d.cfg.WriteCycles
 }
 
@@ -231,28 +284,29 @@ func (d *Device) SetWriteObserver(fn WriteObserver) { d.obs = fn }
 // reverting it to the never-written state. The fault injector uses it
 // to model a first-touch write that never reached the device.
 func (d *Device) Erase(region Region, index uint64) {
-	delete(d.store[region], index)
+	d.store[region].remove(index)
 }
 
 // Contains reports whether block (region, index) has ever been
 // written. The memory controller uses this to identify first-touch
-// data blocks, which are initialized rather than verified.
+// data blocks, which are initialized rather than verified. Like
+// PeekInto it never mutates device state.
 func (d *Device) Contains(region Region, index uint64) bool {
-	_, ok := d.store[region][index]
-	return ok
+	return d.store[region].find(index) != nil
 }
 
 // BlocksWritten returns the number of distinct blocks present in a
 // region (the device's occupied footprint there).
-func (d *Device) BlocksWritten(region Region) int { return len(d.store[region]) }
+func (d *Device) BlocksWritten(region Region) int { return d.store[region].live }
 
 // Indices returns the indices of all blocks present in a region, in
-// unspecified order. Recovery uses this to enumerate the occupied
-// footprint instead of scanning the full (sparse) address space.
+// ascending order. The slice is the caller's. Callers that want the
+// blocks too should Scan instead of looking each index up.
 func (d *Device) Indices(region Region) []uint64 {
-	out := make([]uint64, 0, len(d.store[region]))
-	for idx := range d.store[region] {
-		out = append(out, idx)
+	ord := d.store[region].order()
+	out := make([]uint64, len(ord))
+	for i, e := range ord {
+		out[i] = e.key
 	}
 	return out
 }
@@ -262,10 +316,10 @@ func (d *Device) Indices(region Region) []uint64 {
 // hybrid SCM+DRAM machine loses its DRAM partition's contents at
 // power failure, so the crash path drops those blocks outright.
 func (d *Device) DropRange(region Region, lo, hi uint64) {
-	for idx := range d.store[region] {
-		if idx >= lo && idx < hi {
-			delete(d.store[region], idx)
-		}
+	s := &d.store[region]
+	// remove invalidates the ordering but leaves its entries alone.
+	for _, e := range s.span(lo, hi) {
+		s.remove(e.key)
 	}
 }
 
@@ -273,8 +327,8 @@ func (d *Device) DropRange(region Region, lo, hi uint64) {
 // nil if absent. It is an inspection hook for tests and recovery
 // analysis, not part of the architectural interface.
 func (d *Device) Peek(region Region, index uint64) []byte {
-	blk, ok := d.store[region][index]
-	if !ok {
+	blk := d.store[region].find(index)
+	if blk == nil {
 		return nil
 	}
 	out := make([]byte, BlockSize)
@@ -288,8 +342,8 @@ func (d *Device) Peek(region Region, index uint64) []byte {
 // active splicing/spoofing attack on the untrusted device. It reports
 // whether the block existed.
 func (d *Device) TamperByte(region Region, index uint64, offset int, mask byte) bool {
-	blk, ok := d.store[region][index]
-	if !ok || offset < 0 || offset >= BlockSize {
+	blk := d.store[region].find(index)
+	if blk == nil || offset < 0 || offset >= BlockSize {
 		return false
 	}
 	blk[offset] ^= mask
@@ -299,9 +353,8 @@ func (d *Device) TamperByte(region Region, index uint64, offset int, mask byte) 
 // SwapBlocks exchanges two stored blocks within a region (a splicing
 // attack). Both blocks must exist.
 func (d *Device) SwapBlocks(region Region, a, b uint64) bool {
-	ba, oka := d.store[region][a]
-	bb, okb := d.store[region][b]
-	if !oka || !okb {
+	ba, bb := d.store[region].find(a), d.store[region].find(b)
+	if ba == nil || bb == nil {
 		return false
 	}
 	*ba, *bb = *bb, *ba
@@ -320,10 +373,10 @@ func (d *Device) ReplayBlock(region Region, index uint64, snapshot []byte) {
 	if len(snapshot) != BlockSize {
 		panic("scm: replay snapshot must be BlockSize bytes")
 	}
-	blk, ok := d.store[region][index]
-	if !ok {
-		blk = new([BlockSize]byte)
-		d.store[region][index] = blk
+	s := &d.store[region]
+	if blk := s.find(index); blk != nil {
+		copy(blk[:], snapshot)
+	} else {
+		s.add(index, snapshot)
 	}
-	copy(blk[:], snapshot)
 }

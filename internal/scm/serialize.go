@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // deviceMagic identifies the device snapshot format, version 1.
@@ -34,20 +33,19 @@ func (d *Device) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 	for r := Region(0); r < numRegions; r++ {
-		idxs := d.Indices(r)
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+		s := &d.store[r]
 		var count [8]byte
-		binary.LittleEndian.PutUint64(count[:], uint64(len(idxs)))
+		binary.LittleEndian.PutUint64(count[:], uint64(s.live))
 		if err := write(count[:]); err != nil {
 			return n, err
 		}
-		for _, idx := range idxs {
+		for _, e := range s.order() {
 			var rec [8]byte
-			binary.LittleEndian.PutUint64(rec[:], idx)
+			binary.LittleEndian.PutUint64(rec[:], e.key)
 			if err := write(rec[:]); err != nil {
 				return n, err
 			}
-			if err := write(d.store[r][idx][:]); err != nil {
+			if err := write(s.block(e.ref - 1)[:]); err != nil {
 				return n, err
 			}
 		}
@@ -57,7 +55,11 @@ func (d *Device) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom replaces the device's contents (and configuration) with a
 // snapshot written by WriteTo. Statistics are preserved (the snapshot
-// records state, not history). It implements io.ReaderFrom.
+// records state, not history). A snapshot that is truncated, names a
+// block twice or does not start with the magic is an error and leaves
+// the device as it was; memory is claimed only for blocks actually
+// read, whatever count the snapshot declares. It implements
+// io.ReaderFrom.
 func (d *Device) ReadFrom(r io.Reader) (int64, error) {
 	br := bufio.NewReader(r)
 	n := int64(0)
@@ -77,26 +79,30 @@ func (d *Device) ReadFrom(r io.Reader) (int64, error) {
 	if err := read(hdr[:]); err != nil {
 		return n, fmt.Errorf("scm: snapshot header: %w", err)
 	}
-	d.cfg.CapacityBytes = binary.LittleEndian.Uint64(hdr[0:])
-	d.cfg.ReadCycles = binary.LittleEndian.Uint64(hdr[8:])
-	d.cfg.WriteCycles = binary.LittleEndian.Uint64(hdr[16:])
+	cfg := Config{
+		CapacityBytes: binary.LittleEndian.Uint64(hdr[0:]),
+		ReadCycles:    binary.LittleEndian.Uint64(hdr[8:]),
+		WriteCycles:   binary.LittleEndian.Uint64(hdr[16:]),
+	}
+	var store [numRegions]regionStore
 	for r := Region(0); r < numRegions; r++ {
-		d.store[r] = make(map[uint64]*[BlockSize]byte)
 		var count [8]byte
 		if err := read(count[:]); err != nil {
 			return n, fmt.Errorf("scm: region %s count: %w", r, err)
 		}
-		for i := uint64(0); i < binary.LittleEndian.Uint64(count[:]); i++ {
-			var rec [8]byte
+		blocks := binary.LittleEndian.Uint64(count[:])
+		for i := uint64(0); i < blocks; i++ {
+			var rec [8 + BlockSize]byte
 			if err := read(rec[:]); err != nil {
-				return n, fmt.Errorf("scm: region %s index: %w", r, err)
+				return n, fmt.Errorf("scm: region %s block %d: %w", r, i, err)
 			}
-			blk := new([BlockSize]byte)
-			if err := read(blk[:]); err != nil {
-				return n, fmt.Errorf("scm: region %s block: %w", r, err)
+			idx := binary.LittleEndian.Uint64(rec[:])
+			if store[r].find(idx) != nil {
+				return n, fmt.Errorf("scm: region %s lists block %d twice", r, idx)
 			}
-			d.store[r][binary.LittleEndian.Uint64(rec[:])] = blk
+			store[r].add(idx, rec[8:])
 		}
 	}
+	d.cfg, d.store = cfg, store
 	return n, nil
 }

@@ -62,6 +62,13 @@ func (sh *shard) publish() {
 	m.mergedWrites.Store(sh.ctrl.MergedWrites())
 }
 
+// metaFetches is the shard's metadata blocks fetched from the device:
+// the worker's published count plus what the reader pool fetched off
+// the read view, which no worker wakeup publishes.
+func (sh *shard) metaFetches() uint64 {
+	return sh.m.metaFetches.Load() + sh.ctrl.ViewMetaFetches()
+}
+
 // ShardSnapshot is one shard's published counters. Shard is the
 // global partition id the shard hosts.
 type ShardSnapshot struct {
@@ -178,7 +185,7 @@ func (s *Store) Stats() Snapshot {
 			Cycles:         m.cycles.Load(),
 			DataReads:      m.dataReads.Load(),
 			DataWrites:     m.dataWrites.Load(),
-			MetaFetches:    m.metaFetches.Load(),
+			MetaFetches:    sh.metaFetches(),
 			PostedWrites:   m.postedWrites.Load(),
 			StallCycles:    m.stallCycles.Load(),
 			MergedWrites:   m.mergedWrites.Load(),
@@ -200,8 +207,9 @@ const (
 	aggregate             // store.<suffix>, summed over hosted shards
 )
 
-// shardCounters declares every counter column once; RegisterMetrics
-// derives the per-shard and the aggregate series from it.
+// shardCounters declares every counter column that is one published
+// atomic once; RegisterMetrics derives the per-shard and the aggregate
+// series from it (meta_fetches, a sum of two, is registered by hand).
 var shardCounters = []struct {
 	suffix, help string
 	pick         func(*shardMetrics) *atomic.Uint64
@@ -222,7 +230,6 @@ var shardCounters = []struct {
 	{"sim_cycles", "simulated cycles consumed", func(m *shardMetrics) *atomic.Uint64 { return &m.cycles }, perShard},
 	{"data_reads", "verified data block reads", func(m *shardMetrics) *atomic.Uint64 { return &m.dataReads }, perShard},
 	{"data_writes", "encrypted data block writes", func(m *shardMetrics) *atomic.Uint64 { return &m.dataWrites }, perShard},
-	{"meta_fetches", "metadata blocks fetched from SCM", func(m *shardMetrics) *atomic.Uint64 { return &m.metaFetches }, perShard},
 	{"posted_writes", "posted SCM writes", func(m *shardMetrics) *atomic.Uint64 { return &m.postedWrites }, perShard},
 	{"stall_cycles", "write-queue stall cycles", func(m *shardMetrics) *atomic.Uint64 { return &m.stallCycles }, perShard},
 	{"failures", "recovery-contract violations that quarantined the shard", func(m *shardMetrics) *atomic.Uint64 { return &m.failures }, perShard},
@@ -287,6 +294,7 @@ func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
 		p := fmt.Sprintf("store.shard%d", sh.id)
 		reg.Histogram(p+".epoch_size", "staged writes per committed epoch", sh.epochSizeHistogram)
 		reg.Histogram(p+".epoch_kcycles", "epoch commit latency (256-cycle buckets)", sh.epochCycleHistogram)
+		reg.Counter(p+".meta_fetches", "metadata blocks fetched from SCM", sh.metaFetches)
 		reg.Gauge(p+".queue_len", "requests waiting in the shard queue", func() float64 { return float64(len(sh.ch)) })
 		reg.Gauge(p+".recovery_leaves_done", "BMT leaves rebuilt by the latest recovery", func() float64 { return done(sh) })
 		reg.Gauge(p+".recovery_leaves_total", "BMT leaves the latest recovery must rebuild", func() float64 { return leaves(sh) })

@@ -180,6 +180,7 @@ func TestStoreAdmissionByHealth(t *testing.T) {
 		"put":     func(ctx context.Context, s *Store) error { return s.Put(ctx, 0, []byte("x")) },
 		"control": func(ctx context.Context, s *Store) error { return s.Flush(ctx) },
 	}
+	ctrl := idleController(t)
 	for st, h := range states {
 		for _, fenced := range []bool{false, true} {
 			for _, stopped := range []bool{false, true} {
@@ -198,7 +199,7 @@ func TestStoreAdmissionByHealth(t *testing.T) {
 					name := fmt.Sprintf("state%d/fenced=%v/stopped=%v/%s", st, fenced, stopped, op)
 					// A shard with no worker: an admitted request parks
 					// in the queue until its deadline.
-					sh := &shard{id: 0, ch: make(chan request, 4), done: make(chan struct{}), blocks: 1 << 10, batchMax: 1}
+					sh := &shard{id: 0, ctrl: ctrl, ch: make(chan request, 4), done: make(chan struct{}), blocks: 1 << 10, batchMax: 1}
 					sh.setState(st)
 					sh.fenced.Store(fenced)
 					sh.stopped.Store(stopped)

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	_ "amnt/internal/core" // AMNT protocols for protocol-matrix tests
+	"amnt/internal/mee"
+	"amnt/internal/scm"
 	"amnt/internal/telemetry"
 )
 
@@ -158,6 +160,18 @@ func TestStoreConcurrentClients(t *testing.T) {
 	}
 }
 
+// idleController is the controller of a hand-built shard whose worker
+// never starts: nothing drives it, but Stats reads its read-view
+// counters.
+func idleController(t *testing.T) *mee.Controller {
+	t.Helper()
+	policy, err := mee.NewPolicy("leaf", mee.PolicyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mee.New(scm.New(scm.Config{CapacityBytes: 1 << 16}), mee.Config{}, policy)
+}
+
 // TestStoreBackpressure pins the admission contract with no worker
 // draining the queue: a full bounded queue fails fast with
 // ErrOverloaded and an enqueued request abandoned at its deadline
@@ -165,7 +179,7 @@ func TestStoreConcurrentClients(t *testing.T) {
 func TestStoreBackpressure(t *testing.T) {
 	// Hand-built store whose worker never starts, so the queue state
 	// is fully deterministic.
-	sh := &shard{id: 0, ch: make(chan request, 1), done: make(chan struct{}), blocks: 1 << 10, batchMax: 1}
+	sh := &shard{id: 0, ctrl: idleController(t), ch: make(chan request, 1), done: make(chan struct{}), blocks: 1 << 10, batchMax: 1}
 	s := &Store{cfg: Config{Partitions: 1}, staging: map[int]*shard{}}
 	s.tab.Store(newShardTable([]*shard{sh}))
 

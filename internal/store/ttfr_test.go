@@ -44,6 +44,16 @@ type ttfrEntry struct {
 	RecoveryUs int64 `json:"recovery_wall_us"`
 }
 
+// parentTTFR is the same measurement over the map-backed device at
+// commit 83417ad, taken in the session that took the committed
+// entries; it is written beside them as "parent_entries".
+var parentTTFR = []ttfrEntry{
+	{Protocol: "leaf", ShardMemBytes: 1 << 20, CounterLeaves: 256, SeededBlocks: 4096, OpenUs: 961, FirstGetUs: 13, TTFRUs: 974, RecoveryUs: 1026},
+	{Protocol: "leaf", ShardMemBytes: 16 << 20, CounterLeaves: 4096, SeededBlocks: 4096, OpenUs: 2680, FirstGetUs: 17, TTFRUs: 2697, RecoveryUs: 3141},
+	{Protocol: "amnt", ShardMemBytes: 1 << 20, CounterLeaves: 256, SeededBlocks: 4096, OpenUs: 886, FirstGetUs: 13, TTFRUs: 899, RecoveryUs: 900},
+	{Protocol: "amnt", ShardMemBytes: 16 << 20, CounterLeaves: 4096, SeededBlocks: 4096, OpenUs: 2374, FirstGetUs: 17, TTFRUs: 2391, RecoveryUs: 2392},
+}
+
 // TestWriteTTFRBench measures degraded-boot time-to-first-request at
 // two shard sizes (16x apart in counter-leaf count) and merges the
 // results into the BENCH_recovery.json named by -ttfrjson. Skipped
@@ -135,7 +145,7 @@ func TestWriteTTFRBench(t *testing.T) {
 	doc["ttfr"] = map[string]any{
 		"note": "degraded-boot time to first request: ttfr_us = open_us (SCM allocation + checkpoint-image load, identical under a blocking boot) + first_get_us (the serving-readiness delta degraded mode controls). first_get_us stays flat across a 16x counter-leaf spread while recovery_wall_us tracks the background rebuild; best of 5 trials, single shard, recovery chunk 64 leaves, constant seeded-block count",
 		"goos": runtime.GOOS, "goarch": runtime.GOARCH, "cpus": runtime.NumCPU(),
-		"entries": entries,
+		"entries": entries, "parent_entries": parentTTFR,
 	}
 	f, err := os.Create(*ttfrJSON)
 	if err != nil {
