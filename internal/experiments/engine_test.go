@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -254,6 +257,44 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 				t.Fatalf("%s/%s: engine %s, serial reference %s", row[0], header[i], got, exp)
 			}
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
+
+// TestFigure4Golden pins the reproduction itself: the table
+// `amntbench -fig 4 -scale 0.25 -format json` prints, byte for byte
+// (the golden was written by that command at commit 564d0fc). Every
+// cell is a ratio of simulated cycle totals, so any drift in the
+// controller's write or read path, the cache model, the workload
+// generators or the engine shows up here before it reaches a
+// full-scale run. Rerun with -update only for an intended change of
+// the simulated model.
+func TestFigure4Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates ten PARSEC traces under seven protocols")
+	}
+	tbl, err := Figure4(Options{Scale: 0.25, Seed: 1, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.MarshalIndent(tbl, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := string(raw) + "\n"
+	const golden = "testdata/figure4_scale025.golden.json"
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("figure 4 at scale 0.25 moved\ngot:\n%swant:\n%s", got, want)
 	}
 }
 

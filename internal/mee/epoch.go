@@ -2,7 +2,7 @@ package mee
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"amnt/internal/bmt"
@@ -20,17 +20,22 @@ import (
 // single-writer guard, and crashes are only injected between guarded
 // operations).
 //
-// Commit is equivalent to replaying the staged writes through
-// WriteBlock one at a time — same counter bumps, same final tree
-// content, same root register, same persistence-policy consultations
-// per logical write — but the shared work is deduplicated: each
-// counter block is encoded and persisted once, each dirty tree node is
-// hashed and climbed once per epoch instead of once per write, and a
-// block overwritten several times in the epoch reaches the device only
-// with its final value (write combining). The durability contract is
-// unchanged because nothing in the epoch is acknowledged until Commit
-// returns: an acked write survives a power cycle exactly as a per-op
-// acked write does, and an unacked write may vanish wholesale.
+// Commit runs the four phases of commitEpoch over the staged writes.
+// That routine is the controller's only write path — WriteBlock is the
+// epoch of one write — so committing N writes together or one at a
+// time ends in the same counter bumps, the same tree content, the same
+// root register and the same persistence-policy consultations per
+// logical write (TestEpochCommitMatchesPerOp, nine protocols); what
+// grouping changes is that shared work is done once: each counter
+// block is encoded and persisted once, each dirty tree node is hashed
+// and climbed once per epoch instead of once per write, and a block
+// overwritten several times in the epoch reaches the device only with
+// its final value (write combining). What one write costs, cycle for
+// cycle, is pinned by testdata/perop_v1.golden. The durability
+// contract does not depend on the grouping because nothing in the
+// epoch is acknowledged until Commit returns: an acked write survives
+// a power cycle whatever epoch carried it, and an unacked write may
+// vanish wholesale.
 //
 // An Epoch is single-use: after Commit or Abort it rejects further
 // calls. Like the Controller itself it is not safe for concurrent use.
@@ -103,17 +108,15 @@ func (e *Epoch) Abort() {
 	e.ops = nil
 }
 
-// Commit makes every staged write durable as one group: counters are
-// bumped per logical write but encoded and persisted once per block,
-// the ancestral tree paths are merged and climbed bottom-up with one
-// hash per dirty node, and the persistence policy is consulted for
-// every logical write so stateful policies (Osiris stop-loss, AMNT
-// movement) observe the same sequence a per-op replay would. On error
-// the epoch's effects may be partially applied to volatile state (the
-// caller re-commits each op as its own epoch, which remains
-// individually verifiable); device state is never left
-// integrity-inconsistent with what a subsequent per-op write path can
-// repair or loudly detect.
+// Commit makes every staged write durable as one group by running
+// commitEpoch's phases over them, and splits the commit's host
+// wall-clock time into EpochResult.ClimbNs/PersistNs for the serving
+// layer's spans. On error the epoch's effects may be partially applied
+// to volatile state (the caller re-commits each op as its own epoch,
+// which remains individually verifiable) and the result still carries
+// the cycles consumed up to the failure; device state is never left
+// integrity-inconsistent with what a subsequent commit can repair or
+// loudly detect.
 func (e *Epoch) Commit() (EpochResult, error) {
 	if e.done {
 		return EpochResult{}, fmt.Errorf("mee: Commit on a committed epoch")
@@ -125,253 +128,339 @@ func (e *Epoch) Commit() (EpochResult, error) {
 	c := e.c
 	c.enter()
 	defer c.exit()
-	return c.commitEpoch(e.now, e.ops)
+	res, err := c.commitEpoch(e.now, e.ops, true)
+	if err == nil && c.trace != nil {
+		c.trace.Emit(telemetry.Event{
+			Cycle:  e.now + res.Cycles,
+			Kind:   telemetry.EvEpochCommit,
+			Count:  uint64(res.Ops),
+			From:   uint64(res.Blocks),
+			To:     uint64(res.TreeNodes),
+			Cycles: res.Cycles,
+			Note:   "group commit",
+		})
+	}
+	return res, err
 }
 
-// commitEpoch runs the group commit under the single-writer guard.
+// epochPlan is what a commit works out about its staged writes before
+// it touches the controller: the counter page each write lands in,
+// which write is the last to its block, and the writes' ancestral
+// paths merged into one ascending run of nodes per tree level. It is
+// built once per commit, in slices the controller keeps from one
+// commit to the next, so a warm commit — the 1-op commit WriteBlock
+// makes above all — does its bookkeeping without allocating.
+type epochPlan struct {
+	one   [1]epochOp          // WriteBlock's staged write
+	ct    [scm.BlockSize]byte // phase 2's ciphertext (a local would escape through dev.Write)
+	keys  []uint64            // distinct counter-block indices, ascending
+	ops   []planOp            // parallel to the staged writes
+	pages []planPage          // parallel to keys
+	// nodes holds the merged paths level by level, counter blocks
+	// first: level l is nodes[start[l]:start[l-1]], ascending by idx,
+	// so the children of one parent are adjacent and in slot order —
+	// all the climb needs. The counter level is parallel to pages.
+	nodes []planNode
+	start []int
+	order []int32 // pages in the order phase 1 first touched them
+}
+
+// planOp is one staged write's place in the plan.
+type planOp struct {
+	page int32 // position of its counter block in pages
+	last bool  // no later staged write targets the same data block
+}
+
+// planPage is the counter state of one touched page: cur accumulates
+// the epoch's bumps, dev is what the page's ciphertext on the device
+// is encrypted under (they part ways until a minor overflow
+// re-encrypts the page).
+type planPage struct {
+	cur, dev counters.Block
+	claimed  uint64 // minor slots a later staged write already owns
+	loaded   bool
+}
+
+// planNode is one counter block or inner node on a merged path.
+type planNode struct {
+	idx    uint64 // index within its level
+	digest uint64 // hash of its final content, once the climb has passed
+	parent int32  // position in nodes of idx>>3 one level up
+	wt     bool   // some staged write's policy consult asked for write-through
+}
+
+// build lays the plan out for ops. With climb false (an open recovery
+// session defers every ancestral update) only the counter level is
+// planned.
+func (p *epochPlan) build(g bmt.Geometry, ops []epochOp, climb bool) {
+	p.keys = p.keys[:0]
+	for i := range ops {
+		p.keys = append(p.keys, counters.CounterIndex(ops[i].block))
+	}
+	slices.Sort(p.keys)
+	p.keys = slices.Compact(p.keys)
+
+	p.nodes = p.nodes[:0]
+	for _, idx := range p.keys {
+		p.nodes = append(p.nodes, planNode{idx: idx})
+	}
+	if len(p.start) != g.Levels+1 {
+		p.start = make([]int, g.Levels+1)
+	}
+	p.start[g.Levels] = 0
+	for level := g.Levels - 1; level >= 1; level-- {
+		end := len(p.nodes) // of the level below; this level starts here
+		p.start[level] = end
+		if !climb || level == 1 {
+			continue // level 1 is the root register, not a node
+		}
+		for child := p.start[level+1]; child < end; child++ {
+			idx := p.nodes[child].idx >> 3
+			if len(p.nodes) == end || p.nodes[len(p.nodes)-1].idx != idx {
+				p.nodes = append(p.nodes, planNode{idx: idx})
+			}
+			p.nodes[child].parent = int32(len(p.nodes) - 1)
+		}
+	}
+
+	// Last writers, in one reverse pass: a write is the last to its
+	// block iff no later write has claimed the block's minor slot.
+	p.pages = slices.Grow(p.pages[:0], len(p.keys))[:len(p.keys)]
+	clear(p.pages)
+	p.ops = slices.Grow(p.ops[:0], len(ops))[:len(ops)]
+	for i := len(ops) - 1; i >= 0; i-- {
+		b := ops[i].block
+		pos, _ := slices.BinarySearch(p.keys, counters.CounterIndex(b))
+		pg := &p.pages[pos]
+		bit := uint64(1) << counters.MinorSlot(b)
+		p.ops[i] = planOp{page: int32(pos), last: pg.claimed&bit == 0}
+		pg.claimed |= bit
+	}
+	p.order = p.order[:0]
+}
+
+// commitEpoch is the write path: every data-block write the controller
+// performs is one of its ops, staged by Epoch.Put or, for WriteBlock,
+// sitting alone in the plan's scratch. It runs under the single-writer
+// guard. timed asks for the host wall-clock split Epoch.Commit reports.
 //
-// Phase 1 replays the policy/ counter sequence: per staged write, the
+// Phase 1 replays the policy/counter sequence: per staged write, the
 // policy's OnDataWrite fires (AMNT movement decisions happen here,
 // against a still-consistent pre-epoch tree), the write's counter bump
-// accumulates in a local counters.Block — never encoded into the
-// cache, so no half-climbed counter can be evicted to the device —
-// and the write's ancestral path is merged into the dirty-node sets.
-// Minor-counter overflows re-encrypt their page immediately; the data
-// there is still pre-epoch content, verified under the exact counter
-// state the device reflects.
+// accumulates in the plan — never encoded into the cache, so no
+// half-climbed counter can be evicted to the device — and the
+// write-through consults for its counter block and every node on its
+// ancestral path are OR-ed into the plan. Minor-counter overflows
+// re-encrypt their page immediately; the data there is still pre-epoch
+// content, verified under the exact counter state the device reflects.
 //
 // Phase 2 writes each distinct data block once, encrypted under its
 // final counter, and updates its MAC.
 //
 // Phase 3 encodes the final counter values into the cache and hashes
 // them; phase 4 climbs the merged tree paths bottom-up, one
-// SetChildDigest+hash per dirty node, applying each policy's tree
-// hooks (OnTreeUpdate sees the final content in cache, so PLP's
-// posted persists and BMF/AMNT's register copies capture what will
-// actually be durable), and finally folds the level-2 digests into
-// the root register. Write-through decisions are OR-merged: a node is
-// persisted if any staged write would have persisted it, and the
-// policy is re-consulted at climb time so positional policies (AMNT
-// after a mid-epoch movement) keep their strict-outside guarantee.
+// SetChildDigest per child and one hash per dirty node, applying each
+// policy's tree hooks (OnTreeUpdate sees the final content in cache,
+// so PLP's posted persists and BMF/AMNT's register copies capture
+// what will actually be durable), and finally folds the level-2
+// digests into the root register. A node is persisted if any staged
+// write would have persisted it, and the policy is re-consulted at
+// climb time so positional policies (AMNT after a mid-epoch movement)
+// keep their strict-outside guarantee. Completion hooks then fire once
+// per staged write.
 //
-// Ordering is deterministic: phases iterate in first-touch or sorted
-// index order, so equal inputs commit identically.
-func (c *Controller) commitEpoch(now uint64, ops []epochOp) (EpochResult, error) {
+// An open recovery session is a set of conditions on those phases,
+// not another route: the tree above the leaves is mid-rebuild, so
+// OnDataWrite (hot-region tracking, and the subtree movements it can
+// trigger, climb the tree) is not called; each write first freezes
+// its leaf's pre-write device image for the rebuild audit; no path is
+// merged, no counter hashed, nothing climbed or folded into the root,
+// and OnWriteComplete is not called. Data, HMAC and counter are
+// durable when the commit returns (an OnlineRecoverer policy writes
+// all three through); the session's Finish patches every dirty leaf's
+// path once the audit has passed. Write combining and the
+// once-per-page counter encode hold as in any other epoch.
+//
+// The iteration orders are load-bearing for the simulated cycle count
+// (every fetch can evict, every post can stall): staged order in
+// phases 1 and 2 and for the completion hooks, first-touch order in
+// phase 3, ascending index per level in phase 4. A 1-op epoch visits
+// exactly what the per-op write this routine replaced visited, in the
+// same order (testdata/perop_v1.golden).
+//
+// Every return, error or not, carries the cycles consumed so far.
+func (c *Controller) commitEpoch(now uint64, ops []epochOp, timed bool) (EpochResult, error) {
 	g := c.geo
-	res := EpochResult{Ops: len(ops)}
-	wallStart := time.Now()
-	if len(ops) == 1 || c.session != nil {
-		// A one-write epoch is exactly one per-op write (the property
-		// the equivalence test pins); skip the dedup bookkeeping. An
-		// epoch committed during a recovery session takes the same
-		// route for every op: the merged climb below would mix in
-		// unaudited ancestors, while writeBlock freezes the leaf
-		// pre-image, writes data, HMAC and counter through, and leaves
-		// the climb to the session's Finish. Dedup is what degraded
-		// mode gives up.
-		for i := range ops {
-			cycles, err := c.writeBlock(now+res.Cycles, ops[i].block, ops[i].value[:])
-			res.Cycles += cycles
-			if err != nil {
-				return res, err
-			}
-		}
-		res.Blocks, res.Counters = len(ops), len(ops)
-		if c.session == nil {
-			res.TreeNodes = g.Levels - 2
-		}
-		res.ClimbNs = time.Since(wallStart).Nanoseconds()
-		return res, nil
+	s := c.session
+	var wallStart time.Time
+	if timed {
+		wallStart = time.Now()
 	}
-	var cycles uint64
-	var persistNs int64
+	plan := &c.plan
+	plan.build(g, ops, s == nil)
+	res := EpochResult{Ops: len(ops), Counters: len(plan.keys)}
 
-	cur := make(map[uint64]*counters.Block)      // accumulated counter state
-	devCtr := make(map[uint64]counters.Block)    // counter state device data reflects
-	wtCtr := make(map[uint64]bool)               // counter write-through, OR over ops
-	wtTree := make(map[MetaKey]bool)             // tree write-through, OR over ops
-	dirty := make([]map[uint64]bool, g.Levels+1) // dirty inner nodes per level
-	var ctrOrder []uint64                        // first-touch order, for determinism
-	lastWriter := make(map[uint64]int, len(ops))
-	for i, op := range ops {
-		lastWriter[op.block] = i
-	}
-
-	// Phase 1: policy sequencing and local counter accumulation.
+	// Phase 1: policy sequencing and counter accumulation.
 	for i := range ops {
 		b := ops[i].block
+		pos := plan.ops[i].page
+		pg := &plan.pages[pos]
+		ctrIdx := plan.nodes[pos].idx
 		c.st.DataWrites.Inc()
-		pc := c.policy.OnDataWrite(now+cycles, b)
-		c.st.PolicyCycles.Add(pc)
-		cycles += pc
-
-		ctrIdx := counters.CounterIndex(b)
-		slot := counters.MinorSlot(b)
-		blk := cur[ctrIdx]
-		if blk == nil {
-			content, cc, err := c.FetchVerified(now+cycles, g.Levels, ctrIdx)
-			cycles += cc
+		if s == nil {
+			pc := c.policy.OnDataWrite(now+res.Cycles, b)
+			c.st.PolicyCycles.Add(pc)
+			res.Cycles += pc
+		} else {
+			s.noteWrite(ctrIdx)
+		}
+		if !pg.loaded {
+			content, cc, err := c.FetchVerified(now+res.Cycles, g.Levels, ctrIdx)
+			res.Cycles += cc
 			if err != nil {
 				return res, err
 			}
-			v := counters.Decode(content)
-			blk = &v
-			cur[ctrIdx] = blk
-			devCtr[ctrIdx] = v
-			ctrOrder = append(ctrOrder, ctrIdx)
+			pg.cur = counters.Decode(content)
+			pg.dev = pg.cur
+			pg.loaded = true
+			plan.order = append(plan.order, pos)
 		}
-		if blk.Bump(slot) {
+		if pg.cur.Bump(counters.MinorSlot(b)) {
 			c.st.Overflows.Inc()
 			if c.trace != nil {
 				c.trace.Emit(telemetry.Event{
-					Cycle: now + cycles,
+					Cycle: now + res.Cycles,
 					Kind:  telemetry.EvOverflow,
 					Addr:  ctrIdx,
 					Note:  "page re-encryption",
 				})
 			}
-			old := devCtr[ctrIdx]
-			rc, err := c.reencryptPage(now+cycles, ctrIdx, &old, blk, b)
-			cycles += rc
+			rc, err := c.reencryptPage(now+res.Cycles, ctrIdx, &pg.dev, &pg.cur, b)
+			res.Cycles += rc
 			if err != nil {
 				return res, err
 			}
-			devCtr[ctrIdx] = *blk
+			pg.dev = pg.cur
 		}
 		if c.policy.WriteThroughCounter(ctrIdx) {
-			wtCtr[ctrIdx] = true
+			plan.nodes[pos].wt = true
 		}
-		childIdx := ctrIdx
+		if s != nil {
+			continue
+		}
+		at := pos
 		for level := g.Levels - 1; level >= 2; level-- {
-			idx := childIdx >> 3
-			if dirty[level] == nil {
-				dirty[level] = make(map[uint64]bool)
+			at = plan.nodes[at].parent
+			if n := &plan.nodes[at]; c.policy.WriteThroughTree(level, n.idx) {
+				n.wt = true
 			}
-			dirty[level][idx] = true
-			if c.policy.WriteThroughTree(level, idx) {
-				wtTree[TreeKey(g, level, idx)] = true
-			}
-			childIdx = idx
 		}
 	}
 
 	// Phase 2: one device write per distinct block, final value under
 	// the final counter (in staged order of the last overwrite).
-	persistStart := time.Now()
+	var persistStart time.Duration
+	if timed {
+		persistStart = time.Since(wallStart)
+	}
 	for i := range ops {
-		b := ops[i].block
-		if lastWriter[b] != i {
+		if !plan.ops[i].last {
 			continue
 		}
+		b := ops[i].block
 		res.Blocks++
-		major, minor := cur[counters.CounterIndex(b)].Get(counters.MinorSlot(b))
-		var ct [scm.BlockSize]byte
-		c.eng.Encrypt(dataAddr(b), major, minor, ct[:], ops[i].value[:])
-		cycles += c.PostDeviceWrite(now+cycles, scm.Data, b, ct[:], false)
-		mac := c.eng.MAC(dataAddr(b), major, minor, ct[:])
-		cycles += c.cfg.HashCycles
+		major, minor := plan.pages[plan.ops[i].page].cur.Get(counters.MinorSlot(b))
+		ct := plan.ct[:]
+		c.eng.Encrypt(dataAddr(b), major, minor, ct, ops[i].value[:])
+		res.Cycles += c.PostDeviceWrite(now+res.Cycles, scm.Data, b, ct, false)
+		mac := c.eng.MAC(dataAddr(b), major, minor, ct)
+		res.Cycles += c.cfg.HashCycles
 		c.st.VerifyHashes.Inc()
 		hmacIdx := b / hmacSlotsPerBlock
-		hmacBlk, hc := c.fetchHMAC(now+cycles, hmacIdx)
-		cycles += hc
+		hmacBlk, hc := c.fetchHMAC(now+res.Cycles, hmacIdx)
+		res.Cycles += hc
 		bmt.SetChildDigest(hmacBlk, int(b%hmacSlotsPerBlock), mac)
 		hkey := HMACKey(hmacIdx)
 		c.markDirty(hkey)
 		if c.policy.WriteThroughHMAC(hmacIdx) {
-			cycles += c.PersistMeta(now+cycles, hkey, false)
+			res.Cycles += c.PersistMeta(now+res.Cycles, hkey, false)
 		}
 	}
-	persistNs = time.Since(persistStart).Nanoseconds()
+	if timed {
+		res.PersistNs = (time.Since(wallStart) - persistStart).Nanoseconds()
+	}
 
-	// Phase 3: encode final counters into the cache, once per block.
-	// The digest is taken immediately after encoding, so a later
-	// eviction never forces a refetch of a bumped-but-unclimbed block.
-	res.Counters = len(ctrOrder)
-	digest := make(map[uint64]uint64, len(ctrOrder))
-	for _, ctrIdx := range ctrOrder {
-		content, cc, err := c.FetchVerified(now+cycles, g.Levels, ctrIdx)
-		cycles += cc
+	// Phase 3: encode final counters into the cache, once per block
+	// (refetched: phase 2's HMAC traffic may have evicted it). The
+	// digest is taken immediately after encoding, so a later eviction
+	// never forces a refetch of a bumped-but-unclimbed block.
+	for _, pos := range plan.order {
+		n := &plan.nodes[pos]
+		content, cc, err := c.FetchVerified(now+res.Cycles, g.Levels, n.idx)
+		res.Cycles += cc
 		if err != nil {
 			return res, err
 		}
-		cur[ctrIdx].Encode(content)
-		ckey := CounterKey(ctrIdx)
+		plan.pages[pos].cur.Encode(content)
+		ckey := CounterKey(n.idx)
 		c.markDirty(ckey)
-		if wtCtr[ctrIdx] {
-			cycles += c.PersistMeta(now+cycles, ckey, false)
+		if n.wt {
+			res.Cycles += c.PersistMeta(now+res.Cycles, ckey, false)
 		}
-		digest[ctrIdx] = bmt.Hash(c.eng, g.Levels, content)
-		cycles += c.cfg.HashCycles
+		if s != nil {
+			continue
+		}
+		n.digest = bmt.Hash(c.eng, g.Levels, content)
+		res.Cycles += c.cfg.HashCycles
 		c.st.VerifyHashes.Inc()
 	}
 
-	// Phase 4: one bottom-up climb over the merged dirty paths.
-	for level := g.Levels - 1; level >= 2; level-- {
-		idxs := make([]uint64, 0, len(dirty[level]))
-		for idx := range dirty[level] {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		next := make(map[uint64]uint64, len(idxs))
-		for _, idx := range idxs {
-			res.TreeNodes++
-			content, fc, err := c.FetchVerified(now+cycles, level, idx)
-			cycles += fc
-			if err != nil {
-				return res, err
-			}
-			for slot := uint64(0); slot < bmt.Arity; slot++ {
-				ci := idx<<3 | slot
-				if d, ok := digest[ci]; ok {
-					bmt.SetChildDigest(content, bmt.ChildSlot(ci), d)
+	if s == nil {
+		// Phase 4: one bottom-up climb over the merged paths.
+		for level := g.Levels - 1; level >= 2; level-- {
+			child, end := plan.start[level+1], plan.start[level]
+			for at := end; at < plan.start[level-1]; at++ {
+				n := &plan.nodes[at]
+				res.TreeNodes++
+				content, fc, err := c.FetchVerified(now+res.Cycles, level, n.idx)
+				res.Cycles += fc
+				if err != nil {
+					return res, err
 				}
+				for ; child < end && plan.nodes[child].parent == int32(at); child++ {
+					ch := &plan.nodes[child]
+					bmt.SetChildDigest(content, bmt.ChildSlot(ch.idx), ch.digest)
+				}
+				key := TreeKey(g, level, n.idx)
+				c.markDirty(key)
+				pc := c.policy.OnTreeUpdate(now+res.Cycles, level, n.idx, content)
+				c.st.PolicyCycles.Add(pc)
+				res.Cycles += pc
+				if n.wt || c.policy.WriteThroughTree(level, n.idx) {
+					res.Cycles += c.PersistMeta(now+res.Cycles, key, true)
+				}
+				n.digest = bmt.Hash(c.eng, level, content)
+				res.Cycles += c.cfg.HashCycles
+				c.st.VerifyHashes.Inc()
 			}
-			key := TreeKey(g, level, idx)
-			c.markDirty(key)
-			pc := c.policy.OnTreeUpdate(now+cycles, level, idx, content)
-			c.st.PolicyCycles.Add(pc)
-			cycles += pc
-			if wtTree[key] || c.policy.WriteThroughTree(level, idx) {
-				cycles += c.PersistMeta(now+cycles, key, true)
-			}
-			next[idx] = bmt.Hash(c.eng, level, content)
-			cycles += c.cfg.HashCycles
-			c.st.VerifyHashes.Inc()
 		}
-		digest = next
-	}
-	rootIdxs := make([]uint64, 0, len(digest))
-	for idx := range digest {
-		rootIdxs = append(rootIdxs, idx)
-	}
-	sort.Slice(rootIdxs, func(i, j int) bool { return rootIdxs[i] < rootIdxs[j] })
-	for _, idx := range rootIdxs {
-		bmt.SetChildDigest(c.rootNV[:], bmt.ChildSlot(idx), digest[idx])
+		for _, n := range plan.nodes[plan.start[2]:plan.start[1]] {
+			bmt.SetChildDigest(c.rootNV[:], bmt.ChildSlot(n.idx), n.digest)
+		}
+
+		// Completion hooks, once per logical write (PLP's persist
+		// barrier, movement bookkeeping).
+		for i := range ops {
+			pc := c.policy.OnWriteComplete(now+res.Cycles, ops[i].block)
+			c.st.PolicyCycles.Add(pc)
+			res.Cycles += pc
+		}
 	}
 
-	// Completion hooks, once per logical write (PLP's persist barrier,
-	// movement bookkeeping).
-	for i := range ops {
-		pc := c.policy.OnWriteComplete(now+cycles, ops[i].block)
-		c.st.PolicyCycles.Add(pc)
-		cycles += pc
-	}
-
-	res.Cycles = cycles
-	res.PersistNs = persistNs
-	if climb := time.Since(wallStart).Nanoseconds() - persistNs; climb > 0 {
-		res.ClimbNs = climb
-	}
-	if c.trace != nil {
-		c.trace.Emit(telemetry.Event{
-			Cycle:  now + cycles,
-			Kind:   telemetry.EvEpochCommit,
-			Count:  uint64(res.Ops),
-			From:   uint64(res.Blocks),
-			To:     uint64(res.TreeNodes),
-			Cycles: cycles,
-			Note:   "group commit",
-		})
+	if timed {
+		if climb := time.Since(wallStart).Nanoseconds() - res.PersistNs; climb > 0 {
+			res.ClimbNs = climb
+		}
 	}
 	return res, nil
 }

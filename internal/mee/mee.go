@@ -306,6 +306,10 @@ type Controller struct {
 	// the controller serves degraded (see RecoverySession) until the
 	// owner finishes it. Only touched under the single-writer guard.
 	session *RecoverySession
+	// plan is commitEpoch's per-commit bookkeeping, kept between
+	// commits so a warm write allocates nothing for it. Only touched
+	// under the single-writer guard.
+	plan epochPlan
 }
 
 // enter claims the controller for one top-level operation; exit
@@ -796,137 +800,23 @@ func (c *Controller) readBlock(now uint64, b uint64, dst []byte) (uint64, error)
 
 // WriteBlock performs an encrypted, integrity-maintained write of
 // plaintext src to data block b, applying the persistence policy to
-// every metadata update. Returns the latency in cycles.
+// every metadata update. Returns the latency in cycles. It is the
+// epoch of one write: the op is staged in controller-owned scratch and
+// committed by commitEpoch, the controller's only write path.
 func (c *Controller) WriteBlock(now uint64, b uint64, src []byte) (uint64, error) {
 	c.enter()
 	defer c.exit()
-	return c.writeBlock(now, b, src)
-}
-
-// writeBlock is WriteBlock without the concurrency guard, for callers
-// already inside a guarded operation (a one-write epoch commit).
-func (c *Controller) writeBlock(now uint64, b uint64, src []byte) (uint64, error) {
 	if len(src) != scm.BlockSize {
 		panic("mee: WriteBlock buffer must be BlockSize bytes")
 	}
 	if b >= c.dev.DataBlocks() {
 		return 0, fmt.Errorf("mee: write of block %d beyond capacity (%d blocks)", b, c.dev.DataBlocks())
 	}
-	c.st.DataWrites.Inc()
-	var cycles uint64
-	if c.session == nil {
-		// Hot-region tracking (and the subtree movements it can
-		// trigger) pauses during online recovery: movement climbs the
-		// tree, which is mid-rebuild.
-		pc := c.policy.OnDataWrite(now, b)
-		c.st.PolicyCycles.Add(pc)
-		cycles += pc
-	}
-
-	ctrIdx := counters.CounterIndex(b)
-	if c.session != nil {
-		// Freeze the leaf's pre-write content for the rebuild audit
-		// before anything below can mutate it.
-		c.session.noteWrite(ctrIdx)
-	}
-	slot := counters.MinorSlot(b)
-	ctrContent, cc, err := c.FetchVerified(now+cycles, c.geo.Levels, ctrIdx)
-	cycles += cc
-	if err != nil {
-		return cycles, err
-	}
-	blk := counters.Decode(ctrContent)
-	old := blk
-	if blk.Bump(slot) {
-		c.st.Overflows.Inc()
-		if c.trace != nil {
-			c.trace.Emit(telemetry.Event{
-				Cycle: now + cycles,
-				Kind:  telemetry.EvOverflow,
-				Addr:  ctrIdx,
-				Note:  "page re-encryption",
-			})
-		}
-		rc, err := c.reencryptPage(now+cycles, ctrIdx, &old, &blk, b)
-		cycles += rc
-		if err != nil {
-			return cycles, err
-		}
-	}
-	major, minor := blk.Get(slot)
-
-	// Encrypt and post the data write.
-	var ct [scm.BlockSize]byte
-	c.eng.Encrypt(dataAddr(b), major, minor, ct[:], src)
-	cycles += c.PostDeviceWrite(now+cycles, scm.Data, b, ct[:], false)
-
-	// Update the data HMAC.
-	mac := c.eng.MAC(dataAddr(b), major, minor, ct[:])
-	cycles += c.cfg.HashCycles
-	c.st.VerifyHashes.Inc()
-	hmacIdx := b / hmacSlotsPerBlock
-	hmacBlk, hc := c.fetchHMAC(now+cycles, hmacIdx)
-	cycles += hc
-	bmt.SetChildDigest(hmacBlk, int(b%hmacSlotsPerBlock), mac)
-	hkey := HMACKey(hmacIdx)
-	c.markDirty(hkey)
-	if c.policy.WriteThroughHMAC(hmacIdx) {
-		cycles += c.PersistMeta(now+cycles, hkey, false)
-	}
-
-	// Update the counter block (refetch the pointer: HMAC handling may
-	// have evicted and re-resolved cache state).
-	ctrContent, cc, err = c.FetchVerified(now+cycles, c.geo.Levels, ctrIdx)
-	cycles += cc
-	if err != nil {
-		return cycles, err
-	}
-	blk.Encode(ctrContent)
-	ckey := CounterKey(ctrIdx)
-	c.markDirty(ckey)
-	if c.policy.WriteThroughCounter(ctrIdx) {
-		cycles += c.PersistMeta(now+cycles, ckey, false)
-	}
-	if c.session != nil {
-		// Degraded write: data, HMAC, and counter are durable (the
-		// policy writes all three through — an OnlineRecoverer
-		// requirement); the ancestral climb and the root-register
-		// update are deferred to the session's Finish, which patches
-		// every dirty leaf's path after the rebuild audit passes.
-		return cycles, nil
-	}
-
-	// Walk the ancestral path to the root, updating digests.
-	childDigest := bmt.Hash(c.eng, c.geo.Levels, ctrContent)
-	cycles += c.cfg.HashCycles
-	c.st.VerifyHashes.Inc()
-	childIdx := ctrIdx
-	for level := c.geo.Levels - 1; level >= 2; level-- {
-		idx := childIdx >> 3
-		content, fc, err := c.FetchVerified(now+cycles, level, idx)
-		cycles += fc
-		if err != nil {
-			return cycles, err
-		}
-		bmt.SetChildDigest(content, bmt.ChildSlot(childIdx), childDigest)
-		key := TreeKey(c.geo, level, idx)
-		c.markDirty(key)
-		pc := c.policy.OnTreeUpdate(now+cycles, level, idx, content)
-		c.st.PolicyCycles.Add(pc)
-		cycles += pc
-		if c.policy.WriteThroughTree(level, idx) {
-			cycles += c.PersistMeta(now+cycles, key, true)
-		}
-		childDigest = bmt.Hash(c.eng, level, content)
-		cycles += c.cfg.HashCycles
-		c.st.VerifyHashes.Inc()
-		childIdx = idx
-	}
-	bmt.SetChildDigest(c.rootNV[:], bmt.ChildSlot(childIdx), childDigest)
-	pc := c.policy.OnWriteComplete(now+cycles, b)
-	c.st.PolicyCycles.Add(pc)
-	cycles += pc
-	return cycles, nil
+	op := &c.plan.one[0]
+	op.block = b
+	copy(op.value[:], src)
+	res, err := c.commitEpoch(now, c.plan.one[:], false)
+	return res.Cycles, err
 }
 
 // reencryptPage handles a minor-counter overflow: every initialized

@@ -54,12 +54,12 @@ type OnlineRecoverer interface {
 // While a session is active the controller serves degraded:
 //   - Counter-leaf fetch misses load device content provisionally
 //     (no parent authentication — the tree above is being rebuilt).
-//   - Data writes freeze the touched counter leaf's pre-write content
-//     for the rebuild audit, skip the ancestral tree climb, and defer
-//     the root-register update; Finish patches the dirty paths after
-//     the audit passes.
-//   - Epoch commits run every staged op through that same degraded
-//     write: no dedup, one deferred climb per dirty leaf at Finish.
+//   - Every write — WriteBlock or an epoch of any size; they are one
+//     routine, commitEpoch — freezes each touched counter leaf's
+//     pre-write content for the rebuild audit, skips the ancestral
+//     tree climb, and defers the root-register update; Finish patches
+//     the dirty paths, one climb per dirty leaf, after the audit
+//     passes.
 //   - Checkpoints, flushes, and further recoveries are refused
 //     (ErrRecovering) — the serving layer finishes the session first.
 type RecoverySession struct {
