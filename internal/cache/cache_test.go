@@ -44,10 +44,10 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 
 func TestMissThenHit(t *testing.T) {
 	c := small()
-	if hit, _ := c.Access(100, false); hit {
+	if hit, _, _, _ := c.Access(100, false); hit {
 		t.Fatal("first access hit")
 	}
-	if hit, _ := c.Access(100, false); !hit {
+	if hit, _, _, _ := c.Access(100, false); !hit {
 		t.Fatal("second access missed")
 	}
 	if c.HitRate() != 0.5 {
@@ -64,11 +64,11 @@ func TestLRUEviction(t *testing.T) {
 	c.Access(0, false)
 	c.Access(4, false)
 	c.Access(0, false) // 0 is now MRU, 4 is LRU
-	hit, victim := c.Access(8, false)
+	hit, _, victim, evicted := c.Access(8, false)
 	if hit {
 		t.Fatal("unexpected hit")
 	}
-	if victim == nil || victim.Key != 4 {
+	if !evicted || victim.Key != 4 {
 		t.Fatalf("victim = %+v, want key 4", victim)
 	}
 	if victim.Dirty {
@@ -86,8 +86,8 @@ func TestDirtyVictim(t *testing.T) {
 	c := small()
 	c.Access(0, true)
 	c.Access(4, false)
-	_, victim := c.Access(8, false) // evicts 0 (LRU after 4 inserted? no: MRU order 4,0)
-	if victim == nil {
+	_, _, victim, evicted := c.Access(8, false) // evicts 0 (LRU after 4 inserted? no: MRU order 4,0)
+	if !evicted {
 		t.Fatal("no victim")
 	}
 	if victim.Key != 0 || !victim.Dirty {
@@ -115,8 +115,8 @@ func TestProbeDoesNotPerturb(t *testing.T) {
 	if !c.Probe(0) {
 		t.Fatal("probe missed resident key")
 	}
-	_, victim := c.Access(8, false)
-	if victim == nil || victim.Key != 0 {
+	_, _, victim, evicted := c.Access(8, false)
+	if !evicted || victim.Key != 0 {
 		t.Fatalf("probe perturbed LRU: victim %+v", victim)
 	}
 	if c.Accesses() != 3 {
@@ -137,8 +137,7 @@ func TestLookupAux(t *testing.T) {
 	}
 	// Aux travels with the victim.
 	c.Access(6, false)
-	_, victim := c.Access(10, false)
-	_ = victim
+	c.Access(10, false)
 	if c.Lookup(99) != nil {
 		t.Fatal("lookup of absent key should be nil")
 	}
@@ -149,8 +148,8 @@ func TestAuxOnVictim(t *testing.T) {
 	c.Access(0, false)
 	c.Lookup(0).Aux = 42
 	c.Access(4, false)
-	_, victim := c.Access(8, false) // evicts 0
-	if victim == nil || victim.Key != 0 || victim.Aux != 42 {
+	_, _, victim, evicted := c.Access(8, false) // evicts 0
+	if !evicted || victim.Key != 0 || victim.Aux != 42 {
 		t.Fatalf("victim = %+v, want key 0 aux 42", victim)
 	}
 }
@@ -304,14 +303,14 @@ func TestLRUReferenceModel(t *testing.T) {
 			}
 			ref[si] = append([]uint64{k}, ref[si]...)
 
-			hit, victim := c.Access(k, false)
+			hit, _, victim, evicted := c.Access(k, false)
 			if hit != refHit {
 				return false
 			}
-			if (victim == nil) != (refVictim == nil) {
+			if evicted != (refVictim != nil) {
 				return false
 			}
-			if victim != nil && victim.Key != *refVictim {
+			if evicted && victim.Key != *refVictim {
 				return false
 			}
 		}
@@ -342,8 +341,8 @@ func TestFIFOIgnoresHits(t *testing.T) {
 	c.Access(4, false)
 	// Touch 0 again: FIFO must NOT promote it.
 	c.Access(0, false)
-	_, victim := c.Access(8, false)
-	if victim == nil || victim.Key != 0 {
+	_, _, victim, evicted := c.Access(8, false)
+	if !evicted || victim.Key != 0 {
 		t.Fatalf("FIFO victim = %+v, want first-in key 0", victim)
 	}
 }

@@ -85,6 +85,9 @@ type Hierarchy struct {
 	content ContentFunc
 	verify  func(block uint64, data []byte) error
 	snoop   func(block uint64) bool
+	// buf receives the plaintext of an MEE read. A local would escape
+	// through the verify callback and cost an allocation per miss.
+	buf [scm.BlockSize]byte
 }
 
 // SetVerify installs an oracle called with the plaintext of every MEE
@@ -148,8 +151,8 @@ func (h *Hierarchy) Access(now uint64, block uint64, write bool) (uint64, error)
 	var cycles uint64
 	for i, c := range h.levels {
 		cycles += c.HitCycles()
-		hit, victim := c.Access(block, write && i == 0)
-		if victim != nil && victim.Dirty {
+		hit, _, victim, _ := c.Access(block, write && i == 0)
+		if victim.Dirty {
 			vc, err := h.spill(now+cycles, i+1, victim.Key)
 			cycles += vc
 			if err != nil {
@@ -176,14 +179,13 @@ func (h *Hierarchy) Access(now uint64, block uint64, write bool) (uint64, error)
 	// Fetch through the MEE (stores are write-allocate, so they fetch
 	// too). The block is now resident in every level; dirtiness was
 	// set at L1 above.
-	var buf [scm.BlockSize]byte
-	mc, err := h.ctrl.ReadBlock(now+cycles, block, buf[:])
+	mc, err := h.ctrl.ReadBlock(now+cycles, block, h.buf[:])
 	cycles += mc
 	if err != nil {
 		return cycles, err
 	}
 	if h.verify != nil {
-		if err := h.verify(block, buf[:]); err != nil {
+		if err := h.verify(block, h.buf[:]); err != nil {
 			return cycles, err
 		}
 	}
@@ -198,8 +200,8 @@ func (h *Hierarchy) spill(now uint64, idx int, block uint64) (uint64, error) {
 	}
 	c := h.levels[idx]
 	cycles := c.HitCycles()
-	_, victim := c.Access(block, true)
-	if victim != nil && victim.Dirty {
+	_, _, victim, _ := c.Access(block, true)
+	if victim.Dirty {
 		vc, err := h.spill(now+cycles, idx+1, victim.Key)
 		cycles += vc
 		if err != nil {

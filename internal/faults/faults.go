@@ -153,11 +153,12 @@ const journalCap = 512
 // fault at the crash point. Attach before running, Detach before
 // recovery (so recovery's own writes are not journaled).
 type Injector struct {
-	dev     *scm.Device
-	ctrl    *mee.Controller
+	dev  *scm.Device
+	ctrl *mee.Controller
+	// journal is the pre-image ring: it grows to journalCap, then next
+	// is both its oldest entry and the one the next write replaces.
 	journal []journalEntry
 	next    int
-	wrapped bool
 	// window is the in-flight write set snapshotted by CaptureWindow;
 	// captured is set even when the snapshot is empty, so Apply never
 	// falls back to reading the (by then reset) live queue.
@@ -180,29 +181,28 @@ func (j *Injector) Detach() {
 	j.dev.SetWriteObserver(nil)
 }
 
+// observe journals one device write. It runs on every write of every
+// serving shard, so it fills the ring slot in place.
 func (j *Injector) observe(region scm.Region, index uint64, old, _ []byte) {
-	e := journalEntry{region: region, index: index, absent: old == nil}
-	if old != nil {
+	var e *journalEntry
+	if len(j.journal) < journalCap {
+		j.journal = append(j.journal, journalEntry{})
+		e = &j.journal[len(j.journal)-1]
+	} else {
+		e = &j.journal[j.next]
+		j.next = (j.next + 1) % journalCap
+	}
+	e.region, e.index, e.absent = region, index, old == nil
+	if old == nil {
+		clear(e.old[:])
+	} else {
 		copy(e.old[:], old)
 	}
-	if len(j.journal) < journalCap {
-		j.journal = append(j.journal, e)
-		return
-	}
-	j.journal[j.next] = e
-	j.next = (j.next + 1) % journalCap
-	j.wrapped = true
 }
 
-// entries returns the journal oldest-first.
-func (j *Injector) entries() []journalEntry {
-	if !j.wrapped {
-		return j.journal
-	}
-	out := make([]journalEntry, 0, len(j.journal))
-	out = append(out, j.journal[j.next:]...)
-	out = append(out, j.journal[:j.next]...)
-	return out
+// entry returns the i-th oldest journaled write.
+func (j *Injector) entry(i int) *journalEntry {
+	return &j.journal[(j.next+i)%len(j.journal)]
 }
 
 // preImage finds the oldest journaled pre-image for a block. When
@@ -210,9 +210,9 @@ func (j *Injector) entries() []journalEntry {
 // pre-image is the content the device held before the burst — the
 // state a crash that lost the whole burst would expose.
 func (j *Injector) preImage(region scm.Region, index uint64) (journalEntry, bool) {
-	for _, e := range j.entries() {
-		if e.region == region && e.index == index {
-			return e, true
+	for i := range j.journal {
+		if e := j.entry(i); e.region == region && e.index == index {
+			return *e, true
 		}
 	}
 	return journalEntry{}, false
@@ -262,14 +262,13 @@ func (j *Injector) assemble(now uint64) []candidate {
 	if len(out) > 0 {
 		return out
 	}
-	ents := j.entries()
-	if len(ents) == 0 {
+	if len(j.journal) == 0 {
 		return nil
 	}
-	last := ents[len(ents)-1]
+	last := j.entry(len(j.journal) - 1)
 	return []candidate{{
 		pw:   mee.PendingWrite{Region: last.region, Index: last.index},
-		pre:  last,
+		pre:  *last,
 		note: "queue drained: replayed last retired write",
 	}}
 }

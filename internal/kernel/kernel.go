@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"amnt/internal/radix"
 	"amnt/internal/telemetry"
 )
 
@@ -117,7 +118,6 @@ func (k *Kernel) NewProcess(name string) *Process {
 		PID:    k.nextPID,
 		Name:   name,
 		kernel: k,
-		pages:  make(map[uint64]uint64),
 	}
 	k.procs[p.PID] = p
 	return p
@@ -195,7 +195,11 @@ type Process struct {
 	PID    int
 	Name   string
 	kernel *Kernel
-	pages  map[uint64]uint64 // vpage -> ppage
+	// pages holds 1+ppage per mapped vpage (0 = unmapped). Translate
+	// runs once per simulated access, so this is a radix table rather
+	// than a map.
+	pages    radix.Table[uint64]
+	resident int
 }
 
 // Translate returns the physical byte address backing vaddr,
@@ -203,55 +207,59 @@ type Process struct {
 // reports whether a page fault was taken.
 func (p *Process) Translate(vaddr uint64) (uint64, bool) {
 	vpage := vaddr / PageSize
-	ppage, ok := p.pages[vpage]
-	if !ok {
-		page, allocated := p.kernel.alloc.AllocPage()
-		if !allocated {
-			panic(fmt.Sprintf("kernel: out of physical memory for %s", p.Name))
-		}
-		p.kernel.faults++
-		p.pages[vpage] = page
-		ppage = page
-		return ppage*PageSize + vaddr%PageSize, true
+	if pp := p.pages.Get(vpage); pp != 0 {
+		return (pp-1)*PageSize + vaddr%PageSize, false
 	}
-	return ppage*PageSize + vaddr%PageSize, false
+	page, allocated := p.kernel.alloc.AllocPage()
+	if !allocated {
+		panic(fmt.Sprintf("kernel: out of physical memory for %s", p.Name))
+	}
+	p.kernel.faults++
+	*p.pages.At(vpage) = page + 1
+	p.resident++
+	return page*PageSize + vaddr%PageSize, true
 }
 
 // Resident returns the number of mapped pages.
-func (p *Process) Resident() int { return len(p.pages) }
+func (p *Process) Resident() int { return p.resident }
 
-// PhysicalPages returns the mapped physical page numbers (order
-// unspecified).
+// PhysicalPages returns the mapped physical page numbers in ascending
+// virtual-page order.
 func (p *Process) PhysicalPages() []uint64 {
-	out := make([]uint64, 0, len(p.pages))
-	for _, pp := range p.pages {
-		out = append(out, pp)
-	}
+	out := make([]uint64, 0, p.resident)
+	p.pages.Range(func(_ uint64, pp *uint64) {
+		if *pp != 0 {
+			out = append(out, *pp-1)
+		}
+	})
 	return out
 }
 
 // Release unmaps everything, sending the pages through reclamation
-// (which is where AMNT++ restructures the free lists).
+// (which is where AMNT++ restructures the free lists) in ascending
+// virtual-page order.
 func (p *Process) Release() {
-	for v, pp := range p.pages {
-		p.kernel.reclaim(pp)
-		delete(p.pages, v)
-	}
+	p.ReleasePages(1)
 	delete(p.kernel.procs, p.PID)
 }
 
 // ReleasePages unmaps a fraction of the address space (models partial
-// reclamation under memory pressure), chosen deterministically.
+// reclamation under memory pressure): every every-th mapped page in
+// ascending virtual-page order, starting with the first.
 func (p *Process) ReleasePages(every int) {
 	if every <= 0 {
 		return
 	}
 	i := 0
-	for v, pp := range p.pages {
+	p.pages.Range(func(_ uint64, pp *uint64) {
+		if *pp == 0 {
+			return
+		}
 		if i%every == 0 {
-			p.kernel.reclaim(pp)
-			delete(p.pages, v)
+			p.kernel.reclaim(*pp - 1)
+			*pp = 0
+			p.resident--
 		}
 		i++
-	}
+	})
 }

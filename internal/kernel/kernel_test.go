@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -353,6 +354,62 @@ func TestReleasePages(t *testing.T) {
 	}
 	if err := k.Allocator().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReleasePagesDeterministic: two identical processes that release
+// every second page end with identical mappings and identical allocator
+// state, because the walk is in ascending virtual-page order (it used to
+// range over a Go map). Sparse and far addresses make the table grow in
+// height mid-way.
+func TestReleasePagesDeterministic(t *testing.T) {
+	run := func() ([]uint64, [][]uint64) {
+		k := New(Config{MemoryBytes: 4 << 20, MaxOrder: 6, SubtreeRegionPages: 64, AMNTPlusPlus: true, ReclaimBatch: 8})
+		p := k.NewProcess("t")
+		for v := uint64(0); v < 300; v++ {
+			p.Translate((v * 7 % 300) * PageSize) // touch order is not address order
+		}
+		for _, far := range []uint64{1 << 30, 1 << 47, 1<<64 - 1} {
+			p.Translate(far)
+		}
+		p.ReleasePages(2)
+		if p.Resident() != 151 {
+			t.Fatalf("resident = %d, want 151", p.Resident())
+		}
+		if err := k.Allocator().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		var free [][]uint64
+		for order := 0; order <= 6; order++ {
+			free = append(free, k.Allocator().Chunks(order))
+		}
+		return p.PhysicalPages(), free
+	}
+	pages1, free1 := run()
+	pages2, free2 := run()
+	if !reflect.DeepEqual(pages1, pages2) {
+		t.Fatalf("PhysicalPages differ between identical runs:\n%v\n%v", pages1, pages2)
+	}
+	if !reflect.DeepEqual(free1, free2) {
+		t.Fatalf("free lists differ between identical runs:\n%v\n%v", free1, free2)
+	}
+	// The contract is ascending virtual-page order, whatever the touch
+	// order and however far apart the pages sit.
+	k := New(Config{MemoryBytes: 1 << 20, MaxOrder: 4})
+	p := k.NewProcess("order")
+	for _, v := range []uint64{9, 3, 1 << 40, 5} {
+		p.Translate(v * PageSize)
+	}
+	want := make([]uint64, 0, 4)
+	for _, v := range []uint64{3, 5, 9, 1 << 40} {
+		pa, fault := p.Translate(v * PageSize)
+		if fault {
+			t.Fatalf("vpage %d faulted twice", v)
+		}
+		want = append(want, pa/PageSize)
+	}
+	if got := p.PhysicalPages(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("PhysicalPages = %v, want ascending virtual-page order %v", got, want)
 	}
 }
 

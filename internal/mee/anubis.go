@@ -31,6 +31,9 @@ type Anubis struct {
 	free []int
 	// totalSlots is the shadow table capacity (= metadata cache lines).
 	totalSlots int
+	// hdr stages a shadow-table record for the device (a local would
+	// escape to the heap on every metadata fill and eviction).
+	hdr [scm.BlockSize]byte
 }
 
 // NewAnubis returns an Anubis policy.
@@ -64,14 +67,14 @@ func (*Anubis) WriteThroughHMAC(uint64) bool { return true }
 // bounded by the shadow table instead.
 func (*Anubis) WriteThroughTree(int, uint64) bool { return false }
 
-// shadowHeader encodes a slot's occupancy record.
-func shadowHeader(key MetaKey, valid bool) [scm.BlockSize]byte {
-	var blk [scm.BlockSize]byte
-	binary.LittleEndian.PutUint64(blk[:8], uint64(key))
+// shadowHeader encodes a slot's occupancy record into a.hdr.
+func (a *Anubis) shadowHeader(key MetaKey, valid bool) []byte {
+	binary.LittleEndian.PutUint64(a.hdr[:8], uint64(key))
+	a.hdr[8] = 0
 	if valid {
-		blk[8] = 1
+		a.hdr[8] = 1
 	}
-	return blk
+	return a.hdr[:]
 }
 
 // OnMetaFill implements Policy: log the incoming block's address in
@@ -86,8 +89,7 @@ func (a *Anubis) OnMetaFill(now uint64, key MetaKey) uint64 {
 	slot := a.free[len(a.free)-1]
 	a.free = a.free[:len(a.free)-1]
 	a.slots[key] = slot
-	hdr := shadowHeader(key, true)
-	cycles := a.ctrl.PostDeviceWrite(now, scm.Shadow, uint64(slot), hdr[:], true)
+	cycles := a.ctrl.PostDeviceWrite(now, scm.Shadow, uint64(slot), a.shadowHeader(key, true), true)
 	cycles += a.ctrl.Config().HashCycles // shadow Merkle tree update (on-chip)
 	return cycles
 }
@@ -101,8 +103,7 @@ func (a *Anubis) OnMetaEvict(now uint64, key MetaKey, dirty bool) uint64 {
 	}
 	delete(a.slots, key)
 	a.free = append(a.free, slot)
-	hdr := shadowHeader(key, false)
-	cycles := a.ctrl.PostDeviceWrite(now, scm.Shadow, uint64(slot), hdr[:], false)
+	cycles := a.ctrl.PostDeviceWrite(now, scm.Shadow, uint64(slot), a.shadowHeader(key, false), false)
 	cycles += a.ctrl.Config().HashCycles
 	return cycles
 }
@@ -136,8 +137,7 @@ func (a *Anubis) Recover(now uint64) (RecoveryReport, error) {
 		}
 		key := MetaKey(binary.LittleEndian.Uint64(blk[:8]))
 		// Consume the entry so a future crash does not replay it.
-		hdr := shadowHeader(key, false)
-		rep.Cycles += dev.Write(scm.Shadow, uint64(slot), hdr[:])
+		rep.Cycles += dev.Write(scm.Shadow, uint64(slot), a.shadowHeader(key, false))
 		if !key.IsTree() {
 			continue // counters and HMACs are write-through, never stale
 		}

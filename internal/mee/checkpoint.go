@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"amnt/internal/scm"
 	"amnt/internal/telemetry"
 )
 
@@ -127,7 +126,6 @@ func (c *Controller) LoadCheckpoint(r io.Reader) error {
 		c.session = nil
 	}
 	c.meta.InvalidateAll()
-	c.buf = make(map[MetaKey]*[scm.BlockSize]byte)
 	c.wq.reset()
 	c.policy.Crash()
 	if s, ok := c.policy.(NVSnapshotter); ok {

@@ -152,7 +152,7 @@ func (e *Epoch) Commit() (EpochResult, error) {
 // makes above all — does its bookkeeping without allocating.
 type epochPlan struct {
 	one   [1]epochOp          // WriteBlock's staged write
-	ct    [scm.BlockSize]byte // phase 2's ciphertext (a local would escape through dev.Write)
+	ct    [scm.BlockSize]byte // phase 2's ciphertext, or a read's (a local would escape to the heap)
 	keys  []uint64            // distinct counter-block indices, ascending
 	ops   []planOp            // parallel to the staged writes
 	pages []planPage          // parallel to keys

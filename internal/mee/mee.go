@@ -248,12 +248,18 @@ type Stats struct {
 // corrupting metadata. Concurrent serving is built by sharding, one
 // controller per worker goroutine (see internal/store).
 type Controller struct {
-	cfg      Config
-	dev      *scm.Device
-	eng      *cme.Engine
-	geo      bmt.Geometry
-	meta     *cache.Cache
-	buf      map[MetaKey]*[scm.BlockSize]byte
+	cfg  Config
+	dev  *scm.Device
+	eng  *cme.Engine
+	geo  bmt.Geometry
+	meta *cache.Cache
+	// buf holds the metadata cache's contents, one block per line,
+	// indexed by the line's slot (see cache.Line.Slot).
+	buf [][scm.BlockSize]byte
+	// miss is where a missing block is read and authenticated before it
+	// is installed, one buffer per tree level so FetchVerified can
+	// recurse into the parent (entry 0 serves HMAC and shadow blocks).
+	miss     [][scm.BlockSize]byte
 	rootNV   [bmt.NodeSize]byte // level-1 node content, on-chip NV register
 	wq       *writeQueue
 	policy   Policy
@@ -339,7 +345,6 @@ func New(dev *scm.Device, cfg Config, policy Policy) *Controller {
 		dev: dev,
 		eng: cme.NewEngine(cfg.Hasher, cfg.Key),
 		geo: bmt.GeometryForCapacity(dev.Config().CapacityBytes),
-		buf: make(map[MetaKey]*[scm.BlockSize]byte),
 		wq:  newWriteQueue(cfg.WriteQueueDepth, cfg.WriteDrainCycles),
 	}
 	c.wq.noCoalesce = cfg.NoCoalesce
@@ -351,6 +356,8 @@ func New(dev *scm.Device, cfg Config, policy Policy) *Controller {
 		HitCycles:   cfg.MetaHitCycles,
 		Replacement: cfg.MetaReplacement,
 	})
+	c.buf = make([][scm.BlockSize]byte, c.meta.Lines())
+	c.miss = make([][scm.BlockSize]byte, c.geo.Levels+1)
 	c.zero = bmt.ZeroDigests(c.eng, c.geo)
 	c.zeroNode = make([][scm.BlockSize]byte, c.geo.Levels)
 	for l := 1; l <= c.geo.Levels-1; l++ {
@@ -457,7 +464,7 @@ func (c *Controller) postCharge(now uint64, key uint64) uint64 {
 				Cycle:  now,
 				Kind:   telemetry.EvWQStall,
 				Cycles: stall,
-				Count:  uint64(len(c.wq.entries)),
+				Count:  uint64(c.wq.n),
 			})
 		}
 	}
@@ -487,24 +494,33 @@ func (c *Controller) metaKeyFor(level int, idx uint64) MetaKey {
 }
 
 // install inserts content for key into the metadata cache, writing
-// back any dirty victim. Returns cycles charged.
-func (c *Controller) install(now uint64, key MetaKey, content *[scm.BlockSize]byte, dirty bool) uint64 {
+// back any dirty victim (whose slot, and so whose place in buf, the new
+// line takes over). Returns the cached copy and the cycles charged.
+func (c *Controller) install(now uint64, key MetaKey, content *[scm.BlockSize]byte) ([]byte, uint64) {
 	var cycles uint64
-	_, victim := c.meta.Access(uint64(key), dirty)
-	if victim != nil {
+	_, slot, victim, evicted := c.meta.Access(uint64(key), false)
+	if evicted {
 		vk := MetaKey(victim.Key)
 		if victim.Dirty {
 			region, idx := vk.region()
-			c.dev.Write(region, idx, c.buf[vk][:])
+			c.dev.Write(region, idx, c.buf[slot][:])
 			cycles += c.postCharge(now+cycles, wqKey(region, idx))
 			c.st.PostedWrites.Inc()
 		}
-		delete(c.buf, vk)
 		cycles += c.policy.OnMetaEvict(now+cycles, vk, victim.Dirty)
 	}
-	c.buf[key] = content
+	c.buf[slot] = *content
 	cycles += c.policy.OnMetaFill(now+cycles, key)
-	return cycles
+	return c.buf[slot][:], cycles
+}
+
+// cached returns the content of key's line, nil when it is not
+// resident, without touching replacement state or statistics.
+func (c *Controller) cached(key MetaKey) []byte {
+	if l := c.meta.Lookup(uint64(key)); l != nil {
+		return c.buf[l.Slot()][:]
+	}
+	return nil
 }
 
 // FetchVerified returns trusted content for tree node (level, idx),
@@ -524,10 +540,9 @@ func (c *Controller) FetchVerified(now uint64, level int, idx uint64) ([]byte, u
 	}
 	key := c.metaKeyFor(level, idx)
 	cycles := c.cfg.MetaHitCycles
-	if c.meta.Probe(uint64(key)) {
-		c.meta.Access(uint64(key), false) // refresh LRU, count hit
+	if slot, hit := c.meta.Touch(uint64(key), false); hit {
 		c.levelHits[level].Observe(true)
-		return c.buf[key][:], cycles, nil
+		return c.buf[slot][:], cycles, nil
 	}
 	c.levelHits[level].Observe(false)
 	if c.session != nil {
@@ -548,7 +563,7 @@ func (c *Controller) FetchVerified(now uint64, level int, idx uint64) ([]byte, u
 	// — a real system would find the boot-time initialized content
 	// there; the sparse device synthesizes it instead.
 	region, devIdx := key.region()
-	content := new([scm.BlockSize]byte)
+	content := &c.miss[level]
 	if region != scm.Tree {
 		cycles += c.readCharge(c.dev.Read(region, devIdx, content[:]))
 	} else if rc, ok := c.dev.ReadIfPresent(region, devIdx, content[:]); ok {
@@ -572,8 +587,8 @@ func (c *Controller) FetchVerified(now uint64, level int, idx uint64) ([]byte, u
 	if got != want {
 		return nil, cycles, &IntegrityError{What: fmt.Sprintf("%s node level %d", region, level), Addr: idx}
 	}
-	cycles += c.install(now+cycles, key, content, false)
-	return c.buf[key][:], cycles, nil
+	cached, ic := c.install(now+cycles, key, content)
+	return cached, cycles + ic, nil
 }
 
 // fetchHMAC returns the (unverified — data MACs are self-checking)
@@ -581,15 +596,14 @@ func (c *Controller) FetchVerified(now uint64, level int, idx uint64) ([]byte, u
 func (c *Controller) fetchHMAC(now uint64, hmacIdx uint64) ([]byte, uint64) {
 	key := HMACKey(hmacIdx)
 	cycles := c.cfg.MetaHitCycles
-	if c.meta.Probe(uint64(key)) {
-		c.meta.Access(uint64(key), false)
-		return c.buf[key][:], cycles
+	if slot, hit := c.meta.Touch(uint64(key), false); hit {
+		return c.buf[slot][:], cycles
 	}
-	content := new([scm.BlockSize]byte)
+	content := &c.miss[0]
 	cycles += c.readCharge(c.dev.Read(scm.HMAC, hmacIdx, content[:]))
 	c.st.MetaFetches.Inc()
-	cycles += c.install(now+cycles, key, content, false)
-	return c.buf[key][:], cycles
+	cached, ic := c.install(now+cycles, key, content)
+	return cached, cycles + ic
 }
 
 // FetchShadow accesses a protocol-private Shadow-region block through
@@ -598,15 +612,14 @@ func (c *Controller) fetchHMAC(now uint64, hmacIdx uint64) ([]byte, uint64) {
 func (c *Controller) FetchShadow(now uint64, idx uint64) uint64 {
 	key := MetaKey(kindShadowAux<<keyKindShift | idx)
 	cycles := c.cfg.MetaHitCycles
-	if c.meta.Probe(uint64(key)) {
-		c.meta.Access(uint64(key), false)
+	if _, hit := c.meta.Touch(uint64(key), false); hit {
 		return cycles
 	}
-	content := new([scm.BlockSize]byte)
+	content := &c.miss[0]
 	cycles += c.readCharge(c.dev.Read(scm.Shadow, idx, content[:]))
 	c.st.MetaFetches.Inc()
-	cycles += c.install(now+cycles, key, content, false)
-	return cycles
+	_, ic := c.install(now+cycles, key, content)
+	return cycles + ic
 }
 
 // markDirty flags a resident metadata block dirty after an in-cache
@@ -621,13 +634,13 @@ func (c *Controller) markDirty(key MetaKey) {
 // and cleans its dirty bit. blocking selects strict (wait for
 // completion) versus posted (ADR-ordered) semantics. Returns cycles.
 func (c *Controller) PersistMeta(now uint64, key MetaKey, blocking bool) uint64 {
-	content, ok := c.buf[key]
-	if !ok {
+	l := c.meta.Lookup(uint64(key))
+	if l == nil {
 		return 0
 	}
 	region, idx := key.region()
-	c.dev.Write(region, idx, content[:])
-	c.meta.Clean(uint64(key))
+	c.dev.Write(region, idx, c.buf[l.Slot()][:])
+	l.Dirty = false
 	if blocking {
 		c.st.SyncPersists.Inc()
 		wait := c.wq.block(now)
@@ -722,7 +735,7 @@ func (c *Controller) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 		return float64(c.RecoveryWorkers())
 	})
 	reg.Gauge(prefix+".wq_depth", "write-queue entries in flight", func() float64 {
-		return float64(len(c.wq.entries))
+		return float64(c.wq.n)
 	})
 	reg.Histogram(prefix+".wq_occupancy", "write-queue occupancy at admit", c.WriteQueueOccupancy)
 	reg.Counter(prefix+".view_reads", "verified reads served off the concurrent read view", c.viewReads.Load)
@@ -770,8 +783,8 @@ func (c *Controller) readBlock(now uint64, b uint64, dst []byte) (uint64, error)
 	// One lookup both detects first touch and fetches the ciphertext;
 	// its cost is charged where the access sits in the modelled
 	// sequence, after the counter fetch.
-	var ct [scm.BlockSize]byte
-	dataCycles, ok := c.dev.ReadIfPresent(scm.Data, b, ct[:])
+	ct := c.plan.ct[:] // no commit is in flight during a read
+	dataCycles, ok := c.dev.ReadIfPresent(scm.Data, b, ct)
 	if !ok {
 		clear(dst)
 		return cycles + c.readCharge(c.dev.Config().ReadCycles), nil
@@ -788,13 +801,13 @@ func (c *Controller) readBlock(now uint64, b uint64, dst []byte) (uint64, error)
 	hmacBlk, hc := c.fetchHMAC(now+cycles, b/hmacSlotsPerBlock)
 	cycles += hc
 	stored := bmt.ChildDigest(hmacBlk, int(b%hmacSlotsPerBlock))
-	computed := c.eng.MAC(dataAddr(b), major, minor, ct[:])
+	computed := c.eng.MAC(dataAddr(b), major, minor, ct)
 	cycles += c.cfg.HashCycles
 	c.st.VerifyHashes.Inc()
 	if stored != computed {
 		return cycles, &IntegrityError{What: "data HMAC mismatch", Addr: dataAddr(b)}
 	}
-	c.eng.Decrypt(dataAddr(b), major, minor, dst, ct[:])
+	c.eng.Decrypt(dataAddr(b), major, minor, dst, ct)
 	return cycles, nil
 }
 
@@ -883,7 +896,7 @@ func (c *Controller) flush(now uint64) uint64 {
 	for _, k := range c.meta.FlushDirty(nil) {
 		key := MetaKey(k)
 		region, idx := key.region()
-		c.dev.Write(region, idx, c.buf[key][:])
+		c.dev.Write(region, idx, c.cached(key))
 		cycles += c.postCharge(now+cycles, wqKey(region, idx))
 		c.st.PostedWrites.Inc()
 	}
@@ -921,7 +934,6 @@ func (c *Controller) Crash() {
 		p.PreCrash(0)
 	}
 	c.meta.InvalidateAll()
-	c.buf = make(map[MetaKey]*[scm.BlockSize]byte)
 	c.wq.reset()
 	c.policy.Crash()
 }
@@ -1010,15 +1022,11 @@ func (c *Controller) DirtyTreeKeys(filter func(level int, idx uint64) bool) []Me
 // register, which becomes its single source of truth.
 func (c *Controller) DropCached(key MetaKey) {
 	c.meta.Invalidate(uint64(key))
-	delete(c.buf, key)
 }
 
 // CachedContent returns the cached bytes of a metadata block, if
 // resident. The slice aliases controller state.
 func (c *Controller) CachedContent(key MetaKey) ([]byte, bool) {
-	b, ok := c.buf[key]
-	if !ok {
-		return nil, false
-	}
-	return b[:], true
+	b := c.cached(key)
+	return b, b != nil
 }

@@ -219,8 +219,8 @@ func (c *Controller) tryViewRead(b uint64, dst []byte, attempt int) (done bool, 
 	ct, hmacBlk := &sc.ct, &sc.hmacBlk
 	c.dev.PeekInto(scm.Data, b, ct[:])
 	hmacKey := HMACKey(b / hmacSlotsPerBlock)
-	if c.meta.Probe(uint64(hmacKey)) {
-		*hmacBlk = *c.buf[hmacKey]
+	if content := c.cached(hmacKey); content != nil {
+		copy(hmacBlk[:], content)
 	} else {
 		c.dev.PeekInto(scm.HMAC, b/hmacSlotsPerBlock, hmacBlk[:])
 		c.viewFetches.Add(1)
@@ -277,8 +277,8 @@ func (c *Controller) captureNode(node *viewNode) (trusted bool) {
 		return true
 	}
 	key := c.metaKeyFor(node.level, node.idx)
-	if c.meta.Probe(uint64(key)) {
-		node.content = *c.buf[key]
+	if content := c.cached(key); content != nil {
+		copy(node.content[:], content)
 		return true
 	}
 	region, devIdx := key.region()

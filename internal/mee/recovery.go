@@ -224,12 +224,12 @@ func (s *RecoverySession) noteWrite(ctrIdx uint64) {
 // counter values; the deferred rebuild audit covers the rest.
 func (c *Controller) fetchProvisional(now uint64, key MetaKey, cycles uint64) ([]byte, uint64, error) {
 	region, devIdx := key.region()
-	content := new([scm.BlockSize]byte)
+	content := &c.miss[0]
 	cycles += c.readCharge(c.dev.Read(region, devIdx, content[:]))
 	c.st.MetaFetches.Inc()
 	c.session.provisional++
-	cycles += c.install(now+cycles, key, content, false)
-	return c.buf[key][:], cycles, nil
+	cached, ic := c.install(now+cycles, key, content)
+	return cached, cycles + ic, nil
 }
 
 // patchDirty re-climbs the ancestral path of every counter leaf

@@ -13,13 +13,12 @@ import "amnt/internal/stats"
 // persistence expensive on write-intensive workloads while leaf-style
 // counter/HMAC persists stay nearly free.
 type writeQueue struct {
-	depth       int
 	drainCycles uint64
 	noCoalesce  bool
-	// entries holds in-flight writes in FIFO completion order.
-	entries []wqEntry
-	// pending counts in-flight writes per address key.
-	pending  map[uint64]int
+	// ring holds the n in-flight writes in FIFO completion order,
+	// oldest at head; its length is the queue depth.
+	ring     []wqEntry
+	head, n  int
 	lastDone uint64
 	merged   uint64
 	// occ samples the queue occupancy seen by each admitted write
@@ -40,34 +39,38 @@ func newWriteQueue(depth int, drainCycles uint64) *writeQueue {
 		depth = 1
 	}
 	return &writeQueue{
-		depth:       depth,
 		drainCycles: drainCycles,
-		pending:     make(map[uint64]int),
+		ring:        make([]wqEntry, depth),
 		occ:         stats.NewHistogram(),
 	}
 }
 
+// at returns the i-th oldest in-flight entry.
+func (q *writeQueue) at(i int) *wqEntry {
+	return &q.ring[(q.head+i)%len(q.ring)]
+}
+
+// pop drops the oldest entry.
+func (q *writeQueue) pop() {
+	q.head = (q.head + 1) % len(q.ring)
+	q.n--
+}
+
 // retire drops entries completed by now.
 func (q *writeQueue) retire(now uint64) {
-	i := 0
-	for i < len(q.entries) && q.entries[i].done <= now {
-		q.dropPending(q.entries[i])
-		i++
-	}
-	if i > 0 {
-		q.entries = append(q.entries[:0], q.entries[i:]...)
+	for q.n > 0 && q.ring[q.head].done <= now {
+		q.pop()
 	}
 }
 
-func (q *writeQueue) dropPending(e wqEntry) {
-	if !e.tracked {
-		return
+// pending reports whether a tracked write to key is in flight.
+func (q *writeQueue) pending(key uint64) bool {
+	for i := 0; i < q.n; i++ {
+		if e := q.at(i); e.tracked && e.key == key {
+			return true
+		}
 	}
-	if n := q.pending[e.key]; n <= 1 {
-		delete(q.pending, e.key)
-	} else {
-		q.pending[e.key] = n - 1
-	}
+	return false
 }
 
 // post enqueues a write to key at absolute time now, returning stall
@@ -75,7 +78,7 @@ func (q *writeQueue) dropPending(e wqEntry) {
 // coalesced into an already-pending entry for the same address.
 func (q *writeQueue) post(now uint64, key uint64) (stall uint64, merged bool) {
 	q.retire(now)
-	if !q.noCoalesce && q.pending[key] > 0 {
+	if !q.noCoalesce && q.pending(key) {
 		q.merged++
 		return 0, true
 	}
@@ -97,13 +100,12 @@ func (q *writeQueue) block(now uint64) (wait uint64) {
 
 // admit performs the shared enqueue logic.
 func (q *writeQueue) admit(now uint64, key uint64, tracked bool) (stall, done uint64) {
-	q.occ.Observe(uint64(len(q.entries)))
-	if len(q.entries) >= q.depth {
-		head := q.entries[0]
+	q.occ.Observe(uint64(q.n))
+	if q.n == len(q.ring) {
+		head := q.ring[q.head]
 		stall = head.done - now
 		now = head.done
-		q.dropPending(head)
-		q.entries = q.entries[1:]
+		q.pop()
 	}
 	start := now
 	if q.lastDone > start {
@@ -111,10 +113,8 @@ func (q *writeQueue) admit(now uint64, key uint64, tracked bool) (stall, done ui
 	}
 	done = start + q.drainCycles
 	q.lastDone = done
-	q.entries = append(q.entries, wqEntry{done: done, key: key, tracked: tracked})
-	if tracked {
-		q.pending[key]++
-	}
+	q.n++
+	*q.at(q.n - 1) = wqEntry{done: done, key: key, tracked: tracked}
 	return stall, done
 }
 
@@ -122,8 +122,8 @@ func (q *writeQueue) admit(now uint64, key uint64, tracked bool) (stall, done ui
 // at time now, oldest first. Barrier entries (no address) are skipped.
 func (q *writeQueue) inFlight(now uint64) []uint64 {
 	var keys []uint64
-	for _, e := range q.entries {
-		if e.tracked && e.done > now {
+	for i := 0; i < q.n; i++ {
+		if e := q.at(i); e.tracked && e.done > now {
 			keys = append(keys, e.key)
 		}
 	}
@@ -133,8 +133,8 @@ func (q *writeQueue) inFlight(now uint64) []uint64 {
 // pendingCount returns the number of in-flight writes at time now.
 func (q *writeQueue) pendingCount(now uint64) int {
 	n := 0
-	for _, e := range q.entries {
-		if e.done > now {
+	for i := 0; i < q.n; i++ {
+		if q.at(i).done > now {
 			n++
 		}
 	}
@@ -153,7 +153,5 @@ func (q *writeQueue) occupancy() *stats.Histogram { return q.occ }
 // functional model were already applied to the device at issue time,
 // so reset only affects timing).
 func (q *writeQueue) reset() {
-	q.entries = q.entries[:0]
-	q.pending = make(map[uint64]int)
-	q.lastDone = 0
+	q.head, q.n, q.lastDone = 0, 0, 0
 }

@@ -94,7 +94,46 @@ func TestWriteQueueReset(t *testing.T) {
 
 func TestWriteQueueZeroDepthClamped(t *testing.T) {
 	q := newWriteQueue(0, 10)
-	if q.depth != 1 {
-		t.Fatalf("depth = %d, want clamp to 1", q.depth)
+	if len(q.ring) != 1 {
+		t.Fatalf("depth = %d, want clamp to 1", len(q.ring))
+	}
+}
+
+// TestWriteQueueNoAllocs pins the queue off the heap: a warm queue
+// admits, coalesces, stalls, blocks and retires — wrapping its ring
+// many times over — without allocating.
+func TestWriteQueueNoAllocs(t *testing.T) {
+	q := newWriteQueue(4, 100)
+	now, key := uint64(0), uint64(0)
+	var stalls uint64
+	step := func() {
+		key++
+		s, _ := q.post(now, key)
+		stalls += s
+		switch key % 5 {
+		case 0:
+			q.block(now)
+		case 1:
+			q.post(now, key) // still pending: merges
+		}
+		now += 60 // slower than the drain rate: the queue fills and stalls
+	}
+	for i := 0; i < 100; i++ {
+		step() // warm-up: the occupancy histogram has seen every depth
+	}
+	if allocs := testing.AllocsPerRun(10_000, step); allocs != 0 {
+		t.Fatalf("%v allocations per write-queue operation, want 0", allocs)
+	}
+	if stalls == 0 || q.mergedWrites() == 0 || q.occupancy().Count(4) == 0 {
+		t.Fatalf("stalls=%d merged=%d full-admits=%d: a path did not run", stalls, q.mergedWrites(), q.occupancy().Count(4))
+	}
+	// The survivors come out oldest first across the ring's seam.
+	q.reset()
+	q.head = 3
+	for k := uint64(10); k < 14; k++ {
+		q.post(0, k)
+	}
+	if got := q.inFlight(0); len(got) != 4 || got[0] != 10 || got[3] != 13 {
+		t.Fatalf("inFlight across the seam = %v, want [10 11 12 13]", got)
 	}
 }

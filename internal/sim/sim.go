@@ -18,6 +18,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -28,6 +29,7 @@ import (
 	"amnt/internal/cpu"
 	"amnt/internal/kernel"
 	"amnt/internal/mee"
+	"amnt/internal/radix"
 	"amnt/internal/scm"
 	"amnt/internal/stats"
 	"amnt/internal/telemetry"
@@ -140,15 +142,22 @@ func (r Result) CyclesPerInstruction() float64 {
 
 // Machine is an assembled system ready to run traces.
 type Machine struct {
-	cfg      Config
-	dev      *scm.Device
-	ctrl     *mee.Controller
-	kern     *kernel.Kernel
-	l3       *cache.Cache
-	cores    []*cpu.Hierarchy
-	procs    []*kernel.Process
-	traces   []workload.Source
-	versions map[uint64]uint32
+	cfg    Config
+	dev    *scm.Device
+	ctrl   *mee.Controller
+	kern   *kernel.Kernel
+	l3     *cache.Cache
+	cores  []*cpu.Hierarchy
+	procs  []*kernel.Process
+	traces []workload.Source
+	// versions counts the stores to each data block. Leaves appear on
+	// first store, so the table follows the touched footprint, never
+	// MemoryBytes.
+	versions radix.Table[uint32]
+	// scratch is the one buffer block contents are derived into, for a
+	// write-back and for the verify oracle alike; each use ends before
+	// the next begins.
+	scratch  [scm.BlockSize]byte
 	now      uint64
 	pageHist *stats.Histogram
 	policy   mee.Policy
@@ -195,12 +204,11 @@ func NewMachineWithSources(cfg Config, policy mee.Policy, sources []workload.Sou
 	})
 
 	m := &Machine{
-		cfg:      cfg,
-		dev:      dev,
-		ctrl:     ctrl,
-		kern:     kern,
-		versions: make(map[uint64]uint32),
-		policy:   policy,
+		cfg:    cfg,
+		dev:    dev,
+		ctrl:   ctrl,
+		kern:   kern,
+		policy: policy,
 	}
 	if cfg.CollectPageHist {
 		m.pageHist = stats.NewHistogram()
@@ -221,11 +229,12 @@ func NewMachineWithSources(cfg Config, policy mee.Policy, sources []workload.Sou
 		// End-to-end oracle: everything the MEE decrypts must match
 		// the version-derived bytes the machine last evicted.
 		h.SetVerify(func(block uint64, data []byte) error {
-			want := blockContent(block, m.versions[block])
-			for j := range want {
-				if data[j] != want[j] {
-					return fmt.Errorf("sim: block %d plaintext diverged at byte %d", block, j)
+			if want := m.content(block); !bytes.Equal(data, want) {
+				j := 0
+				for data[j] == want[j] {
+					j++
 				}
+				return fmt.Errorf("sim: block %d plaintext diverged at byte %d", block, j)
 			}
 			return nil
 		})
@@ -258,23 +267,25 @@ func NewMachineWithSources(cfg Config, policy mee.Policy, sources []workload.Sou
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// content derives a block's current plaintext from its version; see
-// the package comment.
+// content derives a block's current plaintext from its version into
+// the machine's scratch; see the package comment.
 func (m *Machine) content(block uint64) []byte {
-	return blockContent(block, m.versions[block])
+	blockContent(m.scratch[:], block, m.versions.Get(block))
+	return m.scratch[:]
 }
 
-func blockContent(block uint64, version uint32) []byte {
-	out := make([]byte, scm.BlockSize)
+// blockContent fills out (BlockSize bytes) with the plaintext of block
+// at version.
+func blockContent(out []byte, block uint64, version uint32) {
 	if version == 0 {
-		return out // never written: zeros
+		clear(out) // never written: zeros
+		return
 	}
 	binary.LittleEndian.PutUint64(out[0:], block)
 	binary.LittleEndian.PutUint32(out[8:], version)
 	for i := 12; i < scm.BlockSize; i++ {
 		out[i] = byte(block) ^ byte(version) ^ byte(i)
 	}
-	return out
 }
 
 // Controller exposes the MEE (for recovery experiments and stats).
@@ -359,7 +370,7 @@ func (m *Machine) Step(i int) (done bool, err error) {
 		// Bump after the (write-allocate) access: any MEE fetch during
 		// the access sees the pre-store contents; the eviction that
 		// eventually writes this line back will see the new version.
-		m.versions[block]++
+		*m.versions.At(block)++
 	}
 	m.now += cycles
 	if m.tel != nil {

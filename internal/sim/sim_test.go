@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -215,16 +216,19 @@ func TestAMNTPlusPlusRunsRestructure(t *testing.T) {
 }
 
 func TestBlockContent(t *testing.T) {
-	if got := blockContent(5, 0); got[0] != 0 {
+	content := func(block uint64, version uint32) string {
+		out := bytes.Repeat([]byte{0xAA}, scm.BlockSize)
+		blockContent(out, block, version)
+		return string(out)
+	}
+	if content(5, 0) != string(make([]byte, scm.BlockSize)) {
 		t.Fatal("version 0 must be zeros")
 	}
-	a := blockContent(5, 1)
-	b := blockContent(5, 2)
-	c := blockContent(6, 1)
-	if string(a) == string(b) || string(a) == string(c) {
+	a := content(5, 1)
+	if a == content(5, 2) || a == content(6, 1) {
 		t.Fatal("contents must differ by version and block")
 	}
-	if string(a) != string(blockContent(5, 1)) {
+	if a != content(5, 1) {
 		t.Fatal("content not deterministic")
 	}
 }
@@ -335,5 +339,72 @@ func TestBMFCellIsBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("run %d of the same bmf cell differs:\n%+v\n%+v", i+2, first, again)
 		}
+	}
+}
+
+// steadyMachine returns a one-core machine running protocol over a
+// footprint small enough that warm-up touches all of it: every page is
+// mapped, every block has been stored to and written back, so from
+// here on an access creates nothing — it only moves state around.
+func steadyMachine(tb testing.TB, protocol string) *Machine {
+	tb.Helper()
+	policy, err := PolicyByName(protocol, 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec := workload.Spec{
+		Name: "steady", Suite: "test", FootprintBytes: 1 << 20,
+		WriteRatio: 0.5, GapMean: 10, Model: workload.Chase, Accesses: 1 << 40,
+	}
+	m := NewMachine(smallConfig(), policy, []workload.Spec{spec})
+	stepN(tb, m, 400_000)
+	return m
+}
+
+func stepN(tb testing.TB, m *Machine, n int) {
+	for i := 0; i < n; i++ {
+		if _, err := m.Step(0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestMachineStepNoAllocs pins the per-access path off the heap: in
+// steady state a Step allocates nothing, whatever the protocol's
+// metadata traffic (leaf: posted persists; amnt: subtree register;
+// anubis: a blocking shadow-table write per metadata fill).
+func TestMachineStepNoAllocs(t *testing.T) {
+	for _, protocol := range []string{"leaf", "amnt", "anubis"} {
+		t.Run(protocol, func(t *testing.T) {
+			m := steadyMachine(t, protocol)
+			before := m.Controller().Stats().MetaFetches.Value()
+			// AllocsPerRun counts the whole process: take the quietest of
+			// three windows, so a goroutine an earlier test left behind
+			// cannot fail the guard, while an allocation on the access
+			// path — deterministic, so present in every window — still does.
+			allocs := math.Inf(1)
+			for window := 0; window < 3 && allocs != 0; window++ {
+				allocs = min(allocs, testing.AllocsPerRun(1, func() { stepN(t, m, 10_000) }))
+			}
+			if allocs != 0 {
+				t.Fatalf("%v allocations in 10000 steady-state steps, want 0", allocs)
+			}
+			if m.Controller().Stats().MetaFetches.Value() == before {
+				t.Fatal("no metadata misses while measuring: the guard saw only the hit path")
+			}
+		})
+	}
+}
+
+// BenchmarkMachineStep reports host time and heap allocations per
+// simulated access, per protocol.
+func BenchmarkMachineStep(b *testing.B) {
+	for _, protocol := range []string{"volatile", "leaf", "strict", "anubis", "bmf", "amnt"} {
+		b.Run(protocol, func(b *testing.B) {
+			m := steadyMachine(b, protocol)
+			b.ReportAllocs()
+			b.ResetTimer()
+			stepN(b, m, b.N)
+		})
 	}
 }

@@ -2,7 +2,9 @@ package stats
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -11,9 +13,15 @@ import (
 // for access-per-address distributions (Figure 3) where the key is a
 // region or page index.
 type Histogram struct {
+	// dense counts the keys below histDense without hashing: the write
+	// queue observes its occupancy (at most its depth) once per admitted
+	// write, on the simulator's per-access path. counts holds the rest.
+	dense  [histDense]uint64
 	counts map[uint64]uint64
 	total  uint64
 }
+
+const histDense = 64
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
@@ -25,30 +33,48 @@ func (h *Histogram) Observe(key uint64) { h.Add(key, 1) }
 
 // Add adds n events at key.
 func (h *Histogram) Add(key uint64, n uint64) {
-	h.counts[key] += n
+	if key < histDense {
+		h.dense[key] += n
+	} else {
+		h.counts[key] += n
+	}
 	h.total += n
 }
 
 // Count returns the number of events observed at key.
-func (h *Histogram) Count(key uint64) uint64 { return h.counts[key] }
+func (h *Histogram) Count(key uint64) uint64 {
+	if key < histDense {
+		return h.dense[key]
+	}
+	return h.counts[key]
+}
+
+// each calls f for every key with at least one event: the dense keys
+// ascending, then the rest in no particular order.
+func (h *Histogram) each(f func(key, count uint64)) {
+	for k, c := range h.dense {
+		if c != 0 {
+			f(uint64(k), c)
+		}
+	}
+	for k, c := range h.counts {
+		f(k, c)
+	}
+}
 
 // Clone returns an independent copy. Histograms are unsynchronized, so
 // concurrent readers (telemetry handlers, the store's stats endpoint)
 // take a clone under the owner's lock and compute quantiles outside it.
 func (h *Histogram) Clone() *Histogram {
-	out := &Histogram{counts: make(map[uint64]uint64, len(h.counts)), total: h.total}
-	for k, c := range h.counts {
-		out.counts[k] = c
-	}
-	return out
+	out := *h
+	out.counts = maps.Clone(h.counts)
+	return &out
 }
 
 // Merge folds other's events into h. The load generator merges
 // per-client latency histograms into one report with this.
 func (h *Histogram) Merge(other *Histogram) {
-	for k, c := range other.counts {
-		h.Add(k, c)
-	}
+	other.each(h.Add)
 }
 
 // Total returns the number of events observed across all keys.
@@ -62,23 +88,29 @@ func (h *Histogram) Empty() bool { return h.total == 0 }
 
 // Keys returns all keys with at least one event, ascending.
 func (h *Histogram) Keys() []uint64 {
-	keys := make([]uint64, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys := make([]uint64, 0, h.Distinct())
+	h.each(func(k, _ uint64) { keys = append(keys, k) })
+	slices.Sort(keys)
 	return keys
 }
 
 // Distinct returns the number of distinct keys observed.
-func (h *Histogram) Distinct() int { return len(h.counts) }
+func (h *Histogram) Distinct() int {
+	n := len(h.counts)
+	for _, c := range h.dense {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // TopK returns the k keys with the highest counts, descending by
 // count (ties broken by ascending key).
 func (h *Histogram) TopK(k int) []uint64 {
 	keys := h.Keys()
 	sort.SliceStable(keys, func(i, j int) bool {
-		ci, cj := h.counts[keys[i]], h.counts[keys[j]]
+		ci, cj := h.Count(keys[i]), h.Count(keys[j])
 		if ci != cj {
 			return ci > cj
 		}
@@ -99,7 +131,7 @@ func (h *Histogram) HotShare(k int) float64 {
 	}
 	var hot uint64
 	for _, key := range h.TopK(k) {
-		hot += h.counts[key]
+		hot += h.Count(key)
 	}
 	return float64(hot) / float64(h.total)
 }
@@ -113,22 +145,20 @@ func (h *Histogram) Buckets(max uint64, n int) []uint64 {
 	}
 	out := make([]uint64, n)
 	if max == 0 {
-		for _, c := range h.counts {
-			out[0] += c
-		}
+		out[0] = h.total
 		return out
 	}
 	width := max / uint64(n)
 	if width == 0 {
 		width = 1
 	}
-	for k, c := range h.counts {
+	h.each(func(k, c uint64) {
 		idx := int(k / width)
 		if idx >= n {
 			idx = n - 1
 		}
 		out[idx] += c
-	}
+	})
 	return out
 }
 
@@ -156,7 +186,7 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	}
 	var cum uint64
 	for _, k := range h.Keys() {
-		cum += h.counts[k]
+		cum += h.Count(k)
 		if cum >= target {
 			return k
 		}
@@ -184,7 +214,7 @@ func (h *Histogram) CDF() []CDFPoint {
 	out := make([]CDFPoint, len(keys))
 	var cum uint64
 	for i, k := range keys {
-		cum += h.counts[k]
+		cum += h.Count(k)
 		out[i] = CDFPoint{Key: k, Fraction: float64(cum) / float64(h.total)}
 	}
 	return out
