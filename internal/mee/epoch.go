@@ -245,10 +245,10 @@ func (p *epochPlan) build(g bmt.Geometry, ops []epochOp, climb bool) {
 // guard. timed asks for the host wall-clock split Epoch.Commit reports.
 //
 // Phase 1 replays the policy/counter sequence: per staged write, the
-// policy's OnDataWrite fires (AMNT movement decisions happen here,
-// against a still-consistent pre-epoch tree), the write's counter bump
-// accumulates in the plan — never encoded into the cache, so no
-// half-climbed counter can be evicted to the device — and the
+// policy's OnDataWrite fires (AMNT movement and BMF maintenance are
+// decided here, carried out by the completion hooks), the write's
+// counter bump accumulates in the plan — never encoded into the cache,
+// so no half-climbed counter can be evicted to the device — and the
 // write-through consults for its counter block and every node on its
 // ancestral path are OR-ed into the plan. Minor-counter overflows
 // re-encrypt their page immediately; the data there is still pre-epoch
@@ -264,10 +264,10 @@ func (p *epochPlan) build(g bmt.Geometry, ops []epochOp, climb bool) {
 // so PLP's posted persists and BMF/AMNT's register copies capture
 // what will actually be durable), and finally folds the level-2
 // digests into the root register. A node is persisted if any staged
-// write would have persisted it, and the policy is re-consulted at
-// climb time so positional policies (AMNT after a mid-epoch movement)
-// keep their strict-outside guarantee. Completion hooks then fire once
-// per staged write.
+// write would have persisted it: a policy's WriteThroughTree answer is
+// constant for the whole epoch (anything that changes it runs from
+// OnWriteComplete), so phase 1's consults are exact. Completion hooks
+// then fire once per staged write.
 //
 // An open recovery session is a set of conditions on those phases,
 // not another route: the tree above the leaves is mid-rebuild, so
@@ -436,7 +436,7 @@ func (c *Controller) commitEpoch(now uint64, ops []epochOp, timed bool) (EpochRe
 				pc := c.policy.OnTreeUpdate(now+res.Cycles, level, n.idx, content)
 				c.st.PolicyCycles.Add(pc)
 				res.Cycles += pc
-				if n.wt || c.policy.WriteThroughTree(level, n.idx) {
+				if n.wt {
 					res.Cycles += c.PersistMeta(now+res.Cycles, key, true)
 				}
 				n.digest = bmt.Hash(c.eng, level, content)
@@ -449,7 +449,7 @@ func (c *Controller) commitEpoch(now uint64, ops []epochOp, timed bool) (EpochRe
 		}
 
 		// Completion hooks, once per logical write (PLP's persist
-		// barrier, movement bookkeeping).
+		// barrier, AMNT's subtree movement, BMF's prune/merge).
 		for i := range ops {
 			pc := c.policy.OnWriteComplete(now+res.Cycles, ops[i].block)
 			c.st.PolicyCycles.Add(pc)

@@ -23,7 +23,11 @@ type Policy interface {
 	// WriteThroughHMAC likewise for the data-HMAC block.
 	WriteThroughHMAC(hmacIdx uint64) bool
 	// WriteThroughTree reports whether an updated inner tree node must
-	// be written through synchronously (blocking) on this write.
+	// be written through synchronously (blocking) on this write. The
+	// answer for a node may depend on the write being consulted for,
+	// but not on where in its epoch that write sits: whatever moves the
+	// policy's persistence frontier (AMNT's subtree, BMF's root set)
+	// runs from OnWriteComplete, never from OnDataWrite.
 	WriteThroughTree(level int, idx uint64) bool
 	// OnDataWrite runs once per data-block write before metadata
 	// updates; returns extra cycles (AMNT hot-region tracking).
@@ -39,8 +43,11 @@ type Policy interface {
 	// OnMetaEvict runs when a metadata block leaves the cache.
 	OnMetaEvict(now uint64, key MetaKey, dirty bool) uint64
 	// OnWriteComplete runs at the end of every data-block write, after
-	// all metadata updates (PLP places its single persist barrier
-	// here).
+	// the climb of the epoch carrying it (PLP places its single persist
+	// barrier here). It is where a policy changes its WriteThroughTree
+	// answers: a frontier move decided by OnDataWrite runs from the
+	// first completion hook after it, so nothing is pending between
+	// epochs. A recovery session calls neither hook.
 	OnWriteComplete(now uint64, dataBlock uint64) uint64
 	// AnchorContent returns trusted content for (level, idx) if the
 	// policy holds it in on-chip NV state (BMF roots, AMNT subtree).
