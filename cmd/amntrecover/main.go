@@ -145,7 +145,7 @@ func measureRecovery(model recovery.Model, memBytes uint64, seed int64, crashCyc
 		Accesses: 60_000,
 	}
 	violations := 0
-	for _, proto := range []string{"strict", "leaf", "osiris", "anubis", "bmf", "amnt"} {
+	for _, proto := range []string{"strict", "leaf", "osiris", "anubis", "bmf", "amnt", "amnt-multi"} {
 		res := faults.RunCell(context.Background(), faults.CellSpec{
 			Protocol:    proto,
 			Kind:        kind,

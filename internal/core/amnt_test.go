@@ -429,7 +429,7 @@ func TestCheckpointCarriesSubtreeRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wreck the live register, then restore.
-	a.subIdx = 0
+	a.regs[0].idx = 0
 	if err := c.LoadCheckpoint(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}

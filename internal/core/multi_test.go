@@ -9,24 +9,25 @@ import (
 	"amnt/internal/scm"
 )
 
-func newMulti(k, level int) (*Multi, *mee.Controller) {
-	m := NewMulti(k, level)
+func newMulti(k, level int) (*AMNT, *mee.Controller) {
+	m := New(WithLevel(level), WithRegisters(k))
 	c := mee.New(testDevice(), mee.DefaultConfig(), m)
 	return m, c
 }
 
 func TestMultiDefaultsAndClamps(t *testing.T) {
-	m, _ := newMulti(0, 1)
-	if m.K() != 1 {
-		t.Fatalf("k = %d, want clamp to 1", m.K())
-	}
-	if m.level < 2 {
-		t.Fatalf("level = %d, want >= 2", m.level)
+	m, _ := newMulti(0, 3)
+	if len(m.regs) != 1 {
+		t.Fatalf("k = %d, want clamp to 1", len(m.regs))
 	}
 	// More registers than regions clamps to the region count.
 	m2, _ := newMulti(100, 2) // level 2 => 8 regions
-	if m2.K() != 8 {
-		t.Fatalf("k = %d, want clamp to 8", m2.K())
+	if len(m2.regs) != 8 {
+		t.Fatalf("k = %d, want clamp to 8", len(m2.regs))
+	}
+	m3, _ := newMulti(4, 1) // level 1 => the root is the only region
+	if len(m3.regs) != 1 {
+		t.Fatalf("k = %d at level 1, want 1", len(m3.regs))
 	}
 }
 

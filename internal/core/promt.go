@@ -29,11 +29,10 @@ type Indirect struct {
 
 // NewIndirect returns an indirection-table policy wrapping AMNT.
 func NewIndirect(opts ...Option) *Indirect {
-	return &Indirect{AMNT: New(opts...), PagesPerEntry: 64}
+	a := New(opts...)
+	a.name = "indirect"
+	return &Indirect{AMNT: a, PagesPerEntry: 64}
 }
-
-// Name implements mee.Policy.
-func (*Indirect) Name() string { return "indirect" }
 
 // tableBlock maps a data block to its membership-table block.
 func (p *Indirect) tableBlock(dataBlock uint64) uint64 {
@@ -64,14 +63,6 @@ func (*Indirect) ConcurrentReadSafe() bool { return false }
 func (p *Indirect) OnDataWrite(now uint64, dataBlock uint64) uint64 {
 	cycles := p.lookup(now, dataBlock)
 	return cycles + p.AMNT.OnDataWrite(now+cycles, dataBlock)
-}
-
-// Recover implements mee.Policy, delegating to AMNT (the fast-subtree
-// state is identical) and relabeling the report.
-func (p *Indirect) Recover(now uint64) (mee.RecoveryReport, error) {
-	rep, err := p.AMNT.Recover(now)
-	rep.Protocol = p.Name()
-	return rep, err
 }
 
 // Overhead implements mee.Policy: AMNT's registers plus the in-memory

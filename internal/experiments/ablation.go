@@ -344,7 +344,7 @@ func AblationMultiSubtree(o Options) (*stats.Table, error) {
 			Label: fmt.Sprintf("ablation-multisubtree/K=%d", k),
 			Fn: func(ctx context.Context) error {
 				cfg := o.machineFor("multi")
-				policy := core.NewMulti(k, o.SubtreeLevel)
+				policy := core.New(core.WithLevel(o.SubtreeLevel), core.WithRegisters(k))
 				m := sim.NewMachine(cfg, policy, specs)
 				res, err := m.RunContext(ctx)
 				if err != nil {

@@ -25,7 +25,7 @@ import (
 	"math/rand"
 
 	"amnt/internal/cache"
-	"amnt/internal/core"
+	_ "amnt/internal/core" // registers the AMNT family with mee's registry
 	"amnt/internal/cpu"
 	"amnt/internal/kernel"
 	"amnt/internal/mee"
@@ -522,7 +522,10 @@ func (m *Machine) result() Result {
 		gapTotal += done * uint64(tr.Spec().GapMean)
 	}
 	r.Instructions = gapTotal + r.Accesses + r.OSInstructions
-	if a, ok := m.policy.(*core.AMNT); ok {
+	if a, ok := m.policy.(interface {
+		SubtreeHitRate() float64
+		Movements() uint64
+	}); ok {
 		r.SubtreeHitRate = a.SubtreeHitRate()
 		r.Movements = a.Movements()
 	}

@@ -108,6 +108,25 @@ func TestAMNTStatsSurface(t *testing.T) {
 	}
 }
 
+// TestSubtreeStatsForEveryMovablePolicy: the result's subtree stats
+// come from any policy that reports them, not only a bare *core.AMNT
+// (indirect embeds it; amnt-multi is it with K registers).
+func TestSubtreeStatsForEveryMovablePolicy(t *testing.T) {
+	for _, name := range []string{"indirect", "amnt-multi"} {
+		policy, err := PolicyByName(name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(smallConfig(), policy, tinySpec("t", 0.4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SubtreeHitRate <= 0 {
+			t.Fatalf("%s: subtree hit rate = %v", name, res.SubtreeHitRate)
+		}
+	}
+}
+
 func TestMultiProgramRun(t *testing.T) {
 	cfg := smallConfig()
 	cfg.L3Bytes = 256 << 10
@@ -372,9 +391,10 @@ func stepN(tb testing.TB, m *Machine, n int) {
 // TestMachineStepNoAllocs pins the per-access path off the heap: in
 // steady state a Step allocates nothing, whatever the protocol's
 // metadata traffic (leaf: posted persists; amnt: subtree register;
-// anubis: a blocking shadow-table write per metadata fill).
+// amnt-multi: K registers and their movements; anubis: a blocking
+// shadow-table write per metadata fill).
 func TestMachineStepNoAllocs(t *testing.T) {
-	for _, protocol := range []string{"leaf", "amnt", "anubis"} {
+	for _, protocol := range []string{"leaf", "amnt", "amnt-multi", "anubis"} {
 		t.Run(protocol, func(t *testing.T) {
 			m := steadyMachine(t, protocol)
 			before := m.Controller().Stats().MetaFetches.Value()
@@ -399,7 +419,7 @@ func TestMachineStepNoAllocs(t *testing.T) {
 // BenchmarkMachineStep reports host time and heap allocations per
 // simulated access, per protocol.
 func BenchmarkMachineStep(b *testing.B) {
-	for _, protocol := range []string{"volatile", "leaf", "strict", "anubis", "bmf", "amnt"} {
+	for _, protocol := range []string{"volatile", "leaf", "strict", "anubis", "bmf", "amnt", "amnt-multi"} {
 		b.Run(protocol, func(b *testing.B) {
 			m := steadyMachine(b, protocol)
 			b.ReportAllocs()
