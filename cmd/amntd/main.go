@@ -81,7 +81,6 @@ func main() {
 		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory (empty = no checkpoints; cluster kill-drills need a shared one)")
 		reqTimeout = flag.Duration("req-timeout", 2*time.Second, "per-request serving deadline")
 		sample     = flag.Duration("sample", 250*time.Millisecond, "telemetry sampling period")
-		recWorkers = flag.Int("recovery-workers", 1, "rebuild worker-pool width for shard recovery (bit-identical results at any width)")
 		recChunk   = flag.Int("recovery-chunk", 0, "counter leaves rebuilt per online-recovery step between request waves (0 = default)")
 		healBack   = flag.Duration("heal-backoff", 0, "initial delay before a quarantined shard's first heal attempt (0 = default)")
 		healBackMx = flag.Duration("heal-backoff-max", 0, "cap on the heal-loop exponential backoff (0 = default)")
@@ -115,7 +114,6 @@ func main() {
 		HealBackoffMax:  *healBackMx,
 		HealMaxAttempts: *healMax,
 	}
-	cfg.MEE.RecoveryWorkers = *recWorkers
 	cfg.PolicyOptions.SubtreeLevel = *level
 
 	// Cluster mode: derive this node's owned partitions from the

@@ -20,11 +20,6 @@
 //	amntrecover -sweep
 //	amntrecover -measure -measure-mem-mb 128
 //	amntrecover -measure -crash-cycle 2000000 -inject torn -seed 7
-//	amntrecover -measure -measure-mem-mb 256 -workers 4
-//
-// -workers widens the recovery rebuild's worker pool. Simulated
-// results (cycles, block counts, digests) are bit-identical at any
-// width; the table adds a column projecting the sharded-scan model.
 package main
 
 import (
@@ -51,7 +46,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "machine/workload seed for -measure (also drives the fault choice)")
 		crashCyc = flag.Uint64("crash-cycle", 0, "simulated cycle to crash at for -measure (0 = after the full run)")
 		inject   = flag.String("inject", "crash", "fault to inject at the crash point for -measure: crash, torn, drop, reorder, bitrot")
-		workers  = flag.Int("workers", 1, "rebuild worker-pool width for -measure recovery (results are bit-identical at any width)")
 	)
 	flag.Parse()
 
@@ -66,7 +60,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "amntrecover:", err)
 			os.Exit(2)
 		}
-		measureRecovery(model, uint64(*measMB)<<20, *seed, *crashCyc, kind, *workers)
+		measureRecovery(model, uint64(*measMB)<<20, *seed, *crashCyc, kind)
 		return
 	}
 	memBytes := uint64(*memTB * 1e12)
@@ -121,10 +115,7 @@ func main() {
 // checker's verdict closes the loop: "recovered" means every
 // independent invariant held, "detected" means the corruption surfaced
 // loudly, and any violation fails the process.
-func measureRecovery(model recovery.Model, memBytes uint64, seed int64, crashCycle uint64, kind faults.Kind, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
+func measureRecovery(model recovery.Model, memBytes uint64, seed int64, crashCycle uint64, kind faults.Kind) {
 	title := fmt.Sprintf("Measured recovery at %d MiB (seed %d", memBytes>>20, seed)
 	if crashCycle != 0 {
 		title += fmt.Sprintf(", crash @%d", crashCycle)
@@ -132,12 +123,9 @@ func measureRecovery(model recovery.Model, memBytes uint64, seed int64, crashCyc
 	if kind != faults.KindCrash {
 		title += ", inject " + kind.String()
 	}
-	if workers > 1 {
-		title += fmt.Sprintf(", %d rebuild workers", workers)
-	}
 	title += ")"
 	t := stats.NewTable(title,
-		"protocol", "sim cycles", "modeled time", fmt.Sprintf("modeled ×%d", workers), "host wall",
+		"protocol", "sim cycles", "modeled time", "host wall",
 		"counters", "data", "nodes", "shadow", "stale", "faults", "verdict")
 	spec := workload.Spec{
 		Name: "fill", Suite: "bench", FootprintBytes: memBytes / 2,
@@ -154,7 +142,6 @@ func measureRecovery(model recovery.Model, memBytes uint64, seed int64, crashCyc
 			RNGSeed:     seed,
 			MemoryBytes: memBytes,
 			Workload:    spec,
-			Workers:     workers,
 		})
 		verdict := res.Status
 		switch {
@@ -174,13 +161,11 @@ func measureRecovery(model recovery.Model, memBytes uint64, seed int64, crashCyc
 		rep := res.Report
 		t.AddRow(proto, rep.Cycles,
 			model.FromReport(rep).Round(time.Microsecond).String(),
-			model.FromReportParallel(rep, workers).Round(time.Microsecond).String(),
 			res.RecoverWall.Round(time.Microsecond).String(),
 			rep.CounterReads, rep.DataReads, rep.NodeWrites, rep.ShadowReads,
 			fmt.Sprintf("%.3f%%", 100*rep.StaleFraction), len(res.Injections), verdict)
 	}
 	t.AddNote("modeled time projects the measured block counts through the Table 4 latency model; host wall is simulator time, not hardware")
-	t.AddNote(fmt.Sprintf("modeled ×%d shards the counter scan across %d rebuild workers (write-back stays serial); simulated results are bit-identical at any width", workers, workers))
 	fmt.Println(t.Render())
 	if violations > 0 {
 		os.Exit(1)

@@ -21,9 +21,6 @@ var benchJSON = flag.String("benchjson", "", "write rebuild benchmark results (B
 // 16 MB, 128 MB, and 1 GB of protected data.
 var benchGeometries = []uint64{4096, 32768, 262144}
 
-// benchWorkers are the pool sizes BenchmarkRebuildParallel sweeps.
-var benchWorkers = []int{1, 2, 4, 8}
-
 // newBenchDevice returns a fully-occupied device with the paper's
 // default timing — the worst-case (whole footprint) recovery input.
 func newBenchDevice(leaves uint64) *scm.Device {
@@ -38,32 +35,22 @@ func newBenchDevice(leaves uint64) *scm.Device {
 	return d
 }
 
-func benchRebuild(b *testing.B, leaves uint64, workers int) {
+func benchRebuild(b *testing.B, leaves uint64) {
 	g := NewGeometry(leaves)
 	e := eng()
 	d := newBenchDevice(leaves)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RebuildWith(d, e, g, 1, 0, RebuildOptions{Persist: true, Workers: workers})
+		Rebuild(d, e, g, 1, 0, true)
 	}
 }
 
 func BenchmarkRebuildSerial(b *testing.B) {
 	for _, leaves := range benchGeometries {
 		b.Run(fmt.Sprintf("leaves=%d", leaves), func(b *testing.B) {
-			benchRebuild(b, leaves, 1)
+			benchRebuild(b, leaves)
 		})
-	}
-}
-
-func BenchmarkRebuildParallel(b *testing.B) {
-	for _, leaves := range benchGeometries {
-		for _, w := range benchWorkers {
-			b.Run(fmt.Sprintf("leaves=%d/workers=%d", leaves, w), func(b *testing.B) {
-				benchRebuild(b, leaves, w)
-			})
-		}
 	}
 }
 
@@ -80,44 +67,43 @@ var seedBaseline = stats.BenchSet{
 	},
 }
 
-// parentBaseline is the same sweep on the map-backed device
-// (enumerate, sort, look each leaf up), measured with this file's
-// setup at commit 83417ad in the session that took the committed
-// "after" column — the "parent" column of BENCH_recovery.json.
+// parentBaseline is the same sweep at commit 7739a40, the last tree
+// with a worker-pool rebuild (RebuildOptions.Workers), measured with
+// this file's setup back to back with the committed "after"
+// column — the "parent" column of BENCH_recovery.json. The pool rows
+// are the evidence it was deleted on: slower than the serial walk at
+// every shard-sized geometry (4–32 MiB is 1024–8192 leaves).
 var parentBaseline = stats.BenchSet{
-	Label: "flat-slice rebuild over the map-backed device (commit 83417ad, same session)",
+	Label: "serial walk and the worker-pool rebuild (commit 7739a40, measured alongside after)",
 	Results: []stats.BenchResult{
-		{Name: "BenchmarkRebuildSerial/leaves=4096", N: 2029, NsPerOp: 553750, AllocsPerOp: 6, BytesPerOp: 73894},
-		{Name: "BenchmarkRebuildParallel/leaves=4096/workers=1", N: 2224, NsPerOp: 540953, AllocsPerOp: 6, BytesPerOp: 73891},
-		{Name: "BenchmarkRebuildParallel/leaves=4096/workers=2", N: 2259, NsPerOp: 544363, AllocsPerOp: 122, BytesPerOp: 279954},
-		{Name: "BenchmarkRebuildParallel/leaves=4096/workers=4", N: 1990, NsPerOp: 589696, AllocsPerOp: 665, BytesPerOp: 278395},
-		{Name: "BenchmarkRebuildParallel/leaves=4096/workers=8", N: 1927, NsPerOp: 586788, AllocsPerOp: 673, BytesPerOp: 279422},
-		{Name: "BenchmarkRebuildSerial/leaves=32768", N: 236, NsPerOp: 5109556, AllocsPerOp: 26, BytesPerOp: 592482},
-		{Name: "BenchmarkRebuildParallel/leaves=32768/workers=1", N: 235, NsPerOp: 5052052, AllocsPerOp: 26, BytesPerOp: 592492},
-		{Name: "BenchmarkRebuildParallel/leaves=32768/workers=2", N: 255, NsPerOp: 4600448, AllocsPerOp: 157, BytesPerOp: 1595026},
-		{Name: "BenchmarkRebuildParallel/leaves=32768/workers=4", N: 240, NsPerOp: 5093181, AllocsPerOp: 877, BytesPerOp: 2238749},
-		{Name: "BenchmarkRebuildParallel/leaves=32768/workers=8", N: 237, NsPerOp: 5036663, AllocsPerOp: 885, BytesPerOp: 2239804},
-		{Name: "BenchmarkRebuildSerial/leaves=262144", N: 15, NsPerOp: 70240519, AllocsPerOp: 2521, BytesPerOp: 5036170},
-		{Name: "BenchmarkRebuildParallel/leaves=262144/workers=1", N: 15, NsPerOp: 70760879, AllocsPerOp: 2521, BytesPerOp: 5036170},
-		{Name: "BenchmarkRebuildParallel/leaves=262144/workers=2", N: 22, NsPerOp: 50222816, AllocsPerOp: 1901, BytesPerOp: 18586354},
-		{Name: "BenchmarkRebuildParallel/leaves=262144/workers=4", N: 21, NsPerOp: 48724086, AllocsPerOp: 2782, BytesPerOp: 12965152},
-		{Name: "BenchmarkRebuildParallel/leaves=262144/workers=8", N: 21, NsPerOp: 48324109, AllocsPerOp: 2790, BytesPerOp: 12966191},
+		{Name: "BenchmarkRebuildSerial/leaves=4096", N: 6273, NsPerOp: 182885, AllocsPerOp: 5, BytesPerOp: 73819},
+		{Name: "BenchmarkRebuildParallel/leaves=4096/workers=2", N: 5403, NsPerOp: 243030, AllocsPerOp: 119, BytesPerOp: 246839},
+		{Name: "BenchmarkRebuildParallel/leaves=4096/workers=4", N: 3746, NsPerOp: 300103, AllocsPerOp: 660, BytesPerOp: 243025},
+		{Name: "BenchmarkRebuildSerial/leaves=32768", N: 783, NsPerOp: 1638921, AllocsPerOp: 5, BytesPerOp: 591316},
+		{Name: "BenchmarkRebuildParallel/leaves=32768/workers=2", N: 646, NsPerOp: 1745220, AllocsPerOp: 135, BytesPerOp: 1331934},
+		{Name: "BenchmarkRebuildParallel/leaves=32768/workers=4", N: 606, NsPerOp: 1930424, AllocsPerOp: 852, BytesPerOp: 1973353},
+		{Name: "BenchmarkRebuildSerial/leaves=262144", N: 46, NsPerOp: 21918990, AllocsPerOp: 6, BytesPerOp: 4908163},
+		{Name: "BenchmarkRebuildParallel/leaves=262144/workers=2", N: 92, NsPerOp: 13336067, AllocsPerOp: 184, BytesPerOp: 16367176},
+		{Name: "BenchmarkRebuildParallel/leaves=262144/workers=4", N: 76, NsPerOp: 14922986, AllocsPerOp: 981, BytesPerOp: 10753339},
 	},
 }
 
 // TestWriteRecoveryBench regenerates BENCH_recovery.json: the fixed
-// seed and parent baselines alongside live measurements of the serial
-// and parallel rebuild over the slab device. Run with
+// seed and parent baselines alongside live measurements of the
+// rebuild over the slab device. Run from the repository root with
 //
-//	go test ./internal/bmt -run WriteRecoveryBench -benchjson BENCH_recovery.json
+//	go test ./internal/bmt -run WriteRecoveryBench -benchjson $PWD/BENCH_recovery.json
+//
+// (a test runs in its package directory, so a relative path would land
+// in internal/bmt).
 func TestWriteRecoveryBench(t *testing.T) {
 	if *benchJSON == "" {
 		t.Skip("-benchjson not set")
 	}
-	after := stats.BenchSet{Label: "scan-driven rebuild over the slab device (this tree)"}
+	after := stats.BenchSet{Label: "one Rebuilder engine, no worker pool (this tree)"}
 	for _, leaves := range benchGeometries {
 		leaves := leaves
-		r := testing.Benchmark(func(b *testing.B) { benchRebuild(b, leaves, 1) })
+		r := testing.Benchmark(func(b *testing.B) { benchRebuild(b, leaves) })
 		after.Add(stats.BenchResult{
 			Name:        fmt.Sprintf("BenchmarkRebuildSerial/leaves=%d", leaves),
 			N:           r.N,
@@ -125,17 +111,6 @@ func TestWriteRecoveryBench(t *testing.T) {
 			AllocsPerOp: uint64(r.AllocsPerOp()),
 			BytesPerOp:  uint64(r.AllocedBytesPerOp()),
 		})
-		for _, w := range benchWorkers {
-			w := w
-			r := testing.Benchmark(func(b *testing.B) { benchRebuild(b, leaves, w) })
-			after.Add(stats.BenchResult{
-				Name:        fmt.Sprintf("BenchmarkRebuildParallel/leaves=%d/workers=%d", leaves, w),
-				N:           r.N,
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-				AllocsPerOp: uint64(r.AllocsPerOp()),
-				BytesPerOp:  uint64(r.AllocedBytesPerOp()),
-			})
-		}
 	}
 	t.Logf("baseline:\n%s", seedBaseline.Benchstat())
 	t.Logf("parent:\n%s", parentBaseline.Benchstat())
@@ -150,9 +125,9 @@ func TestWriteRecoveryBench(t *testing.T) {
 		After    stats.BenchSet `json:"after"`
 	}{
 		Note: "BMT recovery rebuild, persist=true over a fully occupied counter span; " +
-			"baseline is the seed's per-level map pipeline, parent the flat-slice engine " +
-			"(serial and sharded-parallel) over the map-backed device, after the same " +
-			"engine driven by one ordered walk of the slab device",
+			"baseline is the seed's per-level map pipeline, parent the serial walk of the " +
+			"slab device beside the worker-pool rebuild it then also had, after the one " +
+			"Rebuilder engine that replaced both",
 		GoOS:     runtime.GOOS,
 		GoArch:   runtime.GOARCH,
 		CPUs:     runtime.NumCPU(),

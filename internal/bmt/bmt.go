@@ -18,23 +18,17 @@
 // construction and recovery O(occupied footprint) instead of
 // O(memory size).
 //
-// Rebuilds run on a flat, index-sorted pipeline (no per-level maps)
-// fed by one ordered walk of the device (scm.Device.Scan: no index
-// enumeration, no sort, no per-node lookup), and can optionally shard
-// the leaf span across a bounded worker pool
-// (RebuildOptions.Workers): each chunk's subtree is reconstructed
-// independently below a fan-in level and the chunk roots are merged
-// serially above it. Because every RebuildResult field is either pure
-// tree math (Digest, Content) or a sum of fixed per-access constants
-// (Cycles, CounterReads, NodeWrites), the parallel result is
-// bit-identical to the serial one at any worker count.
+// Every rebuild runs on one engine, the Rebuilder: a flat,
+// index-sorted pipeline (no per-level maps) fed by one ordered walk of
+// the device (scm.Device.PeekScan: no index enumeration, no sort, no
+// per-node lookup). A blocking Rebuild is a Rebuilder stepped to
+// completion in one call.
 package bmt
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"amnt/internal/cme"
 	"amnt/internal/scm"
@@ -253,26 +247,16 @@ type RebuildResult struct {
 }
 
 // RebuildOptions selects how a rebuild runs. The zero value is a
-// serial, non-persisting rebuild.
+// non-persisting rebuild.
 type RebuildOptions struct {
 	// Persist writes every recomputed inner node (levels 2..Levels-1)
 	// back to the device Tree region.
 	Persist bool
-	// Workers bounds the rebuild worker pool; 0 or 1 runs serially.
-	// Any value yields a bit-identical RebuildResult and identical
-	// device statistics — only wall-clock time changes.
-	Workers int
 	// Progress, when non-nil, receives a live leaves-rehashed
 	// watermark as the rebuild runs (read concurrently by telemetry;
 	// never affects the result).
 	Progress *Progress
 }
-
-// parallelMinSource is the minimum number of occupied source nodes
-// below which a parallel rebuild falls back to the serial path. Kept
-// tiny so the pool engages (and stays testable) on small trees; the
-// pool's fixed cost is negligible against even one device access.
-const parallelMinSource = 2
 
 // source describes where a rebuild's bottom level lives on the
 // device: tree level, device region, and the region offset of the
@@ -296,7 +280,7 @@ func Rebuild(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, rootIdx 
 	return RebuildWith(dev, e, g, rootLevel, rootIdx, RebuildOptions{Persist: persist})
 }
 
-// RebuildWith is Rebuild with explicit options (parallelism).
+// RebuildWith is Rebuild with explicit options.
 func RebuildWith(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, rootIdx uint64, opts RebuildOptions) RebuildResult {
 	lo, hi := g.LeafSpan(rootLevel, rootIdx)
 	return rebuildFrom(dev, e, g, source{level: g.Levels, region: scm.Counter}, lo, hi, rootLevel, rootIdx, opts)
@@ -313,8 +297,7 @@ func RebuildAbove(dev *scm.Device, e *cme.Engine, g Geometry, boundary int, pers
 	return RebuildAboveWith(dev, e, g, boundary, RebuildOptions{Persist: persist})
 }
 
-// RebuildAboveWith is RebuildAbove with explicit options
-// (parallelism).
+// RebuildAboveWith is RebuildAbove with explicit options.
 func RebuildAboveWith(dev *scm.Device, e *cme.Engine, g Geometry, boundary int, opts RebuildOptions) RebuildResult {
 	if boundary <= 2 {
 		// Nothing above the boundary is stored off-chip; the root
@@ -332,39 +315,17 @@ func RebuildAboveWith(dev *scm.Device, e *cme.Engine, g Geometry, boundary int, 
 }
 
 // rebuildFrom reconstructs levels [rootLevel, src.level] from the
-// occupied source nodes with level-relative index in [lo, hi),
-// dispatching to the parallel engine when the options ask for it.
-// The serial path is one ordered walk of the device: each source node
-// is hashed in place as the walk hands it over.
+// occupied source nodes with level-relative index in [lo, hi): the
+// Rebuilder, run to completion in one Step.
 func rebuildFrom(dev *scm.Device, e *cme.Engine, g Geometry, src source, lo, hi uint64, rootLevel int, rootIdx uint64, opts RebuildOptions) RebuildResult {
-	zero := ZeroDigests(e, g)
-	lo, hi = src.flatOff+lo, src.flatOff+hi
-	n := dev.Count(src.region, lo, hi)
-	opts.Progress.begin(uint64(n))
-	defer opts.Progress.end()
-	if opts.Workers > 1 && src.level > rootLevel && n >= parallelMinSource {
-		return rebuildParallel(dev, e, g, zero, src, lo, hi, n, rootLevel, rootIdx, opts)
-	}
-
-	var res RebuildResult
-	idxs := make([]uint64, 0, n)
-	digs := make([]uint64, 0, n)
-	res.Cycles += dev.Scan(src.region, lo, hi, func(flat uint64, blk []byte) bool {
-		idxs = append(idxs, flat-src.flatOff)
-		digs = append(digs, Hash(e, src.level, blk))
-		return true
-	})
-	res.CounterReads = uint64(n)
-	opts.Progress.add(uint64(n))
-	idxs, digs = climb(e, g, zero, src.level, rootLevel, idxs, digs,
-		persistEmitter(dev, g, rootLevel, rootIdx, opts.Persist, &res))
-	finish(zero, g, rootLevel, idxs, digs, rootIdx, &res)
-	return res
+	r := newRebuilder(dev, e, g, src, lo, hi, rootLevel, rootIdx, opts, nil)
+	r.Step(0)
+	return r.res
 }
 
-// persistEmitter returns the node sink of the serial (and merge)
-// climb: write recomputed inner nodes through when persisting, and
-// capture the rebuild root's content.
+// persistEmitter returns the node sink of the climb: write recomputed
+// inner nodes through when persisting, and capture the rebuild root's
+// content.
 func persistEmitter(dev *scm.Device, g Geometry, rootLevel int, rootIdx uint64, persist bool, res *RebuildResult) func(level int, idx uint64, node *[NodeSize]byte) {
 	return func(level int, idx uint64, node *[NodeSize]byte) {
 		if persist && level >= 2 && level <= g.Levels-1 {
@@ -429,129 +390,4 @@ func finish(zero []uint64, g Geometry, rootLevel int, idxs, digs []uint64, rootI
 		}
 		res.Content = node
 	}
-}
-
-// pendingNode is one inner node a chunk worker computed, buffered for
-// the serial apply phase (device writes stay single-threaded).
-type pendingNode struct {
-	level int
-	idx   uint64
-	node  [NodeSize]byte
-}
-
-// chunkOut is one chunk's contribution: the digest of its fan-in node
-// and the inner nodes to persist beneath it.
-type chunkOut struct {
-	digest uint64
-	pend   []pendingNode
-}
-
-// fanInLevel picks the level whose nodes partition the rebuild into
-// chunks: the shallowest level below rootLevel with at least
-// 4×workers potential chunks (oversubscription smooths uneven
-// occupancy), clamped to the source level.
-func fanInLevel(rootLevel, srcLevel, workers int) int {
-	b := rootLevel
-	chunks := 1
-	for b < srcLevel && chunks < 4*workers {
-		b++
-		chunks *= Arity
-	}
-	return b
-}
-
-// rebuildParallel shards the source span [lo, hi) (device indices, n
-// of them occupied) by fan-in ancestor, rebuilds each chunk's subtree
-// on a bounded worker pool, then serially applies the buffered node
-// writes and merges the chunk roots up to the rebuild root.
-//
-// The calling goroutine finds the chunks with one ordered walk of the
-// span's indices; each worker then walks its own chunk, hashing the
-// source nodes in place. Workers touch the device only through
-// scm.PeekScan, which only reads (no statistics, and the ordering is
-// current: rebuildFrom's Count took it and nothing mutates the device
-// during the fan-out); all writes and statistics happen on the
-// calling goroutine afterwards, via scm.AccountReads and ordinary
-// Writes, so device counters and the RebuildResult match the serial
-// path bit for bit.
-func rebuildParallel(dev *scm.Device, e *cme.Engine, g Geometry, zero []uint64, src source, lo, hi uint64, n int, rootLevel int, rootIdx uint64, opts RebuildOptions) RebuildResult {
-	fanIn := fanInLevel(rootLevel, src.level, opts.Workers)
-	shift := uint(arityShift * (src.level - fanIn))
-
-	// One task per occupied fan-in ancestor, sized by a pass over the
-	// span's indices alone.
-	type chunkTask struct {
-		fanIdx uint64
-		n      int
-	}
-	var tasks []chunkTask
-	dev.PeekScan(src.region, lo, hi, func(flat uint64, _ []byte) bool {
-		fanIdx := (flat - src.flatOff) >> shift
-		if len(tasks) == 0 || tasks[len(tasks)-1].fanIdx != fanIdx {
-			tasks = append(tasks, chunkTask{fanIdx: fanIdx})
-		}
-		tasks[len(tasks)-1].n++
-		return true
-	})
-
-	outs := make([]chunkOut, len(tasks))
-	workers := opts.Workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var nextTask atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(nextTask.Add(1) - 1)
-				if t >= len(tasks) {
-					return
-				}
-				task := tasks[t]
-				cIdxs := make([]uint64, 0, task.n)
-				cDigs := make([]uint64, 0, task.n)
-				cLo := src.flatOff + task.fanIdx<<shift
-				dev.PeekScan(src.region, cLo, cLo+1<<shift, func(flat uint64, blk []byte) bool {
-					cIdxs = append(cIdxs, flat-src.flatOff)
-					cDigs = append(cDigs, Hash(e, src.level, blk))
-					return true
-				})
-				opts.Progress.add(uint64(task.n))
-				out := &outs[t]
-				_, cDigs = climb(e, g, zero, src.level, fanIn, cIdxs, cDigs,
-					func(level int, idx uint64, node *[NodeSize]byte) {
-						if opts.Persist && level >= 2 && level <= g.Levels-1 {
-							out.pend = append(out.pend, pendingNode{level: level, idx: idx, node: *node})
-						}
-					})
-				out.digest = cDigs[0] // the chunk folds to a single fan-in pair
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Serial epilogue: account the reads the workers performed, apply
-	// their buffered node writes in chunk order, then merge the chunk
-	// roots up to the rebuild root.
-	var res RebuildResult
-	res.CounterReads = uint64(n)
-	res.Cycles += dev.AccountReads(src.region, uint64(n))
-	emit := persistEmitter(dev, g, rootLevel, rootIdx, opts.Persist, &res)
-	mIdx := make([]uint64, len(tasks))
-	mDig := make([]uint64, len(tasks))
-	for t := range tasks {
-		for i := range outs[t].pend {
-			p := &outs[t].pend[i]
-			res.Cycles += dev.Write(scm.Tree, g.FlatIndex(p.level, p.idx), p.node[:])
-			res.NodeWrites++
-		}
-		mIdx[t] = tasks[t].fanIdx
-		mDig[t] = outs[t].digest
-	}
-	mIdx, mDig = climb(e, g, zero, fanIn, rootLevel, mIdx, mDig, emit)
-	finish(zero, g, rootLevel, mIdx, mDig, rootIdx, &res)
-	return res
 }

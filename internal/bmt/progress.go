@@ -8,8 +8,7 @@ import (
 // Progress is a live watermark for a recovery rebuild: how many
 // occupied source nodes (counter-level leaves, or boundary-level nodes
 // for RebuildAbove) have been rehashed out of how many total. It is
-// written by the rebuild engine — from the calling goroutine on the
-// serial path, from pool workers on the parallel path — and read by
+// written by the goroutine that runs the rebuild and read by
 // telemetry gauges on arbitrary goroutines, so every field is atomic
 // and every method is nil-safe. A recovery pass may run several
 // rebuilds (e.g. a strict protocol verifying subtree by subtree);
@@ -85,10 +84,9 @@ func (p *Progress) begin(n uint64) {
 	p.active.Add(1)
 }
 
-// add records n more source nodes rehashed. Safe from pool workers.
-// It is an atomic read-modify-write, several times the cost of one
-// leaf hash, so the engines call it once per serial pass, per Step
-// and per parallel chunk — never per node.
+// add records n more source nodes rehashed. It is an atomic
+// read-modify-write, several times the cost of one leaf hash, so the
+// Rebuilder calls it once per Step — never per node.
 func (p *Progress) add(n uint64) {
 	if p == nil {
 		return

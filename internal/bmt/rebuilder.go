@@ -5,15 +5,14 @@ import (
 	"amnt/internal/scm"
 )
 
-// Rebuilder is a resumable front for the rebuild engine: the same
-// leaf-hash / climb / persist pipeline as RebuildWith, but split into
-// bounded Step calls so a serving goroutine can interleave rebuild
-// work with foreground traffic. When no overrides are supplied the
-// final RebuildResult and the device statistics are bit-identical to
-// a serial RebuildWith over the same span (pinned by test), because
-// Step resumes the same ordered walk of the occupied leaves — one
-// read charged and one Hash each — and the climb runs once at the
-// end.
+// Rebuilder is the rebuild engine: an ordered walk of the occupied
+// source nodes, one hash each, then one climb to the rebuild root. It
+// runs in bounded Step calls so a serving goroutine can interleave
+// rebuild work with foreground traffic; Rebuild and RebuildAbove are
+// one Step over the whole span. Stepping in chunks leaves the final
+// RebuildResult and the device statistics bit-identical to one Step
+// (pinned by test): every chunk resumes the same walk, one read
+// charged and one Hash per node, and the climb runs once at the end.
 //
 // Overrides support degraded serving: a foreground write that lands
 // on counter leaf L mid-rebuild snapshots L's pre-write content and
@@ -21,8 +20,7 @@ import (
 // the crash left behind rather than the moving target. A nil override
 // marks a leaf that did not exist at freeze time (first-touch during
 // degraded serving); the walk steps over such leaves, uncharged.
-// Reads are charged through scm.AccountReads, once per Step, so
-// cycle sums stay comparable to the blocking path.
+// Reads are charged through scm.AccountReads, once per Step.
 //
 // A Rebuilder is single-goroutine: the owner calls Step/Done/Result
 // from one goroutine (the shard worker), never concurrently.
@@ -31,13 +29,14 @@ type Rebuilder struct {
 	e         *cme.Engine
 	g         Geometry
 	zero      []uint64
+	src       source
 	rootLevel int
 	rootIdx   uint64
 	opts      RebuildOptions
 	frozen    map[uint64][]byte
 
-	next, hi uint64 // leaves in [next, hi) are still to be walked
-	total    int    // source leaves planned at construction
+	next, hi uint64 // device indices in [next, hi) are still to be walked
+	total    int    // source nodes planned at construction
 	idxs     []uint64
 	digs     []uint64
 	res      RebuildResult
@@ -46,17 +45,24 @@ type Rebuilder struct {
 }
 
 // NewRebuilder plans a resumable rebuild of the subtree rooted at
-// (rootLevel, rootIdx). frozen maps counter-leaf indices to their
-// content at freeze time: a non-nil entry overrides the device block,
-// a nil entry excludes the leaf (it was absent at freeze time). The
-// map may be nil, and the owner may add to it between Steps.
-// opts.Workers is ignored — Step always runs the serial pipeline,
-// since resumability is the point.
+// (rootLevel, rootIdx) from its counter leaves. frozen maps
+// counter-leaf indices to their content at freeze time: a non-nil
+// entry overrides the device block, a nil entry excludes the leaf (it
+// was absent at freeze time). The map may be nil, and the owner may
+// add to it between Steps.
 func NewRebuilder(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, rootIdx uint64, opts RebuildOptions, frozen map[uint64][]byte) *Rebuilder {
 	lo, hi := g.LeafSpan(rootLevel, rootIdx)
-	total := dev.Count(scm.Counter, lo, hi)
+	return newRebuilder(dev, e, g, source{level: g.Levels, region: scm.Counter}, lo, hi, rootLevel, rootIdx, opts, frozen)
+}
+
+// newRebuilder plans a rebuild of levels [rootLevel, src.level] from
+// the source nodes with level-relative index in [lo, hi). Overrides
+// apply to counter sources only.
+func newRebuilder(dev *scm.Device, e *cme.Engine, g Geometry, src source, lo, hi uint64, rootLevel int, rootIdx uint64, opts RebuildOptions, frozen map[uint64][]byte) *Rebuilder {
+	lo, hi = src.flatOff+lo, src.flatOff+hi
+	total := dev.Count(src.region, lo, hi)
 	for li, ov := range frozen {
-		if ov == nil && li >= lo && li < hi && dev.Contains(scm.Counter, li) {
+		if ov == nil && li >= lo && li < hi && dev.Contains(src.region, li) {
 			total-- // first-touch after freeze: not part of the crash image
 		}
 	}
@@ -65,6 +71,7 @@ func NewRebuilder(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, roo
 		e:         e,
 		g:         g,
 		zero:      ZeroDigests(e, g),
+		src:       src,
 		rootLevel: rootLevel,
 		rootIdx:   rootIdx,
 		opts:      opts,
@@ -83,19 +90,24 @@ func NewRebuilder(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, roo
 // Done reports whether the rebuild has completed (Result is valid).
 func (r *Rebuilder) Done() bool { return r.done }
 
-// Step hashes up to maxLeaves more source leaves (all of them when
-// maxLeaves <= 0) and, once every leaf is consumed, runs the climb
+// Step hashes up to maxLeaves more source nodes (all of them when
+// maxLeaves <= 0) and, once every node is consumed, runs the climb
 // and finishes the rebuild. It returns true when the rebuild is done.
 func (r *Rebuilder) Step(maxLeaves int) bool {
 	if r.done {
 		return true
 	}
-	was := len(r.idxs)
+	// Every rebuild runs this walk, so the per-node closure works on
+	// locals and r's fields are written once, after it.
+	idxs, digs := r.idxs, r.digs
+	e, level, off := r.e, r.src.level, r.src.flatOff
+	stop := -1 // maxLeaves <= 0: walk to the end
+	if maxLeaves > 0 {
+		stop = len(idxs) + maxLeaves
+	}
 	stopped := false
-	r.dev.PeekScan(scm.Counter, r.next, r.hi, func(idx uint64, blk []byte) bool {
-		r.next = idx + 1
+	r.dev.PeekScan(r.src.region, r.next, r.hi, func(idx uint64, blk []byte) bool {
 		if len(r.frozen) > 0 { // usually empty: keep the map probe off the per-leaf path
-
 			if ov, ok := r.frozen[idx]; ok {
 				if ov == nil {
 					return true
@@ -103,21 +115,25 @@ func (r *Rebuilder) Step(maxLeaves int) bool {
 				blk = ov
 			}
 		}
-		r.idxs = append(r.idxs, idx)
-		r.digs = append(r.digs, Hash(r.e, r.g.Levels, blk))
-		stopped = len(r.idxs)-was == maxLeaves
-		return !stopped
+		idxs = append(idxs, idx-off)
+		digs = append(digs, Hash(e, level, blk))
+		if len(idxs) == stop {
+			r.next, stopped = idx+1, true
+			return false
+		}
+		return true
 	})
-	n := uint64(len(r.idxs) - was)
-	r.res.Cycles += r.dev.AccountReads(scm.Counter, n)
+	n := uint64(len(idxs) - len(r.idxs))
+	r.idxs, r.digs = idxs, digs
+	r.res.Cycles += r.dev.AccountReads(r.src.region, n)
 	r.res.CounterReads += n
 	r.opts.Progress.add(n)
-	// A walk that stopped on the last planned leaf is done too: the
+	// A walk that stopped on the last planned node is done too: the
 	// caller should not need one more Step to learn it.
 	if stopped && len(r.idxs) < r.total {
 		return false
 	}
-	idxs, digs := climb(r.e, r.g, r.zero, r.g.Levels, r.rootLevel, r.idxs, r.digs,
+	idxs, digs = climb(e, r.g, r.zero, level, r.rootLevel, idxs, digs,
 		persistEmitter(r.dev, r.g, r.rootLevel, r.rootIdx, r.opts.Persist, &r.res))
 	finish(r.zero, r.g, r.rootLevel, idxs, digs, r.rootIdx, &r.res)
 	r.done = true

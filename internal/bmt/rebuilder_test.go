@@ -12,10 +12,10 @@ import (
 // sweep: single-leaf, odd, typical, and everything-at-once.
 var stepSizes = []int{1, 3, 64, 10000}
 
-// TestRebuilderMatchesSerial pins the resumable front's contract:
-// driving the Rebuilder in chunks of any size yields a RebuildResult,
-// device statistics, and persisted tree bytes bit-identical to one
-// serial RebuildWith over the same span.
+// TestRebuilderMatchesSerial pins the Rebuilder's contract: driving it
+// in chunks of any size yields a RebuildResult, device statistics, and
+// persisted tree bytes bit-identical to one RebuildWith (a single
+// Step) over the same span.
 func TestRebuilderMatchesSerial(t *testing.T) {
 	shapes := map[string][]uint64{
 		"dense-prefix": {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},

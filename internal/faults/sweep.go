@@ -48,10 +48,6 @@ type CellSpec struct {
 	Workload workload.Spec
 	// Deadline bounds recovery wall time (0 = DefaultDeadline).
 	Deadline time.Duration
-	// Workers is the rebuild pool width recovery uses (0 or 1 =
-	// serial). Recovery results are bit-identical at any width, so the
-	// matrix JSON does not depend on it.
-	Workers int
 	// PlainCrashMayFail marks a protocol that is not crash consistent
 	// by design (volatile); see CheckOptions.
 	PlainCrashMayFail bool
@@ -148,7 +144,6 @@ func RunCell(ctx context.Context, spec CellSpec) (out CellResult) {
 	cfg.SubtreeLevel = level
 	cfg.Core = cellCore()
 	cfg.AMNTPlusPlus = spec.Protocol == "amnt++"
-	cfg.MEE.RecoveryWorkers = spec.Workers
 
 	var policy mee.Policy
 	if spec.Factory != nil {

@@ -68,11 +68,6 @@ type Config struct {
 	Hasher cme.Hasher
 	// Key is the device encryption key.
 	Key uint64
-	// RecoveryWorkers bounds the worker pool of the parallel BMT
-	// rebuild used by policy recovery (0 or 1 = serial). Recovery
-	// results and all simulated statistics are bit-identical at any
-	// setting; only host wall-clock time changes.
-	RecoveryWorkers int
 }
 
 // DefaultConfig returns the paper's secure-memory configuration.
@@ -400,20 +395,11 @@ func (c *Controller) Stats() *Stats { return &c.st }
 // Config returns the controller configuration (with defaults applied).
 func (c *Controller) Config() Config { return c.cfg }
 
-// RecoveryWorkers returns the rebuild parallelism recovery runs with,
-// clamped to at least 1.
-func (c *Controller) RecoveryWorkers() int {
-	if c.cfg.RecoveryWorkers < 1 {
-		return 1
-	}
-	return c.cfg.RecoveryWorkers
-}
-
 // RebuildOptions returns the bmt options policy recovery paths use:
-// the configured worker pool with the caller's persist choice, plus
-// the live progress watermark when one is installed.
+// the caller's persist choice plus the live progress watermark when
+// one is installed.
 func (c *Controller) RebuildOptions(persist bool) bmt.RebuildOptions {
-	return bmt.RebuildOptions{Persist: persist, Workers: c.RecoveryWorkers(), Progress: c.recProg}
+	return bmt.RebuildOptions{Persist: persist, Progress: c.recProg}
 }
 
 // SetRecoveryProgress installs (or, with nil, removes) the live
@@ -731,9 +717,6 @@ func (c *Controller) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.Counter(prefix+".recoveries", "completed crash recoveries", c.st.Recoveries.Value)
 	reg.Counter(prefix+".recovery_cycles", "simulated device cycles spent recovering", c.st.RecoveryCycles.Value)
 	reg.Counter(prefix+".recovery_wall_ns", "host wall-clock nanoseconds spent recovering", c.RecoveryWallNs)
-	reg.Gauge(prefix+".recovery_workers", "rebuild worker pool size recovery runs with", func() float64 {
-		return float64(c.RecoveryWorkers())
-	})
 	reg.Gauge(prefix+".wq_depth", "write-queue entries in flight", func() float64 {
 		return float64(c.wq.n)
 	})
@@ -939,7 +922,6 @@ func (c *Controller) Crash() {
 }
 
 // Recover runs the active policy's crash recovery procedure. The
-// report's Workers field records the rebuild parallelism used; the
 // host wall-clock duration is accumulated for telemetry (see
 // RecoveryWallNs) and carried on the EvRecovery event, never in
 // simulated results.
@@ -953,7 +935,6 @@ func (c *Controller) Recover(now uint64) (RecoveryReport, error) {
 	start := time.Now()
 	rep, err := c.policy.Recover(now)
 	wallNs := uint64(time.Since(start).Nanoseconds())
-	rep.Workers = c.RecoveryWorkers()
 	c.recProg.SetWall(wallNs)
 	c.recoveryWallNs.Add(wallNs)
 	c.st.Recoveries.Inc()
@@ -966,7 +947,6 @@ func (c *Controller) Recover(now uint64) (RecoveryReport, error) {
 		c.trace.Emit(telemetry.Event{
 			Cycle:  now,
 			Kind:   telemetry.EvRecovery,
-			Level:  rep.Workers,
 			From:   wallNs,
 			Cycles: rep.Cycles,
 			Count:  rep.CounterReads + rep.DataReads + rep.ShadowReads,

@@ -84,10 +84,6 @@ type RecoveryReport struct {
 	StaleFraction float64
 	// Cycles is the simulated device time spent recovering.
 	Cycles uint64
-	// Workers is the rebuild worker pool size the recovery ran with
-	// (set by Controller.Recover; ≥1). All other fields are
-	// bit-identical at any value.
-	Workers int
 }
 
 // base provides no-op defaults for optional hooks; concrete policies

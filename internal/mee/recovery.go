@@ -170,7 +170,6 @@ func (s *RecoverySession) Finish(now uint64) (RecoveryReport, error) {
 	}
 	res := s.rb.Result()
 	rep, err := s.or.FinishRecover(now, res)
-	rep.Workers = 1 // the resumable front is serial by construction
 	c.session = nil
 	if err == nil {
 		c.patchDirty(now, s.dirty, &rep)
@@ -188,7 +187,6 @@ func (s *RecoverySession) Finish(now uint64) (RecoveryReport, error) {
 		c.trace.Emit(telemetry.Event{
 			Cycle:  now,
 			Kind:   telemetry.EvRecovery,
-			Level:  rep.Workers,
 			From:   wallNs,
 			Cycles: rep.Cycles,
 			Count:  rep.CounterReads + rep.DataReads + rep.ShadowReads,

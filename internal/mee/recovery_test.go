@@ -52,9 +52,6 @@ func TestOnlineRecoveryMatchesBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatalf("online finish: %v", err)
 	}
-	// Workers differ by design (the resumable front is serial); all
-	// recovery work must match.
-	want.Workers, got.Workers = 0, 0
 	if got != want {
 		t.Fatalf("online report %+v != blocking %+v", got, want)
 	}

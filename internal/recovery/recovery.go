@@ -169,22 +169,9 @@ func StaleFraction(protocol string, level int) float64 {
 // measured recoveries on small memories can be compared against the
 // analytic curve.
 func (m Model) FromReport(rep mee.RecoveryReport) time.Duration {
-	return m.FromReportParallel(rep, 1)
-}
-
-// FromReportParallel models the same report recovered by a sharded
-// rebuild: the counter/data/shadow scan is divided across workers
-// (each worker streams a disjoint chunk of the span), while node
-// write-back — serialized above the fan-in boundary to keep results
-// bit-identical — stays on one lane. workers <= 1 reproduces
-// FromReport exactly.
-func (m Model) FromReportParallel(rep mee.RecoveryReport, workers int) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
 	readBytes := float64(rep.CounterReads+rep.DataReads+rep.ShadowReads) * 64
 	writeBytes := float64(rep.NodeWrites) * 64
-	equiv := readBytes/float64(workers) + writeBytes + m.WriteCostFactor*writeBytes
+	equiv := readBytes + writeBytes + m.WriteCostFactor*writeBytes
 	return time.Duration(equiv / m.ReadBW * float64(time.Second))
 }
 

@@ -164,27 +164,3 @@ func TestTriadModel(t *testing.T) {
 		t.Fatal("triad with no persisted levels should equal leaf")
 	}
 }
-
-func TestFromReportParallel(t *testing.T) {
-	m := DefaultModel()
-	rep := mee.RecoveryReport{CounterReads: 1 << 20, DataReads: 1 << 10, NodeWrites: 1 << 17}
-	if got, want := m.FromReportParallel(rep, 1), m.FromReport(rep); got != want {
-		t.Fatalf("workers=1: %v != FromReport %v", got, want)
-	}
-	if got, want := m.FromReportParallel(rep, 0), m.FromReport(rep); got != want {
-		t.Fatalf("workers=0 must clamp to serial: %v != %v", got, want)
-	}
-	prev := m.FromReportParallel(rep, 1)
-	for _, w := range []int{2, 4, 8} {
-		cur := m.FromReportParallel(rep, w)
-		if cur >= prev {
-			t.Fatalf("workers=%d: %v not faster than %v", w, cur, prev)
-		}
-		prev = cur
-	}
-	// The write lane stays serial: the floor is the write-back cost.
-	floor := m.FromReportParallel(mee.RecoveryReport{NodeWrites: rep.NodeWrites}, 1)
-	if wide := m.FromReportParallel(rep, 1<<20); wide < floor {
-		t.Fatalf("infinite workers %v dropped below the serial write floor %v", wide, floor)
-	}
-}

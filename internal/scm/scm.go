@@ -102,9 +102,8 @@ type WriteObserver func(region Region, index uint64, old, new []byte)
 //
 // Each region keeps its blocks in one regionStore (store.go). A
 // Device is driven by one goroutine; the exception is PeekInto and
-// Contains (and PeekScan, under the condition it documents), which
-// never write to the device and may run concurrently with each other
-// while nothing else does.
+// Contains, which never write to the device and may run concurrently
+// with each other while nothing else does.
 type Device struct {
 	cfg   Config
 	store [numRegions]regionStore
@@ -187,9 +186,8 @@ func (d *Device) ReadIfPresent(region Region, index uint64, dst []byte) (cycles 
 // statistics, reporting whether the block was present (absent blocks
 // read as zero, like Read). Unlike Read it never mutates device
 // state, so concurrent PeekInto calls are safe while no Write, Erase,
-// or tamper operation overlaps — the parallel rebuild engine relies
-// on this during its read-only fan-out phase and restores the traffic
-// accounting afterwards with AccountReads.
+// or tamper operation overlaps — the controller's concurrent read
+// view relies on this.
 func (d *Device) PeekInto(region Region, index uint64, dst []byte) bool {
 	if len(dst) != BlockSize {
 		panic("scm: peek buffer must be BlockSize bytes")
@@ -228,11 +226,7 @@ func (d *Device) Scan(region Region, lo, hi uint64, fn func(index uint64, blk []
 // blocks fn was handed. Like Scan, Count, Indices and WriteTo — and
 // unlike PeekInto — it refreshes the device's cached index ordering
 // if the region's key set changed since the ordering was last taken,
-// so in general it belongs to the goroutine that drives the device.
-// Once that goroutine has taken the ordering (any of those calls) and
-// for as long as nothing changes the key set, PeekScan only reads and
-// may run concurrently like PeekInto: the parallel rebuild's workers
-// each walk their own chunk this way.
+// so it belongs to the goroutine that drives the device.
 func (d *Device) PeekScan(region Region, lo, hi uint64, fn func(index uint64, blk []byte) bool) uint64 {
 	s := &d.store[region]
 	var n uint64

@@ -11,7 +11,7 @@ import (
 // understands: iterations plus per-op time and allocation figures.
 type BenchResult struct {
 	// Name is the full benchmark name, including sub-benchmark path
-	// ("BenchmarkRebuildParallel/leaves=262144/workers=4").
+	// ("BenchmarkRebuildSerial/leaves=262144").
 	Name string `json:"name"`
 	// N is the number of iterations the measurement averaged over.
 	N int `json:"n"`
@@ -35,7 +35,7 @@ func (r BenchResult) BenchstatLine() string {
 // with deterministic JSON encoding (insertion order is preserved).
 type BenchSet struct {
 	// Label describes the collection ("seed serial baseline",
-	// "flat-slice parallel rebuild").
+	// "scan-driven rebuild").
 	Label string `json:"label"`
 	// Results holds the measurements in insertion order.
 	Results []BenchResult `json:"results"`

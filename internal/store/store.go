@@ -173,10 +173,7 @@ type Config struct {
 	// PolicyOptions parameterizes the protocol (subtree level etc.).
 	PolicyOptions mee.PolicyOptions
 	// MEE configures each shard's controller; zero fields take
-	// mee.DefaultConfig values. MEE.RecoveryWorkers widens the BMT
-	// rebuild pool every shard recovery uses (boot-from-checkpoint,
-	// Recover, RecoverShard); recovered state and reported cycle
-	// counts are bit-identical at any width.
+	// mee.DefaultConfig values.
 	MEE mee.Config
 	// QueueDepth bounds each shard's request queue. Default 64.
 	QueueDepth int

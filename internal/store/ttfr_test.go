@@ -59,7 +59,7 @@ var parentTTFR = []ttfrEntry{
 // results into the BENCH_recovery.json named by -ttfrjson. Skipped
 // unless the flag is set:
 //
-//	go test ./internal/store -run TestWriteTTFRBench -ttfrjson BENCH_recovery.json
+//	go test ./internal/store -run TestWriteTTFRBench -ttfrjson $PWD/BENCH_recovery.json
 func TestWriteTTFRBench(t *testing.T) {
 	if *ttfrJSON == "" {
 		t.Skip("set -ttfrjson to write the TTFR benchmark document")

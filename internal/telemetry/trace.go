@@ -25,10 +25,9 @@ const (
 	// EvCrash: power failure — volatile state dropped.
 	EvCrash = "crash"
 	// EvRecovery: a crash recovery completed (Cycles is simulated
-	// recovery time, Count blocks scanned, Note the protocol, Level
-	// the rebuild worker-pool width, From the host wall-clock
-	// nanoseconds the recovery took — informational only; all
-	// simulated fields are identical at any pool width).
+	// recovery time, Count blocks scanned, Note the protocol, From the
+	// host wall-clock nanoseconds the recovery took — informational
+	// only, never part of a simulated result).
 	EvRecovery = "recovery"
 	// EvEpochCommit: a group-commit integrity epoch committed (Count is
 	// staged writes, From distinct data blocks written, To distinct
