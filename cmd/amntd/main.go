@@ -77,7 +77,6 @@ func main() {
 		level      = flag.Int("level", 3, "AMNT subtree level")
 		queue      = flag.Int("queue", 64, "bounded request queue depth per shard")
 		batch      = flag.Int("batch", 16, "max requests drained per worker wakeup, and max writes per group-commit epoch")
-		readWork   = flag.Int("read-workers", 4, "max concurrent verified readers per shard bypassing the write queue (0 = serialize every get through the shard worker)")
 		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory (empty = no checkpoints; cluster kill-drills need a shared one)")
 		reqTimeout = flag.Duration("req-timeout", 2*time.Second, "per-request serving deadline")
 		sample     = flag.Duration("sample", 250*time.Millisecond, "telemetry sampling period")
@@ -107,7 +106,7 @@ func main() {
 		Protocol:        *protocol,
 		QueueDepth:      *queue,
 		BatchMax:        *batch,
-		ReadConcurrency: *readWork,
+		ReadConcurrency: 4, // verified readers per shard bypassing the write queue
 		CheckpointDir:   *ckptDir,
 		RecoveryChunk:   *recChunk,
 		HealBackoff:     *healBack,

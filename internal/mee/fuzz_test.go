@@ -1,22 +1,26 @@
-package mee
+package mee_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"amnt/internal/mee"
 	"amnt/internal/scm"
 )
 
-// FuzzControllerOps drives a leaf-persisted controller with an
-// arbitrary program of writes, reads, and crash/recover cycles, and
-// checks full data fidelity throughout. The first byte shapes the
-// program: its low five bits pick the epoch size (1…32) consecutive
-// writes are staged into — size 1 is WriteBlock itself — and bit 5
-// packs the 64 addressable blocks into one counter page instead of
-// spreading them over 32. Every later byte encodes an action and an
-// address. Together they walk the commit plan through repeats of one
-// block, full and sparse pages, and minor-counter overflows landing
-// mid-epoch.
+// FuzzControllerOps drives a controller with an arbitrary program of
+// writes, reads, and crash/recover cycles, and checks full data
+// fidelity throughout. The first byte shapes the program: its low five
+// bits pick the epoch size (1…32) consecutive writes are staged into —
+// size 1 is WriteBlock itself — bit 5 packs the 64 addressable blocks
+// into one counter page instead of spreading them over 32, and bit 6
+// runs amnt instead of leaf, so reads also stop at the subtree
+// register. Every later byte encodes an action and an address.
+// Together they walk the commit plan through repeats of one block, full
+// and sparse pages, and minor-counter overflows landing mid-epoch.
+// Every read is made twice, serialized and off the read view, and the
+// two must agree.
 func FuzzControllerOps(f *testing.F) {
 	f.Add([]byte{0x01, 0x41, 0xFE, 0x01})
 	f.Add([]byte{0x10, 0x90, 0xFF, 0x10, 0x55})
@@ -34,6 +38,8 @@ func FuzzControllerOps(f *testing.F) {
 		fill = append(fill, slot)
 	}
 	f.Add(fill)
+	// amnt over spread-out blocks, epochs of 4.
+	f.Add([]byte{0x43, 0x41, 0x52, 0x63, 0x01, 0x12, 0x23, 0xC4, 0x41, 0x01})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
@@ -45,10 +51,38 @@ func FuzzControllerOps(f *testing.F) {
 		if ops[0]&0x20 != 0 {
 			stride = 1
 		}
-		c := New(testDevice(), tinyCacheConfig(), NewLeaf())
+		proto := "leaf"
+		if ops[0]&0x40 != 0 {
+			proto = "amnt"
+		}
+		policy, err := mee.NewPolicy(proto, mee.PolicyOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := mee.DefaultConfig()
+		cfg.MetaCacheBytes, cfg.MetaAssoc = 1<<10, 2 // 16 lines: heavy eviction
+		c := mee.New(scm.New(scm.Config{CapacityBytes: 2 << 20, ReadCycles: 610, WriteCycles: 782}), cfg, policy)
 		want := make(map[uint64][]byte)
 		got := make([]byte, scm.BlockSize)
-		var ep *Epoch
+		view := make([]byte, scm.BlockSize)
+		// read checks one block on both read paths against want.
+		read := func(now uint64, block uint64) {
+			_, err := c.ReadBlock(now, block, got)
+			_, verr := c.ReadBlockConcurrent(block, view)
+			if errClass(err) != errClass(verr) {
+				t.Fatalf("block %d: ReadBlock %v, ReadBlockConcurrent %v", block, err, verr)
+			}
+			if err != nil {
+				t.Fatalf("block %d read: %v", block, err)
+			}
+			if !bytes.Equal(got, view) {
+				t.Fatalf("block %d: the read view disagrees with ReadBlock", block)
+			}
+			if data, ok := want[block]; ok && !bytes.Equal(got, data) {
+				t.Fatalf("block %d stale", block)
+			}
+		}
+		var ep *mee.Epoch
 		commit := func(i int) {
 			if ep == nil {
 				return
@@ -87,12 +121,7 @@ func FuzzControllerOps(f *testing.F) {
 				}
 			default:
 				commit(i)
-				if _, err := c.ReadBlock(uint64(i), block, got); err != nil {
-					t.Fatalf("op %d read: %v", i, err)
-				}
-				if data, ok := want[block]; ok && !bytes.Equal(got, data) {
-					t.Fatalf("op %d block %d stale", i, block)
-				}
+				read(uint64(i), block)
 			}
 		}
 		commit(len(ops))
@@ -100,13 +129,30 @@ func FuzzControllerOps(f *testing.F) {
 		if _, err := c.Recover(0); err != nil {
 			t.Fatalf("final recover: %v", err)
 		}
-		for block, data := range want {
-			if _, err := c.ReadBlock(0, block, got); err != nil {
-				t.Fatalf("final read %d: %v", block, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("final block %d mismatch", block)
-			}
+		for block := range want {
+			read(0, block)
 		}
 	})
+}
+
+// errClass names the class of a read error, so two read paths can be
+// compared by what went wrong rather than by message.
+func errClass(err error) string {
+	var ie *mee.IntegrityError
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.As(err, &ie):
+		return "integrity"
+	}
+	return err.Error()
+}
+
+// pattern is the block content a write of seed stores.
+func pattern(seed byte) []byte {
+	b := make([]byte, scm.BlockSize)
+	for i := range b {
+		b[i] = seed + byte(i*3)
+	}
+	return b
 }

@@ -22,6 +22,7 @@ package mee
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -251,10 +252,11 @@ type Controller struct {
 	// buf holds the metadata cache's contents, one block per line,
 	// indexed by the line's slot (see cache.Line.Slot).
 	buf [][scm.BlockSize]byte
-	// miss is where a missing block is read and authenticated before it
-	// is installed, one buffer per tree level so FetchVerified can
-	// recurse into the parent (entry 0 serves HMAC and shadow blocks).
-	miss     [][scm.BlockSize]byte
+	// miss is where a missing HMAC or shadow block is read before it is
+	// installed.
+	miss [scm.BlockSize]byte
+	// walk is the owner's verified-read chain (see climb).
+	walk     chain
 	rootNV   [bmt.NodeSize]byte // level-1 node content, on-chip NV register
 	wq       *writeQueue
 	policy   Policy
@@ -352,7 +354,7 @@ func New(dev *scm.Device, cfg Config, policy Policy) *Controller {
 		Replacement: cfg.MetaReplacement,
 	})
 	c.buf = make([][scm.BlockSize]byte, c.meta.Lines())
-	c.miss = make([][scm.BlockSize]byte, c.geo.Levels+1)
+	c.walk.links = make([]link, 0, c.geo.Levels)
 	c.zero = bmt.ZeroDigests(c.eng, c.geo)
 	c.zeroNode = make([][scm.BlockSize]byte, c.geo.Levels)
 	for l := 1; l <= c.geo.Levels-1; l++ {
@@ -509,72 +511,149 @@ func (c *Controller) cached(key MetaKey) []byte {
 	return nil
 }
 
-// FetchVerified returns trusted content for tree node (level, idx),
-// where level Levels addresses counter blocks. The returned slice
-// aliases controller state and is valid until the next operation.
+// --- the verified-read walk -------------------------------------------
 //
-// Trust is established by the first of: the root register (level 1),
-// a policy anchor (AMNT subtree register, BMF persistent roots), or
-// metadata cache residency; otherwise the block is fetched from the
-// device and authenticated against its (recursively trusted) parent.
-func (c *Controller) FetchVerified(now uint64, level int, idx uint64) ([]byte, uint64, error) {
-	if level == 1 {
-		return c.rootNV[:], 0, nil
-	}
-	if content, ok := c.policy.AnchorContent(level, idx); ok {
-		return content, 0, nil
-	}
-	key := c.metaKeyFor(level, idx)
-	cycles := c.cfg.MetaHitCycles
-	if slot, hit := c.meta.Touch(uint64(key), false); hit {
-		c.levelHits[level].Observe(true)
-		return c.buf[slot][:], cycles, nil
-	}
-	c.levelHits[level].Observe(false)
-	if c.session != nil {
-		// Degraded mode: the tree above the leaves is mid-rebuild, so
-		// parent authentication is impossible. Counter leaves load
-		// provisionally (the per-access data MAC still binds their
-		// values; the deferred rebuild audit covers replay). Inner
-		// nodes are genuinely not reconstructible yet — fast-fail so
-		// the caller can retry after recovery.
-		if level == c.geo.Levels {
-			return c.fetchProvisional(now, key, cycles)
-		}
-		return nil, cycles, ErrRecovering
-	}
-	// Miss: fetch from the device and authenticate against the parent
-	// (the miss is recorded in cache stats when install allocates).
-	// An inner node never written is the zero-tree node for its level
-	// — a real system would find the boot-time initialized content
-	// there; the sparse device synthesizes it instead.
-	region, devIdx := key.region()
-	content := &c.miss[level]
-	if region != scm.Tree {
-		cycles += c.readCharge(c.dev.Read(region, devIdx, content[:]))
-	} else if rc, ok := c.dev.ReadIfPresent(region, devIdx, content[:]); ok {
-		cycles += c.readCharge(rc)
-	} else {
-		cycles += c.readCharge(c.dev.Config().ReadCycles)
-		*content = c.zeroNode[level]
-	}
-	c.st.MetaFetches.Inc()
+// A tree node (a counter block is a level-Levels node) is trusted once
+// a walk climbs from it to the first trusted rung — the root register,
+// a policy anchor, or a cache-resident node — and descends again,
+// hashing each link read from the device into its parent. The chain's
+// source carries every difference between callers: the owner
+// (FetchVerified) touches, charges, counts and installs; a snapshot
+// (the read view) looks up, copies and peeks, with no side effects.
+// The owner's cycles are one running total: climbing adds
+// MetaHitCycles plus the read charge per rung, descending adds
+// HashCycles per link and installs it at now plus the total — exactly
+// a per-rung recursion's sums and install times.
 
-	pl, pi := bmt.Parent(level, idx)
-	parent, pc, err := c.FetchVerified(now+cycles, pl, pi)
-	cycles += pc
+// chain is one walk's state: the links captured below the trusted
+// rung, leaf first, and that rung's content.
+type chain struct {
+	snapshot bool
+	links    []link
+	// top is the trusted rung: controller state for the owner, own for
+	// a snapshot, nil above a provisionally loaded counter leaf.
+	top []byte
+	own [scm.BlockSize]byte
+}
+
+// link is one untrusted rung: a node's position and the content read
+// for it, to be checked against its parent.
+type link struct {
+	level   int
+	idx     uint64
+	content [scm.BlockSize]byte
+}
+
+// climb captures the chain from node (level, idx) up to the first
+// trusted rung and returns the owner's cycles so far. During a recovery
+// session the tree above the leaves is mid-rebuild: a missing counter
+// leaf ends the climb unverified (top nil; the data MAC still binds its
+// values and the rebuild audit covers replay) and a missing inner node
+// is ErrRecovering.
+func (c *Controller) climb(ch *chain, level int, idx uint64) (uint64, error) {
+	var cycles uint64
+	ch.links, ch.top = ch.links[:0], nil
+	for ; level > 1; level, idx = bmt.Parent(level, idx) {
+		if content, ok := c.policy.AnchorContent(level, idx); ok {
+			ch.top = content
+			break
+		}
+		key := c.metaKeyFor(level, idx)
+		if ch.snapshot {
+			if ch.top = c.cached(key); ch.top != nil {
+				break
+			}
+		} else {
+			cycles += c.cfg.MetaHitCycles
+			slot, hit := c.meta.Touch(uint64(key), false)
+			c.levelHits[level].Observe(hit)
+			if hit {
+				ch.top = c.buf[slot][:]
+				break
+			}
+			if c.session != nil && level < c.geo.Levels {
+				return cycles, ErrRecovering
+			}
+		}
+		ch.links = slices.Grow(ch.links, 1)[:len(ch.links)+1] // content is overwritten below
+		l := &ch.links[len(ch.links)-1]
+		l.level, l.idx = level, idx
+		content := &l.content
+		// An inner node never written is the zero-tree node for its level
+		// — a real system would find the boot-time initialized content
+		// there; the sparse device synthesizes it instead.
+		region, devIdx := key.region()
+		if ch.snapshot {
+			if !c.dev.PeekInto(region, devIdx, content[:]) && region == scm.Tree {
+				*content = c.zeroNode[level]
+			}
+			continue
+		}
+		if region != scm.Tree {
+			cycles += c.readCharge(c.dev.Read(region, devIdx, content[:]))
+		} else if rc, ok := c.dev.ReadIfPresent(region, devIdx, content[:]); ok {
+			cycles += c.readCharge(rc)
+		} else {
+			cycles += c.readCharge(c.dev.Config().ReadCycles)
+			*content = c.zeroNode[level]
+		}
+		c.st.MetaFetches.Inc()
+		if c.session != nil {
+			return cycles, nil
+		}
+	}
+	if level == 1 {
+		ch.top = c.rootNV[:]
+	}
+	if ch.snapshot {
+		copy(ch.own[:], ch.top)
+		ch.top = ch.own[:]
+	}
+	return cycles, nil
+}
+
+// descend authenticates the chain's links top down, each against its
+// parent, and returns the node's trusted content with the owner's
+// running total of cycles. The owner's content aliases the cache.
+func (c *Controller) descend(ch *chain, now, cycles uint64) ([]byte, uint64, error) {
+	parent := ch.top
+	for i := len(ch.links) - 1; i >= 0; i-- {
+		l := &ch.links[i]
+		if parent == nil {
+			c.session.provisional++
+		} else {
+			want := bmt.ChildDigest(parent, bmt.ChildSlot(l.idx))
+			got := bmt.Hash(c.eng, l.level, l.content[:])
+			if !ch.snapshot {
+				cycles += c.cfg.HashCycles
+				c.st.VerifyHashes.Inc()
+			}
+			if got != want {
+				region, _ := c.metaKeyFor(l.level, l.idx).region()
+				return nil, cycles, &IntegrityError{What: fmt.Sprintf("%s node level %d", region, l.level), Addr: l.idx}
+			}
+		}
+		if ch.snapshot {
+			parent = l.content[:]
+			continue
+		}
+		var ic uint64
+		parent, ic = c.install(now+cycles, c.metaKeyFor(l.level, l.idx), &l.content)
+		cycles += ic
+	}
+	return parent, cycles, nil
+}
+
+// FetchVerified returns trusted content for tree node (level, idx),
+// where level Levels addresses counter blocks: the owner's walk. The
+// returned slice aliases controller state and is valid until the next
+// operation.
+func (c *Controller) FetchVerified(now uint64, level int, idx uint64) ([]byte, uint64, error) {
+	cycles, err := c.climb(&c.walk, level, idx)
 	if err != nil {
 		return nil, cycles, err
 	}
-	want := bmt.ChildDigest(parent, bmt.ChildSlot(idx))
-	got := bmt.Hash(c.eng, level, content[:])
-	cycles += c.cfg.HashCycles
-	c.st.VerifyHashes.Inc()
-	if got != want {
-		return nil, cycles, &IntegrityError{What: fmt.Sprintf("%s node level %d", region, level), Addr: idx}
-	}
-	cached, ic := c.install(now+cycles, key, content)
-	return cached, cycles + ic, nil
+	return c.descend(&c.walk, now, cycles)
 }
 
 // fetchHMAC returns the (unverified — data MACs are self-checking)
@@ -585,7 +664,7 @@ func (c *Controller) fetchHMAC(now uint64, hmacIdx uint64) ([]byte, uint64) {
 	if slot, hit := c.meta.Touch(uint64(key), false); hit {
 		return c.buf[slot][:], cycles
 	}
-	content := &c.miss[0]
+	content := &c.miss
 	cycles += c.readCharge(c.dev.Read(scm.HMAC, hmacIdx, content[:]))
 	c.st.MetaFetches.Inc()
 	cached, ic := c.install(now+cycles, key, content)
@@ -601,7 +680,7 @@ func (c *Controller) FetchShadow(now uint64, idx uint64) uint64 {
 	if _, hit := c.meta.Touch(uint64(key), false); hit {
 		return cycles
 	}
-	content := &c.miss[0]
+	content := &c.miss
 	cycles += c.readCharge(c.dev.Read(scm.Shadow, idx, content[:]))
 	c.st.MetaFetches.Inc()
 	_, ic := c.install(now+cycles, key, content)
@@ -777,21 +856,25 @@ func (c *Controller) readBlock(now uint64, b uint64, dst []byte) (uint64, error)
 	if err != nil {
 		return cycles, err
 	}
-	blk := counters.Decode(ctrContent)
-	major, minor := blk.Get(counters.MinorSlot(b))
+	// Decoded now: the HMAC fetch may evict the counter line.
+	ctr := counters.Decode(ctrContent)
 	cycles += c.readCharge(dataCycles)
-
 	hmacBlk, hc := c.fetchHMAC(now+cycles, b/hmacSlotsPerBlock)
-	cycles += hc
-	stored := bmt.ChildDigest(hmacBlk, int(b%hmacSlotsPerBlock))
-	computed := c.eng.MAC(dataAddr(b), major, minor, ct)
-	cycles += c.cfg.HashCycles
+	cycles += hc + c.cfg.HashCycles
 	c.st.VerifyHashes.Inc()
-	if stored != computed {
-		return cycles, &IntegrityError{What: "data HMAC mismatch", Addr: dataAddr(b)}
+	return cycles, c.openData(b, &ctr, hmacBlk, ct, dst)
+}
+
+// openData is the tail of every verified read: it checks ciphertext ct
+// of block b against its MAC in hmacBlk under the block's counters,
+// then decrypts it into dst.
+func (c *Controller) openData(b uint64, ctr *counters.Block, hmacBlk, ct, dst []byte) error {
+	major, minor := ctr.Get(counters.MinorSlot(b))
+	if bmt.ChildDigest(hmacBlk, int(b%hmacSlotsPerBlock)) != c.eng.MAC(dataAddr(b), major, minor, ct) {
+		return &IntegrityError{What: "data HMAC mismatch", Addr: dataAddr(b)}
 	}
 	c.eng.Decrypt(dataAddr(b), major, minor, dst, ct)
-	return cycles, nil
+	return nil
 }
 
 // WriteBlock performs an encrypted, integrity-maintained write of

@@ -5,7 +5,8 @@
 // cache, and the root register — none of which change while no
 // guarded operation is running. ReadBlockConcurrent exploits that:
 // any number of reader goroutines snapshot the counter/tree chain for
-// a block under short read-lock sections, then hash, MAC-check, and
+// a block under short read-lock sections (the snapshot source of the
+// one verified-read walk, see climb), then hash, MAC-check, and
 // decrypt entirely outside the lock on private copies, while the
 // owner goroutine keeps exclusive write access through the unchanged
 // enter()/exit() protocol.
@@ -52,7 +53,6 @@ import (
 	"runtime"
 	"sync"
 
-	"amnt/internal/bmt"
 	"amnt/internal/counters"
 	"amnt/internal/scm"
 )
@@ -75,10 +75,6 @@ const maxViewRetries = 4
 // pure; see the package comment above).
 func (c *Controller) ConcurrentReadsSupported() bool { return c.viewOK }
 
-// ViewSeq returns the current read-view sequence number. It advances
-// once per guarded top-level operation.
-func (c *Controller) ViewSeq() uint64 { return c.viewSeq.Load() }
-
 // ConcurrentReadStats returns the view counters: verified reads
 // served off the view, snapshot retries (seq conflicts), and reads
 // abandoned to the serialized path.
@@ -96,30 +92,17 @@ func (c *Controller) MetaFetches() uint64 { return c.st.MetaFetches.Value() + c.
 // from the device. Safe from any goroutine.
 func (c *Controller) ViewMetaFetches() uint64 { return c.viewFetches.Load() }
 
-// viewChainLevels is the chain length a pooled snapshot holds: a tree
-// this deep covers 8^11 pages (32 TiB). Deeper trees still work;
-// append grows the chain past the pooled array.
-const viewChainLevels = 12
-
-// viewScratch is the private memory of one snapshot attempt. Hashing
-// goes through the cme.Hasher interface, so these buffers cannot live
-// on the reader's stack; the pool keeps them off the allocator.
+// viewScratch is the private memory of one snapshot attempt: a
+// snapshot chain (see climb) and the data block's ciphertext and HMAC
+// block. Hashing goes through the cme.Hasher interface, so these
+// buffers cannot live on the reader's stack; the pool keeps them (and
+// the chain's grown links) off the allocator.
 type viewScratch struct {
-	chain       [viewChainLevels]viewNode
+	chain       chain
 	ct, hmacBlk [scm.BlockSize]byte
 }
 
-var viewScratchPool = sync.Pool{New: func() any { return new(viewScratch) }}
-
-// viewNode is one captured link of a counter/tree chain: the node's
-// position plus a private copy of its content. The last node of a
-// chain is trusted (root register, policy anchor, or cache-resident);
-// every earlier node must hash into its successor.
-type viewNode struct {
-	level   int
-	idx     uint64
-	content [scm.BlockSize]byte
-}
+var viewScratchPool = sync.Pool{New: func() any { return &viewScratch{chain: chain{snapshot: true}} }}
 
 // ReadBlockConcurrent performs a verified read of data block b into
 // dst (BlockSize bytes) without claiming the single-writer guard, so
@@ -185,28 +168,15 @@ func (c *Controller) tryViewRead(b uint64, dst []byte, attempt int) (done bool, 
 		// First touch: the block was never written and reads as
 		// zeroes without verification, exactly like readBlock.
 		c.viewMu.RUnlock()
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return true, nil
 	}
 	sc := viewScratchPool.Get().(*viewScratch)
 	defer viewScratchPool.Put(sc)
-	chain := sc.chain[:0]
-	level, idx := c.geo.Levels, counters.CounterIndex(b)
-	for {
-		node := viewNode{level: level, idx: idx}
-		if trusted := c.captureNode(&node); trusted {
-			chain = append(chain, node)
-			break
-		}
-		chain = append(chain, node)
-		level, idx = bmt.Parent(level, idx)
-	}
+	c.climb(&sc.chain, c.geo.Levels, counters.CounterIndex(b)) // a snapshot climb cannot fail
 	seq1 := c.viewSeq.Load()
 	c.viewMu.RUnlock()
-	// Every link but the trusted last one came from the device.
-	c.viewFetches.Add(uint64(len(chain) - 1))
+	c.viewFetches.Add(uint64(len(sc.chain.links))) // every link was peeked
 
 	if c.viewHook != nil {
 		c.viewHook(attempt)
@@ -235,55 +205,10 @@ func (c *Controller) tryViewRead(b uint64, dst []byte, attempt int) (done bool, 
 	// Verification and decryption: lock-free, on private copies. The
 	// two sections agree on seq, so together they form one consistent
 	// snapshot — any mismatch below is a genuine integrity violation.
-	for i := len(chain) - 2; i >= 0; i-- {
-		want := bmt.ChildDigest(chain[i+1].content[:], bmt.ChildSlot(chain[i].idx))
-		got := bmt.Hash(c.eng, chain[i].level, chain[i].content[:])
-		if got != want {
-			region := "tree"
-			if chain[i].level == c.geo.Levels {
-				region = "counter"
-			}
-			return true, &IntegrityError{
-				What: fmt.Sprintf("%s node level %d (concurrent read)", region, chain[i].level),
-				Addr: chain[i].idx,
-			}
-		}
+	ctrContent, _, err := c.descend(&sc.chain, 0, 0)
+	if err != nil {
+		return true, err
 	}
-	blk := counters.Decode(chain[0].content[:])
-	major, minor := blk.Get(counters.MinorSlot(b))
-	stored := bmt.ChildDigest(hmacBlk[:], int(b%hmacSlotsPerBlock))
-	computed := c.eng.MAC(dataAddr(b), major, minor, ct[:])
-	if stored != computed {
-		return true, &IntegrityError{What: "data HMAC mismatch (concurrent read)", Addr: dataAddr(b)}
-	}
-	c.eng.Decrypt(dataAddr(b), major, minor, dst, ct[:])
-	return true, nil
-}
-
-// captureNode copies the content of tree node (node.level, node.idx)
-// into node.content, reporting whether the copy is trusted (root
-// register, policy anchor, or metadata-cache resident — the same
-// trust ladder as FetchVerified). Untrusted copies come from the
-// device (absent tree nodes synthesize the zero node) and must be
-// authenticated against their captured parent. Caller holds
-// viewMu.RLock.
-func (c *Controller) captureNode(node *viewNode) (trusted bool) {
-	if node.level == 1 {
-		copy(node.content[:], c.rootNV[:])
-		return true
-	}
-	if content, ok := c.policy.AnchorContent(node.level, node.idx); ok {
-		copy(node.content[:], content)
-		return true
-	}
-	key := c.metaKeyFor(node.level, node.idx)
-	if content := c.cached(key); content != nil {
-		copy(node.content[:], content)
-		return true
-	}
-	region, devIdx := key.region()
-	if !c.dev.PeekInto(region, devIdx, node.content[:]) && region == scm.Tree {
-		node.content = c.zeroNode[node.level]
-	}
-	return false
+	ctr := counters.Decode(ctrContent)
+	return true, c.openData(b, &ctr, hmacBlk[:], ct[:], dst)
 }

@@ -97,8 +97,44 @@ func TestReadViewFetchAccounting(t *testing.T) {
 	if c.Stats().MetaFetches.Value() != owner || c.MetaFetches() != owner+view {
 		t.Fatalf("MetaFetches = %d, want owner %d + view %d", c.MetaFetches(), owner, view)
 	}
-	if n := testing.AllocsPerRun(50, func() { c.ReadBlockConcurrent(7*64, dst) }); n != 0 {
-		t.Fatalf("view read: %v allocs, want 0", n)
+}
+
+// TestWarmReadAllocs: a warm verified read allocates nothing on either
+// path. One block in each of 64 pages over a 16-line cache, so most
+// reads walk their chain from the device up to the root.
+func TestWarmReadAllocs(t *testing.T) {
+	c := New(testDevice(), tinyCacheConfig(), NewLeaf())
+	for p := uint64(0); p < 64; p++ {
+		if _, err := c.WriteBlock(0, p*64, pattern(byte(p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Flush(0)
+	dst := make([]byte, scm.BlockSize)
+	var p uint64
+	paths := map[string]func(b uint64) error{
+		"ReadBlock": func(b uint64) error {
+			_, err := c.ReadBlock(0, b, dst)
+			return err
+		},
+		"ReadBlockConcurrent": func(b uint64) error {
+			_, err := c.ReadBlockConcurrent(b, dst)
+			return err
+		},
+	}
+	for name, read := range paths {
+		next := func() {
+			p = (p + 7) % 64
+			if err := read(p * 64); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			next()
+		}
+		if n := testing.AllocsPerRun(128, next); n != 0 {
+			t.Fatalf("warm %s: %v allocs, want 0", name, n)
+		}
 	}
 }
 
@@ -199,26 +235,43 @@ func TestReadViewDetectsTamper(t *testing.T) {
 			t.Fatalf("tampered data read error = %v, want IntegrityError", err)
 		}
 	})
-	t.Run("counter", func(t *testing.T) {
-		c := New(testDevice(), DefaultConfig(), NewLeaf())
-		if _, err := c.WriteBlock(0, 3, pattern(1)); err != nil {
-			t.Fatal(err)
+	// One node of block 3's chain tampered on the device at each level,
+	// the counter leaf included: with the cache emptied the walk fetches
+	// every rung below the root, and both reads must name the tampered
+	// node.
+	levels := New(testDevice(), DefaultConfig(), NewLeaf()).Geometry().Levels
+	for level := 2; level <= levels; level++ {
+		name := fmt.Sprintf("tree-level-%d", level)
+		if level == levels {
+			name = "counter"
 		}
-		// Evict the cached counter leaf so the read must fetch the
-		// tampered device copy and verify it against the tree.
-		idx := c.Device().Indices(scm.Counter)
-		if len(idx) == 0 {
-			t.Fatal("no counter block written")
-		}
-		c.Device().TamperByte(scm.Counter, idx[0], 5, 0x40)
-		c.DropCached(CounterKey(3 / 64))
-		dst := make([]byte, scm.BlockSize)
-		_, err := c.ReadBlockConcurrent(3, dst)
-		var ie *IntegrityError
-		if !errors.As(err, &ie) {
-			t.Fatalf("tampered counter read error = %v, want IntegrityError", err)
-		}
-	})
+		t.Run(name, func(t *testing.T) {
+			c := New(testDevice(), DefaultConfig(), NewLeaf())
+			if _, err := c.WriteBlock(0, 3, pattern(1)); err != nil {
+				t.Fatal(err)
+			}
+			c.Flush(0)
+			g := c.Geometry()
+			idx := g.Ancestor(level, 3/64)
+			region, devIdx := c.metaKeyFor(level, idx).region()
+			if !c.Device().TamperByte(region, devIdx, 5, 0x40) {
+				t.Fatalf("level %d node %d not on the device", level, idx)
+			}
+			c.MetaCache().InvalidateAll()
+			dst := make([]byte, scm.BlockSize)
+			var view, owner *IntegrityError
+			if _, err := c.ReadBlockConcurrent(3, dst); !errors.As(err, &view) {
+				t.Fatalf("concurrent read error = %v, want IntegrityError", err)
+			}
+			if _, err := c.ReadBlock(0, 3, dst); !errors.As(err, &owner) {
+				t.Fatalf("serialized read error = %v, want IntegrityError", err)
+			}
+			want := fmt.Sprintf("%s node level %d", region, level)
+			if *view != *owner || view.What != want || view.Addr != idx {
+				t.Fatalf("concurrent %v, serialized %v; want %s at %#x", view, owner, want, idx)
+			}
+		})
+	}
 }
 
 // TestReadViewDuringRecoverySession pins the degradation contract:

@@ -216,20 +216,6 @@ func (s *RecoverySession) noteWrite(ctrIdx uint64) {
 	s.writes++
 }
 
-// fetchProvisional is the degraded counter-leaf miss path: load the
-// device block without parent authentication and install it in the
-// metadata cache. The data-MAC check on every access still binds the
-// counter values; the deferred rebuild audit covers the rest.
-func (c *Controller) fetchProvisional(now uint64, key MetaKey, cycles uint64) ([]byte, uint64, error) {
-	region, devIdx := key.region()
-	content := &c.miss[0]
-	cycles += c.readCharge(c.dev.Read(region, devIdx, content[:]))
-	c.st.MetaFetches.Inc()
-	c.session.provisional++
-	cached, ic := c.install(now+cycles, key, content)
-	return cached, cycles + ic, nil
-}
-
 // patchDirty re-climbs the ancestral path of every counter leaf
 // written during a session, after the audit validated the frozen
 // image: each leaf's current (write-through, trusted-by-construction)

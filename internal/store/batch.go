@@ -165,29 +165,10 @@ func (s *Store) GetBatch(ctx context.Context, keys []uint64) ([][]byte, []error)
 		go func(l leg, sp *span.Span) {
 			defer wg.Done()
 			defer sp.End()
-			// Reader-pool fast path: serve the whole leg off the read
-			// view, then queue only the blocks it could not serve.
-			todo := l.idx
-			if vals, ves, leftover, served := s.serveLegConcurrent(ctx, l.sh, blocks, sp); served {
-				for j, i := range l.idx {
-					values[i], errs[i] = vals[j], ves[j]
-				}
-				if len(leftover) == 0 {
-					return
-				}
-				todo = make([]int, len(leftover))
-				for k, j := range leftover {
-					todo[k], blocks[k] = l.idx[j], blocks[j]
-				}
-				blocks = blocks[:len(leftover)]
-			}
-			resp, err := s.submit(ctx, l.sh, request{op: opGet, kvs: blocks, sp: sp})
-			for k, i := range todo {
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				values[i], errs[i] = resp.values[k], resp.errs[k]
+			vals, ves := make([][]byte, len(blocks)), make([]error, len(blocks))
+			s.readLeg(ctx, l.sh, blocks, sp, vals, ves)
+			for j, i := range l.idx {
+				values[i], errs[i] = vals[j], ves[j]
 			}
 		}(l, sp)
 	}

@@ -54,84 +54,88 @@ func (sh *shard) readViewBlock(block uint64) (v []byte, fallback bool, err error
 	}
 	sh.m.gets.Add(1)
 	sh.m.concurrentReads.Add(1)
-	n := int(blk[0])
-	if n == 0 {
+	v, err = unpackValue(&blk)
+	if err != nil {
 		sh.m.misses.Add(1)
-		return nil, false, ErrNotFound
 	}
-	v = make([]byte, n-1)
-	copy(v, blk[1:n])
-	return v, false, nil
+	return v, false, err
 }
 
-// getConcurrent attempts to serve one get off sh's reader pool.
-// served=false means the caller must use the queue path (no counters
-// or span phases were finalized). served=true is a complete outcome:
-// the value, ErrNotFound, a genuine integrity error, or ctx expiry
-// while waiting for a pool slot.
-func (s *Store) getConcurrent(ctx context.Context, sh *shard, block uint64) (v []byte, served bool, err error) {
+// readLeg is the one read route: it serves one shard's share of a
+// read — a GetBatch leg, or a Get as a leg of one — into values/errs,
+// parallel to blocks. The reader pool serves what it can off the read
+// view; the blocks it leaves go to the shard's queue in one request.
+// Only that request holds on to memory, so a Get served off the pool
+// allocates nothing but its value.
+func (s *Store) readLeg(ctx context.Context, sh *shard, blocks []kvPair, sp *span.Span, values [][]byte, errs []error) {
+	left, served, err := sh.viewLeg(ctx, blocks, values, errs)
+	if err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+		return
+	}
+	if served {
+		// Pool-served gets never enter the write queue: queue_wait stays
+		// 0 and the whole service time (slot wait + snapshot + verify +
+		// decrypt) is attributed to read_verify.
+		sp.SetShard(sh.id)
+		sp.Mark(span.ReadVerify)
+		if len(left) == 0 {
+			return
+		}
+	}
+	queue := make([]kvPair, 0, len(blocks))
+	if served {
+		for _, i := range left {
+			queue = append(queue, blocks[i])
+		}
+	} else {
+		queue = append(queue, blocks...)
+	}
+	resp, err := s.submit(ctx, sh, request{op: opGet, kvs: queue, sp: sp})
+	for k := range queue {
+		i := k
+		if served {
+			i = left[k]
+		}
+		if err != nil {
+			values[i], errs[i] = nil, err
+			continue
+		}
+		values[i], errs[i] = resp.values[k], resp.errs[k]
+	}
+}
+
+// viewLeg serves blocks off the read view into values/errs, holding
+// one reader-pool slot for the whole leg. served=false means the queue
+// must serve the whole leg: the shard is not eligible, or it detached
+// (migration hand-off) or failed while the reads ran, and the queue
+// answers with the ownership hint or the nack instead of possibly
+// stale data. Otherwise left lists the positions the view could not
+// serve. err is the caller's ctx expiring while it waited for a slot:
+// the caller is gone, so nothing is queued for it.
+func (sh *shard) viewLeg(ctx context.Context, blocks []kvPair, values [][]byte, errs []error) (left []int, served bool, err error) {
+	if !sh.readEligible() {
+		return nil, false, nil
+	}
 	select {
 	case sh.readSem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, true, ctx.Err()
+		return nil, false, ctx.Err()
 	}
 	defer func() { <-sh.readSem }()
 	// The state may have flipped while waiting for a slot.
 	if !sh.readEligible() {
 		return nil, false, nil
 	}
-	v, fallback, err := sh.readViewBlock(block)
-	if fallback {
-		return nil, false, nil
-	}
-	if sh.admit(false) != nil {
-		// The shard detached (migration hand-off) or failed while the
-		// read ran; re-serve through the queue so the caller gets the
-		// ownership hint or the nack instead of possibly stale data.
-		return nil, false, nil
-	}
-	sp := span.FromContext(ctx)
-	sp.SetShard(sh.id)
-	// Pool-served gets never enter the write queue: queue_wait stays
-	// 0 and the whole service time (slot wait + snapshot + verify +
-	// decrypt) is attributed to read_verify.
-	sp.Mark(span.ReadVerify)
-	return v, true, err
-}
-
-// serveLegConcurrent attempts the reader pool for one GetBatch leg,
-// holding a single pool slot for the whole leg. served=false means
-// nothing was served — submit the full leg. When served, values/errs
-// are parallel to blocks and leftover lists positions that still need
-// the queue (their values/errs entries are unset); the pool slot is
-// released before returning, so the caller may block on submit.
-func (s *Store) serveLegConcurrent(ctx context.Context, sh *shard, blocks []kvPair, leg *span.Span) (values [][]byte, errs []error, leftover []int, served bool) {
-	if !sh.readEligible() {
-		return nil, nil, nil, false
-	}
-	select {
-	case sh.readSem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, nil, nil, false
-	}
-	defer func() { <-sh.readSem }()
-	if !sh.readEligible() {
-		return nil, nil, nil, false
-	}
-	values = make([][]byte, len(blocks))
-	errs = make([]error, len(blocks))
 	for i, b := range blocks {
 		v, fallback, err := sh.readViewBlock(b.block)
 		if fallback {
-			leftover = append(leftover, i)
+			left = append(left, i)
 			continue
 		}
 		values[i], errs[i] = v, err
 	}
-	if sh.admit(false) != nil {
-		return nil, nil, nil, false
-	}
-	leg.SetShard(sh.id)
-	leg.Mark(span.ReadVerify)
-	return values, errs, leftover, true
+	return left, sh.admit(false) == nil, nil
 }

@@ -205,6 +205,44 @@ func TestStoreConcurrentReadHammer(t *testing.T) {
 	t.Logf("concurrent_reads=%d retries=%d fallbacks=%d", conc, sumRetries(snap), sumFallbacks(snap))
 }
 
+// TestStoreReadCancelledWhileWaitingForSlot: a read whose ctx expires
+// while every reader-pool slot is taken answers ctx.Err() — one route
+// for Get and a GetBatch leg — and queues nothing for the departed
+// caller. Closing the store settles the worker's accounting, so
+// batch_items then counts exactly the one live flush.
+func TestStoreReadCancelledWhileWaitingForSlot(t *testing.T) {
+	s := mustOpen(t, readConfig())
+	const key = 7
+	if err := s.Put(context.Background(), key, stamp(key)); err != nil {
+		t.Fatal(err)
+	}
+	sh, _, err := s.shardFor(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cap(sh.readSem); i++ {
+		sh.readSem <- struct{}{}
+	}
+	before := sh.m.batchItems.Load()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, errs := s.GetBatch(ctx, []uint64{key}); !errors.Is(errs[0], context.Canceled) {
+		t.Fatalf("GetBatch: %v, want context.Canceled", errs[0])
+	}
+	if _, err := s.Get(ctx, key); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Get: %v, want context.Canceled", err)
+	}
+	if err := s.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := sh.m.batchItems.Load() - before; got != 1 {
+		t.Fatalf("batch_items grew by %d, want 1 (the flush only)", got)
+	}
+}
+
 func sumRetries(snap Snapshot) (n uint64) {
 	for _, ss := range snap.Shards {
 		n += ss.ReadRetries

@@ -653,16 +653,10 @@ func (s *Store) Get(ctx context.Context, key uint64) ([]byte, error) {
 	if block >= sh.blocks {
 		return nil, ErrOutOfRange
 	}
-	if sh.readEligible() {
-		if v, served, err := s.getConcurrent(ctx, sh, block); served {
-			return v, err
-		}
-	}
-	resp, err := s.submit(ctx, sh, request{op: opGet, kvs: []kvPair{{block: block}}})
-	if err != nil {
-		return nil, err
-	}
-	return resp.values[0], resp.errs[0]
+	var v [1][]byte
+	var e [1]error
+	s.readLeg(ctx, sh, []kvPair{{block: block}}, span.FromContext(ctx), v[:], e[:])
+	return v[0], e[0]
 }
 
 // Put stores value (at most MaxValueLen bytes) at key.
@@ -1021,6 +1015,18 @@ func packValue(blk *[scm.BlockSize]byte, value []byte) {
 	}
 }
 
+// unpackValue unframes a block image packValue wrote; a block never
+// written is ErrNotFound.
+func unpackValue(blk *[scm.BlockSize]byte) ([]byte, error) {
+	n := int(blk[0])
+	if n == 0 {
+		return nil, ErrNotFound
+	}
+	v := make([]byte, n-1)
+	copy(v, blk[1:n])
+	return v, nil
+}
+
 // getBlock runs the verified read path and unframes the value.
 func (sh *shard) getBlock(block uint64) ([]byte, error) {
 	var blk [scm.BlockSize]byte
@@ -1030,14 +1036,11 @@ func (sh *shard) getBlock(block uint64) ([]byte, error) {
 		sh.countErr(err)
 		return nil, asStoreErr(err)
 	}
-	n := int(blk[0])
-	if n == 0 {
+	v, err := unpackValue(&blk)
+	if err != nil {
 		sh.m.misses.Add(1)
-		return nil, ErrNotFound
 	}
-	v := make([]byte, n-1)
-	copy(v, blk[1:n])
-	return v, nil
+	return v, err
 }
 
 // serve executes one admitted get or control request against the
