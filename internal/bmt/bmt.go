@@ -282,8 +282,9 @@ func Rebuild(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, rootIdx 
 
 // RebuildWith is Rebuild with explicit options.
 func RebuildWith(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, rootIdx uint64, opts RebuildOptions) RebuildResult {
-	lo, hi := g.LeafSpan(rootLevel, rootIdx)
-	return rebuildFrom(dev, e, g, source{level: g.Levels, region: scm.Counter}, lo, hi, rootLevel, rootIdx, opts)
+	r := NewRebuilder(dev, e, g, g.Levels, rootLevel, rootIdx, opts, nil)
+	r.Step(0)
+	return r.res
 }
 
 // RebuildAbove recomputes tree levels [2, boundary) from the nodes
@@ -294,31 +295,12 @@ func RebuildWith(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, root
 // nodes are written back when persist is set; the result carries the
 // level-1 content for comparison against the root register.
 func RebuildAbove(dev *scm.Device, e *cme.Engine, g Geometry, boundary int, persist bool) RebuildResult {
-	return RebuildAboveWith(dev, e, g, boundary, RebuildOptions{Persist: persist})
-}
-
-// RebuildAboveWith is RebuildAbove with explicit options.
-func RebuildAboveWith(dev *scm.Device, e *cme.Engine, g Geometry, boundary int, opts RebuildOptions) RebuildResult {
 	if boundary <= 2 {
 		// Nothing above the boundary is stored off-chip; the root
 		// register itself is the only level-1 state.
 		return RebuildResult{Digest: ZeroDigests(e, g)[1]}
 	}
-	if boundary > g.Levels {
-		boundary = g.Levels
-	}
-	src := source{level: boundary, region: scm.Counter}
-	if boundary < g.Levels {
-		src = source{level: boundary, region: scm.Tree, flatOff: g.FlatIndex(boundary, 0)}
-	}
-	return rebuildFrom(dev, e, g, src, 0, capacityAt(boundary), 1, 0, opts)
-}
-
-// rebuildFrom reconstructs levels [rootLevel, src.level] from the
-// occupied source nodes with level-relative index in [lo, hi): the
-// Rebuilder, run to completion in one Step.
-func rebuildFrom(dev *scm.Device, e *cme.Engine, g Geometry, src source, lo, hi uint64, rootLevel int, rootIdx uint64, opts RebuildOptions) RebuildResult {
-	r := newRebuilder(dev, e, g, src, lo, hi, rootLevel, rootIdx, opts, nil)
+	r := NewRebuilder(dev, e, g, min(boundary, g.Levels), 1, 0, RebuildOptions{Persist: persist}, nil)
 	r.Step(0)
 	return r.res
 }

@@ -45,21 +45,19 @@ type Rebuilder struct {
 }
 
 // NewRebuilder plans a resumable rebuild of the subtree rooted at
-// (rootLevel, rootIdx) from its counter leaves. frozen maps
-// counter-leaf indices to their content at freeze time: a non-nil
-// entry overrides the device block, a nil entry excludes the leaf (it
-// was absent at freeze time). The map may be nil, and the owner may
-// add to it between Steps.
-func NewRebuilder(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, rootIdx uint64, opts RebuildOptions, frozen map[uint64][]byte) *Rebuilder {
-	lo, hi := g.LeafSpan(rootLevel, rootIdx)
-	return newRebuilder(dev, e, g, source{level: g.Levels, region: scm.Counter}, lo, hi, rootLevel, rootIdx, opts, frozen)
-}
-
-// newRebuilder plans a rebuild of levels [rootLevel, src.level] from
-// the source nodes with level-relative index in [lo, hi). Overrides
-// apply to counter sources only.
-func newRebuilder(dev *scm.Device, e *cme.Engine, g Geometry, src source, lo, hi uint64, rootLevel int, rootIdx uint64, opts RebuildOptions, frozen map[uint64][]byte) *Rebuilder {
-	lo, hi = src.flatOff+lo, src.flatOff+hi
+// (rootLevel, rootIdx) from its nodes at srcLevel: the counter leaves
+// when srcLevel is g.Levels, else a persisted Tree-region level below
+// the root (Triad-NVM's boundary). frozen maps counter-leaf indices to
+// their content at freeze time: a non-nil entry overrides the device
+// block, a nil entry excludes the leaf (it was absent at freeze time).
+// The map may be nil, and the owner may add to it between Steps.
+func NewRebuilder(dev *scm.Device, e *cme.Engine, g Geometry, srcLevel, rootLevel int, rootIdx uint64, opts RebuildOptions, frozen map[uint64][]byte) *Rebuilder {
+	src := source{level: srcLevel, region: scm.Counter}
+	if srcLevel < g.Levels {
+		src = source{level: srcLevel, region: scm.Tree, flatOff: g.FlatIndex(srcLevel, 0)}
+	}
+	shift := uint(arityShift * (srcLevel - rootLevel))
+	lo, hi := src.flatOff+rootIdx<<shift, src.flatOff+(rootIdx+1)<<shift
 	total := dev.Count(src.region, lo, hi)
 	for li, ov := range frozen {
 		if ov == nil && li >= lo && li < hi && dev.Contains(src.region, li) {

@@ -35,7 +35,7 @@ func TestRebuilderMatchesSerial(t *testing.T) {
 			for _, step := range stepSizes {
 				dp := dev(leaves * 4096)
 				populate(dp, occ)
-				r := NewRebuilder(dp, e, g, 1, 0, RebuildOptions{Persist: persist}, nil)
+				r := NewRebuilder(dp, e, g, g.Levels, 1, 0, RebuildOptions{Persist: persist}, nil)
 				steps := 0
 				for !r.Step(step) {
 					steps++
@@ -97,7 +97,7 @@ func TestRebuilderSubtreeProperty(t *testing.T) {
 
 		dp := dev(leaves * 4096)
 		populate(dp, occ)
-		r := NewRebuilder(dp, e, g, rootLevel, rootIdx, RebuildOptions{Persist: persist}, nil)
+		r := NewRebuilder(dp, e, g, g.Levels, rootLevel, rootIdx, RebuildOptions{Persist: persist}, nil)
 		for !r.Step(step) {
 		}
 		ctx := fmt.Sprintf("round %d leaves=%d occ=%d root=(%d,%d) persist=%v step=%d",
@@ -142,7 +142,7 @@ func TestRebuilderFrozenOverrides(t *testing.T) {
 	dLive.Write(scm.Counter, 17, scribble[:])
 	dLive.Write(scm.Counter, 42, scribble[:])
 
-	r := NewRebuilder(dLive, e, g, 1, 0, RebuildOptions{Persist: true}, frozen)
+	r := NewRebuilder(dLive, e, g, g.Levels, 1, 0, RebuildOptions{Persist: true}, frozen)
 	readsBefore := dLive.Stats().RegionReads[scm.Counter].Value()
 	if r.Step(1) {
 		t.Fatal("rebuild of three leaves done after one")
@@ -178,7 +178,7 @@ func TestRebuilderStepNoAllocs(t *testing.T) {
 	const leaves = 1 << 14
 	g := NewGeometry(leaves)
 	d := newBenchDevice(leaves)
-	r := NewRebuilder(d, eng(), g, 1, 0, RebuildOptions{Persist: true, Progress: &Progress{}}, nil)
+	r := NewRebuilder(d, eng(), g, g.Levels, 1, 0, RebuildOptions{Persist: true, Progress: &Progress{}}, nil)
 	r.Step(256) // so the measured Steps are mid-rebuild
 	if n := testing.AllocsPerRun(20, func() { r.Step(256) }); n != 0 {
 		t.Fatalf("Step(256): %v allocs per call, want 0", n)
@@ -200,7 +200,7 @@ func TestRebuilderProgress(t *testing.T) {
 
 	var p Progress
 	p.Reset()
-	r := NewRebuilder(d, e, g, 1, 0, RebuildOptions{Progress: &p}, nil)
+	r := NewRebuilder(d, e, g, g.Levels, 1, 0, RebuildOptions{Progress: &p}, nil)
 	if s := p.Snapshot(); s.Total != 5 || !s.Active {
 		t.Fatalf("after construction: %+v", s)
 	}
@@ -219,7 +219,7 @@ func TestRebuilderProgress(t *testing.T) {
 	}
 
 	p.Reset()
-	r2 := NewRebuilder(d, e, g, 1, 0, RebuildOptions{Progress: &p}, nil)
+	r2 := NewRebuilder(d, e, g, g.Levels, 1, 0, RebuildOptions{Progress: &p}, nil)
 	r2.Step(1)
 	r2.Abort()
 	if s := p.Snapshot(); s.Active {

@@ -23,7 +23,6 @@
 package core
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -417,108 +416,31 @@ func (a *AMNT) Crash() {
 	}
 }
 
-// Recover implements mee.Policy: rebuild only the fast subtrees from
-// their counters, validate each against its NV register, then patch
-// the (strictly persisted) paths from the subtree roots up to the
-// global root register.
-func (a *AMNT) Recover(now uint64) (mee.RecoveryReport, error) {
-	c := a.ctrl
-	res := make([]bmt.RebuildResult, len(a.regs))
-	for i := range a.regs {
-		res[i] = bmt.RebuildWith(c.Device(), c.Engine(), c.Geometry(), a.level, a.regs[i].idx, c.RebuildOptions(true))
+// RecoveryPlan implements mee.Policy: only the fast subtrees are stale
+// after a crash, so each is rebuilt from its counters and audited
+// against its NV register; the (strictly persisted) paths from the
+// subtree roots up to the global root register need only the
+// registers. Counters and HMACs are write-through everywhere, so the
+// rebuilds can run while serving.
+func (a *AMNT) RecoveryPlan() mee.RecoveryPlan {
+	g := a.ctrl.Geometry()
+	p := mee.RecoveryPlan{
+		Roots:         make([]mee.RebuildRoot, len(a.regs)),
+		Persist:       true,
+		Online:        true,
+		StaleFraction: float64(len(a.regs)) / float64(a.Regions()),
+		Name:          "amnt",
 	}
-	return a.finish(res)
-}
-
-// RecoveryPlan implements mee.OnlineRecoverer: only the fast subtree
-// is stale after a crash, and counters + HMACs are write-through
-// everywhere, so the subtree rebuild can run while serving. A session
-// rebuilds one subtree, so only K=1 recovers online.
-func (a *AMNT) RecoveryPlan() (int, uint64, bool) { return a.level, a.regs[0].idx, len(a.regs) == 1 }
-
-// FinishRecover implements mee.OnlineRecoverer: the audit-and-patch
-// half of Recover, over a rebuild that may have run incrementally.
-func (a *AMNT) FinishRecover(_ uint64, res bmt.RebuildResult) (mee.RecoveryReport, error) {
-	return a.finish([]bmt.RebuildResult{res})
-}
-
-// finish accounts each register's finished rebuild, compares its root
-// against the register, then patches the root paths.
-func (a *AMNT) finish(res []bmt.RebuildResult) (mee.RecoveryReport, error) {
-	rep := mee.RecoveryReport{Protocol: a.name, StaleFraction: float64(len(a.regs)) / float64(a.Regions())}
 	for i := range a.regs {
-		r := &a.regs[i]
+		p.Roots[i] = mee.RebuildRoot{Level: a.level, Idx: a.regs[i].idx, Source: g.Levels, Anchor: &a.regs[i].content}
 		if a.level == 1 {
 			// Degenerate configuration (whole tree fast, pure leaf
 			// persistence): the global root register is the subtree
-			// register. (Safe to sync here even after an online rebuild —
-			// degraded serving never touches the root register.)
-			r.content = a.ctrl.Root()
-		}
-		rep.CounterReads += res[i].CounterReads
-		rep.NodeWrites += res[i].NodeWrites
-		rep.Cycles += res[i].Cycles
-		if res[i].Content != r.content {
-			return rep, &mee.IntegrityError{What: "amnt subtree register mismatch", Addr: r.idx}
+			// register.
+			p.Roots[i].Anchor = nil
 		}
 	}
-	return rep, a.patchPaths(&rep)
-}
-
-// pathNode is a node on a register's root path with its recovered
-// digest.
-type pathNode struct {
-	idx    uint64
-	digest uint64
-}
-
-// patchPaths writes each validated subtree root home, then patches the
-// union of the K root paths bottom-up: ancestors are strictly persisted
-// except for the child slots on a register path, so each is read once,
-// those slots set, and written back. The level-2 digests must then
-// match the root register.
-func (a *AMNT) patchPaths(rep *mee.RecoveryReport) error {
-	if a.level == 1 {
-		return nil
-	}
-	c := a.ctrl
-	g := c.Geometry()
-	dev := c.Device()
-	path := make([]pathNode, len(a.regs))
-	for i := range a.regs {
-		r := &a.regs[i]
-		rep.Cycles += dev.Write(scm.Tree, g.FlatIndex(a.level, r.idx), r.content[:])
-		rep.NodeWrites++
-		path[i] = pathNode{r.idx, bmt.Hash(c.Engine(), a.level, r.content[:])}
-	}
-	slices.SortFunc(path, func(x, y pathNode) int { return cmp.Compare(x.idx, y.idx) })
-	var node [bmt.NodeSize]byte
-	for level := a.level - 1; level >= 2; level-- {
-		parents := path[:0] // a parent never overtakes its first child
-		for j := 0; j < len(path); {
-			pidx := path[j].idx >> 3
-			flat := g.FlatIndex(level, pidx)
-			if dev.Contains(scm.Tree, flat) {
-				rep.Cycles += dev.Read(scm.Tree, flat, node[:])
-			} else {
-				node = bmt.ZeroNode(c.Engine(), g, level)
-			}
-			for ; j < len(path) && path[j].idx>>3 == pidx; j++ {
-				bmt.SetChildDigest(node[:], bmt.ChildSlot(path[j].idx), path[j].digest)
-			}
-			rep.Cycles += dev.Write(scm.Tree, flat, node[:])
-			rep.NodeWrites++
-			parents = append(parents, pathNode{pidx, bmt.Hash(c.Engine(), level, node[:])})
-		}
-		path = parents
-	}
-	root := c.Root()
-	for _, n := range path {
-		if bmt.ChildDigest(root[:], bmt.ChildSlot(n.idx)) != n.digest {
-			return &mee.IntegrityError{What: "amnt recovered path does not match root register", Addr: n.idx}
-		}
-	}
-	return nil
+	return p
 }
 
 // Overhead implements mee.Policy per Table 3: one 64 B NV register per

@@ -14,14 +14,18 @@ import (
 var fuzzRegions = [8]uint64{0, 1, 5, 8, 9, 40, 62, 63}
 
 // FuzzSubtreeOps drives the movable-subtree protocols through
-// arbitrary programs of writes, reads and crash/recover cycles, in the
-// shape of mee's FuzzControllerOps. The first byte picks the protocol
-// (bits 0–1: amnt, indirect, amnt-multi with K=2, K=4) and the
-// tracking interval (bits 2–4: 1…8); the second byte's low five bits
-// pick the epoch size (1…32) consecutive writes are staged into, size
-// 1 being WriteBlock itself. Every later byte is an action (a read
-// commits the open epoch first, so programs mix epoch sizes) and an
-// address: a region of fuzzRegions and a page inside it. Short
+// arbitrary programs of writes, reads, crash/recover cycles and online
+// recovery sessions, in the shape of mee's FuzzControllerOps. The
+// first byte picks the protocol (bits 0–1: amnt, indirect, amnt-multi
+// with K=2, K=4) and the tracking interval (bits 2–4: 1…8); the second
+// byte's low five bits pick the epoch size (1…32) consecutive writes
+// are staged into, size 1 being WriteBlock itself. Every later byte is
+// an action (a read commits the open epoch first, so programs mix
+// epoch sizes) and an address: a region of fuzzRegions and a page
+// inside it. A session action crashes and opens an online recovery;
+// the ops after it are served degraded, each followed by Step(1), and
+// the session finishes when its rebuild does (or before the next crash
+// or session action, as the serving layer's barrier would). Short
 // intervals make subtree movements land on every position of an epoch;
 // every recovery must succeed, verify, and give back every acked write.
 func FuzzSubtreeOps(f *testing.F) {
@@ -33,6 +37,12 @@ func FuzzSubtreeOps(f *testing.F) {
 	f.Add([]byte{0x0C, 0x01, 0x42, 0x00, 0x42, 0x00, 0x40, 0x42})
 	// Two hot regions under K=2, a crash at the eighth op.
 	f.Add([]byte{0x1E, 0x07, 0x43, 0x44, 0x4B, 0x4C, 0x45, 0x4D, 0x42, 0xC1, 0x01})
+	// A session at the fourth op under each protocol, degraded writes
+	// and reads inside and outside the subtrees, epochs of 1 and 3.
+	for sel := byte(0); sel < 4; sel++ {
+		f.Add([]byte{0x1C | sel, 0x00, 0x42, 0x4A, 0x43, 0xC1, 0x42, 0x01, 0x4B, 0x0A, 0x44, 0x56, 0x02, 0x4C, 0x43, 0x03, 0x01, 0x4A})
+		f.Add([]byte{0x04 | sel, 0x02, 0x40, 0x48, 0x41, 0xC2, 0x40, 0x49, 0x42, 0x00, 0x4D, 0x45, 0x08, 0x47, 0x40})
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) < 2 {
 			return
@@ -66,12 +76,42 @@ func FuzzSubtreeOps(f *testing.F) {
 			}
 			ep = nil
 		}
+		var s *mee.RecoverySession
+		finish := func(i int) {
+			if s == nil {
+				return
+			}
+			if _, err := s.Finish(uint64(i)); err != nil {
+				t.Fatalf("op %d finish: %v", i, err)
+			}
+			s = nil
+			if err := c.VerifyAll(uint64(i)); err != nil {
+				t.Fatalf("op %d verify after finish: %v", i, err)
+			}
+			for b, data := range want {
+				if _, err := c.ReadBlock(uint64(i), b, got); err != nil {
+					t.Fatalf("op %d read %d after finish: %v", i, b, err)
+				}
+				if !bytes.Equal(got, data) {
+					t.Fatalf("op %d block %d lost its value across the session", i, b)
+				}
+			}
+		}
 		for i, op := range ops[2:] {
 			block := fuzzRegions[op&7]*512 + uint64(op>>3&7)*64
 			switch {
 			case op&0xC0 == 0xC0 && i%7 == 0:
 				commit(i)
+				finish(i)
 				checkRecovers(t, c, want)
+			case op&0xC0 == 0xC0 && i%7 == 3:
+				commit(i)
+				finish(i)
+				c.Crash()
+				var ok bool
+				if s, ok = c.BeginRecovery(uint64(i)); !ok {
+					t.Fatalf("op %d: %s declined online recovery", i, p.Name())
+				}
 			case op&0x40 != 0:
 				data := pattern(op ^ byte(i))
 				want[block] = data
@@ -99,8 +139,13 @@ func FuzzSubtreeOps(f *testing.F) {
 					t.Fatalf("op %d block %d stale", i, block)
 				}
 			}
+			if s != nil && s.Step(1) {
+				commit(i)
+				finish(i)
+			}
 		}
 		commit(len(ops))
+		finish(len(ops))
 		checkRecovers(t, c, want)
 	})
 }

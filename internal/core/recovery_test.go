@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,9 +13,10 @@ import (
 
 // seedAMNT writes a hot-skewed workload (so the subtree moves off
 // region 0) and returns the policy, controller, and written values.
-func seedAMNT(t *testing.T, level int, writes int) (*AMNT, *mee.Controller, map[uint64][]byte) {
+// opts are applied after the level and a 16-write interval.
+func seedAMNT(t *testing.T, level int, writes int, opts ...Option) (*AMNT, *mee.Controller, map[uint64][]byte) {
 	t.Helper()
-	a, c := newAMNT(WithLevel(level), WithInterval(16))
+	a, c := newAMNT(append([]Option{WithLevel(level), WithInterval(16)}, opts...)...)
 	rng := rand.New(rand.NewSource(0xA31))
 	vals := make(map[uint64][]byte)
 	hotBase := c.Device().DataBlocks() / 2
@@ -32,46 +35,54 @@ func seedAMNT(t *testing.T, level int, writes int) (*AMNT, *mee.Controller, map[
 }
 
 // TestAMNTOnlineRecoveryMatchesBlocking compares an idle online
-// session against blocking Recover on identically-seeded machines:
-// same report, same subtree register, same root, same device tree.
+// session against blocking Recover on identically-seeded machines, for
+// K = 1, 2 and 4 registers: same report, same registers, same root,
+// same device tree.
 func TestAMNTOnlineRecoveryMatchesBlocking(t *testing.T) {
-	for _, level := range []int{1, 3} {
-		blockingA, blockingC, _ := seedAMNT(t, level, 200)
-		onlineA, onlineC, _ := seedAMNT(t, level, 200)
+	for _, k := range []int{1, 2, 4} {
+		for _, level := range []int{1, 3} {
+			name := fmt.Sprintf("K=%d/level=%d", k, level)
+			blockingA, blockingC, _ := seedAMNT(t, level, 200, WithRegisters(k))
+			onlineA, onlineC, _ := seedAMNT(t, level, 200, WithRegisters(k))
 
-		blockingC.Crash()
-		want, err := blockingC.Recover(0)
-		if err != nil {
-			t.Fatalf("level %d blocking recover: %v", level, err)
-		}
-
-		onlineC.Crash()
-		s, ok := onlineC.BeginRecovery(0)
-		if !ok {
-			t.Fatalf("level %d: AMNT must support online recovery", level)
-		}
-		for !s.Step(5) {
-		}
-		got, err := s.Finish(0)
-		if err != nil {
-			t.Fatalf("level %d online finish: %v", level, err)
-		}
-		if got != want {
-			t.Fatalf("level %d: online report %+v != blocking %+v", level, got, want)
-		}
-		if blockingC.Root() != onlineC.Root() {
-			t.Fatalf("level %d: root registers diverged", level)
-		}
-		if onlineA.SubtreeIndex() != blockingA.SubtreeIndex() {
-			t.Fatalf("level %d: subtree registers diverged", level)
-		}
-		for _, flat := range blockingC.Device().Indices(scm.Tree) {
-			if !bytes.Equal(blockingC.Device().Peek(scm.Tree, flat), onlineC.Device().Peek(scm.Tree, flat)) {
-				t.Fatalf("level %d: tree node %d diverged", level, flat)
+			blockingC.Crash()
+			want, err := blockingC.Recover(0)
+			if err != nil {
+				t.Fatalf("%s blocking recover: %v", name, err)
 			}
-		}
-		if err := onlineC.VerifyAll(0); err != nil {
-			t.Fatalf("level %d verify: %v", level, err)
+
+			onlineC.Crash()
+			s, ok := onlineC.BeginRecovery(0)
+			if !ok {
+				t.Fatalf("%s: AMNT must support online recovery", name)
+			}
+			for !s.Step(5) {
+			}
+			got, err := s.Finish(0)
+			if err != nil {
+				t.Fatalf("%s online finish: %v", name, err)
+			}
+			if got != want {
+				t.Fatalf("%s: online report %+v != blocking %+v", name, got, want)
+			}
+			if blockingC.Root() != onlineC.Root() {
+				t.Fatalf("%s: root registers diverged", name)
+			}
+			if !bytes.Equal(onlineA.SaveNV(), blockingA.SaveNV()) {
+				t.Fatalf("%s: subtree registers diverged", name)
+			}
+			bd, od := blockingC.Device(), onlineC.Device()
+			if len(bd.Indices(scm.Tree)) != len(od.Indices(scm.Tree)) {
+				t.Fatalf("%s: tree node counts diverged", name)
+			}
+			for _, flat := range bd.Indices(scm.Tree) {
+				if !bytes.Equal(bd.Peek(scm.Tree, flat), od.Peek(scm.Tree, flat)) {
+					t.Fatalf("%s: tree node %d diverged", name, flat)
+				}
+			}
+			if err := onlineC.VerifyAll(0); err != nil {
+				t.Fatalf("%s verify: %v", name, err)
+			}
 		}
 	}
 }
@@ -184,5 +195,94 @@ func TestAMNTOnlineRecoveryDetectsSubtreeTamper(t *testing.T) {
 	}
 	if _, err := s.Finish(0); err == nil {
 		t.Fatal("tampered subtree counter not detected by online audit")
+	}
+}
+
+// TestAMNTOnlineRecoveryDetectsReplayOutsideSubtree replays a block
+// outside the fast subtree — its counter, data and HMAC blocks, a
+// consistent older triple — across a crash. Outside the subtree the
+// tree is strictly persisted, so the session must serve that block
+// through the normal verified walk: no read may ever return the old
+// value with a nil error, and the replay must surface as an integrity
+// error from the read, the write to a sibling block, or Finish.
+func TestAMNTOnlineRecoveryDetectsReplayOutsideSubtree(t *testing.T) {
+	for _, variant := range []string{"read", "write", "read+write"} {
+		t.Run(variant, func(t *testing.T) {
+			a, c, _ := seedAMNT(t, 3, 200)
+			g := c.Geometry()
+			lo, hi := g.LeafSpan(a.Level(), a.SubtreeIndex())
+			b := uint64(0) // page-aligned, so b+1 shares its counter and HMAC blocks
+			if lo == 0 {
+				b = hi * 64
+			}
+			dev := c.Device()
+			v1, v2 := pattern(0xA1), pattern(0xB2)
+			if _, err := c.WriteBlock(0, b, v1); err != nil {
+				t.Fatal(err)
+			}
+			ctr, hm := b/64, b/8
+			snapData := dev.SnapshotBlock(scm.Data, b)
+			snapCtr := dev.SnapshotBlock(scm.Counter, ctr)
+			snapHMAC := dev.SnapshotBlock(scm.HMAC, hm)
+			if _, err := c.WriteBlock(0, b, v2); err != nil {
+				t.Fatal(err)
+			}
+			if lo, hi := g.LeafSpan(a.Level(), a.SubtreeIndex()); ctr >= lo && ctr < hi {
+				t.Fatalf("block %d's counter leaf %d moved into the subtree", b, ctr)
+			}
+			c.Crash()
+			dev.ReplayBlock(scm.Data, b, snapData)
+			dev.ReplayBlock(scm.Counter, ctr, snapCtr)
+			dev.ReplayBlock(scm.HMAC, hm, snapHMAC)
+
+			surfaced := false
+			check := func(what string, err error) {
+				t.Helper()
+				if err == nil {
+					return
+				}
+				var ie *mee.IntegrityError
+				if !errors.As(err, &ie) {
+					t.Fatalf("%s: %v, want an integrity error", what, err)
+				}
+				surfaced = true
+			}
+			buf := make([]byte, scm.BlockSize)
+			readB := func(when string) {
+				t.Helper()
+				_, err := c.ReadBlock(0, b, buf)
+				if err == nil && bytes.Equal(buf, v1) {
+					t.Fatalf("%s: read of the replayed block returned the old value with a nil error", when)
+				}
+				check("read "+when, err)
+			}
+
+			s, ok := c.BeginRecovery(0)
+			if !ok {
+				t.Fatal("BeginRecovery not ok")
+			}
+			if variant != "write" {
+				readB("during the session")
+			}
+			if variant != "read" {
+				_, err := c.WriteBlock(0, b+1, pattern(0xC3))
+				check("degraded write to a sibling block", err)
+			}
+			_, err := s.Finish(0)
+			check("finish", err)
+			if err == nil {
+				readB("after Finish")
+				if err := c.VerifyAll(0); err == nil {
+					t.Fatal("VerifyAll passed over the replayed block")
+				}
+				c.Crash()
+				if _, err := c.Recover(0); err == nil {
+					readB("after a second power cycle")
+				}
+			}
+			if !surfaced {
+				t.Fatal("the replay surfaced as no integrity error")
+			}
+		})
 	}
 }

@@ -160,7 +160,7 @@ func CheckRecovery(ctx context.Context, ctrl *mee.Controller, now uint64, opts C
 	// register exactly. Divergence past a green VerifyAll is state the
 	// controller accepted but cannot have derived from its own
 	// counters: silent corruption.
-	oracle := bmt.RebuildWith(ctrl.Device(), ctrl.Engine(), ctrl.Geometry(), 1, 0, ctrl.RebuildOptions(false))
+	oracle := bmt.Rebuild(ctrl.Device(), ctrl.Engine(), ctrl.Geometry(), 1, 0, false)
 	if oracle.Content != ctrl.Root() {
 		out.Status = StatusViolation
 		out.Violations = append(out.Violations,

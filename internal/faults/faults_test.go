@@ -158,20 +158,27 @@ func TestSweepDeterministic(t *testing.T) {
 	}
 }
 
-// panicPolicy panics during recovery; hangPolicy never returns from
-// it. Both wrap a real protocol so the run phase behaves normally.
+// panicPolicy declares a recovery whose pre-pass panics; hangPolicy's
+// never returns. Both wrap a real protocol so the run phase behaves
+// normally.
 type panicPolicy struct{ mee.Policy }
 
 func (panicPolicy) Name() string { return "panicky" }
-func (panicPolicy) Recover(uint64) (mee.RecoveryReport, error) {
-	panic("injected recovery panic")
+func (p panicPolicy) RecoveryPlan() mee.RecoveryPlan {
+	plan := p.Policy.RecoveryPlan()
+	plan.Prepass = func(*mee.RecoveryReport) error { panic("injected recovery panic") }
+	return plan
 }
 
 type hangPolicy struct{ mee.Policy }
 
 func (hangPolicy) Name() string { return "hangy" }
-func (hangPolicy) Recover(uint64) (mee.RecoveryReport, error) {
-	select {} // wedge forever; the checker's deadline abandons us
+func (p hangPolicy) RecoveryPlan() mee.RecoveryPlan {
+	plan := p.Policy.RecoveryPlan()
+	plan.Prepass = func(*mee.RecoveryReport) error {
+		select {} // wedge forever; the checker's deadline abandons us
+	}
+	return plan
 }
 
 // TestSweepIsolatesPanicAndHang injects a panicking and a hanging

@@ -185,29 +185,29 @@ func (p *Policy) wipeDRAM() {
 	}
 }
 
-// Recover implements mee.Policy: recover the SCM half with the AMNT
-// procedure, then re-initialize the DRAM half of the tree — its data
-// is gone, so its level-2 digests in the root register become the
-// zero-subtree digests again.
-func (p *Policy) Recover(now uint64) (mee.RecoveryReport, error) {
+// RecoveryPlan implements mee.Policy: the AMNT plan for the SCM half,
+// behind a pre-pass that re-initializes the DRAM half of the tree —
+// its data is gone, so its level-2 digests in the root register become
+// the zero-subtree digests again before the SCM-side audit walks the
+// shared root. Only the SCM partition's share of the tree ever needs
+// reconstruction.
+func (p *Policy) RecoveryPlan() mee.RecoveryPlan {
+	plan := p.inner.RecoveryPlan()
+	plan.Prepass = p.resetDRAM
+	plan.StaleFraction *= float64(p.scmSlots) / float64(bmt.Arity)
+	return plan
+}
+
+// resetDRAM is the hybrid pre-pass: the root register's DRAM slots
+// return to the zero tree.
+func (p *Policy) resetDRAM(*mee.RecoveryReport) error {
 	c := p.ctrl
-	// Reset the DRAM slots of the root register to the zero tree
-	// before the SCM-side validation walks the shared root.
 	root := c.Root()
 	for slot := p.scmSlots; slot < bmt.Arity; slot++ {
 		bmt.SetChildDigest(root[:], slot, c.ZeroDigest(2))
 	}
 	c.SetRoot(root)
-
-	rep, err := p.inner.Recover(now)
-	rep.Protocol = p.Name()
-	if err != nil {
-		return rep, fmt.Errorf("hybrid: SCM-side recovery: %w", err)
-	}
-	// Adjust the stale fraction: only the SCM partition's share of
-	// the tree ever needed reconstruction.
-	rep.StaleFraction *= float64(p.scmSlots) / float64(bmt.Arity)
-	return rep, nil
+	return nil
 }
 
 // Overhead implements mee.Policy: AMNT's hardware plus the extra

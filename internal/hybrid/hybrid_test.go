@@ -136,6 +136,51 @@ func TestCrashKeepsSCMLosesDRAM(t *testing.T) {
 	}
 }
 
+// TestOnlineRecoveryServesBothPartitions: the hybrid plan is AMNT's
+// plus the DRAM-reset pre-pass, so it recovers online. Degraded writes
+// land in the fast subtree (SCM), elsewhere on SCM, and on DRAM; after
+// Finish every write reads back and the tree survives a blocking power
+// cycle, which keeps the SCM writes only.
+func TestOnlineRecoveryServesBothPartitions(t *testing.T) {
+	p, c := newHybrid(4)
+	if _, err := c.WriteBlock(0, scmBlock, pattern(3)); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash()
+	s, ok := c.BeginRecovery(0)
+	if !ok {
+		t.Fatal("hybrid must recover online")
+	}
+	lo, _ := c.Geometry().LeafSpan(p.Inner().Level(), p.Inner().SubtreeIndex())
+	want := map[uint64][]byte{scmBlock: pattern(3)}
+	for i, b := range []uint64{lo * 64, lo*64 + 1, 8000, dramBlock} {
+		want[b] = pattern(byte(10 + i))
+		if _, err := c.WriteBlock(0, b, want[b]); err != nil {
+			t.Fatalf("degraded write %d: %v", b, err)
+		}
+		s.Step(1)
+	}
+	if _, err := s.Finish(0); err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	got := make([]byte, scm.BlockSize)
+	for b, v := range want {
+		if _, err := c.ReadBlock(0, b, got); err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("block %d after finish: %v", b, err)
+		}
+	}
+	c.Crash()
+	if _, err := c.Recover(0); err != nil {
+		t.Fatalf("blocking recovery after the session: %v", err)
+	}
+	if err := c.VerifyAll(0); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	if _, err := c.ReadBlock(0, dramBlock, got); err != nil || !bytes.Equal(got, make([]byte, scm.BlockSize)) {
+		t.Fatalf("DRAM block after a power cycle: %v", err)
+	}
+}
+
 func TestDRAMReusableAfterRecovery(t *testing.T) {
 	_, c := newHybrid(4)
 	if _, err := c.WriteBlock(0, dramBlock, pattern(5)); err != nil {

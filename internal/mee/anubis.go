@@ -111,14 +111,22 @@ func (a *Anubis) OnMetaEvict(now uint64, key MetaKey, dirty bool) uint64 {
 // Crash implements Policy.
 func (a *Anubis) Crash() { a.reset() }
 
-// Recover implements Policy: scan the shadow table for the addresses
-// resident at crash time and recompute exactly those tree nodes from
-// their (persisted) children, deepest level first.
-func (a *Anubis) Recover(now uint64) (RecoveryReport, error) {
+// RecoveryPlan implements Policy: scan the shadow table for the
+// addresses resident at crash time and recompute exactly those tree
+// nodes from their (persisted) children, deepest level first; the tree
+// is then current in SCM and is validated against the NV root.
+func (a *Anubis) RecoveryPlan() RecoveryPlan {
+	p := a.wholeTree(false)
+	p.Prepass = a.recompute
+	return p
+}
+
+// recompute is Anubis's pre-pass: the shadow-table scan and the
+// recomputation of the nodes it names.
+func (a *Anubis) recompute(rep *RecoveryReport) error {
 	c := a.ctrl
 	dev := c.Device()
 	g := c.Geometry()
-	rep := RecoveryReport{Protocol: a.Name(), StaleFraction: 0}
 
 	type node struct {
 		level int
@@ -175,12 +183,7 @@ func (a *Anubis) Recover(now uint64) (RecoveryReport, error) {
 		rep.Cycles += dev.Write(scm.Tree, g.FlatIndex(n.level, n.idx), content[:])
 		rep.NodeWrites++
 	}
-	// The tree is now current in SCM; validate against the NV root.
-	res := bmt.RebuildWith(dev, c.Engine(), g, 1, 0, c.RebuildOptions(false))
-	if res.Content != c.Root() {
-		return rep, &IntegrityError{What: "anubis recovery root mismatch", Addr: 0}
-	}
-	return rep, nil
+	return nil
 }
 
 // Overhead implements Policy, following the paper's Table 3: a 64 B NV

@@ -1,7 +1,5 @@
 package mee
 
-import "amnt/internal/bmt"
-
 // Battery models a battery-backed metadata cache (the related-work
 // direction of BBB and transiently-persistent caches, §7.2): at
 // runtime it behaves exactly like the volatile baseline — nothing is
@@ -48,17 +46,9 @@ func (b *Battery) PreCrash(now uint64) uint64 {
 // the demand placed on the battery.
 func (b *Battery) FlushedBlocks() uint64 { return b.flushed }
 
-// Recover implements Policy: the pre-crash flush left SCM current, so
-// recovery only validates, like strict persistence.
-func (b *Battery) Recover(uint64) (RecoveryReport, error) {
-	c := b.ctrl
-	res := bmt.RebuildWith(c.Device(), c.Engine(), c.Geometry(), 1, 0, c.RebuildOptions(false))
-	rep := RecoveryReport{Protocol: b.Name(), StaleFraction: 0}
-	if res.Content != c.Root() {
-		return rep, &IntegrityError{What: "battery recovery root mismatch", Addr: 0}
-	}
-	return rep, nil
-}
+// RecoveryPlan implements Policy: the pre-crash flush left SCM
+// current, so recovery only validates, like strict persistence.
+func (b *Battery) RecoveryPlan() RecoveryPlan { return b.wholeTree(false) }
 
 // Overhead implements Policy: no extra on-chip state, but the
 // platform must provision flush energy for a full metadata cache —

@@ -357,13 +357,16 @@ func (b *BMF) Crash() {
 	b.due = false
 }
 
-// Recover implements Policy: nothing below the frontier is stale.
-// Recompute the (few) ancestors of the persistent roots from the NV
-// contents and validate the register.
-func (b *BMF) Recover(now uint64) (RecoveryReport, error) {
+// RecoveryPlan implements Policy: nothing below the frontier is stale,
+// so there is no rebuild root; the pre-pass recomputes the (few)
+// ancestors of the persistent roots from the NV contents and
+// validates the register.
+func (b *BMF) RecoveryPlan() RecoveryPlan { return RecoveryPlan{Prepass: b.recompute} }
+
+// recompute is BMF's pre-pass over its persistent root set.
+func (b *BMF) recompute(rep *RecoveryReport) error {
 	c := b.ctrl
 	g := c.Geometry()
-	rep := RecoveryReport{Protocol: b.Name(), StaleFraction: 0}
 
 	// Digests of recomputed/known nodes per (level, idx).
 	digests := make(map[nodeID]uint64)
@@ -392,7 +395,7 @@ func (b *BMF) Recover(now uint64) (RecoveryReport, error) {
 			if !ok {
 				// A child that is neither a root nor an ancestor of
 				// one cannot exist under the partition invariant.
-				return rep, &IntegrityError{What: "bmf: uncovered child during recovery", Addr: ci}
+				return &IntegrityError{What: "bmf: uncovered child during recovery", Addr: ci}
 			}
 			bmt.SetChildDigest(content[:], slot, d)
 		}
@@ -401,10 +404,10 @@ func (b *BMF) Recover(now uint64) (RecoveryReport, error) {
 			rep.Cycles += c.Device().Write(scm.Tree, g.FlatIndex(id.level, id.idx), content[:])
 			rep.NodeWrites++
 		} else if content != c.Root() {
-			return rep, &IntegrityError{What: "bmf recovery root mismatch", Addr: 0}
+			return &IntegrityError{What: "bmf recovery root mismatch", Addr: 0}
 		}
 	}
-	return rep, nil
+	return nil
 }
 
 // Overhead implements Policy per Table 3: a 4 kB NV root cache plus

@@ -129,6 +129,7 @@ func (e *Epoch) Commit() (EpochResult, error) {
 	c.enter()
 	defer c.exit()
 	res, err := c.commitEpoch(e.now, e.ops, true)
+	c.session.observe(err)
 	if err == nil && c.trace != nil {
 		c.trace.Emit(telemetry.Event{
 			Cycle:  e.now + res.Cycles,
@@ -185,43 +186,24 @@ type planPage struct {
 type planNode struct {
 	idx    uint64 // index within its level
 	digest uint64 // hash of its final content, once the climb has passed
-	parent int32  // position in nodes of idx>>3 one level up
+	parent int32  // position in nodes of idx>>3 one level up; staleLeaf: none
 	wt     bool   // some staged write's policy consult asked for write-through
 }
 
-// build lays the plan out for ops. With climb false (an open recovery
-// session defers every ancestral update) only the counter level is
-// planned.
-func (p *epochPlan) build(g bmt.Geometry, ops []epochOp, climb bool) {
+// staleLeaf is the parent of a counter block under a recovery
+// session's rebuild root: its climb is deferred to Finish.
+const staleLeaf = -1
+
+// build lays the plan out for ops; under s, the open recovery session
+// if any, a counter block below a rebuild root gets no path.
+func (p *epochPlan) build(g bmt.Geometry, ops []epochOp, s *RecoverySession) {
 	p.keys = p.keys[:0]
 	for i := range ops {
 		p.keys = append(p.keys, counters.CounterIndex(ops[i].block))
 	}
 	slices.Sort(p.keys)
 	p.keys = slices.Compact(p.keys)
-
-	p.nodes = p.nodes[:0]
-	for _, idx := range p.keys {
-		p.nodes = append(p.nodes, planNode{idx: idx})
-	}
-	if len(p.start) != g.Levels+1 {
-		p.start = make([]int, g.Levels+1)
-	}
-	p.start[g.Levels] = 0
-	for level := g.Levels - 1; level >= 1; level-- {
-		end := len(p.nodes) // of the level below; this level starts here
-		p.start[level] = end
-		if !climb || level == 1 {
-			continue // level 1 is the root register, not a node
-		}
-		for child := p.start[level+1]; child < end; child++ {
-			idx := p.nodes[child].idx >> 3
-			if len(p.nodes) == end || p.nodes[len(p.nodes)-1].idx != idx {
-				p.nodes = append(p.nodes, planNode{idx: idx})
-			}
-			p.nodes[child].parent = int32(len(p.nodes) - 1)
-		}
-	}
+	p.layout(g, s)
 
 	// Last writers, in one reverse pass: a write is the last to its
 	// block iff no later write has claimed the block's minor slot.
@@ -237,6 +219,40 @@ func (p *epochPlan) build(g bmt.Geometry, ops []epochOp, climb bool) {
 		pg.claimed |= bit
 	}
 	p.order = p.order[:0]
+}
+
+// layout merges the paths of the counter blocks in p.keys (ascending)
+// into p.nodes, all but those s says are stale.
+func (p *epochPlan) layout(g bmt.Geometry, s *RecoverySession) {
+	p.nodes = p.nodes[:0]
+	for _, idx := range p.keys {
+		n := planNode{idx: idx}
+		if s.stale(g.Levels, idx) {
+			n.parent = staleLeaf
+		}
+		p.nodes = append(p.nodes, n)
+	}
+	if len(p.start) != g.Levels+1 {
+		p.start = make([]int, g.Levels+1)
+	}
+	p.start[g.Levels] = 0
+	for level := g.Levels - 1; level >= 1; level-- {
+		end := len(p.nodes) // of the level below; this level starts here
+		p.start[level] = end
+		if level == 1 {
+			continue // level 1 is the root register, not a node
+		}
+		for child := p.start[level+1]; child < end; child++ {
+			if p.nodes[child].parent == staleLeaf {
+				continue
+			}
+			idx := p.nodes[child].idx >> 3
+			if len(p.nodes) == end || p.nodes[len(p.nodes)-1].idx != idx {
+				p.nodes = append(p.nodes, planNode{idx: idx})
+			}
+			p.nodes[child].parent = int32(len(p.nodes) - 1)
+		}
+	}
 }
 
 // commitEpoch is the write path: every data-block write the controller
@@ -258,28 +274,19 @@ func (p *epochPlan) build(g bmt.Geometry, ops []epochOp, climb bool) {
 // final counter, and updates its MAC.
 //
 // Phase 3 encodes the final counter values into the cache and hashes
-// them; phase 4 climbs the merged tree paths bottom-up, one
-// SetChildDigest per child and one hash per dirty node, applying each
-// policy's tree hooks (OnTreeUpdate sees the final content in cache,
-// so PLP's posted persists and BMF/AMNT's register copies capture
-// what will actually be durable), and finally folds the level-2
-// digests into the root register. A node is persisted if any staged
-// write would have persisted it: a policy's WriteThroughTree answer is
-// constant for the whole epoch (anything that changes it runs from
-// OnWriteComplete), so phase 1's consults are exact. Completion hooks
-// then fire once per staged write.
+// them; phase 4 is climbPlan over the merged paths. A node is persisted
+// if any staged write would have persisted it: a policy's
+// WriteThroughTree answer is constant for the whole epoch (anything
+// that changes it runs from OnWriteComplete), so phase 1's consults are
+// exact. Completion hooks then fire once per staged write.
 //
-// An open recovery session is a set of conditions on those phases,
-// not another route: the tree above the leaves is mid-rebuild, so
-// OnDataWrite (hot-region tracking, and the subtree movements it can
-// trigger, climb the tree) is not called; each write first freezes
-// its leaf's pre-write device image for the rebuild audit; no path is
-// merged, no counter hashed, nothing climbed or folded into the root,
-// and OnWriteComplete is not called. Data, HMAC and counter are
-// durable when the commit returns (an OnlineRecoverer policy writes
-// all three through); the session's Finish patches every dirty leaf's
-// path once the audit has passed. Write combining and the
-// once-per-page counter encode hold as in any other epoch.
+// An open recovery session is a set of conditions on those phases, not
+// another route. Its roots stay put, so OnDataWrite and OnWriteComplete
+// (hot-region tracking and the movements it triggers) are not called.
+// A write to a leaf under a rebuild root first freezes the leaf's
+// pre-write device image for the rebuild audit, and its leaf gets no
+// path: nothing is hashed or climbed for it here, and Finish climbs it
+// once the audit has passed. Every other write climbs as always.
 //
 // The iteration orders are load-bearing for the simulated cycle count
 // (every fetch can evict, every post can stall): staged order in
@@ -297,7 +304,7 @@ func (c *Controller) commitEpoch(now uint64, ops []epochOp, timed bool) (EpochRe
 		wallStart = time.Now()
 	}
 	plan := &c.plan
-	plan.build(g, ops, s == nil)
+	plan.build(g, ops, s)
 	res := EpochResult{Ops: len(ops), Counters: len(plan.keys)}
 
 	// Phase 1: policy sequencing and counter accumulation.
@@ -306,13 +313,17 @@ func (c *Controller) commitEpoch(now uint64, ops []epochOp, timed bool) (EpochRe
 		pos := plan.ops[i].page
 		pg := &plan.pages[pos]
 		ctrIdx := plan.nodes[pos].idx
+		stale := plan.nodes[pos].parent == staleLeaf
 		c.st.DataWrites.Inc()
 		if s == nil {
 			pc := c.policy.OnDataWrite(now+res.Cycles, b)
 			c.st.PolicyCycles.Add(pc)
 			res.Cycles += pc
 		} else {
-			s.noteWrite(ctrIdx)
+			s.writes++
+		}
+		if stale {
+			s.freeze(ctrIdx)
 		}
 		if !pg.loaded {
 			content, cc, err := c.FetchVerified(now+res.Cycles, g.Levels, ctrIdx)
@@ -345,7 +356,7 @@ func (c *Controller) commitEpoch(now uint64, ops []epochOp, timed bool) (EpochRe
 		if c.policy.WriteThroughCounter(ctrIdx) {
 			plan.nodes[pos].wt = true
 		}
-		if s != nil {
+		if stale {
 			continue
 		}
 		at := pos
@@ -407,7 +418,7 @@ func (c *Controller) commitEpoch(now uint64, ops []epochOp, timed bool) (EpochRe
 		if n.wt {
 			res.Cycles += c.PersistMeta(now+res.Cycles, ckey, false)
 		}
-		if s != nil {
+		if n.parent == staleLeaf {
 			continue
 		}
 		n.digest = bmt.Hash(c.eng, g.Levels, content)
@@ -415,41 +426,14 @@ func (c *Controller) commitEpoch(now uint64, ops []epochOp, timed bool) (EpochRe
 		c.st.VerifyHashes.Inc()
 	}
 
-	if s == nil {
-		// Phase 4: one bottom-up climb over the merged paths.
-		for level := g.Levels - 1; level >= 2; level-- {
-			child, end := plan.start[level+1], plan.start[level]
-			for at := end; at < plan.start[level-1]; at++ {
-				n := &plan.nodes[at]
-				res.TreeNodes++
-				content, fc, err := c.FetchVerified(now+res.Cycles, level, n.idx)
-				res.Cycles += fc
-				if err != nil {
-					return res, err
-				}
-				for ; child < end && plan.nodes[child].parent == int32(at); child++ {
-					ch := &plan.nodes[child]
-					bmt.SetChildDigest(content, bmt.ChildSlot(ch.idx), ch.digest)
-				}
-				key := TreeKey(g, level, n.idx)
-				c.markDirty(key)
-				pc := c.policy.OnTreeUpdate(now+res.Cycles, level, n.idx, content)
-				c.st.PolicyCycles.Add(pc)
-				res.Cycles += pc
-				if n.wt {
-					res.Cycles += c.PersistMeta(now+res.Cycles, key, true)
-				}
-				n.digest = bmt.Hash(c.eng, level, content)
-				res.Cycles += c.cfg.HashCycles
-				c.st.VerifyHashes.Inc()
-			}
-		}
-		for _, n := range plan.nodes[plan.start[2]:plan.start[1]] {
-			bmt.SetChildDigest(c.rootNV[:], bmt.ChildSlot(n.idx), n.digest)
-		}
+	// Phase 4: one bottom-up climb over the merged paths.
+	if err := c.climbPlan(now, plan, &res); err != nil {
+		return res, err
+	}
 
-		// Completion hooks, once per logical write (PLP's persist
-		// barrier, AMNT's subtree movement, BMF's prune/merge).
+	// Completion hooks, once per logical write (PLP's persist barrier,
+	// AMNT's subtree movement, BMF's prune/merge).
+	if s == nil {
 		for i := range ops {
 			pc := c.policy.OnWriteComplete(now+res.Cycles, ops[i].block)
 			c.st.PolicyCycles.Add(pc)
@@ -463,4 +447,55 @@ func (c *Controller) commitEpoch(now uint64, ops []epochOp, timed bool) (EpochRe
 		}
 	}
 	return res, nil
+}
+
+// climbPlan is phase 4 of a commit, and the climb a recovery session
+// defers to Finish: one bottom-up pass over the plan's merged paths,
+// seeded with its counter blocks' digests, one SetChildDigest per child
+// and one hash per node, applying the policy's tree hooks (OnTreeUpdate
+// sees the final content in cache, so PLP's posted persists and
+// BMF/AMNT's register copies capture what will be durable), persisting
+// the nodes marked write-through, and folding the level-2 digests into
+// the root register. Stale counter blocks have no path.
+func (c *Controller) climbPlan(now uint64, plan *epochPlan, res *EpochResult) error {
+	g := c.geo
+	for level := g.Levels - 1; level >= 2; level-- {
+		child, end := plan.start[level+1], plan.start[level]
+		for at := end; at < plan.start[level-1]; at++ {
+			n := &plan.nodes[at]
+			res.TreeNodes++
+			content, fc, err := c.FetchVerified(now+res.Cycles, level, n.idx)
+			res.Cycles += fc
+			if err != nil {
+				return err
+			}
+			for ; child < end; child++ {
+				ch := &plan.nodes[child]
+				if ch.parent == staleLeaf {
+					continue
+				}
+				if ch.parent != int32(at) {
+					break
+				}
+				bmt.SetChildDigest(content, bmt.ChildSlot(ch.idx), ch.digest)
+			}
+			key := TreeKey(g, level, n.idx)
+			c.markDirty(key)
+			pc := c.policy.OnTreeUpdate(now+res.Cycles, level, n.idx, content)
+			c.st.PolicyCycles.Add(pc)
+			res.Cycles += pc
+			if n.wt {
+				res.Cycles += c.PersistMeta(now+res.Cycles, key, true)
+			}
+			n.digest = bmt.Hash(c.eng, level, content)
+			res.Cycles += c.cfg.HashCycles
+			c.st.VerifyHashes.Inc()
+		}
+	}
+	for _, n := range plan.nodes[plan.start[2]:plan.start[1]] {
+		if n.parent != staleLeaf {
+			bmt.SetChildDigest(c.rootNV[:], bmt.ChildSlot(n.idx), n.digest)
+		}
+	}
+	return nil
 }

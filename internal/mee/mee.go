@@ -25,7 +25,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"amnt/internal/bmt"
 	"amnt/internal/cache"
@@ -397,20 +396,10 @@ func (c *Controller) Stats() *Stats { return &c.st }
 // Config returns the controller configuration (with defaults applied).
 func (c *Controller) Config() Config { return c.cfg }
 
-// RebuildOptions returns the bmt options policy recovery paths use:
-// the caller's persist choice plus the live progress watermark when
-// one is installed.
-func (c *Controller) RebuildOptions(persist bool) bmt.RebuildOptions {
-	return bmt.RebuildOptions{Persist: persist, Progress: c.recProg}
-}
-
 // SetRecoveryProgress installs (or, with nil, removes) the live
 // rebuild watermark recovery reports into. The serving layer installs
 // one per shard so /vars can show recovery progress while it runs.
 func (c *Controller) SetRecoveryProgress(p *bmt.Progress) { c.recProg = p }
-
-// RecoveryProgress returns the installed watermark, nil when none.
-func (c *Controller) RecoveryProgress() *bmt.Progress { return c.recProg }
 
 // RecoveryWallNs returns the cumulative host wall-clock nanoseconds
 // spent inside Recover (telemetry only; not part of simulated time).
@@ -545,13 +534,14 @@ type link struct {
 }
 
 // climb captures the chain from node (level, idx) up to the first
-// trusted rung and returns the owner's cycles so far. During a recovery
-// session the tree above the leaves is mid-rebuild: a missing counter
-// leaf ends the climb unverified (top nil; the data MAC still binds its
-// values and the rebuild audit covers replay) and a missing inner node
-// is ErrRecovering.
+// trusted rung and returns the owner's cycles so far. Under a recovery
+// session's rebuild root the tree is mid-rebuild: a missing counter
+// leaf there ends the climb unverified (top nil; the data MAC still
+// binds its values and the rebuild audit covers replay) and a missing
+// inner node there is ErrRecovering.
 func (c *Controller) climb(ch *chain, level int, idx uint64) (uint64, error) {
 	var cycles uint64
+	var stale bool
 	ch.links, ch.top = ch.links[:0], nil
 	for ; level > 1; level, idx = bmt.Parent(level, idx) {
 		if content, ok := c.policy.AnchorContent(level, idx); ok {
@@ -571,7 +561,7 @@ func (c *Controller) climb(ch *chain, level int, idx uint64) (uint64, error) {
 				ch.top = c.buf[slot][:]
 				break
 			}
-			if c.session != nil && level < c.geo.Levels {
+			if stale = c.session.stale(level, idx); stale && level < c.geo.Levels {
 				return cycles, ErrRecovering
 			}
 		}
@@ -598,7 +588,7 @@ func (c *Controller) climb(ch *chain, level int, idx uint64) (uint64, error) {
 			*content = c.zeroNode[level]
 		}
 		c.st.MetaFetches.Inc()
-		if c.session != nil {
+		if stale {
 			return cycles, nil
 		}
 	}
@@ -827,7 +817,9 @@ const hmacSlotsPerBlock = scm.BlockSize / cme.MACSize
 func (c *Controller) ReadBlock(now uint64, b uint64, dst []byte) (uint64, error) {
 	c.enter()
 	defer c.exit()
-	return c.readBlock(now, b, dst)
+	cycles, err := c.readBlock(now, b, dst)
+	c.session.observe(err)
+	return cycles, err
 }
 
 func (c *Controller) readBlock(now uint64, b uint64, dst []byte) (uint64, error) {
@@ -895,6 +887,7 @@ func (c *Controller) WriteBlock(now uint64, b uint64, src []byte) (uint64, error
 	op.block = b
 	copy(op.value[:], src)
 	res, err := c.commitEpoch(now, c.plan.one[:], false)
+	c.session.observe(err)
 	return res.Cycles, err
 }
 
@@ -1002,41 +995,6 @@ func (c *Controller) Crash() {
 	c.meta.InvalidateAll()
 	c.wq.reset()
 	c.policy.Crash()
-}
-
-// Recover runs the active policy's crash recovery procedure. The
-// host wall-clock duration is accumulated for telemetry (see
-// RecoveryWallNs) and carried on the EvRecovery event, never in
-// simulated results.
-func (c *Controller) Recover(now uint64) (RecoveryReport, error) {
-	c.enter()
-	defer c.exit()
-	if c.session != nil {
-		return RecoveryReport{}, ErrRecovering
-	}
-	c.recProg.Reset()
-	start := time.Now()
-	rep, err := c.policy.Recover(now)
-	wallNs := uint64(time.Since(start).Nanoseconds())
-	c.recProg.SetWall(wallNs)
-	c.recoveryWallNs.Add(wallNs)
-	c.st.Recoveries.Inc()
-	c.st.RecoveryCycles.Add(rep.Cycles)
-	if c.trace != nil {
-		note := rep.Protocol
-		if err != nil {
-			note += " (failed)"
-		}
-		c.trace.Emit(telemetry.Event{
-			Cycle:  now,
-			Kind:   telemetry.EvRecovery,
-			From:   wallNs,
-			Cycles: rep.Cycles,
-			Count:  rep.CounterReads + rep.DataReads + rep.ShadowReads,
-			Note:   note,
-		})
-	}
-	return rep, err
 }
 
 // VerifyAll reads back and authenticates every initialized data block;

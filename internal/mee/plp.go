@@ -1,7 +1,5 @@
 package mee
 
-import "amnt/internal/bmt"
-
 // PLP implements Persist-Level Parallelism (Freij, Yuan, Zhou &
 // Solihin, MICRO 2020), the related work the paper contrasts with in
 // §7.3: strict persistence's recoverability, but the ancestral path's
@@ -52,16 +50,8 @@ func (p *PLP) OnWriteComplete(now uint64, _ uint64) uint64 {
 // Barriers reports how many persist epochs completed.
 func (p *PLP) Barriers() uint64 { return p.barriers }
 
-// Recover implements Policy: like strict, nothing is stale.
-func (p *PLP) Recover(uint64) (RecoveryReport, error) {
-	c := p.ctrl
-	res := bmt.RebuildWith(c.Device(), c.Engine(), c.Geometry(), 1, 0, c.RebuildOptions(false))
-	rep := RecoveryReport{Protocol: p.Name(), StaleFraction: 0}
-	if res.Content != c.Root() {
-		return rep, &IntegrityError{What: "plp recovery root mismatch", Addr: 0}
-	}
-	return rep, nil
-}
+// RecoveryPlan implements Policy: like strict, nothing is stale.
+func (p *PLP) RecoveryPlan() RecoveryPlan { return p.wholeTree(false) }
 
 // Overhead implements Policy: PLP adds queue tagging logic but no
 // named on-chip structures beyond the baseline.

@@ -10,8 +10,8 @@ import (
 // Policy is a metadata persistence protocol. The controller consults
 // the policy on every metadata update to decide write-through versus
 // writeback, calls its hooks on data writes and metadata cache events
-// (where protocols like Anubis and AMNT do their bookkeeping), and
-// delegates crash recovery to it.
+// (where protocols like Anubis and AMNT do their bookkeeping), and runs
+// the crash recovery it declares.
 type Policy interface {
 	// Name identifies the protocol ("amnt", "anubis", ...).
 	Name() string
@@ -54,8 +54,10 @@ type Policy interface {
 	AnchorContent(level int, idx uint64) ([]byte, bool)
 	// Crash drops the policy's volatile state.
 	Crash()
-	// Recover re-establishes a trusted tree after Crash.
-	Recover(now uint64) (RecoveryReport, error)
+	// RecoveryPlan declares how to re-establish a trusted tree after
+	// Crash: what may be stale and what vouches for it (see
+	// RecoveryPlan). The controller's executor runs it.
+	RecoveryPlan() RecoveryPlan
 	// Overhead reports the protocol's extra hardware (Table 3).
 	Overhead() Overhead
 }
@@ -118,33 +120,15 @@ func (b *base) Crash() {}
 
 func (b *base) Overhead() Overhead { return Overhead{} }
 
-// rebuildAndAdopt reconstructs the whole tree from persisted counters,
-// compares the result against the NV root register, and (on match)
-// leaves the device's Tree region fully up to date. It is the shared
-// recovery mechanism of the leaf-style protocols.
-func (b *base) rebuildAndAdopt(name string) (RecoveryReport, error) {
-	c := b.ctrl
-	res := bmt.RebuildWith(c.Device(), c.Engine(), c.Geometry(), 1, 0, c.RebuildOptions(true))
-	return b.adoptRebuild(name, res)
-}
-
-// adoptRebuild is rebuildAndAdopt's audit half, shared with online
-// recovery (where the rebuild ran incrementally): translate a
-// finished whole-tree rebuild into a report and compare its root
-// against the NV register.
-func (b *base) adoptRebuild(name string, res bmt.RebuildResult) (RecoveryReport, error) {
-	c := b.ctrl
-	rep := RecoveryReport{
-		Protocol:      name,
-		CounterReads:  res.CounterReads,
-		NodeWrites:    res.NodeWrites,
-		StaleFraction: 1.0,
-		Cycles:        res.Cycles,
+// wholeTree declares the whole tree one root, (1, 0), read from the
+// counters: rebuilt and persisted when the inner nodes are writeback,
+// only validated when they were written through.
+func (b *base) wholeTree(persist bool) RecoveryPlan {
+	p := RecoveryPlan{Roots: []RebuildRoot{{Level: 1, Source: b.ctrl.geo.Levels}}, Persist: persist}
+	if persist {
+		p.StaleFraction = 1
 	}
-	if res.Content != c.Root() {
-		return rep, &IntegrityError{What: name + " recovery root mismatch", Addr: 0}
-	}
-	return rep, nil
+	return p
 }
 
 // --- Volatile ---------------------------------------------------------
@@ -169,12 +153,11 @@ func (*Volatile) WriteThroughHMAC(uint64) bool { return false }
 // WriteThroughTree implements Policy.
 func (*Volatile) WriteThroughTree(int, uint64) bool { return false }
 
-// Recover implements Policy. It attempts a full rebuild; unless the
-// crash happened with a clean metadata cache this fails, demonstrating
-// why volatile secure memory cannot be retrofitted onto SCM.
-func (v *Volatile) Recover(uint64) (RecoveryReport, error) {
-	return v.rebuildAndAdopt(v.Name())
-}
+// RecoveryPlan implements Policy: a full rebuild. Unless the crash
+// happened with a clean metadata cache its audit fails, demonstrating
+// why volatile secure memory cannot be retrofitted onto SCM. Writeback
+// counters rule out serving while it runs.
+func (v *Volatile) RecoveryPlan() RecoveryPlan { return v.wholeTree(true) }
 
 // --- Strict -----------------------------------------------------------
 
@@ -197,17 +180,9 @@ func (*Strict) WriteThroughHMAC(uint64) bool { return true }
 // WriteThroughTree implements Policy.
 func (*Strict) WriteThroughTree(int, uint64) bool { return true }
 
-// Recover implements Policy: nothing is stale; the report shows zero
-// reconstruction. The tree is validated against the root register.
-func (s *Strict) Recover(uint64) (RecoveryReport, error) {
-	c := s.ctrl
-	res := bmt.RebuildWith(c.Device(), c.Engine(), c.Geometry(), 1, 0, c.RebuildOptions(false))
-	rep := RecoveryReport{Protocol: s.Name(), StaleFraction: 0}
-	if res.Content != c.Root() {
-		return rep, &IntegrityError{What: "strict recovery root mismatch", Addr: 0}
-	}
-	return rep, nil
-}
+// RecoveryPlan implements Policy: nothing is stale; the report shows
+// zero reconstruction. The tree is validated against the root register.
+func (s *Strict) RecoveryPlan() RecoveryPlan { return s.wholeTree(false) }
 
 // --- Leaf -------------------------------------------------------------
 
@@ -231,20 +206,13 @@ func (*Leaf) WriteThroughHMAC(uint64) bool { return true }
 // WriteThroughTree implements Policy.
 func (*Leaf) WriteThroughTree(int, uint64) bool { return false }
 
-// Recover implements Policy with a full bottom-up reconstruction.
-func (l *Leaf) Recover(uint64) (RecoveryReport, error) {
-	return l.rebuildAndAdopt(l.Name())
-}
-
-// RecoveryPlan implements OnlineRecoverer: leaf recovery is one
-// whole-tree rebuild, and counters + HMACs are write-through, so the
-// controller may serve degraded while it runs.
-func (*Leaf) RecoveryPlan() (int, uint64, bool) { return 1, 0, true }
-
-// FinishRecover implements OnlineRecoverer: audit the incrementally
-// rebuilt root against the NV register, exactly as Recover does.
-func (l *Leaf) FinishRecover(_ uint64, res bmt.RebuildResult) (RecoveryReport, error) {
-	return l.adoptRebuild(l.Name(), res)
+// RecoveryPlan implements Policy with a full bottom-up reconstruction.
+// Counters and HMACs are write-through, so the controller may serve
+// degraded while it runs.
+func (l *Leaf) RecoveryPlan() RecoveryPlan {
+	p := l.wholeTree(true)
+	p.Online = true
+	return p
 }
 
 // --- Osiris -----------------------------------------------------------
@@ -293,13 +261,22 @@ func (*Osiris) WriteThroughTree(int, uint64) bool { return false }
 // Crash implements Policy.
 func (o *Osiris) Crash() { o.pending = make(map[uint64]uint64) }
 
-// Recover implements Policy: replay candidate counters against data
-// HMACs to restore the freshest counter values, then rebuild the tree.
-func (o *Osiris) Recover(now uint64) (RecoveryReport, error) {
+// RecoveryPlan implements Policy: replay candidate counters against
+// data HMACs to restore the freshest counter values, then rebuild the
+// tree.
+func (o *Osiris) RecoveryPlan() RecoveryPlan {
+	p := o.wholeTree(true)
+	p.Prepass = o.replay
+	return p
+}
+
+// replay is Osiris's pre-pass: every stop-loss counter back to the value
+// its data HMAC was computed under. Its counter reads are charged but
+// counted once, by the rebuild that re-reads the same blocks.
+func (o *Osiris) replay(rep *RecoveryReport) error {
 	c := o.ctrl
 	dev := c.Device()
 	eng := c.Engine()
-	rep := RecoveryReport{Protocol: o.Name(), StaleFraction: 1.0}
 
 	// Walk the initialized data in address order, a page at a time.
 	// The page set derives from the data, not from the counter region:
@@ -328,7 +305,6 @@ func (o *Osiris) Recover(now uint64) (RecoveryReport, error) {
 			closePage()
 			page, open, changed = ctrIdx, true, false
 			rep.Cycles += dev.Read(scm.Counter, page, ctrRaw[:])
-			rep.CounterReads++
 			orig = counters.Decode(ctrRaw[:])
 			fixed = orig
 		}
@@ -351,17 +327,10 @@ func (o *Osiris) Recover(now uint64) (RecoveryReport, error) {
 	})
 	rep.Cycles += dataCycles // not "+=" on the call: the walk adds to rep.Cycles itself
 	if err != nil {
-		return rep, err
+		return err
 	}
 	closePage()
-
-	res := bmt.RebuildWith(dev, eng, c.Geometry(), 1, 0, c.RebuildOptions(true))
-	rep.NodeWrites = res.NodeWrites
-	rep.Cycles += res.Cycles
-	if res.Content != c.Root() {
-		return rep, &IntegrityError{What: "osiris recovery root mismatch", Addr: 0}
-	}
-	return rep, nil
+	return nil
 }
 
 type counterCand struct {

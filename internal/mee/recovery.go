@@ -1,6 +1,7 @@
 package mee
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -17,101 +18,126 @@ import (
 // sentinel is the defensive backstop for direct callers.
 var ErrRecovering = errors.New("mee: online recovery in progress")
 
-// OnlineRecoverer is an optional policy extension: policies whose
-// recovery is a single bottom-up rebuild over write-through counters
-// can run it incrementally while the controller keeps serving.
-//
-// Only policies that write counters AND data HMACs through on every
-// write may implement this. Degraded serving trusts device counter
-// blocks provisionally (the per-access data-MAC check still binds
-// counter values, ciphertext, and address together, so any tamper of
-// one of the three fails immediately); the deferred rebuild audit
-// against the NV root register then catches the remaining attack — a
-// consistent replay of all three — before recovery is declared done.
-// Under a writeback-counter policy (Volatile) an old consistent
-// triple is indistinguishable from the lost freshest state, so online
-// recovery would permit silently stale reads; such policies must keep
-// blocking recovery.
-type OnlineRecoverer interface {
-	// RecoveryPlan reports the rebuild root of the policy's recovery
-	// audit — (1, 0) for whole-tree leaf recovery, the subtree
-	// register for AMNT — or ok=false when online recovery is not
-	// possible right now.
-	RecoveryPlan() (rootLevel int, rootIdx uint64, ok bool)
-	// FinishRecover completes recovery from the finished rebuild:
-	// compare the rebuilt root against the policy's trust anchor and
-	// patch any remaining path state, exactly as the blocking Recover
-	// would. It must not assume cache or device state beyond what the
-	// rebuild persisted.
-	FinishRecover(now uint64, res bmt.RebuildResult) (RecoveryReport, error)
+// RecoveryPlan is a policy's crash recovery declared as data: what a
+// crash may leave stale, and what vouches for it. One executor runs
+// every plan — BeginRecovery, Step and Finish; Recover is the session
+// that serves nothing in between — in this order: the pre-pass; each
+// anchored root's path patched and audited against the root register
+// (before the first degraded op); one bmt.Rebuilder per root, stepped
+// in turn; at Finish each rebuilt root audited against its anchor, then
+// the deferred climb of the leaves written under a root while serving.
+type RecoveryPlan struct {
+	// Prepass, when non-nil, runs first and adds its work to the report:
+	// Osiris's counter replay, Anubis's shadow-table recompute, BMF's
+	// root-set recompute, the hybrid machine's DRAM-slot reset.
+	Prepass func(rep *RecoveryReport) error
+	// Roots are the stale subtrees; those below level 1 share a level.
+	Roots []RebuildRoot
+	// Persist writes every rebuilt node back. Without it a rebuild only
+	// validates, and the report counts none of its work.
+	Persist bool
+	// Online lets the controller serve while the roots rebuild: only for
+	// write-through counters and HMACs under every root, and roots
+	// rebuilt from the counters (see RecoverySession).
+	Online        bool
+	StaleFraction float64
+	// Name is the protocol audit failures name (default: the policy's).
+	Name string
 }
 
-// RecoverySession is one online (serve-while-rebuilding) recovery in
-// progress on a Controller. The owner goroutine — the same one that
-// drives the controller — alternates foreground operations with
-// Step calls, then calls Finish to audit and complete.
+// RebuildRoot is one stale subtree: its root node (Level, Idx), the
+// level its rebuild reads (Source: the geometry's Levels for the
+// counters, or a persisted level in between, Triad-NVM's boundary), and
+// the NV register the rebuilt root must equal (Anchor: AMNT's subtree
+// registers, read at Finish; nil for a level-1 root, audited against
+// the root register).
+type RebuildRoot struct {
+	Level  int
+	Idx    uint64
+	Source int
+	Anchor *[bmt.NodeSize]byte
+}
+
+// RecoverySession is one recovery in progress on a Controller. The
+// owner goroutine alternates foreground operations with Step calls,
+// then calls Finish to audit and complete.
 //
-// While a session is active the controller serves degraded:
-//   - Counter-leaf fetch misses load device content provisionally
-//     (no parent authentication — the tree above is being rebuilt).
-//   - Every write — WriteBlock or an epoch of any size; they are one
-//     routine, commitEpoch — freezes each touched counter leaf's
-//     pre-write content for the rebuild audit, skips the ancestral
-//     tree climb, and defers the root-register update; Finish patches
-//     the dirty paths, one climb per dirty leaf, after the audit
-//     passes.
-//   - Checkpoints, flushes, and further recoveries are refused
-//     (ErrRecovering) — the serving layer finishes the session first.
+// While an online session is open the controller serves degraded, but
+// only under a rebuild root; everywhere else the tree is whole (the
+// roots' paths were patched and audited first) and the normal verified
+// walk and climb run. Under a root:
+//   - A counter leaf that misses the cache loads provisionally (no
+//     parent authentication — the tree above it is being rebuilt); an
+//     inner node that misses is ErrRecovering. The data MAC still binds
+//     counter, ciphertext and address on every access, and the rebuild
+//     audit at Finish catches the one attack left, a consistent replay
+//     of all three — which is why Online needs write-through counters
+//     and HMACs.
+//   - A write freezes its leaf's pre-write content for the rebuild
+//     audit and defers its climb to Finish.
+//
+// Policy write hooks (OnDataWrite, OnWriteComplete) do not run, so the
+// roots stay put; checkpoints, flushes, and further recoveries are
+// refused (ErrRecovering). An integrity error any operation returns
+// fails the session at Finish.
 type RecoverySession struct {
-	c  *Controller
-	rb *bmt.Rebuilder
-	or OnlineRecoverer
+	c    *Controller
+	plan RecoveryPlan
+	rbs  []*bmt.Rebuilder // parallel to plan.Roots
+	cur  int              // the rebuilder Step advances
+	// rep is the pre-pass's share of the report; path is the root-path
+	// patch's, added (and pathErr reported) once the roots pass their
+	// audits, as one blocking procedure would.
+	rep, path RecoveryReport
+	pathErr   error
+	opErr     error // the first integrity error an operation returned
 	// frozen maps counter-leaf index -> content at first degraded
-	// write (nil = absent then). Shared with the Rebuilder, which
-	// hashes these images instead of the moving device blocks.
-	frozen map[uint64][]byte
-	// dirty is the set of counter leaves written during the session,
-	// whose ancestral paths Finish must patch.
-	dirty       map[uint64]struct{}
+	// write (nil = absent then). Shared with the Rebuilders, which hash
+	// these images instead of the moving device blocks; its keys are
+	// the leaves whose climb Finish owes.
+	frozen      map[uint64][]byte
 	started     time.Time
-	writes      uint64 // degraded data writes observed
+	writes      uint64 // data writes served while the session was open
 	provisional uint64 // counter leaves fetched without parent auth
 	finished    bool
 }
 
-// finishChunk is the leaf batch size Finish drives the rebuilder with
-// when the session is completed before the background loop got there.
-const finishChunk = 4096
+// Recover runs the active policy's recovery plan to completion, serving
+// nothing. Host wall-clock time goes to telemetry (RecoveryWallNs, the
+// EvRecovery event), never into simulated results.
+func (c *Controller) Recover(now uint64) (RecoveryReport, error) {
+	c.enter()
+	defer c.exit()
+	if c.session != nil {
+		return RecoveryReport{}, ErrRecovering
+	}
+	s, err := c.begin(c.policy.RecoveryPlan())
+	if err != nil {
+		return s.end(now, s.rep, err)
+	}
+	return s.finish(now)
+}
 
 // BeginRecovery starts an online recovery session after Crash (or
-// LoadCheckpoint), returning ok=false when the active policy does not
-// support serve-during-recovery — the caller falls back to blocking
-// Recover. It panics if a session is already active: sessions are
-// barriered (finished) before any operation that could start another.
+// LoadCheckpoint). ok=false means the plan is not Online, or a root's
+// path does not match the root register — no session serves over a
+// tree known to be inconsistent; the caller's blocking Recover reports
+// it. It panics if a session is already active.
 func (c *Controller) BeginRecovery(now uint64) (*RecoverySession, bool) {
 	c.enter()
 	defer c.exit()
 	if c.session != nil {
 		panic("mee: BeginRecovery while a recovery session is active")
 	}
-	or, ok := c.policy.(OnlineRecoverer)
-	if !ok {
+	plan := c.policy.RecoveryPlan()
+	if !plan.Online {
 		return nil, false
 	}
-	rootLevel, rootIdx, ok := or.RecoveryPlan()
-	if !ok {
+	s, err := c.begin(plan)
+	if err != nil || s.pathErr != nil {
+		s.abort()
 		return nil, false
 	}
-	c.recProg.Reset()
-	s := &RecoverySession{
-		c:       c,
-		or:      or,
-		frozen:  make(map[uint64][]byte),
-		dirty:   make(map[uint64]struct{}),
-		started: time.Now(),
-	}
-	s.rb = bmt.NewRebuilder(c.dev, c.eng, c.geo, rootLevel, rootIdx,
-		bmt.RebuildOptions{Persist: true, Progress: c.recProg}, s.frozen)
 	c.session = s
 	if c.trace != nil {
 		c.trace.Emit(telemetry.Event{
@@ -123,41 +149,134 @@ func (c *Controller) BeginRecovery(now uint64) (*RecoverySession, bool) {
 	return s, true
 }
 
+// begin runs the pre-pass (its error ends the recovery), the path patch
+// (its verdict waits for Finish), and plans one Rebuilder per root.
+func (c *Controller) begin(plan RecoveryPlan) (*RecoverySession, error) {
+	c.recProg.Reset()
+	s := &RecoverySession{
+		c:       c,
+		plan:    plan,
+		frozen:  make(map[uint64][]byte),
+		started: time.Now(),
+	}
+	if s.plan.Name == "" {
+		s.plan.Name = c.policy.Name()
+	}
+	s.rep = RecoveryReport{Protocol: c.policy.Name(), StaleFraction: plan.StaleFraction}
+	if plan.Prepass != nil {
+		if err := plan.Prepass(&s.rep); err != nil {
+			return s, err
+		}
+	}
+	s.pathErr = s.patchRootPaths()
+	opts := bmt.RebuildOptions{Persist: plan.Persist, Progress: c.recProg}
+	for _, r := range plan.Roots {
+		s.rbs = append(s.rbs, bmt.NewRebuilder(c.dev, c.eng, c.geo, r.Source, r.Level, r.Idx, opts, s.frozen))
+	}
+	return s, nil
+}
+
+// patchRootPaths writes each anchored root's register content home,
+// then patches the union of their paths bottom-up: outside the roots
+// everything is strictly persisted but the child slots on a root's
+// path, so each ancestor is read once, those slots set, and written
+// back. The level-2 digests must then match the root register.
+func (s *RecoverySession) patchRootPaths() error {
+	c, g, rep := s.c, s.c.geo, &s.path
+	var path []planNode
+	level := 0
+	for _, r := range s.plan.Roots {
+		if r.Anchor == nil {
+			continue
+		}
+		level = r.Level
+		rep.Cycles += c.dev.Write(scm.Tree, g.FlatIndex(r.Level, r.Idx), r.Anchor[:])
+		rep.NodeWrites++
+		path = append(path, planNode{idx: r.Idx, digest: bmt.Hash(c.eng, r.Level, r.Anchor[:])})
+	}
+	slices.SortFunc(path, func(x, y planNode) int { return cmp.Compare(x.idx, y.idx) })
+	var node [bmt.NodeSize]byte
+	for level--; level >= 2; level-- {
+		parents := path[:0] // a parent never overtakes its first child
+		for j := 0; j < len(path); {
+			pidx := path[j].idx >> 3
+			flat := g.FlatIndex(level, pidx)
+			if rc, ok := c.dev.ReadIfPresent(scm.Tree, flat, node[:]); ok {
+				rep.Cycles += rc
+			} else {
+				node = c.zeroNode[level]
+			}
+			for ; j < len(path) && path[j].idx>>3 == pidx; j++ {
+				bmt.SetChildDigest(node[:], bmt.ChildSlot(path[j].idx), path[j].digest)
+			}
+			rep.Cycles += c.dev.Write(scm.Tree, flat, node[:])
+			rep.NodeWrites++
+			parents = append(parents, planNode{idx: pidx, digest: bmt.Hash(c.eng, level, node[:])})
+		}
+		path = parents
+	}
+	for _, n := range path {
+		if bmt.ChildDigest(c.rootNV[:], bmt.ChildSlot(n.idx)) != n.digest {
+			return &IntegrityError{What: s.plan.Name + " recovered path does not match root register", Addr: n.idx}
+		}
+	}
+	return nil
+}
+
+// stale reports whether node (level, idx) — level Levels for a counter
+// leaf — lies under a rebuild root, where the degraded rules apply.
+// Nil-safe: without a session nothing is stale.
+func (s *RecoverySession) stale(level int, idx uint64) bool {
+	if s == nil {
+		return false
+	}
+	for _, r := range s.plan.Roots {
+		if level > r.Level && idx>>(3*uint(level-r.Level)) == r.Idx {
+			return true
+		}
+	}
+	return false
+}
+
 // Session returns the active online recovery session, nil when none.
 func (c *Controller) Session() *RecoverySession { return c.session }
 
-// Step advances the background rebuild by up to maxLeaves source
-// leaves, returning true once the rebuild (not the session — see
-// Finish) is complete. It takes the controller's single-writer guard,
-// so it must be interleaved with, never concurrent to, foreground
-// operations.
+// Step advances the rebuild by up to maxLeaves source leaves (all when
+// maxLeaves <= 0), returning true once every root is rebuilt; Finish
+// must still run. It takes the single-writer guard: interleave it with
+// foreground operations, never run it concurrently.
 func (s *RecoverySession) Step(maxLeaves int) bool {
 	s.c.enter()
 	defer s.c.exit()
-	if s.finished {
-		return true
-	}
-	return s.rb.Step(maxLeaves)
+	return s.step(maxLeaves)
 }
 
-// Done reports whether the background rebuild has consumed every
-// source leaf. Finish must still run to audit and patch.
-func (s *RecoverySession) Done() bool { return s.finished || s.rb.Done() }
+// step is Step under the caller's guard.
+func (s *RecoverySession) step(maxLeaves int) bool {
+	for !s.finished && s.cur < len(s.rbs) && s.rbs[s.cur].Step(maxLeaves) {
+		s.cur++
+		if maxLeaves > 0 {
+			break
+		}
+	}
+	return s.Done()
+}
 
-// DegradedWrites returns how many data writes the session served with
-// a deferred tree climb.
+// Done reports whether every root's rebuild is complete.
+func (s *RecoverySession) Done() bool { return s.finished || s.cur == len(s.rbs) }
+
+// DegradedWrites returns how many data writes the session served.
 func (s *RecoverySession) DegradedWrites() uint64 { return s.writes }
 
 // ProvisionalFetches returns how many counter leaves were fetched
 // without parent authentication during the session.
 func (s *RecoverySession) ProvisionalFetches() uint64 { return s.provisional }
 
-// Finish drives the rebuild to completion, audits the rebuilt root
-// against the policy's trust anchor, patches the tree paths of every
-// leaf written during the session, and ends degraded mode. On error
-// (audit mismatch = an integrity violation surfaced by recovery) the
-// controller's metadata must be considered untrusted; the serving
-// layer quarantines and heals. The session is spent either way.
+// Finish completes the rebuild, audits each root against its anchor,
+// runs the deferred climb, and ends degraded mode. On error (an audit
+// mismatch, or an integrity error an operation returned) the metadata
+// is untrusted; the serving layer quarantines and heals. The session is
+// spent either way.
 func (s *RecoverySession) Finish(now uint64) (RecoveryReport, error) {
 	c := s.c
 	c.enter()
@@ -165,22 +284,87 @@ func (s *RecoverySession) Finish(now uint64) (RecoveryReport, error) {
 	if s.finished {
 		return RecoveryReport{}, fmt.Errorf("mee: Finish on a finished recovery session")
 	}
+	return s.finish(now)
+}
+
+func (s *RecoverySession) finish(now uint64) (RecoveryReport, error) {
+	s.step(0)
 	s.finished = true
-	for !s.rb.Step(finishChunk) {
-	}
-	res := s.rb.Result()
-	rep, err := s.or.FinishRecover(now, res)
-	c.session = nil
+	s.c.session = nil
+	rep := s.rep
+	err := s.audit(&rep)
 	if err == nil {
-		c.patchDirty(now, s.dirty, &rep)
+		rep.Cycles += s.path.Cycles
+		rep.NodeWrites += s.path.NodeWrites
+		err = cmp.Or(s.pathErr, s.opErr)
 	}
+	if err == nil {
+		err = s.climbDeferred(now, &rep)
+	}
+	return s.end(now, rep, err)
+}
+
+// audit adds each rebuild to rep and compares its root against the
+// anchor, stopping at the first mismatch.
+func (s *RecoverySession) audit(rep *RecoveryReport) error {
+	for i, r := range s.plan.Roots {
+		res := s.rbs[i].Result()
+		if s.plan.Persist {
+			rep.CounterReads += res.CounterReads
+			rep.NodeWrites += res.NodeWrites
+			rep.Cycles += res.Cycles
+		}
+		switch {
+		case r.Anchor == nil && res.Content != s.c.rootNV:
+			return &IntegrityError{What: s.plan.Name + " recovery root mismatch", Addr: 0}
+		case r.Anchor != nil && res.Content != *r.Anchor:
+			return &IntegrityError{What: s.plan.Name + " subtree register mismatch", Addr: r.Idx}
+		}
+	}
+	return nil
+}
+
+// climbDeferred is the climb the session's writes under a root owed:
+// commitEpoch's phase 4 over the union of their paths, seeded with
+// each leaf's current (write-through) device content, so every distinct
+// ancestor is patched once. Nothing is written through: a crash
+// rebuilds what lies under a root and patches an anchored root's path.
+func (s *RecoverySession) climbDeferred(now uint64, rep *RecoveryReport) error {
+	if len(s.frozen) == 0 {
+		return nil
+	}
+	c, g, plan := s.c, s.c.geo, &s.c.plan
+	plan.keys = plan.keys[:0]
+	for li := range s.frozen {
+		plan.keys = append(plan.keys, li)
+	}
+	slices.Sort(plan.keys)
+	plan.layout(g, nil)
+	var buf [scm.BlockSize]byte
+	for i, li := range plan.keys {
+		rep.Cycles += c.dev.Read(scm.Counter, li, buf[:])
+		rep.CounterReads++
+		plan.nodes[i].digest = bmt.Hash(c.eng, g.Levels, buf[:])
+	}
+	var res EpochResult
+	err := c.climbPlan(now, plan, &res)
+	rep.Cycles += res.Cycles
+	rep.NodeWrites += uint64(res.TreeNodes)
+	return err
+}
+
+// end closes the recovery's books — wall time, counters, the
+// EvRecovery event — and returns its verdict.
+func (s *RecoverySession) end(now uint64, rep RecoveryReport, err error) (RecoveryReport, error) {
+	c := s.c
+	s.abort()
 	wallNs := uint64(time.Since(s.started).Nanoseconds())
 	c.recProg.SetWall(wallNs)
 	c.recoveryWallNs.Add(wallNs)
 	c.st.Recoveries.Inc()
 	c.st.RecoveryCycles.Add(rep.Cycles)
 	if c.trace != nil {
-		note := rep.Protocol + " (online)"
+		note := rep.Protocol
 		if err != nil {
 			note += " (failed)"
 		}
@@ -200,71 +384,28 @@ func (s *RecoverySession) Finish(now uint64) (RecoveryReport, error) {
 // checkpoint restore mid-recovery). Caller holds the guard.
 func (s *RecoverySession) abort() {
 	s.finished = true
-	s.rb.Abort()
-}
-
-// noteWrite records a degraded write to counter leaf ctrIdx: on first
-// touch the leaf's current (pre-write) device content is frozen as
-// the rebuild audit's source image, and the leaf joins the dirty set
-// Finish will patch. Caller holds the guard and has not yet mutated
-// the leaf.
-func (s *RecoverySession) noteWrite(ctrIdx uint64) {
-	if _, seen := s.frozen[ctrIdx]; !seen {
-		s.frozen[ctrIdx] = s.c.dev.SnapshotBlock(scm.Counter, ctrIdx)
+	for _, rb := range s.rbs {
+		rb.Abort()
 	}
-	s.dirty[ctrIdx] = struct{}{}
-	s.writes++
 }
 
-// patchDirty re-climbs the ancestral path of every counter leaf
-// written during a session, after the audit validated the frozen
-// image: each leaf's current (write-through, trusted-by-construction)
-// device content is hashed and folded into its ancestors up to the
-// root register, write-through all the way, leaving the device tree
-// and the register exactly as if the climbs had run eagerly.
-func (c *Controller) patchDirty(now uint64, dirty map[uint64]struct{}, rep *RecoveryReport) {
-	if len(dirty) == 0 {
+// observe keeps the first integrity error an operation returned while
+// the session was open. Nil-safe: no session, nothing to keep.
+func (s *RecoverySession) observe(err error) {
+	if s == nil || s.opErr != nil || err == nil {
 		return
 	}
-	leaves := make([]uint64, 0, len(dirty))
-	for li := range dirty {
-		leaves = append(leaves, li)
+	var ie *IntegrityError
+	if errors.As(err, &ie) {
+		s.opErr = err
 	}
-	slices.Sort(leaves)
-	g := c.geo
-	var buf [scm.BlockSize]byte
-	var node [scm.BlockSize]byte
-	for _, li := range leaves {
-		rep.Cycles += c.dev.Read(scm.Counter, li, buf[:])
-		rep.CounterReads++
-		digest := bmt.Hash(c.eng, g.Levels, buf[:])
-		childIdx := li
-		for level := g.Levels - 1; level >= 2; level-- {
-			idx := childIdx >> 3
-			flat := g.FlatIndex(level, idx)
-			if rc, ok := c.dev.ReadIfPresent(scm.Tree, flat, node[:]); ok {
-				rep.Cycles += rc
-			} else {
-				node = c.zeroNode[level]
-			}
-			bmt.SetChildDigest(node[:], bmt.ChildSlot(childIdx), digest)
-			rep.Cycles += c.dev.Write(scm.Tree, flat, node[:])
-			rep.NodeWrites++
-			// Keep policy anchors (the AMNT subtree register) in sync
-			// with the patched node.
-			c.policy.OnTreeUpdate(now, level, idx, node[:])
-			digest = bmt.Hash(c.eng, level, node[:])
-			childIdx = idx
-		}
-		bmt.SetChildDigest(c.rootNV[:], bmt.ChildSlot(childIdx), digest)
-	}
-	// Cached copies of patched tree nodes are stale (the climbs were
-	// skipped); drop them so the next fetch re-verifies against the
-	// patched device state. Counter leaves stay — their cache content
-	// matches the device (write-through).
-	for _, k := range c.meta.Keys() {
-		if key := MetaKey(k); key.IsTree() {
-			c.DropCached(key)
-		}
+}
+
+// freeze records a write to counter leaf ctrIdx under a root: on first
+// touch its pre-write device content becomes the rebuild's source image
+// and Finish owes its climb. Caller holds the guard.
+func (s *RecoverySession) freeze(ctrIdx uint64) {
+	if _, seen := s.frozen[ctrIdx]; !seen {
+		s.frozen[ctrIdx] = s.c.dev.SnapshotBlock(scm.Counter, ctrIdx)
 	}
 }

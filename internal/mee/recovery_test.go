@@ -197,18 +197,3 @@ func TestOnlineRecoveryGuards(t *testing.T) {
 		t.Fatalf("verify after mid-session crash: %v", err)
 	}
 }
-
-// TestOnlineRecoveryPolicyFallback: policies without write-through
-// counters (or without the OnlineRecoverer extension) must decline,
-// sending the caller to blocking Recover.
-func TestOnlineRecoveryPolicyFallback(t *testing.T) {
-	for _, p := range []Policy{NewVolatile(), NewStrict(), NewOsiris(4)} {
-		c := New(testDevice(), DefaultConfig(), p)
-		if _, ok := c.BeginRecovery(0); ok {
-			t.Fatalf("policy %s must not offer online recovery", p.Name())
-		}
-		if c.Session() != nil {
-			t.Fatalf("policy %s left a session behind", p.Name())
-		}
-	}
-}

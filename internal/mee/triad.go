@@ -1,10 +1,6 @@
 package mee
 
-import (
-	"fmt"
-
-	"amnt/internal/bmt"
-)
+import "fmt"
 
 // Triad implements Triad-NVM (Awad et al., ISCA 2019), the *static*
 // multi-level persistence scheme the paper positions AMNT against
@@ -54,25 +50,17 @@ func (t *Triad) WriteThroughTree(level int, _ uint64) bool {
 	return level >= t.boundary()
 }
 
-// Recover implements Policy: rebuild levels [2, boundary) from the
-// persisted boundary nodes and validate against the root register.
-func (t *Triad) Recover(uint64) (RecoveryReport, error) {
-	c := t.ctrl
-	g := c.Geometry()
+// RecoveryPlan implements Policy: rebuild levels [2, boundary) from
+// the persisted boundary nodes and validate against the root register.
+// With every inner level persisted (boundary 2) nothing is stale, and
+// the tree is validated from the counters, like strict.
+func (t *Triad) RecoveryPlan() RecoveryPlan {
+	g := t.ctrl.Geometry()
 	b := t.boundary()
-	rep := RecoveryReport{Protocol: t.Name()}
 	if b <= 2 {
-		// Everything off-chip is persisted; like strict, validate only.
-		res := bmt.RebuildWith(c.Device(), c.Engine(), g, 1, 0, c.RebuildOptions(false))
-		if res.Content != c.Root() {
-			return rep, &IntegrityError{What: "triad recovery root mismatch", Addr: 0}
-		}
-		return rep, nil
+		return t.wholeTree(false)
 	}
-	res := bmt.RebuildAboveWith(c.Device(), c.Engine(), g, b, c.RebuildOptions(true))
-	rep.CounterReads = res.CounterReads
-	rep.NodeWrites = res.NodeWrites
-	rep.Cycles = res.Cycles
+	p := RecoveryPlan{Roots: []RebuildRoot{{Level: 1, Source: b}}, Persist: true}
 	// Stale share: the lazy levels as a fraction of inner tree nodes.
 	var lazy, total float64
 	for l := 2; l <= g.Levels-1; l++ {
@@ -83,12 +71,9 @@ func (t *Triad) Recover(uint64) (RecoveryReport, error) {
 		}
 	}
 	if total > 0 {
-		rep.StaleFraction = lazy / total
+		p.StaleFraction = lazy / total
 	}
-	if res.Content != c.Root() {
-		return rep, &IntegrityError{What: "triad recovery root mismatch", Addr: 0}
-	}
-	return rep, nil
+	return p
 }
 
 // Overhead implements Policy: Triad-NVM adds no on-chip structures

@@ -236,7 +236,7 @@ var shardCounters = []struct {
 	{"heal_attempts", "supervised heal attempts on quarantined shards", func(m *shardMetrics) *atomic.Uint64 { return &m.healAttempts }, perShard | aggregate},
 	{"heals", "heal attempts that restored service", func(m *shardMetrics) *atomic.Uint64 { return &m.heals }, perShard | aggregate},
 	{"recovering_nacks", "requests nacked with ErrRecovering", func(m *shardMetrics) *atomic.Uint64 { return &m.recoveringNacks }, perShard | aggregate},
-	{"degraded_writes", "writes served during recovery sessions (climb deferred)", func(m *shardMetrics) *atomic.Uint64 { return &m.degradedWrites }, perShard | aggregate},
+	{"degraded_writes", "writes served during recovery sessions", func(m *shardMetrics) *atomic.Uint64 { return &m.degradedWrites }, perShard | aggregate},
 	{"provisional_loads", "counter leaves loaded provisionally during recovery sessions", func(m *shardMetrics) *atomic.Uint64 { return &m.provisionalLoads }, perShard},
 	{"concurrent_reads", "gets served off the concurrent read view", func(m *shardMetrics) *atomic.Uint64 { return &m.concurrentReads }, perShard | aggregate},
 	{"read_retries", "read-view snapshot retries on seq conflicts", func(m *shardMetrics) *atomic.Uint64 { return &m.readRetries }, perShard | aggregate},

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"amnt/internal/bmt"
+	"amnt/internal/core"
 	"amnt/internal/faults"
 	"amnt/internal/mee"
 	"amnt/internal/scm"
@@ -246,26 +247,17 @@ func TestStoreAdmissionByHealth(t *testing.T) {
 	}
 }
 
-// degradedBatch seeds a bare shard, power-cycles it into an online
-// session, and drives one multi-put request (the shape a PutBatch leg
-// builds) of the first n seeded blocks through the worker's drain
-// while the session is open.
-func degradedBatch(t *testing.T, protocol string, seeded, n uint64) *shard {
+// degradedBatch seeds keys 0..seeded-1 into a bare shard, one block
+// every stride blocks, power-cycles it into an online session, and
+// drives one multi-put request (the shape a PutBatch leg builds) of the
+// first n keys through the worker's drain while the session is open.
+func degradedBatch(t *testing.T, protocol string, mem, seeded, n, stride uint64) *shard {
 	t.Helper()
-	sh := newBareShard(t, protocol, 256<<10)
-	for b := uint64(0); b < seeded; b++ {
-		barePut(t, sh, b, stamp(b))
-	}
-	if err := sh.powerCycle(); err != nil {
-		t.Fatalf("power cycle: %v", err)
-	}
-	if sh.session == nil {
-		t.Fatalf("%s shard must power-cycle into an online session", protocol)
-	}
+	sh := seededShard(t, protocol, mem, seeded, stride)
 	epochs := sh.m.epochs.Load()
 	req := request{op: opPut, kvs: make([]kvPair, n), resp: make(chan response, 1)}
-	for b := range req.kvs {
-		req.kvs[b] = kvPair{uint64(b), stamp(uint64(b) + 1000)}
+	for k := range req.kvs {
+		req.kvs[k] = kvPair{uint64(k) * stride, stamp(uint64(k) + 1000)}
 	}
 	sh.serveBatch([]request{req})
 	resp := <-req.resp
@@ -286,18 +278,57 @@ func degradedBatch(t *testing.T, protocol string, seeded, n uint64) *shard {
 	return sh
 }
 
-// TestShardDegradedEpoch: a batch written while a recovery session is
-// open commits as an epoch whose every op is a degraded write (climb
-// deferred to Finish), and the patched tree is a valid crash image — a
-// second power cycle reads every acknowledged key back.
+// seededShard is degradedBatch's setup: the seeded shard, power-cycled
+// into an online session. Keys are written in descending order, so
+// AMNT's fast subtree ends over the low keys a degraded batch writes.
+func seededShard(t *testing.T, protocol string, mem, seeded, stride uint64) *shard {
+	t.Helper()
+	sh := newBareShard(t, protocol, mem)
+	for k := seeded; k > 0; k-- {
+		barePut(t, sh, (k-1)*stride, stamp(k-1))
+	}
+	if err := sh.powerCycle(); err != nil {
+		t.Fatalf("power cycle: %v", err)
+	}
+	if sh.session == nil {
+		t.Fatalf("%s shard must power-cycle into an online session", protocol)
+	}
+	return sh
+}
+
+// TestShardDegradedEpoch: a 128-put batch written while a recovery
+// session is open commits as one epoch; the writes under a rebuild root
+// (all of them for leaf, the fast subtree's for amnt) defer their climb,
+// and Finish climbs the union of those paths — each distinct ancestor
+// once, which the session's node writes over an idle twin's pin — after
+// which the tree is a valid crash image: a second power cycle reads
+// every acknowledged key back.
 func TestShardDegradedEpoch(t *testing.T) {
+	const mem, seeded, n, stride = 2 << 20, 256, 128, 64 // one key per counter leaf
 	for _, protocol := range []string{"leaf", "amnt"} {
 		t.Run(protocol, func(t *testing.T) {
-			const seeded, n = 256, 96
-			sh := degradedBatch(t, protocol, seeded, n)
-			sh.barrier()
+			idle := seededShard(t, protocol, mem, seeded, stride).barrier()
+			sh := degradedBatch(t, protocol, mem, seeded, n, stride)
+			g := sh.ctrl.Geometry()
+			stale := func(leaf uint64) bool { return true }
+			if a, ok := sh.ctrl.Policy().(*core.AMNT); ok {
+				lo, hi := g.LeafSpan(a.Level(), a.SubtreeIndex())
+				stale = func(leaf uint64) bool { return leaf >= lo && leaf < hi }
+			}
+			ancestors := map[[2]uint64]bool{}
+			for k := uint64(0); k < n; k++ {
+				if leaf := k * stride / 64; stale(leaf) {
+					for level := g.Levels - 1; level >= 2; level-- {
+						ancestors[[2]uint64{uint64(level), g.Ancestor(level, leaf)}] = true
+					}
+				}
+			}
+			rep := sh.barrier()
 			if h := sh.load(); h != stateServing {
 				t.Fatalf("state after finish = %s, want serving", h)
+			}
+			if got := rep.NodeWrites - idle.NodeWrites; got != uint64(len(ancestors)) {
+				t.Fatalf("finish patched %d nodes over an idle session, want %d: one per distinct ancestor", got, len(ancestors))
 			}
 			if got := sh.m.degradedWrites.Load(); got != n {
 				t.Fatalf("degraded_writes = %d, want %d (one per key written)", got, n)
@@ -309,42 +340,90 @@ func TestShardDegradedEpoch(t *testing.T) {
 			if h := sh.load(); h != stateServing {
 				t.Fatalf("state after second cycle = %s, want serving", h)
 			}
-			for b := uint64(0); b < seeded; b++ {
-				v, err := bareGet(t, sh, b)
+			for k := uint64(0); k < seeded; k++ {
+				v, err := bareGet(t, sh, k*stride)
 				if err != nil {
-					t.Fatalf("get %d after second cycle: %v", b, err)
+					t.Fatalf("get %d after second cycle: %v", k, err)
 				}
-				if b < n {
-					checkStamp(t, b+1000, v)
+				if k < n {
+					checkStamp(t, k+1000, v)
 				} else {
-					checkStamp(t, b, v)
+					checkStamp(t, k, v)
 				}
 			}
 		})
 	}
 }
 
-// TestShardDegradedEpochTamper: a counter leaf replayed on the device
-// while the shard serves degraded batches must fail the finish audit
-// and quarantine the shard — never serve silently.
+// TestShardDegradedEpochTamper: tampered state met while the shard
+// serves degraded batches must quarantine the shard at Finish — never
+// serve silently. For leaf, a counter leaf tampered on the device fails
+// the rebuild audit. For amnt, a consistent replay of a block outside
+// the fast subtree (its counter, data and HMAC) is outside every
+// rebuild root, so a degraded get walks the strictly persisted tree and
+// fails, and the session that served it cannot finish clean.
 func TestShardDegradedEpochTamper(t *testing.T) {
-	const seeded, n = 256, 64 // the batch dirties leaf 0 only
-	sh := degradedBatch(t, "leaf", seeded, n)
-	// Leaf 3 (blocks 192-255) holds seeded data the batch never
-	// touched: the rebuild reads it from the device, not from a frozen
-	// pre-image.
-	if !sh.dev.TamperByte(scm.Counter, 3, 3, 0x20) {
-		t.Fatal("tamper failed")
-	}
-	sh.barrier()
-	if h := sh.load(); h != stateQuarantined {
-		t.Fatalf("state after tampered session = %s, want quarantined", h)
-	}
-	if sh.m.failures.Load() != 1 || sh.m.integrityErrs.Load() == 0 {
-		t.Fatalf("failures = %d, integrity_errors = %d", sh.m.failures.Load(), sh.m.integrityErrs.Load())
-	}
-	if _, err := bareGet(t, sh, 0); !errors.Is(err, ErrShardFailed) {
-		t.Fatalf("get on tampered shard: %v, want ErrShardFailed", err)
+	for _, tc := range []struct {
+		protocol string
+		tamper   func(t *testing.T, sh *shard)
+	}{
+		{"leaf", func(t *testing.T, sh *shard) {
+			// The batch dirties leaf 0 only; leaf 3 (blocks 192-255) holds
+			// seeded data it never touched: the rebuild reads it from the
+			// device, not from a frozen pre-image.
+			if !sh.dev.TamperByte(scm.Counter, 3, 3, 0x20) {
+				t.Fatal("tamper failed")
+			}
+		}},
+		{"amnt", func(t *testing.T, sh *shard) {
+			g := sh.ctrl.Geometry()
+			a := sh.ctrl.Policy().(*core.AMNT)
+			outside := func(b uint64) bool {
+				lo, hi := g.LeafSpan(a.Level(), a.SubtreeIndex())
+				return b/64 < lo || b/64 >= hi
+			}
+			b := uint64(0)
+			if lo, hi := g.LeafSpan(a.Level(), a.SubtreeIndex()); lo == 0 {
+				b = hi * 64
+			}
+			regions := [3]scm.Region{scm.Data, scm.Counter, scm.HMAC}
+			idx := [3]uint64{b, b / 64, b / 8}
+			var snaps [3][]byte
+			sh.barrier()
+			barePut(t, sh, b, stamp(b))
+			for i := range snaps {
+				snaps[i] = sh.dev.SnapshotBlock(regions[i], idx[i])
+			}
+			barePut(t, sh, b, stamp(b+1))
+			if err := sh.powerCycle(); err != nil {
+				t.Fatalf("power cycle: %v", err)
+			}
+			if !outside(b) {
+				t.Fatalf("block %d moved into the fast subtree", b)
+			}
+			for i := range snaps {
+				sh.dev.ReplayBlock(regions[i], idx[i], snaps[i])
+			}
+			if v, err := bareGet(t, sh, b); err == nil {
+				t.Fatalf("degraded get of the replayed block served %x with a nil error", v)
+			}
+		}},
+	} {
+		t.Run(tc.protocol, func(t *testing.T) {
+			const seeded, n = 256, 64 // the batch dirties leaf 0 only
+			sh := degradedBatch(t, tc.protocol, 256<<10, seeded, n, 1)
+			tc.tamper(t, sh)
+			sh.barrier()
+			if h := sh.load(); h != stateQuarantined {
+				t.Fatalf("state after tampered session = %s, want quarantined", h)
+			}
+			if sh.m.failures.Load() != 1 || sh.m.integrityErrs.Load() == 0 {
+				t.Fatalf("failures = %d, integrity_errors = %d", sh.m.failures.Load(), sh.m.integrityErrs.Load())
+			}
+			if _, err := bareGet(t, sh, 0); !errors.Is(err, ErrShardFailed) {
+				t.Fatalf("get on tampered shard: %v, want ErrShardFailed", err)
+			}
+		})
 	}
 }
 
@@ -532,7 +611,7 @@ func TestStoreQuarantineExhaustsAttempts(t *testing.T) {
 // then the standard fault injection runs, and finally the victim
 // shard is quarantined and must heal back into service.
 func TestStoreServeDuringRecoveryMatrix(t *testing.T) {
-	for _, protocol := range []string{"leaf", "amnt"} {
+	for _, protocol := range []string{"leaf", "amnt", "amnt-multi"} {
 		for _, kind := range []string{"torn", "drop", "reorder", "bitrot"} {
 			t.Run(protocol+"/"+kind, func(t *testing.T) {
 				cfg := testConfig()
@@ -555,8 +634,11 @@ func TestStoreServeDuringRecoveryMatrix(t *testing.T) {
 					}
 				}
 
-				// Concurrent clients across the online power cycle.
+				// Concurrent clients across the online power cycle. A
+				// shard that serves while it recovers never refuses one
+				// as recovering.
 				var stop atomic.Bool
+				var refused atomic.Int64
 				var wg sync.WaitGroup
 				errCh := make(chan error, 4)
 				for c := 0; c < 4; c++ {
@@ -577,6 +659,9 @@ func TestStoreServeDuringRecoveryMatrix(t *testing.T) {
 										return
 									}
 								}
+							}
+							if errors.Is(err, ErrRecovering) {
+								refused.Add(1)
 							}
 							// Explicit degradation signals are the
 							// contract; anything else is a failure.
@@ -599,6 +684,9 @@ func TestStoreServeDuringRecoveryMatrix(t *testing.T) {
 				close(errCh)
 				for err := range errCh {
 					t.Fatal(err)
+				}
+				if n := refused.Load(); n != 0 {
+					t.Fatalf("%d requests refused as recovering: the shards did not serve while they recovered", n)
 				}
 
 				// Rebuilds complete once the queues go idle.

@@ -1141,34 +1141,37 @@ func (sh *shard) resume() {
 }
 
 // barrier completes any in-flight online recovery synchronously so
-// the next operation observes a whole, audited tree. Control
-// operations and shutdown call it; a no-op outside a session.
-func (sh *shard) barrier() {
+// the next operation observes a whole, audited tree, and returns the
+// session's report. Control operations and shutdown call it; a no-op
+// outside a session.
+func (sh *shard) barrier() mee.RecoveryReport {
 	if sh.session == nil {
-		return
+		return mee.RecoveryReport{}
 	}
 	for !sh.session.Step(sh.recChunk) {
 	}
-	sh.finishRecovery()
+	return sh.finishRecovery()
 }
 
-// finishRecovery runs the session's audit + degraded-write patch and
-// returns the shard to serving. An audit failure means integrity was
-// violated while the shard served degraded traffic — it quarantines
-// and the heal loop takes over.
-func (sh *shard) finishRecovery() {
+// finishRecovery runs the session's audit + deferred climb, returns
+// the shard to serving, and hands back the session's report. An audit
+// failure means integrity was violated while the shard served degraded
+// traffic — it quarantines and the heal loop takes over.
+func (sh *shard) finishRecovery() mee.RecoveryReport {
 	sess := sh.session
 	sh.session = nil
 	sh.m.degradedWrites.Add(sess.DegradedWrites())
 	sh.m.provisionalLoads.Add(sess.ProvisionalFetches())
-	if _, err := sess.Finish(sh.now); err != nil {
+	rep, err := sess.Finish(sh.now)
+	if err != nil {
 		sh.countErr(err)
 		sh.fail()
-		return
+		return rep
 	}
 	// What was admitted during the audit waited in the queue and is
 	// served off the audited tree.
 	sh.resume()
+	return rep
 }
 
 // quarantineTick parks the worker until the next heal attempt is due,
