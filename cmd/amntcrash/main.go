@@ -97,20 +97,16 @@ func main() {
 		Counters:     &counters,
 	}
 
-	// Live introspection: /vars exposes the sweep counters, /progress
-	// the last engine snapshot. The registry needs a sample published
-	// before /vars has anything to show, so each progress event (and
-	// the start) samples it.
+	// Live introspection: /vars exposes the sweep counters (atomics,
+	// sampled on each scrape), /progress the last engine snapshot.
 	var progressMu sync.Mutex
 	var lastProgress experiments.Progress
 	reg := telemetry.NewRegistry()
 	counters.RegisterMetrics(reg, "faults")
-	reg.Sample(0)
 	opts.Progress = func(p experiments.Progress) {
 		progressMu.Lock()
 		lastProgress = p
 		progressMu.Unlock()
-		reg.Sample(0)
 		if *verbose && p.Event != experiments.JobQueued {
 			fmt.Fprintf(os.Stderr, "[%d queued %d running %d done %d failed] %s %s\n",
 				p.Queued, p.Running, p.Done, p.Failed, p.Event, p.Job)
@@ -121,7 +117,7 @@ func main() {
 	}
 	if *httpAddr != "" {
 		srv, serr := telemetry.Serve(*httpAddr, telemetry.ServeOptions{
-			Registry: reg,
+			Metrics: func() *telemetry.Snapshot { return reg.Sample(0) },
 			Progress: func() any {
 				progressMu.Lock()
 				defer progressMu.Unlock()

@@ -5,6 +5,11 @@
 // one shard while the rest keep serving. The HTTP surface itself
 // lives in internal/node; this binary is flags + lifecycle.
 //
+// Every shard counter is declared once, in the store's counter table;
+// /v1/store/stats, /v1/health, /metrics and /vars are all derived
+// from it. /metrics and /vars read the counters afresh on every
+// scrape.
+//
 // API (everything under /v1; the data-path bodies of /v1/kv and
 // /v1/batch are internal/wire's compact JSON):
 //
@@ -17,10 +22,11 @@
 //	POST /v1/recover       power-cycle every shard (crash + recover + verify)
 //	POST /v1/chaos?shard=0&kind=torn&seed=1   fault-injected power failure
 //	POST /v1/quarantine?shard=0               force a shard into the heal loop
-//	GET  /v1/store/stats   per-shard and aggregate counters
-//	GET  /v1/health        per-shard health states + heal counters;
-//	                       503 while any shard is quarantined; in
-//	                       cluster mode includes the node identity block
+//	GET  /v1/store/stats   per-shard state and counters, plus aggregates
+//	GET  /v1/health        overall status plus the same per-shard
+//	                       entries as /v1/store/stats; 503 while any
+//	                       shard is quarantined; in cluster mode
+//	                       includes the node identity block
 //	POST /v1/migrate/*     live partition hand-off surface (see internal/node)
 //	GET  /v1/ring          cached ring state (cluster mode)
 //
@@ -54,7 +60,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -79,7 +84,6 @@ func main() {
 		batch      = flag.Int("batch", 16, "max requests drained per worker wakeup, and max writes per group-commit epoch")
 		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory (empty = no checkpoints; cluster kill-drills need a shared one)")
 		reqTimeout = flag.Duration("req-timeout", 2*time.Second, "per-request serving deadline")
-		sample     = flag.Duration("sample", 250*time.Millisecond, "telemetry sampling period")
 		recChunk   = flag.Int("recovery-chunk", 0, "counter leaves rebuilt per online-recovery step between request waves (0 = default)")
 		healBack   = flag.Duration("heal-backoff", 0, "initial delay before a quarantined shard's first heal attempt (0 = default)")
 		healBackMx = flag.Duration("heal-backoff-max", 0, "cap on the heal-loop exponential backoff (0 = default)")
@@ -169,14 +173,7 @@ func main() {
 		Ring:       ring,
 	})
 
-	reg := telemetry.NewRegistry()
-	st.RegisterMetrics(reg)
-	rec.RegisterMetrics(reg)
-	srv, err := telemetry.Serve(*addr, telemetry.ServeOptions{
-		Registry: reg,
-		Progress: func() any { return st.Stats() },
-		Register: func(mux *http.ServeMux) { nd.Mount(mux) },
-	})
+	srv, err := telemetry.Serve(*addr, nd.Introspection())
 	if err != nil {
 		fail(err)
 	}
@@ -186,24 +183,6 @@ func main() {
 	} else {
 		fmt.Printf("amntd: serving %d×%s shards on %s\n", st.Shards(), *protocol, srv.Addr())
 	}
-
-	// Sampler: the only goroutine that calls reg.Sample. Columns read
-	// published atomics, so this never races the shard workers.
-	stopSample := make(chan struct{})
-	sampleDone := make(chan struct{})
-	go func() {
-		defer close(sampleDone)
-		tick := time.NewTicker(*sample)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				reg.Sample(st.TotalCycles())
-			case <-stopSample:
-				return
-			}
-		}
-	}()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -215,8 +194,6 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "amntd: http shutdown:", err)
 	}
-	close(stopSample)
-	<-sampleDone
 	if err := st.Close(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "amntd: store close:", err)
 		os.Exit(1)

@@ -42,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -95,13 +94,7 @@ func main() {
 		AutoAdopt:  *autoAdopt,
 	})
 
-	treg := telemetry.NewRegistry()
-	rec.RegisterMetrics(treg)
-	srv, err := telemetry.Serve(*addr, telemetry.ServeOptions{
-		Registry: treg,
-		Progress: func() any { return reg.View() },
-		Register: func(mux *http.ServeMux) { proxy.Mount(mux) },
-	})
+	srv, err := telemetry.Serve(*addr, proxy.Introspection())
 	if err != nil {
 		fail(err)
 	}

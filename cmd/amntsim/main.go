@@ -161,7 +161,7 @@ func main() {
 		tel = m.EnableTelemetry(telemetry.Config{EpochCycles: *epoch})
 	}
 	if *httpAddr != "" {
-		srv, serr := telemetry.Serve(*httpAddr, telemetry.ServeOptions{Registry: tel.Registry})
+		srv, serr := telemetry.Serve(*httpAddr, telemetry.ServeOptions{Metrics: tel.Registry.Latest})
 		if serr != nil {
 			fmt.Fprintln(os.Stderr, "amntsim: http:", serr)
 			os.Exit(1)

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"amnt/internal/telemetry"
 	"amnt/internal/telemetry/span"
 	"amnt/internal/wire"
 )
@@ -73,6 +74,19 @@ func NewProxy(reg *Registry, opts ProxyOptions) *Proxy {
 	p.ops.batch = opts.Recorder.Op("batch")
 	p.ops.migrate = opts.Recorder.Op("migrate")
 	return p
+}
+
+// Introspection is amntproxy's telemetry-server wiring: the proxy
+// routes, the membership view on /progress, and /metrics and /vars
+// sampled from the span recorder's RED columns on every scrape.
+func (p *Proxy) Introspection() telemetry.ServeOptions {
+	reg := telemetry.NewRegistry()
+	p.opts.Recorder.RegisterMetrics(reg)
+	return telemetry.ServeOptions{
+		Metrics:  func() *telemetry.Snapshot { return reg.Sample(0) },
+		Progress: func() any { return p.reg.View() },
+		Register: p.Mount,
+	}
 }
 
 // Registry returns the proxy's membership registry.

@@ -20,13 +20,16 @@ import (
 	_ "amnt/internal/core"
 	"amnt/internal/node"
 	"amnt/internal/store"
+	"amnt/internal/telemetry"
 	"amnt/internal/telemetry/span"
 	"amnt/internal/wire"
 )
 
-// miniCluster is a proxy fronting live in-process nodes.
+// miniCluster is a proxy fronting live in-process nodes. The proxy is
+// served the way amntproxy serves it (Proxy.Introspection), so its
+// /metrics and /vars are the daemon's too.
 type miniCluster struct {
-	proxy *httptest.Server
+	proxy string // base URL
 	p     *cluster.Proxy
 	nodes map[string]*httptest.Server
 	ring  *cluster.State
@@ -82,11 +85,12 @@ func startCluster(t *testing.T, n int) *miniCluster {
 	px := cluster.NewProxy(reg, cluster.ProxyOptions{
 		Recorder: span.New(span.Config{SampleEvery: 1}),
 	})
-	pmux := http.NewServeMux()
-	px.Mount(pmux)
-	psrv := httptest.NewServer(pmux)
-	t.Cleanup(psrv.Close)
-	return &miniCluster{proxy: psrv, p: px, nodes: nodes, ring: ring}
+	psrv, err := telemetry.Serve("127.0.0.1:0", px.Introspection())
+	if err != nil {
+		t.Fatalf("serve proxy: %v", err)
+	}
+	t.Cleanup(func() { _ = psrv.Close() })
+	return &miniCluster{proxy: "http://" + psrv.Addr(), p: px, nodes: nodes, ring: ring}
 }
 
 func proxyPut(t *testing.T, base string, key uint64, val string) int {
@@ -130,12 +134,12 @@ func proxyGet(t *testing.T, base string, key uint64) (int, string) {
 func TestProxyRoutesAcrossNodes(t *testing.T) {
 	c := startCluster(t, 3)
 	for key := uint64(0); key < 24; key++ {
-		if code := proxyPut(t, c.proxy.URL, key, fmt.Sprintf("v-%d", key)); code != http.StatusOK {
+		if code := proxyPut(t, c.proxy, key, fmt.Sprintf("v-%d", key)); code != http.StatusOK {
 			t.Fatalf("put %d: status %d", key, code)
 		}
 	}
 	for key := uint64(0); key < 24; key++ {
-		code, val := proxyGet(t, c.proxy.URL, key)
+		code, val := proxyGet(t, c.proxy, key)
 		if code != http.StatusOK || val != fmt.Sprintf("v-%d", key) {
 			t.Fatalf("get %d: status %d value %q", key, code, val)
 		}
@@ -160,6 +164,32 @@ func TestProxyRoutesAcrossNodes(t *testing.T) {
 	}
 }
 
+// TestProxyServesMetrics pins the proxy's own /metrics: after traffic
+// through it, the RED request counters of the ops it served are
+// non-zero with no sampler running anywhere.
+func TestProxyServesMetrics(t *testing.T) {
+	c := startCluster(t, 2)
+	for key := uint64(0); key < 3; key++ {
+		if code := proxyPut(t, c.proxy, key, "m"); code != http.StatusOK {
+			t.Fatalf("put %d: status %d", key, code)
+		}
+	}
+	for path, want := range map[string]string{
+		"/metrics": "amnt_span_op_kv_put_requests 3",
+		"/vars":    `"span.op.kv_put.requests": 3`,
+	} {
+		resp, err := http.Get(c.proxy + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(body), want) {
+			t.Errorf("proxy %s missing %q:\n%.2000s", path, want, body)
+		}
+	}
+}
+
 // TestProxyBatchFanOut sends one batch spanning every node and
 // checks the merged response preserves request order with per-key
 // results.
@@ -176,7 +206,7 @@ func TestProxyBatchFanOut(t *testing.T) {
 		})
 	}
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(c.proxy.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(c.proxy+"/v1/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("batch put: %v", err)
 	}
@@ -207,7 +237,7 @@ func TestProxyBatchFanOut(t *testing.T) {
 		req.Gets = append(req.Gets, key)
 	}
 	body, _ = json.Marshal(req)
-	resp, err = http.Post(c.proxy.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(c.proxy+"/v1/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("batch get: %v", err)
 	}
@@ -335,7 +365,7 @@ func TestProxyBatchSubBatchFailure(t *testing.T) {
 // and the per-node breakdown.
 func TestProxyHealthAggregation(t *testing.T) {
 	c := startCluster(t, 3)
-	resp, err := http.Get(c.proxy.URL + "/v1/health")
+	resp, err := http.Get(c.proxy + "/v1/health")
 	if err != nil {
 		t.Fatalf("health: %v", err)
 	}
@@ -369,7 +399,7 @@ func TestProxyMigration(t *testing.T) {
 	c := startCluster(t, 2)
 	// Seed every partition so the moved one carries data.
 	for key := uint64(0); key < 32; key++ {
-		if code := proxyPut(t, c.proxy.URL, key, fmt.Sprintf("m-%d", key)); code != http.StatusOK {
+		if code := proxyPut(t, c.proxy, key, fmt.Sprintf("m-%d", key)); code != http.StatusOK {
 			t.Fatalf("seed put %d: status %d", key, code)
 		}
 	}
@@ -381,7 +411,7 @@ func TestProxyMigration(t *testing.T) {
 	part := n1Parts[0]
 	epochBefore := c.p.Registry().View().State.Epoch
 
-	resp, err := http.Post(fmt.Sprintf("%s/v1/cluster/migrate?part=%d&to=n2", c.proxy.URL, part), "", nil)
+	resp, err := http.Post(fmt.Sprintf("%s/v1/cluster/migrate?part=%d&to=n2", c.proxy, part), "", nil)
 	if err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
@@ -411,16 +441,16 @@ func TestProxyMigration(t *testing.T) {
 
 	// Every key — including the moved partition's — still answers.
 	for key := uint64(0); key < 32; key++ {
-		code, val := proxyGet(t, c.proxy.URL, key)
+		code, val := proxyGet(t, c.proxy, key)
 		if code != http.StatusOK || val != fmt.Sprintf("m-%d", key) {
 			t.Fatalf("post-migration get %d: status %d value %q", key, code, val)
 		}
 	}
 	// And writes to the moved partition land on the new owner.
-	if code := proxyPut(t, c.proxy.URL, uint64(part), "moved"); code != http.StatusOK {
+	if code := proxyPut(t, c.proxy, uint64(part), "moved"); code != http.StatusOK {
 		t.Fatalf("post-migration put: status %d", code)
 	}
-	if _, val := proxyGet(t, c.proxy.URL, uint64(part)); val != "moved" {
+	if _, val := proxyGet(t, c.proxy, uint64(part)); val != "moved" {
 		t.Fatalf("post-migration readback: %q", val)
 	}
 	if reports := c.p.Migrations(); len(reports) != 1 {

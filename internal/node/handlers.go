@@ -270,24 +270,6 @@ func (n *Node) batchHandler(w http.ResponseWriter, r *http.Request) {
 	wire.WriteBody(w, buf.Out)
 }
 
-// ShardHealthState is one shard's entry in the /v1/health report:
-// its state-machine position joined with the heal counters and the
-// rebuild watermark.
-type ShardHealthState struct {
-	Shard          int    `json:"shard"`
-	Health         string `json:"health"`
-	Serving        bool   `json:"serving"`
-	Fenced         bool   `json:"fenced,omitempty"`
-	Failures       uint64 `json:"failures"`
-	HealAttempts   uint64 `json:"heal_attempts"`
-	Heals          uint64 `json:"heals"`
-	Recoveries     uint64 `json:"recoveries"`
-	RecoveringNack uint64 `json:"recovering_nacks"`
-	DegradedWrites uint64 `json:"degraded_writes"`
-	LeavesDone     uint64 `json:"recovery_leaves_done"`
-	LeavesTotal    uint64 `json:"recovery_leaves_total"`
-}
-
 // NodeIdentity is the machine-readable identity block /v1/health
 // carries in cluster mode: who this node is, how to reach it, and
 // which partitions it currently hosts at which ring epoch.
@@ -304,32 +286,17 @@ type NodeIdentity struct {
 // (a rebuild is in flight but every shard still serves), or
 // "degraded" (at least one shard is quarantined; the response is
 // 503 so load balancers can drain the instance). Node is present in
-// cluster mode.
+// cluster mode. Shards are the same entries /v1/store/stats serves.
 type HealthReport struct {
-	Status string             `json:"status"`
-	Node   *NodeIdentity      `json:"node,omitempty"`
-	Shards []ShardHealthState `json:"shards"`
+	Status string                `json:"status"`
+	Node   *NodeIdentity         `json:"node,omitempty"`
+	Shards []store.ShardSnapshot `json:"shards"`
 }
 
 func (n *Node) healthHandler(w http.ResponseWriter, _ *http.Request) {
-	snap := n.st.Stats()
-	out := HealthReport{Status: "ok"}
+	out := HealthReport{Status: "ok", Shards: n.st.Stats().Shards}
 	code := http.StatusOK
-	for _, sh := range snap.Shards {
-		out.Shards = append(out.Shards, ShardHealthState{
-			Shard:          sh.Shard,
-			Health:         sh.Health,
-			Serving:        sh.Serving,
-			Fenced:         sh.Fenced,
-			Failures:       sh.Failures,
-			HealAttempts:   sh.HealAttempts,
-			Heals:          sh.Heals,
-			Recoveries:     sh.Recoveries,
-			RecoveringNack: sh.RecoveringNack,
-			DegradedWrites: sh.DegradedWrites,
-			LeavesDone:     sh.RecoveryDone,
-			LeavesTotal:    sh.RecoveryTotal,
-		})
+	for _, sh := range out.Shards {
 		switch sh.Health {
 		case "quarantined":
 			out.Status = "degraded"

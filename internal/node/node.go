@@ -21,6 +21,7 @@ import (
 
 	"amnt/internal/cluster"
 	"amnt/internal/store"
+	"amnt/internal/telemetry"
 	"amnt/internal/telemetry/span"
 )
 
@@ -68,6 +69,20 @@ func New(st *store.Store, rec *span.Recorder, opts Options) *Node {
 
 // Store returns the wrapped store.
 func (n *Node) Store() *store.Store { return n.st }
+
+// Introspection is amntd's telemetry-server wiring: the node's routes,
+// and /metrics and /vars sampled from the store and span columns on
+// every scrape. Those columns read only atomics or histograms cloned
+// under a lock, so no background sampler is needed.
+func (n *Node) Introspection() telemetry.ServeOptions {
+	reg := telemetry.NewRegistry()
+	n.st.RegisterMetrics(reg)
+	n.tr.rec.RegisterMetrics(reg)
+	return telemetry.ServeOptions{
+		Metrics:  func() *telemetry.Snapshot { return reg.Sample(n.st.TotalCycles()) },
+		Register: n.Mount,
+	}
+}
 
 // InstallRing adopts a newer ring state; older epochs are ignored.
 // Returns whether the state was installed.

@@ -145,7 +145,7 @@ func TestServerBatch(t *testing.T) {
 	if out.Gets[2].Error == "" {
 		t.Fatal("missing key returned no error")
 	}
-	if st.Stats().Shards[0].Epochs+st.Stats().Shards[1].Epochs == 0 {
+	if st.Stats().Shards[0].Counter("epochs")+st.Stats().Shards[1].Counter("epochs") == 0 {
 		t.Fatal("batch served without a group-commit epoch")
 	}
 }
@@ -333,8 +333,8 @@ func TestServerStats(t *testing.T) {
 	}
 	var epochs, ops uint64
 	for _, sh := range snap.Shards {
-		epochs += sh.Epochs
-		ops += sh.EpochOps
+		epochs += sh.Counter("epochs")
+		ops += sh.Counter("epoch_ops")
 	}
 	if epochs == 0 || ops != 32 {
 		t.Fatalf("stats report epochs=%d epoch_ops=%d, want all 32 writes epoch-committed", epochs, ops)
@@ -526,7 +526,7 @@ func TestServerDegraded503Payload(t *testing.T) {
 	if rep.Shards[0].Health != "serving" {
 		t.Fatalf("shard 0 health %q, want serving", rep.Shards[0].Health)
 	}
-	if rep.Shards[1].Failures == 0 {
+	if rep.Shards[1].Counter("failures") == 0 {
 		t.Fatal("quarantined shard reports zero failures")
 	}
 }
@@ -576,7 +576,7 @@ func TestServerQuarantineHealsLive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode health: %v", err)
 		}
-		if code == http.StatusOK && rep.Status == "ok" && rep.Shards[1].Heals >= 1 {
+		if code == http.StatusOK && rep.Status == "ok" && rep.Shards[1].Counter("heals") >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -584,7 +584,7 @@ func TestServerQuarantineHealsLive(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if rep.Shards[1].HealAttempts == 0 {
+	if rep.Shards[1].Counter("heal_attempts") == 0 {
 		t.Fatal("healed shard reports zero heal attempts")
 	}
 

@@ -186,7 +186,7 @@ func BenchmarkStoreReadThroughput(b *testing.B) {
 			if readers > 0 {
 				var conc uint64
 				for _, ss := range s.Stats().Shards {
-					conc += ss.ConcurrentRds
+					conc += ss.counts[cConcurrentReads]
 				}
 				if conc == 0 {
 					b.Fatal("pool configured but no gets served off it")

@@ -108,13 +108,11 @@ func (sh *shard) runChaos(spec ChaosSpec) *ChaosResult {
 	res.Violations = out.Violations
 	res.RecoveryErr = out.RecoveryErr
 	res.VerifyErr = out.VerifyErr
-	sh.m.chaosRuns.Add(1)
+	sh.m[cChaosRuns].Add(1)
 
 	switch out.Status {
-	case faults.StatusRecovered:
-		sh.m.chaosRecovered.Add(1)
+	case faults.StatusRecovered: // nothing to repair
 	case faults.StatusDetected:
-		sh.m.chaosDetected.Add(1)
 		// The protocol caught the damage; the injection journal knows
 		// the pre-fault durable content, so repair the media and
 		// reboot — the secure-SCM equivalent of restoring the block
@@ -130,10 +128,8 @@ func (sh *shard) runChaos(spec ChaosSpec) *ChaosResult {
 			sh.fail()
 		} else {
 			res.Repaired = true
-			sh.m.chaosRepaired.Add(1)
 		}
 	default: // StatusViolation: silent corruption — out of service.
-		sh.m.chaosViolations.Add(1)
 		sh.fail()
 	}
 

@@ -245,8 +245,8 @@ func TestStoreEpochMetrics(t *testing.T) {
 	snap := s.Stats()
 	var ops, fallbacks uint64
 	for _, sh := range snap.Shards {
-		ops += sh.EpochOps
-		fallbacks += sh.EpochFallback
+		ops += sh.counts[cEpochOps]
+		fallbacks += sh.counts[cEpochFallbacks]
 	}
 	if totalEpochs(snap) == 0 || ops != 64 {
 		t.Fatalf("epochs=%d epoch_ops=%d, want all 64 writes epoch-committed", totalEpochs(snap), ops)
@@ -255,7 +255,7 @@ func TestStoreEpochMetrics(t *testing.T) {
 		t.Fatalf("unexpected degraded commits: %d", fallbacks)
 	}
 	for _, sh := range s.table().list {
-		if h := sh.epochSizeHistogram(); snap.Shards[sh.id].Epochs > 0 && h.Total() == 0 {
+		if h := sh.epochSizeHistogram(); snap.Shards[sh.id].counts[cEpochs] > 0 && h.Total() == 0 {
 			t.Fatalf("shard %d committed epochs but recorded no size samples", sh.id)
 		}
 	}
@@ -272,7 +272,7 @@ func keysUpTo(n uint64) []uint64 {
 func totalEpochs(snap Snapshot) uint64 {
 	var n uint64
 	for _, sh := range snap.Shards {
-		n += sh.Epochs
+		n += sh.counts[cEpochs]
 	}
 	return n
 }

@@ -1,76 +1,135 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"amnt/internal/stats"
 	"amnt/internal/telemetry"
 )
 
-// shardMetrics is the shard's externally visible state. The worker
-// owns the controller, so telemetry must not read mee state directly
-// (Registry.Sample and HTTP handlers run on other goroutines);
-// instead the worker publishes snapshots into these atomics after
-// every batch and readers see the last published value.
-type shardMetrics struct {
-	gets, puts, flushes, checkpoints, recoveries atomic.Uint64
-	misses, integrityErrs, otherErrs, overloads  atomic.Uint64
-	batches, batchItems, failures                atomic.Uint64
+// counter indexes the shard counter table: one row per published
+// shard counter. The worker and the reader pool increment a row by
+// index; Stats, RegisterMetrics and the snapshot JSON all loop over
+// the table, so adding a counter is a constant, its row and its
+// increment sites.
+type counter int
 
-	// Degraded-serving and quarantine-heal accounting: requests
-	// nacked because metadata was not yet reconstructible, heal
-	// attempts started, and heals that restored service.
-	recoveringNacks, healAttempts, heals atomic.Uint64
-	// Cumulative work served under recovery sessions: writes whose
-	// climb was deferred to the finish audit, and counter leaves
-	// loaded provisionally (authenticated later by that audit).
-	degradedWrites, provisionalLoads atomic.Uint64
+const (
+	cGets counter = iota
+	cPuts
+	cMisses
+	cFlushes
+	cCheckpoints
+	cRecoveries
+	cFailures
+	cHealAttempts
+	cHeals
+	cRecoveringNacks
+	cDegradedWrites
+	cProvisionalLoads
+	cOverloads
+	cIntegrityErrors
+	cOtherErrors
+	cBatches
+	cBatchItems
+	cEpochs
+	cEpochOps
+	cEpochFallbacks
+	cMigrations
+	cFencedNacks
+	cConcurrentReads
+	cReadRetries
+	cReadFallbacks
+	cChaosRuns
+	// Controller snapshot, stored (not added) by publish.
+	cSimCycles
+	cDataReads
+	cDataWrites
+	cMetaFetches
+	cPostedWrites
+	cStallCycles
+	cMergedWrites
+	numCounters
+)
 
-	chaosRuns, chaosRecovered, chaosDetected atomic.Uint64
-	chaosRepaired, chaosViolations           atomic.Uint64
-
-	// Group-commit accounting: committed epochs, writes they carried,
-	// and commits that degraded to per-op replay.
-	epochs, epochOps, epochFallbacks atomic.Uint64
-
-	// Migration accounting: outbound migrations begun on this shard,
-	// and writes nacked during a hand-off fence.
-	migrations, fencedNacks atomic.Uint64
-
-	// Reader-pool accounting (written by caller goroutines, not the
-	// worker): gets served off the concurrent read view, snapshot
-	// retries on seq conflicts, and attempts abandoned to the queue.
-	concurrentReads, readRetries, readFallbacks atomic.Uint64
-
-	// Controller snapshot, published by the worker.
-	cycles, dataReads, dataWrites, metaFetches atomic.Uint64
-	postedWrites, stallCycles, mergedWrites    atomic.Uint64
+// counterTable declares every shard counter once: its wire name (the
+// /v1/store/stats and /v1/health key, and the suffix of both its
+// store.shardN.<name> and store.<name> columns) and its help string.
+var counterTable = [numCounters]struct{ name, help string }{
+	cGets:             {"gets", "get requests served"},
+	cPuts:             {"puts", "put requests served"},
+	cMisses:           {"misses", "gets of never-written keys"},
+	cFlushes:          {"flushes", "persist barriers served"},
+	cCheckpoints:      {"checkpoints", "checkpoint images written"},
+	cRecoveries:       {"recoveries", "successful power-cycle recoveries"},
+	cFailures:         {"failures", "recovery-contract violations that quarantined the shard"},
+	cHealAttempts:     {"heal_attempts", "supervised heal attempts on quarantined shards"},
+	cHeals:            {"heals", "heal attempts that restored service"},
+	cRecoveringNacks:  {"recovering_nacks", "requests nacked with ErrRecovering"},
+	cDegradedWrites:   {"degraded_writes", "writes served during recovery sessions"},
+	cProvisionalLoads: {"provisional_loads", "counter leaves loaded provisionally during recovery sessions"},
+	cOverloads:        {"overloads", "requests rejected by the bounded queue"},
+	cIntegrityErrors:  {"integrity_errors", "requests failed on integrity violations"},
+	cOtherErrors:      {"other_errors", "requests failed on errors other than integrity or recovery"},
+	cBatches:          {"batches", "worker batch wakeups"},
+	cBatchItems:       {"batch_items", "requests drained in batches"},
+	cEpochs:           {"epochs", "group-commit epochs committed"},
+	cEpochOps:         {"epoch_ops", "writes committed through epochs"},
+	cEpochFallbacks:   {"epoch_fallbacks", "epoch commits repaired by per-op replay"},
+	cMigrations:       {"migrations", "outbound migrations begun"},
+	cFencedNacks:      {"fenced_nacks", "writes nacked during a migration hand-off fence"},
+	cConcurrentReads:  {"concurrent_reads", "gets served off the concurrent read view"},
+	cReadRetries:      {"read_retries", "read-view snapshot retries on seq conflicts"},
+	cReadFallbacks:    {"read_fallbacks", "read-view attempts abandoned to the queue path"},
+	cChaosRuns:        {"chaos_runs", "chaos injections executed"},
+	cSimCycles:        {"sim_cycles", "simulated cycles consumed"},
+	cDataReads:        {"data_reads", "verified data block reads"},
+	cDataWrites:       {"data_writes", "encrypted data block writes"},
+	cMetaFetches:      {"meta_fetches", "metadata blocks fetched from SCM"},
+	cPostedWrites:     {"posted_writes", "posted SCM writes"},
+	cStallCycles:      {"stall_cycles", "write-queue stall cycles"},
+	cMergedWrites:     {"merged_writes", "posted writes coalesced in the write queue"},
 }
+
+// shardMetrics holds one atomic per counter-table row. The worker owns
+// the controller, so telemetry must not read mee state directly
+// (scrapes and HTTP handlers run on other goroutines); instead the
+// worker publishes its controller counters here after every batch and
+// readers see the last published value.
+type shardMetrics [numCounters]atomic.Uint64
 
 // publish snapshots the worker-owned controller counters into the
 // shared atomics. Worker-goroutine only.
 func (sh *shard) publish() {
 	st := sh.ctrl.Stats()
 	m := &sh.m
-	m.cycles.Store(sh.now)
-	m.dataReads.Store(st.DataReads.Value())
-	m.dataWrites.Store(st.DataWrites.Value())
-	m.metaFetches.Store(st.MetaFetches.Value())
-	m.postedWrites.Store(st.PostedWrites.Value())
-	m.stallCycles.Store(st.StallCycles.Value())
-	m.mergedWrites.Store(sh.ctrl.MergedWrites())
+	m[cSimCycles].Store(sh.now)
+	m[cDataReads].Store(st.DataReads.Value())
+	m[cDataWrites].Store(st.DataWrites.Value())
+	m[cMetaFetches].Store(st.MetaFetches.Value())
+	m[cPostedWrites].Store(st.PostedWrites.Value())
+	m[cStallCycles].Store(st.StallCycles.Value())
+	m[cMergedWrites].Store(sh.ctrl.MergedWrites())
 }
 
-// metaFetches is the shard's metadata blocks fetched from the device:
+// counter reads one table row. meta_fetches is the one computed row:
 // the worker's published count plus what the reader pool fetched off
 // the read view, which no worker wakeup publishes.
-func (sh *shard) metaFetches() uint64 {
-	return sh.m.metaFetches.Load() + sh.ctrl.ViewMetaFetches()
+func (sh *shard) counter(c counter) uint64 {
+	v := sh.m[c].Load()
+	if c == cMetaFetches {
+		v += sh.ctrl.ViewMetaFetches()
+	}
+	return v
 }
 
-// ShardSnapshot is one shard's published counters. Shard is the
-// global partition id the shard hosts.
+// ShardSnapshot is one shard's published state and counters. Shard is
+// the global partition id the shard hosts. On the wire (MarshalJSON)
+// the counters are flat keys named by the counter table, next to the
+// typed state fields.
 type ShardSnapshot struct {
 	Shard int `json:"shard"`
 	// Health is the serving state: "serving", "recovering" (tree
@@ -82,44 +141,66 @@ type ShardSnapshot struct {
 	Serving bool `json:"serving"`
 	// Fenced is whether the shard is write-fenced for a migration
 	// hand-off (reads still serve).
-	Fenced         bool    `json:"fenced,omitempty"`
+	Fenced         bool    `json:"fenced"`
 	QueueLen       int     `json:"queue_len"`
-	Gets           uint64  `json:"gets"`
-	Puts           uint64  `json:"puts"`
-	Misses         uint64  `json:"misses"`
-	Flushes        uint64  `json:"flushes"`
-	Checkpoints    uint64  `json:"checkpoints"`
-	Recoveries     uint64  `json:"recoveries"`
-	Failures       uint64  `json:"failures"`
-	HealAttempts   uint64  `json:"heal_attempts"`
-	Heals          uint64  `json:"heals"`
-	RecoveringNack uint64  `json:"recovering_nacks"`
-	DegradedWrites uint64  `json:"degraded_writes"`
-	ProvisionalRds uint64  `json:"provisional_loads"`
-	Overloads      uint64  `json:"overloads"`
-	IntegrityErrs  uint64  `json:"integrity_errors"`
-	OtherErrs      uint64  `json:"other_errors"`
-	Batches        uint64  `json:"batches"`
-	BatchItems     uint64  `json:"batch_items"`
-	Epochs         uint64  `json:"epochs"`
-	EpochOps       uint64  `json:"epoch_ops"`
-	EpochFallback  uint64  `json:"epoch_fallbacks"`
-	Migrations     uint64  `json:"migrations,omitempty"`
-	FencedNacks    uint64  `json:"fenced_nacks,omitempty"`
-	ConcurrentRds  uint64  `json:"concurrent_reads"`
-	ReadRetries    uint64  `json:"read_retries"`
-	ReadFallbacks  uint64  `json:"read_fallbacks"`
-	ChaosRuns      uint64  `json:"chaos_runs"`
 	RecoveryDone   uint64  `json:"recovery_leaves_done"`
 	RecoveryTotal  uint64  `json:"recovery_leaves_total"`
 	RecoveryWallMs float64 `json:"recovery_wall_ms"`
-	Cycles         uint64  `json:"sim_cycles"`
-	DataReads      uint64  `json:"data_reads"`
-	DataWrites     uint64  `json:"data_writes"`
-	MetaFetches    uint64  `json:"meta_fetches"`
-	PostedWrites   uint64  `json:"posted_writes"`
-	StallCycles    uint64  `json:"stall_cycles"`
-	MergedWrites   uint64  `json:"merged_writes"`
+
+	counts [numCounters]uint64
+}
+
+// Counter returns the value of the counter-table row with the given
+// wire name ("epochs", "heals", ...). It panics on a name the table
+// does not declare.
+func (ss ShardSnapshot) Counter(name string) uint64 {
+	for c, row := range counterTable {
+		if row.name == name {
+			return ss.counts[c]
+		}
+	}
+	panic(fmt.Sprintf("store: no shard counter %q", name))
+}
+
+// shardHead is ShardSnapshot's typed state fields alone (no methods,
+// so encoding/json handles them the default way).
+type shardHead ShardSnapshot
+
+// MarshalJSON writes the state fields, then every counter-table row as
+// a flat key.
+func (ss ShardSnapshot) MarshalJSON() ([]byte, error) {
+	b, err := json.Marshal(shardHead(ss))
+	if err != nil {
+		return nil, err
+	}
+	b = b[:len(b)-1] // reopen the object
+	for c, row := range counterTable {
+		b = append(b, `,"`...)
+		b = append(b, row.name...)
+		b = append(b, `":`...)
+		b = strconv.AppendUint(b, ss.counts[c], 10)
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON reads what MarshalJSON writes. Like encoding/json, it
+// leaves fields whose keys are absent unchanged.
+func (ss *ShardSnapshot) UnmarshalJSON(data []byte) error {
+	if err := json.Unmarshal(data, (*shardHead)(ss)); err != nil {
+		return err
+	}
+	var flat map[string]json.RawMessage
+	if err := json.Unmarshal(data, &flat); err != nil {
+		return err
+	}
+	for c, row := range counterTable {
+		if raw, ok := flat[row.name]; ok {
+			if err := json.Unmarshal(raw, &ss.counts[c]); err != nil {
+				return fmt.Errorf("store: shard counter %q: %w", row.name, err)
+			}
+		}
+	}
+	return nil
 }
 
 // Snapshot is the whole store's published state.
@@ -142,53 +223,21 @@ func (s *Store) Stats() Snapshot {
 	out := Snapshot{
 		Partitions: s.cfg.Partitions,
 		Shards:     make([]ShardSnapshot, len(shards)),
-		Overloads:  s.overloads.Load(),
 	}
 	if st := s.Staging(); len(st) > 0 {
 		out.Staging = st
 	}
 	for i, sh := range shards {
-		m := &sh.m
 		state := sh.load()
 		ss := ShardSnapshot{
-			Shard:          sh.id,
-			Health:         state.String(),
-			Serving:        state != stateQuarantined,
-			Fenced:         sh.fenced.Load(),
-			QueueLen:       len(sh.ch),
-			Gets:           m.gets.Load(),
-			Puts:           m.puts.Load(),
-			Misses:         m.misses.Load(),
-			Flushes:        m.flushes.Load(),
-			Checkpoints:    m.checkpoints.Load(),
-			Recoveries:     m.recoveries.Load(),
-			Failures:       m.failures.Load(),
-			HealAttempts:   m.healAttempts.Load(),
-			Heals:          m.heals.Load(),
-			RecoveringNack: m.recoveringNacks.Load(),
-			DegradedWrites: m.degradedWrites.Load(),
-			ProvisionalRds: m.provisionalLoads.Load(),
-			Overloads:      m.overloads.Load(),
-			IntegrityErrs:  m.integrityErrs.Load(),
-			OtherErrs:      m.otherErrs.Load(),
-			Batches:        m.batches.Load(),
-			BatchItems:     m.batchItems.Load(),
-			Epochs:         m.epochs.Load(),
-			EpochOps:       m.epochOps.Load(),
-			EpochFallback:  m.epochFallbacks.Load(),
-			Migrations:     m.migrations.Load(),
-			FencedNacks:    m.fencedNacks.Load(),
-			ConcurrentRds:  m.concurrentReads.Load(),
-			ReadRetries:    m.readRetries.Load(),
-			ReadFallbacks:  m.readFallbacks.Load(),
-			ChaosRuns:      m.chaosRuns.Load(),
-			Cycles:         m.cycles.Load(),
-			DataReads:      m.dataReads.Load(),
-			DataWrites:     m.dataWrites.Load(),
-			MetaFetches:    sh.metaFetches(),
-			PostedWrites:   m.postedWrites.Load(),
-			StallCycles:    m.stallCycles.Load(),
-			MergedWrites:   m.mergedWrites.Load(),
+			Shard:    sh.id,
+			Health:   state.String(),
+			Serving:  state != stateQuarantined,
+			Fenced:   sh.fenced.Load(),
+			QueueLen: len(sh.ch),
+		}
+		for c := range ss.counts {
+			ss.counts[c] = sh.counter(counter(c))
 		}
 		if ps := sh.prog.Snapshot(); ps.Total > 0 {
 			ss.RecoveryDone = ps.Done
@@ -196,51 +245,10 @@ func (s *Store) Stats() Snapshot {
 			ss.RecoveryWallMs = float64(ps.WallNs) / 1e6
 		}
 		out.Shards[i] = ss
-		out.Ops += ss.Gets + ss.Puts
+		out.Ops += ss.counts[cGets] + ss.counts[cPuts]
+		out.Overloads += ss.counts[cOverloads]
 	}
 	return out
-}
-
-// Where a shardCounter is registered.
-const (
-	perShard  = 1 << iota // store.shardN.<suffix>
-	aggregate             // store.<suffix>, summed over hosted shards
-)
-
-// shardCounters declares every counter column that is one published
-// atomic once; RegisterMetrics derives the per-shard and the aggregate
-// series from it (meta_fetches, a sum of two, is registered by hand).
-var shardCounters = []struct {
-	suffix, help string
-	pick         func(*shardMetrics) *atomic.Uint64
-	where        int
-}{
-	{"gets", "get requests served", func(m *shardMetrics) *atomic.Uint64 { return &m.gets }, perShard | aggregate},
-	{"puts", "put requests served", func(m *shardMetrics) *atomic.Uint64 { return &m.puts }, perShard | aggregate},
-	{"misses", "gets of never-written keys", func(m *shardMetrics) *atomic.Uint64 { return &m.misses }, perShard},
-	{"overloads", "requests rejected by the bounded queue", func(m *shardMetrics) *atomic.Uint64 { return &m.overloads }, perShard},
-	{"integrity_errors", "requests failed on integrity violations", func(m *shardMetrics) *atomic.Uint64 { return &m.integrityErrs }, perShard | aggregate},
-	{"recoveries", "successful power-cycle recoveries", func(m *shardMetrics) *atomic.Uint64 { return &m.recoveries }, perShard},
-	{"batch_items", "requests drained in batches", func(m *shardMetrics) *atomic.Uint64 { return &m.batchItems }, aggregate},
-	{"batches", "worker batch wakeups", func(m *shardMetrics) *atomic.Uint64 { return &m.batches }, aggregate},
-	{"epochs", "group-commit epochs committed", func(m *shardMetrics) *atomic.Uint64 { return &m.epochs }, perShard | aggregate},
-	{"epoch_ops", "writes committed through epochs", func(m *shardMetrics) *atomic.Uint64 { return &m.epochOps }, perShard | aggregate},
-	{"epoch_fallbacks", "epoch commits repaired by per-op replay", func(m *shardMetrics) *atomic.Uint64 { return &m.epochFallbacks }, perShard | aggregate},
-	{"chaos_runs", "chaos injections executed", func(m *shardMetrics) *atomic.Uint64 { return &m.chaosRuns }, perShard},
-	{"sim_cycles", "simulated cycles consumed", func(m *shardMetrics) *atomic.Uint64 { return &m.cycles }, perShard},
-	{"data_reads", "verified data block reads", func(m *shardMetrics) *atomic.Uint64 { return &m.dataReads }, perShard},
-	{"data_writes", "encrypted data block writes", func(m *shardMetrics) *atomic.Uint64 { return &m.dataWrites }, perShard},
-	{"posted_writes", "posted SCM writes", func(m *shardMetrics) *atomic.Uint64 { return &m.postedWrites }, perShard},
-	{"stall_cycles", "write-queue stall cycles", func(m *shardMetrics) *atomic.Uint64 { return &m.stallCycles }, perShard},
-	{"failures", "recovery-contract violations that quarantined the shard", func(m *shardMetrics) *atomic.Uint64 { return &m.failures }, perShard},
-	{"heal_attempts", "supervised heal attempts on quarantined shards", func(m *shardMetrics) *atomic.Uint64 { return &m.healAttempts }, perShard | aggregate},
-	{"heals", "heal attempts that restored service", func(m *shardMetrics) *atomic.Uint64 { return &m.heals }, perShard | aggregate},
-	{"recovering_nacks", "requests nacked with ErrRecovering", func(m *shardMetrics) *atomic.Uint64 { return &m.recoveringNacks }, perShard | aggregate},
-	{"degraded_writes", "writes served during recovery sessions", func(m *shardMetrics) *atomic.Uint64 { return &m.degradedWrites }, perShard | aggregate},
-	{"provisional_loads", "counter leaves loaded provisionally during recovery sessions", func(m *shardMetrics) *atomic.Uint64 { return &m.provisionalLoads }, perShard},
-	{"concurrent_reads", "gets served off the concurrent read view", func(m *shardMetrics) *atomic.Uint64 { return &m.concurrentReads }, perShard | aggregate},
-	{"read_retries", "read-view snapshot retries on seq conflicts", func(m *shardMetrics) *atomic.Uint64 { return &m.readRetries }, perShard | aggregate},
-	{"read_fallbacks", "read-view attempts abandoned to the queue path", func(m *shardMetrics) *atomic.Uint64 { return &m.readFallbacks }, perShard | aggregate},
 }
 
 // total folds fn over the currently hosted shards.
@@ -261,30 +269,29 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// RegisterMetrics adds per-shard and aggregate store columns to reg.
-// Every column reads only published atomics or channel lengths, so
-// sampling never races the shard workers. Per-shard columns are
+// RegisterMetrics adds the store's columns to reg: each counter-table
+// row as store.shardN.<name> and as store.<name> (the sum over hosted
+// shards), plus the state gauges and epoch histograms. Every column
+// reads only published atomics, channel lengths or histograms cloned
+// under a lock, so a scrape may sample from any goroutine without
+// racing the shard workers. Per-shard columns are
 // minted for the partitions hosted at registration time; partitions
 // that attach later feed the aggregate columns (which read the live
 // table) but get no dedicated columns until the next restart.
 func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
-	for _, c := range shardCounters {
-		if c.where&perShard != 0 {
+	for c, row := range counterTable {
+		c := counter(c)
+		for _, sh := range s.table().list {
+			reg.Counter(fmt.Sprintf("store.shard%d.%s", sh.id, row.name), row.help, func() uint64 { return sh.counter(c) })
+		}
+		reg.Counter("store."+row.name, row.help+", all shards", func() uint64 {
+			var t uint64
 			for _, sh := range s.table().list {
-				reg.Counter(fmt.Sprintf("store.shard%d.%s", sh.id, c.suffix), c.help, c.pick(&sh.m).Load)
+				t += sh.counter(c)
 			}
-		}
-		if c.where&aggregate != 0 {
-			reg.Counter("store."+c.suffix, c.help+", all shards", func() uint64 {
-				var t uint64
-				for _, sh := range s.table().list {
-					t += c.pick(&sh.m).Load()
-				}
-				return t
-			})
-		}
+			return t
+		})
 	}
-	reg.Counter("store.overloads", "requests rejected by bounded queues", s.overloads.Load)
 
 	active := func(sh *shard) float64 { return b2f(sh.prog.Snapshot().Active) }
 	done := func(sh *shard) float64 { return float64(sh.prog.Snapshot().Done) }
@@ -294,7 +301,6 @@ func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
 		p := fmt.Sprintf("store.shard%d", sh.id)
 		reg.Histogram(p+".epoch_size", "staged writes per committed epoch", sh.epochSizeHistogram)
 		reg.Histogram(p+".epoch_kcycles", "epoch commit latency (256-cycle buckets)", sh.epochCycleHistogram)
-		reg.Counter(p+".meta_fetches", "metadata blocks fetched from SCM", sh.metaFetches)
 		reg.Gauge(p+".queue_len", "requests waiting in the shard queue", func() float64 { return float64(len(sh.ch)) })
 		reg.Gauge(p+".recovery_leaves_done", "BMT leaves rebuilt by the latest recovery", func() float64 { return done(sh) })
 		reg.Gauge(p+".recovery_leaves_total", "BMT leaves the latest recovery must rebuild", func() float64 { return leaves(sh) })
@@ -339,7 +345,7 @@ func (sh *shard) epochCycleHistogram() *stats.Histogram {
 func (s *Store) TotalCycles() uint64 {
 	var max uint64
 	for _, sh := range s.table().list {
-		if c := sh.m.cycles.Load(); c > max {
+		if c := sh.m[cSimCycles].Load(); c > max {
 			max = c
 		}
 	}

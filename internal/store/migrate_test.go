@@ -173,7 +173,7 @@ func TestMigrateFenceNacksQueuedPuts(t *testing.T) {
 	if r := <-putB.resp; !errors.Is(r.err, ErrFenced) {
 		t.Fatalf("post-fence put: %v, want ErrFenced", r.err)
 	}
-	if n := sh.m.fencedNacks.Load(); n != 1 {
+	if n := sh.m[cFencedNacks].Load(); n != 1 {
 		t.Fatalf("fenced_nacks = %d, want 1", n)
 	}
 

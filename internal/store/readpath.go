@@ -39,24 +39,24 @@ func (sh *shard) readViewBlock(block uint64) (v []byte, fallback bool, err error
 	var blk [scm.BlockSize]byte
 	retries, err := sh.ctrl.ReadBlockConcurrent(block, blk[:])
 	if retries > 0 {
-		sh.m.readRetries.Add(uint64(retries))
+		sh.m[cReadRetries].Add(uint64(retries))
 	}
 	if err != nil {
 		if errors.Is(err, mee.ErrViewConflict) ||
 			errors.Is(err, mee.ErrViewUnsupported) ||
 			errors.Is(err, mee.ErrRecovering) {
-			sh.m.readFallbacks.Add(1)
+			sh.m[cReadFallbacks].Add(1)
 			return nil, true, nil
 		}
-		sh.m.gets.Add(1)
+		sh.m[cGets].Add(1)
 		sh.countErr(err)
 		return nil, false, asStoreErr(err)
 	}
-	sh.m.gets.Add(1)
-	sh.m.concurrentReads.Add(1)
+	sh.m[cGets].Add(1)
+	sh.m[cConcurrentReads].Add(1)
 	v, err = unpackValue(&blk)
 	if err != nil {
-		sh.m.misses.Add(1)
+		sh.m[cMisses].Add(1)
 	}
 	return v, false, err
 }

@@ -43,8 +43,8 @@ func TestStoreConcurrentReadServesOffPool(t *testing.T) {
 	snap := s.Stats()
 	var conc, fallbacks uint64
 	for _, ss := range snap.Shards {
-		conc += ss.ConcurrentRds
-		fallbacks += ss.ReadFallbacks
+		conc += ss.counts[cConcurrentReads]
+		fallbacks += ss.counts[cReadFallbacks]
 	}
 	if conc == 0 {
 		t.Fatal("no gets served off the reader pool")
@@ -54,7 +54,7 @@ func TestStoreConcurrentReadServesOffPool(t *testing.T) {
 	}
 	var gets uint64
 	for _, ss := range snap.Shards {
-		gets += ss.Gets
+		gets += ss.counts[cGets]
 	}
 	if gets < 64 {
 		t.Fatalf("gets = %d, want >= 64", gets)
@@ -76,8 +76,8 @@ func TestStoreReadConcurrencyDisabled(t *testing.T) {
 	}
 	checkStamp(t, 7, v)
 	for _, ss := range s.Stats().Shards {
-		if ss.ConcurrentRds != 0 {
-			t.Fatalf("shard %d served %d concurrent reads with the pool disabled", ss.Shard, ss.ConcurrentRds)
+		if ss.counts[cConcurrentReads] != 0 {
+			t.Fatalf("shard %d served %d concurrent reads with the pool disabled", ss.Shard, ss.counts[cConcurrentReads])
 		}
 	}
 }
@@ -99,7 +99,7 @@ func TestStoreUnsupportedPolicyFallsBack(t *testing.T) {
 	}
 	checkStamp(t, 7, v)
 	for _, ss := range s.Stats().Shards {
-		if ss.ConcurrentRds != 0 {
+		if ss.counts[cConcurrentReads] != 0 {
 			t.Fatalf("shard %d bypassed the queue under an opt-out policy", ss.Shard)
 		}
 	}
@@ -197,7 +197,7 @@ func TestStoreConcurrentReadHammer(t *testing.T) {
 	snap := s.Stats()
 	var conc uint64
 	for _, ss := range snap.Shards {
-		conc += ss.ConcurrentRds
+		conc += ss.counts[cConcurrentReads]
 	}
 	if conc == 0 {
 		t.Fatal("hammer never used the reader pool")
@@ -223,7 +223,7 @@ func TestStoreReadCancelledWhileWaitingForSlot(t *testing.T) {
 	for i := 0; i < cap(sh.readSem); i++ {
 		sh.readSem <- struct{}{}
 	}
-	before := sh.m.batchItems.Load()
+	before := sh.m[cBatchItems].Load()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, errs := s.GetBatch(ctx, []uint64{key}); !errors.Is(errs[0], context.Canceled) {
@@ -238,21 +238,21 @@ func TestStoreReadCancelledWhileWaitingForSlot(t *testing.T) {
 	if err := s.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := sh.m.batchItems.Load() - before; got != 1 {
+	if got := sh.m[cBatchItems].Load() - before; got != 1 {
 		t.Fatalf("batch_items grew by %d, want 1 (the flush only)", got)
 	}
 }
 
 func sumRetries(snap Snapshot) (n uint64) {
 	for _, ss := range snap.Shards {
-		n += ss.ReadRetries
+		n += ss.counts[cReadRetries]
 	}
 	return
 }
 
 func sumFallbacks(snap Snapshot) (n uint64) {
 	for _, ss := range snap.Shards {
-		n += ss.ReadFallbacks
+		n += ss.counts[cReadFallbacks]
 	}
 	return
 }
@@ -298,11 +298,11 @@ func TestStoreConcurrentReadQuarantinedShard(t *testing.T) {
 	if ss.Health != "quarantined" {
 		t.Fatalf("victim health = %s", ss.Health)
 	}
-	if ss.ConcurrentRds != 0 {
+	if ss.counts[cConcurrentReads] != 0 {
 		// Pool reads before the quarantine are fine; but the loop above
 		// ran after it, so any count must come from the pre-quarantine
 		// puts' era — there were no gets then.
-		t.Fatalf("quarantined shard served %d pool reads", ss.ConcurrentRds)
+		t.Fatalf("quarantined shard served %d pool reads", ss.counts[cConcurrentReads])
 	}
 }
 

@@ -130,11 +130,11 @@ func TestShardDegradedServingDeterministic(t *testing.T) {
 	if sh.session != nil {
 		t.Fatal("session state not cleared after finish")
 	}
-	if sh.m.degradedWrites.Load() == 0 {
+	if sh.m[cDegradedWrites].Load() == 0 {
 		t.Fatal("no degraded writes recorded")
 	}
-	if sh.m.recoveries.Load() != 1 {
-		t.Fatalf("recoveries = %d, want 1", sh.m.recoveries.Load())
+	if sh.m[cRecoveries].Load() != 1 {
+		t.Fatalf("recoveries = %d, want 1", sh.m[cRecoveries].Load())
 	}
 	for b := uint64(0); b < keys; b++ {
 		v, err := bareGet(t, sh, b)
@@ -232,10 +232,10 @@ func TestStoreAdmissionByHealth(t *testing.T) {
 						}
 						return 0
 					}
-					if n := sh.m.recoveringNacks.Load(); n != nacks(ErrRecovering) {
+					if n := sh.m[cRecoveringNacks].Load(); n != nacks(ErrRecovering) {
 						t.Fatalf("%s: recovering_nacks = %d", name, n)
 					}
-					if n := sh.m.fencedNacks.Load(); n != nacks(ErrFenced) {
+					if n := sh.m[cFencedNacks].Load(); n != nacks(ErrFenced) {
 						t.Fatalf("%s: fenced_nacks = %d", name, n)
 					}
 					if ss := s.Stats().Shards[0]; ss.Health != h.name || ss.Serving != h.serving || ss.Fenced != fenced {
@@ -254,7 +254,7 @@ func TestStoreAdmissionByHealth(t *testing.T) {
 func degradedBatch(t *testing.T, protocol string, mem, seeded, n, stride uint64) *shard {
 	t.Helper()
 	sh := seededShard(t, protocol, mem, seeded, stride)
-	epochs := sh.m.epochs.Load()
+	epochs := sh.m[cEpochs].Load()
 	req := request{op: opPut, kvs: make([]kvPair, n), resp: make(chan response, 1)}
 	for k := range req.kvs {
 		req.kvs[k] = kvPair{uint64(k) * stride, stamp(uint64(k) + 1000)}
@@ -269,10 +269,10 @@ func degradedBatch(t *testing.T, protocol string, mem, seeded, n, stride uint64)
 			t.Fatalf("degraded batch block %d: %v", b, err)
 		}
 	}
-	if got := sh.m.epochs.Load(); got != epochs+1 {
+	if got := sh.m[cEpochs].Load(); got != epochs+1 {
 		t.Fatalf("epochs = %d after a degraded batch, want %d: the batch did not commit as one epoch", got, epochs+1)
 	}
-	if sh.m.epochFallbacks.Load() != 0 {
+	if sh.m[cEpochFallbacks].Load() != 0 {
 		t.Fatal("degraded batch fell back to per-op replay")
 	}
 	return sh
@@ -330,7 +330,7 @@ func TestShardDegradedEpoch(t *testing.T) {
 			if got := rep.NodeWrites - idle.NodeWrites; got != uint64(len(ancestors)) {
 				t.Fatalf("finish patched %d nodes over an idle session, want %d: one per distinct ancestor", got, len(ancestors))
 			}
-			if got := sh.m.degradedWrites.Load(); got != n {
+			if got := sh.m[cDegradedWrites].Load(); got != n {
 				t.Fatalf("degraded_writes = %d, want %d (one per key written)", got, n)
 			}
 			if err := sh.powerCycle(); err != nil {
@@ -417,8 +417,8 @@ func TestShardDegradedEpochTamper(t *testing.T) {
 			if h := sh.load(); h != stateQuarantined {
 				t.Fatalf("state after tampered session = %s, want quarantined", h)
 			}
-			if sh.m.failures.Load() != 1 || sh.m.integrityErrs.Load() == 0 {
-				t.Fatalf("failures = %d, integrity_errors = %d", sh.m.failures.Load(), sh.m.integrityErrs.Load())
+			if sh.m[cFailures].Load() != 1 || sh.m[cIntegrityErrors].Load() == 0 {
+				t.Fatalf("failures = %d, integrity_errors = %d", sh.m[cFailures].Load(), sh.m[cIntegrityErrors].Load())
 			}
 			if _, err := bareGet(t, sh, 0); !errors.Is(err, ErrShardFailed) {
 				t.Fatalf("get on tampered shard: %v, want ErrShardFailed", err)
@@ -474,10 +474,10 @@ func TestShardHealBackoffAndEscalation(t *testing.T) {
 	if h := sh.load(); h != stateServing {
 		t.Fatal("checkpoint-restore heal did not restore service")
 	}
-	if got, want := sh.m.healAttempts.Load(), uint64(2); got != want {
+	if got, want := sh.m[cHealAttempts].Load(), uint64(2); got != want {
 		t.Fatalf("heal_attempts = %d, want %d", got, want)
 	}
-	if got := sh.m.heals.Load(); got != 1 {
+	if got := sh.m[cHeals].Load(); got != 1 {
 		t.Fatalf("heals = %d, want 1", got)
 	}
 	for b := uint64(0); b < keys; b++ {
@@ -515,7 +515,7 @@ func TestShardHealBackoffCap(t *testing.T) {
 	if sh.healWait != sh.healBackoffMax {
 		t.Fatalf("backoff = %v, want cap %v", sh.healWait, sh.healBackoffMax)
 	}
-	if got := sh.m.healAttempts.Load(); got != 5 {
+	if got := sh.m[cHealAttempts].Load(); got != 5 {
 		t.Fatalf("heal_attempts = %d, want 5", got)
 	}
 	// Revert the damage (XOR is its own inverse); the next attempt
@@ -556,7 +556,7 @@ func TestStoreQuarantineHealsLive(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		ss := s.Stats().Shards[1]
-		if ss.Health == "serving" && ss.Heals >= 1 {
+		if ss.Health == "serving" && ss.counts[cHeals] >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -565,7 +565,7 @@ func TestStoreQuarantineHealsLive(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	snap := s.Stats()
-	if snap.Shards[1].Failures == 0 || snap.Shards[1].HealAttempts == 0 {
+	if snap.Shards[1].counts[cFailures] == 0 || snap.Shards[1].counts[cHealAttempts] == 0 {
 		t.Fatalf("quarantine episode not accounted: %+v", snap.Shards[1])
 	}
 	for key := uint64(0); key < keyspace; key++ {
@@ -592,7 +592,7 @@ func TestStoreQuarantineExhaustsAttempts(t *testing.T) {
 		t.Fatalf("quarantine: %v", err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if ss := s.Stats().Shards[1]; ss.Health != "quarantined" || ss.HealAttempts != 0 {
+	if ss := s.Stats().Shards[1]; ss.Health != "quarantined" || ss.counts[cHealAttempts] != 0 {
 		t.Fatalf("heal ran with healing disabled: %+v", ss)
 	}
 	if err := s.Put(ctx, 1, stamp(1)); !errors.Is(err, ErrShardFailed) {
@@ -698,8 +698,8 @@ func TestStoreServeDuringRecoveryMatrix(t *testing.T) {
 						if ss.Health != "serving" {
 							allServing = false
 						}
-						if ss.IntegrityErrs != 0 {
-							t.Fatalf("shard %d: %d integrity errors during degraded serving", ss.Shard, ss.IntegrityErrs)
+						if ss.counts[cIntegrityErrors] != 0 {
+							t.Fatalf("shard %d: %d integrity errors during degraded serving", ss.Shard, ss.counts[cIntegrityErrors])
 						}
 					}
 					if allServing {
@@ -752,7 +752,7 @@ func TestStoreServeDuringRecoveryMatrix(t *testing.T) {
 				deadline = time.Now().Add(10 * time.Second)
 				for {
 					ss := s.Stats().Shards[1]
-					if ss.Health == "serving" && ss.Heals >= 1 {
+					if ss.Health == "serving" && ss.counts[cHeals] >= 1 {
 						break
 					}
 					if time.Now().After(deadline) {

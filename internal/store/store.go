@@ -112,7 +112,7 @@ func (e *NotOwnedError) Error() string {
 func (e *NotOwnedError) Is(target error) bool { return target == ErrNotOwned }
 
 // shardState is the shard's one serving-state word, published for
-// lock-free reads by admit and the metrics samplers. Only the worker
+// lock-free reads by admit and metric scrapes. Only the worker
 // writes it (and Open, before the worker starts).
 type shardState int32
 
@@ -411,8 +411,6 @@ type Store struct {
 	mu      sync.RWMutex // guards closed + table mutations vs. in-flight enqueues
 	closed  bool
 	staging map[int]*shard // inbound migrations not yet serving
-
-	overloads atomic.Uint64
 }
 
 // table returns the current partition→shard map, lock-free.
@@ -582,11 +580,11 @@ func (sh *shard) admit(write bool) error {
 	case stateQuarantined:
 		return ErrShardFailed
 	case stateRecoveringBlocking:
-		sh.m.recoveringNacks.Add(1)
+		sh.m[cRecoveringNacks].Add(1)
 		return ErrRecovering
 	}
 	if write && sh.fenced.Load() {
-		sh.m.fencedNacks.Add(1)
+		sh.m[cFencedNacks].Add(1)
 		return ErrFenced
 	}
 	if sh.stopped.Load() {
@@ -630,8 +628,7 @@ func (s *Store) submit(ctx context.Context, sh *shard, req request) (response, e
 		s.mu.RUnlock()
 	default:
 		s.mu.RUnlock()
-		s.overloads.Add(1)
-		sh.m.overloads.Add(1)
+		sh.m[cOverloads].Add(1)
 		return response{}, ErrOverloaded
 	}
 	select {
@@ -853,8 +850,8 @@ fill:
 		}
 	}
 	sh.serveBatch(batch)
-	sh.m.batches.Add(1)
-	sh.m.batchItems.Add(uint64(len(batch)))
+	sh.m[cBatches].Add(1)
+	sh.m[cBatchItems].Add(uint64(len(batch)))
 	sh.publish()
 	return batch, open
 }
@@ -922,7 +919,7 @@ func (sh *shard) serveBatch(batch []request) {
 // stage buffers one put request into the open epoch.
 func (sh *shard) stage(ep *mee.Epoch, r request) stagedAck {
 	a := stagedAck{req: r, errs: make([]error, len(r.kvs))}
-	sh.m.puts.Add(uint64(len(r.kvs)))
+	sh.m[cPuts].Add(uint64(len(r.kvs)))
 	var blk [scm.BlockSize]byte
 	for i, kv := range r.kvs {
 		packValue(&blk, kv.value)
@@ -951,7 +948,7 @@ func (sh *shard) commitStaged(ep *mee.Epoch, acks []stagedAck) {
 	res, err := ep.Commit()
 	switch {
 	case err != nil:
-		sh.m.epochFallbacks.Add(1)
+		sh.m[cEpochFallbacks].Add(1)
 		sh.countErr(err)
 		for _, a := range acks {
 			for i, kv := range a.req.kvs {
@@ -963,8 +960,8 @@ func (sh *shard) commitStaged(ep *mee.Epoch, acks []stagedAck) {
 		}
 	case staged > 0: // else every entry was rejected at staging
 		sh.now += res.Cycles
-		sh.m.epochs.Add(1)
-		sh.m.epochOps.Add(uint64(staged))
+		sh.m[cEpochs].Add(1)
+		sh.m[cEpochOps].Add(uint64(staged))
 		sh.histMu.Lock()
 		sh.epochSizes.Observe(uint64(staged))
 		sh.epochCycles.Observe(res.Cycles >> 8)
@@ -1038,7 +1035,7 @@ func (sh *shard) getBlock(block uint64) ([]byte, error) {
 	}
 	v, err := unpackValue(&blk)
 	if err != nil {
-		sh.m.misses.Add(1)
+		sh.m[cMisses].Add(1)
 	}
 	return v, err
 }
@@ -1050,7 +1047,7 @@ func (sh *shard) serve(r request) response {
 	case opGet:
 		values := make([][]byte, len(r.kvs))
 		errs := make([]error, len(r.kvs))
-		sh.m.gets.Add(uint64(len(r.kvs)))
+		sh.m[cGets].Add(uint64(len(r.kvs)))
 		// In-batch wait since dequeue is staging-equivalent residency;
 		// the verified read walk itself is the climb.
 		r.sp.Mark(span.EpochStage)
@@ -1061,13 +1058,13 @@ func (sh *shard) serve(r request) response {
 		return response{values: values, errs: errs}
 	case opFlush:
 		sh.now += sh.ctrl.Flush(sh.now)
-		sh.m.flushes.Add(1)
+		sh.m[cFlushes].Add(1)
 		return response{}
 	case opCheckpoint:
 		if err := sh.checkpoint(); err != nil {
 			return response{err: err}
 		}
-		sh.m.checkpoints.Add(1)
+		sh.m[cCheckpoints].Add(1)
 		return response{}
 	case opRecover:
 		return response{err: sh.powerCycle()}
@@ -1086,7 +1083,7 @@ func (sh *shard) serve(r request) response {
 			return response{err: err}
 		}
 		sh.setJournal(true)
-		sh.m.migrations.Add(1)
+		sh.m[cMigrations].Add(1)
 		return response{}
 	case opMigrateFence:
 		sh.fenced.Store(true)
@@ -1135,7 +1132,7 @@ func (sh *shard) powerCycle() error {
 // resume returns a recovered shard to service with a fresh fault journal.
 func (sh *shard) resume() {
 	sh.setState(stateServing)
-	sh.m.recoveries.Add(1)
+	sh.m[cRecoveries].Add(1)
 	sh.inj = faults.NewInjector(sh.ctrl)
 	sh.inj.Attach()
 }
@@ -1160,8 +1157,8 @@ func (sh *shard) barrier() mee.RecoveryReport {
 func (sh *shard) finishRecovery() mee.RecoveryReport {
 	sess := sh.session
 	sh.session = nil
-	sh.m.degradedWrites.Add(sess.DegradedWrites())
-	sh.m.provisionalLoads.Add(sess.ProvisionalFetches())
+	sh.m[cDegradedWrites].Add(sess.DegradedWrites())
+	sh.m[cProvisionalLoads].Add(sess.ProvisionalFetches())
 	rep, err := sess.Finish(sh.now)
 	if err != nil {
 		sh.countErr(err)
@@ -1205,7 +1202,7 @@ func (sh *shard) quarantineTick() bool {
 // provably intact tree. Failures back off exponentially up to the cap.
 func (sh *shard) healOnce() {
 	sh.healTried++
-	sh.m.healAttempts.Add(1)
+	sh.m[cHealAttempts].Add(1)
 	if err := sh.heal(sh.healTried > 1); err != nil {
 		sh.countErr(err)
 		sh.healWait *= 2
@@ -1216,7 +1213,7 @@ func (sh *shard) healOnce() {
 		sh.publish()
 		return
 	}
-	sh.m.heals.Add(1)
+	sh.m[cHeals].Add(1)
 	sh.resume()
 	sh.publish()
 }
@@ -1275,7 +1272,7 @@ func (sh *shard) checkpoint() error {
 // fail quarantines the shard and arms the heal loop. Worker-only.
 func (sh *shard) fail() {
 	sh.setState(stateQuarantined)
-	sh.m.failures.Add(1)
+	sh.m[cFailures].Add(1)
 	sh.healTried = 0
 	sh.healWait = sh.healBackoff
 	sh.healAt = time.Now().Add(sh.healWait)
@@ -1285,11 +1282,11 @@ func (sh *shard) countErr(err error) {
 	var ie *mee.IntegrityError
 	switch {
 	case errors.As(err, &ie):
-		sh.m.integrityErrs.Add(1)
+		sh.m[cIntegrityErrors].Add(1)
 	case errors.Is(err, mee.ErrRecovering) || errors.Is(err, ErrRecovering):
-		sh.m.recoveringNacks.Add(1)
+		sh.m[cRecoveringNacks].Add(1)
 	default:
-		sh.m.otherErrs.Add(1)
+		sh.m[cOtherErrors].Add(1)
 	}
 }
 

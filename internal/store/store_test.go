@@ -148,8 +148,8 @@ func TestStoreConcurrentClients(t *testing.T) {
 	}
 	snap := s.Stats()
 	for _, sh := range snap.Shards {
-		if sh.IntegrityErrs != 0 {
-			t.Fatalf("shard %d: %d integrity errors", sh.Shard, sh.IntegrityErrs)
+		if sh.counts[cIntegrityErrors] != 0 {
+			t.Fatalf("shard %d: %d integrity errors", sh.Shard, sh.counts[cIntegrityErrors])
 		}
 		if !sh.Serving {
 			t.Fatalf("shard %d stopped serving", sh.Shard)

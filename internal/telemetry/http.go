@@ -16,10 +16,12 @@ import (
 // ServeOptions selects what the introspection server exposes. All
 // fields are optional; pprof is always served.
 type ServeOptions struct {
-	// Registry, when non-nil, backs /metrics (Prometheus text
-	// exposition) and /vars (expvar-style JSON) from its latest
-	// published snapshot.
-	Registry *Registry
+	// Metrics, when non-nil, is called on every /metrics (Prometheus
+	// text exposition) and /vars (expvar-style JSON) request for the
+	// snapshot to serve: Registry.Sample for registries whose columns
+	// are safe to read concurrently, Registry.Latest for one sampled on
+	// the simulation goroutine. A nil snapshot serves no metrics.
+	Metrics func() *Snapshot
 	// Progress, when non-nil, is JSON-encoded at /progress on each
 	// request (live experiment-engine state).
 	Progress func() any
@@ -93,6 +95,9 @@ func Serve(addr string, opts ServeOptions) (*Server, error) {
 		done:  make(chan struct{}),
 	}
 
+	if opts.Metrics == nil {
+		opts.Metrics = func() *Snapshot { return nil }
+	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -100,9 +105,7 @@ func Serve(addr string, opts ServeOptions) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		var b strings.Builder
-		if opts.Registry != nil {
-			opts.Registry.WritePrometheus(&b)
-		}
+		opts.Metrics().WritePrometheus(&b)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		fmt.Fprint(w, b.String())
 	})
@@ -113,12 +116,10 @@ func Serve(addr string, opts ServeOptions) (*Server, error) {
 			Cycle         uint64             `json:"cycle"`
 			Metrics       map[string]float64 `json:"metrics"`
 		}{UptimeSeconds: time.Since(s.start).Seconds(), Metrics: map[string]float64{}}
-		if opts.Registry != nil {
-			if snap := opts.Registry.Latest(); snap != nil {
-				out.Cycle = snap.Cycle
-				for i, name := range snap.Names {
-					out.Metrics[name] = snap.Values[i]
-				}
+		if snap := opts.Metrics(); snap != nil {
+			out.Cycle = snap.Cycle
+			for i, name := range snap.Names {
+				out.Metrics[name] = snap.Values[i]
 			}
 		}
 		enc := json.NewEncoder(w)

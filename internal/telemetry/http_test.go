@@ -29,7 +29,7 @@ func TestServeRegisterHook(t *testing.T) {
 	reg.Gauge("x", "test gauge", func() float64 { return 42 })
 	reg.Sample(1)
 	srv, err := Serve("127.0.0.1:0", ServeOptions{
-		Registry: reg,
+		Metrics: reg.Latest,
 		Register: func(mux *http.ServeMux) {
 			mux.HandleFunc("/custom", func(w http.ResponseWriter, _ *http.Request) {
 				fmt.Fprint(w, "mounted")

@@ -13,10 +13,10 @@
 // a single pointer and pay one branch (and zero allocations) when
 // telemetry is disabled.
 //
-// Concurrency model: registration and sampling happen on the
-// simulation goroutine; the HTTP server only ever reads immutable
-// published snapshots (an atomic pointer swapped at each epoch), so
-// live serving is race-free without locking the hot path.
+// Concurrency model: the simulator samples on the simulation goroutine
+// and its HTTP server reads the last published snapshot (Latest); the
+// serving daemons' columns read only atomics or locked histogram
+// clones, so their servers sample on every scrape.
 package telemetry
 
 import (
@@ -72,8 +72,8 @@ type MetricSource interface {
 }
 
 // Registry is a named collection of metric read functions. Register
-// during setup (single goroutine), then Sample from the simulation
-// loop; concurrent readers use Latest.
+// during setup (single goroutine), then Sample (see Sample for which
+// goroutine); concurrent readers of a simulation use Latest.
 type Registry struct {
 	cols   []column
 	byName map[string]bool
@@ -157,12 +157,13 @@ func (r *Registry) Len() int {
 	return len(r.cols)
 }
 
-// Snapshot is one consistent read of every registered column. Names
-// aliases the registry's column order and is shared across snapshots.
+// Snapshot is one read of every registered column, in the registry's
+// column order. It keeps its registry for help text and metric kinds.
 type Snapshot struct {
 	Cycle  uint64
 	Names  []string
 	Values []float64
+	reg    *Registry
 }
 
 // Value returns the sampled value of a column by name (0, false when
@@ -181,12 +182,13 @@ func (s *Snapshot) Value(name string) (float64, bool) {
 
 // Sample reads every column at the given simulated cycle, publishes
 // the snapshot for concurrent readers (Latest), and returns it. Call
-// only from the simulation goroutine.
+// it from the goroutine that owns the state the columns read, or from
+// any goroutine when every column is safe to read concurrently.
 func (r *Registry) Sample(cycle uint64) *Snapshot {
 	if r == nil {
 		return nil
 	}
-	s := &Snapshot{Cycle: cycle, Names: r.Names(), Values: make([]float64, len(r.cols))}
+	s := &Snapshot{Cycle: cycle, Names: r.Names(), Values: make([]float64, len(r.cols)), reg: r}
 	for i, c := range r.cols {
 		s.Values[i] = c.read()
 	}
@@ -218,11 +220,10 @@ func promName(name string) string {
 	return "amnt_" + mangled
 }
 
-// WritePrometheus renders the latest published snapshot in Prometheus
-// text exposition format. Histogram-derived quantile columns are
-// exposed as gauges. Safe for concurrent use.
-func (r *Registry) WritePrometheus(b *strings.Builder) {
-	s := r.Latest()
+// WritePrometheus renders the snapshot in Prometheus text exposition
+// format. Histogram-derived quantile columns are exposed as gauges. A
+// nil snapshot writes nothing.
+func (s *Snapshot) WritePrometheus(b *strings.Builder) {
 	if s == nil {
 		return
 	}
@@ -234,7 +235,7 @@ func (r *Registry) WritePrometheus(b *strings.Builder) {
 	}
 	sort.Slice(idx, func(a, b int) bool { return s.Names[idx[a]] < s.Names[idx[b]] })
 	for _, i := range idx {
-		c := r.cols[i]
+		c := s.reg.cols[i]
 		typ := "gauge"
 		if c.kind == KindCounter {
 			typ = "counter"

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"amnt/internal/stats"
@@ -97,10 +98,8 @@ func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("mee.data_reads", "device reads", func() uint64 { return 3 })
 	reg.Gauge("l3.hit_rate", "hit rate", func() float64 { return 0.5 })
-	reg.Sample(42)
-
 	var b strings.Builder
-	reg.WritePrometheus(&b)
+	reg.Sample(42).WritePrometheus(&b)
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE amnt_mee_data_reads counter",
@@ -294,7 +293,7 @@ func TestServeEndpoints(t *testing.T) {
 	reg.Sample(900)
 
 	srv, err := Serve("127.0.0.1:0", ServeOptions{
-		Registry: reg,
+		Metrics:  reg.Latest,
 		Progress: func() any { return map[string]int{"done": 4} },
 	})
 	if err != nil {
@@ -333,5 +332,39 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if out := get("/"); !strings.Contains(out, "/metrics") {
 		t.Errorf("index missing endpoint list:\n%s", out)
+	}
+}
+
+// TestServeSamplesOnScrape pins per-scrape sampling: a registry that is
+// never sampled by hand still serves its current values, because the
+// server asks Metrics for a fresh snapshot on every request.
+func TestServeSamplesOnScrape(t *testing.T) {
+	var n atomic.Uint64
+	reg := NewRegistry()
+	reg.Counter("proxy.requests", "requests", n.Load)
+	srv, err := Serve("127.0.0.1:0", ServeOptions{
+		Metrics: func() *Snapshot { return reg.Sample(0) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	n.Add(7)
+	for path, want := range map[string]string{
+		"/metrics": "amnt_proxy_requests 7",
+		"/vars":    `"proxy.requests": 7`,
+	} {
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		if !strings.Contains(string(body), want) {
+			t.Errorf("%s missing %q:\n%s", path, want, body)
+		}
 	}
 }

@@ -70,6 +70,9 @@ echo "== wave 1: batched ycsb-a through the proxy"
 ./amntload -addr "$PROXY" -workload ycsb-a -clients 8 -ops 8000 -batch 32 \
   -json | tee "$ART/cluster-load-proxy.json"
 [ "$(jq .corruptions "$ART/cluster-load-proxy.json")" = 0 ]
+# The proxy's own RED series, sampled on this scrape.
+curl -sf "$PROXY/metrics" >"$ART/proxy-metrics.txt"
+grep -q '^amnt_span_op_batch_requests [1-9]' "$ART/proxy-metrics.txt"
 
 echo "== wave 2: batched ycsb-a with client-side ring routing"
 ./amntload -cluster -nodes "$CLUSTER" -workload ycsb-a -clients 8 -ops 8000 \
