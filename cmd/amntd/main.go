@@ -37,8 +37,10 @@
 // (with an ownership hint) for keys it does not host.
 //
 // Degraded serving: shards recover online, so requests keep flowing
-// while a tree rebuild is in flight. When a request cannot be served
-// the daemon answers 503 with a machine-readable reason —
+// while a tree rebuild is in flight; the rebuild step, the heal
+// backoff cap and the heal attempt bound take the store's defaults.
+// When a request cannot be served the daemon answers 503 with a
+// machine-readable reason —
 // {"reason":"overloaded"|"recovering"|"failed"|"fenced",
 // "retry_after_ms":..} — plus a Retry-After header, so clients back
 // off instead of treating the condition as a hard failure.
@@ -84,10 +86,7 @@ func main() {
 		batch      = flag.Int("batch", 16, "max requests drained per worker wakeup, and max writes per group-commit epoch")
 		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory (empty = no checkpoints; cluster kill-drills need a shared one)")
 		reqTimeout = flag.Duration("req-timeout", 2*time.Second, "per-request serving deadline")
-		recChunk   = flag.Int("recovery-chunk", 0, "counter leaves rebuilt per online-recovery step between request waves (0 = default)")
 		healBack   = flag.Duration("heal-backoff", 0, "initial delay before a quarantined shard's first heal attempt (0 = default)")
-		healBackMx = flag.Duration("heal-backoff-max", 0, "cap on the heal-loop exponential backoff (0 = default)")
-		healMax    = flag.Int("heal-max-attempts", 0, "heal attempts before a quarantined shard is abandoned (0 = default, negative = never heal)")
 		spanSample = flag.Int("span-sample", 1, "record one latency-attribution span per N requests (1 = every request, 0 = spans off)")
 		spanRing   = flag.Int("span-ring", 4096, "finished-span ring buffer size (/v1/spans depth)")
 		slowThresh = flag.Duration("slow-threshold", 250*time.Millisecond, "log any request slower than this with its full phase breakdown (0 = off)")
@@ -112,10 +111,7 @@ func main() {
 		BatchMax:        *batch,
 		ReadConcurrency: 4, // verified readers per shard bypassing the write queue
 		CheckpointDir:   *ckptDir,
-		RecoveryChunk:   *recChunk,
 		HealBackoff:     *healBack,
-		HealBackoffMax:  *healBackMx,
-		HealMaxAttempts: *healMax,
 	}
 	cfg.PolicyOptions.SubtreeLevel = *level
 

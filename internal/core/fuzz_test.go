@@ -108,9 +108,9 @@ func FuzzSubtreeOps(f *testing.F) {
 				commit(i)
 				finish(i)
 				c.Crash()
-				var ok bool
-				if s, ok = c.BeginRecovery(uint64(i)); !ok {
-					t.Fatalf("op %d: %s declined online recovery", i, p.Name())
+				var err error
+				if s, err = c.BeginRecovery(uint64(i)); s == nil {
+					t.Fatalf("op %d: %s declined online recovery: %v", i, p.Name(), err)
 				}
 			case op&0x40 != 0:
 				data := pattern(op ^ byte(i))

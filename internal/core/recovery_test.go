@@ -52,9 +52,9 @@ func TestAMNTOnlineRecoveryMatchesBlocking(t *testing.T) {
 			}
 
 			onlineC.Crash()
-			s, ok := onlineC.BeginRecovery(0)
-			if !ok {
-				t.Fatalf("%s: AMNT must support online recovery", name)
+			s, err := onlineC.BeginRecovery(0)
+			if s == nil {
+				t.Fatalf("%s: AMNT must support online recovery: %v", name, err)
 			}
 			for !s.Step(5) {
 			}
@@ -97,9 +97,9 @@ func TestAMNTOnlineRecoveryDegradedTraffic(t *testing.T) {
 	a, c, vals := seedAMNT(t, 3, 250)
 	c.Crash()
 	movesBefore := a.Movements()
-	s, ok := c.BeginRecovery(0)
-	if !ok {
-		t.Fatal("BeginRecovery not ok")
+	s, err := c.BeginRecovery(0)
+	if s == nil {
+		t.Fatalf("BeginRecovery not ok: %v", err)
 	}
 
 	// One counter leaf covers 64 data blocks (a 4 KB page), so leaf
@@ -189,9 +189,9 @@ func TestAMNTOnlineRecoveryDetectsSubtreeTamper(t *testing.T) {
 	}
 	c.Crash()
 	c.Device().TamperByte(scm.Counter, victim, 5, 0x80)
-	s, ok := c.BeginRecovery(0)
-	if !ok {
-		t.Fatal("BeginRecovery not ok")
+	s, err := c.BeginRecovery(0)
+	if s == nil {
+		t.Fatalf("BeginRecovery not ok: %v", err)
 	}
 	if _, err := s.Finish(0); err == nil {
 		t.Fatal("tampered subtree counter not detected by online audit")
@@ -257,9 +257,9 @@ func TestAMNTOnlineRecoveryDetectsReplayOutsideSubtree(t *testing.T) {
 				check("read "+when, err)
 			}
 
-			s, ok := c.BeginRecovery(0)
-			if !ok {
-				t.Fatal("BeginRecovery not ok")
+			s, err := c.BeginRecovery(0)
+			if s == nil {
+				t.Fatalf("BeginRecovery not ok: %v", err)
 			}
 			if variant != "write" {
 				readB("during the session")
@@ -268,7 +268,7 @@ func TestAMNTOnlineRecoveryDetectsReplayOutsideSubtree(t *testing.T) {
 				_, err := c.WriteBlock(0, b+1, pattern(0xC3))
 				check("degraded write to a sibling block", err)
 			}
-			_, err := s.Finish(0)
+			_, err = s.Finish(0)
 			check("finish", err)
 			if err == nil {
 				readB("after Finish")

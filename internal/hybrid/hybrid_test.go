@@ -147,9 +147,9 @@ func TestOnlineRecoveryServesBothPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Crash()
-	s, ok := c.BeginRecovery(0)
-	if !ok {
-		t.Fatal("hybrid must recover online")
+	s, err := c.BeginRecovery(0)
+	if s == nil {
+		t.Fatalf("hybrid must recover online: %v", err)
 	}
 	lo, _ := c.Geometry().LeafSpan(p.Inner().Level(), p.Inner().SubtreeIndex())
 	want := map[uint64][]byte{scmBlock: pattern(3)}

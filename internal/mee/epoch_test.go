@@ -234,9 +234,9 @@ func TestEpochWriteCombining(t *testing.T) {
 					}
 				}
 				c.Crash()
-				var ok bool
-				if session, ok = c.BeginRecovery(0); !ok {
-					t.Fatalf("%s must support online recovery", tc.proto)
+				var err error
+				if session, err = c.BeginRecovery(0); session == nil {
+					t.Fatalf("%s must support online recovery: %v", tc.proto, err)
 				}
 			}
 			ds := c.Device().Stats()
@@ -445,9 +445,9 @@ func TestDegradedEpochMatchesPerOp(t *testing.T) {
 						}
 					}
 					c.Crash()
-					s, ok := c.BeginRecovery(0)
-					if !ok {
-						t.Fatalf("%s must support online recovery", proto)
+					s, err := c.BeginRecovery(0)
+					if s == nil {
+						t.Fatalf("%s must support online recovery: %v", proto, err)
 					}
 					sessions[k] = s
 				}

@@ -6,11 +6,10 @@ package mee
 func IdleSession(c *Controller, now uint64, chunk int) (RecoveryReport, error) {
 	c.enter()
 	defer c.exit()
-	s, err := c.begin(c.policy.RecoveryPlan())
-	if err != nil {
-		return s.end(now, s.rep, err)
-	}
-	for !s.step(chunk) {
+	s := c.begin(c.policy.RecoveryPlan())
+	if s.prepErr == nil {
+		for !s.step(chunk) {
+		}
 	}
 	return s.finish(now)
 }

@@ -286,9 +286,9 @@ func TestReadViewDuringRecoverySession(t *testing.T) {
 		}
 	}
 	c.Crash()
-	s, ok := c.BeginRecovery(0)
-	if !ok {
-		t.Fatal("leaf should support online recovery")
+	s, err := c.BeginRecovery(0)
+	if s == nil {
+		t.Fatalf("leaf should support online recovery: %v", err)
 	}
 	dst := make([]byte, scm.BlockSize)
 	if _, err := c.ReadBlockConcurrent(3, dst); !errors.Is(err, ErrRecovering) {

@@ -89,6 +89,7 @@ type RecoverySession struct {
 	// patch's, added (and pathErr reported) once the roots pass their
 	// audits, as one blocking procedure would.
 	rep, path RecoveryReport
+	prepErr   error // the pre-pass's; it ends the recovery
 	pathErr   error
 	opErr     error // the first integrity error an operation returned
 	// frozen maps counter-leaf index -> content at first degraded
@@ -111,32 +112,24 @@ func (c *Controller) Recover(now uint64) (RecoveryReport, error) {
 	if c.session != nil {
 		return RecoveryReport{}, ErrRecovering
 	}
-	s, err := c.begin(c.policy.RecoveryPlan())
-	if err != nil {
-		return s.end(now, s.rep, err)
-	}
-	return s.finish(now)
+	return c.begin(c.policy.RecoveryPlan()).finish(now)
 }
 
-// BeginRecovery starts an online recovery session after Crash (or
-// LoadCheckpoint). ok=false means the plan is not Online, or a root's
-// path does not match the root register — no session serves over a
-// tree known to be inconsistent; the caller's blocking Recover reports
-// it. It panics if a session is already active.
-func (c *Controller) BeginRecovery(now uint64) (*RecoverySession, bool) {
+// BeginRecovery starts the recovery after Crash (or LoadCheckpoint):
+// an Online plan whose root paths pass their audit returns its session,
+// to step and Finish while serving. Otherwise it finishes the recovery
+// it began, serving nothing, and returns a nil session with its
+// verdict. It panics if a session is active.
+func (c *Controller) BeginRecovery(now uint64) (*RecoverySession, error) {
 	c.enter()
 	defer c.exit()
 	if c.session != nil {
 		panic("mee: BeginRecovery while a recovery session is active")
 	}
-	plan := c.policy.RecoveryPlan()
-	if !plan.Online {
-		return nil, false
-	}
-	s, err := c.begin(plan)
-	if err != nil || s.pathErr != nil {
-		s.abort()
-		return nil, false
+	s := c.begin(c.policy.RecoveryPlan())
+	if s.prepErr != nil || s.pathErr != nil || !s.plan.Online {
+		_, err := s.finish(now)
+		return nil, err
 	}
 	c.session = s
 	if c.trace != nil {
@@ -146,12 +139,12 @@ func (c *Controller) BeginRecovery(now uint64) (*RecoverySession, bool) {
 			Note:  c.policy.Name() + " (online begin)",
 		})
 	}
-	return s, true
+	return s, nil
 }
 
 // begin runs the pre-pass (its error ends the recovery), the path patch
 // (its verdict waits for Finish), and plans one Rebuilder per root.
-func (c *Controller) begin(plan RecoveryPlan) (*RecoverySession, error) {
+func (c *Controller) begin(plan RecoveryPlan) *RecoverySession {
 	c.recProg.Reset()
 	s := &RecoverySession{
 		c:       c,
@@ -164,8 +157,8 @@ func (c *Controller) begin(plan RecoveryPlan) (*RecoverySession, error) {
 	}
 	s.rep = RecoveryReport{Protocol: c.policy.Name(), StaleFraction: plan.StaleFraction}
 	if plan.Prepass != nil {
-		if err := plan.Prepass(&s.rep); err != nil {
-			return s, err
+		if s.prepErr = plan.Prepass(&s.rep); s.prepErr != nil {
+			return s
 		}
 	}
 	s.pathErr = s.patchRootPaths()
@@ -173,7 +166,7 @@ func (c *Controller) begin(plan RecoveryPlan) (*RecoverySession, error) {
 	for _, r := range plan.Roots {
 		s.rbs = append(s.rbs, bmt.NewRebuilder(c.dev, c.eng, c.geo, r.Source, r.Level, r.Idx, opts, s.frozen))
 	}
-	return s, nil
+	return s
 }
 
 // patchRootPaths writes each anchored root's register content home,
@@ -288,6 +281,9 @@ func (s *RecoverySession) Finish(now uint64) (RecoveryReport, error) {
 }
 
 func (s *RecoverySession) finish(now uint64) (RecoveryReport, error) {
+	if s.prepErr != nil {
+		return s.end(now, s.rep, s.prepErr)
+	}
 	s.step(0)
 	s.finished = true
 	s.c.session = nil

@@ -42,9 +42,9 @@ func TestOnlineRecoveryMatchesBlocking(t *testing.T) {
 	}
 
 	onlineC.Crash()
-	s, ok := onlineC.BeginRecovery(0)
-	if !ok {
-		t.Fatal("leaf policy must support online recovery")
+	s, err := onlineC.BeginRecovery(0)
+	if s == nil {
+		t.Fatalf("leaf policy must support online recovery: %v", err)
 	}
 	for !s.Step(7) {
 	}
@@ -75,9 +75,9 @@ func TestOnlineRecoveryMatchesBlocking(t *testing.T) {
 func TestOnlineRecoveryDegradedTraffic(t *testing.T) {
 	c, vals := seedController(t, 150)
 	c.Crash()
-	s, ok := c.BeginRecovery(0)
-	if !ok {
-		t.Fatal("BeginRecovery not ok")
+	s, err := c.BeginRecovery(0)
+	if s == nil {
+		t.Fatalf("BeginRecovery not ok: %v", err)
 	}
 
 	rng := rand.New(rand.NewSource(0xD16))
@@ -153,11 +153,11 @@ func TestOnlineRecoveryDetectsTamper(t *testing.T) {
 	if !dev.TamperByte(scm.Counter, idxs[0], 3, 0x40) {
 		t.Fatal("tamper failed")
 	}
-	s, ok := c.BeginRecovery(0)
-	if !ok {
-		t.Fatal("BeginRecovery not ok")
+	s, err := c.BeginRecovery(0)
+	if s == nil {
+		t.Fatalf("BeginRecovery not ok: %v", err)
 	}
-	_, err := s.Finish(0)
+	_, err = s.Finish(0)
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("tampered counter not detected by audit: %v", err)
@@ -170,9 +170,9 @@ func TestOnlineRecoveryDetectsTamper(t *testing.T) {
 func TestOnlineRecoveryGuards(t *testing.T) {
 	c, _ := seedController(t, 60)
 	c.Crash()
-	s, ok := c.BeginRecovery(0)
-	if !ok {
-		t.Fatal("BeginRecovery not ok")
+	s, err := c.BeginRecovery(0)
+	if s == nil {
+		t.Fatalf("BeginRecovery not ok: %v", err)
 	}
 	if err := c.VerifyAll(0); !errors.Is(err, ErrRecovering) {
 		t.Fatalf("VerifyAll during session: %v", err)

@@ -74,12 +74,12 @@ func (s *Store) Chaos(ctx context.Context, spec ChaosSpec) (*ChaosResult, error)
 	return resp.chaos, nil
 }
 
-// runChaos executes the crash sequence on the worker goroutine:
-// capture the in-flight persist window, detach the journal, power
-// fail, apply the fault to the captured window, then run the full
-// recovery invariant check. Afterwards the shard either serves again
-// (recovered or repaired) or is failed (violation, or repair did not
-// converge).
+// runChaos executes the crash sequence on the worker goroutine: leave
+// serving, capture the in-flight persist window, power fail, apply the
+// fault to the captured window, then run the full recovery invariant
+// check. Afterwards the shard either resumes serving (recovered, or
+// repaired by a blocking restart) or is failed (violation, or repair
+// did not converge).
 func (sh *shard) runChaos(spec ChaosSpec) *ChaosResult {
 	res := &ChaosResult{Shard: sh.id, Kind: spec.Kind}
 	kind, err := faults.ParseKind(spec.Kind)
@@ -90,8 +90,8 @@ func (sh *shard) runChaos(spec ChaosSpec) *ChaosResult {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	start := time.Now()
 
+	sh.leave(stateRecoveringBlocking)
 	sh.inj.CaptureWindow(sh.now)
-	sh.inj.Detach()
 	sh.ctrl.Crash()
 	ins := sh.inj.Apply(rng, kind, sh.now)
 	for _, in := range ins {
@@ -111,7 +111,8 @@ func (sh *shard) runChaos(spec ChaosSpec) *ChaosResult {
 	sh.m[cChaosRuns].Add(1)
 
 	switch out.Status {
-	case faults.StatusRecovered: // nothing to repair
+	case faults.StatusRecovered:
+		sh.resume()
 	case faults.StatusDetected:
 		// The protocol caught the damage; the injection journal knows
 		// the pre-fault durable content, so repair the media and
@@ -124,20 +125,12 @@ func (sh *shard) runChaos(spec ChaosSpec) *ChaosResult {
 				sh.dev.Erase(in.Region, in.Index)
 			}
 		}
-		if err := sh.heal(false); err != nil {
-			sh.fail()
-		} else {
-			res.Repaired = true
-		}
+		res.Repaired = sh.restart(nil, true) == nil
 	default: // StatusViolation: silent corruption — out of service.
 		sh.fail()
 	}
 
 	res.Serving = sh.load() != stateQuarantined
-	if res.Serving {
-		sh.inj = faults.NewInjector(sh.ctrl)
-		sh.inj.Attach()
-	}
 	res.WallMS = float64(time.Since(start).Microseconds()) / 1e3
 	return res
 }

@@ -179,53 +179,44 @@ func (s *Store) MigrateDetach(ctx context.Context, part int) error {
 }
 
 // MigrateAttach stages an inbound partition from a checkpoint image
-// stream: load, run the protocol's recovery, and verify the whole
-// tree — the destination trusts the recovery audit, not the wire.
-// The staged shard is not yet serving; apply deltas with
-// MigrateApply, then make it live with MigrateActivate.
+// stream: a blocking restart from it — load, the protocol's recovery,
+// and a whole-shard verify — so the destination trusts the recovery
+// audit, not the wire. The staged shard is not yet routed to; apply
+// deltas with MigrateApply, then make it live with MigrateActivate.
 func (s *Store) MigrateAttach(part int, r io.Reader) error {
 	if part < 0 || part >= s.cfg.Partitions {
 		return fmt.Errorf("store: no partition %d", part)
 	}
+	// Checked before the recovery, a cheap refusal, and again under the
+	// lock that stages the shard. Caller holds s.mu.
+	free := func() error {
+		switch {
+		case s.closed:
+			return ErrClosed
+		case s.table().parts[part] != nil:
+			return ErrAlreadyOwned
+		case s.staging[part] != nil:
+			return ErrAlreadyStaged
+		}
+		return nil
+	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.table().parts[part] != nil {
-		s.mu.Unlock()
-		return ErrAlreadyOwned
-	}
-	if s.staging[part] != nil {
-		s.mu.Unlock()
-		return ErrAlreadyStaged
-	}
+	err := free()
 	s.mu.Unlock()
-
+	if err != nil {
+		return err
+	}
 	sh, err := s.newShard(part)
 	if err != nil {
 		return err
 	}
-	if err := sh.ctrl.LoadCheckpoint(r); err != nil {
+	if err := sh.restart(r, true); err != nil {
 		return fmt.Errorf("store: attach partition %d: %w", part, err)
 	}
-	if _, err := sh.ctrl.Recover(sh.now); err != nil {
-		return fmt.Errorf("store: attach partition %d: recovery: %w", part, err)
-	}
-	if err := sh.ctrl.VerifyAll(sh.now); err != nil {
-		return fmt.Errorf("store: attach partition %d: verify: %w", part, err)
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.table().parts[part] != nil {
-		return ErrAlreadyOwned
-	}
-	if s.staging[part] != nil {
-		return ErrAlreadyStaged
+	if err := free(); err != nil {
+		return err
 	}
 	s.staging[part] = sh
 	return nil
@@ -282,7 +273,6 @@ func (s *Store) MigrateActivate(part int) error {
 	}
 	delete(s.staging, part)
 	sh.now += sh.ctrl.Flush(sh.now)
-	sh.inj.Attach()
 	s.tab.Store(s.table().with(sh))
 	go sh.run()
 	return nil

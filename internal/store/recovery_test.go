@@ -1,16 +1,20 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"amnt/internal/bmt"
+	"amnt/internal/cme"
 	"amnt/internal/core"
 	"amnt/internal/faults"
 	"amnt/internal/mee"
@@ -841,5 +845,116 @@ func TestStoreDegradedBootFromCheckpoint(t *testing.T) {
 			t.Fatalf("post-boot get %d: %v", key, err)
 		}
 		checkStamp(t, key, v)
+	}
+}
+
+// TestRecoverShardRunsThePlanOnce: a power cycle whose root-path audit
+// fails runs the recovery plan once. An amnt node on the subtree
+// register's path is tampered on a child slot the path patch does not
+// set; the shard's device then sees exactly the Tree writes of one
+// blocking Recover of the same image, the same audit error comes back,
+// and the shard is quarantined.
+func TestRecoverShardRunsThePlanOnce(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 1
+	cfg.Protocol = "amnt"
+	cfg.ShardMemBytes = 2 << 20 // the subtree's parent is a device node
+	cfg.HealMaxAttempts = -1
+	s := mustOpen(t, cfg)
+	ctx := context.Background()
+	for key := uint64(0); key < 32768; key += 128 {
+		if err := s.Put(ctx, key, stamp(key)); err != nil {
+			t.Fatalf("put %d: %v", key, err)
+		}
+	}
+	if err := s.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	// The worker is idle between requests: the test may touch its
+	// controller until the next one.
+	sh := s.table().list[0]
+	var img bytes.Buffer
+	if err := sh.ctrl.SaveCheckpoint(&img); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	a := sh.ctrl.Policy().(*core.AMNT)
+	g := sh.ctrl.Geometry()
+	flat := g.FlatIndex(a.Level()-1, a.SubtreeIndex()>>3)
+	slot := (bmt.ChildSlot(a.SubtreeIndex()) + 1) % bmt.Arity
+	tamper := func(dev *scm.Device) {
+		if !dev.TamperByte(scm.Tree, flat, slot*cme.MACSize, 0x20) {
+			t.Fatalf("tree node %d absent", flat)
+		}
+	}
+	treeWrites := func(dev *scm.Device) uint64 { return dev.Stats().RegionWrites[scm.Tree].Value() }
+
+	policy, err := mee.NewPolicy(cfg.Protocol, cfg.PolicyOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := mee.New(scm.New(scm.Config{CapacityBytes: cfg.ShardMemBytes}), cfg.MEE, policy)
+	if err := ref.LoadCheckpoint(&img); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	tamper(ref.Device())
+	before := treeWrites(ref.Device())
+	_, wantErr := ref.Recover(0)
+	if wantErr == nil {
+		t.Fatal("reference recovery passed its path audit over a tampered path")
+	}
+	want := treeWrites(ref.Device()) - before
+
+	tamper(sh.dev)
+	before = treeWrites(sh.dev)
+	err = s.RecoverShard(ctx, 0)
+	if got := treeWrites(sh.dev) - before; got != want {
+		t.Fatalf("power cycle wrote %d tree nodes, one plan run writes %d", got, want)
+	}
+	if !errors.Is(err, ErrShardFailed) || !strings.Contains(err.Error(), wantErr.Error()) {
+		t.Fatalf("power cycle: %v, want ErrShardFailed carrying %q", err, wantErr)
+	}
+	if st := sh.load(); st != stateQuarantined {
+		t.Fatalf("state = %s, want quarantined", st)
+	}
+}
+
+// TestTamperedCheckpointRefused: a strict shard's checkpoint with one
+// tampered data block is refused by both ways a store takes in an
+// image — MigrateAttach and a boot from CheckpointDir — because both
+// verify the recovered shard before it serves.
+func TestTamperedCheckpointRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.Shards = 1
+	cfg.Protocol = "strict"
+	cfg.CheckpointDir = dir
+	sh := newBareShard(t, cfg.Protocol, cfg.ShardMemBytes)
+	sh.ckpt = filepath.Join(dir, "shard-000.ckpt")
+	for b := uint64(0); b < 64; b++ {
+		barePut(t, sh, b, stamp(b))
+	}
+	sh.now += sh.ctrl.Flush(sh.now)
+	if !sh.dev.TamperByte(scm.Data, 5, 9, 0x40) {
+		t.Fatal("tamper failed")
+	}
+	if err := sh.checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+
+	dstCfg := cfg
+	dstCfg.CheckpointDir = ""
+	dstCfg.Owned = []int{}
+	dst := mustOpen(t, dstCfg)
+	f, err := os.Open(sh.ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := dst.MigrateAttach(0, f); err == nil {
+		t.Fatal("MigrateAttach staged a tampered image")
+	}
+	if s, err := Open(cfg); err == nil {
+		s.Close(context.Background())
+		t.Fatal("Open booted a tampered checkpoint")
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -84,9 +85,10 @@ var (
 	ErrShardFailed = errors.New("store: shard failed")
 	// ErrRecovering: the shard is rebuilding its integrity tree and
 	// this request cannot be served yet. Degraded-capable shards keep
-	// serving through a rebuild, so this surfaces only when the shard
-	// is mid-recovery without online support, or when a request needs
-	// metadata that is genuinely not yet reconstructible. Retryable.
+	// serving through a rebuild, so this surfaces only inside a
+	// blocking recovery (a protocol without online support, a chaos
+	// run), or when a request needs metadata that is genuinely not yet
+	// reconstructible. Retryable.
 	ErrRecovering = errors.New("store: shard recovering")
 	// ErrNotOwned: the key's partition is not hosted by this store.
 	// Routing-layer callers match NotOwnedError for the partition id.
@@ -123,8 +125,8 @@ const (
 	// rebuilding between request waves and degraded traffic is
 	// admitted.
 	stateRecoveringOnline
-	// stateRecoveringBlocking: the protocol has no online recovery and
-	// the worker is inside a blocking rebuild; requests nack
+	// stateRecoveringBlocking: the worker is inside a blocking
+	// recovery (a plan that may not serve, a chaos run); requests nack
 	// ErrRecovering so callers back off instead of piling into the
 	// queue.
 	stateRecoveringBlocking
@@ -440,16 +442,16 @@ func Open(cfg Config) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sh.ckpt != "" {
-			if err := sh.boot(); err != nil {
-				return nil, fmt.Errorf("store: shard %d: %w", p, err)
-			}
+		// The reboot path: an online plan comes up recovering+degraded
+		// and rebuilds in the background, so time-to-first-request is
+		// independent of the shard's leaf count.
+		img, err := sh.openCheckpoint()
+		if img != nil {
+			err = sh.restart(img, false)
+			img.Close()
 		}
-		// During a degraded boot the injector stays detached — recovery
-		// traffic is not journaled — and attaches when the rebuild
-		// completes, mirroring the power-cycle path.
-		if sh.session == nil {
-			sh.inj.Attach()
+		if err != nil {
+			return nil, fmt.Errorf("store: shard %d: %w", p, err)
 		}
 		shards = append(shards, sh)
 	}
@@ -460,8 +462,8 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// newShard builds one partition's controller stack, not yet booted
-// and with the injector detached.
+// newShard builds one partition's controller stack, empty and serving;
+// a shard with an image to load restarts from it.
 func (s *Store) newShard(part int) (*shard, error) {
 	cfg := s.cfg
 	policy, err := mee.NewPolicy(cfg.Protocol, cfg.PolicyOptions)
@@ -493,37 +495,24 @@ func (s *Store) newShard(part int) (*shard, error) {
 	if cfg.CheckpointDir != "" {
 		sh.ckpt = filepath.Join(cfg.CheckpointDir, fmt.Sprintf("shard-%03d.ckpt", part))
 	}
-	sh.inj = faults.NewInjector(ctrl)
+	sh.rejoin()
 	return sh, nil
 }
 
-// boot loads the shard's checkpoint if one exists and starts the
-// protocol's recovery, the normal reboot path. When the protocol
-// supports online recovery the shard comes up recovering+degraded and
-// the worker rebuilds in the background — time-to-first-request is
-// independent of the shard's leaf count. Otherwise boot blocks on the
-// full rebuild as before.
-func (sh *shard) boot() error {
+// openCheckpoint opens the shard's checkpoint image; nil, nil when
+// there is none.
+func (sh *shard) openCheckpoint() (io.ReadCloser, error) {
+	if sh.ckpt == "" {
+		return nil, nil
+	}
 	f, err := os.Open(sh.ckpt)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
 	if err != nil {
-		return err
+		if errors.Is(err, os.ErrNotExist) {
+			err = nil
+		}
+		return nil, err
 	}
-	defer f.Close()
-	if err := sh.ctrl.LoadCheckpoint(f); err != nil {
-		return err
-	}
-	if s, ok := sh.ctrl.BeginRecovery(sh.now); ok {
-		sh.session = s
-		sh.setState(stateRecoveringOnline)
-		return nil
-	}
-	if _, err := sh.ctrl.Recover(sh.now); err != nil {
-		return fmt.Errorf("recovery after checkpoint load: %w", err)
-	}
-	return nil
+	return f, nil
 }
 
 // Shards returns the number of partitions this store currently hosts.
@@ -1072,7 +1061,6 @@ func (sh *shard) serve(r request) response {
 		res := sh.runChaos(*r.chaos)
 		return response{chaos: res, err: res.startErr}
 	case opQuarantine:
-		sh.inj.Detach()
 		sh.fail()
 		return response{}
 	case opMigrateBegin:
@@ -1096,45 +1084,91 @@ func (sh *shard) serve(r request) response {
 	return response{err: fmt.Errorf("store: unknown op %d", r.op)}
 }
 
-// powerCycle crashes the shard's controller and restarts it. When the
-// protocol supports online recovery the shard returns immediately in
-// recovering-online state and the worker rebuilds between drains —
-// the rebuild's finish audit replaces the blocking whole-shard verify
-// (any pre-crash tamper is still detected, just at session end:
-// bounded deferred detection). Otherwise the cycle blocks on the full
-// Recover+VerifyAll as before. The injector is detached across the
-// cycle so recovery traffic does not pollute the fault journal.
+// powerCycle crashes the shard's controller and restarts it.
 func (sh *shard) powerCycle() error {
+	if err := sh.restart(nil, false); err != nil {
+		return fmt.Errorf("%w: %v", ErrShardFailed, err)
+	}
+	return nil
+}
+
+// leave takes the shard out of serving before anything touches its
+// controller: the state word moves to st (a quarantined shard stays
+// quarantined), the injector stops journaling, and the readers already
+// past readEligible are waited out.
+func (sh *shard) leave(st shardState) {
+	if sh.load() != stateQuarantined {
+		sh.setState(st)
+	}
 	sh.inj.Detach()
-	// Leave serving before the crash so the reader pool is excluded
-	// first. The shard keeps admitting unless the protocol turns out to
-	// need the blocking rebuild; this worker is busy until it returns,
-	// so whatever is admitted meanwhile just queues.
-	sh.setState(stateRecoveringOnline)
-	sh.ctrl.Crash()
-	if s, ok := sh.ctrl.BeginRecovery(sh.now); ok {
-		sh.session = s
+	for range cap(sh.readSem) {
+		sh.readSem <- struct{}{}
+	}
+	for range cap(sh.readSem) {
+		<-sh.readSem
+	}
+}
+
+// restart is the shard's one way back up: leave serving, replace the
+// controller's volatile state — from img, a checkpoint image, or by a
+// power failure when img is nil — and begin the protocol's recovery.
+// An online plan's session goes to the worker, which steps it between
+// request waves and resumes at Finish (its audit stands in for the
+// whole-shard verify: bounded deferred detection). With block set, or
+// a plan that may not serve (recovering-blocking: admission nacks),
+// the recovery finishes here and VerifyAll checks the whole shard
+// before it serves again. On failure the shard is quarantined (a heal
+// attempt leaves it so).
+func (sh *shard) restart(img io.Reader, block bool) error {
+	st := stateRecoveringOnline
+	if block || !sh.ctrl.Policy().RecoveryPlan().Online {
+		st = stateRecoveringBlocking
+	}
+	sh.leave(st)
+	var err error
+	if img == nil {
+		sh.ctrl.Crash()
+	} else {
+		err = sh.ctrl.LoadCheckpoint(img)
+	}
+	var sess *mee.RecoverySession
+	if err == nil {
+		sess, err = sh.ctrl.BeginRecovery(sh.now)
+	}
+	if sess != nil && !block {
+		sh.session = sess
 		return nil
 	}
-	sh.setState(stateRecoveringBlocking)
-	if _, err := sh.ctrl.Recover(sh.now); err != nil {
-		sh.fail()
-		return fmt.Errorf("%w: recovery: %v", ErrShardFailed, err)
+	if sess != nil {
+		_, err = sess.Finish(sh.now)
 	}
-	if err := sh.ctrl.VerifyAll(sh.now); err != nil {
-		sh.fail()
-		return fmt.Errorf("%w: post-recovery verify: %v", ErrShardFailed, err)
+	if err == nil {
+		if err = sh.ctrl.VerifyAll(sh.now); err != nil {
+			err = fmt.Errorf("post-recovery verify: %w", err)
+		}
+	}
+	if err != nil {
+		if sh.load() != stateQuarantined {
+			sh.fail()
+		}
+		return err
 	}
 	sh.resume()
 	return nil
 }
 
-// resume returns a recovered shard to service with a fresh fault journal.
+// resume returns a recovered shard to service.
 func (sh *shard) resume() {
-	sh.setState(stateServing)
 	sh.m[cRecoveries].Add(1)
+	sh.rejoin()
+}
+
+// rejoin puts the shard in service with a fresh fault journal: the one
+// place the state word becomes serving and the injector attaches.
+func (sh *shard) rejoin() {
 	sh.inj = faults.NewInjector(sh.ctrl)
 	sh.inj.Attach()
+	sh.setState(stateServing)
 }
 
 // barrier completes any in-flight online recovery synchronously so
@@ -1194,7 +1228,7 @@ func (sh *shard) quarantineTick() bool {
 	return true
 }
 
-// healOnce runs one supervised recovery attempt on the quarantined
+// healOnce runs one supervised blocking restart of the quarantined
 // shard. The first attempt re-recovers in place — the violation may
 // stem from volatile state a clean power cycle clears. Later attempts
 // escalate to restoring the last good checkpoint first: acknowledged-
@@ -1203,46 +1237,25 @@ func (sh *shard) quarantineTick() bool {
 func (sh *shard) healOnce() {
 	sh.healTried++
 	sh.m[cHealAttempts].Add(1)
-	if err := sh.heal(sh.healTried > 1); err != nil {
+	var img io.ReadCloser
+	var err error
+	if sh.healTried > 1 {
+		img, err = sh.openCheckpoint()
+	}
+	if err == nil {
+		err = sh.restart(img, true)
+	}
+	if img != nil {
+		img.Close()
+	}
+	if err != nil {
 		sh.countErr(err)
-		sh.healWait *= 2
-		if sh.healWait > sh.healBackoffMax {
-			sh.healWait = sh.healBackoffMax
-		}
+		sh.healWait = min(2*sh.healWait, sh.healBackoffMax)
 		sh.healAt = time.Now().Add(sh.healWait)
-		sh.publish()
-		return
+	} else {
+		sh.m[cHeals].Add(1)
 	}
-	sh.m[cHeals].Add(1)
-	sh.resume()
 	sh.publish()
-}
-
-// heal runs one blocking recovery on the quarantined controller,
-// optionally restoring the last checkpoint image first.
-func (sh *shard) heal(restore bool) error {
-	restored := false
-	if restore && sh.ckpt != "" {
-		f, err := os.Open(sh.ckpt)
-		switch {
-		case err == nil:
-			loadErr := sh.ctrl.LoadCheckpoint(f)
-			f.Close()
-			if loadErr != nil {
-				return loadErr
-			}
-			restored = true
-		case !errors.Is(err, os.ErrNotExist):
-			return err
-		}
-	}
-	if !restored {
-		sh.ctrl.Crash()
-	}
-	if _, err := sh.ctrl.Recover(sh.now); err != nil {
-		return err
-	}
-	return sh.ctrl.VerifyAll(sh.now)
 }
 
 // checkpoint writes the shard's durable image atomically
@@ -1271,7 +1284,7 @@ func (sh *shard) checkpoint() error {
 
 // fail quarantines the shard and arms the heal loop. Worker-only.
 func (sh *shard) fail() {
-	sh.setState(stateQuarantined)
+	sh.leave(stateQuarantined)
 	sh.m[cFailures].Add(1)
 	sh.healTried = 0
 	sh.healWait = sh.healBackoff

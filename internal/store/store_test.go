@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -429,6 +430,89 @@ func TestStoreChaosMatrix(t *testing.T) {
 				// The untouched shard never stopped.
 				if snap := s.Stats(); !snap.Shards[0].Serving {
 					t.Fatal("non-victim shard affected")
+				}
+			})
+		}
+	}
+}
+
+// TestStoreChaosDuringConcurrentReads: reader-pool gets racing repeated
+// chaos power failures on their shard are answered from a trusted image
+// or refused with an explicit degradation signal — never verified
+// against the half-crashed image a chaos run is rewriting.
+func TestStoreChaosDuringConcurrentReads(t *testing.T) {
+	const rounds, keyspace = 20, uint64(200)
+	for _, protocol := range []string{"leaf", "amnt"} {
+		for _, kind := range []string{"torn", "drop", "reorder", "bitrot"} {
+			t.Run(protocol+"/"+kind, func(t *testing.T) {
+				cfg := testConfig()
+				cfg.Shards = 2
+				cfg.Protocol = protocol
+				cfg.ReadConcurrency = 4
+				s := mustOpen(t, cfg)
+				ctx := context.Background()
+				allowed := func(err error) bool {
+					return err == nil || errors.Is(err, ErrRecovering) ||
+						errors.Is(err, ErrOverloaded) || errors.Is(err, ErrShardFailed)
+				}
+				// Every write rewrites the same stamp, and a journal-clearing
+				// crash ("crash") between the first two rounds leaves no
+				// first-touch write in the victim's fault journal: a legal
+				// in-flight revert lands on the same bytes, never on absent.
+				write := func(from, step uint64) {
+					var kvs []KV
+					for key := from; key < keyspace; key += step {
+						kvs = append(kvs, KV{Key: key, Value: stamp(key)})
+					}
+					for i, err := range s.PutBatch(ctx, kvs) {
+						if !allowed(err) {
+							t.Fatalf("put %d: %v", kvs[i].Key, err)
+						}
+					}
+				}
+				write(0, 1)
+				if _, err := s.Chaos(ctx, ChaosSpec{Shard: 1, Kind: "crash"}); err != nil {
+					t.Fatalf("chaos crash: %v", err)
+				}
+				write(0, 1)
+
+				var stop atomic.Bool
+				var wg sync.WaitGroup
+				errCh := make(chan error, 4)
+				for c := 0; c < 4; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						for i := 0; !stop.Load(); i++ {
+							key := uint64(c*1733+i) % keyspace
+							v, err := s.Get(ctx, key)
+							if !allowed(err) {
+								errCh <- fmt.Errorf("get %d: %w", key, err)
+								return
+							}
+							if err == nil && !bytes.Equal(v, stamp(key)) {
+								errCh <- fmt.Errorf("get %d: corrupt value %x", key, v)
+								return
+							}
+						}
+					}(c)
+				}
+				for round := 0; round < rounds; round++ {
+					res, err := s.Chaos(ctx, ChaosSpec{Shard: 1, Kind: kind, Seed: int64(round)})
+					if err != nil {
+						t.Fatalf("chaos round %d: %v", round, err)
+					}
+					if res.Status == "violation" {
+						t.Fatalf("chaos round %d: silent corruption: %+v", round, res)
+					}
+					// Refill the victim's persist window for the next round.
+					write(1, uint64(cfg.Shards))
+				}
+				stop.Store(true)
+				wg.Wait()
+				close(errCh)
+				for err := range errCh {
+					t.Fatal(err)
 				}
 			})
 		}
