@@ -149,7 +149,12 @@ func (a *Anubis) recompute(rep *RecoveryReport) error {
 		if !key.IsTree() {
 			continue // counters and HMACs are write-through, never stale
 		}
-		level, idx := key.TreeNode(g)
+		level, idx, ok := innerNode(g, key.index())
+		if !ok {
+			// The shadow table is device content: an entry naming no
+			// inner node of this tree is tampering.
+			return &IntegrityError{What: "anubis: shadow entry names no tree node", Addr: uint64(slot)}
+		}
 		stale = append(stale, node{level, idx})
 	}
 	// Children before parents: recompute deepest levels first.
@@ -184,6 +189,17 @@ func (a *Anubis) recompute(rep *RecoveryReport) error {
 		rep.NodeWrites++
 	}
 	return nil
+}
+
+// innerNode is the (level, index) of an inner tree node at Tree-region
+// position flat, or false when no node of g lies there.
+func innerNode(g bmt.Geometry, flat uint64) (level int, idx uint64, ok bool) {
+	for l := 2; l < g.Levels; l++ {
+		if lo := g.FlatIndex(l, 0); flat >= lo && flat-lo < g.NodesAt(l) {
+			return l, flat - lo, true
+		}
+	}
+	return 0, 0, false
 }
 
 // Overhead implements Policy, following the paper's Table 3: a 64 B NV

@@ -333,6 +333,9 @@ func (b *BMF) RestoreNV(data []byte) error {
 	}
 	count := binary.LittleEndian.Uint32(data)
 	data = data[4:]
+	if uint64(count)*(1+8+bmt.NodeSize) > uint64(len(data)) {
+		return errShortNV
+	}
 	roots := make(map[nodeID]*[bmt.NodeSize]byte, count)
 	for i := uint32(0); i < count; i++ {
 		if len(data) < 1+8+bmt.NodeSize {

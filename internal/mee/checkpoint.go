@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"amnt/internal/bmt"
 	"amnt/internal/telemetry"
 )
 
@@ -77,10 +78,22 @@ func (c *Controller) SaveCheckpoint(w io.Writer) error {
 	return bw.Flush()
 }
 
+// Upper bounds on the two length-prefixed blobs of a checkpoint. A
+// policy name is a registry key; the largest NV blob is BMF's root set
+// (73 bytes a root). Lengths are checked against them before anything
+// is allocated, since images arrive over the network
+// (/v1/migrate/attach).
+const (
+	maxCheckpointName = 256
+	maxCheckpointNV   = 64 << 10
+)
+
 // LoadCheckpoint restores a checkpoint into this controller. The
 // active policy must match the one that saved it. Volatile state
 // (metadata cache, write queue, policy tracking) resets, exactly as
-// on a reboot from persistent media.
+// on a reboot from persistent media. The root register, the NV blob
+// and the device are committed only once the whole image has parsed:
+// a refused image leaves the controller as it was.
 func (c *Controller) LoadCheckpoint(r io.Reader) error {
 	c.enter()
 	defer c.exit()
@@ -92,35 +105,60 @@ func (c *Controller) LoadCheckpoint(r io.Reader) error {
 	if string(magic) != checkpointMagic {
 		return fmt.Errorf("mee: not a checkpoint (magic %q)", magic)
 	}
-	readBlob := func() ([]byte, error) {
+	readBlob := func(limit uint32) ([]byte, error) {
 		var n [4]byte
 		if _, err := io.ReadFull(br, n[:]); err != nil {
 			return nil, err
 		}
-		p := make([]byte, binary.LittleEndian.Uint32(n[:]))
+		size := binary.LittleEndian.Uint32(n[:])
+		if size > limit {
+			return nil, fmt.Errorf("length %d exceeds %d", size, limit)
+		}
+		p := make([]byte, size)
 		if _, err := io.ReadFull(br, p); err != nil {
 			return nil, err
 		}
 		return p, nil
 	}
-	name, err := readBlob()
+	name, err := readBlob(maxCheckpointName)
 	if err != nil {
 		return fmt.Errorf("mee: checkpoint policy name: %w", err)
 	}
 	if string(name) != c.policy.Name() {
 		return fmt.Errorf("mee: checkpoint was saved under policy %q, controller runs %q", name, c.policy.Name())
 	}
-	if _, err := io.ReadFull(br, c.rootNV[:]); err != nil {
+	var root [bmt.NodeSize]byte
+	if _, err := io.ReadFull(br, root[:]); err != nil {
 		return fmt.Errorf("mee: checkpoint root register: %w", err)
 	}
-	nv, err := readBlob()
+	nv, err := readBlob(maxCheckpointNV)
 	if err != nil {
 		return fmt.Errorf("mee: checkpoint NV blob: %w", err)
 	}
+	snap, canRestore := c.policy.(NVSnapshotter)
+	if !canRestore && len(nv) != 0 {
+		return fmt.Errorf("mee: checkpoint carries NV state the %q policy cannot restore", c.policy.Name())
+	}
+	// RestoreNV checks its blob before it changes anything, so the
+	// blob is tried here and taken back if the device is refused.
+	var prevNV []byte
+	if canRestore {
+		prevNV = snap.SaveNV()
+		if err := snap.RestoreNV(nv); err != nil {
+			return fmt.Errorf("mee: checkpoint policy NV: %w", err)
+		}
+	}
+	// The device is the image's last part; ReadFrom replaces the
+	// contents only once all of it has parsed.
 	if _, err := c.dev.ReadFrom(br); err != nil {
+		if canRestore {
+			_ = snap.RestoreNV(prevNV) // a blob SaveNV made always restores
+		}
 		return fmt.Errorf("mee: checkpoint device: %w", err)
 	}
-	// Reboot semantics: volatile state is gone.
+	// The whole image parsed: commit the root register. Reboot
+	// semantics: volatile state is gone.
+	c.rootNV = root
 	if c.session != nil {
 		c.session.abort()
 		c.session = nil
@@ -128,13 +166,6 @@ func (c *Controller) LoadCheckpoint(r io.Reader) error {
 	c.meta.InvalidateAll()
 	c.wq.reset()
 	c.policy.Crash()
-	if s, ok := c.policy.(NVSnapshotter); ok {
-		if err := s.RestoreNV(nv); err != nil {
-			return fmt.Errorf("mee: checkpoint policy NV: %w", err)
-		}
-	} else if len(nv) != 0 {
-		return fmt.Errorf("mee: checkpoint carries NV state the %q policy cannot restore", c.policy.Name())
-	}
 	if c.trace != nil {
 		c.trace.Emit(telemetry.Event{
 			Kind: telemetry.EvCheckpoint,

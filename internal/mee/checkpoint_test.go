@@ -2,6 +2,7 @@ package mee
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -145,4 +146,123 @@ func TestBMFNVSnapshotCarriesRootSet(t *testing.T) {
 	if err := c.VerifyAll(0); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkpointState is what a refused image must leave untouched: the
+// root register, the policy's NV blob and the device contents.
+func checkpointState(t testing.TB, c *Controller) (root, nv, dev []byte) {
+	r := c.Root()
+	if s, ok := c.Policy().(NVSnapshotter); ok {
+		nv = s.SaveNV()
+	}
+	var buf bytes.Buffer
+	if _, err := c.Device().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return r[:], nv, buf.Bytes()
+}
+
+// loadAllocs loads img into c and reports the bytes allocated doing it.
+func loadAllocs(c *Controller, img []byte) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := c.LoadCheckpoint(bytes.NewReader(img))
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// writtenController returns a controller under p holding a few
+// written blocks, so its root register and device are not the
+// boot-time ones.
+func writtenController(t testing.TB, p Policy, seed byte) *Controller {
+	c := New(testDevice(), DefaultConfig(), p)
+	for i := uint64(0); i < 40; i++ {
+		if _, err := c.WriteBlock(i, (i*37+uint64(seed))%512, pattern(seed+byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// A checkpoint image is untrusted input (it arrives over
+// /v1/migrate/attach): a declared blob length must not be allocated
+// before it is read.
+func TestLoadCheckpointBoundsDeclaredLength(t *testing.T) {
+	c := New(testDevice(), DefaultConfig(), NewLeaf())
+	alloc, err := loadAllocs(c, []byte("AMNTCKP1\xff\xff\xff\xff"))
+	if err == nil {
+		t.Fatal("hostile image accepted")
+	}
+	if alloc >= 1<<20 {
+		t.Fatalf("12-byte image allocated %d bytes", alloc)
+	}
+}
+
+// An image refused anywhere — here at its device magic, after the root
+// register and NV blob parsed — leaves the controller as it was.
+func TestLoadCheckpointRefusedKeepsState(t *testing.T) {
+	for _, mk := range []func() Policy{func() Policy { return NewLeaf() }, func() Policy { return NewBMF() }} {
+		t.Run(mk().Name(), func(t *testing.T) {
+			var img bytes.Buffer
+			if err := writtenController(t, mk(), 7).SaveCheckpoint(&img); err != nil {
+				t.Fatal(err)
+			}
+			bad := bytes.Replace(img.Bytes(), []byte("AMNTSCM1"), []byte("AMNTSCMX"), 1)
+			c := writtenController(t, mk(), 99)
+			root, nv, dev := checkpointState(t, c)
+			err := c.LoadCheckpoint(bytes.NewReader(bad))
+			if err == nil || !strings.Contains(err.Error(), "scm: not a device snapshot") {
+				t.Fatalf("err = %v, want the device magic refused", err)
+			}
+			root2, nv2, dev2 := checkpointState(t, c)
+			if !bytes.Equal(root, root2) {
+				t.Fatal("refused image changed the root register")
+			}
+			if !bytes.Equal(nv, nv2) {
+				t.Fatal("refused image changed the policy's NV state")
+			}
+			if !bytes.Equal(dev, dev2) {
+				t.Fatal("refused image changed the device")
+			}
+			if err := c.VerifyAll(0); err != nil {
+				t.Fatalf("controller no longer verifies: %v", err)
+			}
+		})
+	}
+}
+
+// FuzzLoadCheckpoint feeds arbitrary images to leaf and BMF
+// controllers. Whatever an image declares, loading it allocates a
+// bounded amount, and a refused image leaves the root register, the NV
+// state and the device as they were.
+func FuzzLoadCheckpoint(f *testing.F) {
+	for _, p := range []Policy{NewLeaf(), NewBMF()} {
+		var img bytes.Buffer
+		if err := writtenController(f, p, 3).SaveCheckpoint(&img); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img.Bytes())
+		f.Add(img.Bytes()[:img.Len()/2])
+	}
+	f.Add([]byte("AMNTCKP1\xff\xff\xff\xff"))
+	f.Add([]byte("AMNTCKP1\x03\x00\x00\x00bmf"))
+	f.Fuzz(func(t *testing.T, img []byte) {
+		for _, p := range []Policy{NewLeaf(), NewBMF()} {
+			c := writtenController(t, p, 11)
+			root, nv, dev := checkpointState(t, c)
+			alloc, err := loadAllocs(c, img)
+			// Slabs and index tables for the blocks an image actually
+			// carries, and a few KiB of buffers.
+			if limit := uint64(1<<20 + 64*len(img)); alloc > limit {
+				t.Fatalf("%s: a %d-byte image allocated %d bytes", p.Name(), len(img), alloc)
+			}
+			if err == nil {
+				continue
+			}
+			root2, nv2, dev2 := checkpointState(t, c)
+			if !bytes.Equal(root, root2) || !bytes.Equal(nv, nv2) || !bytes.Equal(dev, dev2) {
+				t.Fatalf("%s: image refused (%v) but the controller changed", p.Name(), err)
+			}
+		}
+	})
 }

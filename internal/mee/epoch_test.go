@@ -337,7 +337,7 @@ func TestCommitErrorCarriesCycles(t *testing.T) {
 // writes), and a warm WriteBlock — a 1-op epoch out of
 // controller-owned scratch — less than one on average (it was 1: the
 // escaping ciphertext). Means little under the race detector, which
-// allocates on its own; CI runs it in the bench-smoke job.
+// allocates on its own; `scripts/check.sh bench` runs it without.
 func TestEpochCommitAllocs(t *testing.T) {
 	policy, err := mee.NewPolicy("leaf", mee.PolicyOptions{})
 	if err != nil {

@@ -28,7 +28,7 @@
 // the lock for a long time (recovery, heal, checkpoint), and a reader
 // sleeping on the mutex would defeat the fallback path's purpose.
 //
-// Invariants (documented for DESIGN.md §15):
+// Invariants (documented in DESIGN.md §3.4):
 //
 //  1. A reader acks only data whose counter chain hashes to a trust
 //     anchor (root register, policy anchor, or cache-resident node)

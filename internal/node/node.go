@@ -73,13 +73,17 @@ func (n *Node) Store() *store.Store { return n.st }
 // Introspection is amntd's telemetry-server wiring: the node's routes,
 // and /metrics and /vars sampled from the store and span columns on
 // every scrape. Those columns read only atomics or histograms cloned
-// under a lock, so no background sampler is needed.
+// under a lock, so no background sampler is needed. The registry is
+// built per scrape, so the per-shard columns follow the partitions
+// hosted at that moment, migrations included.
 func (n *Node) Introspection() telemetry.ServeOptions {
-	reg := telemetry.NewRegistry()
-	n.st.RegisterMetrics(reg)
-	n.tr.rec.RegisterMetrics(reg)
 	return telemetry.ServeOptions{
-		Metrics:  func() *telemetry.Snapshot { return reg.Sample(n.st.TotalCycles()) },
+		Metrics: func() *telemetry.Snapshot {
+			reg := telemetry.NewRegistry()
+			n.st.RegisterMetrics(reg)
+			n.tr.rec.RegisterMetrics(reg)
+			return reg.Sample(n.st.TotalCycles())
+		},
 		Register: n.Mount,
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"amnt/internal/cluster"
 	_ "amnt/internal/core"
 	"amnt/internal/store"
+	"amnt/internal/telemetry"
 	"amnt/internal/telemetry/span"
 	"amnt/internal/wire"
 )
@@ -918,5 +919,72 @@ func TestFenced503OverHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-abort put status %d", resp.StatusCode)
+	}
+}
+
+// TestIntrospectionFollowsLiveShards: /metrics carries per-shard
+// columns for the partitions hosted at scrape time, so a partition
+// attached by migration after the telemetry server started gets its
+// columns, and a detached one loses them.
+func TestIntrospectionFollowsLiveShards(t *testing.T) {
+	members := []cluster.Member{{ID: "a"}, {ID: "b"}}
+	ring := cluster.InitialState(4, 0, members)
+	mk := func(id string) (*Node, *store.Store) {
+		owned := cluster.OwnedBy(ring, id)
+		_, n, st := testNode(t, store.Config{
+			Shards:        len(owned),
+			Partitions:    4,
+			Owned:         owned,
+			ShardMemBytes: 256 << 10,
+			Protocol:      "leaf",
+			QueueDepth:    64,
+			BatchMax:      8,
+		}, Options{NodeID: id, Ring: ring})
+		return n, st
+	}
+	_, stA := mk("a")
+	nB, stB := mk("b")
+	srv, err := telemetry.Serve("127.0.0.1:0", nB.Introspection())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+
+	part := cluster.OwnedBy(ring, "a")[0]
+	column := fmt.Sprintf("amnt_store_shard%d_gets ", part)
+	hasColumn := func() bool {
+		resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Contains(body, []byte("\n"+column))
+	}
+	if hasColumn() {
+		t.Fatalf("node b serves %q before hosting partition %d", column, part)
+	}
+	ctx := context.Background()
+	img, err := stA.MigrateBegin(ctx, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stB.MigrateAttach(part, bytes.NewReader(img)); err != nil {
+		t.Fatal(err)
+	}
+	if err := stB.MigrateActivate(part); err != nil {
+		t.Fatal(err)
+	}
+	if !hasColumn() {
+		t.Fatalf("attached partition %d has no %q column", part, column)
+	}
+	if err := stB.MigrateDetach(ctx, part); err != nil {
+		t.Fatal(err)
+	}
+	if hasColumn() {
+		t.Fatalf("detached partition %d still has a %q column", part, column)
 	}
 }

@@ -274,10 +274,9 @@ func b2f(b bool) float64 {
 // shards), plus the state gauges and epoch histograms. Every column
 // reads only published atomics, channel lengths or histograms cloned
 // under a lock, so a scrape may sample from any goroutine without
-// racing the shard workers. Per-shard columns are
-// minted for the partitions hosted at registration time; partitions
-// that attach later feed the aggregate columns (which read the live
-// table) but get no dedicated columns until the next restart.
+// racing the shard workers. Per-shard columns are minted for the
+// partitions hosted at registration time, so a caller that must follow
+// migrations registers into a fresh registry per scrape.
 func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
 	for c, row := range counterTable {
 		c := counter(c)

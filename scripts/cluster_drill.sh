@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # cluster_drill.sh — the end-to-end multi-node drill behind
-# BENCH_cluster.json and the cluster-smoke CI job.
+# BENCH_cluster.json and `scripts/check.sh cluster`.
 #
 # Boots a 3-node amntd cluster behind amntproxy (shared checkpoint
 # directory), then:
