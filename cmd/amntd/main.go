@@ -95,7 +95,6 @@ func main() {
 		advertise  = flag.String("advertise", "", "base URL peers and routers reach this node at")
 		clusterSet = flag.String("cluster-nodes", "", "full member list as id=url,id=url — every node and router must pass the same list")
 		partitions = flag.Int("partitions", 0, "cluster partition count (0 = 64 in cluster mode, = -shards standalone)")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per member on the consistent-hash ring (0 = 128)")
 	)
 	flag.Parse()
 	fail := func(err error) {
@@ -139,7 +138,7 @@ func main() {
 		if !self {
 			fail(fmt.Errorf("node %q is not in -cluster-nodes", *nodeID))
 		}
-		ring = cluster.InitialState(*partitions, *vnodes, members)
+		ring = cluster.InitialState(*partitions, cluster.DefaultVNodes, members)
 		cfg.Partitions = ring.Partitions
 		owned := cluster.OwnedBy(ring, *nodeID)
 		if owned == nil {

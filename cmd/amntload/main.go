@@ -1,44 +1,27 @@
 // Command amntload replays an internal/workload trace against a
-// running amntd as concurrent HTTP client traffic and reports
-// throughput and latency quantiles.
+// running amntd (or amntproxy) as concurrent HTTP traffic and reports
+// throughput and latency quantiles. Client i replays trace seed 1+i;
+// an access at VAddr is key (VAddr/64) % keyspace, a store a put and a
+// load a get. A value is derived from its key alone, so every get is
+// an end-to-end integrity check: a wrong value counts as a corruption
+// and fails the run.
 //
-// Each client walks its own deterministic trace: a workload access at
-// virtual address VAddr becomes key (VAddr/64) % keyspace; stores
-// become PUTs, loads become GETs. Values are derived from the key
-// alone, so every successful GET is also an end-to-end integrity
-// check — a response that decodes to the wrong key is counted as a
-// corruption (and fails the run).
+// One request loop issues every request. It buckets ops by owner (one
+// bucket at -addr, or one per ring owner with -cluster) and sends a
+// bucket once it holds -batch ops: a 1-op bucket as GET|PUT
+// /v1/kv/{key}, a larger one as POST /v1/batch, every op charged the
+// round trip. -preload runs the same loop, untimed, over a put of
+// every key. A 503 is retried in place with jittered backoff honouring
+// the server's hint; retried attempts are counted, never timed.
 //
-// 503 responses (backpressure, online recovery, or a quarantined
-// shard) are retried in place with jittered exponential backoff, up
-// to -retry-max attempts per op. The delay honors the server's
-// retry hint — the retry_after_ms body field first, then the
-// Retry-After header — before falling back to -retry-base doubling.
-// Retried attempts are counted separately (the `retries` report
-// field) and never observed into the latency histograms; only an op
-// whose retries are exhausted is charged as an overload with error
-// latency.
-//
-// With -batch N > 1 each client groups N consecutive trace ops into a
-// single POST /v1/batch request (puts and gets of the group travel
-// together), exercising the server's group-commit path; every op in
-// the group is charged the batch round-trip latency.
-//
-// Cluster mode (-cluster -nodes id=url,id=url,...) routes client-side
-// with the same consistent-hash ring library the nodes and amntproxy
-// use: every op goes straight to its key's owner, batches are
-// bucketed per node, and a 421 Misdirected Request (a partition moved
-// mid-run) is followed once via its ownership hint — counted in the
-// `redirects` field — after patching the local ring. The report then
-// carries a per-node breakdown (ops, latency quantiles, retries,
-// redirects) merged across clients.
-//
-// Example:
+// -cluster reads the ring with one GET /v1/ring on -addr (any node or
+// the proxy). A not-owned answer (a partition moved mid-run) refreshes
+// the ring from the node that bounced it, counts a redirect, and
+// counts the op as retryable.
 //
 //	amntload -addr http://localhost:8080 -workload ycsb-a -clients 8 -ops 20000
 //	amntload -addr http://localhost:8080 -batch 32 -json > BENCH_store.json
-//	amntload -cluster -nodes n1=http://127.0.0.1:8081,n2=http://127.0.0.1:8082 \
-//	         -batch 32 -json > BENCH_cluster.json
+//	amntload -cluster -addr http://127.0.0.1:8081 -batch 32 -json
 package main
 
 import (
@@ -46,13 +29,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,208 +48,122 @@ import (
 	"amnt/internal/workload"
 )
 
+const (
+	keyspace     = 1 << 14              // distinct keys
+	valueLen     = 24                   // value bytes: 8-byte key stamp + filler
+	traceSeed    = 1                    // client i replays trace seed traceSeed+i
+	retryMax     = 4                    // 503 retries per request before it counts as an overload
+	retryBase    = 5 * time.Millisecond // backoff floor when the server sends no hint
+	preloadBatch = 128                  // ops per request of the untimed -preload pass
+)
+
+// config is the command line but -json.
+type config struct {
+	addr, workload      string
+	clients, ops, batch int
+	preload, cluster    bool
+}
+
 func main() {
-	var (
-		addr      = flag.String("addr", "http://localhost:8080", "amntd base URL")
-		name      = flag.String("workload", "ycsb-a", "workload name (workload.ByName) or 'uniform'")
-		clients   = flag.Int("clients", 8, "concurrent client goroutines")
-		ops       = flag.Int("ops", 20000, "total operations across all clients")
-		keyspace  = flag.Uint64("keyspace", 1<<14, "distinct keys")
-		valueLen  = flag.Int("value-len", 24, "value payload bytes (8-byte key stamp + filler)")
-		seed      = flag.Int64("seed", 1, "trace seed")
-		writeFrac = flag.Float64("write-frac", 0.5, "store fraction for -workload uniform")
-		batchN    = flag.Int("batch", 1, "ops per POST /v1/batch request (1 = per-op /v1/kv)")
-		retryMax  = flag.Int("retry-max", 4, "503 retries per op before counting it as an overload (0 = never retry)")
-		retryBase = flag.Duration("retry-base", 5*time.Millisecond, "backoff floor for 503 retries when the server sends no retry hint")
-		jsonOut   = flag.Bool("json", false, "emit the report as JSON (BENCH_store.json format)")
-		preload   = flag.Bool("preload", false, "PUT every key in -keyspace before the timed run, so read-only workloads measure verified reads instead of first-touch misses")
-
-		clusterOn  = flag.Bool("cluster", false, "route client-side by consistent-hash ring instead of a single -addr")
-		nodesSet   = flag.String("nodes", "", "cluster member list as id=url,id=url — must match the nodes' -cluster-nodes")
-		partitions = flag.Int("partitions", 0, "cluster partition count (0 = 64); must match the nodes")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per ring member (0 = 128); must match the nodes")
-	)
+	addr := flag.String("addr", "http://localhost:8080", "amntd or amntproxy base URL; with -cluster, where the ring is read")
+	name := flag.String("workload", "ycsb-a", "workload name (workload.ByName)")
+	clients := flag.Int("clients", 8, "concurrent client goroutines")
+	ops := flag.Int("ops", 20000, "total operations across all clients")
+	batch := flag.Int("batch", 1, "ops per request (1 = per-op /v1/kv, more = POST /v1/batch)")
+	jsonOut := flag.Bool("json", false, "emit the report as JSON (BENCH_store.json format)")
+	preload := flag.Bool("preload", false, "put every key before the timed run, so read-only workloads measure verified reads instead of misses")
+	clusterOn := flag.Bool("cluster", false, "route each op to its ring owner, reading the ring from -addr")
 	flag.Parse()
-	if *valueLen < 8 || *valueLen > 63 {
-		fmt.Fprintln(os.Stderr, "amntload: -value-len must be in [8, 63]")
+
+	rep, err := load(config{*addr, *name, *clients, *ops, *batch, *preload, *clusterOn})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "amntload:", err)
 		os.Exit(1)
 	}
-	if *batchN < 1 {
-		fmt.Fprintln(os.Stderr, "amntload: -batch must be >= 1")
-		os.Exit(1)
-	}
-
-	spec, ok := workload.ByName(*name)
-	if !ok {
-		if *name != "uniform" {
-			fmt.Fprintf(os.Stderr, "amntload: unknown workload %q (have %v, uniform)\n", *name, workload.Names())
-			os.Exit(1)
-		}
-		spec = workload.Spec{
-			Name: "uniform", Suite: "synthetic", Model: workload.Chase,
-			FootprintBytes: *keyspace * 64, WriteRatio: *writeFrac,
-			Accesses: uint64(*ops),
-		}
-	}
-
-	// Cluster mode: one shared ring-routing client so 421 hints
-	// learned by any load goroutine help them all.
-	var router *cluster.Client
-	if *clusterOn {
-		members, err := cluster.ParseMembers(*nodesSet)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "amntload:", err)
-			os.Exit(1)
-		}
-		if len(members) == 0 {
-			fmt.Fprintln(os.Stderr, "amntload: -cluster needs -nodes id=url,id=url,...")
-			os.Exit(1)
-		}
-		router = cluster.NewClient(cluster.InitialState(*partitions, *vnodes, members))
-	}
-
-	// Preload: store the whole keyspace before the timed run, so a
-	// read-only workload (ycsb-c) measures verified reads instead of
-	// first-touch zero fills, and every GET is an integrity check.
-	if *preload {
-		if n := preloadKeyspace(*addr, router, *keyspace, *valueLen, *clients); n > 0 {
-			fmt.Fprintf(os.Stderr, "amntload: preload: %d of %d keys failed\n", n, *keyspace)
-			os.Exit(1)
-		}
-	}
-
-	perClient := *ops / *clients
-	if perClient == 0 {
-		perClient = 1
-	}
-	results := make([]clientResult, *clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < *clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cs := spec
-			cs.Accesses = uint64(perClient)
-			rp := &retryPolicy{
-				max:  *retryMax,
-				base: *retryBase,
-				rng:  rand.New(rand.NewSource(*seed ^ int64(i)*0x9E3779B9)),
-			}
-			results[i] = runClient(*addr, router, workload.NewTrace(cs, *seed+int64(i)), *keyspace, *valueLen, *batchN, rp)
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	// Merge per-client latency histograms (microsecond keys) and
-	// counters into one report.
-	merged := report{
-		Workload: spec.Name, Clients: *clients, Batch: *batchN, ValueLen: *valueLen,
-		Keyspace: *keyspace, DurationSec: wall.Seconds(),
-	}
-	getHist, putHist, errHist := stats.NewHistogram(), stats.NewHistogram(), stats.NewHistogram()
-	srvTotal := stats.NewHistogram()
-	var phaseHist [span.NumPhases]*stats.Histogram
-	for p := range phaseHist {
-		phaseHist[p] = stats.NewHistogram()
-	}
-	nodeSums := map[string]*nodeAgg{}
-	for _, r := range results {
-		merged.Gets += r.gets
-		merged.Puts += r.puts
-		merged.NotFound += r.notFound
-		merged.Overloads += r.overloads
-		merged.Retries += r.retries
-		merged.Redirects += r.redirects
-		merged.Corruptions += r.corruptions
-		merged.Errors += r.errors
-		merged.TimingSamples += r.timings
-		getHist.Merge(r.getLat)
-		putHist.Merge(r.putLat)
-		errHist.Merge(r.errLat)
-		srvTotal.Merge(r.srvTotal)
-		for p := range phaseHist {
-			phaseHist[p].Merge(r.phaseLat[p])
-		}
-		for id, agg := range r.nodes {
-			sum := nodeSums[id]
-			if sum == nil {
-				sum = &nodeAgg{lat: stats.NewHistogram()}
-				nodeSums[id] = sum
-			}
-			sum.gets += agg.gets
-			sum.puts += agg.puts
-			sum.retries += agg.retries
-			sum.redirects += agg.redirects
-			sum.lat.Merge(agg.lat)
-		}
-	}
-	total := merged.Gets + merged.Puts
-	if wall > 0 {
-		merged.OpsPerSec = float64(total) / wall.Seconds()
-	}
-	merged.GetLat = quantiles(getHist)
-	merged.PutLat = quantiles(putHist)
-	merged.ErrLat = quantiles(errHist)
-	if merged.TimingSamples > 0 {
-		merged.PhaseLat = make(map[string]latQuantiles)
-		for p := span.Phase(0); p < span.NumPhases; p++ {
-			if !phaseHist[p].Empty() {
-				merged.PhaseLat[p.String()] = quantiles(phaseHist[p])
-			}
-		}
-		merged.PhaseLat["total"] = quantiles(srvTotal)
-	}
-	if len(nodeSums) > 0 {
-		merged.Nodes = make(map[string]nodeReport, len(nodeSums))
-		for id, sum := range nodeSums {
-			merged.Nodes[id] = nodeReport{
-				Ops:       sum.gets + sum.puts,
-				Gets:      sum.gets,
-				Puts:      sum.puts,
-				Retries:   sum.retries,
-				Redirects: sum.redirects,
-				Lat:       quantiles(sum.lat),
-			}
-		}
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(merged)
+		_ = enc.Encode(rep)
 	} else {
-		fmt.Printf("workload %s: %d ops (%d gets, %d puts) in %.2fs = %.0f ops/s\n",
-			merged.Workload, total, merged.Gets, merged.Puts, merged.DurationSec, merged.OpsPerSec)
-		fmt.Printf("get latency µs: p50=%d p99=%d max=%d\n",
-			merged.GetLat.P50, merged.GetLat.P99, merged.GetLat.Max)
-		fmt.Printf("put latency µs: p50=%d p99=%d max=%d\n",
-			merged.PutLat.P50, merged.PutLat.P99, merged.PutLat.Max)
-		if !errHist.Empty() {
-			fmt.Printf("error latency µs: p50=%d p99=%d max=%d\n",
-				merged.ErrLat.P50, merged.ErrLat.P99, merged.ErrLat.Max)
-		}
-		fmt.Printf("not-found=%d overloaded=%d retries=%d redirects=%d errors=%d corruptions=%d\n",
-			merged.NotFound, merged.Overloads, merged.Retries, merged.Redirects, merged.Errors, merged.Corruptions)
-		for id, n := range merged.Nodes {
-			fmt.Printf("node %s: %d ops (%d gets, %d puts) p50=%dµs p99=%dµs retries=%d redirects=%d\n",
-				id, n.Ops, n.Gets, n.Puts, n.Lat.P50, n.Lat.P99, n.Retries, n.Redirects)
-		}
-		if merged.TimingSamples > 0 {
-			fmt.Printf("server phase breakdown (p50 µs over %d samples):", merged.TimingSamples)
-			for p := span.Phase(0); p < span.NumPhases; p++ {
-				if q, ok := merged.PhaseLat[p.String()]; ok {
-					fmt.Printf(" %s=%d", p, q.P50)
-				}
-			}
-			fmt.Printf(" total=%d\n", merged.PhaseLat["total"].P50)
-		}
+		rep.print()
 	}
-	if merged.Corruptions > 0 {
+	if rep.Corruptions > 0 {
 		fmt.Fprintln(os.Stderr, "amntload: CORRUPTION observed")
 		os.Exit(1)
 	}
+}
+
+// load runs cfg, reading the ring from cfg.addr first with -cluster.
+func load(cfg config) (report, error) {
+	var router *cluster.Client
+	if cfg.cluster {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		router = cluster.NewClient(nil)
+		if ok, err := router.Refresh(ctx, http.DefaultClient, cfg.addr); !ok {
+			return report{}, fmt.Errorf("-cluster: no ring from %s: %v", cfg.addr, err)
+		}
+	}
+	return drive(cfg, router)
+}
+
+// drive runs the preload and the timed run (router nil: to cfg.addr).
+func drive(cfg config, router *cluster.Client) (report, error) {
+	spec, ok := workload.ByName(cfg.workload)
+	if !ok {
+		return report{}, fmt.Errorf("unknown workload %q (have %v)", cfg.workload, workload.Names())
+	}
+	if cfg.batch < 1 || cfg.clients < 1 {
+		return report{}, errors.New("-batch and -clients must be >= 1")
+	}
+	if cfg.preload {
+		ops := make([][]op, cfg.clients)
+		for k := uint64(0); k < keyspace; k++ {
+			i := k % uint64(cfg.clients)
+			ops[i] = append(ops[i], op{key: k, write: true})
+		}
+		t := runClients(cfg, router, preloadBatch, ops)
+		if failed := t.NotFound + t.Overloads + t.Errors; failed > 0 {
+			return report{}, fmt.Errorf("preload: %d of %d keys failed", failed, keyspace)
+		}
+	}
+
+	// Each client replays its own trace, built before the clock starts.
+	spec.Accesses = uint64(max(cfg.ops/cfg.clients, 1))
+	ops := make([][]op, cfg.clients)
+	for i := range ops {
+		trace := workload.NewTrace(spec, traceSeed+int64(i))
+		for acc, more := trace.Next(); more; acc, more = trace.Next() {
+			ops[i] = append(ops[i], op{key: (acc.VAddr / 64) % keyspace, write: acc.Write})
+		}
+	}
+	start := time.Now()
+	t := runClients(cfg, router, cfg.batch, ops)
+	return t.finish(cfg, spec.Name, time.Since(start)), nil
+}
+
+// runClients runs one request loop per ops[i] and tallies them.
+func runClients(cfg config, router *cluster.Client, batch int, ops [][]op) *tally {
+	t := newTally()
+	var wg sync.WaitGroup
+	for i := range ops {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := &client{
+				addr:    cfg.addr,
+				router:  router,
+				batch:   batch,
+				httpc:   &http.Client{Timeout: 10 * time.Second},
+				rp:      &retryPolicy{max: retryMax, base: retryBase, rng: rand.New(rand.NewSource(traceSeed ^ int64(i)*0x9E3779B9))},
+				t:       t,
+				buckets: map[string]*bucket{},
+			}
+			c.run(ops[i])
+		}(i)
+	}
+	wg.Wait()
+	return t
 }
 
 type latQuantiles struct {
@@ -277,12 +174,7 @@ type latQuantiles struct {
 }
 
 func quantiles(h *stats.Histogram) latQuantiles {
-	return latQuantiles{
-		P50: h.Quantile(0.50),
-		P90: h.Quantile(0.90),
-		P99: h.Quantile(0.99),
-		Max: h.Quantile(1.0),
-	}
+	return latQuantiles{h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Quantile(1.0)}
 }
 
 type report struct {
@@ -296,35 +188,26 @@ type report struct {
 	Gets        uint64  `json:"gets"`
 	Puts        uint64  `json:"puts"`
 	NotFound    uint64  `json:"not_found"`
-	// Overloads counts ops whose 503 retries were exhausted; Retries
-	// counts the retried attempts themselves. Retried attempts are
-	// excluded from every latency histogram (including errors_latency)
-	// so backoff sleeps cannot masquerade as service time.
-	Overloads uint64 `json:"overloads"`
-	Retries   uint64 `json:"retries"`
-	// Redirects counts 421 Misdirected Request answers that were
-	// followed via their ownership hint (cluster mode only): each one
-	// is a partition the client's ring had stale until the hint
-	// patched it.
+	// Overloads counts retryable and not-owned ops, Retries the 503s
+	// retried in place, Redirects the rings installed from not-owned.
+	Overloads   uint64       `json:"overloads"`
+	Retries     uint64       `json:"retries"`
 	Redirects   uint64       `json:"redirects,omitempty"`
 	Errors      uint64       `json:"errors"`
 	Corruptions uint64       `json:"corruptions"`
 	GetLat      latQuantiles `json:"get_latency"`
 	PutLat      latQuantiles `json:"put_latency"`
-	// ErrLat holds latencies of overloaded and failed requests; they
-	// are excluded from get_latency/put_latency.
+	// ErrLat times the retryable, not-owned and failed ops, which
+	// get_latency and put_latency leave out.
 	ErrLat latQuantiles `json:"errors_latency"`
-	// TimingSamples counts responses that carried a server-side phase
-	// breakdown; PhaseLat aggregates them per span phase (plus the
-	// server-observed "total"), omitting phases with no samples.
+	// PhaseLat aggregates the server-side phase breakdowns (`timing`)
+	// of TimingSamples responses per span phase, plus "total".
 	TimingSamples uint64                  `json:"timing_samples"`
 	PhaseLat      map[string]latQuantiles `json:"phase_latency,omitempty"`
-	// Nodes is the cluster-mode per-node breakdown, merged across
-	// clients (histograms via stats.Histogram.Merge).
-	Nodes map[string]nodeReport `json:"nodes,omitempty"`
+	Nodes         map[string]nodeReport   `json:"nodes,omitempty"`
 }
 
-// nodeReport is one node's slice of a cluster-mode run.
+// nodeReport is one node's successful ops, retries and redirects.
 type nodeReport struct {
 	Ops       uint64       `json:"ops"`
 	Gets      uint64       `json:"gets"`
@@ -334,90 +217,199 @@ type nodeReport struct {
 	Lat       latQuantiles `json:"latency"`
 }
 
-// nodeAgg accumulates one client's traffic to one node; successful
-// request latencies only, matching the top-level histograms.
-type nodeAgg struct {
-	gets, puts, retries, redirects uint64
-	lat                            *stats.Histogram
+// print writes a summary; -json adds the phase and node breakdowns.
+func (rep *report) print() {
+	fmt.Printf("workload %s: %d ops (%d gets, %d puts) in %.2fs = %.0f ops/s\n",
+		rep.Workload, rep.Gets+rep.Puts, rep.Gets, rep.Puts, rep.DurationSec, rep.OpsPerSec)
+	fmt.Printf("latency µs: get p50=%d p99=%d, put p50=%d p99=%d, error p50=%d p99=%d\n", rep.GetLat.P50,
+		rep.GetLat.P99, rep.PutLat.P50, rep.PutLat.P99, rep.ErrLat.P50, rep.ErrLat.P99)
+	fmt.Printf("not-found=%d overloaded=%d retries=%d redirects=%d errors=%d corruptions=%d\n",
+		rep.NotFound, rep.Overloads, rep.Retries, rep.Redirects, rep.Errors, rep.Corruptions)
 }
 
-type clientResult struct {
-	gets, puts, notFound, overloads, corruptions, errors uint64
-	// retries counts 503 attempts that were retried in place rather
-	// than charged to the op's outcome; redirects counts followed 421
-	// ownership hints (cluster mode).
-	retries, redirects uint64
-	// nodes is the cluster-mode per-node breakdown, keyed by node id.
-	nodes map[string]*nodeAgg
-	// getLat/putLat hold successful request latencies only (a miss is
-	// a success); overloaded and failed requests land in errLat so
-	// backpressure spikes cannot skew the service-time quantiles.
+// outcome is what one op came back as.
+type outcome int
+
+const (
+	outOK outcome = iota
+	outNotFound
+	outRetryable
+	outNotOwned
+	outFailed
+	outCorrupt
+)
+
+// classify maps an op's HTTP status and error text to an outcome. A
+// batch reports per-op errors inside a 200, so there the text decides.
+func classify(status int, msg string) outcome {
+	switch {
+	case status == http.StatusMisdirectedRequest || strings.Contains(msg, "not owned"):
+		return outNotOwned
+	case status == http.StatusServiceUnavailable,
+		strings.Contains(msg, "queue full"),
+		strings.Contains(msg, "recovering"),
+		strings.Contains(msg, "shard failed"),
+		strings.Contains(msg, "fenced"),
+		strings.Contains(msg, "adopt"),
+		strings.Contains(msg, "down"):
+		return outRetryable
+	case status == http.StatusNotFound || strings.Contains(msg, "not found"):
+		return outNotFound
+	case status/100 == 2 && msg == "":
+		return outOK
+	}
+	return outFailed
+}
+
+// tally accumulates one run's report and the histograms behind its
+// quantiles. The clients share one; its methods lock.
+type tally struct {
+	mu sync.Mutex
+	report
 	getLat, putLat, errLat *stats.Histogram
-
-	// Server-side phase breakdown, aggregated from the `timing` field
-	// amntd embeds in sampled responses: one histogram per span phase
-	// plus the server-observed total.
-	timings  uint64
-	phaseLat [span.NumPhases]*stats.Histogram
-	srvTotal *stats.Histogram
+	phaseLat               [span.NumPhases]*stats.Histogram
+	srvTotal               *stats.Histogram
+	nodes                  map[string]*nodeTally // by node id; "" is standalone
 }
 
-// node returns the per-node aggregate for id, creating it on first
-// touch. A blank id (single-node mode) aggregates nowhere.
-func (res *clientResult) node(id string) *nodeAgg {
-	if id == "" {
-		return nil
-	}
-	if res.nodes == nil {
-		res.nodes = map[string]*nodeAgg{}
-	}
-	agg := res.nodes[id]
-	if agg == nil {
-		agg = &nodeAgg{lat: stats.NewHistogram()}
-		res.nodes[id] = agg
-	}
-	return agg
+// nodeTally is one node's share of a cluster-mode tally.
+type nodeTally struct {
+	nodeReport
+	lat *stats.Histogram
 }
 
-// observeTiming folds one server-reported phase breakdown into the
-// client's aggregates. Phases the request never entered report 0 and
-// contribute no sample (the zero-sample contract keeps their
-// quantiles honest).
-func (res *clientResult) observeTiming(raw []byte) {
-	var t span.Timing
-	if raw == nil || json.Unmarshal(raw, &t) != nil {
+func newTally() *tally {
+	t := &tally{
+		getLat: stats.NewHistogram(), putLat: stats.NewHistogram(),
+		errLat: stats.NewHistogram(), srvTotal: stats.NewHistogram(),
+		nodes: map[string]*nodeTally{},
+	}
+	for p := range t.phaseLat {
+		t.phaseLat[p] = stats.NewHistogram()
+	}
+	return t
+}
+
+// node returns node id's share. The caller holds t.mu.
+func (t *tally) node(id string) *nodeTally {
+	n := t.nodes[id]
+	if n == nil {
+		n = &nodeTally{lat: stats.NewHistogram()}
+		t.nodes[id] = n
+	}
+	return n
+}
+
+// request records a round trip to node id: its retried 503s and
+// whether its not-owned answer installed a newer ring.
+func (t *tally) request(id string, retries int, redirected bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := t.node(id)
+	t.Retries += uint64(retries)
+	n.Retries += uint64(retries)
+	if redirected {
+		t.Redirects++
+		n.Redirects++
+	}
+}
+
+// count charges one op's outcome and round trip (us microseconds): a
+// success (a miss or a corrupt value too) to the get or put histogram
+// and node id's share, anything else to errLat, so backpressure
+// cannot skew the service-time quantiles.
+func (t *tally) count(id string, write bool, o outcome, us uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	nt := t.node(id)
+	lat, n, nn := t.getLat, &t.Gets, &nt.Gets
+	if write {
+		lat, n, nn = t.putLat, &t.Puts, &nt.Puts
+	}
+	*n++
+	switch o {
+	case outRetryable, outNotOwned:
+		t.Overloads++
+		t.errLat.Observe(us)
+		return
+	case outFailed:
+		t.Errors++
+		t.errLat.Observe(us)
+		return
+	case outNotFound:
+		t.NotFound++
+	case outCorrupt:
+		t.Corruptions++
+	}
+	*nn++
+	lat.Observe(us)
+	nt.lat.Observe(us)
+}
+
+// observeTiming folds in one response's server-side phase breakdown.
+// A phase the request never entered reports 0 and adds no sample.
+func (t *tally) observeTiming(raw []byte) {
+	var tm span.Timing
+	if raw == nil || json.Unmarshal(raw, &tm) != nil {
 		return
 	}
-	res.timings++
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.TimingSamples++
 	for p, us := range [span.NumPhases]int64{
-		span.QueueWait:     t.QueueWaitUs,
-		span.EpochStage:    t.EpochStageUs,
-		span.CommitClimb:   t.CommitClimbUs,
-		span.Persist:       t.PersistUs,
-		span.EpochFallback: t.EpochFallbackUs,
-		span.Forward:       t.ForwardUs,
-		span.Ack:           t.AckUs,
-		span.ReadVerify:    t.ReadVerifyUs,
+		span.QueueWait:     tm.QueueWaitUs,
+		span.EpochStage:    tm.EpochStageUs,
+		span.CommitClimb:   tm.CommitClimbUs,
+		span.Persist:       tm.PersistUs,
+		span.EpochFallback: tm.EpochFallbackUs,
+		span.Forward:       tm.ForwardUs,
+		span.Ack:           tm.AckUs,
+		span.ReadVerify:    tm.ReadVerifyUs,
 	} {
 		if us > 0 {
-			res.phaseLat[p].Observe(uint64(us))
+			t.phaseLat[p].Observe(uint64(us))
 		}
 	}
-	res.srvTotal.Observe(uint64(t.TotalUs))
+	t.srvTotal.Observe(uint64(tm.TotalUs))
 }
 
-// retryPolicy is one client's 503-retry behavior: up to max retries
-// per op with jittered exponential backoff, honoring the server's
-// retry hint when it sends one.
+// finish renders the tally of a run that took wall.
+func (t *tally) finish(cfg config, name string, wall time.Duration) report {
+	rep := t.report
+	rep.Workload, rep.Clients, rep.Batch, rep.Keyspace, rep.ValueLen = name, cfg.clients, cfg.batch, keyspace, valueLen
+	rep.DurationSec = wall.Seconds()
+	if wall > 0 {
+		rep.OpsPerSec = float64(rep.Gets+rep.Puts) / wall.Seconds()
+	}
+	rep.GetLat, rep.PutLat, rep.ErrLat = quantiles(t.getLat), quantiles(t.putLat), quantiles(t.errLat)
+	if rep.TimingSamples > 0 {
+		rep.PhaseLat = map[string]latQuantiles{"total": quantiles(t.srvTotal)}
+		for p := span.Phase(0); p < span.NumPhases; p++ {
+			if !t.phaseLat[p].Empty() {
+				rep.PhaseLat[p.String()] = quantiles(t.phaseLat[p])
+			}
+		}
+	}
+	rep.Nodes = map[string]nodeReport{} // left out of the JSON when empty
+	for id, n := range t.nodes {
+		if id != "" {
+			n.Ops, n.Lat = n.Gets+n.Puts, quantiles(n.lat)
+			rep.Nodes[id] = n.nodeReport
+		}
+	}
+	return rep
+}
+
+// retryPolicy is one client's 503 retry: up to max retries per
+// request, with jittered exponential backoff.
 type retryPolicy struct {
 	max  int
 	base time.Duration
 	rng  *rand.Rand
 }
 
-// retryHint extracts the server's preferred delay from a 503
-// response: the body's retry_after_ms field wins (finer-grained),
-// then the Retry-After header (whole seconds).
+// retryHint is a 503's preferred delay: the body's retry_after_ms
+// (finer-grained) wins over the Retry-After header (whole seconds).
 func retryHint(resp *http.Response, body []byte) time.Duration {
 	var out struct {
 		RetryAfterMS int64 `json:"retry_after_ms"`
@@ -433,24 +425,19 @@ func retryHint(resp *http.Response, body []byte) time.Duration {
 	return 0
 }
 
-// wait computes the sleep before retry n (1-based): the larger of
-// the doubling local base and the server hint, jittered over
-// [d/2, 3d/2) so synchronized clients spread out instead of
-// stampeding the recovering shard.
+// wait is the sleep before retry n (from 1): the larger of the
+// doubling base and the server hint, jittered over [d/2, 3d/2) so
+// clients spread out instead of stampeding a recovering shard.
 func (rp *retryPolicy) wait(n int, hint time.Duration) time.Duration {
 	d := rp.base << uint(n-1)
 	if hint > d {
 		d = hint
 	}
-	if d <= 0 {
-		d = time.Millisecond
-	}
 	return d/2 + time.Duration(rp.rng.Int63n(int64(d)+1))
 }
 
-// attempt is one HTTP try: the response (body already drained and
-// closed), the raw body, and the attempt's wall time in
-// microseconds.
+// attempt is one HTTP try: the response (body drained and closed),
+// the body, and the try's wall time in microseconds.
 type attempt struct {
 	resp *http.Response
 	body []byte
@@ -458,402 +445,175 @@ type attempt struct {
 	err  error
 }
 
-// timedDo issues one request, drains the body, and stamps the wall
-// time. The caller owns outcome classification.
-func timedDo(httpc *http.Client, req *http.Request) attempt {
-	t0 := time.Now()
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return attempt{us: uint64(time.Since(t0).Microseconds()), err: err}
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	return attempt{resp: resp, body: body, us: uint64(time.Since(t0).Microseconds())}
-}
-
-// do runs fn with 503-retry. Only the final attempt is returned for
-// outcome accounting; each retried 503 increments res.retries and is
-// otherwise invisible — backoff sleeps never land in a latency
-// histogram.
-func (rp *retryPolicy) do(res *clientResult, fn func() attempt) attempt {
+// do issues the request newReq builds, retrying 503s, and returns the
+// final attempt and how many 503s it retried; backoff never lands in
+// a latency histogram.
+func (rp *retryPolicy) do(httpc *http.Client, newReq func() *http.Request) (attempt, int) {
 	for n := 1; ; n++ {
-		a := fn()
-		if a.err != nil || a.resp.StatusCode != http.StatusServiceUnavailable || n > rp.max {
-			return a
+		t0 := time.Now()
+		a := attempt{}
+		if a.resp, a.err = httpc.Do(newReq()); a.err == nil {
+			a.body, _ = io.ReadAll(a.resp.Body) // a short body fails to decode
+			a.resp.Body.Close()
 		}
-		res.retries++
+		a.us = uint64(time.Since(t0).Microseconds())
+		if a.err != nil || a.resp.StatusCode != http.StatusServiceUnavailable || n > rp.max {
+			return a, n - 1
+		}
 		time.Sleep(rp.wait(n, retryHint(a.resp, a.body)))
 	}
 }
 
-// valueFor derives a key's canonical value: the key stamped little-
-// endian into the first 8 bytes, deterministic filler after. Any GET
-// response must match this prefix regardless of which PUT it
-// observed.
-func valueFor(key uint64, n int) []byte {
-	v := make([]byte, n)
+// valueFor is key's value, whichever put wrote it: the key stamped
+// little-endian into the first 8 bytes, deterministic filler after.
+func valueFor(key uint64) []byte {
+	v := make([]byte, valueLen)
 	binary.LittleEndian.PutUint64(v, key)
-	for i := 8; i < n; i++ {
+	for i := 8; i < valueLen; i++ {
 		v[i] = byte(key>>uint(i%8)) ^ byte(i)
 	}
 	return v
 }
 
-// valueIntact reports whether b64, a value_b64 as it came off the
-// wire, decodes (into buf's slab) to the canonical value of key.
-func valueIntact(buf *wire.Buf, key uint64, b64 []byte) bool {
-	v, err := buf.Value(b64)
-	return err == nil && bytes.Equal(v, valueFor(key, len(v)))
+// op is one trace operation: a get or a put of key.
+type op struct {
+	key   uint64
+	write bool
 }
 
-// preloadKeyspace stores valueFor(k) at every key in [0, keyspace),
-// untimed, returning how many keys could not be stored after retries.
-// Standalone mode loads through POST /v1/batch in 128-key chunks;
-// cluster mode PUTs per key through the router (a chunk would span
-// owners).
-func preloadKeyspace(addr string, router *cluster.Client, keyspace uint64, valueLen, clients int) uint64 {
-	if clients < 1 {
-		clients = 1
-	}
-	httpc := &http.Client{Timeout: 30 * time.Second}
-	failed := make([]uint64, clients)
-	var wg sync.WaitGroup
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			buf := wire.Get()
-			defer buf.Release()
-			refused := func(o wire.Op) bool { return o.Err != "" }
-			// post stores puts at base, retrying until every key is acked.
-			post := func(base string, puts []wire.Op) bool {
-				buf.Out = wire.AppendRequest(buf.Out[:0], puts, nil)
-				for try := 0; try < 8; try++ {
-					if try > 0 {
-						time.Sleep(time.Duration(try) * 25 * time.Millisecond)
-					}
-					resp, err := httpc.Post(base+"/v1/batch", "application/json", bytes.NewReader(buf.Out))
-					if err != nil {
-						continue
-					}
-					rb, err := buf.ReadBody(resp.Body, 2*wire.MaxBatchBody)
-					resp.Body.Close()
-					if err == nil && resp.StatusCode == http.StatusOK && buf.Resp.Decode(rb) == nil && !slices.ContainsFunc(buf.Resp.Puts, refused) {
-						return true
-					}
-				}
-				return false
-			}
-			const chunk = 128
-			puts := make([]wire.Op, 0, chunk)
-			flush := func() {
-				if len(puts) > 0 && !post(addr, puts) {
-					failed[g] += uint64(len(puts))
-				}
-				puts = puts[:0]
-			}
-			for k := uint64(g); k < keyspace; k += uint64(clients) {
-				op := wire.Op{Key: k, Value: valueFor(k, valueLen)}
-				if router == nil {
-					puts = append(puts, op)
-					if len(puts) == chunk {
-						flush()
-					}
-					continue
-				}
-				base := addr
-				if _, b, err := router.Route(k); err == nil {
-					base = b
-				}
-				if !post(base, []wire.Op{op}) {
-					failed[g]++
-				}
-			}
-			flush()
-		}(g)
-	}
-	wg.Wait()
-	var n uint64
-	for _, f := range failed {
-		n += f
-	}
-	return n
+// bucket collects the ops bound for one owner until it holds a batch.
+type bucket struct {
+	id, base string
+	puts     []wire.Op
+	gets     []uint64
 }
 
-func runClient(addr string, router *cluster.Client, trace *workload.Trace, keyspace uint64, valueLen int, batch int, rp *retryPolicy) clientResult {
-	res := clientResult{
-		getLat: stats.NewHistogram(), putLat: stats.NewHistogram(),
-		errLat: stats.NewHistogram(), srvTotal: stats.NewHistogram(),
-	}
-	for p := range res.phaseLat {
-		res.phaseLat[p] = stats.NewHistogram()
-	}
-	httpc := &http.Client{Timeout: 10 * time.Second}
-	if batch > 1 {
-		runBatched(addr, router, trace, keyspace, valueLen, batch, httpc, &res, rp)
-		return res
-	}
-	// route resolves a key to (node id, base URL): the ring owner in
-	// cluster mode, the fixed -addr otherwise.
-	route := func(key uint64) (string, string) {
-		if router != nil {
-			if id, base, err := router.Route(key); err == nil {
-				return id, base
-			}
-		}
-		return "", addr
-	}
-	// doKV issues one routed request with 503-retry, charging retried
-	// attempts to the serving node. A final 421 (the partition moved
-	// mid-run) patches the local ring from the ownership hint and is
-	// followed exactly once.
-	doKV := func(key uint64, fn func(url string) attempt) (attempt, string) {
-		id, base := route(key)
-		issue := func(id, base string) attempt {
-			before := res.retries
-			a := rp.do(&res, func() attempt {
-				return fn(fmt.Sprintf("%s/v1/kv/%d", base, key))
-			})
-			if agg := res.node(id); agg != nil {
-				agg.retries += res.retries - before
-			}
-			return a
-		}
-		a := issue(id, base)
-		if router != nil && a.err == nil && a.resp.StatusCode == http.StatusMisdirectedRequest {
-			var h cluster.OwnershipHint
-			if json.Unmarshal(a.body, &h) == nil && h.OwnerAddr != "" {
-				router.Hint(h)
-				res.redirects++
-				if agg := res.node(id); agg != nil {
-					agg.redirects++
-				}
-				if rid, raddr, err := router.Route(key); err == nil {
-					id, base = rid, raddr
-				} else {
-					id, base = h.Owner, h.OwnerAddr
-				}
-				a = issue(id, base)
-			}
-		}
-		return a, id
-	}
-	var kv wire.KV
-	for {
-		acc, ok := trace.Next()
-		if !ok {
-			break
-		}
-		key := (acc.VAddr / 64) % keyspace
-		method, count, lat := http.MethodGet, &res.gets, res.getLat
-		if acc.Write {
-			method, count, lat = http.MethodPut, &res.puts, res.putLat
-		}
-		a, nid := doKV(key, func(url string) attempt {
-			var body io.Reader
-			if acc.Write {
-				body = bytes.NewReader(valueFor(key, valueLen))
-			}
-			req, _ := http.NewRequest(method, url, body)
-			return timedDo(httpc, req)
-		})
-		*count++
-		status := 0 // a transport error
-		if a.err == nil {
-			status = a.resp.StatusCode
-		}
-		// A miss is a valid answer: success latency, not error.
-		miss := !acc.Write && status == http.StatusNotFound
-		switch {
-		case miss:
-			res.notFound++
-		case status == http.StatusServiceUnavailable:
-			res.overloads++
-		case status/100 != 2:
-			res.errors++
-		}
-		if status/100 != 2 && !miss {
-			res.errLat.Observe(a.us)
-			continue
-		}
-		lat.Observe(a.us)
-		if agg := res.node(nid); agg != nil {
-			if acc.Write {
-				agg.puts++
-			} else {
-				agg.gets++
-			}
-			agg.lat.Observe(a.us)
-		}
-		if miss {
-			continue
-		}
-		if err := kv.Decode(a.body); err != nil {
-			if !acc.Write {
-				res.errors++
-			}
-			continue
-		}
-		res.observeTiming(kv.Timing)
-		if !acc.Write {
-			buf := wire.Get()
-			if !valueIntact(buf, key, kv.B64) {
-				res.corruptions++
-			}
-			buf.Release()
-		}
-	}
-	return res
+// client is one request loop.
+type client struct {
+	addr    string
+	router  *cluster.Client // nil: every op goes to addr
+	batch   int
+	httpc   *http.Client
+	rp      *retryPolicy
+	t       *tally
+	buckets map[string]*bucket
 }
 
-// runBatched replays the trace through POST /v1/batch, `batch` ops
-// per request. Per-key outcomes come back in place with HTTP 200, so
-// errors are classified by their message: backpressure (including a
-// migration write fence or an adoption in flight) counts as an
-// overload, a missing key as not-found, anything else as an error.
-// In cluster mode ops are bucketed per owning node — one batch never
-// spans nodes — and a per-key not-owned answer refreshes the local
-// ring from that node before the next bucket fills.
-func runBatched(addr string, router *cluster.Client, trace *workload.Trace, keyspace uint64, valueLen int, batch int, httpc *http.Client, res *clientResult, rp *retryPolicy) {
-	type bucket struct {
-		id, base string
-		puts     []wire.Op
-		gets     []uint64
-	}
-	var out wire.Response
-	buckets := map[string]*bucket{}
-	bucketFor := func(key uint64) *bucket {
-		id, base := "", addr
-		if router != nil {
-			if rid, raddr, err := router.Route(key); err == nil {
+// run buckets ops by owner and sends each bucket at c.batch ops.
+func (c *client) run(ops []op) {
+	for _, o := range ops {
+		id, base := "", c.addr
+		if c.router != nil {
+			if rid, raddr, err := c.router.Route(o.key); err == nil {
 				id, base = rid, raddr
 			}
 		}
-		b := buckets[id]
+		b := c.buckets[id]
 		if b == nil {
-			b = &bucket{id: id, base: base}
-			buckets[id] = b
+			b = &bucket{id: id}
+			c.buckets[id] = b
 		}
 		b.base = base
-		return b
-	}
-	flush := func(b *bucket) {
-		if len(b.puts)+len(b.gets) == 0 {
-			return
-		}
-		nOps := len(b.puts) + len(b.gets)
-		body := wire.AppendRequest(nil, b.puts, b.gets)
-		agg := res.node(b.id)
-		before := res.retries
-		a := rp.do(res, func() attempt {
-			req, _ := http.NewRequest(http.MethodPost, b.base+"/v1/batch", bytes.NewReader(body))
-			req.Header.Set("Content-Type", "application/json")
-			return timedDo(httpc, req)
-		})
-		if agg != nil {
-			agg.retries += res.retries - before
-		}
-		res.puts += uint64(len(b.puts))
-		res.gets += uint64(len(b.gets))
-		defer func() { b.puts, b.gets = b.puts[:0], b.gets[:0] }()
-		// Every op in the group is charged the batch round-trip
-		// latency; a failed round trip charges them all to errLat.
-		observeAll := func(h *stats.Histogram, n int) {
-			for i := 0; i < n; i++ {
-				h.Observe(a.us)
-			}
-		}
-		if a.err != nil {
-			res.errors += uint64(nOps)
-			observeAll(res.errLat, nOps)
-			return
-		}
-		if a.resp.StatusCode != http.StatusOK {
-			if a.resp.StatusCode == http.StatusServiceUnavailable {
-				res.overloads += uint64(nOps)
-			} else {
-				res.errors += uint64(nOps)
-			}
-			observeAll(res.errLat, nOps)
-			return
-		}
-		observeAll(res.putLat, len(b.puts))
-		observeAll(res.getLat, len(b.gets))
-		if agg != nil {
-			agg.puts += uint64(len(b.puts))
-			agg.gets += uint64(len(b.gets))
-			observeAll(agg.lat, nOps)
-		}
-		if err := out.Decode(a.body); err != nil {
-			res.errors += uint64(nOps)
-			return
-		}
-		res.observeTiming(out.Timing)
-		stale := false
-		classify := func(msg string) {
-			switch {
-			case strings.Contains(msg, "not owned"):
-				// The partition moved mid-run: retryable, and worth a
-				// ring refresh from the node that bounced us.
-				res.overloads++
-				stale = true
-			case strings.Contains(msg, "queue full"),
-				strings.Contains(msg, "recovering"),
-				strings.Contains(msg, "shard failed"),
-				strings.Contains(msg, "fenced"),
-				strings.Contains(msg, "adopt"),
-				strings.Contains(msg, "down"):
-				// Per-key retryable outcomes inside a 200 batch: counted
-				// like backpressure, not hard errors.
-				res.overloads++
-			case strings.Contains(msg, "not found"):
-				res.notFound++
-			default:
-				res.errors++
-			}
-		}
-		for _, p := range out.Puts {
-			if p.Err != "" {
-				classify(p.Err)
-			}
-		}
-		buf := wire.Get()
-		defer buf.Release()
-		for _, g := range out.Gets {
-			if g.Err != "" {
-				classify(g.Err)
-			} else if !valueIntact(buf, g.Key, g.B64) {
-				res.corruptions++
-			}
-		}
-		if stale && router != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			if ok, _ := router.Refresh(ctx, httpc, b.base); ok {
-				res.redirects++
-				if agg != nil {
-					agg.redirects++
-				}
-			}
-			cancel()
-		}
-	}
-	for {
-		acc, ok := trace.Next()
-		if !ok {
-			break
-		}
-		key := (acc.VAddr / 64) % keyspace
-		b := bucketFor(key)
-		if acc.Write {
-			b.puts = append(b.puts, wire.Op{Key: key, Value: valueFor(key, valueLen)})
+		if o.write {
+			b.puts = append(b.puts, wire.Op{Key: o.key, Value: valueFor(o.key)})
 		} else {
-			b.gets = append(b.gets, key)
+			b.gets = append(b.gets, o.key)
 		}
-		if len(b.puts)+len(b.gets) == batch {
-			flush(b)
+		if len(b.puts)+len(b.gets) == c.batch {
+			c.send(b)
 		}
 	}
-	for _, b := range buckets {
-		flush(b)
+	for _, b := range c.buckets {
+		c.send(b)
 	}
+}
+
+// send issues b and empties it: a 1-op bucket as GET|PUT /v1/kv/{key},
+// a larger one as POST /v1/batch. A not-owned answer refreshes the
+// ring from the node that bounced it.
+func (c *client) send(b *bucket) {
+	n := len(b.puts) + len(b.gets)
+	if n == 0 {
+		return
+	}
+	defer func() { b.puts, b.gets = b.puts[:0], b.gets[:0] }()
+	method, url, body := http.MethodPost, b.base+"/v1/batch", []byte(nil)
+	switch {
+	case n > 1:
+		body = wire.AppendRequest(nil, b.puts, b.gets)
+	case len(b.puts) == 1:
+		method, url, body = http.MethodPut, fmt.Sprintf("%s/v1/kv/%d", b.base, b.puts[0].Key), b.puts[0].Value
+	default:
+		method, url = http.MethodGet, fmt.Sprintf("%s/v1/kv/%d", b.base, b.gets[0])
+	}
+	a, retries := c.rp.do(c.httpc, func() *http.Request {
+		req, _ := http.NewRequest(method, url, bytes.NewReader(body))
+		return req
+	})
+	redirected := false
+	if c.answer(b, a) && c.router != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		redirected, _ = c.router.Refresh(ctx, c.httpc, b.base)
+	}
+	c.t.request(b.id, retries, redirected)
+}
+
+// answer counts one outcome per op of b, reporting any not owned.
+func (c *client) answer(b *bucket, a attempt) (stale bool) {
+	count := func(write bool, o outcome) {
+		c.t.count(b.id, write, o, a.us)
+		stale = stale || o == outNotOwned
+	}
+	all := func(o outcome) {
+		for range b.puts {
+			count(true, o)
+		}
+		for range b.gets {
+			count(false, o)
+		}
+	}
+	if a.err != nil {
+		all(outFailed)
+		return
+	}
+	if a.resp.StatusCode/100 != 2 {
+		all(classify(a.resp.StatusCode, string(a.body)))
+		return
+	}
+	var puts, gets []wire.Op
+	var timing []byte
+	if len(b.puts)+len(b.gets) == 1 { // GET|PUT /v1/kv: one result
+		var kv wire.KV
+		if kv.Decode(a.body) != nil {
+			all(outFailed)
+			return
+		}
+		puts, timing = []wire.Op{kv.Op}, kv.Timing
+		if len(b.gets) == 1 {
+			puts, gets = nil, puts
+		}
+	} else {
+		var resp wire.Response
+		if resp.Decode(a.body) != nil || len(resp.Puts) != len(b.puts) || len(resp.Gets) != len(b.gets) {
+			all(outFailed)
+			return
+		}
+		puts, gets, timing = resp.Puts, resp.Gets, resp.Timing
+	}
+	c.t.observeTiming(timing)
+	for _, p := range puts {
+		count(true, classify(http.StatusOK, p.Err))
+	}
+	// A get that was served must answer its key's own value.
+	buf := wire.Get()
+	defer buf.Release()
+	for i, g := range gets {
+		o := classify(http.StatusOK, g.Err)
+		if v, err := buf.Value(g.B64); o == outOK && (err != nil || !bytes.Equal(v, valueFor(b.gets[i]))) {
+			o = outCorrupt
+		}
+		count(false, o)
+	}
+	return
 }

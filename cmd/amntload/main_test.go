@@ -7,23 +7,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"amnt/internal/stats"
 )
 
 func newTestPolicy(max int, base time.Duration) *retryPolicy {
 	return &retryPolicy{max: max, base: base, rng: rand.New(rand.NewSource(1))}
-}
-
-func newTestResult() *clientResult {
-	res := &clientResult{
-		getLat: stats.NewHistogram(), putLat: stats.NewHistogram(),
-		errLat: stats.NewHistogram(), srvTotal: stats.NewHistogram(),
-	}
-	for p := range res.phaseLat {
-		res.phaseLat[p] = stats.NewHistogram()
-	}
-	return res
 }
 
 // TestRetryHintPrecedence pins the hint order: the JSON
@@ -65,9 +52,10 @@ func TestRetryWaitJitterAndGrowth(t *testing.T) {
 	}
 }
 
-// TestRetryDoRecovers drives do() against a server that answers 503
-// with a retry hint twice and then succeeds: the op ends 200, the
-// retried attempts are counted, and nothing lands in errLat.
+// TestRetryDoRecovers sends one put through the request loop to a
+// server that answers 503 with a retry hint twice and then succeeds:
+// the op ends ok, the retried attempts are counted, and nothing lands
+// in errLat.
 func TestRetryDoRecovers(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -77,24 +65,23 @@ func TestRetryDoRecovers(t *testing.T) {
 			w.Write([]byte(`{"error":"recovering","reason":"recovering","retry_after_ms":1}`))
 			return
 		}
-		w.Write([]byte(`{"ok":true}`))
+		w.Write([]byte(`{"ok":true,"key":7}`))
 	}))
 	defer srv.Close()
 
-	rp := newTestPolicy(4, time.Millisecond)
-	res := newTestResult()
-	httpc := &http.Client{Timeout: 5 * time.Second}
-	a := rp.do(res, func() attempt {
-		req, _ := http.NewRequest(http.MethodGet, srv.URL, nil)
-		return timedDo(httpc, req)
-	})
-	if a.err != nil || a.resp.StatusCode != http.StatusOK {
-		t.Fatalf("final attempt = %+v, want 200", a)
+	tl := newTally()
+	c := &client{
+		addr: srv.URL, batch: 1, httpc: &http.Client{Timeout: 5 * time.Second},
+		rp: newTestPolicy(4, time.Millisecond), t: tl, buckets: map[string]*bucket{},
 	}
-	if res.retries != 2 {
-		t.Fatalf("retries = %d, want 2", res.retries)
+	c.run([]op{{key: 7, write: true}})
+	if tl.Puts != 1 || tl.Overloads+tl.Errors != 0 {
+		t.Fatalf("puts=%d overloads=%d errors=%d, want the one put ok", tl.Puts, tl.Overloads, tl.Errors)
 	}
-	if !res.errLat.Empty() {
+	if tl.Retries != 2 {
+		t.Fatalf("retries = %d, want 2", tl.Retries)
+	}
+	if !tl.errLat.Empty() {
 		t.Fatal("retried attempts leaked into errLat")
 	}
 }
@@ -111,11 +98,10 @@ func TestRetryDoExhausts(t *testing.T) {
 	defer srv.Close()
 
 	rp := newTestPolicy(3, time.Millisecond)
-	res := newTestResult()
 	httpc := &http.Client{Timeout: 5 * time.Second}
-	a := rp.do(res, func() attempt {
+	a, retries := rp.do(httpc, func() *http.Request {
 		req, _ := http.NewRequest(http.MethodGet, srv.URL, nil)
-		return timedDo(httpc, req)
+		return req
 	})
 	if a.resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("final status %d, want 503", a.resp.StatusCode)
@@ -123,13 +109,13 @@ func TestRetryDoExhausts(t *testing.T) {
 	if got := calls.Load(); got != 4 {
 		t.Fatalf("attempts = %d, want 4 (1 + 3 retries)", got)
 	}
-	if res.retries != 3 {
-		t.Fatalf("retries = %d, want 3", res.retries)
+	if retries != 3 {
+		t.Fatalf("retries = %d, want 3", retries)
 	}
 }
 
-// TestRetryDisabled: -retry-max 0 must behave exactly like the old
-// client — one attempt, no sleep.
+// TestRetryDisabled: a policy with no retries sends one attempt and
+// never sleeps.
 func TestRetryDisabled(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -139,13 +125,12 @@ func TestRetryDisabled(t *testing.T) {
 	defer srv.Close()
 
 	rp := newTestPolicy(0, time.Millisecond)
-	res := newTestResult()
 	httpc := &http.Client{Timeout: 5 * time.Second}
-	a := rp.do(res, func() attempt {
+	a, retries := rp.do(httpc, func() *http.Request {
 		req, _ := http.NewRequest(http.MethodGet, srv.URL, nil)
-		return timedDo(httpc, req)
+		return req
 	})
-	if a.resp.StatusCode != http.StatusServiceUnavailable || calls.Load() != 1 || res.retries != 0 {
-		t.Fatalf("status=%d calls=%d retries=%d, want one un-retried 503", a.resp.StatusCode, calls.Load(), res.retries)
+	if a.resp.StatusCode != http.StatusServiceUnavailable || calls.Load() != 1 || retries != 0 {
+		t.Fatalf("status=%d calls=%d retries=%d, want one un-retried 503", a.resp.StatusCode, calls.Load(), retries)
 	}
 }

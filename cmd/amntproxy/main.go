@@ -57,7 +57,6 @@ func main() {
 		addr       = flag.String("addr", ":8000", "HTTP listen address")
 		clusterSet = flag.String("cluster-nodes", "", "full member list as id=url,id=url — must match the list every amntd node was started with")
 		partitions = flag.Int("partitions", 0, "cluster partition count (0 = 64); must match the nodes")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per member on the ring (0 = 128); must match the nodes")
 		pulseTTL   = flag.Duration("pulse-ttl", 2*time.Second, "a node silent this long is marked down and its partitions reassigned")
 		autoAdopt  = flag.Bool("auto-adopt", true, "drive checkpoint-directory adoption of orphaned partitions on their new owners")
 		reqTimeout = flag.Duration("req-timeout", 5*time.Second, "per-forwarded-request deadline")
@@ -78,7 +77,7 @@ func main() {
 	if len(members) == 0 {
 		fail(fmt.Errorf("need -cluster-nodes"))
 	}
-	ring := cluster.InitialState(*partitions, *vnodes, members)
+	ring := cluster.InitialState(*partitions, cluster.DefaultVNodes, members)
 	reg := cluster.NewRegistry(ring, *pulseTTL, time.Now())
 
 	logger := slog.New(slog.NewTextHandler(os.Stdout, nil))

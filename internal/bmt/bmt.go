@@ -287,24 +287,6 @@ func RebuildWith(dev *scm.Device, e *cme.Engine, g Geometry, rootLevel int, root
 	return r.res
 }
 
-// RebuildAbove recomputes tree levels [2, boundary) from the nodes
-// persisted at the boundary level, as Triad-NVM-style recovery does:
-// when the bottom of the tree is write-through, only the levels above
-// the persisted boundary are stale, and they derive from the boundary
-// nodes without touching the (much larger) counter level. Recomputed
-// nodes are written back when persist is set; the result carries the
-// level-1 content for comparison against the root register.
-func RebuildAbove(dev *scm.Device, e *cme.Engine, g Geometry, boundary int, persist bool) RebuildResult {
-	if boundary <= 2 {
-		// Nothing above the boundary is stored off-chip; the root
-		// register itself is the only level-1 state.
-		return RebuildResult{Digest: ZeroDigests(e, g)[1]}
-	}
-	r := NewRebuilder(dev, e, g, min(boundary, g.Levels), 1, 0, RebuildOptions{Persist: persist}, nil)
-	r.Step(0)
-	return r.res
-}
-
 // persistEmitter returns the node sink of the climb: write recomputed
 // inner nodes through when persisting, and capture the rebuild root's
 // content.

@@ -311,6 +311,9 @@ func TestRebuildTamperProperty(t *testing.T) {
 	}
 }
 
+// TestRebuildAboveMatchesFullRebuild pins Triad-NVM's recovery: a
+// Rebuilder whose source is a persisted Tree-region level (the
+// boundary) reproduces the full rebuild's root from fewer reads.
 func TestRebuildAboveMatchesFullRebuild(t *testing.T) {
 	e := eng()
 	d := dev(1 << 21) // 512 leaves, 4 levels
@@ -321,35 +324,31 @@ func TestRebuildAboveMatchesFullRebuild(t *testing.T) {
 	// Persist the whole tree so every level is current in the device.
 	full := Rebuild(d, e, g, 1, 0, true)
 	// Rebuilding from level 3 (the deepest inner level) must agree.
-	above := RebuildAbove(d, e, g, 3, false)
-	if above.Content != full.Content {
-		t.Fatal("RebuildAbove(3) root content differs from full rebuild")
-	}
-	if above.Digest != full.Digest {
-		t.Fatal("digest mismatch")
+	got := rebuildFrom(d, e, g, 3, false)
+	if got.Content != full.Content || got.Digest != full.Digest {
+		t.Fatalf("boundary rebuild root %#x differs from full rebuild root %#x", got.Digest, full.Digest)
 	}
 	// And it must be cheaper: boundary nodes, not counters.
-	if above.CounterReads >= full.CounterReads {
+	if got.CounterReads >= full.CounterReads {
 		t.Fatalf("boundary reads %d not cheaper than counter reads %d",
-			above.CounterReads, full.CounterReads)
+			got.CounterReads, full.CounterReads)
 	}
 }
 
+// TestRebuildAboveEmptyAndClamps pins the boundary rebuild's edges: an
+// empty boundary level yields the zero root, and the leaf level as the
+// boundary is a full counter-leaf rebuild.
 func TestRebuildAboveEmptyAndClamps(t *testing.T) {
 	e := eng()
 	d := dev(1 << 21)
 	g := GeometryForCapacity(1 << 21)
 	zero := ZeroDigests(e, g)
-	if got := RebuildAbove(d, e, g, 3, false).Digest; got != zero[1] {
+	if got := rebuildFrom(d, e, g, 3, false).Digest; got != zero[1] {
 		t.Fatalf("empty tree digest = %#x, want zero root", got)
 	}
-	if got := RebuildAbove(d, e, g, 2, false).Digest; got != zero[1] {
-		t.Fatal("boundary<=2 should report the zero root trivially")
-	}
-	// boundary beyond the leaf level clamps to a full leaf rebuild.
 	writeCounter(d, 3, 9)
 	full := Rebuild(d, e, g, 1, 0, false)
-	if got := RebuildAbove(d, e, g, 99, false); got.Digest != full.Digest {
-		t.Fatal("clamped rebuild differs from full rebuild")
+	if got := rebuildFrom(d, e, g, g.Levels, false); got.Digest != full.Digest {
+		t.Fatal("leaf-boundary rebuild differs from full rebuild")
 	}
 }

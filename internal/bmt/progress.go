@@ -7,8 +7,8 @@ import (
 
 // Progress is a live watermark for a recovery rebuild: how many
 // occupied source nodes (counter-level leaves, or boundary-level nodes
-// for RebuildAbove) have been rehashed out of how many total. It is
-// written by the goroutine that runs the rebuild and read by
+// for a Triad-style rebuild) have been rehashed out of how many total.
+// It is written by the goroutine that runs the rebuild and read by
 // telemetry gauges on arbitrary goroutines, so every field is atomic
 // and every method is nil-safe. A recovery pass may run several
 // rebuilds (e.g. a strict protocol verifying subtree by subtree);

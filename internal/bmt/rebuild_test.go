@@ -40,11 +40,17 @@ func populate(d *scm.Device, idxs []uint64) {
 	}
 }
 
-// TestRebuildAboveDeterministic pins the satellite fix: RebuildAbove
-// used to walk dev.Indices unsorted, so repeated runs over identical
-// devices could write nodes in different orders. Every run over an
-// identically-populated device must now return a bit-identical
-// RebuildResult, for both Rebuild and RebuildAbove.
+// rebuildFrom runs a whole Triad-style rebuild: a Rebuilder whose
+// source is the level-boundary nodes, climbing to the root.
+func rebuildFrom(d *scm.Device, e *cme.Engine, g Geometry, boundary int, persist bool) RebuildResult {
+	r := NewRebuilder(d, e, g, boundary, 1, 0, RebuildOptions{Persist: persist}, nil)
+	r.Step(0)
+	return r.Result()
+}
+
+// TestRebuildAboveDeterministic: every rebuild over an
+// identically-populated device returns a bit-identical RebuildResult,
+// from the counter leaves and from a persisted boundary level alike.
 func TestRebuildAboveDeterministic(t *testing.T) {
 	const leaves = 1 << 12
 	g := NewGeometry(leaves)
@@ -58,8 +64,7 @@ func TestRebuildAboveDeterministic(t *testing.T) {
 		d := dev(leaves * 4096)
 		populate(d, idxs)
 		full := Rebuild(d, e, g, 1, 0, true)
-		above := RebuildAbove(d, e, g, boundary, true)
-		return full, above
+		return full, rebuildFrom(d, e, g, boundary, true)
 	}
 	for _, boundary := range []int{3, g.Levels} {
 		firstFull, firstAbove := run(boundary)
@@ -69,7 +74,7 @@ func TestRebuildAboveDeterministic(t *testing.T) {
 				t.Fatalf("Rebuild run %d diverged: %+v vs %+v", i, full, firstFull)
 			}
 			if above != firstAbove {
-				t.Fatalf("RebuildAbove(boundary=%d) run %d diverged: %+v vs %+v",
+				t.Fatalf("rebuild from level %d, run %d diverged: %+v vs %+v",
 					boundary, i, above, firstAbove)
 			}
 		}
@@ -77,8 +82,8 @@ func TestRebuildAboveDeterministic(t *testing.T) {
 }
 
 // TestRebuildAboveSortedMatchesFull cross-checks the sorted boundary
-// walk: rebuilding above the leaf boundary must reproduce the full
-// rebuild's root digest.
+// walk: rebuilding from the leaf level as the boundary must reproduce
+// the full rebuild's root digest.
 func TestRebuildAboveSortedMatchesFull(t *testing.T) {
 	const leaves = 1 << 9
 	g := NewGeometry(leaves)
@@ -86,9 +91,9 @@ func TestRebuildAboveSortedMatchesFull(t *testing.T) {
 	d := dev(leaves * 4096)
 	populate(d, []uint64{0, 3, 17, 63, 64, 200, 511})
 	full := Rebuild(d, e, g, 1, 0, true)
-	above := RebuildAbove(d, e, g, g.Levels, false)
+	above := rebuildFrom(d, e, g, g.Levels, false)
 	if above.Digest != full.Digest || above.Content != full.Content {
-		t.Fatalf("RebuildAbove root %x != full rebuild root %x", above.Digest, full.Digest)
+		t.Fatalf("boundary rebuild root %x != full rebuild root %x", above.Digest, full.Digest)
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 // Rebuilder is the rebuild engine: an ordered walk of the occupied
 // source nodes, one hash each, then one climb to the rebuild root. It
 // runs in bounded Step calls so a serving goroutine can interleave
-// rebuild work with foreground traffic; Rebuild and RebuildAbove are
-// one Step over the whole span. Stepping in chunks leaves the final
-// RebuildResult and the device statistics bit-identical to one Step
-// (pinned by test): every chunk resumes the same walk, one read
-// charged and one Hash per node, and the climb runs once at the end.
+// rebuild work with foreground traffic; Rebuild is one Step over the
+// whole span. Stepping in chunks leaves the final RebuildResult and
+// the device statistics bit-identical to one Step (pinned by test):
+// every chunk resumes the same walk, one read charged and one Hash
+// per node, and the climb runs once at the end.
 //
 // Overrides support degraded serving: a foreground write that lands
 // on counter leaf L mid-rebuild snapshots L's pre-write content and

@@ -115,10 +115,10 @@ func TestRegistryFlip(t *testing.T) {
 	}
 }
 
-// TestClientHintPatching pins the 421 self-correction path: a hint
-// patches one partition, a newer installed state clears patches, a
-// stale hint is dropped.
-func TestClientHintPatching(t *testing.T) {
+// TestClientInstallNewerOnly pins the client's ring adoption: it
+// routes by the installed state, a newer state replaces it, and a
+// same-or-older state is ignored.
+func TestClientInstallNewerOnly(t *testing.T) {
 	s := InitialState(16, 0, members(2))
 	c := NewClient(s)
 	part := OwnedBy(s, "node-0")[0]
@@ -128,27 +128,29 @@ func TestClientHintPatching(t *testing.T) {
 	if err != nil || id != "node-0" {
 		t.Fatalf("route = %s, %v; want node-0", id, err)
 	}
-	c.Hint(OwnershipHint{Partition: part, Owner: "node-1", OwnerAddr: "http://h2", RingEpoch: s.Epoch + 1})
-	if id, addr, _ := c.Route(key); id != "node-1" || addr != "http://h2" {
-		t.Fatalf("hinted route = %s@%s, want node-1@http://h2", id, addr)
-	}
-
-	// Installing a newer full state clears the patch overlay.
+	// A newer state that moves the partition is installed and routed.
 	s2 := s.Clone()
-	s2.Epoch = s.Epoch + 2
+	s2.Epoch = s.Epoch + 1
+	s2.Assign[part] = "node-1"
 	if !c.Install(s2) {
 		t.Fatal("newer state not installed")
 	}
-	if id, _, _ := c.Route(key); id != "node-0" {
-		t.Fatalf("route after install = %s, want node-0 (patch cleared)", id)
-	}
-	// A hint older than the installed epoch is ignored.
-	c.Hint(OwnershipHint{Partition: part, Owner: "node-1", OwnerAddr: "http://h2", RingEpoch: 1})
-	if id, _, _ := c.Route(key); id != "node-0" {
-		t.Fatal("stale hint applied")
+	if id, addr, _ := c.Route(key); id != "node-1" || addr != s.Addr("node-1") {
+		t.Fatalf("route after install = %s@%s, want node-1@%s", id, addr, s.Addr("node-1"))
 	}
 	// Same-or-older epochs never reinstall.
-	if c.Install(s) {
-		t.Fatal("older state installed")
+	if c.Install(s) || c.Install(s2) {
+		t.Fatal("older or same-epoch state installed")
+	}
+	if id, _, _ := c.Route(key); id != "node-1" {
+		t.Fatalf("route after refused install = %s, want node-1", id)
+	}
+	// A client with no state routes nothing until one is installed.
+	empty := NewClient(nil)
+	if _, _, err := empty.Route(key); err == nil {
+		t.Fatal("stateless client routed a key")
+	}
+	if !empty.Install(s) {
+		t.Fatal("first state not installed")
 	}
 }

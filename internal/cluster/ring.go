@@ -5,13 +5,13 @@
 // partition between nodes using the store's checkpoint/delta/fence
 // hand-off, and a stateless routing proxy.
 //
-// The ring is deterministic: every participant (amntd nodes, the
-// proxy, amntload -cluster) computes the identical initial ownership
-// from the same (partitions, vnodes, member list) triple, so a
-// cluster boots with agreed placement before any state exchange.
-// Membership changes advance a ring epoch; routers install a newer
-// state whenever they see one and patch single partitions from 421
-// ownership hints in between.
+// The ring is deterministic: every daemon (amntd nodes, the proxy)
+// computes the identical initial ownership from the same (partitions,
+// vnodes, member list) triple, so a cluster boots with agreed
+// placement before any state exchange. Membership changes advance a
+// ring epoch; routers install a newer state whenever they see one, and
+// a client router (amntload -cluster) reads its state from any
+// process's GET /v1/ring.
 package cluster
 
 import (
@@ -218,7 +218,7 @@ func OwnedBy(s *State, id string) []int {
 }
 
 // ParseMembers parses the "-cluster-nodes id=url,id=url" flag shared
-// by amntd, amntproxy, and amntload.
+// by amntd and amntproxy.
 func ParseMembers(spec string) ([]Member, error) {
 	if spec == "" {
 		return nil, nil

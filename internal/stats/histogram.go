@@ -195,31 +195,6 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return 0
 }
 
-// CDFPoint is one step of a histogram's cumulative distribution.
-type CDFPoint struct {
-	// Key is the value; Fraction is the fraction of events with key
-	// <= Key.
-	Key      uint64
-	Fraction float64
-}
-
-// CDF returns the cumulative distribution as one point per distinct
-// key, ascending; the last point's Fraction is 1. Empty histograms
-// return nil.
-func (h *Histogram) CDF() []CDFPoint {
-	if h.total == 0 {
-		return nil
-	}
-	keys := h.Keys()
-	out := make([]CDFPoint, len(keys))
-	var cum uint64
-	for i, k := range keys {
-		cum += h.Count(k)
-		out[i] = CDFPoint{Key: k, Fraction: float64(cum) / float64(h.total)}
-	}
-	return out
-}
-
 // Sparkline renders counts as a compact ASCII bar string, useful for
 // eyeballing distributions in CLI output.
 func Sparkline(counts []uint64) string {

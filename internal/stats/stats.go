@@ -9,8 +9,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 )
 
 // Counter is a monotonically increasing event count.
@@ -65,7 +63,6 @@ type Summary struct {
 	Sum   float64
 	Min   float64
 	Max   float64
-	sumSq float64
 }
 
 // Observe adds a sample to the summary.
@@ -78,7 +75,6 @@ func (s *Summary) Observe(v float64) {
 	}
 	s.Count++
 	s.Sum += v
-	s.sumSq += v * v
 }
 
 // Mean returns the arithmetic mean of observed samples (0 if empty).
@@ -87,36 +83,6 @@ func (s *Summary) Mean() float64 {
 		return 0
 	}
 	return s.Sum / float64(s.Count)
-}
-
-// StdDev returns the population standard deviation (0 if empty).
-func (s *Summary) StdDev() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSq/float64(s.Count) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// GeoMean returns the geometric mean of a slice of positive values.
-// Zero or negative values are skipped; an empty input yields 0.
-func GeoMean(vals []float64) float64 {
-	var sum float64
-	var n int
-	for _, v := range vals {
-		if v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }
 
 // Mean returns the arithmetic mean of vals, or 0 if empty.
@@ -129,25 +95,4 @@ func Mean(vals []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vals))
-}
-
-// Percentile returns the p-th percentile (0..100) of vals using
-// nearest-rank on a sorted copy. An empty input yields 0.
-func Percentile(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
 }

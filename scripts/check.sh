@@ -14,6 +14,11 @@ cd "$(dirname "$0")/.."
 # script: set -e ignores a negated command's status.
 absent() { ! grep "$@"; }
 
+# A pipeline reports its last stage's status, so `cmd | tee file`
+# passes when cmd fails. Each such pipeline runs in a subshell with
+# pipefail. pipefail is not set for the whole script: `curl | grep -q`
+# would then fail on SIGPIPE whenever grep exits early.
+
 mode_lint() {
 	go vet ./...
 	unformatted=$(gofmt -l .)
@@ -65,19 +70,20 @@ mode_smoke() {
 	# last stage, and `wait` would block on the whole pipeline.
 	AMNTD=$!
 	sleep 2
-	./amntload -addr http://127.0.0.1:18080 -workload ycsb-a \
-		-clients 8 -ops 8000 -json | tee artifacts/load.json
+	(set -o pipefail; ./amntload -addr http://127.0.0.1:18080 -workload ycsb-a \
+		-clients 8 -ops 8000 -json | tee artifacts/load.json)
+	jq -e '.errors == 0 and .corruptions == 0' artifacts/load.json
 	# Batched wave over POST /v1/batch: exercises group-commit
 	# epochs end to end (amntload verifies every get it issues).
-	./amntload -addr http://127.0.0.1:18080 -workload ycsb-a \
-		-clients 8 -ops 8000 -batch 32 -json | tee artifacts/load-batch.json
+	(set -o pipefail; ./amntload -addr http://127.0.0.1:18080 -workload ycsb-a \
+		-clients 8 -ops 8000 -batch 32 -json | tee artifacts/load-batch.json)
 	absent -q '"corruptions": [^0]' artifacts/load-batch.json
 	# Pure-read wave against the concurrent read view (amntd runs
 	# a reader pool of 4 per shard): -preload writes the keyspace first so every
 	# GET is a verified read, and the stats must show the pool
 	# actually served them with zero corruptions.
-	./amntload -addr http://127.0.0.1:18080 -workload ycsb-c \
-		-clients 8 -ops 8000 -preload -json | tee artifacts/load-readc.json
+	(set -o pipefail; ./amntload -addr http://127.0.0.1:18080 -workload ycsb-c \
+		-clients 8 -ops 8000 -preload -json | tee artifacts/load-readc.json)
 	absent -q '"corruptions": [^0]' artifacts/load-readc.json
 	curl -sf http://127.0.0.1:18080/v1/store/stats | tee artifacts/stats-read.json
 	jq -e 'any(.shards[]; .concurrent_reads > 0)' artifacts/stats-read.json
@@ -111,8 +117,8 @@ mode_smoke() {
 	done
 	[ "$G" -gt "$G0" ]
 	for kind in torn drop reorder bitrot; do
-		curl -sf -X POST "http://127.0.0.1:18080/v1/chaos?shard=1&kind=$kind&seed=7" \
-			| tee -a artifacts/chaos.json
+		(set -o pipefail; curl -sf -X POST "http://127.0.0.1:18080/v1/chaos?shard=1&kind=$kind&seed=7" \
+			| tee -a artifacts/chaos.json)
 		sleep 0.5
 	done
 	kill -0 $LOAD
@@ -120,9 +126,10 @@ mode_smoke() {
 	jq -e '.errors == 0 and .corruptions == 0' artifacts/load-chaos.json
 	absent -q '"status": *"violation"' artifacts/chaos.json
 	# A second load wave against the post-chaos store.
-	./amntload -addr http://127.0.0.1:18080 -workload ycsb-b \
-		-clients 4 -ops 4000 | tee artifacts/load2.txt
-	curl -sf http://127.0.0.1:18080/v1/store/stats | tee artifacts/stats.json
+	(set -o pipefail; ./amntload -addr http://127.0.0.1:18080 -workload ycsb-b \
+		-clients 4 -ops 4000 -json | tee artifacts/load2.json)
+	jq -e '.errors == 0 and .corruptions == 0' artifacts/load2.json
+	(set -o pipefail; curl -sf http://127.0.0.1:18080/v1/store/stats | tee artifacts/stats.json)
 	curl -sf http://127.0.0.1:18080/metrics | grep -q amnt_store_shard0_gets
 	# Latency attribution: the load waves must have produced
 	# per-phase span series and per-endpoint RED counters, the
@@ -210,16 +217,16 @@ mode_bench() {
 	go test -count=1 -run 'TestMachineStepNoAllocs' -v ./internal/sim
 	# Rebuild benchmarks (smoke).
 	mkdir -p artifacts
-	go test ./internal/bmt -run '^$' -bench BenchmarkRebuild -benchtime 1x \
-		| tee artifacts/rebuild-bench.txt
+	(set -o pipefail; go test ./internal/bmt -run '^$' -bench BenchmarkRebuild -benchtime 1x \
+		| tee artifacts/rebuild-bench.txt)
 	# Simulator step benchmark (smoke).
-	go test ./internal/sim -run '^$' -bench BenchmarkMachineStep -benchtime 1x \
-		| tee artifacts/sim-step-bench.txt
+	(set -o pipefail; go test ./internal/sim -run '^$' -bench BenchmarkMachineStep -benchtime 1x \
+		| tee artifacts/sim-step-bench.txt)
 	# Repository benchmark (smoke sizes).
 	go test -C bench ./...
 	# Store throughput benchmarks (smoke).
-	go test ./internal/store -run '^$' -bench BenchmarkStoreThroughput -benchtime 1x \
-		| tee artifacts/store-bench.txt
+	(set -o pipefail; go test ./internal/store -run '^$' -bench BenchmarkStoreThroughput -benchtime 1x \
+		| tee artifacts/store-bench.txt)
 	cp BENCH_store.json artifacts/BENCH_store.json
 	# Regenerate BENCH_recovery.json.
 	go test ./internal/bmt -run TestWriteRecoveryBench \
@@ -251,22 +258,21 @@ mode_crash() {
 	# Exits 1 on any violation; pipefail keeps tee from hiding it.
 	# Reduced sizes (fewer points, a smaller memory) once missed
 	# a recovery bug the default run shows.
-	set -o pipefail
 	mkdir -p artifacts
-	go run ./cmd/amntcrash \
+	(set -o pipefail; go run ./cmd/amntcrash \
 		-json artifacts/crash-matrix.json \
 		-trace artifacts/crash-faults.jsonl \
-		| tee artifacts/crash-matrix.txt
+		| tee artifacts/crash-matrix.txt)
 }
 
 # Capture movement trace and time series.
 mode_telemetry() {
 	mkdir -p artifacts
-	go run ./cmd/amntsim -workload lbm -protocol amnt -scale 0.25 \
+	(set -o pipefail; go run ./cmd/amntsim -workload lbm -protocol amnt -scale 0.25 \
 		-trace artifacts/moves.jsonl \
 		-timeseries artifacts/timeseries.jsonl \
 		-stats-file artifacts/stats.txt \
-		| tee artifacts/report.txt
+		| tee artifacts/report.txt)
 	grep -q subtree_move artifacts/moves.jsonl
 	grep -q wq_stall artifacts/moves.jsonl
 }

@@ -74,8 +74,8 @@ echo "== wave 1: batched ycsb-a through the proxy"
 curl -sf "$PROXY/metrics" >"$ART/proxy-metrics.txt"
 grep -q '^amnt_span_op_batch_requests [1-9]' "$ART/proxy-metrics.txt"
 
-echo "== wave 2: batched ycsb-a with client-side ring routing"
-./amntload -cluster -nodes "$CLUSTER" -workload ycsb-a -clients 8 -ops 8000 \
+echo "== wave 2: batched ycsb-a with client-side ring routing (ring read from n1)"
+./amntload -cluster -addr "$N1" -workload ycsb-a -clients 8 -ops 8000 \
   -batch 32 -json | tee "$ART/cluster-load-direct.json"
 [ "$(jq .corruptions "$ART/cluster-load-direct.json")" = 0 ]
 [ "$(jq '.nodes | length' "$ART/cluster-load-direct.json")" = 3 ]
