@@ -72,9 +72,25 @@ var (
 // serving package through its non-test imports, directly or through
 // other internal packages.
 func TestArchSimulatorImportsNoServing(t *testing.T) {
-	serving := map[string]bool{}
-	for _, p := range servingPackages {
-		serving["amnt/internal/"+p] = true
+	checkNoImports(t, simulatorPackages, servingPackages, "serving package")
+}
+
+// TestArchFrontEndImportsNoProtocol: the cache hierarchy is the
+// machine's protocol-independent front end (DESIGN.md §2.1), so
+// internal/cpu reaches no protocol code; that is what lets one recorded
+// access stream drive every protocol's controller.
+func TestArchFrontEndImportsNoProtocol(t *testing.T) {
+	checkNoImports(t, []string{"cpu"}, []string{"mee", "core"}, "protocol package")
+}
+
+// checkNoImports fails for every package of forbidden that a package
+// of roots reaches through its non-test imports, directly or through
+// other internal packages, naming the import chain.
+func checkNoImports(t *testing.T, roots, forbidden []string, what string) {
+	t.Helper()
+	banned := map[string]bool{}
+	for _, p := range forbidden {
+		banned["amnt/internal/"+p] = true
 	}
 	imports := map[string][]string{} // package path -> internal imports, parsed once
 	var internalImports func(pkg string) []string
@@ -98,7 +114,7 @@ func TestArchSimulatorImportsNoServing(t *testing.T) {
 		imports[pkg] = deps
 		return deps
 	}
-	for _, p := range simulatorPackages {
+	for _, p := range roots {
 		root := "amnt/internal/" + p
 		via := map[string]string{root: ""} // package -> the package that imported it
 		queue := []string{root}
@@ -110,12 +126,12 @@ func TestArchSimulatorImportsNoServing(t *testing.T) {
 					continue
 				}
 				via[dep] = pkg
-				if serving[dep] {
+				if banned[dep] {
 					chain := []string{dep}
 					for at := pkg; at != ""; at = via[at] {
 						chain = append([]string{at}, chain...)
 					}
-					t.Errorf("%s imports serving package %s: %s", root, dep, strings.Join(chain, " -> "))
+					t.Errorf("%s imports %s %s: %s", root, what, dep, strings.Join(chain, " -> "))
 					continue
 				}
 				queue = append(queue, dep)

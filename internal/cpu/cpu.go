@@ -1,23 +1,31 @@
 // Package cpu models the on-chip cache hierarchy in front of the
 // secure memory controller: per-core L1/L2 (optionally a shared L3),
 // write-back with write-allocate, and dirty-victim cascades that end
-// in encrypted writes at the memory encryption engine. The paper's
-// single-program, multiprogram, and multithread processor
-// configurations (§6) are provided as presets.
+// in write-backs to the memory below. The paper's single-program,
+// multiprogram, and multithread processor configurations (§6) are
+// provided as presets.
+//
+// The hierarchy knows nothing of the protocol beneath it: it hands
+// every fill and write-back to a Memory and charges only its own
+// static hit latencies, so one hierarchy's traffic can drive any
+// memory controller (DESIGN.md §2.1).
 package cpu
 
 import (
 	"amnt/internal/cache"
-	"amnt/internal/mee"
 	"amnt/internal/scm"
 )
 
-// ContentFunc supplies the current plaintext of a data block when a
-// dirty line is written back to the MEE. The simulator derives block
-// contents deterministically from (block, version) so the functional
-// crypto path operates on real, checkable bytes without storing the
-// whole memory image.
-type ContentFunc func(block uint64) []byte
+// Memory is what lies below a hierarchy's last level: the secure
+// memory controller, or a recorder of the traffic that would reach it.
+// Transfer fills block into the hierarchy (writeBack false) or writes a
+// dirty block back (true). at is the static cycle the transfer issues
+// at — the access's start plus the hit latency of every level it
+// passed — and never includes a memory latency: the memory adds its
+// own. A non-nil error aborts the access.
+type Memory interface {
+	Transfer(at, block uint64, writeBack bool) error
+}
 
 // LevelConfig sizes one cache level.
 type LevelConfig struct {
@@ -77,23 +85,13 @@ func SharedL3(sizeBytes int) *cache.Cache {
 }
 
 // Hierarchy is one core's view of the cache stack. Multiple cores may
-// share the outermost level and always share the controller.
+// share the outermost level and always share the memory below.
 type Hierarchy struct {
-	levels  []*cache.Cache
-	shared  int // index of the first shared level, len(levels) if none
-	ctrl    *mee.Controller
-	content ContentFunc
-	verify  func(block uint64, data []byte) error
-	snoop   func(block uint64) bool
-	// buf receives the plaintext of an MEE read. A local would escape
-	// through the verify callback and cost an allocation per miss.
-	buf [scm.BlockSize]byte
+	levels []*cache.Cache
+	shared int // index of the first shared level, len(levels) if none
+	mem    Memory
+	snoop  func(block uint64) bool
 }
-
-// SetVerify installs an oracle called with the plaintext of every MEE
-// read this hierarchy performs; a non-nil return aborts the access.
-// The simulator uses it as an end-to-end data-fidelity check.
-func (h *Hierarchy) SetVerify(f func(block uint64, data []byte) error) { h.verify = f }
 
 // SetSnoop installs the coherence probe used when an access misses
 // the whole local stack: the machine queries the other cores' private
@@ -119,9 +117,10 @@ func (h *Hierarchy) ExtractDirty(block uint64) bool {
 	return dirty
 }
 
-// NewHierarchy builds a core hierarchy. shared may be nil (L2 is the
-// LLC) or a cache shared between cores (typically from SharedL3).
-func NewHierarchy(name string, cfg Config, shared *cache.Cache, ctrl *mee.Controller, content ContentFunc) *Hierarchy {
+// NewHierarchy builds a core hierarchy over mem. shared may be nil (L2
+// is the LLC) or a cache shared between cores (typically from
+// SharedL3).
+func NewHierarchy(name string, cfg Config, shared *cache.Cache, mem Memory) *Hierarchy {
 	l1 := cache.New(cache.Config{
 		Name: name + ".L1", SizeBytes: cfg.L1.SizeBytes, LineBytes: scm.BlockSize,
 		Assoc: cfg.L1.Assoc, HitCycles: cfg.L1.HitCycles,
@@ -135,18 +134,16 @@ func NewHierarchy(name string, cfg Config, shared *cache.Cache, ctrl *mee.Contro
 	if shared != nil {
 		levels = append(levels, shared)
 	}
-	return &Hierarchy{levels: levels, shared: sharedIdx, ctrl: ctrl, content: content}
+	return &Hierarchy{levels: levels, shared: sharedIdx, mem: mem}
 }
 
 // Levels exposes the cache stack (L1 first).
 func (h *Hierarchy) Levels() []*cache.Cache { return h.levels }
 
-// Controller returns the MEE beneath this hierarchy.
-func (h *Hierarchy) Controller() *mee.Controller { return h.ctrl }
-
 // Access performs a load (write=false) or store (write=true) of the
-// physical block. It returns the access latency in cycles, including
-// any secure-memory work triggered by misses and dirty evictions.
+// physical block at static cycle now. It returns the access's static
+// latency: level hit cycles and snoop transfers, without the latency
+// of the memory transfers it raised.
 func (h *Hierarchy) Access(now uint64, block uint64, write bool) (uint64, error) {
 	var cycles uint64
 	for i, c := range h.levels {
@@ -176,27 +173,18 @@ func (h *Hierarchy) Access(now uint64, block uint64, write bool) (uint64, error)
 		}
 		return cycles, nil
 	}
-	// Fetch through the MEE (stores are write-allocate, so they fetch
-	// too). The block is now resident in every level; dirtiness was
-	// set at L1 above.
-	mc, err := h.ctrl.ReadBlock(now+cycles, block, h.buf[:])
-	cycles += mc
-	if err != nil {
-		return cycles, err
-	}
-	if h.verify != nil {
-		if err := h.verify(block, h.buf[:]); err != nil {
-			return cycles, err
-		}
-	}
-	return cycles, nil
+	// Fill from memory (stores are write-allocate, so they fill too).
+	// The block is now resident in every level; dirtiness was set at
+	// L1 above.
+	return cycles, h.mem.Transfer(now+cycles, block, false)
 }
 
-// spill installs a dirty victim into level idx (or the MEE when the
-// hierarchy is exhausted), cascading further victims downward.
+// spill installs a dirty victim into level idx (or writes it back to
+// memory when the hierarchy is exhausted), cascading further victims
+// downward.
 func (h *Hierarchy) spill(now uint64, idx int, block uint64) (uint64, error) {
 	if idx >= len(h.levels) {
-		return h.ctrl.WriteBlock(now, block, h.content(block))
+		return 0, h.mem.Transfer(now, block, true)
 	}
 	c := h.levels[idx]
 	cycles := c.HitCycles()
@@ -211,10 +199,10 @@ func (h *Hierarchy) spill(now uint64, idx int, block uint64) (uint64, error) {
 	return cycles, nil
 }
 
-// Drain writes every dirty line in this hierarchy back through the
-// MEE (an orderly shutdown, or a full-system persist barrier). Shared
-// levels are drained too, so call Drain on one hierarchy per shared
-// level or accept idempotent extra scans.
+// Drain writes every dirty line in this hierarchy back to memory (an
+// orderly shutdown, or a full-system persist barrier) and returns the
+// static cycles it spent. Shared levels are drained too, so call Drain
+// on one hierarchy per shared level or accept idempotent extra scans.
 func (h *Hierarchy) Drain(now uint64) (uint64, error) {
 	var cycles uint64
 	// Inner levels spill into outer ones first.
@@ -226,12 +214,8 @@ func (h *Hierarchy) Drain(now uint64) (uint64, error) {
 				if err != nil {
 					return cycles, err
 				}
-			} else {
-				vc, err := h.ctrl.WriteBlock(now+cycles, key, h.content(key))
-				cycles += vc
-				if err != nil {
-					return cycles, err
-				}
+			} else if err := h.mem.Transfer(now+cycles, key, true); err != nil {
+				return cycles, err
 			}
 		}
 	}

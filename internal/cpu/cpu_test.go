@@ -1,50 +1,61 @@
 package cpu
 
 import (
-	"bytes"
 	"errors"
 	"testing"
-
-	"amnt/internal/mee"
-	"amnt/internal/scm"
 )
 
-// testRig builds a tiny two-level hierarchy over a leaf-persisted MEE
-// with a content store the test controls.
+// transfer is one call a hierarchy made to its memory.
+type transfer struct {
+	at, block uint64
+	writeBack bool
+}
+
+// fakeMemory records every transfer and answers with err.
+type fakeMemory struct {
+	log []transfer
+	err error
+}
+
+func (m *fakeMemory) Transfer(at, block uint64, writeBack bool) error {
+	m.log = append(m.log, transfer{at, block, writeBack})
+	return m.err
+}
+
+// count returns how many reads (writeBack false) or write-backs of
+// block (any block when block is ^0) the memory saw.
+func (m *fakeMemory) count(block uint64, writeBack bool) int {
+	n := 0
+	for _, tr := range m.log {
+		if tr.writeBack == writeBack && (block == ^uint64(0) || tr.block == block) {
+			n++
+		}
+	}
+	return n
+}
+
+// tinyCore is a two-level private hierarchy: L1 2 sets x 2 ways, L2
+// 4 sets x 4 ways.
+var tinyCore = Config{
+	L1: LevelConfig{SizeBytes: 4 * 64, Assoc: 2, HitCycles: 1},
+	L2: LevelConfig{SizeBytes: 16 * 64, Assoc: 4, HitCycles: 12},
+}
+
+// testRig builds a tiny hierarchy over a recording memory.
 type testRig struct {
-	h        *Hierarchy
-	ctrl     *mee.Controller
-	contents map[uint64][]byte
+	h   *Hierarchy
+	mem *fakeMemory
 }
 
 func newRig(t *testing.T, shared bool) *testRig {
 	t.Helper()
-	dev := scm.New(scm.Config{CapacityBytes: 2 << 20, ReadCycles: 610, WriteCycles: 782})
-	ctrl := mee.New(dev, mee.DefaultConfig(), mee.NewLeaf())
-	rig := &testRig{ctrl: ctrl, contents: make(map[uint64][]byte)}
-	cfg := Config{
-		L1: LevelConfig{SizeBytes: 4 * 64, Assoc: 2, HitCycles: 1},
-		L2: LevelConfig{SizeBytes: 16 * 64, Assoc: 4, HitCycles: 12},
-	}
+	rig := &testRig{mem: &fakeMemory{}}
 	sharedCache := SharedL3(0)
 	if shared {
 		sharedCache = SharedL3(64 * 64)
 	}
-	rig.h = NewHierarchy("t", cfg, sharedCache, ctrl, func(block uint64) []byte {
-		if c, ok := rig.contents[block]; ok {
-			return c
-		}
-		return make([]byte, scm.BlockSize)
-	})
+	rig.h = NewHierarchy("t", tinyCore, sharedCache, rig.mem)
 	return rig
-}
-
-func fill(seed byte) []byte {
-	b := make([]byte, scm.BlockSize)
-	for i := range b {
-		b[i] = seed + byte(i)
-	}
-	return b
 }
 
 func TestPresets(t *testing.T) {
@@ -81,40 +92,37 @@ func TestHitIsCheap(t *testing.T) {
 	if second != rig.h.Levels()[0].HitCycles() {
 		t.Fatalf("L1 hit = %d cycles, want %d", second, rig.h.Levels()[0].HitCycles())
 	}
+	// The miss filled once, at the static cycle it left the last level;
+	// the hit reached no memory.
+	if want := []transfer{{at: 13, block: 5}}; len(rig.mem.log) != 1 || rig.mem.log[0] != want[0] {
+		t.Fatalf("transfers = %+v, want %+v", rig.mem.log, want)
+	}
 }
 
 func TestDirtyEvictionReachesMEE(t *testing.T) {
 	rig := newRig(t, false)
 	// Store to block 0, then blow it out of both levels with a
-	// conflicting stream; its content must land encrypted in SCM.
-	rig.contents[0] = fill(9)
+	// conflicting stream; it must be written back to memory, once.
 	if _, err := rig.h.Access(0, 0, true); err != nil {
 		t.Fatal(err)
 	}
-	// L1: 2 sets x 2 ways; L2: 4 sets x 4 ways. Blocks ≡ 0 (mod 4)
-	// collide with block 0 in L2.
+	// Blocks ≡ 0 (mod 4) collide with block 0 in L2.
 	for i := uint64(1); i <= 20; i++ {
 		if _, err := rig.h.Access(uint64(i)*1000, i*4, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !rig.ctrl.Device().Contains(scm.Data, 0) {
-		t.Fatal("dirty block never written back to SCM")
+	if n := rig.mem.count(0, true); n != 1 {
+		t.Fatalf("dirty block written back %d times, want 1", n)
 	}
-	// Read it back through the MEE and check the plaintext.
-	var buf [scm.BlockSize]byte
-	if _, err := rig.ctrl.ReadBlock(0, 0, buf[:]); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf[:], fill(9)) {
-		t.Fatal("writeback content mismatch")
+	if n := rig.mem.count(^uint64(0), true); n != 1 {
+		t.Fatalf("%d write-backs, want only the dirty block's", n)
 	}
 }
 
 func TestDrainFlushesEverything(t *testing.T) {
 	rig := newRig(t, true)
 	for i := uint64(0); i < 10; i++ {
-		rig.contents[i] = fill(byte(i))
 		if _, err := rig.h.Access(0, i, true); err != nil {
 			t.Fatal(err)
 		}
@@ -123,15 +131,8 @@ func TestDrainFlushesEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 10; i++ {
-		if !rig.ctrl.Device().Contains(scm.Data, i) {
-			t.Fatalf("block %d not drained", i)
-		}
-		var buf [scm.BlockSize]byte
-		if _, err := rig.ctrl.ReadBlock(0, i, buf[:]); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf[:], fill(byte(i))) {
-			t.Fatalf("block %d drained wrong content", i)
+		if n := rig.mem.count(i, true); n != 1 {
+			t.Fatalf("block %d written back %d times, want 1", i, n)
 		}
 	}
 	// Nothing dirty remains anywhere.
@@ -143,27 +144,20 @@ func TestDrainFlushesEverything(t *testing.T) {
 }
 
 func TestSharedL3BetweenCores(t *testing.T) {
-	dev := scm.New(scm.Config{CapacityBytes: 2 << 20, ReadCycles: 610, WriteCycles: 782})
-	ctrl := mee.New(dev, mee.DefaultConfig(), mee.NewLeaf())
+	mem := &fakeMemory{}
 	l3 := SharedL3(64 * 64)
-	cfg := Config{
-		L1: LevelConfig{SizeBytes: 4 * 64, Assoc: 2, HitCycles: 1},
-		L2: LevelConfig{SizeBytes: 16 * 64, Assoc: 4, HitCycles: 12},
-	}
-	content := func(uint64) []byte { return make([]byte, scm.BlockSize) }
-	h1 := NewHierarchy("c0", cfg, l3, ctrl, content)
-	h2 := NewHierarchy("c1", cfg, l3, ctrl, content)
+	h1 := NewHierarchy("c0", tinyCore, l3, mem)
+	h2 := NewHierarchy("c1", tinyCore, l3, mem)
 	// Core 0 pulls a block through all levels; core 1 should then hit
-	// in the shared L3 without touching the MEE.
+	// in the shared L3 without touching memory.
 	if _, err := h1.Access(0, 77, false); err != nil {
 		t.Fatal(err)
 	}
-	readsBefore := ctrl.Stats().DataReads.Value()
 	if _, err := h2.Access(0, 77, false); err != nil {
 		t.Fatal(err)
 	}
-	if ctrl.Stats().DataReads.Value() != readsBefore {
-		t.Fatal("core 1 missed the shared L3")
+	if n := mem.count(77, false); n != 1 {
+		t.Fatalf("block read %d times, want 1: core 1 missed the shared L3", n)
 	}
 }
 
@@ -179,53 +173,35 @@ func TestInvalidateAllDropsDirty(t *testing.T) {
 		}
 	}
 	// The dirty data was (deliberately) lost, not written back.
-	if rig.ctrl.Device().Contains(scm.Data, 1) {
+	if n := rig.mem.count(1, true); n != 0 {
 		t.Fatal("InvalidateAll must not write back")
 	}
 }
 
+// TestVerifyHookRuns: an error from the memory — the simulator's data
+// oracle lives there — aborts the access that raised it, on a fill and
+// on a write-back alike.
 func TestVerifyHookRuns(t *testing.T) {
 	rig := newRig(t, false)
-	rig.contents[3] = fill(1)
+	wantErr := errors.New("oracle mismatch")
+	rig.mem.err = wantErr
+	if _, err := rig.h.Access(0, 3, false); !errors.Is(err, wantErr) {
+		t.Fatalf("fill error not surfaced: %v", err)
+	}
+	rig.mem.err = nil
 	if _, err := rig.h.Access(0, 3, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rig.h.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	rig.h.InvalidateAll()
-	wantErr := errors.New("oracle mismatch")
-	called := false
-	rig.h.SetVerify(func(block uint64, data []byte) error {
-		called = true
-		if block == 3 && bytes.Equal(data, fill(1)) {
-			return nil
-		}
-		return wantErr
-	})
-	if _, err := rig.h.Access(0, 3, false); err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Fatal("verify hook not called on MEE read")
-	}
-	rig.h.InvalidateAll()
-	rig.h.SetVerify(func(uint64, []byte) error { return wantErr })
-	if _, err := rig.h.Access(0, 3, false); !errors.Is(err, wantErr) {
-		t.Fatalf("verify error not surfaced: %v", err)
+	rig.mem.err = wantErr
+	if _, err := rig.h.Drain(0); !errors.Is(err, wantErr) {
+		t.Fatalf("write-back error not surfaced: %v", err)
 	}
 }
 
 func TestSnoopMigratesDirtyLine(t *testing.T) {
-	dev := scm.New(scm.Config{CapacityBytes: 2 << 20, ReadCycles: 610, WriteCycles: 782})
-	ctrl := mee.New(dev, mee.DefaultConfig(), mee.NewLeaf())
-	cfg := Config{
-		L1: LevelConfig{SizeBytes: 4 * 64, Assoc: 2, HitCycles: 1},
-		L2: LevelConfig{SizeBytes: 16 * 64, Assoc: 4, HitCycles: 12},
-	}
-	content := func(uint64) []byte { return make([]byte, scm.BlockSize) }
-	a := NewHierarchy("a", cfg, nil, ctrl, content)
-	b := NewHierarchy("b", cfg, nil, ctrl, content)
+	mem := &fakeMemory{}
+	a := NewHierarchy("a", tinyCore, nil, mem)
+	b := NewHierarchy("b", tinyCore, nil, mem)
 	b.SetSnoop(func(block uint64) bool { return a.ExtractDirty(block) })
 
 	// Core A dirties block 9 in its private cache.
@@ -234,12 +210,11 @@ func TestSnoopMigratesDirtyLine(t *testing.T) {
 	}
 	// Core B misses everywhere; the snoop must migrate A's dirty copy
 	// instead of reading (stale) memory.
-	readsBefore := ctrl.Stats().DataReads.Value()
 	if _, err := b.Access(100, 9, false); err != nil {
 		t.Fatal(err)
 	}
-	if ctrl.Stats().DataReads.Value() != readsBefore {
-		t.Fatal("snooped access still read the MEE")
+	if n := mem.count(9, false); n != 1 {
+		t.Fatal("snooped access still read memory")
 	}
 	// A no longer holds the block; B's L1 copy carries the dirty bit.
 	if a.Levels()[0].Probe(9) || a.Levels()[1].Probe(9) {
@@ -252,15 +227,8 @@ func TestSnoopMigratesDirtyLine(t *testing.T) {
 }
 
 func TestExtractDirtyLeavesSharedLevels(t *testing.T) {
-	dev := scm.New(scm.Config{CapacityBytes: 2 << 20, ReadCycles: 610, WriteCycles: 782})
-	ctrl := mee.New(dev, mee.DefaultConfig(), mee.NewLeaf())
-	cfg := Config{
-		L1: LevelConfig{SizeBytes: 4 * 64, Assoc: 2, HitCycles: 1},
-		L2: LevelConfig{SizeBytes: 16 * 64, Assoc: 4, HitCycles: 12},
-	}
 	l3 := SharedL3(64 * 64)
-	content := func(uint64) []byte { return make([]byte, scm.BlockSize) }
-	h := NewHierarchy("c", cfg, l3, ctrl, content)
+	h := NewHierarchy("c", tinyCore, l3, &fakeMemory{})
 	if _, err := h.Access(0, 5, false); err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,17 @@ import (
 // deduplicated through a keyed, memoized run-cache (several drivers
 // need the same volatile baseline, and Figure 5's cells reappear in
 // Figures 6+7 and Table 2), cancellation propagates from a
-// context.Context into sim.Machine.RunContext, worker panics become
-// errors, and every job failure is reported (errors.Join) instead of
-// the first one only. Progress is streamed as structured events
-// through Options.Progress.
+// context.Context into the simulation, worker panics become errors,
+// and every job failure is reported (errors.Join) instead of the
+// first one only. Progress is streamed as structured events through
+// Options.Progress.
+//
+// Cells that differ only in protocol see the same access stream, so
+// the engine records that stream once — a front-end job, labelled
+// "frontend/…" — and replays it into each cell's controller
+// (DESIGN.md §2.2). A recorded stream is keyed by the cell's run-cache
+// key without the protocol, is single-flighted like the run-cache, and
+// is released when its last claiming cell is done.
 
 // Event identifies a progress transition.
 type Event int
@@ -157,6 +164,99 @@ type cacheEntry struct {
 	err  error
 }
 
+// streamKey identifies a recorded front-end stream: the run-cache key
+// without its protocol, plus whether the modified (AMNT++) kernel
+// runs — the one protocol choice the front end sees.
+type streamKey struct {
+	runKey         // protocol left empty
+	modifiedKernel bool
+}
+
+// streamEntry is one recorded (or recording) stream. Every cell that
+// may replay it holds a claim; the last release frees it.
+type streamEntry struct {
+	done      chan struct{} // closed when s/err are final
+	s         *sim.Stream
+	err       error
+	refs      int  // claims not yet released
+	recording bool // a cell has started the front-end job
+}
+
+// frontEndPrefix starts every front-end job's label.
+const frontEndPrefix = "frontend/"
+
+// runCell is a RunSpec resolved against its Options.
+type runCell struct {
+	o      Options
+	rs     RunSpec
+	label  string
+	level  int
+	scaled []workload.Spec
+	cfg    sim.Config // machineFor, the modified kernel and Mutate applied
+	key    runKey
+	// cacheable cells go through the run-cache; shared ones also
+	// replay a recorded stream instead of running a live machine.
+	cacheable, shared bool
+}
+
+// resolve applies o's scale, level and machine config (Mutate
+// included) to rs.
+func resolve(o Options, rs RunSpec) runCell {
+	o = o.withScalars()
+	c := runCell{o: o, rs: rs, level: rs.Level}
+	if c.level == 0 {
+		c.level = o.SubtreeLevel
+	}
+	c.label = rs.label(c.level)
+	c.scaled = make([]workload.Spec, len(rs.Specs))
+	for i, s := range rs.Specs {
+		c.scaled[i] = s.Scale(o.Scale)
+	}
+	lo := o
+	lo.SubtreeLevel = c.level
+	c.cfg = lo.machineFor(rs.Kind)
+	c.cfg.AMNTPlusPlus = rs.Protocol == "amnt++"
+	if rs.Mutate != nil {
+		rs.Mutate(&c.cfg)
+	}
+	c.key = runKey{
+		kind:      rs.Kind,
+		protocol:  rs.Protocol,
+		level:     c.level,
+		seed:      o.Seed,
+		memBytes:  o.MemoryBytes,
+		configKey: rs.ConfigKey,
+		specs:     fmt.Sprintf("%+v", c.scaled),
+	}
+	c.cacheable = !rs.NoCache && (rs.Mutate == nil || rs.ConfigKey != "")
+	// Telemetry samples cache state on the simulated clock, which only
+	// a live machine has.
+	c.shared = c.cacheable && o.TelemetryDir == ""
+	return c
+}
+
+func (c runCell) streamKey() streamKey {
+	k := c.key
+	k.protocol = ""
+	return streamKey{runKey: k, modifiedKernel: c.cfg.AMNTPlusPlus}
+}
+
+// frontEndLabel names the front-end job that records c's stream; it
+// is the same for every driver.
+func (c runCell) frontEndLabel() string {
+	l := frontEndPrefix + c.rs.Kind + "/" + specName(c.rs.Specs)
+	if c.rs.Level != 0 {
+		l += fmt.Sprintf("/L%d", c.level)
+	}
+	if c.rs.ConfigKey != "" {
+		l += "/" + c.rs.ConfigKey
+	}
+	if c.cfg.AMNTPlusPlus {
+		l += "/amnt++-kernel"
+	}
+	return l
+}
+
 // Engine executes experiment jobs on a bounded worker pool with a
 // shared run-cache. One engine may be shared by many drivers (and
 // many goroutines): cmd/amntbench binds a single engine across every
@@ -165,11 +265,12 @@ type Engine struct {
 	parallel    int
 	progress    func(Progress)
 	start       time.Time
-	sem         chan struct{}
+	slots       pool
 	cellTimeout time.Duration
 
 	mu                                    sync.Mutex
 	cache                                 map[runKey]*cacheEntry
+	streams                               map[streamKey]*streamEntry
 	queued, running, done, cached, failed int
 	wallSum                               time.Duration
 
@@ -189,9 +290,10 @@ func NewEngine(o Options) *Engine {
 		parallel:    par,
 		progress:    o.Progress,
 		start:       time.Now(),
-		sem:         make(chan struct{}, par),
+		slots:       pool{free: par},
 		cellTimeout: o.CellTimeout,
 		cache:       make(map[runKey]*cacheEntry),
+		streams:     make(map[streamKey]*streamEntry),
 	}
 }
 
@@ -233,24 +335,77 @@ func (e *Engine) emit(ev Event, job string, wall time.Duration, cycles uint64, j
 // slot, so nested engine calls do not deadlock the pool.
 type slotKey struct{}
 
-func (e *Engine) acquire(ctx context.Context) (release func(), err error) {
+// pool is the engine's worker slots. A job waiting with urgent set —
+// the replay of a recorded stream — is granted a slot before any
+// other waiting job, so a stream's cells drain it before another
+// front end records, and few streams are held at once.
+type pool struct {
+	mu      sync.Mutex
+	free    int
+	waiting [2][]chan struct{} // urgent, then normal; FIFO within each
+}
+
+func (p *pool) acquire(ctx context.Context, urgent bool) (release func(), err error) {
 	if ctx.Value(slotKey{}) != nil {
 		return func() {}, nil
 	}
-	select {
-	case e.sem <- struct{}{}:
-		return func() { <-e.sem }, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	p.mu.Lock()
+	if p.free > 0 {
+		p.free--
+		p.mu.Unlock()
+		return p.release, nil
+	}
+	q := 1
+	if urgent {
+		q = 0
+	}
+	grant := make(chan struct{})
+	p.waiting[q] = append(p.waiting[q], grant)
+	p.mu.Unlock()
+	select {
+	case <-grant:
+		return p.release, nil
+	case <-ctx.Done():
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, w := range p.waiting[q] {
+		if w == grant {
+			p.waiting[q] = append(p.waiting[q][:i], p.waiting[q][i+1:]...)
+			return nil, ctx.Err()
+		}
+	}
+	p.handOn() // granted as ctx ended: pass the slot on
+	return nil, ctx.Err()
+}
+
+func (p *pool) release() {
+	p.mu.Lock()
+	p.handOn()
+	p.mu.Unlock()
+}
+
+// handOn gives a freed slot to the first waiter, urgent ones first.
+func (p *pool) handOn() {
+	for q := range p.waiting {
+		if len(p.waiting[q]) > 0 {
+			close(p.waiting[q][0])
+			p.waiting[q] = p.waiting[q][1:]
+			return
+		}
+	}
+	p.free++
 }
 
 // execute runs fn on the pool with the full job lifecycle: queued →
 // started → done/failed events, panic recovery, and wall-time
-// accounting.
-func (e *Engine) execute(ctx context.Context, label string, fn func(ctx context.Context) (sim.Result, error)) (res sim.Result, err error) {
+// accounting. urgent jobs take the next free slot (see pool).
+func (e *Engine) execute(ctx context.Context, label string, urgent bool, fn func(ctx context.Context) (sim.Result, error)) (res sim.Result, err error) {
 	e.emit(JobQueued, label, 0, 0, nil, func() { e.queued++ })
-	release, aerr := e.acquire(ctx)
+	release, aerr := e.slots.acquire(ctx, urgent)
 	if aerr != nil {
 		e.emit(JobFailed, label, 0, 0, aerr, func() { e.queued--; e.failed++ })
 		return sim.Result{}, aerr
@@ -259,11 +414,7 @@ func (e *Engine) execute(ctx context.Context, label string, fn func(ctx context.
 	start := time.Now()
 	func() {
 		defer release()
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("%s: panic: %v\n%s", label, r, debug.Stack())
-			}
-		}()
+		defer recovered(label, &err)
 		jctx := context.WithValue(ctx, slotKey{}, struct{}{})
 		if e.cellTimeout > 0 {
 			// Per-cell deadline: a wedged simulation fails its own job
@@ -288,35 +439,29 @@ func (e *Engine) execute(ctx context.Context, label string, fn func(ctx context.
 	return res, nil
 }
 
+// recovered, deferred, turns a panic into *err, naming label.
+func recovered(label string, err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("%s: panic: %v\n%s", label, r, debug.Stack())
+	}
+}
+
 // Run executes one cell, serving it from the run-cache when an
 // identical cell already ran (or is in flight: concurrent duplicates
 // single-flight behind the first).
-func (e *Engine) Run(ctx context.Context, o Options, rs RunSpec) (sim.Result, error) {
-	o = o.withScalars()
-	level := rs.Level
-	if level == 0 {
-		level = o.SubtreeLevel
-	}
-	scaled := make([]workload.Spec, len(rs.Specs))
-	for i, s := range rs.Specs {
-		scaled[i] = s.Scale(o.Scale)
-	}
-	label := rs.label(level)
+func (e *Engine) Run(ctx context.Context, o Options, rs RunSpec) (res sim.Result, err error) {
+	defer recovered(rs.label(rs.Level), &err)
+	c := resolve(o, rs)
+	ent := e.claim(c)
+	defer e.unclaim(c, ent)
+	return e.run(ctx, c, ent)
+}
 
+func (e *Engine) run(ctx context.Context, c runCell, ent *streamEntry) (sim.Result, error) {
 	var entry *cacheEntry
-	var key runKey
-	if cacheable := !rs.NoCache && (rs.Mutate == nil || rs.ConfigKey != ""); cacheable {
-		key = runKey{
-			kind:      rs.Kind,
-			protocol:  rs.Protocol,
-			level:     level,
-			seed:      o.Seed,
-			memBytes:  o.MemoryBytes,
-			configKey: rs.ConfigKey,
-			specs:     fmt.Sprintf("%+v", scaled),
-		}
+	if c.cacheable {
 		e.mu.Lock()
-		if hit, ok := e.cache[key]; ok {
+		if hit, ok := e.cache[c.key]; ok {
 			e.mu.Unlock()
 			select {
 			case <-hit.done:
@@ -327,53 +472,135 @@ func (e *Engine) Run(ctx context.Context, o Options, rs RunSpec) (sim.Result, er
 				// The owner already emitted JobFailed; don't double-count.
 				return sim.Result{}, hit.err
 			}
-			e.emit(JobCached, label, 0, hit.res.Cycles, nil, func() { e.cached++ })
+			e.emit(JobCached, c.label, 0, hit.res.Cycles, nil, func() { e.cached++ })
 			return hit.res, nil
 		}
 		entry = &cacheEntry{done: make(chan struct{})}
-		e.cache[key] = entry
+		e.cache[c.key] = entry
 		e.mu.Unlock()
 	}
 
-	res, err := e.execute(ctx, label, func(ctx context.Context) (sim.Result, error) {
-		lo := o
-		lo.SubtreeLevel = level
-		cfg := lo.machineFor(rs.Kind)
-		cfg.AMNTPlusPlus = rs.Protocol == "amnt++"
-		if rs.Mutate != nil {
-			rs.Mutate(&cfg)
-		}
-		policy, perr := sim.PolicyByName(rs.Protocol, level)
-		if perr != nil {
-			return sim.Result{}, perr
-		}
-		m := sim.NewMachine(cfg, policy, scaled)
-		if o.TelemetryDir == "" {
-			return m.RunContext(ctx)
-		}
-		sess := m.EnableTelemetry(telemetry.Config{EpochCycles: o.EpochCycles})
-		res, rerr := m.RunContext(ctx)
-		if rerr != nil {
-			return res, rerr
-		}
-		sess.Flush(m.Now())
-		if werr := writeCellTelemetry(o.TelemetryDir, label, sess); werr != nil {
-			return res, fmt.Errorf("telemetry: %w", werr)
-		}
-		return res, nil
-	})
+	var res sim.Result
+	var err error
+	if c.shared {
+		res, err = e.replay(ctx, c, ent)
+	} else {
+		res, err = e.execute(ctx, c.label, false, c.live)
+	}
 	if entry != nil {
 		if err != nil {
 			// Drop the poisoned entry so a later retry (or a run after a
 			// cancellation) simulates afresh; current waiters still see err.
 			e.mu.Lock()
-			delete(e.cache, key)
+			delete(e.cache, c.key)
 			e.mu.Unlock()
 		}
 		entry.res, entry.err = res, err
 		close(entry.done)
 	}
 	return res, err
+}
+
+// live runs c on a composed machine, front end and back end in
+// lockstep, writing its telemetry when the options ask for it.
+func (c runCell) live(ctx context.Context) (sim.Result, error) {
+	policy, err := sim.PolicyByName(c.rs.Protocol, c.level)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	m := sim.NewMachine(c.cfg, policy, c.scaled)
+	if c.o.TelemetryDir == "" {
+		return m.RunContext(ctx)
+	}
+	sess := m.EnableTelemetry(telemetry.Config{EpochCycles: c.o.EpochCycles})
+	res, err := m.RunContext(ctx)
+	if err != nil {
+		return res, err
+	}
+	sess.Flush(m.Now())
+	if err := writeCellTelemetry(c.o.TelemetryDir, c.label, sess); err != nil {
+		return res, fmt.Errorf("telemetry: %w", err)
+	}
+	return res, nil
+}
+
+// claim registers c as a consumer of its stream, so the stream
+// outlives every cell that may still replay it. Cells that run live
+// claim nothing (nil).
+func (e *Engine) claim(c runCell) *streamEntry {
+	if !c.shared {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	k := c.streamKey()
+	ent, ok := e.streams[k]
+	if !ok {
+		ent = &streamEntry{done: make(chan struct{})}
+		e.streams[k] = ent
+	}
+	ent.refs++
+	return ent
+}
+
+// unclaim drops one claim; the last one frees the stream.
+func (e *Engine) unclaim(c runCell, ent *streamEntry) {
+	if ent == nil {
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ent.refs--; ent.refs > 0 {
+		return
+	}
+	if k := c.streamKey(); e.streams[k] == ent {
+		delete(e.streams, k)
+	}
+	if ent.s != nil {
+		ent.s.Release()
+		ent.s = nil
+	}
+}
+
+// replay runs c's protocol over its recorded stream, recording the
+// stream first when no other cell has begun to. A cell waiting for
+// the recording holds no worker slot.
+func (e *Engine) replay(ctx context.Context, c runCell, ent *streamEntry) (sim.Result, error) {
+	e.mu.Lock()
+	record := !ent.recording
+	ent.recording = true
+	e.mu.Unlock()
+	if record {
+		var s *sim.Stream
+		_, err := e.execute(ctx, c.frontEndLabel(), false, func(ctx context.Context) (sim.Result, error) {
+			var err error
+			s, err = sim.Record(ctx, c.cfg, c.scaled)
+			return sim.Result{}, err
+		})
+		e.mu.Lock()
+		ent.s, ent.err = s, err
+		if k := c.streamKey(); err != nil && e.streams[k] == ent {
+			// Leave no poisoned entry: a later claim records afresh.
+			delete(e.streams, k)
+		}
+		e.mu.Unlock()
+		close(ent.done)
+	}
+	select {
+	case <-ent.done:
+	case <-ctx.Done():
+		return sim.Result{}, ctx.Err()
+	}
+	if ent.err != nil {
+		return sim.Result{}, ent.err
+	}
+	return e.execute(ctx, c.label, true, func(ctx context.Context) (sim.Result, error) {
+		policy, err := sim.PolicyByName(c.rs.Protocol, c.level)
+		if err != nil {
+			return sim.Result{}, err
+		}
+		return sim.Replay(ctx, c.cfg, policy, ent.s)
+	})
 }
 
 // State returns a snapshot of the engine's counters, shaped like a
@@ -443,20 +670,31 @@ func writeCellTelemetry(dir, label string, s *telemetry.Session) error {
 
 // RunAll executes every cell concurrently (bounded by the pool) and
 // returns results in input order. All failures are aggregated; a nil
-// error means every result is valid.
+// error means every result is valid. Every cell claims its stream
+// before any runs, so a stream shared by several cells is recorded
+// once however the goroutines interleave.
 func (e *Engine) RunAll(ctx context.Context, o Options, cells []RunSpec) ([]sim.Result, error) {
 	out := make([]sim.Result, len(cells))
 	errs := make([]error, len(cells))
+	resolved := make([]runCell, len(cells))
+	claims := make([]*streamEntry, len(cells))
+	for i := range cells {
+		func() {
+			defer recovered(cells[i].label(cells[i].Level), &errs[i])
+			resolved[i] = resolve(o, cells[i])
+			claims[i] = e.claim(resolved[i])
+		}()
+	}
 	var wg sync.WaitGroup
 	for i := range cells {
+		if errs[i] != nil {
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("%s: panic: %v\n%s", cells[i].label(0), r, debug.Stack())
-				}
-			}()
+			defer e.unclaim(resolved[i], claims[i])
+			defer recovered(cells[i].label(cells[i].Level), &errs[i])
 			out[i], errs[i] = e.Run(ctx, o, cells[i])
 		}(i)
 	}
@@ -475,12 +713,8 @@ func (e *Engine) Do(ctx context.Context, jobs ...Job) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("%s: panic: %v\n%s", jobs[i].Label, r, debug.Stack())
-				}
-			}()
-			_, errs[i] = e.execute(ctx, jobs[i].Label, func(ctx context.Context) (sim.Result, error) {
+			defer recovered(jobs[i].Label, &errs[i])
+			_, errs[i] = e.execute(ctx, jobs[i].Label, false, func(ctx context.Context) (sim.Result, error) {
 				return sim.Result{}, jobs[i].Fn(ctx)
 			})
 		}(i)

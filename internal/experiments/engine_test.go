@@ -82,17 +82,33 @@ func TestDoCancellation(t *testing.T) {
 	}
 }
 
+// eventCounts tallies Progress events by kind, front-end jobs apart
+// from cells.
+type eventCounts struct {
+	mu               sync.Mutex
+	cells, frontEnds map[Event]int
+}
+
+func newEventCounts() *eventCounts {
+	return &eventCounts{cells: map[Event]int{}, frontEnds: map[Event]int{}}
+}
+
+func (c *eventCounts) progress(p Progress) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if strings.HasPrefix(p.Job, frontEndPrefix) {
+		c.frontEnds[p.Event]++
+	} else {
+		c.cells[p.Event]++
+	}
+}
+
 // TestRunCacheDedupes submits the same cell several times — serially
 // and concurrently — and asserts it simulates exactly once, with the
 // duplicates served as JobCached events.
 func TestRunCacheDedupes(t *testing.T) {
-	var mu sync.Mutex
-	counts := map[Event]int{}
-	o := Options{Scale: 0.02, Seed: 1, Parallel: 4, Progress: func(p Progress) {
-		mu.Lock()
-		counts[p.Event]++
-		mu.Unlock()
-	}}
+	ec := newEventCounts()
+	o := Options{Scale: 0.02, Seed: 1, Parallel: 4, Progress: ec.progress}
 	e := NewEngine(o)
 	o = o.WithEngine(e)
 	spec, _ := workload.ByName("lbm")
@@ -111,26 +127,25 @@ func TestRunCacheDedupes(t *testing.T) {
 			t.Fatalf("result %d diverged: %d vs %d cycles", i, r.Cycles, again.Cycles)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	counts, frontEnds := ec.cells, ec.frontEnds
 	if counts[JobDone] != 1 {
 		t.Fatalf("cell simulated %d times, want 1", counts[JobDone])
 	}
 	if counts[JobCached] != 3 {
 		t.Fatalf("cached hits = %d, want 3", counts[JobCached])
 	}
+	if frontEnds[JobDone] != 1 {
+		t.Fatalf("stream recorded %d times, want 1", frontEnds[JobDone])
+	}
 }
 
 // TestRunCacheKeysDiscriminate: differing level, seed, or ConfigKey
 // must not collide in the cache.
 func TestRunCacheKeysDiscriminate(t *testing.T) {
-	var mu sync.Mutex
-	counts := map[Event]int{}
-	e := NewEngine(Options{Parallel: 2, Progress: func(p Progress) {
-		mu.Lock()
-		counts[p.Event]++
-		mu.Unlock()
-	}})
+	ec := newEventCounts()
+	e := NewEngine(Options{Parallel: 2, Progress: ec.progress})
 	spec, _ := workload.ByName("lbm")
 	base := RunSpec{Kind: "single", Protocol: "amnt", Specs: []workload.Spec{spec}}
 	lvl := base
@@ -152,13 +167,19 @@ func TestRunCacheKeysDiscriminate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	counts, frontEnds := ec.cells, ec.frontEnds
 	if counts[JobDone] != 4 {
 		t.Fatalf("distinct cells simulated %d times, want 4", counts[JobDone])
 	}
 	if counts[JobCached] != 1 {
 		t.Fatalf("cache hits = %d, want 1 (only the true duplicate)", counts[JobCached])
+	}
+	// Level, mutation and seed all reach the front end; run serially,
+	// each stream is released before the next cell claims one.
+	if frontEnds[JobDone] != 4 {
+		t.Fatalf("streams recorded %d times, want 4", frontEnds[JobDone])
 	}
 }
 
@@ -352,5 +373,76 @@ func TestCellTimeoutIsolatesHungJob(t *testing.T) {
 	}
 	if !sibling {
 		t.Fatal("sibling job did not complete alongside the timed-out one")
+	}
+}
+
+// TestFigure4RecordsEachStreamOnce: Figure 4's 70 cells (ten workloads
+// × volatile and six protocols) share 20 front ends — each workload on
+// the stock and on the modified kernel — and every stream is released
+// once its cells are done.
+func TestFigure4RecordsEachStreamOnce(t *testing.T) {
+	ec := newEventCounts()
+	o := Options{Scale: 0.05, Seed: 1, Parallel: 2, Progress: ec.progress}
+	e := NewEngine(o)
+	if _, err := Figure4(o.WithEngine(e)); err != nil {
+		t.Fatal(err)
+	}
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	if got := ec.frontEnds[JobStarted]; got != 20 {
+		t.Fatalf("%d front-end jobs started, want 20", got)
+	}
+	if got := ec.cells[JobStarted]; got != 70 {
+		t.Fatalf("%d cells started, want 70", got)
+	}
+	if n := len(e.streams); n != 0 {
+		t.Fatalf("%d streams still held after the figure", n)
+	}
+}
+
+// TestCancelWhileRecording: cancelling while a front end records fails
+// every cell waiting on it with the context's error and leaves no
+// stream or run-cache entry behind, so the same cells run afresh.
+func TestCancelWhileRecording(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	o := Options{Scale: 0.05, Seed: 1, Parallel: 2, Progress: func(p Progress) {
+		if p.Event == JobStarted && strings.HasPrefix(p.Job, frontEndPrefix) {
+			cancel()
+		}
+	}}
+	e := NewEngine(o)
+	o = o.WithEngine(e)
+	spec, _ := workload.ByName("lbm")
+	var cells []RunSpec
+	for _, p := range []string{"volatile", "leaf", "amnt"} {
+		cells = append(cells, RunSpec{Kind: "single", Protocol: p, Specs: []workload.Spec{spec}})
+	}
+	_, err := e.RunAll(ctx, o, cells)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	e.mu.Lock()
+	streams, cached := len(e.streams), len(e.cache)
+	e.mu.Unlock()
+	if streams != 0 || cached != 0 {
+		t.Fatalf("%d stream and %d run-cache entries left after cancellation, want none", streams, cached)
+	}
+	o.Progress = nil
+	if _, err := e.RunAll(context.Background(), o, cells); err != nil {
+		t.Fatalf("rerun after cancellation: %v", err)
+	}
+}
+
+// TestRunAllPanicNamesLevel: a cell that panics before it reaches the
+// pool is reported under its own label, level override included.
+func TestRunAllPanicNamesLevel(t *testing.T) {
+	e := NewEngine(Options{Parallel: 1})
+	spec, _ := workload.ByName("lbm")
+	_, err := e.RunAll(context.Background(), Options{Scale: 0.02}.WithEngine(e), []RunSpec{{
+		Kind: "single", Protocol: "amnt", Specs: []workload.Spec{spec}, Level: 4,
+		ConfigKey: "boom", Mutate: func(*sim.Config) { panic("bad mutation") },
+	}})
+	if err == nil || !strings.Contains(err.Error(), "single/lbm/amnt/L4/boom: panic: bad mutation") {
+		t.Fatalf("err = %v, want a panic labelled single/lbm/amnt/L4/boom", err)
 	}
 }

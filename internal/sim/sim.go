@@ -15,22 +15,25 @@
 // device, and every MEE read is checked against the expected bytes —
 // a whole-system integrity oracle that fails loudly if any protocol
 // mismanages metadata.
+//
+// A machine is two halves joined at the cache hierarchy's memory
+// port (DESIGN.md §2.1). The front end — traces, kernel, caches,
+// version table — never depends on the protocol; the back end —
+// device, controller, policy — sees only the front end's transfers.
+// Machine runs both in lockstep. Record runs the front end alone and
+// keeps its transfers as a Stream; Replay feeds a Stream to any
+// protocol's back end, so a comparison across protocols generates its
+// shared access stream once.
 package sim
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math/rand"
 
-	"amnt/internal/cache"
 	_ "amnt/internal/core" // registers the AMNT family with mee's registry
 	"amnt/internal/cpu"
 	"amnt/internal/kernel"
 	"amnt/internal/mee"
-	"amnt/internal/radix"
-	"amnt/internal/scm"
 	"amnt/internal/stats"
 	"amnt/internal/telemetry"
 	"amnt/internal/workload"
@@ -67,6 +70,18 @@ type Config struct {
 	// SharedAddressSpace runs all traces in one process (the paper's
 	// multithreaded SPEC configuration) instead of one process each.
 	SharedAddressSpace bool
+}
+
+// withDefaults fills the memory size and controller config a zero
+// Config leaves out.
+func (cfg Config) withDefaults() Config {
+	if cfg.MemoryBytes == 0 {
+		cfg.MemoryBytes = 8 << 30
+	}
+	if cfg.MEE.MetaCacheBytes == 0 {
+		cfg.MEE = mee.DefaultConfig()
+	}
+	return cfg
 }
 
 // DefaultConfig returns the paper's single-program machine.
@@ -140,27 +155,11 @@ func (r Result) CyclesPerInstruction() float64 {
 	return float64(r.Cycles) / float64(r.Instructions)
 }
 
-// Machine is an assembled system ready to run traces.
+// Machine is an assembled system ready to run traces: a front end
+// whose every transfer is applied to the back end as it happens.
 type Machine struct {
-	cfg    Config
-	dev    *scm.Device
-	ctrl   *mee.Controller
-	kern   *kernel.Kernel
-	l3     *cache.Cache
-	cores  []*cpu.Hierarchy
-	procs  []*kernel.Process
-	traces []workload.Source
-	// versions counts the stores to each data block. Leaves appear on
-	// first store, so the table follows the touched footprint, never
-	// MemoryBytes.
-	versions radix.Table[uint32]
-	// scratch is the one buffer block contents are derived into, for a
-	// write-back and for the verify oracle alike; each use ends before
-	// the next begins.
-	scratch  [scm.BlockSize]byte
-	now      uint64
-	pageHist *stats.Histogram
-	policy   mee.Policy
+	fe *frontEnd
+	be *backEnd
 	// tel is nil unless EnableTelemetry ran; every use is nil-safe, so
 	// the disabled path costs one pointer check per step.
 	tel *telemetry.Session
@@ -169,134 +168,39 @@ type Machine struct {
 // NewMachine builds a machine running one freshly generated trace
 // per core.
 func NewMachine(cfg Config, policy mee.Policy, specs []workload.Spec) *Machine {
-	sources := make([]workload.Source, len(specs))
-	for i, spec := range specs {
-		sources[i] = workload.NewTrace(spec, baseSeed(cfg)+int64(i)*7919)
-	}
-	return NewMachineWithSources(cfg, policy, sources)
+	return NewMachineWithSources(cfg, policy, traceSources(cfg, specs))
 }
 
-func baseSeed(cfg Config) int64 { return cfg.Seed }
+// traceSources generates one trace per spec; core i's seed is
+// Seed + i*7919.
+func traceSources(cfg Config, specs []workload.Spec) []workload.Source {
+	sources := make([]workload.Source, len(specs))
+	for i, spec := range specs {
+		sources[i] = workload.NewTrace(spec, cfg.Seed+int64(i)*7919)
+	}
+	return sources
+}
 
 // NewMachineWithSources builds a machine over externally supplied
 // access streams — typically traces recorded with workload.Record and
 // replayed with workload.OpenRecorded, for bit-identical experiment
 // reproduction.
 func NewMachineWithSources(cfg Config, policy mee.Policy, sources []workload.Source) *Machine {
-	if cfg.MemoryBytes == 0 {
-		cfg.MemoryBytes = 8 << 30
-	}
-	if cfg.MEE.MetaCacheBytes == 0 {
-		cfg.MEE = mee.DefaultConfig()
-	}
-	dev := scm.New(scm.Config{CapacityBytes: cfg.MemoryBytes})
-	ctrl := mee.New(dev, cfg.MEE, policy)
-
-	level := cfg.SubtreeLevel
-	if level <= 0 {
-		level = 3
-	}
-	regionPages := ctrl.Geometry().CoverageBytes(level) / kernel.PageSize
-	kern := kernel.New(kernel.Config{
-		MemoryBytes:        cfg.MemoryBytes,
-		AMNTPlusPlus:       cfg.AMNTPlusPlus,
-		SubtreeRegionPages: regionPages,
-	})
-
-	m := &Machine{
-		cfg:    cfg,
-		dev:    dev,
-		ctrl:   ctrl,
-		kern:   kern,
-		policy: policy,
-	}
-	if cfg.CollectPageHist {
-		m.pageHist = stats.NewHistogram()
-	}
-	if cfg.PrefragmentChurn > 0 {
-		kern.Prefragment(newRand(cfg.Seed), cfg.PrefragmentChurn)
-		if cfg.AMNTPlusPlus {
-			// One reclamation pass so the biased ordering is in place
-			// at first allocation, as after any uptime.
-			kern.Allocator().Restructure(regionPages)
-		}
-	}
-	m.l3 = cpu.SharedL3(cfg.L3Bytes)
-	for i, src := range sources {
-		spec := src.Spec()
-		name := fmt.Sprintf("core%d", i)
-		h := cpu.NewHierarchy(name, cfg.Core, m.l3, ctrl, m.content)
-		// End-to-end oracle: everything the MEE decrypts must match
-		// the version-derived bytes the machine last evicted.
-		h.SetVerify(func(block uint64, data []byte) error {
-			if want := m.content(block); !bytes.Equal(data, want) {
-				j := 0
-				for data[j] == want[j] {
-					j++
-				}
-				return fmt.Errorf("sim: block %d plaintext diverged at byte %d", block, j)
-			}
-			return nil
-		})
-		m.cores = append(m.cores, h)
-		if cfg.SharedAddressSpace && i > 0 {
-			m.procs = append(m.procs, m.procs[0])
-		} else {
-			m.procs = append(m.procs, kern.NewProcess(spec.Name))
-		}
-		m.traces = append(m.traces, src)
-	}
-	if cfg.SharedAddressSpace {
-		// Threads share data: wire the dirty-migration snoop so a
-		// line dirtied in one core's private cache is transferred, not
-		// re-read stale from memory.
-		for i := range m.cores {
-			i := i
-			m.cores[i].SetSnoop(func(block uint64) bool {
-				for j, other := range m.cores {
-					if j != i && other.ExtractDirty(block) {
-						return true
-					}
-				}
-				return false
-			})
-		}
-	}
+	cfg = cfg.withDefaults()
+	m := &Machine{be: newBackEnd(cfg, policy), fe: newFrontEnd(cfg, sources)}
+	m.fe.be = m.be
 	return m
 }
 
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// content derives a block's current plaintext from its version into
-// the machine's scratch; see the package comment.
-func (m *Machine) content(block uint64) []byte {
-	blockContent(m.scratch[:], block, m.versions.Get(block))
-	return m.scratch[:]
-}
-
-// blockContent fills out (BlockSize bytes) with the plaintext of block
-// at version.
-func blockContent(out []byte, block uint64, version uint32) {
-	if version == 0 {
-		clear(out) // never written: zeros
-		return
-	}
-	binary.LittleEndian.PutUint64(out[0:], block)
-	binary.LittleEndian.PutUint32(out[8:], version)
-	for i := 12; i < scm.BlockSize; i++ {
-		out[i] = byte(block) ^ byte(version) ^ byte(i)
-	}
-}
-
 // Controller exposes the MEE (for recovery experiments and stats).
-func (m *Machine) Controller() *mee.Controller { return m.ctrl }
+func (m *Machine) Controller() *mee.Controller { return m.be.ctrl }
 
 // ProcessPages returns each core's process's mapped physical pages
 // (deduplicated when cores share an address space).
 func (m *Machine) ProcessPages() [][]uint64 {
 	seen := make(map[*kernel.Process]bool)
 	var out [][]uint64
-	for _, p := range m.procs {
+	for _, p := range m.fe.procs {
 		if seen[p] {
 			continue
 		}
@@ -307,7 +211,7 @@ func (m *Machine) ProcessPages() [][]uint64 {
 }
 
 // Kernel exposes the OS model.
-func (m *Machine) Kernel() *kernel.Kernel { return m.kern }
+func (m *Machine) Kernel() *kernel.Kernel { return m.fe.kern }
 
 // EnableTelemetry attaches an instrumentation session to the machine:
 // every component registers its metric columns, the controller gets a
@@ -319,22 +223,22 @@ func (m *Machine) Kernel() *kernel.Kernel { return m.kern }
 func (m *Machine) EnableTelemetry(cfg telemetry.Config) *telemetry.Session {
 	s := telemetry.NewSession(cfg)
 	reg := s.Registry
-	reg.Gauge("sim.cycle", "current simulated cycle", func() float64 { return float64(m.now) })
-	m.ctrl.RegisterMetrics(reg, "mee")
-	m.dev.RegisterMetrics(reg, "scm")
-	m.kern.RegisterMetrics(reg, "os")
-	if m.l3 != nil {
-		m.l3.RegisterMetrics(reg, "l3")
+	reg.Gauge("sim.cycle", "current simulated cycle", func() float64 { return float64(m.Now()) })
+	m.be.ctrl.RegisterMetrics(reg, "mee")
+	m.be.dev.RegisterMetrics(reg, "scm")
+	m.fe.kern.RegisterMetrics(reg, "os")
+	if m.fe.l3 != nil {
+		m.fe.l3.RegisterMetrics(reg, "l3")
 	}
-	for i, h := range m.cores {
+	for i, h := range m.fe.cores {
 		for li, c := range h.Levels() {
 			c.RegisterMetrics(reg, fmt.Sprintf("core%d.l%d", i, li+1))
 		}
 	}
-	if src, ok := m.policy.(telemetry.MetricSource); ok {
+	if src, ok := m.be.policy.(telemetry.MetricSource); ok {
 		src.RegisterMetrics(reg)
 	}
-	m.ctrl.SetTracer(s.Trace)
+	m.be.ctrl.SetTracer(s.Trace)
 	m.tel = s
 	return s
 }
@@ -342,41 +246,21 @@ func (m *Machine) EnableTelemetry(cfg telemetry.Config) *telemetry.Session {
 // Telemetry returns the attached session, nil when telemetry is off.
 func (m *Machine) Telemetry() *telemetry.Session { return m.tel }
 
-// Now returns the current simulated cycle.
-func (m *Machine) Now() uint64 { return m.now }
+// Now returns the current simulated cycle: the full clock at the
+// latest event plus the static time since.
+func (m *Machine) Now() uint64 { return m.be.now + m.fe.static - m.fe.last }
 
 // Step runs one access from trace/core i. done reports trace
 // exhaustion.
 func (m *Machine) Step(i int) (done bool, err error) {
-	acc, ok := m.traces[i].Next()
-	if !ok {
-		return true, nil
+	now := m.Now()
+	if done, err = m.fe.step(i); err != nil {
+		return false, fmt.Errorf("core %d @%d: %w", i, now, err)
 	}
-	m.now += uint64(acc.Gap) // 1 IPC for non-memory instructions
-	paddr, fault := m.procs[i].Translate(acc.VAddr)
-	if fault {
-		// Charge the fault handler's instructions as cycles.
-		m.now += 150
+	if m.tel != nil && !done {
+		m.tel.Tick(m.Now())
 	}
-	block := paddr / scm.BlockSize
-	if m.pageHist != nil {
-		m.pageHist.Observe(paddr / kernel.PageSize)
-	}
-	cycles, err := m.cores[i].Access(m.now, block, acc.Write)
-	if err != nil {
-		return false, fmt.Errorf("core %d @%d: %w", i, m.now, err)
-	}
-	if acc.Write {
-		// Bump after the (write-allocate) access: any MEE fetch during
-		// the access sees the pre-store contents; the eviction that
-		// eventually writes this line back will see the new version.
-		*m.versions.At(block)++
-	}
-	m.now += cycles
-	if m.tel != nil {
-		m.tel.Tick(m.now)
-	}
-	return false, nil
+	return done, nil
 }
 
 // Run drives all traces round-robin to completion (or until the first
@@ -384,13 +268,6 @@ func (m *Machine) Step(i int) (done bool, err error) {
 func (m *Machine) Run() (Result, error) {
 	return m.RunContext(context.Background())
 }
-
-// cancelCheckMask sets how often RunContext polls for cancellation:
-// every (mask+1) round-robin sweeps. A sweep is a handful of
-// microseconds of host time, so a cancelled run aborts in well under
-// a millisecond while the common (never-cancelled) path pays one
-// counter increment and a branch per sweep.
-const cancelCheckMask = 1<<10 - 1
 
 // RunContext is Run with cancellation: the simulation loop polls ctx
 // between round-robin sweeps and aborts with ctx's error once it is
@@ -410,52 +287,30 @@ func (m *Machine) RunContext(ctx context.Context) (Result, error) {
 // find, so the fault-injection harness uses this as its crash-point
 // hook: run to the crash cycle, inject, Crash, Recover.
 func (m *Machine) RunUntil(ctx context.Context, stopCycle uint64) (Result, bool, error) {
-	live := make([]bool, len(m.traces))
-	for i := range live {
-		live[i] = true
-	}
-	remaining := len(live)
-	for sweep := uint64(0); remaining > 0; sweep++ {
-		if sweep&cancelCheckMask == 0 {
-			select {
-			case <-ctx.Done():
-				return Result{}, false, fmt.Errorf("sim: run aborted at cycle %d: %w", m.now, ctx.Err())
-			default:
-			}
+	stopped, err := m.fe.roundRobin(ctx, func(i int) (bool, bool, error) {
+		done, err := m.Step(i)
+		return done, stopCycle != 0 && m.Now() >= stopCycle, err
+	})
+	if err != nil {
+		if err == ctx.Err() {
+			return Result{}, false, fmt.Errorf("sim: run aborted at cycle %d: %w", m.Now(), err)
 		}
-		for i := range m.traces {
-			if !live[i] {
-				continue
-			}
-			done, err := m.Step(i)
-			if err != nil {
-				return Result{}, false, err
-			}
-			if done {
-				live[i] = false
-				remaining--
-				if m.cfg.StopAtFirstDone {
-					remaining = 0
-				}
-			}
-			if stopCycle != 0 && m.now >= stopCycle {
-				return m.result(), true, nil
-			}
-		}
+		return Result{}, false, err
 	}
-	return m.result(), false, nil
+	return m.result(), stopped, nil
 }
 
 // Drain writes all dirty data back through the MEE (clean shutdown).
 func (m *Machine) Drain() error {
-	for _, h := range m.cores {
-		cycles, err := h.Drain(m.now)
-		m.now += cycles
+	for _, h := range m.fe.cores {
+		cycles, err := h.Drain(m.fe.static)
+		m.fe.static += cycles
 		if err != nil {
 			return err
 		}
 	}
-	m.now += m.ctrl.Flush(m.now)
+	m.be.now, m.fe.last = m.Now(), m.fe.static
+	m.be.now += m.be.ctrl.Flush(m.be.now)
 	return nil
 }
 
@@ -463,72 +318,15 @@ func (m *Machine) Drain() error {
 // volatile structures. Dirty cache lines are lost, exactly as on a
 // power failure.
 func (m *Machine) Crash() {
-	for _, h := range m.cores {
+	for _, h := range m.fe.cores {
 		h.InvalidateAll()
 	}
-	m.ctrl.Crash()
+	m.be.ctrl.Crash()
 }
 
 func (m *Machine) result() Result {
-	r := Result{
-		Policy:         m.policy.Name(),
-		Cycles:         m.now,
-		PageFaults:     m.kern.PageFaults(),
-		OSInstructions: m.kern.Instructions(),
-		MetaHitRate:    m.ctrl.MetaCache().HitRate(),
-		DeviceReads:    m.dev.Stats().Reads.Value(),
-		DeviceWrites:   m.dev.Stats().Writes.Value(),
-		PageHist:       m.pageHist,
-	}
-	st := m.ctrl.Stats()
-	r.Reads = st.DataReads.Value()
-	r.Writes = st.DataWrites.Value()
-	r.MetaFetches = st.MetaFetches.Value()
-	r.SyncPersists = st.SyncPersists.Value()
-	r.PostedWrites = st.PostedWrites.Value()
-	r.MergedWrites = m.ctrl.MergedWrites()
-	r.StallCycles = st.StallCycles.Value()
-	r.Overflows = st.Overflows.Value()
-	r.VerifyHashes = st.VerifyHashes.Value()
-	r.PolicyCycles = st.PolicyCycles.Value()
-	r.MetaLevelHitRates = m.ctrl.LevelHitRates()
-	if occ := m.ctrl.WriteQueueOccupancy(); occ.Total() > 0 {
-		keys := occ.Keys()
-		r.WQOccupancy = make([]uint64, keys[len(keys)-1]+1)
-		for _, k := range keys {
-			r.WQOccupancy[k] = occ.Count(k)
-		}
-		r.WQOccupancyP50 = occ.Quantile(0.50)
-		r.WQOccupancyP99 = occ.Quantile(0.99)
-	}
-	var l1Hits, l1Total uint64
-	for i, h := range m.cores {
-		r.Workloads = append(r.Workloads, m.traces[i].Spec().Name)
-		l1 := h.Levels()[0]
-		l1Total += l1.Accesses()
-		l1Hits += uint64(float64(l1.Accesses()) * l1.HitRate())
-		r.Accesses += m.traces[i].Spec().Accesses - m.traces[i].Remaining()
-	}
-	if l1Total > 0 {
-		r.L1HitRate = float64(l1Hits) / float64(l1Total)
-	}
-	// Instructions = compute gaps + one per memory op + OS work. The
-	// gap total is implicit in the clock; approximate it as accesses ×
-	// mean gap, which is exact in expectation and consistent across
-	// policies (same traces).
-	var gapTotal uint64
-	for _, tr := range m.traces {
-		done := tr.Spec().Accesses - tr.Remaining()
-		gapTotal += done * uint64(tr.Spec().GapMean)
-	}
-	r.Instructions = gapTotal + r.Accesses + r.OSInstructions
-	if a, ok := m.policy.(interface {
-		SubtreeHitRate() float64
-		Movements() uint64
-	}); ok {
-		r.SubtreeHitRate = a.SubtreeHitRate()
-		r.Movements = a.Movements()
-	}
+	r := m.fe.result()
+	m.be.fill(&r, m.Now())
 	return r
 }
 

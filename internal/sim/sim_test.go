@@ -2,7 +2,7 @@ package sim
 
 import (
 	"bytes"
-	"math"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -361,21 +361,22 @@ func TestBMFCellIsBitIdentical(t *testing.T) {
 	}
 }
 
-// steadyMachine returns a one-core machine running protocol over a
-// footprint small enough that warm-up touches all of it: every page is
-// mapped, every block has been stored to and written back, so from
-// here on an access creates nothing — it only moves state around.
-func steadyMachine(tb testing.TB, protocol string) *Machine {
-	tb.Helper()
-	policy, err := PolicyByName(protocol, 3)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	spec := workload.Spec{
+// steadySpec runs over a footprint small enough that warm-up touches
+// all of it: every page is mapped, every block has been stored to and
+// written back, so from then on an access creates nothing — it only
+// moves state around.
+func steadySpec() workload.Spec {
+	return workload.Spec{
 		Name: "steady", Suite: "test", FootprintBytes: 1 << 20,
 		WriteRatio: 0.5, GapMean: 10, Model: workload.Chase, Accesses: 1 << 40,
 	}
-	m := NewMachine(smallConfig(), policy, []workload.Spec{spec})
+}
+
+// steadyMachine returns a one-core machine running protocol over
+// steadySpec, warmed up.
+func steadyMachine(tb testing.TB, protocol string) *Machine {
+	tb.Helper()
+	m := NewMachine(smallConfig(), mustPolicy(tb, protocol), []workload.Spec{steadySpec()})
 	stepN(tb, m, 400_000)
 	return m
 }
@@ -388,29 +389,71 @@ func stepN(tb testing.TB, m *Machine, n int) {
 	}
 }
 
+// allocProtocols cover the controller's metadata traffic: leaf posted
+// persists; amnt a subtree register; amnt-multi K registers and their
+// movements; anubis a blocking shadow-table write per metadata fill.
+var allocProtocols = []string{"leaf", "amnt", "amnt-multi", "anubis"}
+
 // TestMachineStepNoAllocs pins the per-access path off the heap: in
 // steady state a Step allocates nothing, whatever the protocol's
-// metadata traffic (leaf: posted persists; amnt: subtree register;
-// amnt-multi: K registers and their movements; anubis: a blocking
-// shadow-table write per metadata fill).
+// metadata traffic; nor does the front end recording alone (its chunks
+// come back from released streams), nor a back end replaying events.
 func TestMachineStepNoAllocs(t *testing.T) {
-	for _, protocol := range []string{"leaf", "amnt", "amnt-multi", "anubis"} {
+	for _, protocol := range allocProtocols {
 		t.Run(protocol, func(t *testing.T) {
 			m := steadyMachine(t, protocol)
 			before := m.Controller().Stats().MetaFetches.Value()
-			// AllocsPerRun counts the whole process: take the quietest of
-			// three windows, so a goroutine an earlier test left behind
-			// cannot fail the guard, while an allocation on the access
-			// path — deterministic, so present in every window — still does.
-			allocs := math.Inf(1)
-			for window := 0; window < 3 && allocs != 0; window++ {
-				allocs = min(allocs, testing.AllocsPerRun(1, func() { stepN(t, m, 10_000) }))
-			}
-			if allocs != 0 {
+			if allocs := quietestAllocs(func() { stepN(t, m, 10_000) }); allocs != 0 {
 				t.Fatalf("%v allocations in 10000 steady-state steps, want 0", allocs)
 			}
 			if m.Controller().Stats().MetaFetches.Value() == before {
 				t.Fatal("no metadata misses while measuring: the guard saw only the hit path")
+			}
+		})
+	}
+	t.Run("record", func(t *testing.T) {
+		f, warm := steadyFrontEnd(t, smallConfig())
+		warm.Release() // its chunks are what recording reuses
+		if allocs := quietestAllocs(func() { stepFront(t, f, 10_000) }); allocs != 0 {
+			t.Fatalf("%v allocations recording 10000 steady-state steps, want 0", allocs)
+		}
+		if f.rec.events < chunkEvents {
+			t.Fatalf("%d events recorded: the guard never crossed a chunk", f.rec.events)
+		}
+		f.rec.Release()
+	})
+	for _, protocol := range allocProtocols {
+		t.Run("replay/"+protocol, func(t *testing.T) {
+			cfg := smallConfig()
+			f, warm := steadyFrontEnd(t, cfg)
+			// AllocsPerRun runs its function twice (warm-up and
+			// measurement), and each run replays the next segment.
+			var segments []*Stream
+			for i := 0; i < 6; i++ {
+				stepFront(t, f, 5_000)
+				segments = append(segments, cut(f))
+			}
+			b := newBackEnd(cfg.withDefaults(), mustPolicy(t, protocol))
+			ctx := context.Background()
+			if err := b.replay(ctx, warm); err != nil {
+				t.Fatal(err)
+			}
+			before := b.ctrl.Stats().MetaFetches.Value()
+			next := 0
+			allocs := quietestAllocs(func() {
+				if err := b.replay(ctx, segments[next]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			})
+			if allocs != 0 {
+				t.Fatalf("%v allocations replaying 5000 steady-state steps, want 0", allocs)
+			}
+			if b.ctrl.Stats().MetaFetches.Value() == before {
+				t.Fatal("no metadata misses while measuring: the guard saw only the hit path")
+			}
+			for _, s := range append(segments, warm) {
+				s.Release()
 			}
 		})
 	}

@@ -209,7 +209,8 @@ mode_cluster() {
 mode_bench() {
 	# Device, rebuild step, epoch commit, warm verified reads and the
 	# simulator's per-access path stay off the heap (no race detector -
-	# it allocates).
+	# it allocates); TestMachineStepNoAllocs covers the composed machine,
+	# the front end recording alone and a back end replaying a stream.
 	go test -count=1 -run 'TestDeviceNoAllocs' -v ./internal/scm
 	go test -count=1 -run 'TestRebuilderStepNoAllocs' -v ./internal/bmt
 	go test -count=1 -run 'TestEpochCommitAllocs|TestWriteQueueNoAllocs|TestWarmReadAllocs' -v ./internal/mee
@@ -219,8 +220,8 @@ mode_bench() {
 	mkdir -p artifacts
 	(set -o pipefail; go test ./internal/bmt -run '^$' -bench BenchmarkRebuild -benchtime 1x \
 		| tee artifacts/rebuild-bench.txt)
-	# Simulator step benchmark (smoke).
-	(set -o pipefail; go test ./internal/sim -run '^$' -bench BenchmarkMachineStep -benchtime 1x \
+	# Simulator step, front-end and replay benchmarks (smoke).
+	(set -o pipefail; go test ./internal/sim -run '^$' -bench 'BenchmarkMachineStep|BenchmarkFrontEnd|BenchmarkReplay' -benchtime 1x \
 		| tee artifacts/sim-step-bench.txt)
 	# Repository benchmark (smoke sizes).
 	go test -C bench ./...
