@@ -31,10 +31,10 @@ func perAccessFiles(t *testing.T) []string {
 var mapAllowed = map[string]string{
 	"internal/kernel/buddy.go:Allocator":                 "free-chunk index, touched per page fault",
 	"internal/kernel/buddy.go:NewAllocator":              "builds that index",
-	"internal/kernel/buddy.go:Allocator.Restructure":     "per restructuring pass",
+	"internal/kernel/buddy.go:Allocator.Clone":           "copies that index, once per machine",
 	"internal/kernel/buddy.go:Allocator.CheckInvariants": "test and debug check",
 	"internal/kernel/kernel.go:Kernel":                   "process table, touched per process",
-	"internal/kernel/kernel.go:New":                      "builds that table",
+	"internal/kernel/kernel.go:newKernel":                "builds that table",
 	"internal/sim/sim.go:Machine.ProcessPages":           "per report",
 }
 
@@ -81,6 +81,44 @@ func TestArchSimulatorImportsNoServing(t *testing.T) {
 // access stream drive every protocol's controller.
 func TestArchFrontEndImportsNoProtocol(t *testing.T) {
 	checkNoImports(t, []string{"cpu"}, []string{"mee", "core"}, "protocol package")
+}
+
+// TestArchAgeingOnlyInKernel: simulated machines get an aged kernel
+// from kernel.NewAged, which ages once per key and copies (DESIGN.md
+// §2.1), so no non-test file outside internal/kernel calls Prefragment.
+func TestArchAgeingOnlyInKernel(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path == "internal/kernel" || name == "testdata" || (name != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Prefragment" {
+					t.Errorf("%s: calls Prefragment; age a kernel with kernel.NewAged", fset.Position(call.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // checkNoImports fails for every package of forbidden that a package

@@ -11,10 +11,7 @@
 // modified OS is reproduced.
 package kernel
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Modeled instruction costs of allocator paths (coarse but consistent
 // across modified/unmodified kernels, which is all Table 2 needs).
@@ -122,6 +119,35 @@ func NewAllocator(totalPages uint64, maxOrder int) *Allocator {
 		page += 1 << uint(order)
 	}
 	return a
+}
+
+// Clone returns a deep copy of a: every order's free list in list
+// order, the chunk index rebuilt over the copied chunks, and the free
+// page and instruction counts. The copy shares nothing with a.
+func (a *Allocator) Clone() *Allocator {
+	chunks := 0
+	for o := range a.freeArea {
+		chunks += a.freeArea[o].size
+	}
+	c := &Allocator{
+		totalPages: a.totalPages,
+		maxOrder:   a.maxOrder,
+		freeArea:   make([]freeList, len(a.freeArea)),
+		freeIdx:    make(map[uint64]*chunkNode, chunks),
+		free:       a.free,
+		instr:      a.instr,
+	}
+	nodes := make([]chunkNode, chunks) // one allocation for every chunk
+	for o := range a.freeArea {
+		for n := a.freeArea[o].head; n != nil; n = n.next {
+			cn := &nodes[0]
+			nodes = nodes[1:]
+			cn.start, cn.order = n.start, n.order
+			c.freeArea[o].pushTail(cn)
+			c.freeIdx[cn.start] = cn
+		}
+	}
+	return c
 }
 
 // TotalPages returns the managed page count.
@@ -244,23 +270,18 @@ func (a *Allocator) Restructure(regionPages uint64) uint64 {
 		return 0
 	}
 	a.instr += instrRestructure
-	counts := make(map[uint64]int)
+	counts := make([]int, (a.totalPages+regionPages-1)/regionPages)
 	for o := range a.freeArea {
 		for n := a.freeArea[o].head; n != nil; n = n.next {
 			counts[n.start/regionPages]++
 			a.instr += instrScanChunk
 		}
 	}
+	// The first region with the most free chunks wins.
 	var best uint64
-	bestCount := -1
-	regions := make([]uint64, 0, len(counts))
-	for r := range counts {
-		regions = append(regions, r)
-	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
-	for _, r := range regions {
-		if counts[r] > bestCount {
-			best, bestCount = r, counts[r]
+	for r, c := range counts {
+		if c > counts[best] {
+			best = uint64(r)
 		}
 	}
 	// Stable partition each list: biased region first.

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"math/rand"
 
 	"amnt/internal/radix"
 	"amnt/internal/telemetry"
@@ -75,11 +74,11 @@ type Kernel struct {
 // New builds a kernel from cfg.
 func New(cfg Config) *Kernel {
 	cfg = cfg.withDefaults()
-	return &Kernel{
-		cfg:   cfg,
-		alloc: NewAllocator(cfg.MemoryBytes/PageSize, cfg.MaxOrder),
-		procs: make(map[int]*Process),
-	}
+	return newKernel(cfg, NewAllocator(cfg.MemoryBytes/PageSize, cfg.MaxOrder))
+}
+
+func newKernel(cfg Config, alloc *Allocator) *Kernel {
+	return &Kernel{cfg: cfg, alloc: alloc, procs: make(map[int]*Process)}
 }
 
 // Config returns the kernel configuration.
@@ -133,55 +132,6 @@ func (k *Kernel) reclaim(page uint64) {
 		if k.cfg.AMNTPlusPlus {
 			k.alloc.Restructure(k.cfg.SubtreeRegionPages)
 			k.restructs++
-		}
-	}
-}
-
-// Prefragment ages the allocator the way uptime does: a span of
-// physical memory (capped at half of what is free) becomes a mosaic
-// of pinned stretches (kernel text, page tables, long-lived daemons)
-// and free runs a few pages long. The free runs are returned to the
-// allocator in shuffled order, so the free lists start with partially
-// contiguous chunks scattered across several subtree regions before
-// falling back to pristine large chunks — the state in which physical
-// placement policy (AMNT++) matters.
-func (k *Kernel) Prefragment(rng *rand.Rand, span int) {
-	if max := int(k.alloc.FreePages() / 2); span > max {
-		span = max
-	}
-	var held []uint64
-	for i := 0; i < span; i++ {
-		page, ok := k.alloc.AllocPage()
-		if !ok {
-			break
-		}
-		held = append(held, page)
-	}
-	// Carve the span into alternating pinned stretches and free runs.
-	var runs [][]uint64
-	i := 0
-	for i < len(held) {
-		pinLen := 4 + rng.Intn(20) // pinned stretch: 4..23 pages
-		for j := 0; j < pinLen && i < len(held); j++ {
-			k.pinned = append(k.pinned, held[i])
-			i++
-		}
-		runLen := 2 + rng.Intn(10) // free run: 2..11 pages
-		var run []uint64
-		for j := 0; j < runLen && i < len(held); j++ {
-			run = append(run, held[i])
-			i++
-		}
-		if len(run) > 0 {
-			runs = append(runs, run)
-		}
-	}
-	rng.Shuffle(len(runs), func(a, b int) { runs[a], runs[b] = runs[b], runs[a] })
-	for _, run := range runs {
-		// Free in reverse so the head-pushed list pops in ascending
-		// (sequential) order within the run.
-		for j := len(run) - 1; j >= 0; j-- {
-			k.alloc.FreePage(run[j])
 		}
 	}
 }

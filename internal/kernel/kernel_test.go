@@ -299,8 +299,7 @@ func TestAMNTPlusPlusImprovesRegionLocality(t *testing.T) {
 			AMNTPlusPlus:       plusplus,
 		}
 		k := New(cfg)
-		rng := rand.New(rand.NewSource(11))
-		k.Prefragment(rng, 6000)
+		k.Prefragment(11, 6000)
 		// Churn through a victim process to trigger reclamation (and
 		// restructuring in the ++ kernel).
 		victim := k.NewProcess("victim")
@@ -416,7 +415,7 @@ func TestReleasePagesDeterministic(t *testing.T) {
 func TestPrefragmentPreservesInvariants(t *testing.T) {
 	k := New(Config{MemoryBytes: 1 << 22, MaxOrder: 6, SubtreeRegionPages: 64})
 	total := k.Allocator().FreePages()
-	k.Prefragment(rand.New(rand.NewSource(9)), 2000)
+	k.Prefragment(9, 2000)
 	// Pinned pages stay allocated by design; everything else is free.
 	if got := k.Allocator().FreePages() + uint64(k.PinnedPages()); got != total {
 		t.Fatalf("pages unaccounted for: free+pinned=%d, total=%d", got, total)

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"amnt/internal/bmt"
 	"amnt/internal/cache"
@@ -49,22 +48,19 @@ func newFrontEnd(cfg Config, sources []workload.Source) *frontEnd {
 	regionPages := bmt.GeometryForCapacity(cfg.MemoryBytes).CoverageBytes(level) / kernel.PageSize
 	f := &frontEnd{
 		cfg: cfg,
-		kern: kernel.New(kernel.Config{
+		kern: kernel.NewAged(kernel.Config{
 			MemoryBytes:        cfg.MemoryBytes,
 			AMNTPlusPlus:       cfg.AMNTPlusPlus,
 			SubtreeRegionPages: regionPages,
-		}),
+		}, cfg.Seed, cfg.PrefragmentChurn),
 	}
 	if cfg.CollectPageHist {
 		f.pageHist = stats.NewHistogram()
 	}
-	if cfg.PrefragmentChurn > 0 {
-		f.kern.Prefragment(newRand(cfg.Seed), cfg.PrefragmentChurn)
-		if cfg.AMNTPlusPlus {
-			// One reclamation pass so the biased ordering is in place
-			// at first allocation, as after any uptime.
-			f.kern.Allocator().Restructure(regionPages)
-		}
+	if cfg.AMNTPlusPlus && cfg.PrefragmentChurn > 0 {
+		// One reclamation pass so the biased ordering is in place at
+		// first allocation, as after any uptime.
+		f.kern.Allocator().Restructure(regionPages)
 	}
 	f.l3 = cpu.SharedL3(cfg.L3Bytes)
 	for i, src := range sources {
@@ -94,8 +90,6 @@ func newFrontEnd(cfg Config, sources []workload.Source) *frontEnd {
 	}
 	return f
 }
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Transfer is the front end's cpu.Memory: it stamps the transfer with
 // its gap since the previous event and the block's current version,

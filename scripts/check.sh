@@ -42,6 +42,8 @@ mode_race() {
 	go test -race -count=2 -run 'TestDeviceStoreModel' -v ./internal/scm
 	# Span ring race hammer.
 	go test -race -count=2 -run 'TestSpanRace' -v ./internal/telemetry/span
+	# Concurrent first callers of an aged-kernel key build it once.
+	go test -race -count=2 -run 'TestNewAgedSingleFlight' -v ./internal/kernel
 	# Serve-during-recovery chaos matrix.
 	go test -race -run 'TestStoreServeDuringRecoveryMatrix|TestStoreQuarantineHealsLive|TestShardDegradedServingDeterministic|TestShardDegradedEpoch|TestStoreAdmissionByHealth|TestStoreChaosDuringConcurrentReads' \
 		-v ./internal/store
@@ -223,6 +225,9 @@ mode_bench() {
 	# Simulator step, front-end and replay benchmarks (smoke).
 	(set -o pipefail; go test ./internal/sim -run '^$' -bench 'BenchmarkMachineStep|BenchmarkFrontEnd|BenchmarkReplay' -benchtime 1x \
 		| tee artifacts/sim-step-bench.txt)
+	# Ageing a kernel from scratch vs copying the shared template (smoke).
+	(set -o pipefail; go test ./internal/kernel -run '^$' -bench BenchmarkAgeKernel -benchtime 1x \
+		| tee artifacts/age-kernel-bench.txt)
 	# Repository benchmark (smoke sizes).
 	go test -C bench ./...
 	# Store throughput benchmarks (smoke).
