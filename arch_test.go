@@ -83,6 +83,34 @@ func TestArchFrontEndImportsNoProtocol(t *testing.T) {
 	checkNoImports(t, []string{"cpu"}, []string{"mee", "core"}, "protocol package")
 }
 
+// TestArchFrontEndReadsOnlyFrontEndConfig: the engine keys a recorded
+// stream by sim.FrontEndConfig (DESIGN.md §2.2), which holds only if
+// the front end reads nothing else, so internal/sim/frontend.go never
+// names the composed Config type and never selects .MEE.
+func TestArchFrontEndReadsOnlyFrontEndConfig(t *testing.T) {
+	const file = "internal/sim/frontend.go"
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selected := map[*ast.Ident]bool{} // kernel.Config and the like
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			selected[n.Sel] = true
+			if n.Sel.Name == "MEE" {
+				t.Errorf("%s: selects .MEE; the front end reads only FrontEndConfig", fset.Position(n.Sel.Pos()))
+			}
+		case *ast.Ident:
+			if n.Name == "Config" && !selected[n] {
+				t.Errorf("%s: names Config; the front end reads only FrontEndConfig", fset.Position(n.Pos()))
+			}
+		}
+		return true
+	})
+}
+
 // TestArchAgeingOnlyInKernel: simulated machines get an aged kernel
 // from kernel.NewAged, which ages once per key and copies (DESIGN.md
 // §2.1), so no non-test file outside internal/kernel calls Prefragment.

@@ -116,9 +116,14 @@ func main() {
 	cfg := sim.DefaultConfig()
 	cfg.MemoryBytes = uint64(*memGB) << 30
 	cfg.Seed = *seed
-	cfg.SubtreeLevel = *level
 	cfg.PrefragmentChurn = *churn
-	cfg.AMNTPlusPlus = *protocol == "amnt++"
+	if *level < 1 {
+		fmt.Fprintln(os.Stderr, "amntsim: -level must be at least 1")
+		os.Exit(2)
+	}
+	if *protocol == "amnt++" {
+		cfg.AMNTPlusPlusLevel = *level
+	}
 	kind := *config
 	if kind == "auto" {
 		if len(specs) > 1 {

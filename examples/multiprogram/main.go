@@ -27,7 +27,9 @@ func main() {
 		cfg.L3Bytes = 1 << 20
 		cfg.StopAtFirstDone = true
 		cfg.PrefragmentChurn = 40_000 // an aged, fragmented system
-		cfg.AMNTPlusPlus = plusplus
+		if plusplus {
+			cfg.AMNTPlusPlusLevel = 3
+		}
 		res, err := sim.Run(cfg, core.New(core.WithLevel(3)), specs...)
 		if err != nil {
 			log.Fatal(err)

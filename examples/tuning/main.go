@@ -38,7 +38,6 @@ func main() {
 	var frontier []point
 	for level := 2; level <= 6; level++ {
 		cfg := sim.DefaultConfig()
-		cfg.SubtreeLevel = level
 		cfg.PrefragmentChurn = 40_000
 		policy := core.New(core.WithLevel(level))
 		res, err := sim.Run(cfg, policy, spec)

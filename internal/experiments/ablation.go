@@ -20,9 +20,9 @@ import (
 // "AMNT is agnostic to metadata cache size", ...) with measurements.
 //
 // Ablations that only vary sim.Config fields express their cells as
-// engine RunSpecs with a ConfigKey discriminator (so the run-cache
-// never conflates them with stock cells); ablations that need the
-// machine or policy object afterwards run as engine jobs.
+// engine RunSpecs with a Mutate (the mutated config is part of the
+// run-cache key); ablations that need the machine or policy object
+// afterwards run as engine jobs.
 
 // movingHotspot is a workload whose hot region relocates every phase —
 // the adversarial-ish pattern that exercises hot-region tracking.
@@ -104,8 +104,7 @@ func AblationMetaCache(o Options) (*stats.Table, error) {
 			cells = append(cells, RunSpec{
 				Label: fmt.Sprintf("ablation-metacache/%dkB/%s", kb, p),
 				Kind:  "single", Protocol: p, Specs: []workload.Spec{spec},
-				ConfigKey: fmt.Sprintf("meta=%dkB", kb),
-				Mutate:    func(cfg *sim.Config) { cfg.MEE.MetaCacheBytes = kb << 10 },
+				Mutate: func(cfg *sim.Config) { cfg.MEE.MetaCacheBytes = kb << 10 },
 			})
 		}
 	}
@@ -259,8 +258,7 @@ func AblationReadOverlap(o Options) (*stats.Table, error) {
 			cells = append(cells, RunSpec{
 				Label: fmt.Sprintf("ablation-overlap/%d/%s", ov, p),
 				Kind:  "single", Protocol: p, Specs: []workload.Spec{spec},
-				ConfigKey: fmt.Sprintf("overlap=%d", ov),
-				Mutate:    func(cfg *sim.Config) { cfg.MEE.ReadOverlap = ov },
+				Mutate: func(cfg *sim.Config) { cfg.MEE.ReadOverlap = ov },
 			})
 		}
 	}
@@ -296,8 +294,7 @@ func AblationReplacement(o Options) (*stats.Table, error) {
 			cells = append(cells, RunSpec{
 				Label: fmt.Sprintf("ablation-replacement/%s/%s", repl, p),
 				Kind:  "single", Protocol: p, Specs: []workload.Spec{spec},
-				ConfigKey: "repl=" + repl.String(),
-				Mutate:    func(cfg *sim.Config) { cfg.MEE.MetaReplacement = repl },
+				Mutate: func(cfg *sim.Config) { cfg.MEE.MetaReplacement = repl },
 			})
 		}
 	}
@@ -359,7 +356,7 @@ func AblationMultiSubtree(o Options) (*stats.Table, error) {
 		Label: "ablation-multisubtree/amnt++",
 		Fn: func(ctx context.Context) error {
 			cfg := o.machineFor("multi")
-			cfg.AMNTPlusPlus = true
+			cfg.AMNTPlusPlusLevel = o.SubtreeLevel
 			policy := core.New(core.WithLevel(o.SubtreeLevel))
 			res, err := sim.RunWithContext(ctx, cfg, policy, specs...)
 			if err != nil {

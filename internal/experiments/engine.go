@@ -31,9 +31,9 @@ import (
 // Cells that differ only in protocol see the same access stream, so
 // the engine records that stream once — a front-end job, labelled
 // "frontend/…" — and replays it into each cell's controller
-// (DESIGN.md §2.2). A recorded stream is keyed by the cell's run-cache
-// key without the protocol, is single-flighted like the run-cache, and
-// is released when its last claiming cell is done.
+// (DESIGN.md §2.2). A recorded stream is keyed by the cell's
+// sim.FrontEndConfig and scaled specs, is single-flighted like the
+// run-cache, and is released when its last claiming cell is done.
 
 // Event identifies a progress transition.
 type Event int
@@ -93,7 +93,7 @@ type Progress struct {
 	Err error
 }
 
-// RunSpec declares one cacheable simulation cell.
+// RunSpec declares one simulation cell.
 type RunSpec struct {
 	// Label names the job in progress events and error messages
 	// ("figure4/lbm/amnt"). Derived from the other fields if empty.
@@ -112,14 +112,8 @@ type RunSpec struct {
 	Level int
 	// Mutate, when non-nil, adjusts the machine config after
 	// machineFor (cache-size sweeps, the modified-kernel run of
-	// Table 2). A mutated cell is only cached when ConfigKey names
-	// the mutation.
+	// Table 2). The adjusted config is part of the run-cache key.
 	Mutate func(*sim.Config)
-	// ConfigKey discriminates Mutate in the run-cache key
-	// ("meta=8kB"). Distinct mutations MUST use distinct keys.
-	ConfigKey string
-	// NoCache skips the run-cache entirely.
-	NoCache bool
 }
 
 func (rs RunSpec) label(level int) string {
@@ -129,9 +123,6 @@ func (rs RunSpec) label(level int) string {
 	l := rs.Kind + "/" + specName(rs.Specs) + "/" + rs.Protocol
 	if rs.Level != 0 {
 		l += fmt.Sprintf("/L%d", level)
-	}
-	if rs.ConfigKey != "" {
-		l += "/" + rs.ConfigKey
 	}
 	return l
 }
@@ -144,18 +135,15 @@ type Job struct {
 	Fn    func(ctx context.Context) error
 }
 
-// runKey identifies a cell in the run-cache. Two RunSpecs with equal
-// keys simulate identically: the key covers everything that reaches
-// the machine (config kind + mutation discriminator, protocol,
-// subtree level, seed, memory size, and the fully scaled workload
-// specs — Scale is folded into the spec string).
+// runKey identifies a cell in the run-cache: everything that reaches
+// the simulation, by value — the protocol and its subtree level, the
+// resolved machine config (Mutate applied) and the scaled workload
+// specs, printed.
 type runKey struct {
-	kind, protocol string
-	level          int
-	seed           int64
-	memBytes       uint64
-	configKey      string
-	specs          string
+	protocol string
+	level    int
+	cfg      sim.Config
+	specs    string
 }
 
 type cacheEntry struct {
@@ -164,12 +152,12 @@ type cacheEntry struct {
 	err  error
 }
 
-// streamKey identifies a recorded front-end stream: the run-cache key
-// without its protocol, plus whether the modified (AMNT++) kernel
-// runs — the one protocol choice the front end sees.
+// streamKey identifies a recorded front-end stream: what the front
+// end reads, so cells whose configs differ only in the controller
+// share one recording.
 type streamKey struct {
-	runKey         // protocol left empty
-	modifiedKernel bool
+	fe    sim.FrontEndConfig
+	specs string
 }
 
 // streamEntry is one recorded (or recording) stream. Every cell that
@@ -194,9 +182,9 @@ type runCell struct {
 	scaled []workload.Spec
 	cfg    sim.Config // machineFor, the modified kernel and Mutate applied
 	key    runKey
-	// cacheable cells go through the run-cache; shared ones also
-	// replay a recorded stream instead of running a live machine.
-	cacheable, shared bool
+	// shared cells replay a recorded stream instead of running a live
+	// machine.
+	shared bool
 }
 
 // resolve applies o's scale, level and machine config (Mutate
@@ -212,47 +200,30 @@ func resolve(o Options, rs RunSpec) runCell {
 	for i, s := range rs.Specs {
 		c.scaled[i] = s.Scale(o.Scale)
 	}
-	lo := o
-	lo.SubtreeLevel = c.level
-	c.cfg = lo.machineFor(rs.Kind)
-	c.cfg.AMNTPlusPlus = rs.Protocol == "amnt++"
+	c.cfg = o.machineFor(rs.Kind)
+	if rs.Protocol == "amnt++" {
+		c.cfg.AMNTPlusPlusLevel = c.level
+	}
 	if rs.Mutate != nil {
 		rs.Mutate(&c.cfg)
 	}
-	c.key = runKey{
-		kind:      rs.Kind,
-		protocol:  rs.Protocol,
-		level:     c.level,
-		seed:      o.Seed,
-		memBytes:  o.MemoryBytes,
-		configKey: rs.ConfigKey,
-		specs:     fmt.Sprintf("%+v", c.scaled),
-	}
-	c.cacheable = !rs.NoCache && (rs.Mutate == nil || rs.ConfigKey != "")
+	c.key = runKey{protocol: rs.Protocol, level: c.level, cfg: c.cfg, specs: fmt.Sprintf("%+v", c.scaled)}
 	// Telemetry samples cache state on the simulated clock, which only
 	// a live machine has.
-	c.shared = c.cacheable && o.TelemetryDir == ""
+	c.shared = o.TelemetryDir == ""
 	return c
 }
 
 func (c runCell) streamKey() streamKey {
-	k := c.key
-	k.protocol = ""
-	return streamKey{runKey: k, modifiedKernel: c.cfg.AMNTPlusPlus}
+	return streamKey{fe: c.cfg.FrontEndConfig, specs: c.key.specs}
 }
 
 // frontEndLabel names the front-end job that records c's stream; it
 // is the same for every driver.
 func (c runCell) frontEndLabel() string {
 	l := frontEndPrefix + c.rs.Kind + "/" + specName(c.rs.Specs)
-	if c.rs.Level != 0 {
-		l += fmt.Sprintf("/L%d", c.level)
-	}
-	if c.rs.ConfigKey != "" {
-		l += "/" + c.rs.ConfigKey
-	}
-	if c.cfg.AMNTPlusPlus {
-		l += "/amnt++-kernel"
+	if lvl := c.cfg.AMNTPlusPlusLevel; lvl > 0 {
+		l += fmt.Sprintf("/amnt++-kernel/L%d", lvl)
 	}
 	return l
 }
@@ -458,27 +429,24 @@ func (e *Engine) Run(ctx context.Context, o Options, rs RunSpec) (res sim.Result
 }
 
 func (e *Engine) run(ctx context.Context, c runCell, ent *streamEntry) (sim.Result, error) {
-	var entry *cacheEntry
-	if c.cacheable {
-		e.mu.Lock()
-		if hit, ok := e.cache[c.key]; ok {
-			e.mu.Unlock()
-			select {
-			case <-hit.done:
-			case <-ctx.Done():
-				return sim.Result{}, ctx.Err()
-			}
-			if hit.err != nil {
-				// The owner already emitted JobFailed; don't double-count.
-				return sim.Result{}, hit.err
-			}
-			e.emit(JobCached, c.label, 0, hit.res.Cycles, nil, func() { e.cached++ })
-			return hit.res, nil
-		}
-		entry = &cacheEntry{done: make(chan struct{})}
-		e.cache[c.key] = entry
+	e.mu.Lock()
+	if hit, ok := e.cache[c.key]; ok {
 		e.mu.Unlock()
+		select {
+		case <-hit.done:
+		case <-ctx.Done():
+			return sim.Result{}, ctx.Err()
+		}
+		if hit.err != nil {
+			// The owner already emitted JobFailed; don't double-count.
+			return sim.Result{}, hit.err
+		}
+		e.emit(JobCached, c.label, 0, hit.res.Cycles, nil, func() { e.cached++ })
+		return hit.res, nil
 	}
+	entry := &cacheEntry{done: make(chan struct{})}
+	e.cache[c.key] = entry
+	e.mu.Unlock()
 
 	var res sim.Result
 	var err error
@@ -487,17 +455,15 @@ func (e *Engine) run(ctx context.Context, c runCell, ent *streamEntry) (sim.Resu
 	} else {
 		res, err = e.execute(ctx, c.label, false, c.live)
 	}
-	if entry != nil {
-		if err != nil {
-			// Drop the poisoned entry so a later retry (or a run after a
-			// cancellation) simulates afresh; current waiters still see err.
-			e.mu.Lock()
-			delete(e.cache, c.key)
-			e.mu.Unlock()
-		}
-		entry.res, entry.err = res, err
-		close(entry.done)
+	if err != nil {
+		// Drop the poisoned entry so a later retry (or a run after a
+		// cancellation) simulates afresh; current waiters still see err.
+		e.mu.Lock()
+		delete(e.cache, c.key)
+		e.mu.Unlock()
 	}
+	entry.res, entry.err = res, err
+	close(entry.done)
 	return res, err
 }
 
@@ -670,9 +636,9 @@ func writeCellTelemetry(dir, label string, s *telemetry.Session) error {
 
 // RunAll executes every cell concurrently (bounded by the pool) and
 // returns results in input order. All failures are aggregated; a nil
-// error means every result is valid. Every cell claims its stream
-// before any runs, so a stream shared by several cells is recorded
-// once however the goroutines interleave.
+// error means every result is valid. Every cell is resolved and claims
+// its stream before any runs, so a stream shared by several cells is
+// recorded once however the goroutines interleave.
 func (e *Engine) RunAll(ctx context.Context, o Options, cells []RunSpec) ([]sim.Result, error) {
 	out := make([]sim.Result, len(cells))
 	errs := make([]error, len(cells))
@@ -694,8 +660,8 @@ func (e *Engine) RunAll(ctx context.Context, o Options, cells []RunSpec) ([]sim.
 		go func(i int) {
 			defer wg.Done()
 			defer e.unclaim(resolved[i], claims[i])
-			defer recovered(cells[i].label(cells[i].Level), &errs[i])
-			out[i], errs[i] = e.Run(ctx, o, cells[i])
+			defer recovered(resolved[i].label, &errs[i])
+			out[i], errs[i] = e.run(ctx, resolved[i], claims[i])
 		}(i)
 	}
 	wg.Wait()

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"amnt/internal/sim"
+	"amnt/internal/stats"
 	"amnt/internal/workload"
 )
 
@@ -141,8 +142,9 @@ func TestRunCacheDedupes(t *testing.T) {
 	}
 }
 
-// TestRunCacheKeysDiscriminate: differing level, seed, or ConfigKey
-// must not collide in the cache.
+// TestRunCacheKeysDiscriminate: differing level, seed, or mutation
+// must not collide in the cache; the mutation needs no name, since
+// the mutated config is the key.
 func TestRunCacheKeysDiscriminate(t *testing.T) {
 	ec := newEventCounts()
 	e := NewEngine(Options{Parallel: 2, Progress: ec.progress})
@@ -151,13 +153,12 @@ func TestRunCacheKeysDiscriminate(t *testing.T) {
 	lvl := base
 	lvl.Level = 5
 	mut := base
-	mut.ConfigKey = "meta=8kB"
 	mut.Mutate = func(cfg *sim.Config) { cfg.MEE.MetaCacheBytes = 8 << 10 }
 
 	ctx := context.Background()
 	opts := Options{Scale: 0.02, Seed: 1}.WithEngine(e)
 	seed2 := Options{Scale: 0.02, Seed: 2}.WithEngine(e)
-	// Four distinct keys (level, mutation discriminator, seed), then a
+	// Four distinct keys (level, mutation, seed), then a
 	// genuine duplicate: only the last may hit the cache.
 	for _, c := range []struct {
 		o  Options
@@ -176,8 +177,8 @@ func TestRunCacheKeysDiscriminate(t *testing.T) {
 	if counts[JobCached] != 1 {
 		t.Fatalf("cache hits = %d, want 1 (only the true duplicate)", counts[JobCached])
 	}
-	// Level, mutation and seed all reach the front end; run serially,
-	// each stream is released before the next cell claims one.
+	// Run serially, each stream is released before the next cell
+	// claims one, so every simulated cell records its own.
 	if frontEnds[JobDone] != 4 {
 		t.Fatalf("streams recorded %d times, want 4", frontEnds[JobDone])
 	}
@@ -213,7 +214,9 @@ func serialFigure4Reference(t *testing.T, o Options) map[string]map[string]float
 	for _, spec := range workload.PARSEC() {
 		runOne := func(protocol string) sim.Result {
 			cfg := o.machineFor("single")
-			cfg.AMNTPlusPlus = protocol == "amnt++"
+			if protocol == "amnt++" {
+				cfg.AMNTPlusPlusLevel = o.SubtreeLevel
+			}
 			policy, err := sim.PolicyByName(protocol, o.SubtreeLevel)
 			if err != nil {
 				t.Fatal(err)
@@ -400,6 +403,51 @@ func TestFigure4RecordsEachStreamOnce(t *testing.T) {
 	}
 }
 
+// TestSharedStreamsFollowFrontEndConfig: the stream key is the front
+// end's config, so cells that differ only in what the controller
+// reads share one recording. Per multiprogram pair, Figures 6+7 record
+// one stock stream (volatile and amnt at all six levels) and one per
+// AMNT++ level; Table 2's stock cells are served from the run-cache
+// and its modified-kernel cells record one stream per pair; each MEE
+// ablation records one stream for all its cells. Every rendered table
+// equals the same driver on live machines (telemetry disables replay).
+func TestSharedStreamsFollowFrontEndConfig(t *testing.T) {
+	drivers := func(o Options) []string {
+		t.Helper()
+		perf, hits, err := Figures6And7(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := []string{perf.Render(), hits.Render()}
+		for _, f := range []func(Options) (*stats.Table, error){Table2, AblationMetaCache, AblationReadOverlap, AblationReplacement} {
+			tb, err := f(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, tb.Render())
+		}
+		return out
+	}
+	ec := newEventCounts()
+	o := Options{Scale: 0.02, Seed: 1, Parallel: 2, Progress: ec.progress}
+	replayed := drivers(o.WithEngine(NewEngine(o)))
+	pairs := len(workload.MultiProgramPairs())
+	want := pairs*(1+len(SubtreeLevels)) + pairs + 3
+	ec.mu.Lock()
+	got := ec.frontEnds[JobDone]
+	ec.mu.Unlock()
+	if got != want {
+		t.Fatalf("%d front ends recorded, want %d", got, want)
+	}
+
+	live := drivers(Options{Scale: 0.02, Seed: 1, Parallel: 2, TelemetryDir: t.TempDir()})
+	for i := range live {
+		if replayed[i] != live[i] {
+			t.Fatalf("table %d differs between replayed and live machines:\n%s\nvs\n%s", i, replayed[i], live[i])
+		}
+	}
+}
+
 // TestCancelWhileRecording: cancelling while a front end records fails
 // every cell waiting on it with the context's error and leaves no
 // stream or run-cache entry behind, so the same cells run afresh.
@@ -440,9 +488,9 @@ func TestRunAllPanicNamesLevel(t *testing.T) {
 	spec, _ := workload.ByName("lbm")
 	_, err := e.RunAll(context.Background(), Options{Scale: 0.02}.WithEngine(e), []RunSpec{{
 		Kind: "single", Protocol: "amnt", Specs: []workload.Spec{spec}, Level: 4,
-		ConfigKey: "boom", Mutate: func(*sim.Config) { panic("bad mutation") },
+		Mutate: func(*sim.Config) { panic("bad mutation") },
 	}})
-	if err == nil || !strings.Contains(err.Error(), "single/lbm/amnt/L4/boom: panic: bad mutation") {
-		t.Fatalf("err = %v, want a panic labelled single/lbm/amnt/L4/boom", err)
+	if err == nil || !strings.Contains(err.Error(), "single/lbm/amnt/L4: panic: bad mutation") {
+		t.Fatalf("err = %v, want a panic labelled single/lbm/amnt/L4", err)
 	}
 }

@@ -125,7 +125,6 @@ func (o Options) machineFor(kind string) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.MemoryBytes = o.MemoryBytes
 	cfg.Seed = o.Seed
-	cfg.SubtreeLevel = o.SubtreeLevel
 	// All experiments run on an aged system: free lists fragmented
 	// across several subtree regions, so physical placement policy
 	// (AMNT++) has something to do.
@@ -544,8 +543,7 @@ func Table2(o Options) (*stats.Table, error) {
 			RunSpec{
 				Label: "table2/" + specName(specs) + "/modified",
 				Kind:  "multi", Protocol: "volatile", Specs: specs,
-				ConfigKey: "kernel=amnt++",
-				Mutate:    func(cfg *sim.Config) { cfg.AMNTPlusPlus = true },
+				Mutate: func(cfg *sim.Config) { cfg.AMNTPlusPlusLevel = o.SubtreeLevel },
 			},
 		)
 	}
@@ -636,7 +634,6 @@ func Table4Measured(o Options) (*stats.Table, error) {
 				cfg := sim.DefaultConfig()
 				cfg.MemoryBytes = c.memBytes
 				cfg.Seed = o.Seed
-				cfg.SubtreeLevel = o.SubtreeLevel
 				policy, err := sim.PolicyByName(c.proto, o.SubtreeLevel)
 				if err != nil {
 					return err

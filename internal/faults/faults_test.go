@@ -36,8 +36,10 @@ func crashedMachine(t *testing.T, proto string) *sim.Machine {
 	cfg := sim.DefaultConfig()
 	cfg.MemoryBytes = testMem
 	cfg.Seed = 1
-	cfg.AMNTPlusPlus = proto == "amnt++"
-	policy, err := sim.PolicyByName(proto, cfg.SubtreeLevel)
+	if proto == "amnt++" {
+		cfg.AMNTPlusPlusLevel = 3
+	}
+	policy, err := sim.PolicyByName(proto, 3)
 	if err != nil {
 		t.Fatalf("policy %s: %v", proto, err)
 	}

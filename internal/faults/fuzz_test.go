@@ -44,7 +44,9 @@ func FuzzRecoveryCorruptDevice(f *testing.F) {
 		cfg := sim.DefaultConfig()
 		cfg.MemoryBytes = fuzzMem
 		cfg.Seed = 1
-		cfg.AMNTPlusPlus = proto == "amnt++"
+		if proto == "amnt++" {
+			cfg.AMNTPlusPlusLevel = 3
+		}
 		// Tiny cache hierarchy: paper-sized caches absorb a 2000-access
 		// trace entirely, leaving every region empty and nothing to
 		// corrupt. Small caches push dirty evictions to the device.
@@ -52,7 +54,7 @@ func FuzzRecoveryCorruptDevice(f *testing.F) {
 			L1: cpu.LevelConfig{SizeBytes: 4 << 10, Assoc: 4, HitCycles: 1},
 			L2: cpu.LevelConfig{SizeBytes: 16 << 10, Assoc: 8, HitCycles: 12},
 		}
-		policy, err := sim.PolicyByName(proto, cfg.SubtreeLevel)
+		policy, err := sim.PolicyByName(proto, 3)
 		if err != nil {
 			t.Fatalf("policy %s: %v", proto, err)
 		}

@@ -141,9 +141,10 @@ func RunCell(ctx context.Context, spec CellSpec) (out CellResult) {
 	cfg := sim.DefaultConfig()
 	cfg.MemoryBytes = memBytes
 	cfg.Seed = spec.MachineSeed
-	cfg.SubtreeLevel = level
 	cfg.Core = cellCore()
-	cfg.AMNTPlusPlus = spec.Protocol == "amnt++"
+	if spec.Protocol == "amnt++" {
+		cfg.AMNTPlusPlusLevel = level
+	}
 
 	var policy mee.Policy
 	if spec.Factory != nil {

@@ -21,7 +21,7 @@ import (
 // raise into one event for the back end (DESIGN.md §2.1): applied at
 // once in a Machine, appended to a Stream by Record.
 type frontEnd struct {
-	cfg    Config
+	cfg    FrontEndConfig
 	kern   *kernel.Kernel
 	l3     *cache.Cache
 	cores  []*cpu.Hierarchy
@@ -40,27 +40,20 @@ type frontEnd struct {
 	rec *Stream
 }
 
-func newFrontEnd(cfg Config, sources []workload.Source) *frontEnd {
-	level := cfg.SubtreeLevel
-	if level <= 0 {
-		level = 3
+func newFrontEnd(cfg FrontEndConfig, sources []workload.Source) *frontEnd {
+	kcfg := kernel.Config{MemoryBytes: cfg.MemoryBytes}
+	if cfg.AMNTPlusPlusLevel > 0 {
+		kcfg.AMNTPlusPlus = true
+		kcfg.SubtreeRegionPages = bmt.GeometryForCapacity(cfg.MemoryBytes).CoverageBytes(cfg.AMNTPlusPlusLevel) / kernel.PageSize
 	}
-	regionPages := bmt.GeometryForCapacity(cfg.MemoryBytes).CoverageBytes(level) / kernel.PageSize
-	f := &frontEnd{
-		cfg: cfg,
-		kern: kernel.NewAged(kernel.Config{
-			MemoryBytes:        cfg.MemoryBytes,
-			AMNTPlusPlus:       cfg.AMNTPlusPlus,
-			SubtreeRegionPages: regionPages,
-		}, cfg.Seed, cfg.PrefragmentChurn),
-	}
+	f := &frontEnd{cfg: cfg, kern: kernel.NewAged(kcfg, cfg.Seed, cfg.PrefragmentChurn)}
 	if cfg.CollectPageHist {
 		f.pageHist = stats.NewHistogram()
 	}
-	if cfg.AMNTPlusPlus && cfg.PrefragmentChurn > 0 {
+	if kcfg.AMNTPlusPlus && cfg.PrefragmentChurn > 0 {
 		// One reclamation pass so the biased ordering is in place at
 		// first allocation, as after any uptime.
-		f.kern.Allocator().Restructure(regionPages)
+		f.kern.Allocator().Restructure(kcfg.SubtreeRegionPages)
 	}
 	f.l3 = cpu.SharedL3(cfg.L3Bytes)
 	for i, src := range sources {

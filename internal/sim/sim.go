@@ -39,8 +39,10 @@ import (
 	"amnt/internal/workload"
 )
 
-// Config describes a machine.
-type Config struct {
+// FrontEndConfig is everything the front end reads (DESIGN.md §2.1):
+// two machines with equal FrontEndConfigs and specs raise the same
+// transfers, whatever their controllers.
+type FrontEndConfig struct {
 	// MemoryBytes sizes the SCM device (default 8 GB, Table 1).
 	MemoryBytes uint64
 	// Core selects the per-core cache configuration.
@@ -48,13 +50,10 @@ type Config struct {
 	// L3Bytes adds a shared L3 (0 = none; the paper's single-program
 	// config has none, multiprogram 1 MB, multithread 8 MB).
 	L3Bytes int
-	// MEE configures the secure memory controller.
-	MEE mee.Config
-	// AMNTPlusPlus runs the modified (biased) buddy allocator.
-	AMNTPlusPlus bool
-	// SubtreeLevel is the AMNT subtree level used to size AMNT++
-	// regions (and, for the amnt policy itself, its fast subtree).
-	SubtreeLevel int
+	// AMNTPlusPlusLevel selects the kernel: 0 runs the stock buddy
+	// allocator, n > 0 AMNT++'s modified allocator, which biases
+	// placement toward the regions of a level-n subtree.
+	AMNTPlusPlusLevel int
 	// PrefragmentChurn shuffles the allocator's free lists before the
 	// run so placement policy matters (0 = pristine boot state).
 	PrefragmentChurn int
@@ -72,6 +71,15 @@ type Config struct {
 	SharedAddressSpace bool
 }
 
+// Config describes a machine: its front end plus the secure memory
+// controller. Both halves are comparable, so the experiment engine
+// keys cached runs and recorded streams by them.
+type Config struct {
+	FrontEndConfig
+	// MEE configures the secure memory controller.
+	MEE mee.Config
+}
+
 // withDefaults fills the memory size and controller config a zero
 // Config leaves out.
 func (cfg Config) withDefaults() Config {
@@ -87,11 +95,12 @@ func (cfg Config) withDefaults() Config {
 // DefaultConfig returns the paper's single-program machine.
 func DefaultConfig() Config {
 	return Config{
-		MemoryBytes:  8 << 30,
-		Core:         cpu.SingleProgram(),
-		MEE:          mee.DefaultConfig(),
-		SubtreeLevel: 3,
-		Seed:         1,
+		FrontEndConfig: FrontEndConfig{
+			MemoryBytes: 8 << 30,
+			Core:        cpu.SingleProgram(),
+			Seed:        1,
+		},
+		MEE: mee.DefaultConfig(),
 	}
 }
 
@@ -168,12 +177,12 @@ type Machine struct {
 // NewMachine builds a machine running one freshly generated trace
 // per core.
 func NewMachine(cfg Config, policy mee.Policy, specs []workload.Spec) *Machine {
-	return NewMachineWithSources(cfg, policy, traceSources(cfg, specs))
+	return NewMachineWithSources(cfg, policy, traceSources(cfg.FrontEndConfig, specs))
 }
 
 // traceSources generates one trace per spec; core i's seed is
 // Seed + i*7919.
-func traceSources(cfg Config, specs []workload.Spec) []workload.Source {
+func traceSources(cfg FrontEndConfig, specs []workload.Spec) []workload.Source {
 	sources := make([]workload.Source, len(specs))
 	for i, spec := range specs {
 		sources[i] = workload.NewTrace(spec, cfg.Seed+int64(i)*7919)
@@ -187,7 +196,7 @@ func traceSources(cfg Config, specs []workload.Spec) []workload.Source {
 // reproduction.
 func NewMachineWithSources(cfg Config, policy mee.Policy, sources []workload.Source) *Machine {
 	cfg = cfg.withDefaults()
-	m := &Machine{be: newBackEnd(cfg, policy), fe: newFrontEnd(cfg, sources)}
+	m := &Machine{be: newBackEnd(cfg, policy), fe: newFrontEnd(cfg.FrontEndConfig, sources)}
 	m.fe.be = m.be
 	return m
 }
@@ -350,7 +359,7 @@ func RunWithContext(ctx context.Context, cfg Config, policy mee.Policy, specs ..
 // names is open — new protocol packages add themselves without
 // touching this function. amnt uses the given subtree level; amnt++
 // additionally expects the modified kernel (the caller sets
-// cfg.AMNTPlusPlus when selecting it).
+// cfg.AMNTPlusPlusLevel when selecting it).
 func PolicyByName(name string, subtreeLevel int) (mee.Policy, error) {
 	return mee.NewPolicy(name, mee.PolicyOptions{SubtreeLevel: subtreeLevel})
 }

@@ -222,7 +222,7 @@ func TestPolicyByName(t *testing.T) {
 
 func TestAMNTPlusPlusRunsRestructure(t *testing.T) {
 	cfg := smallConfig()
-	cfg.AMNTPlusPlus = true
+	cfg.AMNTPlusPlusLevel = 3
 	cfg.PrefragmentChurn = 2000
 	m := NewMachine(cfg, core.New(), []workload.Spec{tinySpec("t", 0.4)})
 	if _, err := m.Run(); err != nil {

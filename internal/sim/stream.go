@@ -99,7 +99,7 @@ func (s *Stream) append(gap, block uint64, version uint32, writeBack bool) {
 // NewMachine would, and returns the transfers it raised. No controller
 // is built.
 func Record(ctx context.Context, cfg Config, specs []workload.Spec) (*Stream, error) {
-	f := newFrontEnd(cfg.withDefaults(), traceSources(cfg, specs))
+	f := newFrontEnd(cfg.withDefaults().FrontEndConfig, traceSources(cfg.FrontEndConfig, specs))
 	f.rec = &Stream{}
 	if _, err := f.roundRobin(ctx, func(i int) (bool, bool, error) {
 		done, err := f.step(i)
@@ -117,8 +117,8 @@ func Record(ctx context.Context, cfg Config, specs []workload.Spec) (*Stream, er
 // Replay runs s through a fresh back end — device, controller and
 // policy built from cfg's MemoryBytes and MEE — and returns the Result
 // the live machine would have returned for the same config and
-// policy. cfg must be the config s was recorded under, up to its MEE
-// settings. Every read is still checked against the bytes the block's
+// policy. s must have been recorded under cfg.FrontEndConfig; the MEE
+// settings are free. Every read is still checked against the bytes the block's
 // recorded version derives, so the data oracle is unchanged.
 func Replay(ctx context.Context, cfg Config, policy mee.Policy, s *Stream) (Result, error) {
 	b := newBackEnd(cfg.withDefaults(), policy)

@@ -54,18 +54,20 @@ func equivalenceConfigs() map[string]struct {
 func TestReplayMatchesLiveMachine(t *testing.T) {
 	ctx := context.Background()
 	for kind, shape := range equivalenceConfigs() {
-		streams := map[bool]*Stream{} // by modified kernel
+		streams := map[int]*Stream{} // by kernel
 		for _, name := range mee.Registered() {
 			t.Run(kind+"/"+name, func(t *testing.T) {
 				cfg := shape.cfg
-				cfg.AMNTPlusPlus = name == "amnt++"
-				s := streams[cfg.AMNTPlusPlus]
+				if name == "amnt++" {
+					cfg.AMNTPlusPlusLevel = 3
+				}
+				s := streams[cfg.AMNTPlusPlusLevel]
 				if s == nil {
 					var err error
 					if s, err = Record(ctx, cfg, shape.specs); err != nil {
 						t.Fatal(err)
 					}
-					streams[cfg.AMNTPlusPlus] = s
+					streams[cfg.AMNTPlusPlusLevel] = s
 				}
 				live, err := Run(cfg, mustPolicy(t, name), shape.specs...)
 				if err != nil {
@@ -154,7 +156,7 @@ func TestStreamLongGap(t *testing.T) {
 // workload, warmed the same way, with its warm-up stream.
 func steadyFrontEnd(tb testing.TB, cfg Config) (*frontEnd, *Stream) {
 	tb.Helper()
-	f := newFrontEnd(cfg.withDefaults(), traceSources(cfg, []workload.Spec{steadySpec()}))
+	f := newFrontEnd(cfg.withDefaults().FrontEndConfig, traceSources(cfg.FrontEndConfig, []workload.Spec{steadySpec()}))
 	f.rec = &Stream{}
 	stepFront(tb, f, 400_000)
 	return f, cut(f)

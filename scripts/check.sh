@@ -21,6 +21,9 @@ absent() { ! grep "$@"; }
 
 mode_lint() {
 	go vet ./...
+	# The nested bench module imports sim, mee and store: vet it here so
+	# an internal API change that breaks it fails the fast gate.
+	go vet -C bench ./...
 	unformatted=$(gofmt -l .)
 	if [ -n "$unformatted" ]; then
 		echo "gofmt needed on:" >&2
