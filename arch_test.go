@@ -149,6 +149,33 @@ func TestArchAgeingOnlyInKernel(t *testing.T) {
 	}
 }
 
+// TestArchInternalPackagesHaveAnImporter: a package under internal/
+// earns its place by serving the commands or another internal package,
+// so each one is imported by a non-test file under cmd/ or internal/
+// outside itself. Code that only an example uses lives with the example.
+func TestArchInternalPackagesHaveAnImporter(t *testing.T) {
+	internal := packageDirs(t, "internal")
+	imported := map[string]bool{}
+	for _, dir := range append(packageDirs(t, "cmd"), internal...) {
+		for _, file := range goFiles(t, dir) {
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range f.Imports {
+				if path, _ := strconv.Unquote(spec.Path.Value); path != "amnt/"+dir {
+					imported[path] = true
+				}
+			}
+		}
+	}
+	for _, dir := range internal {
+		if !imported["amnt/"+dir] {
+			t.Errorf("%s: no non-test file under cmd/ or internal/ imports it", dir)
+		}
+	}
+}
+
 // checkNoImports fails for every package of forbidden that a package
 // of roots reaches through its non-test imports, directly or through
 // other internal packages, naming the import chain.
@@ -220,6 +247,29 @@ func goFiles(t *testing.T, dir string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// packageDirs lists the directories under root that hold a non-test Go
+// file, sorted.
+func packageDirs(t *testing.T, root string) []string {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() && len(goFiles(t, path)) > 0 {
+			dirs = append(dirs, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(dirs)
+	return dirs
 }
 
 // declName names a top-level declaration: Func, Type.Method, or the

@@ -8,8 +8,6 @@
 //	amntsim -workload lbm -protocol amnt
 //	amntsim -workload canneal -protocol anubis -scale 0.5
 //	amntsim -workload bodytrack,fluidanimate -protocol amnt++ -config multi
-//	amntsim -workload lbm -record lbm.trace        # freeze the trace
-//	amntsim -replay lbm.trace -protocol strict     # replay it exactly
 //	amntsim -list
 package main
 
@@ -20,7 +18,6 @@ import (
 	"os"
 	"strings"
 
-	"amnt/internal/cpu"
 	"amnt/internal/sim"
 	"amnt/internal/telemetry"
 	"amnt/internal/workload"
@@ -37,10 +34,8 @@ func main() {
 		memGB     = flag.Int("mem-gb", 8, "SCM capacity in GiB")
 		churn     = flag.Int("churn", 40000, "allocator prefragmentation churn (0 = pristine)")
 		crash     = flag.Bool("crash", false, "crash after the run and measure recovery")
-		record    = flag.String("record", "", "write the workload's trace to this file and exit")
 		saveCkpt  = flag.String("save-checkpoint", "", "write a machine checkpoint after the run")
 		loadCkpt  = flag.String("load-checkpoint", "", "restore a machine checkpoint before the run")
-		replay    = flag.String("replay", "", "run from a recorded trace file instead of -workload")
 		statsFile = flag.String("stats-file", "", "also write gem5-style stats to this file")
 		jsonOut   = flag.Bool("json", false, "print the result as JSON instead of the text report")
 		traceOut  = flag.String("trace", "", "write the protocol event trace (JSONL) to this file")
@@ -61,26 +56,7 @@ func main() {
 	}
 
 	var specs []workload.Spec
-	var sources []workload.Source
-	if *replay != "" {
-		f, err := os.Open(*replay)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "amntsim:", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		rec, err := workload.OpenRecorded(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "amntsim:", err)
-			os.Exit(2)
-		}
-		sources = append(sources, rec)
-		specs = append(specs, rec.Spec())
-	}
 	for _, name := range strings.Split(*workloads, ",") {
-		if *replay != "" {
-			break
-		}
 		name = strings.TrimSpace(name)
 		spec, ok := workload.ByName(name)
 		if !ok {
@@ -94,35 +70,9 @@ func main() {
 		specs = append(specs, spec.Scale(*scale))
 	}
 
-	if *record != "" {
-		if len(specs) != 1 {
-			fmt.Fprintln(os.Stderr, "amntsim: -record takes exactly one workload per file")
-			os.Exit(2)
-		}
-		f, err := os.Create(*record)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "amntsim:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := workload.Record(specs[0], *seed, f); err != nil {
-			fmt.Fprintln(os.Stderr, "amntsim: record:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("recorded %s (%d accesses) to %s\n", specs[0].Name, specs[0].Accesses, *record)
-		return
-	}
-
-	cfg := sim.DefaultConfig()
-	cfg.MemoryBytes = uint64(*memGB) << 30
-	cfg.Seed = *seed
-	cfg.PrefragmentChurn = *churn
 	if *level < 1 {
 		fmt.Fprintln(os.Stderr, "amntsim: -level must be at least 1")
 		os.Exit(2)
-	}
-	if *protocol == "amnt++" {
-		cfg.AMNTPlusPlusLevel = *level
 	}
 	kind := *config
 	if kind == "auto" {
@@ -132,21 +82,16 @@ func main() {
 			kind = "single"
 		}
 	}
-	switch kind {
-	case "single":
-		cfg.Core = cpu.SingleProgram()
-	case "multi":
-		cfg.Core = cpu.MultiProgram()
-		cfg.L3Bytes = 1 << 20
-		cfg.StopAtFirstDone = true
-	case "threads":
-		cfg.Core = cpu.MultiThread()
-		cfg.L3Bytes = 8 << 20
-		cfg.SharedAddressSpace = true
-		cfg.StopAtFirstDone = true
-	default:
-		fmt.Fprintf(os.Stderr, "amntsim: unknown config %q\n", kind)
+	cfg, err := sim.ConfigFor(kind)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "amntsim:", err)
 		os.Exit(2)
+	}
+	cfg.MemoryBytes = uint64(*memGB) << 30
+	cfg.Seed = *seed
+	cfg.PrefragmentChurn = *churn
+	if *protocol == "amnt++" {
+		cfg.AMNTPlusPlusLevel = *level
 	}
 
 	policy, err := sim.PolicyByName(*protocol, *level)
@@ -155,12 +100,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var m *sim.Machine
-	if len(sources) > 0 {
-		m = sim.NewMachineWithSources(cfg, policy, sources)
-	} else {
-		m = sim.NewMachine(cfg, policy, specs)
-	}
+	m := sim.NewMachine(cfg, policy, specs)
 	var tel *telemetry.Session
 	if *traceOut != "" || *seriesOut != "" || *httpAddr != "" {
 		tel = m.EnableTelemetry(telemetry.Config{EpochCycles: *epoch})

@@ -1,6 +1,8 @@
 package amnt_test
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -58,5 +60,28 @@ func TestDesignSectionReferences(t *testing.T) {
 				t.Errorf("%s:%d: DESIGN.md §%s does not exist", file, line, n)
 			}
 		}
+	}
+}
+
+// TestDocLayoutNamesEveryPackage: the layout in doc.go names exactly
+// the packages under internal/ and cmd/ that have non-test code, so a
+// package added, moved or deleted without its line fails here.
+func TestDocLayoutNamesEveryPackage(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "doc.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\t((?:internal|cmd)/\S+)`).FindAllStringSubmatch(f.Doc.Text(), -1) {
+		listed[m[1]] = true
+	}
+	for _, dir := range append(packageDirs(t, "internal"), packageDirs(t, "cmd")...) {
+		if !listed[dir] {
+			t.Errorf("doc.go's layout omits %s", dir)
+		}
+		delete(listed, dir)
+	}
+	for dir := range listed {
+		t.Errorf("doc.go's layout names %s, which holds no package", dir)
 	}
 }

@@ -1,10 +1,9 @@
-// Package hybrid implements the paper's §7.3 extension: AMNT on a
-// hybrid SCM+DRAM machine. One integrity tree covers both devices;
-// the physical address space is partitioned at level-2 subtree
-// granularity, with the low partition on persistent SCM (protected by
-// the full AMNT protocol) and the high partition on volatile DRAM
-// (protected by an ordinary write-back BMT — there is nothing to
-// persist because the data itself dies with power).
+// The paper's §7.3 extension: AMNT on a hybrid SCM+DRAM machine. One
+// integrity tree covers both devices; the physical address space is
+// partitioned at level-2 subtree granularity, with the low partition on
+// persistent SCM (protected by the full AMNT protocol) and the high
+// partition on volatile DRAM (protected by an ordinary write-back BMT —
+// there is nothing to persist because the data itself dies with power).
 //
 // As the paper observes, the only additions over plain AMNT are "an
 // additional (volatile) register for the BMT and knowledge at the
@@ -13,7 +12,8 @@
 // the SCM half against the NV registers while re-initializing the
 // DRAM half of the tree to the zero state (its leaves' data no longer
 // exist).
-package hybrid
+
+package main
 
 import (
 	"fmt"
@@ -26,32 +26,32 @@ import (
 )
 
 // Policy is the hybrid persistence policy: AMNT semantics on the SCM
-// partition, volatile write-back semantics on the DRAM partition.
+// partition, volatile write-back semantics on the DRAM partition. The
+// embedded AMNT supplies the subtree register hooks, its NV snapshot
+// and its statistics unchanged.
 type Policy struct {
-	inner *core.AMNT
+	*core.AMNT
 	// scmSlots is how many of the eight level-2 subtrees are SCM
 	// (the rest are DRAM).
 	scmSlots int
 	ctrl     *mee.Controller
 }
 
-// New builds a hybrid policy whose low scmSlots/8 of physical memory
-// is SCM. opts configure the inner AMNT (subtree level, interval).
-func New(scmSlots int, opts ...core.Option) *Policy {
+// NewPolicy builds a hybrid policy whose low scmSlots/8 of physical
+// memory is SCM. opts configure the embedded AMNT (subtree level,
+// interval).
+func NewPolicy(scmSlots int, opts ...core.Option) *Policy {
 	if scmSlots < 1 {
 		scmSlots = 1
 	}
 	if scmSlots > bmt.Arity {
 		scmSlots = bmt.Arity
 	}
-	return &Policy{inner: core.New(opts...), scmSlots: scmSlots}
+	return &Policy{AMNT: core.New(opts...), scmSlots: scmSlots}
 }
 
 // Name implements mee.Policy.
 func (*Policy) Name() string { return "hybrid" }
-
-// Inner exposes the wrapped AMNT policy (stats, subtree state).
-func (p *Policy) Inner() *core.AMNT { return p.inner }
 
 // SCMSlots returns the number of level-2 subtrees on SCM.
 func (p *Policy) SCMSlots() int { return p.scmSlots }
@@ -59,8 +59,8 @@ func (p *Policy) SCMSlots() int { return p.scmSlots }
 // Attach implements mee.Policy.
 func (p *Policy) Attach(c *mee.Controller) {
 	p.ctrl = c
-	p.inner.Attach(c)
-	if p.inner.Level() < 2 {
+	p.AMNT.Attach(c)
+	if p.AMNT.Level() < 2 {
 		panic("hybrid: AMNT subtree level must be >= 2 so the fast subtree stays inside the SCM partition")
 	}
 }
@@ -86,7 +86,7 @@ func (p *Policy) WriteThroughCounter(ctrIdx uint64) bool {
 	if !p.scmCounter(ctrIdx) {
 		return false // DRAM: nothing to make durable
 	}
-	return p.inner.WriteThroughCounter(ctrIdx)
+	return p.AMNT.WriteThroughCounter(ctrIdx)
 }
 
 // WriteThroughHMAC implements mee.Policy.
@@ -97,7 +97,7 @@ func (p *Policy) WriteThroughHMAC(hmacIdx uint64) bool {
 	if !p.scmCounter(ctrIdx) {
 		return false
 	}
-	return p.inner.WriteThroughHMAC(hmacIdx)
+	return p.AMNT.WriteThroughHMAC(hmacIdx)
 }
 
 // WriteThroughTree implements mee.Policy.
@@ -105,7 +105,7 @@ func (p *Policy) WriteThroughTree(level int, idx uint64) bool {
 	if !p.scmNode(level, idx) {
 		return false // DRAM side: ordinary write-back BMT
 	}
-	return p.inner.WriteThroughTree(level, idx)
+	return p.AMNT.WriteThroughTree(level, idx)
 }
 
 // OnDataWrite implements mee.Policy: only SCM-side writes feed the
@@ -115,53 +115,15 @@ func (p *Policy) OnDataWrite(now uint64, dataBlock uint64) uint64 {
 	if !p.scmCounter(counters.CounterIndex(dataBlock)) {
 		return 0
 	}
-	return p.inner.OnDataWrite(now, dataBlock)
+	return p.AMNT.OnDataWrite(now, dataBlock)
 }
-
-// OnTreeUpdate implements mee.Policy.
-func (p *Policy) OnTreeUpdate(now uint64, level int, idx uint64, content []byte) uint64 {
-	return p.inner.OnTreeUpdate(now, level, idx, content)
-}
-
-// OnDataRead implements mee.Policy.
-func (p *Policy) OnDataRead(now uint64, dataBlock uint64) uint64 {
-	return p.inner.OnDataRead(now, dataBlock)
-}
-
-// ConcurrentReadSafe delegates to the inner AMNT: the partition check
-// and register reads are pure, so the hybrid inherits its opt-in to
-// mee's concurrent read view.
-func (p *Policy) ConcurrentReadSafe() bool { return p.inner.ConcurrentReadSafe() }
-
-// OnMetaFill implements mee.Policy.
-func (*Policy) OnMetaFill(uint64, mee.MetaKey) uint64 { return 0 }
-
-// OnMetaEvict implements mee.Policy.
-func (*Policy) OnMetaEvict(uint64, mee.MetaKey, bool) uint64 { return 0 }
-
-// OnWriteComplete implements mee.Policy.
-func (p *Policy) OnWriteComplete(now uint64, dataBlock uint64) uint64 {
-	return p.inner.OnWriteComplete(now, dataBlock)
-}
-
-// AnchorContent implements mee.Policy.
-func (p *Policy) AnchorContent(level int, idx uint64) ([]byte, bool) {
-	return p.inner.AnchorContent(level, idx)
-}
-
-// SaveNV implements mee.NVSnapshotter (the partition is static
-// configuration; only the inner AMNT register is NV state).
-func (p *Policy) SaveNV() []byte { return p.inner.SaveNV() }
-
-// RestoreNV implements mee.NVSnapshotter.
-func (p *Policy) RestoreNV(data []byte) error { return p.inner.RestoreNV(data) }
 
 // --- crash & recovery ---------------------------------------------------
 
 // Crash implements mee.Policy: beyond AMNT's volatile state, the DRAM
 // partition physically loses its contents.
 func (p *Policy) Crash() {
-	p.inner.Crash()
+	p.AMNT.Crash()
 	p.wipeDRAM()
 }
 
@@ -192,7 +154,7 @@ func (p *Policy) wipeDRAM() {
 // shared root. Only the SCM partition's share of the tree ever needs
 // reconstruction.
 func (p *Policy) RecoveryPlan() mee.RecoveryPlan {
-	plan := p.inner.RecoveryPlan()
+	plan := p.AMNT.RecoveryPlan()
 	plan.Prepass = p.resetDRAM
 	plan.StaleFraction *= float64(p.scmSlots) / float64(bmt.Arity)
 	return plan
@@ -213,12 +175,12 @@ func (p *Policy) resetDRAM(*mee.RecoveryReport) error {
 // Overhead implements mee.Policy: AMNT's hardware plus the extra
 // volatile root register the paper calls out.
 func (p *Policy) Overhead() mee.Overhead {
-	o := p.inner.Overhead()
+	o := p.AMNT.Overhead()
 	o.VolOnChipBytes += bmt.NodeSize
 	return o
 }
 
 // String describes the partition.
 func (p *Policy) String() string {
-	return fmt.Sprintf("hybrid(scm=%d/8, %s)", p.scmSlots, p.inner.String())
+	return fmt.Sprintf("hybrid(scm=%d/8, %s)", p.scmSlots, p.AMNT.String())
 }

@@ -1,4 +1,4 @@
-package hybrid
+package main
 
 import (
 	"bytes"
@@ -14,7 +14,7 @@ import (
 // (leaves 0..255, data blocks 0..16383) is SCM, the rest DRAM.
 func newHybrid(scmSlots int) (*Policy, *mee.Controller) {
 	dev := scm.New(scm.Config{CapacityBytes: 2 << 20, ReadCycles: 610, WriteCycles: 782})
-	p := New(scmSlots, core.WithLevel(3))
+	p := NewPolicy(scmSlots, core.WithLevel(3))
 	c := mee.New(dev, mee.DefaultConfig(), p)
 	return p, c
 }
@@ -56,10 +56,10 @@ func TestPartitionMath(t *testing.T) {
 }
 
 func TestSlotClamping(t *testing.T) {
-	if New(0).scmSlots != 1 {
+	if NewPolicy(0).scmSlots != 1 {
 		t.Fatal("zero slots should clamp to 1")
 	}
-	if New(99).scmSlots != 8 {
+	if NewPolicy(99).scmSlots != 8 {
 		t.Fatal("slots should clamp to arity")
 	}
 }
@@ -151,7 +151,7 @@ func TestOnlineRecoveryServesBothPartitions(t *testing.T) {
 	if s == nil {
 		t.Fatalf("hybrid must recover online: %v", err)
 	}
-	lo, _ := c.Geometry().LeafSpan(p.Inner().Level(), p.Inner().SubtreeIndex())
+	lo, _ := c.Geometry().LeafSpan(p.Level(), p.SubtreeIndex())
 	want := map[uint64][]byte{scmBlock: pattern(3)}
 	for i, b := range []uint64{lo * 64, lo*64 + 1, 8000, dramBlock} {
 		want[b] = pattern(byte(10 + i))
@@ -211,8 +211,8 @@ func TestSubtreeStaysOnSCM(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !p.scmNode(p.Inner().Level(), p.Inner().SubtreeIndex()) {
-		t.Fatalf("fast subtree moved to the DRAM partition (idx %d)", p.Inner().SubtreeIndex())
+	if !p.scmNode(p.Level(), p.SubtreeIndex()) {
+		t.Fatalf("fast subtree moved to the DRAM partition (idx %d)", p.SubtreeIndex())
 	}
 }
 

@@ -12,14 +12,13 @@ import (
 	"log"
 
 	"amnt/internal/core"
-	"amnt/internal/hybrid"
 	"amnt/internal/mee"
 	"amnt/internal/scm"
 )
 
 func main() {
 	dev := scm.New(scm.Config{CapacityBytes: 16 << 20})
-	policy := hybrid.New(4, core.WithLevel(3)) // low 4/8 of memory is SCM
+	policy := NewPolicy(4, core.WithLevel(3)) // low 4/8 of memory is SCM
 	ctrl := mee.New(dev, mee.DefaultConfig(), policy)
 	fmt.Println("machine:", policy.String())
 

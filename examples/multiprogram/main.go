@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"amnt/internal/core"
-	"amnt/internal/cpu"
 	"amnt/internal/sim"
 	"amnt/internal/workload"
 )
@@ -22,10 +21,10 @@ func main() {
 	specs := []workload.Spec{bodytrack.Scale(0.4), fluid.Scale(0.4)}
 
 	run := func(plusplus bool) sim.Result {
-		cfg := sim.DefaultConfig()
-		cfg.Core = cpu.MultiProgram()
-		cfg.L3Bytes = 1 << 20
-		cfg.StopAtFirstDone = true
+		cfg, err := sim.ConfigFor("multi")
+		if err != nil {
+			log.Fatal(err)
+		}
 		cfg.PrefragmentChurn = 40_000 // an aged, fragmented system
 		if plusplus {
 			cfg.AMNTPlusPlusLevel = 3

@@ -1,11 +1,10 @@
-package sgxtree_test
+package main
 
 import (
 	"fmt"
 
 	"amnt/internal/cme"
 	"amnt/internal/scm"
-	"amnt/internal/sgxtree"
 )
 
 // An SGX-style tree survives a crash under lazy interior persistence:
@@ -14,10 +13,10 @@ import (
 func Example() {
 	dev := scm.New(scm.Config{CapacityBytes: 1 << 20})
 	eng := cme.NewEngine(cme.Fast{}, 0xFEED)
-	tree := sgxtree.New(dev, eng, 64)
+	tree := NewTree(dev, eng, 64)
 
 	for i := 0; i < 3; i++ {
-		tree.Bump(100, sgxtree.LeafPersist)
+		tree.Bump(100, LeafPersist)
 	}
 	tree.Crash()
 	repaired, err := tree.Recover()

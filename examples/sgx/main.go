@@ -1,7 +1,7 @@
 // sgx: the paper's §2.1 remark, demonstrated — "the proposed protocol
 // can be used in an SGX-style BMT with small modifications". This
 // example runs the counter-embedded SGX-style integrity tree
-// (internal/sgxtree) through the same story as the general BMT: lazy
+// (sgxtree.go) through the same story as the general BMT: lazy
 // interior persistence, a crash, bounded recovery from an AMNT-style
 // subtree register, and replay detection.
 package main
@@ -12,26 +12,25 @@ import (
 
 	"amnt/internal/cme"
 	"amnt/internal/scm"
-	"amnt/internal/sgxtree"
 )
 
 func main() {
 	dev := scm.New(scm.Config{CapacityBytes: 4 << 20})
 	eng := cme.NewEngine(cme.Fast{}, 0x5EED)
-	tree := sgxtree.New(dev, eng, 512) // 512 leaf nodes, 4 levels
+	tree := NewTree(dev, eng, 512) // 512 leaf nodes, 4 levels
 
 	// Populate two regions strictly, then pin subtree (2,0) in an
 	// AMNT-style NV register and let its interior go lazy.
 	for i := uint64(0); i < 32; i++ {
-		if _, err := tree.Bump(i, sgxtree.Strict); err != nil {
+		if _, err := tree.Bump(i, Strict); err != nil {
 			log.Fatal(err)
 		}
-		if _, err := tree.Bump(3000+i, sgxtree.Strict); err != nil {
+		if _, err := tree.Bump(3000+i, Strict); err != nil {
 			log.Fatal(err)
 		}
 	}
 	for i := uint64(0); i < 200; i++ {
-		if _, err := tree.Bump(i%64, sgxtree.LeafPersist); err != nil {
+		if _, err := tree.Bump(i%64, LeafPersist); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -61,7 +60,7 @@ func main() {
 	// A replayed leaf node (old counters + old MAC) is caught by the
 	// parent's embedded counter.
 	snap := dev.SnapshotBlock(scm.Tree, devLeafIndex(tree, 0))
-	if _, err := tree.Bump(0, sgxtree.Strict); err != nil {
+	if _, err := tree.Bump(0, Strict); err != nil {
 		log.Fatal(err)
 	}
 	dev.ReplayBlock(scm.Tree, devLeafIndex(tree, 0), snap)
@@ -75,7 +74,7 @@ func main() {
 
 // devLeafIndex computes the Tree-region index of leaf-node 0's block:
 // levels 2..Levels-1 precede the leaf level in storage order.
-func devLeafIndex(t *sgxtree.Tree, leafNode uint64) uint64 {
+func devLeafIndex(t *Tree, leafNode uint64) uint64 {
 	off := uint64(0)
 	for l := 2; l < t.Levels; l++ {
 		off += uint64(1) << (3 * uint(l-1))

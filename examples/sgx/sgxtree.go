@@ -1,21 +1,22 @@
-// Package sgxtree implements the SGX-style integrity tree the paper
-// contrasts with general BMTs in §2.1: instead of nodes made of child
-// *hashes*, every node holds eight embedded version counters plus one
-// MAC, and a node's MAC is keyed by the counter its parent holds for
-// it (the Galois-counter construction of the SGX memory encryption
-// engine). Updates bump one counter per level; verification checks
-// one MAC per level using the parent's counter.
+// The SGX-style integrity tree the paper contrasts with general BMTs in
+// §2.1: instead of nodes made of child *hashes*, every node holds eight
+// embedded version counters plus one MAC, and a node's MAC is keyed by
+// the counter its parent holds for it (the Galois-counter construction
+// of the SGX memory encryption engine). Updates bump one counter per
+// level; verification checks one MAC per level using the parent's
+// counter.
 //
 // The paper notes AMNT "can be used in an SGX-style BMT with small
-// modifications". This package provides that demonstration: the tree
+// modifications". This file provides that demonstration: the tree
 // supports the same three ingredients AMNT needs — a trusted on-chip
 // root (here: the root node's counters), interior nodes that can be
 // lazily cached and rebuilt after a crash, and a *subtree register*
 // anchor that bounds the rebuild to one subtree (SubtreeRecover).
 // The full controller integration stays on the general BMT, matching
-// the paper's evaluation; this package carries its own storage,
+// the paper's evaluation; this tree carries its own storage,
 // verification, crash model and tests.
-package sgxtree
+
+package main
 
 import (
 	"encoding/binary"
@@ -96,9 +97,9 @@ type nodeID struct {
 	idx   uint64
 }
 
-// New builds a tree over leaves leaf-node slots (each holding Arity
+// NewTree builds a tree over leaves leaf-node slots (each holding Arity
 // leaf counters) in dev's Tree region.
-func New(dev *scm.Device, eng *cme.Engine, leaves uint64) *Tree {
+func NewTree(dev *scm.Device, eng *cme.Engine, leaves uint64) *Tree {
 	if leaves == 0 {
 		panic("sgxtree: need at least one leaf")
 	}

@@ -1,4 +1,4 @@
-package sgxtree
+package main
 
 import (
 	"testing"
@@ -11,7 +11,7 @@ import (
 func newTree(leaves uint64) (*Tree, *scm.Device) {
 	dev := scm.New(scm.Config{CapacityBytes: 1 << 20, ReadCycles: 1, WriteCycles: 1})
 	eng := cme.NewEngine(cme.Fast{}, 0xFEED)
-	return New(dev, eng, leaves), dev
+	return NewTree(dev, eng, leaves), dev
 }
 
 func TestNodeEncodeDecodeRoundTrip(t *testing.T) {

@@ -177,7 +177,9 @@ func (*AMNT) WriteThroughHMAC(uint64) bool { return true }
 // WriteThroughTree implements mee.Policy: lazy inside the fast
 // subtrees; strict outside. Ancestors of the subtree roots persist
 // only when the in-flight write is itself outside every subtree —
-// inside writes stop at the NV subtree register.
+// inside writes stop at the NV subtree register. Which side an address
+// is on is a compare against the registers, so AMNT needs no data-read
+// hook: §7.3's argument against the indirection designs' lookup.
 func (a *AMNT) WriteThroughTree(level int, idx uint64) bool {
 	if level >= a.level {
 		return a.regFor(idx>>(3*uint(level-a.level))) < 0
@@ -208,24 +210,6 @@ func (a *AMNT) OnTreeUpdate(_ uint64, level int, idx uint64, content []byte) uin
 	}
 	return 0
 }
-
-// OnDataRead implements mee.Policy: AMNT's membership check is an
-// address comparison against the subtree register — free, the point
-// of §7.3's argument against indirection.
-func (*AMNT) OnDataRead(uint64, uint64) uint64 { return 0 }
-
-// ConcurrentReadSafe opts AMNT into mee's concurrent read view: the
-// read-path hooks are pure (OnDataRead is the free address compare
-// above; AnchorContent reads the registers, mutated only under the
-// controller's writer lock).
-func (*AMNT) ConcurrentReadSafe() bool { return true }
-
-// OnMetaFill implements mee.Policy (no bookkeeping on fills — AMNT's
-// area budget has no room for shadow structures).
-func (*AMNT) OnMetaFill(uint64, mee.MetaKey) uint64 { return 0 }
-
-// OnMetaEvict implements mee.Policy.
-func (*AMNT) OnMetaEvict(uint64, mee.MetaKey, bool) uint64 { return 0 }
 
 // OnWriteComplete implements mee.Policy: the movement an interval end
 // decided runs here, after the epoch's climb, so the subtrees — and

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"amnt/internal/mee"
@@ -230,6 +231,26 @@ func TestIndirectCrashRecovery(t *testing.T) {
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatalf("block %d lost", b)
+		}
+	}
+}
+
+// TestReadViewOffOnlyForIndirect: of every registered protocol, only
+// indirect has a data-read hook, so only it is kept off mee's
+// concurrent read view.
+func TestReadViewOffOnlyForIndirect(t *testing.T) {
+	names := mee.Registered()
+	if !slices.Contains(names, "indirect") {
+		t.Fatalf("indirect is not registered: %v", names)
+	}
+	for _, name := range names {
+		p, err := mee.NewPolicy(name, mee.PolicyOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := mee.New(testDevice(), mee.DefaultConfig(), p)
+		if got, want := c.ConcurrentReadsSupported(), name != "indirect"; got != want {
+			t.Errorf("%s: ConcurrentReadsSupported() = %v, want %v", name, got, want)
 		}
 	}
 }

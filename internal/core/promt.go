@@ -48,16 +48,13 @@ func (p *Indirect) lookup(now uint64, dataBlock uint64) uint64 {
 // Lookups reports how many membership fetches were performed.
 func (p *Indirect) Lookups() uint64 { return p.lookups }
 
-// OnDataRead implements mee.Policy: reads cannot start verification
-// until the indirection entry arrives.
+// OnDataRead implements mee.ReadObserver: reads cannot start
+// verification until the indirection entry arrives. Having the hook
+// keeps Indirect's reads off mee's untimed concurrent view, which could
+// not charge the fetch.
 func (p *Indirect) OnDataRead(now uint64, dataBlock uint64) uint64 {
 	return p.lookup(now, dataBlock)
 }
-
-// ConcurrentReadSafe shadows AMNT's opt-in: Indirect's reads charge a
-// shadow-table fetch through the metadata cache (lookup above), which
-// the untimed concurrent view cannot replay. Reads stay serialized.
-func (*Indirect) ConcurrentReadSafe() bool { return false }
 
 // OnDataWrite implements mee.Policy: the lookup plus AMNT's tracking.
 func (p *Indirect) OnDataWrite(now uint64, dataBlock uint64) uint64 {

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"time"
 
-	"amnt/internal/cpu"
 	"amnt/internal/mee"
 	"amnt/internal/recovery"
 	"amnt/internal/sim"
@@ -120,28 +119,19 @@ var comparedProtocols = []string{"leaf", "strict", "anubis", "bmf", "amnt", "amn
 // Figure8Protocols are the SPEC comparison set.
 var Figure8Protocols = []string{"leaf", "strict", "anubis", "bmf", "amnt"}
 
-// machineFor builds the paper's §6 configurations.
+// machineFor builds the paper's §6 machine of the given kind
+// (sim.ConfigFor) on the options' memory size and seed.
 func (o Options) machineFor(kind string) sim.Config {
-	cfg := sim.DefaultConfig()
+	cfg, err := sim.ConfigFor(kind)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
 	cfg.MemoryBytes = o.MemoryBytes
 	cfg.Seed = o.Seed
 	// All experiments run on an aged system: free lists fragmented
 	// across several subtree regions, so physical placement policy
 	// (AMNT++) has something to do.
 	cfg.PrefragmentChurn = 36_000
-	switch kind {
-	case "single":
-		cfg.Core = cpu.SingleProgram()
-	case "multi":
-		cfg.Core = cpu.MultiProgram()
-		cfg.L3Bytes = 1 << 20
-		cfg.StopAtFirstDone = true
-	case "threads":
-		cfg.Core = cpu.MultiThread()
-		cfg.L3Bytes = 8 << 20
-		cfg.SharedAddressSpace = true
-		cfg.StopAtFirstDone = true
-	}
 	return cfg
 }
 

@@ -77,7 +77,7 @@ func (a *Anubis) shadowHeader(key MetaKey, valid bool) []byte {
 	return a.hdr[:]
 }
 
-// OnMetaFill implements Policy: log the incoming block's address in
+// OnMetaFill implements MetaObserver: log the incoming block's address in
 // the shadow table. The update must be durable before the fill is
 // architecturally visible, so it blocks — this is Anubis's slow path.
 func (a *Anubis) OnMetaFill(now uint64, key MetaKey) uint64 {
@@ -94,7 +94,7 @@ func (a *Anubis) OnMetaFill(now uint64, key MetaKey) uint64 {
 	return cycles
 }
 
-// OnMetaEvict implements Policy: clear the departing block's shadow
+// OnMetaEvict implements MetaObserver: clear the departing block's shadow
 // entry (posted; the eviction writeback itself carries the ordering).
 func (a *Anubis) OnMetaEvict(now uint64, key MetaKey, dirty bool) uint64 {
 	slot, ok := a.slots[key]

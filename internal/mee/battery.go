@@ -10,6 +10,7 @@ package mee
 // battery is required for data-dependent flushing remains an open
 // issue"): FlushedBlocks records the worst-case burst the battery
 // must cover, which is bounded only by the metadata cache capacity.
+// It adds no on-chip state: the cost is flush energy, not area.
 type Battery struct {
 	base
 	flushed     uint64
@@ -49,8 +50,3 @@ func (b *Battery) FlushedBlocks() uint64 { return b.flushed }
 // RecoveryPlan implements Policy: the pre-crash flush left SCM
 // current, so recovery only validates, like strict persistence.
 func (b *Battery) RecoveryPlan() RecoveryPlan { return b.wholeTree(false) }
-
-// Overhead implements Policy: no extra on-chip state, but the
-// platform must provision flush energy for a full metadata cache —
-// reported as the in-memory-equivalent burst (informational).
-func (*Battery) Overhead() Overhead { return Overhead{} }

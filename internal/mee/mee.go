@@ -259,6 +259,8 @@ type Controller struct {
 	rootNV   [bmt.NodeSize]byte // level-1 node content, on-chip NV register
 	wq       *writeQueue
 	policy   Policy
+	metaObs  MetaObserver          // policy's optional hooks, resolved once at New;
+	readObs  ReadObserver          // nil when it lacks them
 	zero     []uint64              // zero-subtree digests per level
 	zeroNode [][scm.BlockSize]byte // zero-node contents per inner level
 	st       Stats
@@ -283,9 +285,6 @@ type Controller struct {
 	// panics instead of queueing on the mutex.
 	viewMu  sync.RWMutex
 	viewSeq atomic.Uint64
-	// viewOK is whether the attached policy's read-path hooks are
-	// pure (computed once at New; see ConcurrentReadsSupported).
-	viewOK bool
 	// viewHook, when non-nil, runs between the two snapshot sections
 	// of a concurrent read attempt. Test-only: lets a test inject a
 	// writer at the exact window a seq conflict is possible.
@@ -366,10 +365,9 @@ func New(dev *scm.Device, cfg Config, policy Policy) *Controller {
 	c.rootNV = c.zeroNode[1]
 	c.levelHits = make([]stats.Ratio, c.geo.Levels+1)
 	c.policy = policy
+	c.metaObs, _ = policy.(MetaObserver)
+	c.readObs, _ = policy.(ReadObserver)
 	policy.Attach(c)
-	if cr, ok := policy.(interface{ ConcurrentReadSafe() bool }); ok {
-		c.viewOK = cr.ConcurrentReadSafe()
-	}
 	return c
 }
 
@@ -484,10 +482,14 @@ func (c *Controller) install(now uint64, key MetaKey, content *[scm.BlockSize]by
 			cycles += c.postCharge(now+cycles, wqKey(region, idx))
 			c.st.PostedWrites.Inc()
 		}
-		cycles += c.policy.OnMetaEvict(now+cycles, vk, victim.Dirty)
+		if c.metaObs != nil {
+			cycles += c.metaObs.OnMetaEvict(now+cycles, vk, victim.Dirty)
+		}
 	}
 	c.buf[slot] = *content
-	cycles += c.policy.OnMetaFill(now+cycles, key)
+	if c.metaObs != nil {
+		cycles += c.metaObs.OnMetaFill(now+cycles, key)
+	}
 	return c.buf[slot][:], cycles
 }
 
@@ -831,9 +833,10 @@ func (c *Controller) readBlock(now uint64, b uint64, dst []byte) (uint64, error)
 	}
 	c.st.DataReads.Inc()
 	var cycles uint64
-	rc := c.policy.OnDataRead(now, b)
-	c.st.PolicyCycles.Add(rc)
-	cycles += rc
+	if c.readObs != nil {
+		cycles = c.readObs.OnDataRead(now, b)
+		c.st.PolicyCycles.Add(cycles)
+	}
 	// One lookup both detects first touch and fetches the ciphertext;
 	// its cost is charged where the access sits in the modelled
 	// sequence, after the counter fetch.

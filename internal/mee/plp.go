@@ -8,7 +8,8 @@ package mee
 // critique, which the simulator reproduces, is that PLP is not
 // *dynamic*: every write still pays a full-path persist, so its
 // common-case overhead tracks strict persistence's write traffic even
-// though its stalls are shorter.
+// though its stalls are shorter. It adds queue tagging logic but no
+// named on-chip structure beyond the baseline.
 type PLP struct {
 	base
 	barriers uint64
@@ -52,7 +53,3 @@ func (p *PLP) Barriers() uint64 { return p.barriers }
 
 // RecoveryPlan implements Policy: like strict, nothing is stale.
 func (p *PLP) RecoveryPlan() RecoveryPlan { return p.wholeTree(false) }
-
-// Overhead implements Policy: PLP adds queue tagging logic but no
-// named on-chip structures beyond the baseline.
-func (*PLP) Overhead() Overhead { return Overhead{} }

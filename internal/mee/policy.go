@@ -9,9 +9,10 @@ import (
 
 // Policy is a metadata persistence protocol. The controller consults
 // the policy on every metadata update to decide write-through versus
-// writeback, calls its hooks on data writes and metadata cache events
-// (where protocols like Anubis and AMNT do their bookkeeping), and runs
-// the crash recovery it declares.
+// writeback, calls its hooks on data writes (where AMNT tracks its hot
+// region), and runs the crash recovery it declares. Bookkeeping on
+// metadata cache events or data reads is opt-in, through MetaObserver
+// and ReadObserver.
 type Policy interface {
 	// Name identifies the protocol ("amnt", "anubis", ...).
 	Name() string
@@ -32,16 +33,9 @@ type Policy interface {
 	// OnDataWrite runs once per data-block write before metadata
 	// updates; returns extra cycles (AMNT hot-region tracking).
 	OnDataWrite(now uint64, dataBlock uint64) uint64
-	// OnDataRead runs once per data-block read before verification;
-	// indirection-based protocols charge their membership lookup here.
-	OnDataRead(now uint64, dataBlock uint64) uint64
 	// OnTreeUpdate runs after an inner node's content is updated in
 	// the cache (AMNT subtree register, BMF persistent-root copies).
 	OnTreeUpdate(now uint64, level int, idx uint64, content []byte) uint64
-	// OnMetaFill runs when a metadata block enters the cache.
-	OnMetaFill(now uint64, key MetaKey) uint64
-	// OnMetaEvict runs when a metadata block leaves the cache.
-	OnMetaEvict(now uint64, key MetaKey, dirty bool) uint64
 	// OnWriteComplete runs at the end of every data-block write, after
 	// the climb of the epoch carrying it (PLP places its single persist
 	// barrier here). It is where a policy changes its WriteThroughTree
@@ -60,6 +54,25 @@ type Policy interface {
 	RecoveryPlan() RecoveryPlan
 	// Overhead reports the protocol's extra hardware (Table 3).
 	Overhead() Overhead
+}
+
+// MetaObserver is implemented by a policy that keeps bookkeeping on
+// metadata cache events (Anubis's shadow table). Each hook returns the
+// cycles it charges.
+type MetaObserver interface {
+	// OnMetaFill runs when a metadata block enters the cache.
+	OnMetaFill(now uint64, key MetaKey) uint64
+	// OnMetaEvict runs when a metadata block leaves the cache.
+	OnMetaEvict(now uint64, key MetaKey, dirty bool) uint64
+}
+
+// ReadObserver is implemented by a policy that does work on every data
+// read: indirection-based protocols charge their membership lookup in
+// OnDataRead, which runs once per read before verification. The
+// untimed concurrent read view cannot run such a hook, so a policy
+// with one always reads on the serialized path (see readview.go).
+type ReadObserver interface {
+	OnDataRead(now uint64, dataBlock uint64) uint64
 }
 
 // Overhead is the additional hardware a protocol requires beyond the
@@ -88,8 +101,8 @@ type RecoveryReport struct {
 	Cycles uint64
 }
 
-// base provides no-op defaults for optional hooks; concrete policies
-// embed it.
+// base provides no-op defaults for the hooks most protocols leave
+// empty; concrete policies embed it.
 type base struct {
 	ctrl *Controller
 }
@@ -98,23 +111,11 @@ func (b *base) Attach(c *Controller) { b.ctrl = c }
 
 func (b *base) OnDataWrite(uint64, uint64) uint64 { return 0 }
 
-func (b *base) OnDataRead(uint64, uint64) uint64 { return 0 }
-
 func (b *base) OnTreeUpdate(uint64, int, uint64, []byte) uint64 { return 0 }
-
-func (b *base) OnMetaFill(uint64, MetaKey) uint64 { return 0 }
-
-func (b *base) OnMetaEvict(uint64, MetaKey, bool) uint64 { return 0 }
 
 func (b *base) OnWriteComplete(uint64, uint64) uint64 { return 0 }
 
 func (b *base) AnchorContent(int, uint64) ([]byte, bool) { return nil, false }
-
-// ConcurrentReadSafe opts the built-in policies into the concurrent
-// read view (see readview.go): their OnDataRead is a no-op and their
-// AnchorContent is a pure read of writer-locked state. A policy whose
-// read hooks mutate state must shadow this with false.
-func (b *base) ConcurrentReadSafe() bool { return true }
 
 func (b *base) Crash() {}
 

@@ -41,10 +41,12 @@
 //     Consequently the simulated clock, LRU state, and Stats are
 //     untouched — simulated timing remains a property of the
 //     serialized path.
-//  3. Policy read hooks must be pure for a policy to opt in
-//     (ConcurrentReadSafe): OnDataRead a no-op and AnchorContent a
-//     plain read of writer-locked state. Indirect (whose reads
-//     charge a shadow-table fetch) opts out and always serializes.
+//  3. The view runs no policy hook but AnchorContent, a plain read of
+//     writer-locked state. A policy with a data-read hook
+//     (ReadObserver) needs that hook on every read, so it never gets
+//     the view: eligibility is derived from the hook, not declared.
+//     Indirect, whose reads charge a membership fetch, always
+//     serializes.
 package mee
 
 import (
@@ -62,8 +64,8 @@ import (
 // was not performed; callers should retry on the serialized path.
 var ErrViewConflict = errors.New("mee: concurrent read view conflict")
 
-// ErrViewUnsupported reports that the attached policy's read hooks
-// are not pure, so reads must use the serialized ReadBlock path.
+// ErrViewUnsupported reports that the attached policy has a data-read
+// hook, so reads must use the serialized ReadBlock path.
 var ErrViewUnsupported = errors.New("mee: policy does not support concurrent reads")
 
 // maxViewRetries is how many snapshot attempts a concurrent read
@@ -71,9 +73,9 @@ var ErrViewUnsupported = errors.New("mee: policy does not support concurrent rea
 const maxViewRetries = 4
 
 // ConcurrentReadsSupported reports whether ReadBlockConcurrent may be
-// used with the attached policy (true when its read-path hooks are
-// pure; see the package comment above).
-func (c *Controller) ConcurrentReadsSupported() bool { return c.viewOK }
+// used with the attached policy: true unless it has a data-read hook
+// (see invariant 3 above).
+func (c *Controller) ConcurrentReadsSupported() bool { return c.readObs == nil }
 
 // ConcurrentReadStats returns the view counters: verified reads
 // served off the view, snapshot retries (seq conflicts), and reads
@@ -110,16 +112,16 @@ var viewScratchPool = sync.Pool{New: func() any { return &viewScratch{chain: cha
 // owner's writes. It returns the number of snapshot retries the read
 // needed (0 on first-attempt success).
 //
-// Errors: ErrViewUnsupported (policy opted out), ErrRecovering (an
-// online recovery session owns the tree), ErrViewConflict (writer
-// activity on every attempt — retry on the serialized path), or
-// *IntegrityError (genuine verification failure). Unlike ReadBlock it
+// Errors: ErrViewUnsupported (the policy has a data-read hook),
+// ErrRecovering (an online recovery session owns the tree),
+// ErrViewConflict (writer activity on every attempt — retry on the
+// serialized path), or *IntegrityError (genuine verification failure). Unlike ReadBlock it
 // returns no cycle count: the concurrent path is untimed (invariant 2).
 func (c *Controller) ReadBlockConcurrent(b uint64, dst []byte) (int, error) {
 	if len(dst) != scm.BlockSize {
 		panic("mee: ReadBlockConcurrent buffer must be BlockSize bytes")
 	}
-	if !c.viewOK {
+	if c.readObs != nil {
 		return 0, ErrViewUnsupported
 	}
 	if b >= c.dev.DataBlocks() {

@@ -201,11 +201,11 @@ func TestReadViewConflictExhaustion(t *testing.T) {
 	}
 }
 
-// optOutPolicy shadows the base opt-in, standing in for policies
-// (like core.Indirect) whose read hooks are not pure.
+// optOutPolicy has a data-read hook, standing in for policies (like
+// core.Indirect) whose reads do work the untimed view cannot.
 type optOutPolicy struct{ Leaf }
 
-func (*optOutPolicy) ConcurrentReadSafe() bool { return false }
+func (*optOutPolicy) OnDataRead(uint64, uint64) uint64 { return 0 }
 
 func TestReadViewUnsupportedPolicy(t *testing.T) {
 	c := New(testDevice(), DefaultConfig(), &optOutPolicy{})
@@ -215,6 +215,57 @@ func TestReadViewUnsupportedPolicy(t *testing.T) {
 	dst := make([]byte, scm.BlockSize)
 	if _, err := c.ReadBlockConcurrent(0, dst); !errors.Is(err, ErrViewUnsupported) {
 		t.Fatalf("want ErrViewUnsupported, got %v", err)
+	}
+}
+
+// countingReads embeds base, as the built-in policies do, and adds a
+// data-read hook that counts its calls and charges one cycle each.
+type countingReads struct {
+	base
+	reads int
+}
+
+func (*countingReads) Name() string                      { return "counting-reads" }
+func (*countingReads) WriteThroughCounter(uint64) bool   { return true }
+func (*countingReads) WriteThroughHMAC(uint64) bool      { return true }
+func (*countingReads) WriteThroughTree(int, uint64) bool { return false }
+func (p *countingReads) RecoveryPlan() RecoveryPlan      { return p.wholeTree(true) }
+
+func (p *countingReads) OnDataRead(uint64, uint64) uint64 {
+	p.reads++
+	return 1
+}
+
+// TestReadViewFollowsReadHook: read-view eligibility is derived from
+// the policy's hooks, not declared, so a policy that gains a data-read
+// hook leaves the view whatever it embeds, and every serialized read
+// runs the hook and charges its cycles.
+func TestReadViewFollowsReadHook(t *testing.T) {
+	p := &countingReads{}
+	c := New(testDevice(), DefaultConfig(), p)
+	if c.ConcurrentReadsSupported() {
+		t.Fatal("a policy with a data-read hook is on the read view")
+	}
+	if _, err := c.WriteBlock(0, 3, pattern(1)); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, scm.BlockSize)
+	for i := 0; i < 3; i++ {
+		if _, err := c.ReadBlock(0, 3, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.reads != 3 {
+		t.Fatalf("OnDataRead ran %d times for 3 reads", p.reads)
+	}
+	if got := c.Stats().PolicyCycles.Value(); got != 3 {
+		t.Fatalf("policy cycles = %d, want the 3 the hook charged", got)
+	}
+	if _, err := c.ReadBlockConcurrent(3, dst); !errors.Is(err, ErrViewUnsupported) {
+		t.Fatalf("ReadBlockConcurrent = %v, want ErrViewUnsupported", err)
+	}
+	if p.reads != 3 {
+		t.Fatal("the view ran a read without the hook")
 	}
 }
 

@@ -9,7 +9,8 @@ import "fmt"
 // only the upper levels from the persisted boundary. It is the static
 // counterpart of AMNT's dynamic split — every address gets the same
 // treatment, so the persist path shortens uniformly but never adapts
-// to hot regions.
+// to hot regions. It adds no on-chip structure beyond the baseline
+// root register.
 type Triad struct {
 	base
 	// M is how many inner tree levels above the counters persist
@@ -75,10 +76,6 @@ func (t *Triad) RecoveryPlan() RecoveryPlan {
 	}
 	return p
 }
-
-// Overhead implements Policy: Triad-NVM adds no on-chip structures
-// beyond the baseline root register.
-func (*Triad) Overhead() Overhead { return Overhead{} }
 
 // String describes the configuration.
 func (t *Triad) String() string { return fmt.Sprintf("triad(M=%d)", t.M) }

@@ -449,13 +449,13 @@ func TestServerSpansEndpoint(t *testing.T) {
 // shard keeps serving throughout.
 func TestServerDegraded503Payload(t *testing.T) {
 	srv, _ := testServerCfg(t, store.Config{
-		Shards:          2,
-		ShardMemBytes:   256 << 10,
-		Protocol:        "leaf",
-		QueueDepth:      64,
-		BatchMax:        8,
-		CheckpointDir:   t.TempDir(),
-		HealMaxAttempts: -1, // keep the shard quarantined for the whole test
+		Shards:        2,
+		ShardMemBytes: 256 << 10,
+		Protocol:      "leaf",
+		QueueDepth:    64,
+		BatchMax:      8,
+		CheckpointDir: t.TempDir(),
+		HealBackoff:   time.Hour, // keep the shard quarantined for the whole test
 	})
 
 	// Key 1 lives on shard 1 (key % shards).
@@ -538,14 +538,13 @@ func TestServerDegraded503Payload(t *testing.T) {
 // survived.
 func TestServerQuarantineHealsLive(t *testing.T) {
 	srv, _ := testServerCfg(t, store.Config{
-		Shards:         2,
-		ShardMemBytes:  256 << 10,
-		Protocol:       "leaf",
-		QueueDepth:     64,
-		BatchMax:       8,
-		CheckpointDir:  t.TempDir(),
-		HealBackoff:    2 * time.Millisecond,
-		HealBackoffMax: 20 * time.Millisecond,
+		Shards:        2,
+		ShardMemBytes: 256 << 10,
+		Protocol:      "leaf",
+		QueueDepth:    64,
+		BatchMax:      8,
+		CheckpointDir: t.TempDir(),
+		HealBackoff:   2 * time.Millisecond,
 	})
 
 	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/kv/3", strings.NewReader("survives"))

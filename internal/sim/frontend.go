@@ -26,7 +26,7 @@ type frontEnd struct {
 	l3     *cache.Cache
 	cores  []*cpu.Hierarchy
 	procs  []*kernel.Process
-	traces []workload.Source
+	traces []*workload.Trace
 	// versions counts the stores to each data block. Leaves appear on
 	// first store, so the table follows the touched footprint, never
 	// MemoryBytes.
@@ -40,7 +40,7 @@ type frontEnd struct {
 	rec *Stream
 }
 
-func newFrontEnd(cfg FrontEndConfig, sources []workload.Source) *frontEnd {
+func newFrontEnd(cfg FrontEndConfig, traces []*workload.Trace) *frontEnd {
 	kcfg := kernel.Config{MemoryBytes: cfg.MemoryBytes}
 	if cfg.AMNTPlusPlusLevel > 0 {
 		kcfg.AMNTPlusPlus = true
@@ -56,14 +56,14 @@ func newFrontEnd(cfg FrontEndConfig, sources []workload.Source) *frontEnd {
 		f.kern.Allocator().Restructure(kcfg.SubtreeRegionPages)
 	}
 	f.l3 = cpu.SharedL3(cfg.L3Bytes)
-	for i, src := range sources {
+	for i, tr := range traces {
 		f.cores = append(f.cores, cpu.NewHierarchy(fmt.Sprintf("core%d", i), cfg.Core, f.l3, f))
 		if cfg.SharedAddressSpace && i > 0 {
 			f.procs = append(f.procs, f.procs[0])
 		} else {
-			f.procs = append(f.procs, f.kern.NewProcess(src.Spec().Name))
+			f.procs = append(f.procs, f.kern.NewProcess(tr.Spec().Name))
 		}
-		f.traces = append(f.traces, src)
+		f.traces = append(f.traces, tr)
 	}
 	if cfg.SharedAddressSpace {
 		// Threads share data: wire the dirty-migration snoop so a

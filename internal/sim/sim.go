@@ -104,6 +104,30 @@ func DefaultConfig() Config {
 	}
 }
 
+// ConfigFor returns the paper's §6 machine of the given kind on the
+// default memory size and seed: "single" (one core, no L3), "multi"
+// (two programs on two cores sharing a 1 MB L3, ending when the first
+// finishes) or "threads" (one multithreaded program in a shared
+// address space over an 8 MB L3, likewise).
+func ConfigFor(kind string) (Config, error) {
+	cfg := DefaultConfig()
+	switch kind {
+	case "single":
+	case "multi":
+		cfg.Core = cpu.MultiProgram()
+		cfg.L3Bytes = 1 << 20
+		cfg.StopAtFirstDone = true
+	case "threads":
+		cfg.Core = cpu.MultiThread()
+		cfg.L3Bytes = 8 << 20
+		cfg.SharedAddressSpace = true
+		cfg.StopAtFirstDone = true
+	default:
+		return Config{}, fmt.Errorf("unknown machine kind %q (single, multi, threads)", kind)
+	}
+	return cfg, nil
+}
+
 // Result summarizes one run. The JSON field names are a stable,
 // machine-readable encoding (snake_case, mirroring Dump's gem5-style
 // stat names) consumed by amntsim -json and amntbench -format json;
@@ -177,28 +201,19 @@ type Machine struct {
 // NewMachine builds a machine running one freshly generated trace
 // per core.
 func NewMachine(cfg Config, policy mee.Policy, specs []workload.Spec) *Machine {
-	return NewMachineWithSources(cfg, policy, traceSources(cfg.FrontEndConfig, specs))
-}
-
-// traceSources generates one trace per spec; core i's seed is
-// Seed + i*7919.
-func traceSources(cfg FrontEndConfig, specs []workload.Spec) []workload.Source {
-	sources := make([]workload.Source, len(specs))
-	for i, spec := range specs {
-		sources[i] = workload.NewTrace(spec, cfg.Seed+int64(i)*7919)
-	}
-	return sources
-}
-
-// NewMachineWithSources builds a machine over externally supplied
-// access streams — typically traces recorded with workload.Record and
-// replayed with workload.OpenRecorded, for bit-identical experiment
-// reproduction.
-func NewMachineWithSources(cfg Config, policy mee.Policy, sources []workload.Source) *Machine {
 	cfg = cfg.withDefaults()
-	m := &Machine{be: newBackEnd(cfg, policy), fe: newFrontEnd(cfg.FrontEndConfig, sources)}
+	m := &Machine{be: newBackEnd(cfg, policy), fe: newFrontEnd(cfg.FrontEndConfig, traces(cfg.FrontEndConfig, specs))}
 	m.fe.be = m.be
 	return m
+}
+
+// traces generates one trace per spec; core i's seed is Seed + i*7919.
+func traces(cfg FrontEndConfig, specs []workload.Spec) []*workload.Trace {
+	out := make([]*workload.Trace, len(specs))
+	for i, spec := range specs {
+		out[i] = workload.NewTrace(spec, cfg.Seed+int64(i)*7919)
+	}
+	return out
 }
 
 // Controller exposes the MEE (for recovery experiments and stats).

@@ -252,34 +252,6 @@ func TestBlockContent(t *testing.T) {
 	}
 }
 
-func TestReplayedTraceMatchesLiveRun(t *testing.T) {
-	cfg := smallConfig()
-	spec := tinySpec("replay", 0.4)
-
-	live, err := Run(cfg, mee.NewLeaf(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	// The machine seeds trace i with Seed + i*7919; core 0 uses Seed.
-	if err := workload.Record(spec, cfg.Seed, &buf); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := workload.OpenRecorded(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMachineWithSources(cfg, mee.NewLeaf(), []workload.Source{rec})
-	replayed, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayed.Cycles != live.Cycles || replayed.Reads != live.Reads || replayed.Writes != live.Writes {
-		t.Fatalf("replay diverged: live %+v vs replay %+v", live, replayed)
-	}
-}
-
 func TestDump(t *testing.T) {
 	res, err := Run(smallConfig(), core.New(), tinySpec("t", 0.3))
 	if err != nil {

@@ -99,7 +99,7 @@ func (s *Stream) append(gap, block uint64, version uint32, writeBack bool) {
 // NewMachine would, and returns the transfers it raised. No controller
 // is built.
 func Record(ctx context.Context, cfg Config, specs []workload.Spec) (*Stream, error) {
-	f := newFrontEnd(cfg.withDefaults().FrontEndConfig, traceSources(cfg.FrontEndConfig, specs))
+	f := newFrontEnd(cfg.withDefaults().FrontEndConfig, traces(cfg.FrontEndConfig, specs))
 	f.rec = &Stream{}
 	if _, err := f.roundRobin(ctx, func(i int) (bool, bool, error) {
 		done, err := f.step(i)

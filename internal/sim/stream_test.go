@@ -156,7 +156,7 @@ func TestStreamLongGap(t *testing.T) {
 // workload, warmed the same way, with its warm-up stream.
 func steadyFrontEnd(tb testing.TB, cfg Config) (*frontEnd, *Stream) {
 	tb.Helper()
-	f := newFrontEnd(cfg.withDefaults().FrontEndConfig, traceSources(cfg.FrontEndConfig, []workload.Spec{steadySpec()}))
+	f := newFrontEnd(cfg.withDefaults().FrontEndConfig, traces(cfg.FrontEndConfig, []workload.Spec{steadySpec()}))
 	f.rec = &Stream{}
 	stepFront(tb, f, 400_000)
 	return f, cut(f)

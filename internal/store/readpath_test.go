@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // readConfig is testConfig with the per-shard reader pool enabled.
@@ -264,7 +265,7 @@ func sumFallbacks(snap Snapshot) (n uint64) {
 // contract — and healthy shards keep serving off the pool.
 func TestStoreConcurrentReadQuarantinedShard(t *testing.T) {
 	cfg := readConfig()
-	cfg.HealMaxAttempts = -1 // stay quarantined for the whole test
+	cfg.HealBackoff = time.Hour // stay quarantined for the whole test
 	s := mustOpen(t, cfg)
 	ctx := context.Background()
 	const keys = 64
@@ -312,7 +313,7 @@ func TestStoreConcurrentReadQuarantinedShard(t *testing.T) {
 // the queue — clients see valid data, not errors.
 func TestStoreConcurrentReadDuringRecovery(t *testing.T) {
 	cfg := readConfig()
-	cfg.RecoveryChunk = 1 // stretch the rebuild across many waves
+	cfg.recoveryChunk = 1 // stretch the rebuild across many waves
 	s := mustOpen(t, cfg)
 	ctx := context.Background()
 	const keys = 256

@@ -34,20 +34,18 @@ func newBareShard(t *testing.T, protocol string, mem uint64) *shard {
 	dev := scm.New(scm.Config{CapacityBytes: mem})
 	ctrl := mee.New(dev, mee.Config{}, policy)
 	sh := &shard{
-		id:             0,
-		dev:            dev,
-		ctrl:           ctrl,
-		ch:             make(chan request, 8),
-		done:           make(chan struct{}),
-		blocks:         mem / scm.BlockSize,
-		batchMax:       8,
-		epochSizes:     stats.NewHistogram(),
-		epochCycles:    stats.NewHistogram(),
-		prog:           &bmt.Progress{},
-		recChunk:       1,
-		healBackoff:    time.Millisecond,
-		healBackoffMax: 4 * time.Millisecond,
-		healMax:        8,
+		id:          0,
+		dev:         dev,
+		ctrl:        ctrl,
+		ch:          make(chan request, 8),
+		done:        make(chan struct{}),
+		blocks:      mem / scm.BlockSize,
+		batchMax:    8,
+		epochSizes:  stats.NewHistogram(),
+		epochCycles: stats.NewHistogram(),
+		prog:        &bmt.Progress{},
+		recChunk:    1,
+		healBackoff: time.Millisecond,
 	}
 	ctrl.SetRecoveryProgress(sh.prog)
 	sh.inj = faults.NewInjector(ctrl)
@@ -499,6 +497,7 @@ func TestShardHealBackoffAndEscalation(t *testing.T) {
 // data loss, since in-place healing never discards writes.
 func TestShardHealBackoffCap(t *testing.T) {
 	sh := newBareShard(t, "leaf", 128<<10)
+	sh.healBackoff = time.Second // reaches the 5s cap on the third failure
 	const keys = 48
 	for b := uint64(0); b < keys; b++ {
 		barePut(t, sh, b, stamp(b))
@@ -516,8 +515,8 @@ func TestShardHealBackoffCap(t *testing.T) {
 			t.Fatalf("heal attempt %d succeeded on tampered media", i+1)
 		}
 	}
-	if sh.healWait != sh.healBackoffMax {
-		t.Fatalf("backoff = %v, want cap %v", sh.healWait, sh.healBackoffMax)
+	if sh.healWait != healBackoffMax {
+		t.Fatalf("backoff = %v, want cap %v", sh.healWait, healBackoffMax)
 	}
 	if got := sh.m[cHealAttempts].Load(); got != 5 {
 		t.Fatalf("heal_attempts = %d, want 5", got)
@@ -545,7 +544,6 @@ func TestStoreQuarantineHealsLive(t *testing.T) {
 	cfg := testConfig()
 	cfg.Shards = 2
 	cfg.HealBackoff = 2 * time.Millisecond
-	cfg.HealBackoffMax = 10 * time.Millisecond
 	s := mustOpen(t, cfg)
 	ctx := context.Background()
 	const keyspace = 100
@@ -581,12 +579,13 @@ func TestStoreQuarantineHealsLive(t *testing.T) {
 	}
 }
 
-// TestStoreQuarantineExhaustsAttempts: with healing disabled the
-// quarantined shard stays down — the pre-heal behavior, selectable.
+// TestStoreQuarantineExhaustsAttempts: a quarantined shard runs no
+// heal attempt before its backoff is due, so under a long backoff it
+// stays down.
 func TestStoreQuarantineExhaustsAttempts(t *testing.T) {
 	cfg := testConfig()
 	cfg.Shards = 2
-	cfg.HealMaxAttempts = -1
+	cfg.HealBackoff = time.Hour
 	s := mustOpen(t, cfg)
 	ctx := context.Background()
 	if err := s.Put(ctx, 1, stamp(1)); err != nil {
@@ -597,7 +596,7 @@ func TestStoreQuarantineExhaustsAttempts(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond)
 	if ss := s.Stats().Shards[1]; ss.Health != "quarantined" || ss.counts[cHealAttempts] != 0 {
-		t.Fatalf("heal ran with healing disabled: %+v", ss)
+		t.Fatalf("heal ran before its backoff was due: %+v", ss)
 	}
 	if err := s.Put(ctx, 1, stamp(1)); !errors.Is(err, ErrShardFailed) {
 		t.Fatalf("put to dead shard: %v, want ErrShardFailed", err)
@@ -621,9 +620,8 @@ func TestStoreServeDuringRecoveryMatrix(t *testing.T) {
 				cfg := testConfig()
 				cfg.Shards = 2
 				cfg.Protocol = protocol
-				cfg.RecoveryChunk = 1 // maximize the degraded window
+				cfg.recoveryChunk = 1 // maximize the degraded window
 				cfg.HealBackoff = 2 * time.Millisecond
-				cfg.HealBackoffMax = 10 * time.Millisecond
 				s := mustOpen(t, cfg)
 				ctx := context.Background()
 				const keyspace = uint64(200)
@@ -786,7 +784,7 @@ func TestStoreDegradedBootFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
 	cfg.CheckpointDir = dir
-	cfg.RecoveryChunk = 1
+	cfg.recoveryChunk = 1
 	ctx := context.Background()
 
 	s, err := Open(cfg)
@@ -859,7 +857,7 @@ func TestRecoverShardRunsThePlanOnce(t *testing.T) {
 	cfg.Shards = 1
 	cfg.Protocol = "amnt"
 	cfg.ShardMemBytes = 2 << 20 // the subtree's parent is a device node
-	cfg.HealMaxAttempts = -1
+	cfg.HealBackoff = time.Hour // stay quarantined for the whole test
 	s := mustOpen(t, cfg)
 	ctx := context.Background()
 	for key := uint64(0); key < 32768; key += 128 {

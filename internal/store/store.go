@@ -188,7 +188,7 @@ type Config struct {
 	// through a per-shard pool of at most this many concurrent
 	// verified readers (mee.ReadBlockConcurrent on the caller's
 	// goroutine), bypassing the write queue. Recovering, quarantined,
-	// and detached shards, policies without pure read hooks, and
+	// and detached shards, policies with a data-read hook, and
 	// snapshot conflicts all fall back to the serialized queue path,
 	// whose degradation semantics are unchanged. 0 (the default)
 	// serializes every get through the owner goroutine.
@@ -199,22 +199,25 @@ type Config struct {
 	// so a cluster sharing one directory can hand partitions between
 	// nodes through it (Adopt).
 	CheckpointDir string
-	// RecoveryChunk is how many BMT leaves an online recovery rebuilds
-	// per idle worker wakeup. Smaller chunks bound the latency a
-	// degraded request can queue behind; larger chunks finish the
-	// rebuild sooner. Default 256.
-	RecoveryChunk int
 	// HealBackoff is the delay before a quarantined shard's first
 	// heal attempt; each failed attempt doubles it up to
-	// HealBackoffMax. Default 100ms.
+	// healBackoffMax, for at most healMaxAttempts attempts per
+	// quarantine episode. Default 100ms.
 	HealBackoff time.Duration
-	// HealBackoffMax caps the heal backoff. Default 5s.
-	HealBackoffMax time.Duration
-	// HealMaxAttempts bounds heal attempts per quarantine episode.
-	// 0 defaults to 8; negative disables healing entirely (a failed
-	// shard stays down, the pre-heal behavior).
-	HealMaxAttempts int
+	// recoveryChunk is how many BMT leaves an online recovery rebuilds
+	// per idle worker wakeup. Smaller chunks bound the latency a
+	// degraded request can queue behind; larger chunks finish the
+	// rebuild sooner. Default 256; tests shrink it to stretch the
+	// degraded window.
+	recoveryChunk int
 }
+
+// The heal loop's bounds: the backoff cap and the attempts one
+// quarantine episode gets before the shard stays down.
+const (
+	healBackoffMax  = 5 * time.Second
+	healMaxAttempts = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -241,17 +244,11 @@ func (c Config) withDefaults() Config {
 	if c.BatchMax <= 0 {
 		c.BatchMax = 16
 	}
-	if c.RecoveryChunk <= 0 {
-		c.RecoveryChunk = 256
+	if c.recoveryChunk <= 0 {
+		c.recoveryChunk = 256
 	}
 	if c.HealBackoff <= 0 {
 		c.HealBackoff = 100 * time.Millisecond
-	}
-	if c.HealBackoffMax <= 0 {
-		c.HealBackoffMax = 5 * time.Second
-	}
-	if c.HealMaxAttempts == 0 {
-		c.HealMaxAttempts = 8
 	}
 	return c
 }
@@ -354,12 +351,10 @@ type shard struct {
 	recChunk int
 
 	// Quarantine heal loop, worker-owned.
-	healBackoff    time.Duration
-	healBackoffMax time.Duration
-	healMax        int
-	healWait       time.Duration // current backoff
-	healAt         time.Time     // next attempt due
-	healTried      int           // attempts this episode
+	healBackoff time.Duration
+	healWait    time.Duration // current backoff
+	healAt      time.Time     // next attempt due
+	healTried   int           // attempts this episode
 
 	// Epoch histograms, worker-written; readers clone under histMu.
 	histMu      sync.Mutex
@@ -473,20 +468,18 @@ func (s *Store) newShard(part int) (*shard, error) {
 	dev := scm.New(scm.Config{CapacityBytes: cfg.ShardMemBytes})
 	ctrl := mee.New(dev, cfg.MEE, policy)
 	sh := &shard{
-		id:             part,
-		dev:            dev,
-		ctrl:           ctrl,
-		ch:             make(chan request, cfg.QueueDepth),
-		done:           make(chan struct{}),
-		blocks:         cfg.ShardMemBytes / scm.BlockSize,
-		batchMax:       cfg.BatchMax,
-		epochSizes:     stats.NewHistogram(),
-		epochCycles:    stats.NewHistogram(),
-		prog:           &bmt.Progress{},
-		recChunk:       cfg.RecoveryChunk,
-		healBackoff:    cfg.HealBackoff,
-		healBackoffMax: cfg.HealBackoffMax,
-		healMax:        cfg.HealMaxAttempts,
+		id:          part,
+		dev:         dev,
+		ctrl:        ctrl,
+		ch:          make(chan request, cfg.QueueDepth),
+		done:        make(chan struct{}),
+		blocks:      cfg.ShardMemBytes / scm.BlockSize,
+		batchMax:    cfg.BatchMax,
+		epochSizes:  stats.NewHistogram(),
+		epochCycles: stats.NewHistogram(),
+		prog:        &bmt.Progress{},
+		recChunk:    cfg.recoveryChunk,
+		healBackoff: cfg.HealBackoff,
 	}
 	if cfg.ReadConcurrency > 0 && ctrl.ConcurrentReadsSupported() {
 		sh.readSem = make(chan struct{}, cfg.ReadConcurrency)
@@ -762,7 +755,7 @@ func (s *Store) Close(ctx context.Context) error {
 // While an online recovery session is active the worker instead
 // interleaves rebuild chunks with request service: traffic takes
 // priority (a chunk only runs when the queue is idle), so a degraded
-// request queues behind at most one RecoveryChunk of rebuild work.
+// request queues behind at most one recovery chunk of rebuild work.
 // While quarantined the worker parks on the heal timer and nacks
 // whatever slips into the queue.
 func (sh *shard) run() {
@@ -1210,7 +1203,7 @@ func (sh *shard) finishRecovery() mee.RecoveryReport {
 // false when the store is closing.
 func (sh *shard) quarantineTick() bool {
 	var due <-chan time.Time
-	if sh.healMax >= 0 && sh.healTried < sh.healMax {
+	if sh.healTried < healMaxAttempts {
 		t := time.NewTimer(time.Until(sh.healAt))
 		defer t.Stop()
 		due = t.C
@@ -1250,7 +1243,7 @@ func (sh *shard) healOnce() {
 	}
 	if err != nil {
 		sh.countErr(err)
-		sh.healWait = min(2*sh.healWait, sh.healBackoffMax)
+		sh.healWait = min(2*sh.healWait, healBackoffMax)
 		sh.healAt = time.Now().Add(sh.healWait)
 	} else {
 		sh.m[cHeals].Add(1)

@@ -75,7 +75,7 @@ func TestWriteTTFRBench(t *testing.T) {
 				QueueDepth:    64,
 				BatchMax:      16,
 				CheckpointDir: t.TempDir(),
-				RecoveryChunk: 64,
+				recoveryChunk: 64,
 			}
 			// Seed a fixed number of blocks, spread evenly so every
 			// counter leaf is occupied: the checkpoint image (and so

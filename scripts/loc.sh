@@ -1,9 +1,9 @@
 #!/bin/sh
 # Size report:
 # non-test Go lines per internal/* and cmd/* package, flag definitions
-# per command and the store.Config field count. (No map on the
-# simulator's per-access path is a rule, held by TestArchNoMapPerAccess
-# in arch_test.go.) Run from anywhere.
+# per command, the store.Config field count and the mee.Policy method
+# count. (No map on the simulator's per-access path is a rule, held by
+# TestArchNoMapPerAccess in arch_test.go.) Run from anywhere.
 cd "$(dirname "$0")/.." || exit 1
 echo "non-test Go lines per package:"
 find internal cmd -name '*.go' ! -name '*_test.go' -printf '%h\n' | sort -u | while read -r d; do
@@ -15,3 +15,5 @@ for d in cmd/*/; do
 done
 printf 'store.Config fields: %d\n' "$(sed -n '/^type Config struct {/,/^}/p' internal/store/store.go |
 	grep -cE '^	[A-Z][A-Za-z]* +[^ ]')"
+printf 'mee.Policy methods: %d\n' "$(sed -n '/^type Policy interface {/,/^}/p' internal/mee/policy.go |
+	grep -cE '^	[A-Z][A-Za-z]*\(')"
