@@ -149,6 +149,47 @@ func TestArchAgeingOnlyInKernel(t *testing.T) {
 	}
 }
 
+// TestArchStreamsOnlyInEngine: a recorded front-end stream is keyed,
+// shared and released by the experiment engine (DESIGN.md §2.2), so no
+// non-test file outside internal/sim calls sim.Record or sim.Replay
+// except internal/experiments/engine.go.
+func TestArchStreamsOnlyInEngine(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path == "internal/sim" || name == "testdata" || (name != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || path == "internal/experiments/engine.go" {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Record" || sel.Sel.Name == "Replay") {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sim" {
+						t.Errorf("%s: calls sim.%s; run cells through the experiment engine", fset.Position(call.Pos()), sel.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestArchInternalPackagesHaveAnImporter: a package under internal/
 // earns its place by serving the commands or another internal package,
 // so each one is imported by a non-test file under cmd/ or internal/

@@ -37,6 +37,15 @@ func benchOpts() experiments.Options {
 	return experiments.Options{Scale: benchScale(), Seed: 1}
 }
 
+// runDriver runs one experiment driver and returns its first table.
+func runDriver(o experiments.Options, d experiments.Driver) (*stats.Table, error) {
+	tables, err := experiments.Run(o, d)
+	if err != nil {
+		return nil, err
+	}
+	return tables[0], nil
+}
+
 // meanOf extracts a named column from a table's "mean" row.
 func meanOf(b *testing.B, t *stats.Table, col string) float64 {
 	b.Helper()
@@ -61,7 +70,7 @@ func meanOf(b *testing.B, t *stats.Table, col string) float64 {
 
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure3(benchOpts()); err != nil {
+		if _, err := runDriver(benchOpts(), experiments.Figure3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,7 +79,7 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkFigure4(b *testing.B) {
 	var amnt, strict float64
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Figure4(benchOpts())
+		t, err := runDriver(benchOpts(), experiments.Figure4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +92,7 @@ func BenchmarkFigure4(b *testing.B) {
 
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(benchOpts()); err != nil {
+		if _, err := runDriver(benchOpts(), experiments.Figure5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +100,7 @@ func BenchmarkFigure5(b *testing.B) {
 
 func BenchmarkFigures6And7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Figures6And7(benchOpts()); err != nil {
+		if _, err := runDriver(benchOpts(), experiments.Figures6And7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +116,7 @@ func BenchmarkFigure8(b *testing.B) {
 	}
 	var amnt, anubis float64
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Figure8(opts)
+		t, err := runDriver(opts, experiments.Figure8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +129,7 @@ func BenchmarkFigure8(b *testing.B) {
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table2(benchOpts()); err != nil {
+		if _, err := runDriver(benchOpts(), experiments.Table2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +137,7 @@ func BenchmarkTable2(b *testing.B) {
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table3(benchOpts()); err != nil {
+		if _, err := runDriver(benchOpts(), experiments.Table3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,7 +146,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	var leaf2TB float64
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table4(benchOpts()); err != nil {
+		if _, err := runDriver(benchOpts(), experiments.Table4); err != nil {
 			b.Fatal(err)
 		}
 		leaf2TB = float64(recovery.DefaultModel().Leaf(2e12).Milliseconds())
@@ -147,7 +156,7 @@ func BenchmarkTable4(b *testing.B) {
 
 func BenchmarkTable4Measured(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table4Measured(benchOpts()); err != nil {
+		if _, err := runDriver(benchOpts(), experiments.Table4Measured); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -244,7 +253,7 @@ func BenchmarkSimulatedWorkload(b *testing.B) {
 func BenchmarkStorage(b *testing.B) {
 	var amnt, anubis float64
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Storage(benchOpts())
+		t, err := runDriver(benchOpts(), experiments.Storage)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -257,7 +266,11 @@ func BenchmarkStorage(b *testing.B) {
 
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Ablations(benchOpts()); err != nil {
+		if _, err := experiments.Run(benchOpts(),
+			experiments.AblationHistoryInterval, experiments.AblationMetaCache,
+			experiments.AblationCoalescing, experiments.AblationStopLoss,
+			experiments.AblationReadOverlap, experiments.AblationReplacement,
+			experiments.AblationMultiSubtree); err != nil {
 			b.Fatal(err)
 		}
 	}

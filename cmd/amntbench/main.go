@@ -1,8 +1,9 @@
 // Command amntbench regenerates the paper's evaluation: every figure
 // and table from §6, using the experiment drivers shared with the
-// repository's benchmark harness. All drivers run on one shared
-// experiment engine, so identical cells (e.g. the volatile baselines
-// Figure 5, Figures 6+7 and Table 2 all need) simulate once.
+// repository's benchmark harness. The selected drivers run as one
+// experiment grid (experiments.Run): identical cells (e.g. the
+// volatile baselines Figure 5, Figures 6+7 and Table 2 all need)
+// simulate once, and each distinct front end is recorded once.
 //
 // Examples:
 //
@@ -24,10 +25,10 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"amnt/internal/experiments"
-	"amnt/internal/stats"
 	"amnt/internal/telemetry"
 )
 
@@ -87,7 +88,6 @@ func main() {
 		level    = flag.Int("level", 3, "AMNT subtree level")
 		parallel = flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS); results are identical at any width")
 		format   = flag.String("format", "table", "output format: table, csv, json")
-		csv      = flag.Bool("csv", false, "emit CSV (shorthand for -format csv)")
 		outDir   = flag.String("out", "", "also write each table as a CSV file into this directory")
 		telDir   = flag.String("telemetry-dir", "", "write per-cell epoch time series + event traces into this directory")
 		epoch    = flag.Uint64("epoch", 0, "telemetry sampling period in simulated cycles (0 = 100000)")
@@ -96,9 +96,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *csv {
-		*format = "csv"
-	}
 	switch *format {
 	case "table", "csv", "json":
 	default:
@@ -116,25 +113,27 @@ func main() {
 		Parallel: *parallel, Context: ctx,
 		TelemetryDir: *telDir, EpochCycles: *epoch,
 	}
-	if *verbose {
-		opts.Log = os.Stderr
-		opts.Progress = func(p experiments.Progress) {
-			if p.Event == experiments.JobQueued {
-				return // queue events are noise at CLI granularity
-			}
+	// /progress serves the last engine event's counters.
+	var progressMu sync.Mutex
+	var lastProgress experiments.Progress
+	opts.Progress = func(p experiments.Progress) {
+		progressMu.Lock()
+		lastProgress = p
+		progressMu.Unlock()
+		if *verbose && p.Event != experiments.JobQueued { // queue events are noise at CLI granularity
 			fmt.Fprintln(os.Stderr, progressLine(p))
 		}
 	}
-	// One engine for every selected driver: shared pool, shared
-	// run-cache (Figure 5 / Figures 6+7 / Table 2 reuse baselines).
-	engine := experiments.NewEngine(opts)
-	opts = opts.WithEngine(engine)
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "engine: %d workers\n", engine.Parallelism())
+		opts.Log = os.Stderr
 	}
 	if *httpAddr != "" {
 		srv, err := telemetry.Serve(*httpAddr, telemetry.ServeOptions{
-			Progress: func() any { return engine.State() },
+			Progress: func() any {
+				progressMu.Lock()
+				defer progressMu.Unlock()
+				return lastProgress
+			},
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "amntbench: http:", err)
@@ -144,13 +143,39 @@ func main() {
 		fmt.Fprintf(os.Stderr, "amntbench: introspection at http://%s/\n", srv.Addr())
 	}
 
+	// Each selector picks drivers by name; -all picks every one.
+	picked := map[string]bool{
+		"figure 3": *fig == 3, "figure 4": *fig == 4, "figure 5": *fig == 5,
+		"figures 6+7": *fig == 6 || *fig == 7, "figure 8": *fig == 8,
+		"table 2": *table == 2, "table 3": *table == 3,
+		"table 4": *table == 4, "table 4 (measured)": *table == 4,
+		"storage": *storage,
+	}
+	var drivers []experiments.Driver
+	for _, d := range experiments.All {
+		if *all || picked[d.Name] || *ablation && strings.HasPrefix(d.Name, "ablation") {
+			drivers = append(drivers, d)
+		}
+	}
+	if len(drivers) == 0 {
+		fmt.Fprintln(os.Stderr, "amntbench: nothing selected; use -fig N, -table N, -storage, -ablation, or -all")
+		flag.CommandLine.SetOutput(io.Discard)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "amntbench:", err)
 			os.Exit(1)
 		}
 	}
-	emit := func(t *stats.Table) {
+	tables, err := experiments.Run(opts, drivers...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "amntbench:", err)
+		os.Exit(1)
+	}
+
+	for _, t := range tables {
 		switch *format {
 		case "csv":
 			fmt.Print(t.CSV())
@@ -171,90 +196,5 @@ func main() {
 				os.Exit(1)
 			}
 		}
-	}
-	run := func(name string, f func(experiments.Options) (*stats.Table, error)) {
-		start := time.Now()
-		t, err := f(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amntbench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		emit(t)
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "[%s took %v]\n", name, time.Since(start).Round(time.Millisecond))
-		}
-	}
-	runPair := func() {
-		start := time.Now()
-		perf, hits, err := experiments.Figures6And7(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "amntbench: figures 6+7:", err)
-			os.Exit(1)
-		}
-		emit(perf)
-		emit(hits)
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "[figures 6+7 took %v]\n", time.Since(start).Round(time.Millisecond))
-		}
-	}
-
-	ran := false
-	if *all || *fig == 3 {
-		run("figure 3", experiments.Figure3)
-		ran = true
-	}
-	if *all || *fig == 4 {
-		run("figure 4", experiments.Figure4)
-		ran = true
-	}
-	if *all || *fig == 5 {
-		run("figure 5", experiments.Figure5)
-		ran = true
-	}
-	if *all || *fig == 6 || *fig == 7 {
-		runPair()
-		ran = true
-	}
-	if *all || *fig == 8 {
-		run("figure 8", experiments.Figure8)
-		ran = true
-	}
-	if *all || *table == 2 {
-		run("table 2", experiments.Table2)
-		ran = true
-	}
-	if *all || *table == 3 {
-		run("table 3", experiments.Table3)
-		ran = true
-	}
-	if *all || *table == 4 {
-		run("table 4", experiments.Table4)
-		run("table 4 (measured)", experiments.Table4Measured)
-		ran = true
-	}
-	if *all || *storage {
-		run("storage", experiments.Storage)
-		ran = true
-	}
-	if *all || *ablation {
-		start := time.Now()
-		tables, err := experiments.Ablations(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "amntbench: ablations:", err)
-			os.Exit(1)
-		}
-		for _, t := range tables {
-			emit(t)
-		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "[ablations took %v]\n", time.Since(start).Round(time.Millisecond))
-		}
-		ran = true
-	}
-	if !ran {
-		fmt.Fprintln(os.Stderr, "amntbench: nothing selected; use -fig N, -table N, -storage, -ablation, or -all")
-		flag.CommandLine.SetOutput(io.Discard)
-		flag.Usage()
-		os.Exit(2)
 	}
 }

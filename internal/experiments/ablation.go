@@ -19,10 +19,11 @@ import (
 // back the paper's design claims ("the history buffer is lightweight",
 // "AMNT is agnostic to metadata cache size", ...) with measurements.
 //
-// Ablations that only vary sim.Config fields express their cells as
-// engine RunSpecs with a Mutate (the mutated config is part of the
-// run-cache key); ablations that need the machine or policy object
-// afterwards run as engine jobs.
+// Ablations that only vary sim.Config fields declare their cells as
+// RunSpecs with a Mutate (the mutated config is part of the run-cache
+// key, and a Mutate that leaves the front end alone replays the stock
+// stream); ablations that need the machine or policy object afterwards
+// declare engine jobs.
 
 // movingHotspot is a workload whose hot region relocates every phase —
 // the adversarial-ish pattern that exercises hot-region tracking.
@@ -42,21 +43,19 @@ func movingHotspot() workload.Spec {
 // aggressively (more movements, more flush traffic); large intervals
 // react slowly (lower subtree hit rate on moving workloads). The
 // paper's default is 64 writes.
-func AblationHistoryInterval(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Ablation: AMNT history-buffer interval")
-	t := stats.NewTable("Ablation — AMNT hot-region tracking interval (moving hotspot)",
-		"interval", "cycles", "subtree hit", "movements", "flushed nodes", "history bytes")
+var AblationHistoryInterval = Driver{Name: "ablation: history interval", Plan: func(o Options) Plan {
 	spec := movingHotspot().Scale(o.Scale)
 	intervals := []int{8, 16, 64, 256, 1024}
+	// A cell keeps numbers, not the policy: the policy holds its
+	// controller and device, which would stay live until the whole run
+	// renders.
 	type cell struct {
-		res    sim.Result
-		policy *core.AMNT
+		cycles, movements, flushed, histBytes uint64
+		hit                                   float64
 	}
 	cells := make([]cell, len(intervals))
 	jobs := make([]Job, len(intervals))
 	for i, interval := range intervals {
-		i, interval := i, interval
 		jobs[i] = Job{
 			Label: fmt.Sprintf("ablation-interval/%d", interval),
 			Fn: func(ctx context.Context) error {
@@ -66,40 +65,38 @@ func AblationHistoryInterval(o Options) (*stats.Table, error) {
 				if err != nil {
 					return err
 				}
-				cells[i] = cell{res, policy}
+				cells[i] = cell{res.Cycles, policy.Movements(), policy.FlushedNodes(),
+					policy.Overhead().VolOnChipBytes, policy.SubtreeHitRate()}
 				return nil
 			},
 		}
 	}
-	if err := o.engine.Do(o.ctx(), jobs...); err != nil {
-		return nil, err
+	return Plan{
+		Jobs: jobs,
+		Render: func([]sim.Result) []*stats.Table {
+			t := stats.NewTable("Ablation — AMNT hot-region tracking interval (moving hotspot)",
+				"interval", "cycles", "subtree hit", "movements", "flushed nodes", "history bytes")
+			for i, interval := range intervals {
+				c := cells[i]
+				t.AddRow(interval, c.cycles, fmt.Sprintf("%.1f%%", 100*c.hit),
+					c.movements, c.flushed, c.histBytes)
+			}
+			t.AddNote("the paper's 64-write interval balances reaction speed against movement churn at 96 B of SRAM")
+			return []*stats.Table{t}
+		},
 	}
-	for i, interval := range intervals {
-		c := cells[i]
-		t.AddRow(interval, c.res.Cycles,
-			fmt.Sprintf("%.1f%%", 100*c.policy.SubtreeHitRate()),
-			c.policy.Movements(), c.policy.FlushedNodes(),
-			c.policy.Overhead().VolOnChipBytes)
-	}
-	t.AddNote("the paper's 64-write interval balances reaction speed against movement churn at 96 B of SRAM")
-	return t, nil
-}
+}}
 
 // AblationMetaCache sweeps the metadata cache size for AMNT and
 // Anubis. The paper argues AMNT's performance does not lean on the
 // metadata cache (its fast path is decided by address, not residency)
 // while Anubis pays its shadow write on every miss.
-func AblationMetaCache(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Ablation: metadata cache size sensitivity")
-	t := stats.NewTable("Ablation — metadata cache size (canneal: poor metadata locality)",
-		"meta cache", "amnt norm", "anubis norm", "amnt meta hit", "anubis meta hit")
+var AblationMetaCache = Driver{Name: "ablation: metadata cache", Plan: func(o Options) Plan {
 	spec, _ := workload.ByName("canneal")
 	sizes := []int{8, 16, 32, 64, 128}
 	protos := []string{"volatile", "amnt", "anubis"}
 	var cells []RunSpec
 	for _, kb := range sizes {
-		kb := kb
 		for _, p := range protos {
 			cells = append(cells, RunSpec{
 				Label: fmt.Sprintf("ablation-metacache/%dkB/%s", kb, p),
@@ -108,92 +105,61 @@ func AblationMetaCache(o Options) (*stats.Table, error) {
 			})
 		}
 	}
-	res, err := o.engine.RunAll(o.ctx(), o, cells)
-	if err != nil {
-		return nil, err
+	return Plan{
+		Cells: cells,
+		Render: func(res []sim.Result) []*stats.Table {
+			t := stats.NewTable("Ablation — metadata cache size (canneal: poor metadata locality)",
+				"meta cache", "amnt norm", "anubis norm", "amnt meta hit", "anubis meta hit")
+			for i, r := range byRow(res, len(protos)) {
+				base, amnt, anubis := r[0], r[1], r[2]
+				t.AddRow(fmt.Sprintf("%d kB", sizes[i]),
+					float64(amnt.Cycles)/float64(base.Cycles),
+					float64(anubis.Cycles)/float64(base.Cycles),
+					fmt.Sprintf("%.1f%%", 100*amnt.MetaHitRate),
+					fmt.Sprintf("%.1f%%", 100*anubis.MetaHitRate))
+			}
+			t.AddNote("anubis degrades as the cache shrinks (a blocking shadow write per miss); amnt barely moves")
+			return []*stats.Table{t}
+		},
 	}
-	for i, kb := range sizes {
-		base, amnt, anubis := res[3*i], res[3*i+1], res[3*i+2]
-		t.AddRow(fmt.Sprintf("%d kB", kb),
-			float64(amnt.Cycles)/float64(base.Cycles),
-			float64(anubis.Cycles)/float64(base.Cycles),
-			fmt.Sprintf("%.1f%%", 100*amnt.MetaHitRate),
-			fmt.Sprintf("%.1f%%", 100*anubis.MetaHitRate))
-	}
-	t.AddNote("anubis degrades as the cache shrinks (a blocking shadow write per miss); amnt barely moves")
-	return t, nil
-}
+}}
 
 // AblationCoalescing disables write-queue address coalescing — the
 // mechanism that makes leaf-style counter/HMAC persists nearly free.
 // Without it every posted persist occupies a drain slot and leaf
-// persistence inherits a strict-like bandwidth bill.
-func AblationCoalescing(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Ablation: write-queue coalescing")
-	t := stats.NewTable("Ablation — write-queue address coalescing (lbm, write-intensive)",
-		"protocol", "coalescing", "cycles", "merged writes")
+// persistence inherits a strict-like bandwidth bill. The switch is a
+// controller setting, so all six cells replay one lbm stream.
+var AblationCoalescing = Driver{Name: "ablation: coalescing", Plan: func(o Options) Plan {
 	spec, _ := workload.ByName("lbm")
-	spec = spec.Scale(o.Scale)
 	names := []string{"leaf", "strict", "amnt"}
-	type combo struct {
-		name    string
-		disable bool
-	}
-	var combos []combo
+	var cells []RunSpec
 	for _, name := range names {
 		for _, disable := range []bool{false, true} {
-			combos = append(combos, combo{name, disable})
+			cells = append(cells, RunSpec{
+				Label: fmt.Sprintf("ablation-coalesce/%s/disable=%v", name, disable),
+				Kind:  "single", Protocol: name, Specs: []workload.Spec{spec},
+				Mutate: func(cfg *sim.Config) { cfg.MEE.NoCoalesce = disable },
+			})
 		}
 	}
-	type cell struct {
-		res    sim.Result
-		merged uint64
+	return Plan{
+		Cells: cells,
+		Render: func(res []sim.Result) []*stats.Table {
+			t := stats.NewTable("Ablation — write-queue address coalescing (lbm, write-intensive)",
+				"protocol", "coalescing", "cycles", "merged writes")
+			for i, r := range byRow(res, 2) {
+				t.AddRow(names[i], "on", r[0].Cycles, r[0].MergedWrites)
+				t.AddRow(names[i], "off", r[1].Cycles, r[1].MergedWrites)
+			}
+			t.AddNote("real write-pending queues merge repeated updates to the same counter/HMAC block; modeling that is what separates leaf from strict")
+			return []*stats.Table{t}
+		},
 	}
-	cells := make([]cell, len(combos))
-	jobs := make([]Job, len(combos))
-	for i, c := range combos {
-		i, c := i, c
-		jobs[i] = Job{
-			Label: fmt.Sprintf("ablation-coalesce/%s/disable=%v", c.name, c.disable),
-			Fn: func(ctx context.Context) error {
-				cfg := o.machineFor("single")
-				cfg.MEE.NoCoalesce = c.disable
-				policy, err := sim.PolicyByName(c.name, o.SubtreeLevel)
-				if err != nil {
-					return err
-				}
-				m := sim.NewMachine(cfg, policy, []workload.Spec{spec})
-				res, err := m.RunContext(ctx)
-				if err != nil {
-					return err
-				}
-				cells[i] = cell{res, m.Controller().MergedWrites()}
-				return nil
-			},
-		}
-	}
-	if err := o.engine.Do(o.ctx(), jobs...); err != nil {
-		return nil, err
-	}
-	for i, c := range combos {
-		state := "on"
-		if c.disable {
-			state = "off"
-		}
-		t.AddRow(c.name, state, cells[i].res.Cycles, cells[i].merged)
-	}
-	t.AddNote("real write-pending queues merge repeated updates to the same counter/HMAC block; modeling that is what separates leaf from strict")
-	return t, nil
-}
+}}
 
 // AblationStopLoss sweeps Osiris's stop-loss interval: runtime
 // improves with laziness while recovery replay work grows.
-func AblationStopLoss(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Ablation: Osiris stop-loss interval")
-	t := stats.NewTable("Ablation — Osiris stop-loss interval (xz, write-intensive)",
-		"N", "cycles", "counter persists", "recovery data reads", "recovered?")
+var AblationStopLoss = Driver{Name: "ablation: stop-loss", Plan: func(o Options) Plan {
 	spec, _ := workload.ByName("xz")
 	spec = spec.Scale(o.Scale)
 	ns := []uint64{1, 2, 4, 8, 16}
@@ -206,7 +172,6 @@ func AblationStopLoss(o Options) (*stats.Table, error) {
 	cells := make([]cell, len(ns))
 	jobs := make([]Job, len(ns))
 	for i, n := range ns {
-		i, n := i, n
 		jobs[i] = Job{
 			Label: fmt.Sprintf("ablation-stoploss/N=%d", n),
 			Fn: func(ctx context.Context) error {
@@ -229,31 +194,30 @@ func AblationStopLoss(o Options) (*stats.Table, error) {
 			},
 		}
 	}
-	if err := o.engine.Do(o.ctx(), jobs...); err != nil {
-		return nil, err
+	return Plan{
+		Jobs: jobs,
+		Render: func([]sim.Result) []*stats.Table {
+			t := stats.NewTable("Ablation — Osiris stop-loss interval (xz, write-intensive)",
+				"N", "cycles", "counter persists", "recovery data reads", "recovered?")
+			for i, n := range ns {
+				c := cells[i]
+				t.AddRow(n, c.res.Cycles, c.persists, c.dataReads, c.recovered)
+			}
+			t.AddNote("N=1 degenerates to leaf persistence; larger N trades counter write traffic for recovery replay work")
+			return []*stats.Table{t}
+		},
 	}
-	for i, n := range ns {
-		c := cells[i]
-		t.AddRow(n, c.res.Cycles, c.persists, c.dataReads, c.recovered)
-	}
-	t.AddNote("N=1 degenerates to leaf persistence; larger N trades counter write traffic for recovery replay work")
-	return t, nil
-}
+}}
 
 // AblationReadOverlap sweeps the memory-level-parallelism divisor of
 // the timing model, documenting its (second-order) effect on the
 // normalized comparisons the figures report.
-func AblationReadOverlap(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Ablation: read-overlap (MLP) divisor")
-	t := stats.NewTable("Ablation — read MLP divisor (bodytrack)",
-		"overlap", "volatile cycles", "strict norm", "amnt norm")
+var AblationReadOverlap = Driver{Name: "ablation: read overlap", Plan: func(o Options) Plan {
 	spec, _ := workload.ByName("bodytrack")
 	overlaps := []uint64{1, 2, 4, 8}
 	protos := []string{"volatile", "strict", "amnt"}
 	var cells []RunSpec
 	for _, ov := range overlaps {
-		ov := ov
 		for _, p := range protos {
 			cells = append(cells, RunSpec{
 				Label: fmt.Sprintf("ablation-overlap/%d/%s", ov, p),
@@ -262,34 +226,32 @@ func AblationReadOverlap(o Options) (*stats.Table, error) {
 			})
 		}
 	}
-	res, err := o.engine.RunAll(o.ctx(), o, cells)
-	if err != nil {
-		return nil, err
+	return Plan{
+		Cells: cells,
+		Render: func(res []sim.Result) []*stats.Table {
+			t := stats.NewTable("Ablation — read MLP divisor (bodytrack)",
+				"overlap", "volatile cycles", "strict norm", "amnt norm")
+			for i, r := range byRow(res, len(protos)) {
+				base, strict, amnt := r[0], r[1], r[2]
+				t.AddRow(overlaps[i], base.Cycles,
+					float64(strict.Cycles)/float64(base.Cycles),
+					float64(amnt.Cycles)/float64(base.Cycles))
+			}
+			t.AddNote("more read overlap shrinks the read-bound baseline and amplifies write-path differences; orderings are stable")
+			return []*stats.Table{t}
+		},
 	}
-	for i, ov := range overlaps {
-		base, strict, amnt := res[3*i], res[3*i+1], res[3*i+2]
-		t.AddRow(ov, base.Cycles,
-			float64(strict.Cycles)/float64(base.Cycles),
-			float64(amnt.Cycles)/float64(base.Cycles))
-	}
-	t.AddNote("more read overlap shrinks the read-bound baseline and amplifies write-path differences; orderings are stable")
-	return t, nil
-}
+}}
 
 // AblationReplacement sweeps the metadata cache's replacement policy.
 // The protocols' orderings are insensitive to it — the point of the
 // ablation — though absolute hit rates shift a little.
-func AblationReplacement(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Ablation: metadata cache replacement policy")
-	t := stats.NewTable("Ablation — metadata cache replacement policy (bodytrack)",
-		"policy", "amnt norm", "anubis norm", "meta hit (amnt)")
+var AblationReplacement = Driver{Name: "ablation: replacement", Plan: func(o Options) Plan {
 	spec, _ := workload.ByName("bodytrack")
 	repls := []cache.Replacement{cache.LRU, cache.FIFO, cache.Random}
 	protos := []string{"volatile", "amnt", "anubis"}
 	var cells []RunSpec
 	for _, repl := range repls {
-		repl := repl
 		for _, p := range protos {
 			cells = append(cells, RunSpec{
 				Label: fmt.Sprintf("ablation-replacement/%s/%s", repl, p),
@@ -298,20 +260,23 @@ func AblationReplacement(o Options) (*stats.Table, error) {
 			})
 		}
 	}
-	res, err := o.engine.RunAll(o.ctx(), o, cells)
-	if err != nil {
-		return nil, err
+	return Plan{
+		Cells: cells,
+		Render: func(res []sim.Result) []*stats.Table {
+			t := stats.NewTable("Ablation — metadata cache replacement policy (bodytrack)",
+				"policy", "amnt norm", "anubis norm", "meta hit (amnt)")
+			for i, r := range byRow(res, len(protos)) {
+				base, amnt, anubis := r[0], r[1], r[2]
+				t.AddRow(repls[i].String(),
+					float64(amnt.Cycles)/float64(base.Cycles),
+					float64(anubis.Cycles)/float64(base.Cycles),
+					fmt.Sprintf("%.1f%%", 100*amnt.MetaHitRate))
+			}
+			t.AddNote("the figures' conclusions do not hinge on the LRU assumption")
+			return []*stats.Table{t}
+		},
 	}
-	for i, repl := range repls {
-		base, amnt, anubis := res[3*i], res[3*i+1], res[3*i+2]
-		t.AddRow(repl.String(),
-			float64(amnt.Cycles)/float64(base.Cycles),
-			float64(anubis.Cycles)/float64(base.Cycles),
-			fmt.Sprintf("%.1f%%", 100*amnt.MetaHitRate))
-	}
-	t.AddNote("the figures' conclusions do not hinge on the LRU assumption")
-	return t, nil
-}
+}}
 
 // AblationMultiSubtree quantifies the design alternative the paper
 // raises and rejects in §5: instead of AMNT++'s software fix for
@@ -319,11 +284,7 @@ func AblationReplacement(o Options) (*stats.Table, error) {
 // registers ("per-core subtrees"). The sweep shows what each extra
 // register buys against its NV cost — and that one register plus the
 // modified allocator reaches similar hit rates for 64 B of flash.
-func AblationMultiSubtree(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Ablation: per-core subtrees (K registers) vs AMNT++")
-	t := stats.NewTable("Ablation — K fast subtrees vs AMNT++ (bodytrack+fluidanimate)",
-		"config", "cycles", "subtree hit", "NV on-chip")
+var AblationMultiSubtree = Driver{Name: "ablation: multi-subtree", Plan: func(o Options) Plan {
 	a, _ := workload.ByName("bodytrack")
 	b, _ := workload.ByName("fluidanimate")
 	specs := []workload.Spec{a.Scale(o.Scale), b.Scale(o.Scale)}
@@ -336,7 +297,6 @@ func AblationMultiSubtree(o Options) (*stats.Table, error) {
 	cells := make([]cell, len(ks)+1)
 	jobs := make([]Job, 0, len(ks)+1)
 	for i, k := range ks {
-		i, k := i, k
 		jobs = append(jobs, Job{
 			Label: fmt.Sprintf("ablation-multisubtree/K=%d", k),
 			Fn: func(ctx context.Context) error {
@@ -366,38 +326,20 @@ func AblationMultiSubtree(o Options) (*stats.Table, error) {
 			return nil
 		},
 	})
-	if err := o.engine.Do(o.ctx(), jobs...); err != nil {
-		return nil, err
+	return Plan{
+		Jobs: jobs,
+		Render: func([]sim.Result) []*stats.Table {
+			t := stats.NewTable("Ablation — K fast subtrees vs AMNT++ (bodytrack+fluidanimate)",
+				"config", "cycles", "subtree hit", "NV on-chip")
+			for i, k := range ks {
+				t.AddRow(fmt.Sprintf("K=%d registers", k), cells[i].cycles,
+					fmt.Sprintf("%.1f%%", 100*cells[i].hit), byteString(cells[i].nv))
+			}
+			last := cells[len(ks)]
+			t.AddRow("K=1 + AMNT++ (software)", last.cycles,
+				fmt.Sprintf("%.1f%%", 100*last.hit), byteString(last.nv))
+			t.AddNote("the paper's position (§5): biasing the allocator recovers the locality per-core registers would buy, without the flash")
+			return []*stats.Table{t}
+		},
 	}
-	for i, k := range ks {
-		t.AddRow(fmt.Sprintf("K=%d registers", k), cells[i].cycles,
-			fmt.Sprintf("%.1f%%", 100*cells[i].hit), byteString(cells[i].nv))
-	}
-	last := cells[len(ks)]
-	t.AddRow("K=1 + AMNT++ (software)", last.cycles,
-		fmt.Sprintf("%.1f%%", 100*last.hit), byteString(last.nv))
-	t.AddNote("the paper's position (§5): biasing the allocator recovers the locality per-core registers would buy, without the flash")
-	return t, nil
-}
-
-// Ablations runs every ablation, returning tables in a stable order.
-func Ablations(o Options) ([]*stats.Table, error) {
-	o = o.withDefaults()
-	var out []*stats.Table
-	for _, f := range []func(Options) (*stats.Table, error){
-		AblationHistoryInterval,
-		AblationMetaCache,
-		AblationCoalescing,
-		AblationStopLoss,
-		AblationReadOverlap,
-		AblationReplacement,
-		AblationMultiSubtree,
-	} {
-		t, err := f(o)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
+}}

@@ -17,23 +17,27 @@ import (
 	"amnt/internal/workload"
 )
 
-// This file is the experiment engine: every figure/table cell — one
-// (workload set × protocol × machine config) simulation — becomes a
-// job executed on a bounded worker pool. Identical cells are
-// deduplicated through a keyed, memoized run-cache (several drivers
-// need the same volatile baseline, and Figure 5's cells reappear in
-// Figures 6+7 and Table 2), cancellation propagates from a
-// context.Context into the simulation, worker panics become errors,
-// and every job failure is reported (errors.Join) instead of the
-// first one only. Progress is streamed as structured events through
-// Options.Progress.
+// This file is the experiment engine. A run is declared before it
+// starts: every selected driver's Plan lists its cells — one (workload
+// set × protocol × machine config) simulation each — and the jobs that
+// need the Machine itself. The engine resolves the union of those
+// cells, claims every stream they replay, then executes every cell and
+// job on one bounded worker pool; only then does each driver render
+// its tables from its own cells' results. Identical cells are
+// deduplicated through a keyed, memoized run-cache (Figure 5's
+// baselines reappear in Figures 6+7 and Table 2), cancellation
+// propagates from a context.Context into the simulation, worker panics
+// become errors, and every job failure is reported (errors.Join)
+// instead of the first one only. Progress is streamed as structured
+// events through Options.Progress.
 //
 // Cells that differ only in protocol see the same access stream, so
 // the engine records that stream once — a front-end job, labelled
 // "frontend/…" — and replays it into each cell's controller
 // (DESIGN.md §2.2). A recorded stream is keyed by the cell's
 // sim.FrontEndConfig and scaled specs, is single-flighted like the
-// run-cache, and is released when its last claiming cell is done.
+// run-cache, and is released when the last cell of the run that
+// claimed it is done, whichever driver that cell belongs to.
 
 // Event identifies a progress transition.
 type Event int
@@ -77,7 +81,7 @@ type Progress struct {
 	Event Event
 	Job   string
 	// Queued/Running/Done/Cached/Failed count jobs by state across
-	// the engine's lifetime (shared by every driver bound to it).
+	// the engine's lifetime (shared by every driver of the run).
 	Queued, Running, Done, Cached, Failed int
 	// Wall is the completed job's host wall time (JobDone/JobFailed).
 	Wall time.Duration
@@ -190,7 +194,7 @@ type runCell struct {
 // resolve applies o's scale, level and machine config (Mutate
 // included) to rs.
 func resolve(o Options, rs RunSpec) runCell {
-	o = o.withScalars()
+	o = o.withDefaults()
 	c := runCell{o: o, rs: rs, level: rs.Level}
 	if c.level == 0 {
 		c.level = o.SubtreeLevel
@@ -229,9 +233,8 @@ func (c runCell) frontEndLabel() string {
 }
 
 // Engine executes experiment jobs on a bounded worker pool with a
-// shared run-cache. One engine may be shared by many drivers (and
-// many goroutines): cmd/amntbench binds a single engine across every
-// selected figure so baselines dedupe globally.
+// shared run-cache. Run builds one per run of drivers, so baselines
+// dedupe across every selected driver.
 type Engine struct {
 	parallel    int
 	progress    func(Progress)
@@ -248,10 +251,8 @@ type Engine struct {
 	cbMu sync.Mutex // serializes progress callbacks
 }
 
-// NewEngine builds an engine from o's Parallel and Progress settings
-// (Parallel <= 0 means GOMAXPROCS). Drivers create a private engine
-// when Options is not bound to one; share an engine across drivers
-// with Options.WithEngine to share its run-cache and pool.
+// NewEngine builds an engine from o's Parallel, Progress and
+// CellTimeout settings (Parallel <= 0 means GOMAXPROCS).
 func NewEngine(o Options) *Engine {
 	par := o.Parallel
 	if par <= 0 {
@@ -267,9 +268,6 @@ func NewEngine(o Options) *Engine {
 		streams:     make(map[streamKey]*streamEntry),
 	}
 }
-
-// Parallelism reports the worker-pool width.
-func (e *Engine) Parallelism() int { return e.parallel }
 
 // emit applies a counter transition and delivers the resulting
 // snapshot to the progress callback.
@@ -417,17 +415,9 @@ func recovered(label string, err *error) {
 	}
 }
 
-// Run executes one cell, serving it from the run-cache when an
+// run executes one cell, serving it from the run-cache when an
 // identical cell already ran (or is in flight: concurrent duplicates
 // single-flight behind the first).
-func (e *Engine) Run(ctx context.Context, o Options, rs RunSpec) (res sim.Result, err error) {
-	defer recovered(rs.label(rs.Level), &err)
-	c := resolve(o, rs)
-	ent := e.claim(c)
-	defer e.unclaim(c, ent)
-	return e.run(ctx, c, ent)
-}
-
 func (e *Engine) run(ctx context.Context, c runCell, ent *streamEntry) (sim.Result, error) {
 	e.mu.Lock()
 	if hit, ok := e.cache[c.key]; ok {
@@ -569,27 +559,6 @@ func (e *Engine) replay(ctx context.Context, c runCell, ent *streamEntry) (sim.R
 	})
 }
 
-// State returns a snapshot of the engine's counters, shaped like a
-// Progress event without a triggering job. The -http introspection
-// endpoint serves it as /progress.
-func (e *Engine) State() Progress {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	p := Progress{
-		Queued:  e.queued,
-		Running: e.running,
-		Done:    e.done,
-		Cached:  e.cached,
-		Failed:  e.failed,
-		Elapsed: time.Since(e.start),
-	}
-	if remaining := e.queued + e.running; e.done > 0 && remaining > 0 {
-		avg := e.wallSum / time.Duration(e.done)
-		p.ETA = avg * time.Duration(remaining) / time.Duration(e.parallel)
-	}
-	return p
-}
-
 // slugLabel flattens a cell label into a filename-safe slug.
 func slugLabel(label string) string {
 	var b strings.Builder
@@ -634,59 +603,68 @@ func writeCellTelemetry(dir, label string, s *telemetry.Session) error {
 	return tr.Close()
 }
 
-// RunAll executes every cell concurrently (bounded by the pool) and
-// returns results in input order. All failures are aggregated; a nil
-// error means every result is valid. Every cell is resolved and claims
-// its stream before any runs, so a stream shared by several cells is
-// recorded once however the goroutines interleave.
-func (e *Engine) RunAll(ctx context.Context, o Options, cells []RunSpec) ([]sim.Result, error) {
-	out := make([]sim.Result, len(cells))
-	errs := make([]error, len(cells))
-	resolved := make([]runCell, len(cells))
-	claims := make([]*streamEntry, len(cells))
-	for i := range cells {
-		func() {
-			defer recovered(cells[i].label(cells[i].Level), &errs[i])
-			resolved[i] = resolve(o, cells[i])
-			claims[i] = e.claim(resolved[i])
+// runPlans resolves every plan's cells and claims their streams
+// before any runs, so a stream shared by cells of several plans is
+// recorded once however the goroutines interleave, and is freed after
+// its last consumer in any plan. It then runs every cell and job on
+// the pool, plan by plan, and returns each plan's results in cell
+// order. All failures are aggregated; a nil error means every result
+// is valid.
+func (e *Engine) runPlans(ctx context.Context, o Options, plans []Plan) ([][]sim.Result, error) {
+	out := make([][]sim.Result, len(plans))
+	var errs []error
+	var tasks []func() error
+	for i, p := range plans {
+		out[i] = make([]sim.Result, len(p.Cells))
+		for j, rs := range p.Cells {
+			var c runCell
+			var ent *streamEntry
+			err := func() (err error) {
+				defer recovered(rs.label(rs.Level), &err)
+				c = resolve(o, rs)
+				ent = e.claim(c)
+				return nil
+			}()
+			if err != nil {
+				errs = append(errs, err)
+				continue
+			}
+			tasks = append(tasks, func() (err error) {
+				defer e.unclaim(c, ent)
+				defer recovered(c.label, &err)
+				out[i][j], err = e.run(ctx, c, ent)
+				return err
+			})
+		}
+		for _, job := range p.Jobs {
+			tasks = append(tasks, func() (err error) {
+				defer recovered(job.Label, &err)
+				_, err = e.execute(ctx, job.Label, false, func(ctx context.Context) (sim.Result, error) {
+					return sim.Result{}, job.Fn(ctx)
+				})
+				return err
+			})
+		}
+	}
+	taskErrs := make([]error, len(tasks))
+	var wg sync.WaitGroup
+	for i, task := range tasks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			taskErrs[i] = task()
 		}()
 	}
-	var wg sync.WaitGroup
-	for i := range cells {
-		if errs[i] != nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer e.unclaim(resolved[i], claims[i])
-			defer recovered(resolved[i].label, &errs[i])
-			out[i], errs[i] = e.run(ctx, resolved[i], claims[i])
-		}(i)
-	}
 	wg.Wait()
-	return out, e.join(ctx, errs)
+	return out, e.join(ctx, append(errs, taskErrs...))
 }
 
-// Do runs arbitrary jobs on the pool — the engine's replacement for
-// the old fanOut, minus its two failure modes: a panicking job is
-// converted to an error instead of crashing the process, and every
-// job's error is reported (errors.Join) instead of only the first.
+// Do runs arbitrary jobs on the pool: a panicking job is converted to
+// an error instead of crashing the process, and every job's error is
+// reported (errors.Join) instead of only the first.
 func (e *Engine) Do(ctx context.Context, jobs ...Job) error {
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer recovered(jobs[i].Label, &errs[i])
-			_, errs[i] = e.execute(ctx, jobs[i].Label, false, func(ctx context.Context) (sim.Result, error) {
-				return sim.Result{}, jobs[i].Fn(ctx)
-			})
-		}(i)
-	}
-	wg.Wait()
-	return e.join(ctx, errs)
+	_, err := e.runPlans(ctx, Options{}, []Plan{{Jobs: jobs}})
+	return err
 }
 
 // join aggregates job errors in submission order, collapsing the

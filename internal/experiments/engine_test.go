@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"amnt/internal/sim"
-	"amnt/internal/stats"
 	"amnt/internal/workload"
 )
 
@@ -104,6 +103,12 @@ func (c *eventCounts) progress(p Progress) {
 	}
 }
 
+// runCells runs cells as one plan on e.
+func runCells(ctx context.Context, e *Engine, o Options, cells ...RunSpec) ([]sim.Result, error) {
+	res, err := e.runPlans(ctx, o, []Plan{{Cells: cells}})
+	return res[0], err
+}
+
 // TestRunCacheDedupes submits the same cell several times — serially
 // and concurrently — and asserts it simulates exactly once, with the
 // duplicates served as JobCached events.
@@ -111,21 +116,20 @@ func TestRunCacheDedupes(t *testing.T) {
 	ec := newEventCounts()
 	o := Options{Scale: 0.02, Seed: 1, Parallel: 4, Progress: ec.progress}
 	e := NewEngine(o)
-	o = o.WithEngine(e)
 	spec, _ := workload.ByName("lbm")
 	cell := RunSpec{Kind: "single", Protocol: "amnt", Specs: []workload.Spec{spec}}
 
-	res, err := e.RunAll(context.Background(), o, []RunSpec{cell, cell, cell})
+	res, err := runCells(context.Background(), e, o, cell, cell, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := e.Run(context.Background(), o, cell)
+	again, err := runCells(context.Background(), e, o, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range res {
-		if r.Cycles != again.Cycles {
-			t.Fatalf("result %d diverged: %d vs %d cycles", i, r.Cycles, again.Cycles)
+		if r.Cycles != again[0].Cycles {
+			t.Fatalf("result %d diverged: %d vs %d cycles", i, r.Cycles, again[0].Cycles)
 		}
 	}
 	ec.mu.Lock()
@@ -156,15 +160,15 @@ func TestRunCacheKeysDiscriminate(t *testing.T) {
 	mut.Mutate = func(cfg *sim.Config) { cfg.MEE.MetaCacheBytes = 8 << 10 }
 
 	ctx := context.Background()
-	opts := Options{Scale: 0.02, Seed: 1}.WithEngine(e)
-	seed2 := Options{Scale: 0.02, Seed: 2}.WithEngine(e)
+	opts := Options{Scale: 0.02, Seed: 1}
+	seed2 := Options{Scale: 0.02, Seed: 2}
 	// Four distinct keys (level, mutation, seed), then a
 	// genuine duplicate: only the last may hit the cache.
 	for _, c := range []struct {
 		o  Options
 		rs RunSpec
 	}{{opts, base}, {opts, lvl}, {opts, mut}, {seed2, base}, {opts, base}} {
-		if _, err := e.Run(ctx, c.o, c.rs); err != nil {
+		if _, err := runCells(ctx, e, c.o, c.rs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,17 +188,16 @@ func TestRunCacheKeysDiscriminate(t *testing.T) {
 	}
 }
 
-// TestNestedDoRunDoesNotDeadlock: a Do job that itself calls Run must
-// not deadlock a single-slot pool (the job's slot is reentrant).
+// TestNestedDoRunDoesNotDeadlock: a Do job that itself runs a cell
+// must not deadlock a single-slot pool (the job's slot is reentrant).
 func TestNestedDoRunDoesNotDeadlock(t *testing.T) {
 	o := Options{Scale: 0.02, Seed: 1, Parallel: 1}
 	e := NewEngine(o)
-	o = o.WithEngine(e)
 	spec, _ := workload.ByName("lbm")
 	err := e.Do(context.Background(), Job{
 		Label: "outer",
 		Fn: func(ctx context.Context) error {
-			_, err := e.Run(ctx, o, RunSpec{Kind: "single", Protocol: "volatile", Specs: []workload.Spec{spec}})
+			_, err := runCells(ctx, e, o, RunSpec{Kind: "single", Protocol: "volatile", Specs: []workload.Spec{spec}})
 			return err
 		},
 	})
@@ -209,7 +212,7 @@ func TestNestedDoRunDoesNotDeadlock(t *testing.T) {
 // bit-for-bit.
 func serialFigure4Reference(t *testing.T, o Options) map[string]map[string]float64 {
 	t.Helper()
-	o = o.withScalars()
+	o = o.withDefaults()
 	out := map[string]map[string]float64{}
 	for _, spec := range workload.PARSEC() {
 		runOne := func(protocol string) sim.Result {
@@ -244,16 +247,11 @@ func serialFigure4Reference(t *testing.T, o Options) map[string]map[string]float
 func TestDeterminismAcrossParallelism(t *testing.T) {
 	const scale = 0.03
 	render := func(parallel int) (fig4, table2 string) {
-		o := Options{Scale: scale, Seed: 1, Parallel: parallel}
-		f, err := Figure4(o)
+		tables, err := Run(Options{Scale: scale, Seed: 1, Parallel: parallel}, Figure4, Table2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, err := Table2(Options{Scale: scale, Seed: 1, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f.Render(), tb.Render()
+		return tables[0].Render(), tables[1].Render()
 	}
 	fig4p1, table2p1 := render(1)
 	fig4p8, table2p8 := render(8)
@@ -266,7 +264,7 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 
 	// Cross-check the engine against the serial reference path.
 	ref := serialFigure4Reference(t, Options{Scale: scale, Seed: 1})
-	tbl, err := Figure4(Options{Scale: scale, Seed: 1, Parallel: 8})
+	tbl, err := runOne(Options{Scale: scale, Seed: 1, Parallel: 8}, Figure4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +296,7 @@ func TestFigure4Golden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates ten PARSEC traces under seven protocols")
 	}
-	tbl, err := Figure4(Options{Scale: 0.25, Seed: 1, Parallel: 2})
+	tbl, err := runOne(Options{Scale: 0.25, Seed: 1, Parallel: 2}, Figure4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +321,8 @@ func TestFigure4Golden(t *testing.T) {
 }
 
 // TestSharedEngineDedupesAcrossDrivers: Figure 5 and Table 2 need the
-// same volatile multiprogram baselines; bound to one engine, the
-// second driver must hit the cache.
+// same volatile multiprogram baselines; run together, one of each
+// pair of duplicates must hit the cache.
 func TestSharedEngineDedupesAcrossDrivers(t *testing.T) {
 	var mu sync.Mutex
 	cached := 0
@@ -335,12 +333,7 @@ func TestSharedEngineDedupesAcrossDrivers(t *testing.T) {
 			mu.Unlock()
 		}
 	}}
-	e := NewEngine(o)
-	o = o.WithEngine(e)
-	if _, err := Figure5(o); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Table2(o); err != nil {
+	if _, err := Run(o, Figure5, Table2); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -387,7 +380,7 @@ func TestFigure4RecordsEachStreamOnce(t *testing.T) {
 	ec := newEventCounts()
 	o := Options{Scale: 0.05, Seed: 1, Parallel: 2, Progress: ec.progress}
 	e := NewEngine(o)
-	if _, err := Figure4(o.WithEngine(e)); err != nil {
+	if _, err := e.runDrivers(o.withDefaults(), []Driver{Figure4}); err != nil {
 		t.Fatal(err)
 	}
 	ec.mu.Lock()
@@ -403,36 +396,65 @@ func TestFigure4RecordsEachStreamOnce(t *testing.T) {
 	}
 }
 
+// TestAllRecordsEachFrontEndOnce: run together, the cells of every
+// driver record each distinct front end once — 62 of them, whichever
+// driver uses a stream first or last — and no stream outlives the run.
+func TestAllRecordsEachFrontEndOnce(t *testing.T) {
+	var mu sync.Mutex
+	recorded := map[string]int{}
+	o := Options{Scale: 0.02, Seed: 1, Parallel: 2, Progress: func(p Progress) {
+		if p.Event == JobDone && strings.HasPrefix(p.Job, frontEndPrefix) {
+			mu.Lock()
+			recorded[p.Job]++
+			mu.Unlock()
+		}
+	}}
+	e := NewEngine(o)
+	if _, err := e.runDrivers(o.withDefaults(), All); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for label, n := range recorded {
+		if n != 1 {
+			t.Errorf("%s recorded %d times, want 1", label, n)
+		}
+	}
+	if len(recorded) != 62 {
+		t.Fatalf("%d front ends recorded, want 62", len(recorded))
+	}
+	if n := len(e.streams); n != 0 {
+		t.Fatalf("%d streams still held after the run", n)
+	}
+}
+
 // TestSharedStreamsFollowFrontEndConfig: the stream key is the front
 // end's config, so cells that differ only in what the controller
 // reads share one recording. Per multiprogram pair, Figures 6+7 record
 // one stock stream (volatile and amnt at all six levels) and one per
 // AMNT++ level; Table 2's stock cells are served from the run-cache
-// and its modified-kernel cells record one stream per pair; each MEE
-// ablation records one stream for all its cells. Every rendered table
-// equals the same driver on live machines (telemetry disables replay).
+// and its modified-kernel cells replay the AMNT++ L3 stream; the MEE
+// ablations record one stream per workload (canneal, lbm, and one
+// bodytrack for both the read-overlap and the replacement sweep).
+// Every rendered table equals the same driver on live machines
+// (telemetry disables replay).
 func TestSharedStreamsFollowFrontEndConfig(t *testing.T) {
 	drivers := func(o Options) []string {
 		t.Helper()
-		perf, hits, err := Figures6And7(o)
+		tables, err := Run(o, Figures6And7, Table2, AblationMetaCache, AblationCoalescing, AblationReadOverlap, AblationReplacement)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := []string{perf.Render(), hits.Render()}
-		for _, f := range []func(Options) (*stats.Table, error){Table2, AblationMetaCache, AblationReadOverlap, AblationReplacement} {
-			tb, err := f(o)
-			if err != nil {
-				t.Fatal(err)
-			}
+		var out []string
+		for _, tb := range tables {
 			out = append(out, tb.Render())
 		}
 		return out
 	}
 	ec := newEventCounts()
-	o := Options{Scale: 0.02, Seed: 1, Parallel: 2, Progress: ec.progress}
-	replayed := drivers(o.WithEngine(NewEngine(o)))
+	replayed := drivers(Options{Scale: 0.02, Seed: 1, Parallel: 2, Progress: ec.progress})
 	pairs := len(workload.MultiProgramPairs())
-	want := pairs*(1+len(SubtreeLevels)) + pairs + 3
+	want := pairs*(1+len(SubtreeLevels)) + 3
 	ec.mu.Lock()
 	got := ec.frontEnds[JobDone]
 	ec.mu.Unlock()
@@ -459,13 +481,12 @@ func TestCancelWhileRecording(t *testing.T) {
 		}
 	}}
 	e := NewEngine(o)
-	o = o.WithEngine(e)
 	spec, _ := workload.ByName("lbm")
 	var cells []RunSpec
 	for _, p := range []string{"volatile", "leaf", "amnt"} {
 		cells = append(cells, RunSpec{Kind: "single", Protocol: p, Specs: []workload.Spec{spec}})
 	}
-	_, err := e.RunAll(ctx, o, cells)
+	_, err := runCells(ctx, e, o, cells...)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -476,7 +497,7 @@ func TestCancelWhileRecording(t *testing.T) {
 		t.Fatalf("%d stream and %d run-cache entries left after cancellation, want none", streams, cached)
 	}
 	o.Progress = nil
-	if _, err := e.RunAll(context.Background(), o, cells); err != nil {
+	if _, err := runCells(context.Background(), e, o, cells...); err != nil {
 		t.Fatalf("rerun after cancellation: %v", err)
 	}
 }
@@ -486,10 +507,10 @@ func TestCancelWhileRecording(t *testing.T) {
 func TestRunAllPanicNamesLevel(t *testing.T) {
 	e := NewEngine(Options{Parallel: 1})
 	spec, _ := workload.ByName("lbm")
-	_, err := e.RunAll(context.Background(), Options{Scale: 0.02}.WithEngine(e), []RunSpec{{
+	_, err := runCells(context.Background(), e, Options{Scale: 0.02}, RunSpec{
 		Kind: "single", Protocol: "amnt", Specs: []workload.Spec{spec}, Level: 4,
 		Mutate: func(*sim.Config) { panic("bad mutation") },
-	}})
+	})
 	if err == nil || !strings.Contains(err.Error(), "single/lbm/amnt/L4: panic: bad mutation") {
 		t.Fatalf("err = %v, want a panic labelled single/lbm/amnt/L4", err)
 	}

@@ -1,12 +1,15 @@
 // Package experiments contains one driver per table and figure in the
-// paper's evaluation (§6). Each driver enumerates its cells —
-// (workload set × protocol × machine configuration) — as jobs on the
-// experiment engine (engine.go), which executes them on a bounded
-// worker pool with a memoized run-cache, cancellation, and structured
-// progress. The drivers are shared by cmd/amntbench and the
-// repository's benchmark harness (bench_test.go); cell outputs are
-// deterministic, so the rendered tables are bit-identical at any pool
-// width.
+// paper's evaluation (§6), plus the ablations behind its design claims.
+// A driver is data: its Plan declares its cells — (workload set ×
+// protocol × machine configuration) — and, when it needs the Machine
+// itself, its jobs; its Render builds the tables from the results. Run
+// takes the union of every selected driver's cells, runs it once on
+// the experiment engine (engine.go) — a bounded worker pool with a
+// memoized run-cache, recorded front-end streams, cancellation and
+// structured progress — and then renders each driver in turn. The
+// drivers are shared by cmd/amntbench and the repository's benchmark
+// harness (bench_test.go); cell outputs are deterministic, so the
+// rendered tables are bit-identical at any pool width.
 package experiments
 
 import (
@@ -44,7 +47,7 @@ type Options struct {
 	// transition (see Progress); callbacks are serialized.
 	Progress func(Progress)
 	// Context, when non-nil, cancels in-flight and queued simulations
-	// when it is done; drivers then return its error.
+	// when it is done; Run then returns its error.
 	Context context.Context
 	// TelemetryDir, when set, enables per-cell telemetry: every cell
 	// that actually simulates writes an epoch time-series JSONL and a
@@ -60,21 +63,10 @@ type Options struct {
 	// jobs are unaffected. The fault-injection sweeps set it so one
 	// wedged protocol cell cannot stall a whole matrix.
 	CellTimeout time.Duration
-
-	engine *Engine
 }
 
-// WithEngine binds o — and every driver called with the returned
-// Options — to e, sharing its worker pool and run-cache across
-// drivers. Without it each driver builds a private engine, which
-// still dedupes and parallelizes within that driver.
-func (o Options) WithEngine(e *Engine) Options {
-	o.engine = e
-	return o
-}
-
-// withScalars fills the numeric defaults only.
-func (o Options) withScalars() Options {
+// withDefaults fills the numeric defaults.
+func (o Options) withDefaults() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
@@ -90,12 +82,62 @@ func (o Options) withScalars() Options {
 	return o
 }
 
-func (o Options) withDefaults() Options {
-	o = o.withScalars()
-	if o.engine == nil {
-		o.engine = NewEngine(o)
+// Driver is one table or figure of the evaluation. Plan declares what
+// it runs; Run runs the union of every selected driver's plans, then
+// calls each plan's Render.
+type Driver struct {
+	// Name labels the driver in logs and errors ("figure 4").
+	Name string
+	Plan func(o Options) Plan
+}
+
+// Plan is a driver's share of a run.
+type Plan struct {
+	// Cells are the simulations whose sim.Result is all the driver
+	// reads; they share the run-cache and recorded streams with every
+	// other driver of the run.
+	Cells []RunSpec
+	// Jobs run on the same pool; a driver uses them when it needs the
+	// Machine or policy object itself, and they write what Render
+	// reads.
+	Jobs []Job
+	// Render builds the driver's tables once every cell and job of the
+	// run has succeeded; res[i] is Cells[i]'s result.
+	Render func(res []sim.Result) []*stats.Table
+}
+
+// All is every driver, in the order amntbench -all prints them.
+var All = []Driver{
+	Figure3, Figure4, Figure5, Figures6And7, Figure8,
+	Table2, Table3, Table4, Table4Measured, Storage,
+	AblationHistoryInterval, AblationMetaCache, AblationCoalescing, AblationStopLoss,
+	AblationReadOverlap, AblationReplacement, AblationMultiSubtree,
+}
+
+// Run plans every driver, runs the union of their cells and jobs once
+// on one engine, and returns the drivers' tables in selection order.
+func Run(o Options, drivers ...Driver) ([]*stats.Table, error) {
+	o = o.withDefaults()
+	return NewEngine(o).runDrivers(o, drivers)
+}
+
+// runDrivers is Run on e: plan every driver, run the union on e, and
+// render only once every cell and job has succeeded.
+func (e *Engine) runDrivers(o Options, drivers []Driver) ([]*stats.Table, error) {
+	plans := make([]Plan, len(drivers))
+	for i, d := range drivers {
+		plans[i] = d.Plan(o)
 	}
-	return o
+	res, err := e.runPlans(o.ctx(), o, plans)
+	if err != nil {
+		return nil, err
+	}
+	var tables []*stats.Table
+	for i, d := range drivers {
+		o.logf("%s:", d.Name)
+		tables = append(tables, plans[i].Render(res[i])...)
+	}
+	return tables, nil
 }
 
 // ctx returns the cancellation context drivers thread into the engine.
@@ -143,44 +185,47 @@ type normRow struct {
 	raw  map[string]sim.Result
 }
 
-// normalizedRows runs volatile plus every compared protocol for every
-// workload set through the engine — one flat job list, so all cells
-// across all sets share the worker pool — and returns one normRow per
-// set, in order.
-func (o Options) normalizedRows(tag, kind string, protocols []string, sets [][]workload.Spec) ([]normRow, error) {
+// normalizedCells declares volatile plus every compared protocol for
+// every workload set, one row per set; normRows reads them back.
+func normalizedCells(tag, kind string, protocols []string, sets [][]workload.Spec) []RunSpec {
 	cells := make([]RunSpec, 0, len(sets)*(len(protocols)+1))
 	for _, set := range sets {
-		cells = append(cells, RunSpec{
-			Label: tag + "/" + specName(set) + "/volatile",
-			Kind:  kind, Protocol: "volatile", Specs: set,
-		})
-		for _, p := range protocols {
+		for _, p := range append([]string{"volatile"}, protocols...) {
 			cells = append(cells, RunSpec{
 				Label: tag + "/" + specName(set) + "/" + p,
 				Kind:  kind, Protocol: p, Specs: set,
 			})
 		}
 	}
-	res, err := o.engine.RunAll(o.ctx(), o, cells)
-	if err != nil {
-		return nil, err
-	}
-	stride := len(protocols) + 1
+	return cells
+}
+
+// normRows reads normalizedCells' results back as one normRow per set.
+func (o Options) normRows(res []sim.Result, protocols []string, sets [][]workload.Spec) []normRow {
 	rows := make([]normRow, len(sets))
-	for i, set := range sets {
-		base := res[i*stride]
+	for i, r := range byRow(res, len(protocols)+1) {
 		norm := make(map[string]float64, len(protocols))
-		raw := map[string]sim.Result{"volatile": base}
+		raw := map[string]sim.Result{"volatile": r[0]}
 		for j, p := range protocols {
-			r := res[i*stride+1+j]
-			norm[p] = float64(r.Cycles) / float64(base.Cycles)
-			raw[p] = r
+			norm[p] = float64(r[1+j].Cycles) / float64(r[0].Cycles)
+			raw[p] = r[1+j]
 			o.logf("  %-22s %-8s %.3f (meta hit %.1f%%, subtree hit %.1f%%)",
-				specName(set), p, norm[p], 100*r.MetaHitRate, 100*r.SubtreeHitRate)
+				specName(sets[i]), p, norm[p], 100*r[1+j].MetaHitRate, 100*r[1+j].SubtreeHitRate)
 		}
 		rows[i] = normRow{norm: norm, raw: raw}
 	}
-	return rows, nil
+	return rows
+}
+
+// byRow splits a driver's results into rows of n: the shape of a plan
+// that declares its cells row by row, n per row.
+func byRow(res []sim.Result, n int) [][]sim.Result {
+	rows := make([][]sim.Result, 0, len(res)/n)
+	for len(res) > 0 {
+		rows = append(rows, res[:n:n])
+		res = res[n:]
+	}
+	return rows
 }
 
 func singles(suite []workload.Spec) [][]workload.Spec {
@@ -215,9 +260,7 @@ func specName(specs []workload.Spec) string {
 // mix (perlbench+lbm). Each row is one of 64 equal slices of the
 // touched physical space; concentrated single-program accesses spread
 // out under multiprogramming — the motivation for AMNT++.
-func Figure3(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Figure 3: access density, single vs multiprogram")
+var Figure3 = Driver{Name: "figure 3", Plan: func(o Options) Plan {
 	lbm, _ := workload.ByName("lbm")
 	perl, _ := workload.ByName("perlbench")
 
@@ -245,40 +288,42 @@ func Figure3(o Options) (*stats.Table, error) {
 			return nil
 		}}
 	}
-	if err := o.engine.Do(o.ctx(),
-		histJob("single", &single, nil, lbm),
-		histJob("multi", &multi, &multiPages, perl, lbm),
-	); err != nil {
-		return nil, err
+	return Plan{
+		Jobs: []Job{
+			histJob("single", &single, nil, lbm),
+			histJob("multi", &multi, &multiPages, perl, lbm),
+		},
+		Render: func([]sim.Result) []*stats.Table {
+			// Bucket over the touched physical range so the density
+			// shape is visible (the paper plots accesses per address,
+			// not per 128 MB).
+			const buckets = 64
+			maxPages := uint64(1)
+			for _, h := range []*stats.Histogram{single, multi} {
+				if keys := h.Keys(); len(keys) > 0 && keys[len(keys)-1]+1 > maxPages {
+					maxPages = keys[len(keys)-1] + 1
+				}
+			}
+			sb := single.Buckets(maxPages, buckets)
+			mb := multi.Buckets(maxPages, buckets)
+			t := stats.NewTable("Figure 3 — memory accesses per physical region",
+				"slice", "single (lbm)", "multi (perlbench+lbm)")
+			t.AddNote("x-axis: %d equal slices of the touched physical range (%d pages)", buckets, maxPages)
+			for i := 0; i < buckets; i++ {
+				if sb[i] == 0 && mb[i] == 0 {
+					continue
+				}
+				t.AddRow(i, sb[i], mb[i])
+			}
+			t.AddNote("single density: %s", stats.Sparkline(sb))
+			t.AddNote("multi density:  %s", stats.Sparkline(mb))
+			t.AddNote("touched pages: single %d, multi %d", single.Distinct(), multi.Distinct())
+			t.AddNote("multiprogram owner interleaving: %.1f%% of physically adjacent touched pages belong to different processes",
+				100*ownerAlternation(multiPages))
+			return []*stats.Table{t}
+		},
 	}
-
-	// Bucket over the touched physical range so the density shape is
-	// visible (the paper plots accesses per address, not per 128 MB).
-	const buckets = 64
-	maxPages := uint64(1)
-	for _, h := range []*stats.Histogram{single, multi} {
-		if keys := h.Keys(); len(keys) > 0 && keys[len(keys)-1]+1 > maxPages {
-			maxPages = keys[len(keys)-1] + 1
-		}
-	}
-	sb := single.Buckets(maxPages, buckets)
-	mb := multi.Buckets(maxPages, buckets)
-	t := stats.NewTable("Figure 3 — memory accesses per physical region",
-		"slice", "single (lbm)", "multi (perlbench+lbm)")
-	t.AddNote("x-axis: %d equal slices of the touched physical range (%d pages)", buckets, maxPages)
-	for i := 0; i < buckets; i++ {
-		if sb[i] == 0 && mb[i] == 0 {
-			continue
-		}
-		t.AddRow(i, sb[i], mb[i])
-	}
-	t.AddNote("single density: %s", stats.Sparkline(sb))
-	t.AddNote("multi density:  %s", stats.Sparkline(mb))
-	t.AddNote("touched pages: single %d, multi %d", single.Distinct(), multi.Distinct())
-	t.AddNote("multiprogram owner interleaving: %.1f%% of physically adjacent touched pages belong to different processes",
-		100*ownerAlternation(multiPages))
-	return t, nil
-}
+}}
 
 // ownerAlternation measures how finely two address spaces interleave
 // in physical memory: the fraction of adjacent (by physical page
@@ -310,142 +355,113 @@ func ownerAlternation(procPages [][]uint64) float64 {
 	return float64(alternations) / float64(len(all)-1)
 }
 
-func hotRegionShare(h *stats.Histogram, maxPages uint64, buckets, k int) float64 {
-	b := h.Buckets(maxPages, buckets)
-	var total uint64
-	for _, c := range b {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	// Sum the k largest buckets.
-	best := make([]uint64, len(b))
-	copy(best, b)
-	var hot uint64
-	for i := 0; i < k; i++ {
-		maxIdx := 0
-		for j, c := range best {
-			if c > best[maxIdx] {
-				maxIdx = j
-			}
-		}
-		hot += best[maxIdx]
-		best[maxIdx] = 0
-	}
-	return float64(hot) / float64(total)
-}
-
 // --- Figures 4, 5, 8 ---------------------------------------------------
 
 // Figure4 reproduces normalized execution cycles for single-program
 // PARSEC under every protocol, normalized to volatile secure memory.
-func Figure4(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Figure 4: single-program PARSEC, normalized cycles")
+var Figure4 = Driver{Name: "figure 4", Plan: func(o Options) Plan {
 	suite := workload.PARSEC()
-	rows, err := o.normalizedRows("figure4", "single", comparedProtocols, singles(suite))
-	if err != nil {
-		return nil, err
+	sets := singles(suite)
+	return Plan{
+		Cells: normalizedCells("figure4", "single", comparedProtocols, sets),
+		Render: func(res []sim.Result) []*stats.Table {
+			t := stats.NewTable("Figure 4 — normalized cycles, single-program PARSEC (lower is better)",
+				append([]string{"workload"}, comparedProtocols...)...)
+			perProto := make(map[string][]float64)
+			var cannealNote string
+			for i, r := range o.normRows(res, comparedProtocols, sets) {
+				spec := suite[i]
+				row := []interface{}{spec.Name}
+				for _, p := range comparedProtocols {
+					row = append(row, r.norm[p])
+					perProto[p] = append(perProto[p], r.norm[p])
+				}
+				t.AddRow(row...)
+				if spec.Name == "canneal" {
+					cannealNote = fmt.Sprintf(
+						"canneal metadata cache hit rate %.1f%% (paper: 30.4%%); anubis pays a shadow write per miss",
+						100*r.raw["anubis"].MetaHitRate)
+				}
+				if a := r.raw["amnt"]; a.Writes > 0 {
+					o.logf("  %s: subtree movements per 1000 writes: %.2f",
+						spec.Name, 1000*float64(a.Movements)/float64(a.Writes))
+				}
+			}
+			row := []interface{}{"mean"}
+			for _, p := range comparedProtocols {
+				row = append(row, stats.Mean(perProto[p]))
+			}
+			t.AddRow(row...)
+			if cannealNote != "" {
+				t.AddNote("%s", cannealNote)
+			}
+			t.AddNote("paper: amnt 1.16x mean, amnt++ 1.10x, leaf 1.08x, strict 2.39x")
+			return []*stats.Table{t}
+		},
 	}
-	t := stats.NewTable("Figure 4 — normalized cycles, single-program PARSEC (lower is better)",
-		append([]string{"workload"}, comparedProtocols...)...)
-	perProto := make(map[string][]float64)
-	var cannealNote string
-	for i, spec := range suite {
-		norm, raw := rows[i].norm, rows[i].raw
-		row := []interface{}{spec.Name}
-		for _, p := range comparedProtocols {
-			row = append(row, norm[p])
-			perProto[p] = append(perProto[p], norm[p])
-		}
-		t.AddRow(row...)
-		if spec.Name == "canneal" {
-			cannealNote = fmt.Sprintf(
-				"canneal metadata cache hit rate %.1f%% (paper: 30.4%%); anubis pays a shadow write per miss",
-				100*raw["anubis"].MetaHitRate)
-		}
-		if a := raw["amnt"]; a.Writes > 0 {
-			o.logf("  %s: subtree movements per 1000 writes: %.2f",
-				spec.Name, 1000*float64(a.Movements)/float64(a.Writes))
-		}
-	}
-	row := []interface{}{"mean"}
-	for _, p := range comparedProtocols {
-		row = append(row, stats.Mean(perProto[p]))
-	}
-	t.AddRow(row...)
-	if cannealNote != "" {
-		t.AddNote("%s", cannealNote)
-	}
-	t.AddNote("paper: amnt 1.16x mean, amnt++ 1.10x, leaf 1.08x, strict 2.39x")
-	return t, nil
-}
+}}
 
 // Figure5 reproduces normalized cycles for the multiprogram PARSEC
 // pairs on the two-core configuration.
-func Figure5(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Figure 5: multiprogram PARSEC pairs, normalized cycles")
+var Figure5 = Driver{Name: "figure 5", Plan: func(o Options) Plan {
 	pairs := workload.MultiProgramPairs()
 	sets := make([][]workload.Spec, len(pairs))
 	for i, pair := range pairs {
 		sets[i] = pairSpecs(pair)
 	}
-	rows, err := o.normalizedRows("figure5", "multi", comparedProtocols, sets)
-	if err != nil {
-		return nil, err
+	return Plan{
+		Cells: normalizedCells("figure5", "multi", comparedProtocols, sets),
+		Render: func(res []sim.Result) []*stats.Table {
+			t := stats.NewTable("Figure 5 — normalized cycles, multiprogram PARSEC (lower is better)",
+				append([]string{"pair"}, comparedProtocols...)...)
+			for i, r := range o.normRows(res, comparedProtocols, sets) {
+				row := []interface{}{pairs[i][0] + "+" + pairs[i][1]}
+				for _, p := range comparedProtocols {
+					row = append(row, r.norm[p])
+				}
+				t.AddRow(row...)
+				o.logf("  %s: amnt subtree hit %.1f%% -> amnt++ %.1f%%", specName(sets[i]),
+					100*r.raw["amnt"].SubtreeHitRate, 100*r.raw["amnt++"].SubtreeHitRate)
+			}
+			t.AddNote("paper: amnt++ raises body+fluid subtree hit rate 91%% -> 97%% and closes the gap to leaf")
+			return []*stats.Table{t}
+		},
 	}
-	t := stats.NewTable("Figure 5 — normalized cycles, multiprogram PARSEC (lower is better)",
-		append([]string{"pair"}, comparedProtocols...)...)
-	for i, pair := range pairs {
-		norm, raw := rows[i].norm, rows[i].raw
-		row := []interface{}{pair[0] + "+" + pair[1]}
-		for _, p := range comparedProtocols {
-			row = append(row, norm[p])
-		}
-		t.AddRow(row...)
-		o.logf("  %s: amnt subtree hit %.1f%% -> amnt++ %.1f%%", specName(sets[i]),
-			100*raw["amnt"].SubtreeHitRate, 100*raw["amnt++"].SubtreeHitRate)
-	}
-	t.AddNote("paper: amnt++ raises body+fluid subtree hit rate 91%% -> 97%% and closes the gap to leaf")
-	return t, nil
-}
+}}
 
 // Figure8 reproduces the SPEC CPU2017 comparison on the four-core
 // multithreaded configuration.
-func Figure8(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Figure 8: SPEC CPU2017, normalized cycles")
+var Figure8 = Driver{Name: "figure 8", Plan: func(o Options) Plan {
 	suite := workload.SPEC()
 	sets := make([][]workload.Spec, len(suite))
 	for i, spec := range suite {
 		// Four threads of the same program share one address space.
 		sets[i] = []workload.Spec{spec, spec, spec, spec}
 	}
-	rows, err := o.normalizedRows("figure8", "threads", Figure8Protocols, sets)
-	if err != nil {
-		return nil, err
+	return Plan{
+		Cells: normalizedCells("figure8", "threads", Figure8Protocols, sets),
+		Render: func(res []sim.Result) []*stats.Table {
+			t := stats.NewTable("Figure 8 — normalized cycles, SPEC CPU2017 (lower is better)",
+				append([]string{"workload"}, Figure8Protocols...)...)
+			perProto := make(map[string][]float64)
+			for i, r := range o.normRows(res, Figure8Protocols, sets) {
+				row := []interface{}{suite[i].Name}
+				for _, p := range Figure8Protocols {
+					row = append(row, r.norm[p])
+					perProto[p] = append(perProto[p], r.norm[p])
+				}
+				t.AddRow(row...)
+			}
+			row := []interface{}{"mean"}
+			for _, p := range Figure8Protocols {
+				row = append(row, stats.Mean(perProto[p]))
+			}
+			t.AddRow(row...)
+			t.AddNote("paper: amnt beats anubis by 13%% on average (41%% on xz); amnt within 2%% of leaf")
+			return []*stats.Table{t}
+		},
 	}
-	t := stats.NewTable("Figure 8 — normalized cycles, SPEC CPU2017 (lower is better)",
-		append([]string{"workload"}, Figure8Protocols...)...)
-	perProto := make(map[string][]float64)
-	for i, spec := range suite {
-		row := []interface{}{spec.Name}
-		for _, p := range Figure8Protocols {
-			row = append(row, rows[i].norm[p])
-			perProto[p] = append(perProto[p], rows[i].norm[p])
-		}
-		t.AddRow(row...)
-	}
-	row := []interface{}{"mean"}
-	for _, p := range Figure8Protocols {
-		row = append(row, stats.Mean(perProto[p]))
-	}
-	t.AddRow(row...)
-	t.AddNote("paper: amnt beats anubis by 13%% on average (41%% on xz); amnt within 2%% of leaf")
-	return t, nil
-}
+}}
 
 // --- Figures 6 & 7 ------------------------------------------------------
 
@@ -455,23 +471,12 @@ var SubtreeLevels = []int{2, 3, 4, 5, 6, 7}
 // Figures6And7 sweeps the AMNT subtree level over the multiprogram
 // pairs and reports both normalized cycles (Figure 6) and subtree hit
 // rates (Figure 7) for AMNT and AMNT++.
-func Figures6And7(o Options) (perf, hits *stats.Table, err error) {
-	o = o.withDefaults()
-	o.logf("Figures 6+7: subtree level sensitivity")
-	header := []string{"pair", "protocol"}
-	for _, l := range SubtreeLevels {
-		header = append(header, fmt.Sprintf("L%d", l))
-	}
-	perf = stats.NewTable("Figure 6 — normalized cycles vs subtree level", header...)
-	hits = stats.NewTable("Figure 7 — subtree hit rate vs subtree level", header...)
+var Figures6And7 = Driver{Name: "figures 6+7", Plan: func(o Options) Plan {
 	pairs := workload.MultiProgramPairs()
 	protos := []string{"amnt", "amnt++"}
-
-	// One flat cell list: per pair one volatile baseline plus the
-	// (protocol × level) grid. No barrier between baselines and grid —
-	// the engine interleaves everything on the pool; run-cache keys
-	// keep the levels distinct.
-	cells := make([]RunSpec, 0, len(pairs)*(1+len(protos)*len(SubtreeLevels)))
+	// Per pair one volatile baseline plus the (protocol × level) grid;
+	// run-cache keys keep the levels distinct.
+	var cells []RunSpec
 	for _, pair := range pairs {
 		specs := pairSpecs(pair)
 		cells = append(cells, RunSpec{
@@ -487,28 +492,33 @@ func Figures6And7(o Options) (perf, hits *stats.Table, err error) {
 			}
 		}
 	}
-	res, rerr := o.engine.RunAll(o.ctx(), o, cells)
-	if rerr != nil {
-		return nil, nil, rerr
-	}
-	stride := 1 + len(protos)*len(SubtreeLevels)
-	for pi, pair := range pairs {
-		base := res[pi*stride]
-		for pr, proto := range protos {
-			perfRow := []interface{}{pair[0] + "+" + pair[1], proto}
-			hitRow := []interface{}{pair[0] + "+" + pair[1], proto}
-			for li := range SubtreeLevels {
-				r := res[pi*stride+1+pr*len(SubtreeLevels)+li]
-				perfRow = append(perfRow, float64(r.Cycles)/float64(base.Cycles))
-				hitRow = append(hitRow, r.SubtreeHitRate)
+	return Plan{
+		Cells: cells,
+		Render: func(res []sim.Result) []*stats.Table {
+			header := []string{"pair", "protocol"}
+			for _, l := range SubtreeLevels {
+				header = append(header, fmt.Sprintf("L%d", l))
 			}
-			perf.AddRow(perfRow...)
-			hits.AddRow(hitRow...)
-		}
+			perf := stats.NewTable("Figure 6 — normalized cycles vs subtree level", header...)
+			hits := stats.NewTable("Figure 7 — subtree hit rate vs subtree level", header...)
+			for pi, r := range byRow(res, 1+len(protos)*len(SubtreeLevels)) {
+				name := pairs[pi][0] + "+" + pairs[pi][1]
+				for pr, levels := range byRow(r[1:], len(SubtreeLevels)) {
+					perfRow := []interface{}{name, protos[pr]}
+					hitRow := []interface{}{name, protos[pr]}
+					for _, l := range levels {
+						perfRow = append(perfRow, float64(l.Cycles)/float64(r[0].Cycles))
+						hitRow = append(hitRow, l.SubtreeHitRate)
+					}
+					perf.AddRow(perfRow...)
+					hits.AddRow(hitRow...)
+				}
+			}
+			perf.AddNote("higher levels protect less memory; amnt++ recovers hit rate the hardware alone loses")
+			return []*stats.Table{perf, hits}
+		},
 	}
-	perf.AddNote("higher levels protect less memory; amnt++ recovers hit rate the hardware alone loses")
-	return perf, hits, nil
-}
+}}
 
 // --- Tables -------------------------------------------------------------
 
@@ -518,9 +528,7 @@ func Figures6And7(o Options) (perf, hits *stats.Table, err error) {
 // come from the allocator modification itself — extra instructions in
 // the reclamation path, and whatever cache-locality change the biased
 // placement produces — exactly the comparison in the paper's Table 2.
-func Table2(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Table 2: modified OS cost")
+var Table2 = Driver{Name: "table 2", Plan: func(o Options) Plan {
 	pairs := workload.MultiProgramPairs()
 	cells := make([]RunSpec, 0, 2*len(pairs))
 	for _, pair := range pairs {
@@ -537,44 +545,45 @@ func Table2(o Options) (*stats.Table, error) {
 			},
 		)
 	}
-	res, err := o.engine.RunAll(o.ctx(), o, cells)
-	if err != nil {
-		return nil, err
+	return Plan{
+		Cells: cells,
+		Render: func(res []sim.Result) []*stats.Table {
+			t := stats.NewTable("Table 2 — impact of the modified OS (multiprogram)",
+				"pair", "normalized performance", "instruction overhead")
+			for i, r := range byRow(res, 2) {
+				plain, modified := r[0], r[1]
+				t.AddRow(pairs[i][0]+"+"+pairs[i][1],
+					float64(modified.Cycles)/float64(plain.Cycles),
+					float64(modified.Instructions)/float64(plain.Instructions))
+			}
+			t.AddNote("paper: normalized performance 0.967-1.013, instruction overhead 1.004-1.021")
+			return []*stats.Table{t}
+		},
 	}
-	t := stats.NewTable("Table 2 — impact of the modified OS (multiprogram)",
-		"pair", "normalized performance", "instruction overhead")
-	for i, pair := range pairs {
-		plain, modified := res[2*i], res[2*i+1]
-		t.AddRow(pair[0]+"+"+pair[1],
-			float64(modified.Cycles)/float64(plain.Cycles),
-			float64(modified.Instructions)/float64(plain.Instructions))
-	}
-	t.AddNote("paper: normalized performance 0.967-1.013, instruction overhead 1.004-1.021")
-	return t, nil
-}
+}}
 
 // Table3 reports the hardware overhead comparison for a 64 kB
 // metadata cache, straight from each policy's Overhead(). No
-// simulation runs: attaching the machine resolves cache-size-
-// dependent overheads, so this driver stays off the engine.
-func Table3(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	t := stats.NewTable("Table 3 — hardware overhead (64 kB metadata cache)",
-		"protocol", "NV on-chip", "volatile on-chip", "in-memory")
-	cfg := o.machineFor("single")
-	for _, name := range []string{"bmf", "anubis", "amnt"} {
-		policy, err := sim.PolicyByName(name, o.SubtreeLevel)
-		if err != nil {
-			return nil, err
+// simulation runs: the driver declares no cells, and Render attaches
+// each policy to a machine so cache-size-dependent overheads resolve.
+var Table3 = Driver{Name: "table 3", Plan: func(o Options) Plan {
+	return Plan{Render: func([]sim.Result) []*stats.Table {
+		t := stats.NewTable("Table 3 — hardware overhead (64 kB metadata cache)",
+			"protocol", "NV on-chip", "volatile on-chip", "in-memory")
+		cfg := o.machineFor("single")
+		for _, name := range []string{"bmf", "anubis", "amnt"} {
+			policy, err := sim.PolicyByName(name, o.SubtreeLevel)
+			if err != nil {
+				panic("experiments: " + err.Error())
+			}
+			sim.NewMachine(cfg, policy, []workload.Spec{workload.Quickstart()})
+			ov := policy.Overhead()
+			t.AddRow(name, byteString(ov.NVOnChipBytes), byteString(ov.VolOnChipBytes), byteString(ov.InMemoryBytes))
 		}
-		// Attach so cache-size-dependent overheads resolve.
-		sim.NewMachine(cfg, policy, []workload.Spec{workload.Quickstart()})
-		ov := policy.Overhead()
-		t.AddRow(name, byteString(ov.NVOnChipBytes), byteString(ov.VolOnChipBytes), byteString(ov.InMemoryBytes))
-	}
-	t.AddNote("paper: BMF 4kB/768B/-, Anubis 64B/37kB/37kB, AMNT 64B/96B/-")
-	return t, nil
-}
+		t.AddNote("paper: BMF 4kB/768B/-, Anubis 64B/37kB/37kB, AMNT 64B/96B/-")
+		return []*stats.Table{t}
+	}}
+}}
 
 func byteString(b uint64) string {
 	switch {
@@ -591,18 +600,16 @@ func byteString(b uint64) string {
 
 // Table4 renders the analytic recovery-time model beside the paper's
 // published values.
-func Table4(o Options) (*stats.Table, error) {
-	return recovery.Table4(recovery.DefaultModel()), nil
-}
+var Table4 = Driver{Name: "table 4", Plan: func(Options) Plan {
+	return Plan{Render: func([]sim.Result) []*stats.Table {
+		return []*stats.Table{recovery.Table4(recovery.DefaultModel())}
+	}}
+}}
 
 // Table4Measured validates the analytic model's scaling with
 // functional recoveries on small simulated memories: crash a machine
 // mid-run and convert the measured recovery traffic to modeled time.
-func Table4Measured(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Table 4 (measured): functional recovery scaling")
-	model := recovery.DefaultModel()
-
+var Table4Measured = Driver{Name: "table 4 (measured)", Plan: func(o Options) Plan {
 	type combo struct {
 		memBytes uint64
 		proto    string
@@ -617,7 +624,6 @@ func Table4Measured(o Options) (*stats.Table, error) {
 	reports := make([]mee.RecoveryReport, len(combos))
 	jobs := make([]Job, len(combos))
 	for i, c := range combos {
-		i, c := i, c
 		jobs[i] = Job{
 			Label: fmt.Sprintf("table4measured/%s@%s", c.proto, byteString(c.memBytes)),
 			Fn: func(ctx context.Context) error {
@@ -649,16 +655,19 @@ func Table4Measured(o Options) (*stats.Table, error) {
 			},
 		}
 	}
-	if err := o.engine.Do(o.ctx(), jobs...); err != nil {
-		return nil, err
+	return Plan{
+		Jobs: jobs,
+		Render: func([]sim.Result) []*stats.Table {
+			model := recovery.DefaultModel()
+			t := stats.NewTable("Table 4 (measured) — functional recovery on small memories",
+				"memory", "protocol", "counter reads", "node writes", "modeled time")
+			for i, c := range combos {
+				rep := reports[i]
+				t.AddRow(byteString(c.memBytes), c.proto, rep.CounterReads, rep.NodeWrites,
+					model.FromReport(rep).String())
+			}
+			t.AddNote("leaf traffic scales with the touched footprint; amnt is bounded by one subtree region; strict is free")
+			return []*stats.Table{t}
+		},
 	}
-	t := stats.NewTable("Table 4 (measured) — functional recovery on small memories",
-		"memory", "protocol", "counter reads", "node writes", "modeled time")
-	for i, c := range combos {
-		rep := reports[i]
-		t.AddRow(byteString(c.memBytes), c.proto, rep.CounterReads, rep.NodeWrites,
-			model.FromReport(rep).String())
-	}
-	t.AddNote("leaf traffic scales with the touched footprint; amnt is bounded by one subtree region; strict is free")
-	return t, nil
-}
+}}

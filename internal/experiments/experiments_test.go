@@ -5,12 +5,22 @@ import (
 	"strings"
 	"testing"
 
+	"amnt/internal/stats"
 	"amnt/internal/workload"
 )
 
 // tiny returns fast options for CI-grade runs; the orderings asserted
 // below hold at any scale.
 func tiny() Options { return Options{Scale: 0.05, Seed: 1} }
+
+// runOne runs one driver and returns its first table.
+func runOne(o Options, d Driver) (*stats.Table, error) {
+	tables, err := Run(o, d)
+	if err != nil {
+		return nil, err
+	}
+	return tables[0], nil
+}
 
 // cell parses a table cell as float.
 func cell(t *testing.T, s string) float64 {
@@ -35,7 +45,7 @@ func column(t *testing.T, header []string, name string) int {
 }
 
 func TestFigure3(t *testing.T) {
-	tbl, err := Figure3(tiny())
+	tbl, err := runOne(tiny(), Figure3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +62,7 @@ func TestFigure3(t *testing.T) {
 
 func TestFigure4Ordering(t *testing.T) {
 	o := tiny()
-	tbl, err := Figure4(o)
+	tbl, err := runOne(o, Figure4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +98,7 @@ func TestFigure4Ordering(t *testing.T) {
 }
 
 func TestFigure5(t *testing.T) {
-	tbl, err := Figure5(tiny())
+	tbl, err := runOne(tiny(), Figure5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +116,11 @@ func TestFigure5(t *testing.T) {
 }
 
 func TestFigures6And7(t *testing.T) {
-	perf, hits, err := Figures6And7(tiny())
+	tables, err := Run(tiny(), Figures6And7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	perf, hits := tables[0], tables[1]
 	if perf.NumRows() != 6 || hits.NumRows() != 6 {
 		t.Fatalf("rows = %d/%d, want 6 each (3 pairs x 2 protocols)", perf.NumRows(), hits.NumRows())
 	}
@@ -136,7 +147,7 @@ func TestFigures6And7(t *testing.T) {
 }
 
 func TestFigure8(t *testing.T) {
-	tbl, err := Figure8(tiny())
+	tbl, err := runOne(tiny(), Figure8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +168,7 @@ func TestFigure8(t *testing.T) {
 }
 
 func TestTable2WithinPaperBand(t *testing.T) {
-	tbl, err := Table2(tiny())
+	tbl, err := runOne(tiny(), Table2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +186,7 @@ func TestTable2WithinPaperBand(t *testing.T) {
 }
 
 func TestTable3MatchesPaper(t *testing.T) {
-	tbl, err := Table3(tiny())
+	tbl, err := runOne(tiny(), Table3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +199,7 @@ func TestTable3MatchesPaper(t *testing.T) {
 }
 
 func TestTable4(t *testing.T) {
-	tbl, err := Table4(tiny())
+	tbl, err := runOne(tiny(), Table4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +209,7 @@ func TestTable4(t *testing.T) {
 }
 
 func TestTable4Measured(t *testing.T) {
-	tbl, err := Table4Measured(tiny())
+	tbl, err := runOne(tiny(), Table4Measured)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +258,7 @@ func TestOwnerAlternation(t *testing.T) {
 }
 
 func TestAblationHistoryInterval(t *testing.T) {
-	tbl, err := AblationHistoryInterval(Options{Scale: 0.2, Seed: 1})
+	tbl, err := runOne(Options{Scale: 0.2, Seed: 1}, AblationHistoryInterval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +275,7 @@ func TestAblationHistoryInterval(t *testing.T) {
 }
 
 func TestAblationMetaCache(t *testing.T) {
-	tbl, err := AblationMetaCache(tiny())
+	tbl, err := runOne(tiny(), AblationMetaCache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +294,7 @@ func TestAblationMetaCache(t *testing.T) {
 }
 
 func TestAblationCoalescing(t *testing.T) {
-	tbl, err := AblationCoalescing(tiny())
+	tbl, err := runOne(tiny(), AblationCoalescing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +314,7 @@ func TestAblationCoalescing(t *testing.T) {
 }
 
 func TestAblationStopLoss(t *testing.T) {
-	tbl, err := AblationStopLoss(tiny())
+	tbl, err := runOne(tiny(), AblationStopLoss)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +332,7 @@ func TestAblationStopLoss(t *testing.T) {
 }
 
 func TestAblationReadOverlap(t *testing.T) {
-	tbl, err := AblationReadOverlap(tiny())
+	tbl, err := runOne(tiny(), AblationReadOverlap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +345,7 @@ func TestAblationReadOverlap(t *testing.T) {
 }
 
 func TestStorage(t *testing.T) {
-	tbl, err := Storage(tiny())
+	tbl, err := runOne(tiny(), Storage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +382,7 @@ func TestStorage(t *testing.T) {
 }
 
 func TestAblationReplacement(t *testing.T) {
-	tbl, err := AblationReplacement(tiny())
+	tbl, err := runOne(tiny(), AblationReplacement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +401,7 @@ func TestAblationReplacement(t *testing.T) {
 }
 
 func TestAblationMultiSubtree(t *testing.T) {
-	tbl, err := AblationMultiSubtree(Options{Scale: 0.1, Seed: 1})
+	tbl, err := runOne(Options{Scale: 0.1, Seed: 1}, AblationMultiSubtree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"amnt/internal/sim"
 	"amnt/internal/stats"
 	"amnt/internal/workload"
 )
@@ -14,40 +15,39 @@ var storageProtocols = []string{"leaf", "strict", "plp", "triad", "anubis", "bmf
 // Write-heavy mixes (A, F) are exactly where crash-consistent
 // metadata persistence hurts, and where AMNT's fast subtree pays off;
 // read-dominated mixes (B, C) show which protocols tax reads too.
-func Storage(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	o.logf("Storage: YCSB-style in-memory store mixes")
+var Storage = Driver{Name: "storage", Plan: func(o Options) Plan {
 	suite := workload.YCSB()
-	rows, err := o.normalizedRows("storage", "single", storageProtocols, singles(suite))
-	if err != nil {
-		return nil, err
+	sets := singles(suite)
+	return Plan{
+		Cells: normalizedCells("storage", "single", storageProtocols, sets),
+		Render: func(res []sim.Result) []*stats.Table {
+			t := stats.NewTable("In-memory storage (YCSB mixes) — normalized cycles (lower is better)",
+				append([]string{"mix"}, storageProtocols...)...)
+			perProto := make(map[string][]float64)
+			var amntVsAnubis []float64
+			for i, r := range o.normRows(res, storageProtocols, sets) {
+				row := []interface{}{suite[i].Name}
+				for _, p := range storageProtocols {
+					row = append(row, r.norm[p])
+					perProto[p] = append(perProto[p], r.norm[p])
+				}
+				t.AddRow(row...)
+				if r.norm["anubis"] > 1 {
+					amntVsAnubis = append(amntVsAnubis, 1-(r.norm["amnt"]-1)/(r.norm["anubis"]-1))
+				}
+			}
+			row := []interface{}{"mean"}
+			for _, p := range storageProtocols {
+				row = append(row, stats.Mean(perProto[p]))
+			}
+			t.AddRow(row...)
+			if len(amntVsAnubis) > 0 {
+				t.AddNote("amnt cuts the state-of-the-art's (anubis) overhead by %.0f%% on average across mixes", 100*stats.Mean(amntVsAnubis))
+			}
+			t.AddNote("paper abstract: \"a 41%% reduction in execution overhead on average versus the state-of-the-art\" for in-memory storage")
+			t.AddNote("battery matches volatile at runtime but requires provisioned flush energy (see ablations)")
+			t.AddNote("indirect (ProMT/Bo-Tree-style) pays a membership fetch before every access — visible even on the read-only mix (§7.3)")
+			return []*stats.Table{t}
+		},
 	}
-	t := stats.NewTable("In-memory storage (YCSB mixes) — normalized cycles (lower is better)",
-		append([]string{"mix"}, storageProtocols...)...)
-	perProto := make(map[string][]float64)
-	var amntVsAnubis []float64
-	for i, spec := range suite {
-		norm := rows[i].norm
-		row := []interface{}{spec.Name}
-		for _, p := range storageProtocols {
-			row = append(row, norm[p])
-			perProto[p] = append(perProto[p], norm[p])
-		}
-		t.AddRow(row...)
-		if norm["anubis"] > 1 {
-			amntVsAnubis = append(amntVsAnubis, 1-(norm["amnt"]-1)/(norm["anubis"]-1))
-		}
-	}
-	row := []interface{}{"mean"}
-	for _, p := range storageProtocols {
-		row = append(row, stats.Mean(perProto[p]))
-	}
-	t.AddRow(row...)
-	if len(amntVsAnubis) > 0 {
-		t.AddNote("amnt cuts the state-of-the-art's (anubis) overhead by %.0f%% on average across mixes", 100*stats.Mean(amntVsAnubis))
-	}
-	t.AddNote("paper abstract: \"a 41%% reduction in execution overhead on average versus the state-of-the-art\" for in-memory storage")
-	t.AddNote("battery matches volatile at runtime but requires provisioned flush energy (see ablations)")
-	t.AddNote("indirect (ProMT/Bo-Tree-style) pays a membership fetch before every access — visible even on the read-only mix (§7.3)")
-	return t, nil
-}
+}}

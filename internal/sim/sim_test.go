@@ -431,15 +431,24 @@ func TestMachineStepNoAllocs(t *testing.T) {
 	}
 }
 
+// benchAccesses is the fixed work of one simulator benchmark op: the
+// accesses it steps or replays from the warm point. Every op repeats
+// the same accesses, so two builds time the same work whatever b.N
+// each one picks.
+const benchAccesses = 50_000
+
 // BenchmarkMachineStep reports host time and heap allocations per
-// simulated access, per protocol.
+// benchAccesses steps of a warm machine, per protocol.
 func BenchmarkMachineStep(b *testing.B) {
 	for _, protocol := range []string{"volatile", "leaf", "strict", "anubis", "bmf", "amnt", "amnt-multi"} {
 		b.Run(protocol, func(b *testing.B) {
-			m := steadyMachine(b, protocol)
 			b.ReportAllocs()
-			b.ResetTimer()
-			stepN(b, m, b.N)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := steadyMachine(b, protocol)
+				b.StartTimer()
+				stepN(b, m, benchAccesses)
+			}
 		})
 	}
 }

@@ -607,6 +607,61 @@ func TestStoreQuarantineExhaustsAttempts(t *testing.T) {
 	}
 }
 
+// TestStoreHealStopsAtAttemptLimit: when every heal fails — the first,
+// in-place attempt on a tampered device, every later one on a corrupt
+// checkpoint image — the heal loop stops after healMaxAttempts and the
+// shard stays quarantined.
+func TestStoreHealStopsAtAttemptLimit(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 2
+	cfg.HealBackoff = time.Millisecond
+	cfg.CheckpointDir = t.TempDir()
+	s := mustOpen(t, cfg)
+	ctx := context.Background()
+	for key := uint64(0); key < 64; key++ {
+		if err := s.Put(ctx, key, stamp(key)); err != nil {
+			t.Fatalf("put %d: %v", key, err)
+		}
+	}
+	if err := s.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	// Shard 1's worker is idle until its next request, and that
+	// request's send orders this damage before the worker's next step.
+	sh, err := s.lookup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs := sh.dev.Indices(scm.Counter)
+	if len(idxs) == 0 || !sh.dev.TamperByte(scm.Counter, idxs[0], 7, 0x11) {
+		t.Fatal("tamper failed")
+	}
+	if err := os.WriteFile(sh.ckpt, []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Quarantine(ctx, 1); err != nil {
+		t.Fatalf("quarantine: %v", err)
+	}
+	// The backoff doubles from 1 ms, so the last allowed attempt is due
+	// about 255 ms after the quarantine and one more would follow 256
+	// ms later.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().Shards[1].counts[cHealAttempts] < healMaxAttempts {
+		if time.Now().After(deadline) {
+			t.Fatalf("heal attempts stalled: %+v", s.Stats().Shards[1])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(time.Second)
+	ss := s.Stats().Shards[1]
+	if got := ss.counts[cHealAttempts]; got != healMaxAttempts {
+		t.Fatalf("heal_attempts = %d, want %d", got, healMaxAttempts)
+	}
+	if ss.Health != "quarantined" || ss.counts[cHeals] != 0 {
+		t.Fatalf("shard healed on tampered media and a corrupt image: %+v", ss)
+	}
+}
+
 // TestStoreServeDuringRecoveryMatrix is the chaos-matrix extension
 // for online recovery: for every protocol × fault kind, concurrent
 // clients hammer the store while every shard rebuilds online, with

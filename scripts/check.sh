@@ -228,6 +228,13 @@ mode_bench() {
 	# Simulator step, front-end and replay benchmarks (smoke).
 	(set -o pipefail; go test ./internal/sim -run '^$' -bench 'BenchmarkMachineStep|BenchmarkFrontEnd|BenchmarkReplay' -benchtime 1x \
 		| tee artifacts/sim-step-bench.txt)
+	# amntbench over every driver (one grid, small scale) exits zero
+	# and records each distinct front end once: no frontend/ job label
+	# may be done twice.
+	(set -o pipefail; go run ./cmd/amntbench -all -scale 0.02 -parallel 2 -v -format json \
+		2>&1 >artifacts/amntbench-all.json | grep -o 'done   frontend/[^ ]*' | sort | uniq -d \
+		| tee artifacts/amntbench-dup-frontends.txt)
+	test ! -s artifacts/amntbench-dup-frontends.txt
 	# Ageing a kernel from scratch vs copying the shared template (smoke).
 	(set -o pipefail; go test ./internal/kernel -run '^$' -bench BenchmarkAgeKernel -benchtime 1x \
 		| tee artifacts/age-kernel-bench.txt)
