@@ -75,6 +75,56 @@ func TestArchSimulatorImportsNoServing(t *testing.T) {
 	checkNoImports(t, simulatorPackages, servingPackages, "serving package")
 }
 
+// TestArchServingImportsNoSimulator: the serving side checks its
+// recoveries with internal/faults (DESIGN.md §8) and never links the
+// simulated machine or the experiment drivers that run it.
+func TestArchServingImportsNoSimulator(t *testing.T) {
+	checkNoImports(t, servingPackages, []string{"sim", "cpu", "kernel", "workload", "experiments"}, "simulator package")
+}
+
+// TestArchRecoverOnlyInFaultsAndStore: every measured recovery goes
+// through the recovery checker (DESIGN.md §8), so outside tests and
+// examples/ no call selects .Recover or .BeginRecovery except in
+// internal/faults (the checker) and internal/store (the serving
+// shard's online recovery). Passing a Recover method as a value is not
+// a call. The nested bench module is its own module and is not walked.
+func TestArchRecoverOnlyInFaultsAndStore(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			switch {
+			case path == "internal/faults" || path == "internal/store" || path == "examples" || path == "bench",
+				name == "testdata", name != "." && strings.HasPrefix(name, "."):
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Recover" || sel.Sel.Name == "BeginRecovery") {
+					t.Errorf("%s: calls .%s; recover through faults.CheckRecovery", fset.Position(call.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestArchFrontEndImportsNoProtocol: the cache hierarchy is the
 // machine's protocol-independent front end (DESIGN.md §2.1), so
 // internal/cpu reaches no protocol code; that is what lets one recorded

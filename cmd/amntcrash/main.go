@@ -80,9 +80,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var counters faults.Counters
+	var counters experiments.Counters
 	trace := telemetry.NewTracer(0)
-	opts := faults.SweepOptions{
+	opts := experiments.SweepOptions{
 		Protocols:    protoList,
 		Kinds:        kindList,
 		Points:       *points,
@@ -133,7 +133,7 @@ func main() {
 	}
 
 	start := time.Now()
-	matrix, err := faults.Sweep(opts)
+	matrix, err := experiments.Sweep(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "amntcrash:", err)
 		os.Exit(1)

@@ -12,12 +12,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"amnt/internal/faults"
 	"amnt/internal/sim"
 	"amnt/internal/telemetry"
 	"amnt/internal/workload"
@@ -33,7 +35,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		memGB     = flag.Int("mem-gb", 8, "SCM capacity in GiB")
 		churn     = flag.Int("churn", 40000, "allocator prefragmentation churn (0 = pristine)")
-		crash     = flag.Bool("crash", false, "crash after the run and measure recovery")
+		crash     = flag.Bool("crash", false, "crash after the run, recover, and print the recovery checker's verdict")
 		saveCkpt  = flag.String("save-checkpoint", "", "write a machine checkpoint after the run")
 		loadCkpt  = flag.String("load-checkpoint", "", "restore a machine checkpoint before the run")
 		statsFile = flag.String("stats-file", "", "also write gem5-style stats to this file")
@@ -176,18 +178,19 @@ func main() {
 
 	if *crash {
 		m.Crash()
-		rep, err := m.Controller().Recover(m.Now())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "amntsim: recovery:", err)
-			os.Exit(1)
-		}
+		oc := faults.CheckRecovery(context.Background(), m.Controller(), m.Now(), faults.CheckOptions{})
+		rep := oc.Report
 		fmt.Printf("recovery:         counters=%d data=%d nodes=%d shadow=%d stale=%.4f\n",
 			rep.CounterReads, rep.DataReads, rep.NodeWrites, rep.ShadowReads, rep.StaleFraction)
-		if err := m.Controller().VerifyAll(m.Now()); err != nil {
-			fmt.Fprintln(os.Stderr, "amntsim: post-recovery verify:", err)
+		fmt.Printf("verdict:          %s\n", oc.Status)
+		if oc.Status != faults.StatusRecovered {
+			for _, msg := range append([]string{oc.RecoveryErr, oc.VerifyErr}, oc.Violations...) {
+				if msg != "" {
+					fmt.Fprintln(os.Stderr, "amntsim: recovery:", msg)
+				}
+			}
 			os.Exit(1)
 		}
-		fmt.Println("post-recovery integrity: OK")
 	}
 
 	// Telemetry outputs are written last so crash/recovery and

@@ -24,8 +24,9 @@
 //	internal/workload       synthetic PARSEC/SPEC traces
 //	internal/sim            whole-machine simulator
 //	internal/recovery       analytic recovery-time model (Table 4)
-//	internal/experiments    one driver per paper figure/table + ablations
-//	internal/faults         fault injection + recovery invariant checker
+//	internal/experiments    one driver per paper figure/table + ablations,
+//	                        the crash cell and the crash matrix
+//	internal/faults         fault model, injector, recovery checker
 //	internal/telemetry      metrics, time series, trace, HTTP introspection
 //	internal/telemetry/span per-request spans and latency attribution
 //	internal/store          sharded concurrent KV store over MEE shards
@@ -34,12 +35,12 @@
 //	internal/cluster        consistent-hash ring, membership, migration
 //	cmd/amntsim             run one workload × protocol
 //	cmd/amntbench           regenerate the paper's evaluation
-//	cmd/amntrecover         recovery-time explorer
+//	cmd/amntrecover         analytic recovery-time explorer
 //	cmd/amntcrash           crash matrix sweep
 //	cmd/amntd               HTTP serving daemon over the sharded store
 //	cmd/amntload            concurrent load generator for amntd
 //	cmd/amntproxy           stateless cluster router in front of amntd nodes
-//	examples/...            seven runnable walkthroughs, among them the
+//	examples/...            six runnable walkthroughs, among them the
 //	                        SCM+DRAM hybrid (§7.3) and the SGX-style tree (§2.1)
 //
 // The benchmark harness in bench_test.go regenerates every table and

@@ -3,7 +3,8 @@
 // recovery downtime. This example sweeps the level for a workload,
 // measures run time and subtree hit rate in simulation, combines them
 // with the analytic recovery model at a target memory size, and
-// prints the resulting trade-off frontier with a recommendation.
+// prints the resulting trade-off frontier with recovery.RecommendLevel's
+// pick: the shallowest level whose recovery fits the budget.
 package main
 
 import (
@@ -30,13 +31,8 @@ func main() {
 		fmt.Sprintf("AMNT subtree level sweep (deepsjeng; recovery modeled at 16 TB, budget %v)", budget),
 		"level", "regions", "cycles", "subtree hit", "recovery", "in budget")
 
-	type point struct {
-		level  int
-		cycles uint64
-		rec    time.Duration
-	}
-	var frontier []point
-	for level := 2; level <= 6; level++ {
+	const maxLevel = 6
+	for level := 2; level <= maxLevel; level++ {
 		cfg := sim.DefaultConfig()
 		cfg.PrefragmentChurn = 40_000
 		policy := core.New(core.WithLevel(level))
@@ -52,20 +48,14 @@ func main() {
 		table.AddRow(level, policy.Regions(), res.Cycles,
 			fmt.Sprintf("%.1f%%", 100*res.SubtreeHitRate),
 			rec.Round(time.Microsecond).String(), in)
-		frontier = append(frontier, point{level, res.Cycles, rec})
 	}
 	fmt.Println(table.Render())
 
-	best := -1
-	for i, p := range frontier {
-		if p.rec <= budget && (best < 0 || p.cycles < frontier[best].cycles) {
-			best = i
-		}
-	}
-	if best < 0 {
+	level := model.RecommendLevel(uint64(deployedTB), budget, maxLevel)
+	if level == 0 {
 		fmt.Println("no level meets the budget; deploy strict persistence or shrink memory per node")
 		return
 	}
-	fmt.Printf("recommendation: level %d — fastest configuration whose recovery (%v) fits the %v budget\n",
-		frontier[best].level, frontier[best].rec.Round(time.Microsecond), budget)
+	fmt.Printf("recommendation: level %d — shallowest level whose recovery (%v) fits the %v budget\n",
+		level, model.AMNT(uint64(deployedTB), level).Round(time.Microsecond), budget)
 }

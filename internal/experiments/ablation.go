@@ -6,6 +6,7 @@ import (
 
 	"amnt/internal/cache"
 	"amnt/internal/core"
+	"amnt/internal/faults"
 	"amnt/internal/mee"
 	"amnt/internal/scm"
 	"amnt/internal/sim"
@@ -158,7 +159,9 @@ var AblationCoalescing = Driver{Name: "ablation: coalescing", Plan: func(o Optio
 }}
 
 // AblationStopLoss sweeps Osiris's stop-loss interval: runtime
-// improves with laziness while recovery replay work grows.
+// improves with laziness while recovery replay work grows. It reads
+// the run's device stats before the crash, so it crashes the machine
+// it ran and hands recovery to the checker rather than to RunCell.
 var AblationStopLoss = Driver{Name: "ablation: stop-loss", Plan: func(o Options) Plan {
 	spec, _ := workload.ByName("xz")
 	spec = spec.Scale(o.Scale)
@@ -167,7 +170,7 @@ var AblationStopLoss = Driver{Name: "ablation: stop-loss", Plan: func(o Options)
 		res       sim.Result
 		persists  uint64
 		dataReads uint64
-		recovered string
+		verdict   string
 	}
 	cells := make([]cell, len(ns))
 	jobs := make([]Job, len(ns))
@@ -184,12 +187,8 @@ var AblationStopLoss = Driver{Name: "ablation: stop-loss", Plan: func(o Options)
 				}
 				persists := m.Controller().Device().Stats().RegionWrites[scm.Counter].Value()
 				m.Crash()
-				rep, rerr := m.Controller().Recover(m.Now())
-				recovered := "yes"
-				if rerr != nil {
-					recovered = "no"
-				}
-				cells[i] = cell{res, persists, rep.DataReads, recovered}
+				oc := faults.CheckRecovery(ctx, m.Controller(), m.Now(), faults.CheckOptions{})
+				cells[i] = cell{res, persists, oc.Report.DataReads, oc.Status.String()}
 				return nil
 			},
 		}
@@ -198,10 +197,10 @@ var AblationStopLoss = Driver{Name: "ablation: stop-loss", Plan: func(o Options)
 		Jobs: jobs,
 		Render: func([]sim.Result) []*stats.Table {
 			t := stats.NewTable("Ablation — Osiris stop-loss interval (xz, write-intensive)",
-				"N", "cycles", "counter persists", "recovery data reads", "recovered?")
+				"N", "cycles", "counter persists", "recovery data reads", "verdict")
 			for i, n := range ns {
 				c := cells[i]
-				t.AddRow(n, c.res.Cycles, c.persists, c.dataReads, c.recovered)
+				t.AddRow(n, c.res.Cycles, c.persists, c.dataReads, c.verdict)
 			}
 			t.AddNote("N=1 degenerates to leaf persistence; larger N trades counter write traffic for recovery replay work")
 			return []*stats.Table{t}

@@ -1,4 +1,4 @@
-package faults
+package experiments
 
 import (
 	"context"
@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"amnt/internal/cpu"
-	"amnt/internal/experiments"
+	"amnt/internal/faults"
 	"amnt/internal/mee"
 	"amnt/internal/sim"
 	"amnt/internal/stats"
@@ -23,33 +23,33 @@ import (
 
 // CellSpec describes one crash/recovery cell: run one protocol's
 // machine to a crash cycle, inject one fault kind, recover, check.
+// The crash matrix (amntcrash) and Table 4 (measured) are made of
+// cells (DESIGN.md §8.2).
 type CellSpec struct {
 	// Protocol is a registered policy name ("amnt++" also enables the
 	// modified kernel, as everywhere else).
 	Protocol string
 	// Kind is the fault to inject at the crash point.
-	Kind Kind
+	Kind faults.Kind
 	// CrashCycle is the simulated cycle to fail at (0 = after the full
 	// run — a crash at quiescence).
 	CrashCycle uint64
-	// MachineSeed drives the machine and workload; cells that share it
-	// see the identical access stream up to their crash cycle.
-	MachineSeed int64
+	// Machine is the simulated machine; the zero value is CrashMachine.
+	// Cells that share it see the identical access stream up to their
+	// crash cycle.
+	Machine sim.Config
 	// RNGSeed drives the fault choice (which entry tears, which bit
 	// flips); the sweep derives it per cell.
 	RNGSeed int64
 	// SubtreeLevel is AMNT's configured level (default 3).
 	SubtreeLevel int
-	// MemoryBytes sizes the SCM device (default 32 MiB — small enough
-	// that thousands of cells sweep in minutes).
-	MemoryBytes uint64
 	// Workload overrides the default fill trace (zero Accesses = use
 	// the default).
 	Workload workload.Spec
-	// Deadline bounds recovery wall time (0 = DefaultDeadline).
+	// Deadline bounds recovery wall time (0 = faults.DefaultDeadline).
 	Deadline time.Duration
 	// PlainCrashMayFail marks a protocol that is not crash consistent
-	// by design (volatile); see CheckOptions.
+	// by design (volatile); see faults.CheckOptions.
 	PlainCrashMayFail bool
 	// Factory, when non-nil, constructs the policy instead of the mee
 	// registry — the hook tests use to run adversarial (panicking,
@@ -62,25 +62,34 @@ type CellSpec struct {
 	Emit func(telemetry.Event)
 }
 
-// fillSpec is the default cell workload: enough dirty state across
-// half the device that every crash point finds in-flight metadata.
-func fillSpec(memBytes uint64) workload.Spec {
+// CrashMachine is the crash matrix's machine: a 32 MiB device (small
+// enough that thousands of cells sweep in minutes) behind a
+// deliberately tiny cache hierarchy (4 kB L1, 16 kB L2), so dirty
+// evictions reach the device from the first few hundred accesses on.
+// The paper-sized hierarchies absorb a short fill trace almost
+// entirely, which would leave early crash points with an empty device
+// — nothing to tear, drop, or rot.
+func CrashMachine() sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.MemoryBytes = 32 << 20
+	cfg.Core = cpu.Config{
+		L1: cpu.LevelConfig{SizeBytes: 4 << 10, Assoc: 4, HitCycles: 1},
+		L2: cpu.LevelConfig{SizeBytes: 16 << 10, Assoc: 8, HitCycles: 12},
+	}
+	return cfg
+}
+
+// fillSpec is the cell workload: enough dirty state across half the
+// device that every crash point finds in-flight metadata (accesses 0 =
+// the default 24 000).
+func fillSpec(memBytes, accesses uint64) workload.Spec {
+	if accesses == 0 {
+		accesses = 24_000
+	}
 	return workload.Spec{
 		Name: "fill", Suite: "bench", FootprintBytes: memBytes / 2,
 		WriteRatio: 0.6, GapMean: 2, Model: workload.Chase,
-		Accesses: 24_000,
-	}
-}
-
-// cellCore is the crash cell's cache hierarchy: deliberately tiny
-// (4 kB L1, 16 kB L2) so dirty evictions reach the device from the
-// first few hundred accesses on. The paper-sized hierarchies absorb a
-// short fill trace almost entirely, which would leave early crash
-// points with an empty device — nothing to tear, drop, or rot.
-func cellCore() cpu.Config {
-	return cpu.Config{
-		L1: cpu.LevelConfig{SizeBytes: 4 << 10, Assoc: 4, HitCycles: 1},
-		L2: cpu.LevelConfig{SizeBytes: 16 << 10, Assoc: 8, HitCycles: 12},
+		Accesses: accesses,
 	}
 }
 
@@ -95,11 +104,11 @@ type CellResult struct {
 	Status string `json:"status"`
 	// Injections/Resolutions record what was done to the device and
 	// what became of it (parallel slices).
-	Injections  []Injection `json:"injections,omitempty"`
-	Resolutions []string    `json:"resolutions,omitempty"`
-	Violations  []string    `json:"violations,omitempty"`
-	RecoveryErr string      `json:"recovery_error,omitempty"`
-	VerifyErr   string      `json:"verify_error,omitempty"`
+	Injections  []faults.Injection `json:"injections,omitempty"`
+	Resolutions []string           `json:"resolutions,omitempty"`
+	Violations  []string           `json:"violations,omitempty"`
+	RecoveryErr string             `json:"recovery_error,omitempty"`
+	VerifyErr   string             `json:"verify_error,omitempty"`
 	// RecoveryCycles is the protocol's simulated recovery time.
 	RecoveryCycles uint64 `json:"recovery_cycles,omitempty"`
 	// Error records a harness-level failure (the run itself erroring
@@ -124,24 +133,20 @@ func RunCell(ctx context.Context, spec CellSpec) (out CellResult) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			out.Status = StatusViolation.String()
+			out.Status = faults.StatusViolation.String()
 			out.Violations = append(out.Violations, fmt.Sprintf("cell panicked: %v", r))
 			emitViolations(spec, out.CrashCycle, out.Violations[len(out.Violations)-1:])
 		}
 	}()
 
-	memBytes := spec.MemoryBytes
-	if memBytes == 0 {
-		memBytes = 32 << 20
-	}
 	level := spec.SubtreeLevel
 	if level == 0 {
 		level = 3
 	}
-	cfg := sim.DefaultConfig()
-	cfg.MemoryBytes = memBytes
-	cfg.Seed = spec.MachineSeed
-	cfg.Core = cellCore()
+	cfg := spec.Machine
+	if cfg == (sim.Config{}) {
+		cfg = CrashMachine()
+	}
 	if spec.Protocol == "amnt++" {
 		cfg.AMNTPlusPlusLevel = level
 	}
@@ -153,22 +158,22 @@ func RunCell(ctx context.Context, spec CellSpec) (out CellResult) {
 		var perr error
 		policy, perr = sim.PolicyByName(spec.Protocol, level)
 		if perr != nil {
-			out.Status = StatusViolation.String()
+			out.Status = faults.StatusViolation.String()
 			out.Error = perr.Error()
 			return out
 		}
 	}
 	wspec := spec.Workload
 	if wspec.Accesses == 0 {
-		wspec = fillSpec(memBytes)
+		wspec = fillSpec(cfg.MemoryBytes, 0)
 	}
 	m := sim.NewMachine(cfg, policy, []workload.Spec{wspec})
 
-	inj := NewInjector(m.Controller())
+	inj := faults.NewInjector(m.Controller())
 	inj.Attach()
 	if _, _, err := m.RunUntil(ctx, spec.CrashCycle); err != nil {
 		inj.Detach()
-		out.Status = StatusViolation.String()
+		out.Status = faults.StatusViolation.String()
 		out.Error = err.Error()
 		out.Violations = append(out.Violations, "run failed before the crash point: "+err.Error())
 		emitViolations(spec, m.Now(), out.Violations[len(out.Violations)-1:])
@@ -198,7 +203,7 @@ func RunCell(ctx context.Context, spec CellSpec) (out CellResult) {
 		}
 	}
 
-	oc := CheckRecovery(ctx, m.Controller(), now, CheckOptions{
+	oc := faults.CheckRecovery(ctx, m.Controller(), now, faults.CheckOptions{
 		Injections:        injections,
 		Deadline:          spec.Deadline,
 		PlainCrashMayFail: spec.PlainCrashMayFail,
@@ -233,14 +238,14 @@ type SweepOptions struct {
 	// Protocols to sweep (default mee.Registered()).
 	Protocols []string
 	// Kinds to inject (default all).
-	Kinds []Kind
+	Kinds []faults.Kind
 	// Points is the number of crash points per protocol, spread evenly
 	// over that protocol's full-run cycle count (default 8).
 	Points int
 	// Seed drives machines and (via per-cell derivation) fault
 	// choices; the matrix is a pure function of the options.
 	Seed int64
-	// MemoryBytes sizes each cell's device (default 32 MiB).
+	// MemoryBytes sizes each cell's device (0 = CrashMachine's 32 MiB).
 	MemoryBytes uint64
 	// Accesses overrides the default workload length (0 = default).
 	Accesses uint64
@@ -254,7 +259,7 @@ type SweepOptions struct {
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 	// Progress receives structured engine events.
-	Progress func(experiments.Progress)
+	Progress func(Progress)
 	// Context cancels the sweep.
 	Context context.Context
 	// Trace, when non-nil, receives EvFault/EvInvariantViolation
@@ -278,16 +283,13 @@ func (o SweepOptions) withDefaults() SweepOptions {
 		o.Protocols = mee.Registered()
 	}
 	if len(o.Kinds) == 0 {
-		o.Kinds = Kinds()
+		o.Kinds = faults.Kinds()
 	}
 	if o.Points <= 0 {
 		o.Points = 8
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MemoryBytes == 0 {
-		o.MemoryBytes = 32 << 20
 	}
 	if o.SubtreeLevel == 0 {
 		o.SubtreeLevel = 3
@@ -310,17 +312,9 @@ func (o SweepOptions) fragile(proto string) bool {
 	return false
 }
 
-func (o SweepOptions) workload() workload.Spec {
-	spec := fillSpec(o.MemoryBytes)
-	if o.Accesses != 0 {
-		spec.Accesses = o.Accesses
-	}
-	return spec
-}
-
 // cellSeed derives a cell's fault rng seed from its coordinates, so
 // every cell draws independent — but reproducible — choices.
-func cellSeed(seed int64, proto string, point int, kind Kind) int64 {
+func cellSeed(seed int64, proto string, point int, kind faults.Kind) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d/%s/%d/%s", seed, proto, point, kind)
 	return int64(h.Sum64())
@@ -348,7 +342,7 @@ type Matrix struct {
 func (m *Matrix) Violations() []string {
 	var out []string
 	for _, c := range m.Cells {
-		if c.Status != StatusViolation.String() {
+		if c.Status != faults.StatusViolation.String() {
 			continue
 		}
 		for _, v := range c.Violations {
@@ -381,7 +375,7 @@ func (m *Matrix) Render() *stats.Table {
 			perCell[c.Protocol] = make(map[string][2]int)
 		}
 		v := perCell[c.Protocol][c.Kind]
-		if c.Status == StatusViolation.String() {
+		if c.Status == faults.StatusViolation.String() {
 			v[1]++
 		} else {
 			v[0]++
@@ -432,9 +426,9 @@ func (c *Counters) observe(res CellResult) {
 	c.Cells.Add(1)
 	c.Faults.Add(uint64(len(res.Injections)))
 	switch res.Status {
-	case StatusRecovered.String():
+	case faults.StatusRecovered.String():
 		c.Recovered.Add(1)
-	case StatusDetected.String():
+	case faults.StatusDetected.String():
 		c.Detected.Add(1)
 	default:
 		c.Violations.Add(1)
@@ -451,27 +445,31 @@ func Sweep(o SweepOptions) (*Matrix, error) {
 	o = o.withDefaults()
 	protos := append([]string(nil), o.Protocols...)
 	sort.Strings(protos)
-	eng := experiments.NewEngine(experiments.Options{Parallel: o.Parallel, Progress: o.Progress})
-	wspec := o.workload()
+	eng := NewEngine(Options{Parallel: o.Parallel, Progress: o.Progress})
+	machine := CrashMachine()
+	machine.Seed = o.Seed
+	if o.MemoryBytes != 0 {
+		machine.MemoryBytes = o.MemoryBytes
+	}
+	wspec := fillSpec(machine.MemoryBytes, o.Accesses)
 
 	// Phase 1: probe each protocol's full-run length so crash points
 	// land at meaningful fractions of its own timeline (protocols run
 	// at very different speeds under the same trace).
 	totals := make([]uint64, len(protos))
-	probes := make([]experiments.Job, len(protos))
+	probes := make([]Job, len(protos))
 	for i, proto := range protos {
 		i, proto := i, proto
-		probes[i] = experiments.Job{
+		probes[i] = Job{
 			Label: "probe/" + proto,
 			Fn: func(ctx context.Context) error {
 				res := RunCell(ctx, CellSpec{
 					Protocol:          proto,
-					Kind:              KindCrash,
+					Kind:              faults.KindCrash,
 					CrashCycle:        0, // full run, crash at quiescence
-					MachineSeed:       o.Seed,
-					RNGSeed:           cellSeed(o.Seed, proto, -1, KindCrash),
+					Machine:           machine,
+					RNGSeed:           cellSeed(o.Seed, proto, -1, faults.KindCrash),
 					SubtreeLevel:      o.SubtreeLevel,
-					MemoryBytes:       o.MemoryBytes,
 					Workload:          wspec,
 					Deadline:          o.Deadline,
 					PlainCrashMayFail: o.fragile(proto),
@@ -513,7 +511,7 @@ func Sweep(o SweepOptions) (*Matrix, error) {
 		defer emitMu.Unlock()
 		o.Trace.Emit(e)
 	}
-	var jobs []experiments.Job
+	var jobs []Job
 	for pi, proto := range protos {
 		for point := 0; point < o.Points; point++ {
 			// Crash cycles at total*(i+1)/(points+1): strictly inside the
@@ -528,17 +526,16 @@ func Sweep(o SweepOptions) (*Matrix, error) {
 					Protocol:          proto,
 					Kind:              kind,
 					CrashCycle:        crash,
-					MachineSeed:       o.Seed,
+					Machine:           machine,
 					RNGSeed:           cellSeed(o.Seed, proto, point, kind),
 					SubtreeLevel:      o.SubtreeLevel,
-					MemoryBytes:       o.MemoryBytes,
 					Workload:          wspec,
 					Deadline:          o.Deadline,
 					PlainCrashMayFail: o.fragile(proto),
 					Factory:           o.factory(proto),
 					Emit:              emit,
 				}
-				jobs = append(jobs, experiments.Job{
+				jobs = append(jobs, Job{
 					Label: fmt.Sprintf("cell/%s/%s@%d", proto, kind, crash),
 					Fn: func(ctx context.Context) error {
 						res := RunCell(ctx, spec)
@@ -556,9 +553,9 @@ func Sweep(o SweepOptions) (*Matrix, error) {
 	for _, c := range m.Cells {
 		s := m.Summary[c.Protocol]
 		switch c.Status {
-		case StatusRecovered.String():
+		case faults.StatusRecovered.String():
 			s.Recovered++
-		case StatusDetected.String():
+		case faults.StatusDetected.String():
 			s.Detected++
 		default:
 			s.Violations++

@@ -236,11 +236,10 @@ func (c runCell) frontEndLabel() string {
 // shared run-cache. Run builds one per run of drivers, so baselines
 // dedupe across every selected driver.
 type Engine struct {
-	parallel    int
-	progress    func(Progress)
-	start       time.Time
-	slots       pool
-	cellTimeout time.Duration
+	parallel int
+	progress func(Progress)
+	start    time.Time
+	slots    pool
 
 	mu                                    sync.Mutex
 	cache                                 map[runKey]*cacheEntry
@@ -251,21 +250,20 @@ type Engine struct {
 	cbMu sync.Mutex // serializes progress callbacks
 }
 
-// NewEngine builds an engine from o's Parallel, Progress and
-// CellTimeout settings (Parallel <= 0 means GOMAXPROCS).
+// NewEngine builds an engine from o's Parallel and Progress settings
+// (Parallel <= 0 means GOMAXPROCS).
 func NewEngine(o Options) *Engine {
 	par := o.Parallel
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		parallel:    par,
-		progress:    o.Progress,
-		start:       time.Now(),
-		slots:       pool{free: par},
-		cellTimeout: o.CellTimeout,
-		cache:       make(map[runKey]*cacheEntry),
-		streams:     make(map[streamKey]*streamEntry),
+		parallel: par,
+		progress: o.Progress,
+		start:    time.Now(),
+		slots:    pool{free: par},
+		cache:    make(map[runKey]*cacheEntry),
+		streams:  make(map[streamKey]*streamEntry),
 	}
 }
 
@@ -385,13 +383,6 @@ func (e *Engine) execute(ctx context.Context, label string, urgent bool, fn func
 		defer release()
 		defer recovered(label, &err)
 		jctx := context.WithValue(ctx, slotKey{}, struct{}{})
-		if e.cellTimeout > 0 {
-			// Per-cell deadline: a wedged simulation fails its own job
-			// (RunContext polls the context) without stalling siblings.
-			var cancel context.CancelFunc
-			jctx, cancel = context.WithTimeout(jctx, e.cellTimeout)
-			defer cancel()
-		}
 		res, err = fn(jctx)
 	}()
 	wall := time.Since(start)

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"amnt/internal/sim"
 	"amnt/internal/workload"
@@ -342,33 +341,6 @@ func TestSharedEngineDedupesAcrossDrivers(t *testing.T) {
 	// Figure 5's baselines.
 	if cached < 3 {
 		t.Fatalf("cross-driver cache hits = %d, want >= 3", cached)
-	}
-}
-
-// TestCellTimeoutIsolatesHungJob gives the engine a per-cell deadline:
-// a job that blocks on its context must fail with DeadlineExceeded
-// while a sibling submitted in the same batch completes untouched.
-func TestCellTimeoutIsolatesHungJob(t *testing.T) {
-	e := NewEngine(Options{Parallel: 2, CellTimeout: 50 * time.Millisecond})
-	var sibling bool
-	err := e.Do(context.Background(),
-		Job{Label: "hung", Fn: func(ctx context.Context) error {
-			<-ctx.Done() // well-behaved job observing its own deadline
-			return ctx.Err()
-		}},
-		Job{Label: "quick", Fn: func(ctx context.Context) error {
-			sibling = true
-			return nil
-		}},
-	)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded from the hung cell", err)
-	}
-	if !strings.Contains(err.Error(), "hung") {
-		t.Fatalf("error does not name the hung job: %v", err)
-	}
-	if !sibling {
-		t.Fatal("sibling job did not complete alongside the timed-out one")
 	}
 }
 

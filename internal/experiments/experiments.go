@@ -14,11 +14,12 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
+	"amnt/internal/faults"
 	"amnt/internal/mee"
 	"amnt/internal/recovery"
 	"amnt/internal/sim"
@@ -58,11 +59,6 @@ type Options struct {
 	// EpochCycles is the telemetry sampling period in simulated cycles
 	// (0 = telemetry.DefaultEpochCycles).
 	EpochCycles uint64
-	// CellTimeout bounds each job's wall time (0 = unbounded). A job
-	// past its deadline fails with context.DeadlineExceeded; sibling
-	// jobs are unaffected. The fault-injection sweeps set it so one
-	// wedged protocol cell cannot stall a whole matrix.
-	CellTimeout time.Duration
 }
 
 // withDefaults fills the numeric defaults.
@@ -607,52 +603,40 @@ var Table4 = Driver{Name: "table 4", Plan: func(Options) Plan {
 }}
 
 // Table4Measured validates the analytic model's scaling with
-// functional recoveries on small simulated memories: crash a machine
-// mid-run and convert the measured recovery traffic to modeled time.
+// functional recoveries on small simulated memories: each row is one
+// crash cell (RunCell) at quiescence on the default core, its
+// measured recovery traffic converted to modeled time and its outcome
+// judged by the recovery checker.
 var Table4Measured = Driver{Name: "table 4 (measured)", Plan: func(o Options) Plan {
-	type combo struct {
-		memBytes uint64
-		proto    string
-	}
-	var combos []combo
-	for _, memBytes := range []uint64{64 << 20, 256 << 20} {
-		for _, proto := range []string{"leaf", "amnt", "anubis", "strict"} {
-			combos = append(combos, combo{memBytes, proto})
-		}
-	}
+	memories := []uint64{64 << 20, 256 << 20}
+	protocols := []string{"strict", "leaf", "osiris", "anubis", "bmf", "amnt", "amnt-multi"}
 	// Recovery needs the crashed machine, so these are engine jobs.
-	reports := make([]mee.RecoveryReport, len(combos))
-	jobs := make([]Job, len(combos))
-	for i, c := range combos {
-		jobs[i] = Job{
-			Label: fmt.Sprintf("table4measured/%s@%s", c.proto, byteString(c.memBytes)),
-			Fn: func(ctx context.Context) error {
-				cfg := sim.DefaultConfig()
-				cfg.MemoryBytes = c.memBytes
-				cfg.Seed = o.Seed
-				policy, err := sim.PolicyByName(c.proto, o.SubtreeLevel)
-				if err != nil {
-					return err
-				}
-				// Fixed-size fill (independent of Scale): the point is to
-				// populate enough dirty state that recovery has work.
-				spec := workload.Spec{
-					Name: "fill", Suite: "bench", FootprintBytes: c.memBytes / 2,
-					WriteRatio: 0.6, GapMean: 2, Model: workload.Chase,
-					Accesses: 60_000,
-				}
-				m := sim.NewMachine(cfg, policy, []workload.Spec{spec})
-				if _, err := m.RunContext(ctx); err != nil {
-					return err
-				}
-				m.Crash()
-				rep, err := m.Controller().Recover(m.Now())
-				if err != nil {
-					return fmt.Errorf("%s@%d: %w", c.proto, c.memBytes, err)
-				}
-				reports[i] = rep
-				return nil
-			},
+	cells := make([]CellResult, len(memories)*len(protocols))
+	var jobs []Job
+	for mi, memBytes := range memories {
+		for pi, proto := range protocols {
+			i := mi*len(protocols) + pi
+			jobs = append(jobs, Job{
+				Label: fmt.Sprintf("table4measured/%s@%s", proto, byteString(memBytes)),
+				Fn: func(ctx context.Context) error {
+					cfg := sim.DefaultConfig()
+					cfg.MemoryBytes = memBytes
+					cfg.Seed = o.Seed
+					cells[i] = RunCell(ctx, CellSpec{
+						Protocol:     proto,
+						Kind:         faults.KindCrash,
+						Machine:      cfg,
+						SubtreeLevel: o.SubtreeLevel,
+						// Fixed-size fill (independent of Scale): the point is
+						// to populate enough dirty state that recovery has work.
+						Workload: fillSpec(memBytes, 60_000),
+					})
+					if cells[i].Error != "" {
+						return errors.New(cells[i].Error)
+					}
+					return nil
+				},
+			})
 		}
 	}
 	return Plan{
@@ -660,13 +644,15 @@ var Table4Measured = Driver{Name: "table 4 (measured)", Plan: func(o Options) Pl
 		Render: func([]sim.Result) []*stats.Table {
 			model := recovery.DefaultModel()
 			t := stats.NewTable("Table 4 (measured) — functional recovery on small memories",
-				"memory", "protocol", "counter reads", "node writes", "modeled time")
-			for i, c := range combos {
-				rep := reports[i]
-				t.AddRow(byteString(c.memBytes), c.proto, rep.CounterReads, rep.NodeWrites,
-					model.FromReport(rep).String())
+				"memory", "protocol", "counter reads", "node writes", "modeled time",
+				"data reads", "recovery cycles", "verdict")
+			for i, c := range cells {
+				rep := c.Report
+				t.AddRow(byteString(memories[i/len(protocols)]), c.Protocol, rep.CounterReads, rep.NodeWrites,
+					model.FromReport(rep).String(), rep.DataReads, rep.Cycles, c.Status)
 			}
 			t.AddNote("leaf traffic scales with the touched footprint; amnt is bounded by one subtree region; strict is free")
+			t.AddNote("osiris's data reads are its ECC scan; verdict is the recovery checker's (DESIGN.md §8)")
 			return []*stats.Table{t}
 		},
 	}

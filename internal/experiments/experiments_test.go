@@ -216,9 +216,13 @@ func TestTable4Measured(t *testing.T) {
 	header := tbl.Header()
 	reads := column(t, header, "counter reads")
 	proto := column(t, header, "protocol")
+	verdict := column(t, header, "verdict")
 	byProto := map[string][]float64{}
 	for _, row := range tbl.Rows() {
 		byProto[row[proto]] = append(byProto[row[proto]], cell(t, row[reads]))
+		if row[verdict] != "recovered" {
+			t.Errorf("%s: verdict %s, want recovered", row[proto], row[verdict])
+		}
 	}
 	// Leaf recovery work grows with memory; strict does none; amnt is
 	// bounded below leaf.
@@ -325,8 +329,8 @@ func TestAblationStopLoss(t *testing.T) {
 		t.Fatal("larger stop-loss should persist fewer counters")
 	}
 	for _, row := range rows {
-		if row[column(t, header, "recovered?")] != "yes" {
-			t.Fatalf("osiris N=%s failed to recover", row[0])
+		if v := row[column(t, header, "verdict")]; v != "recovered" {
+			t.Fatalf("osiris N=%s: verdict %s, want recovered", row[0], v)
 		}
 	}
 }

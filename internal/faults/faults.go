@@ -22,9 +22,10 @@
 // recovered root matches an independently rebuilt shadow (oracle)
 // tree, all persisted data verifies, and injected corruption is
 // either repaired by recovery or detected loudly — never silently
-// accepted. The crash-matrix explorer (sweep.go) drives the full
-// (crash point × fault kind × protocol) product on the experiment
-// engine.
+// accepted. The package imports only mee, scm and bmt, so the serving
+// store checks its live recoveries without linking the simulator; the
+// crash cell (RunCell) and the crash-matrix explorer (Sweep) that drive
+// simulated machines through it live in internal/experiments.
 package faults
 
 import (

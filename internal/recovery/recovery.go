@@ -146,6 +146,20 @@ func (m Model) AMNT(memBytes uint64, level int) time.Duration {
 	return m.rebuildTime(memBytes) / time.Duration(regions)
 }
 
+// RecommendLevel is §4.1's BIOS decision: the shallowest AMNT subtree
+// level in [2, maxLevel] whose modeled recovery time at memBytes fits
+// the budget, or 0 when none does. Deeper levels recover faster but
+// relax less memory (lower subtree hit rates), so the shallowest
+// feasible level keeps the most run-time performance.
+func (m Model) RecommendLevel(memBytes uint64, budget time.Duration, maxLevel int) int {
+	for level := 2; level <= maxLevel; level++ {
+		if m.AMNT(memBytes, level) <= budget {
+			return level
+		}
+	}
+	return 0
+}
+
 // StaleFraction returns the fraction of the BMT assumed stale at
 // crash for each protocol (the paper's Table 4 right column).
 func StaleFraction(protocol string, level int) float64 {

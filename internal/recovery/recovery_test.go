@@ -164,3 +164,23 @@ func TestTriadModel(t *testing.T) {
 		t.Fatal("triad with no persisted levels should equal leaf")
 	}
 }
+
+func TestRecommendLevel(t *testing.T) {
+	m := DefaultModel()
+	const mem = 2e12
+	cases := []struct {
+		name     string
+		budget   time.Duration
+		maxLevel int
+		want     int
+	}{
+		{"budget equals level 3's time", m.AMNT(mem, 3), 8, 3},
+		{"no feasible level", m.AMNT(mem, 4) - 1, 4, 0},
+		{"max level below 2", time.Hour, 1, 0},
+	}
+	for _, c := range cases {
+		if got := m.RecommendLevel(mem, c.budget, c.maxLevel); got != c.want {
+			t.Errorf("%s: RecommendLevel(2TB, %v, %d) = %d, want %d", c.name, c.budget, c.maxLevel, got, c.want)
+		}
+	}
+}

@@ -269,7 +269,8 @@ mode_fuzz() {
 	fuzz ./internal/scm      FuzzDeviceReadFrom
 }
 
-# Crash matrix at default sizes (all protocols x all fault kinds).
+# Crash matrix at default sizes (all protocols x all fault kinds), then
+# Table 4 (measured)'s checked recoveries.
 mode_crash() {
 	# Exits 1 on any violation; pipefail keeps tee from hiding it.
 	# Reduced sizes (fewer points, a smaller memory) once missed
@@ -279,6 +280,13 @@ mode_crash() {
 		-json artifacts/crash-matrix.json \
 		-trace artifacts/crash-faults.jsonl \
 		| tee artifacts/crash-matrix.txt)
+	# Table 4 (measured): one checked crash cell per protocol and memory;
+	# every row's verdict must be recovered.
+	(set -o pipefail; go run ./cmd/amntbench -table 4 -format json \
+		| tee artifacts/table4.json)
+	jq -se '[.[] | select(.title | startswith("Table 4 (measured)"))] | length == 1 and
+		(.[0] | (.header | index("verdict")) as $v | (.rows | length) > 0 and all(.rows[]; .[$v] == "recovered"))' \
+		artifacts/table4.json
 }
 
 # Capture movement trace and time series.
