@@ -33,7 +33,6 @@ type Report struct {
 // until the flip; writes are nacked retryable only inside the fence
 // window.
 type Migrator struct {
-	HTTP *http.Client
 	// DeltaBatch bounds ops per delta round (default 4096).
 	DeltaBatch int
 	// MaxRounds bounds pre-fence catch-up rounds before fencing
@@ -47,33 +46,23 @@ type Migrator struct {
 	// and source detach — the registry update plus the ring push that
 	// makes routers send traffic to the new owner.
 	Flip func(ctx context.Context, part int, to string) error
+
+	up *upstream // the proxy's node connections; nil = a pool of its own
 }
 
-func (m *Migrator) httpc() *http.Client {
-	if m.HTTP != nil {
-		return m.HTTP
+// do sends one request and reads a 200 answer whole.
+func (m *Migrator) do(ctx context.Context, method, url string, body []byte) (out []byte, err error) {
+	if m.up == nil {
+		m.up = new(upstream)
 	}
-	return http.DefaultClient
-}
-
-func (m *Migrator) post(ctx context.Context, url string, body io.Reader, ctype string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
-	if err != nil {
-		return nil, err
-	}
-	if ctype != "" {
-		req.Header.Set("Content-Type", ctype)
-	}
-	resp, err := m.httpc().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(out))
-	}
-	return out, nil
+	err = m.up.do(ctx, method, url, "", body, func(resp *http.Response) error {
+		out, _ = io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(out))
+		}
+		return nil
+	})
+	return out, err
 }
 
 type deltaPage struct {
@@ -82,22 +71,12 @@ type deltaPage struct {
 }
 
 func (m *Migrator) delta(ctx context.Context, from string, part, max int) (*deltaPage, error) {
-	url := fmt.Sprintf("%s/v1/migrate/delta?part=%d&max=%d", from, part, max)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	out, err := m.do(ctx, http.MethodGet, fmt.Sprintf("%s/v1/migrate/delta?part=%d&max=%d", from, part, max), nil)
 	if err != nil {
 		return nil, err
-	}
-	resp, err := m.httpc().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		out, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(out))
 	}
 	var page deltaPage
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+	if err := json.Unmarshal(out, &page); err != nil {
 		return nil, err
 	}
 	return &page, nil
@@ -111,8 +90,7 @@ func (m *Migrator) apply(ctx context.Context, to string, part int, ops []store.D
 	if err != nil {
 		return err
 	}
-	_, err = m.post(ctx, fmt.Sprintf("%s/v1/migrate/apply?part=%d", to, part),
-		bytes.NewReader(body), "application/json")
+	_, err = m.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/migrate/apply?part=%d", to, part), body)
 	return err
 }
 
@@ -142,13 +120,13 @@ func (m *Migrator) Run(ctx context.Context, part int, from, fromID, to, toID str
 		// are here.
 		rctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		m.post(rctx, fmt.Sprintf("%s/v1/migrate/abort?part=%d", from, part), nil, "")
-		m.post(rctx, fmt.Sprintf("%s/v1/migrate/discard?part=%d", to, part), nil, "")
+		m.do(rctx, http.MethodPost, fmt.Sprintf("%s/v1/migrate/abort?part=%d", from, part), nil)
+		m.do(rctx, http.MethodPost, fmt.Sprintf("%s/v1/migrate/discard?part=%d", to, part), nil)
 		return nil, fmt.Errorf("migrate partition %d %s→%s: %w", part, fromID, toID, err)
 	}
 
 	// 1. Checkpoint the source with the write journal armed.
-	image, err := m.post(ctx, fmt.Sprintf("%s/v1/migrate/begin?part=%d", from, part), nil, "")
+	image, err := m.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/migrate/begin?part=%d", from, part), nil)
 	if err != nil {
 		return nil, fmt.Errorf("migrate partition %d %s→%s: begin: %w", part, fromID, toID, err)
 	}
@@ -156,8 +134,7 @@ func (m *Migrator) Run(ctx context.Context, part int, from, fromID, to, toID str
 
 	// 2. Stream the image to the destination; it loads, recovers, and
 	// integrity-audits the copy before reporting success.
-	if _, err := m.post(ctx, fmt.Sprintf("%s/v1/migrate/attach?part=%d", to, part),
-		bytes.NewReader(image), "application/octet-stream"); err != nil {
+	if _, err := m.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/migrate/attach?part=%d", to, part), image); err != nil {
 		return fail(fmt.Errorf("attach: %w", err))
 	}
 
@@ -181,7 +158,7 @@ func (m *Migrator) Run(ctx context.Context, part int, from, fromID, to, toID str
 	// 4. Fence: writes to the partition nack retryable from here
 	// until the flip; reads keep serving from the source.
 	fenceStart := time.Now()
-	if _, err := m.post(ctx, fmt.Sprintf("%s/v1/migrate/fence?part=%d", from, part), nil, ""); err != nil {
+	if _, err := m.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/migrate/fence?part=%d", from, part), nil); err != nil {
 		return fail(fmt.Errorf("fence: %w", err))
 	}
 
@@ -202,7 +179,7 @@ func (m *Migrator) Run(ctx context.Context, part int, from, fromID, to, toID str
 
 	// 6. Activate the destination, flip ring ownership, detach the
 	// source. The fence window closes when routers see the flip.
-	if _, err := m.post(ctx, fmt.Sprintf("%s/v1/migrate/activate?part=%d", to, part), nil, ""); err != nil {
+	if _, err := m.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/migrate/activate?part=%d", to, part), nil); err != nil {
 		return fail(fmt.Errorf("activate: %w", err))
 	}
 	if m.Flip != nil {
@@ -211,7 +188,7 @@ func (m *Migrator) Run(ctx context.Context, part int, from, fromID, to, toID str
 		}
 	}
 	rep.FenceMS = float64(time.Since(fenceStart).Microseconds()) / 1e3
-	if _, err := m.post(ctx, fmt.Sprintf("%s/v1/migrate/detach?part=%d", from, part), nil, ""); err != nil {
+	if _, err := m.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/migrate/detach?part=%d", from, part), nil); err != nil {
 		// The flip already happened; the destination owns the
 		// partition. A failed detach leaves a fenced zombie shard on
 		// the source — report it, but the migration succeeded.

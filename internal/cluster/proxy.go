@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -23,8 +22,6 @@ import (
 type ProxyOptions struct {
 	// ReqTimeout bounds one forwarded request (default 5s).
 	ReqTimeout time.Duration
-	// HTTP is the upstream client (default http.DefaultClient).
-	HTTP *http.Client
 	// Recorder records the proxy's own spans; the Forward phase
 	// carries upstream round-trip time. May be nil.
 	Recorder *span.Recorder
@@ -43,6 +40,7 @@ type ProxyOptions struct {
 type Proxy struct {
 	reg  *Registry
 	opts ProxyOptions
+	up   upstream // every proxy→node request
 
 	boot int64
 	seq  atomic.Uint64
@@ -64,9 +62,6 @@ type Proxy struct {
 func NewProxy(reg *Registry, opts ProxyOptions) *Proxy {
 	if opts.ReqTimeout <= 0 {
 		opts.ReqTimeout = 5 * time.Second
-	}
-	if opts.HTTP == nil {
-		opts.HTTP = http.DefaultClient
 	}
 	p := &Proxy{reg: reg, opts: opts, boot: time.Now().UnixNano()}
 	p.ops.kvGet = opts.Recorder.Op("kv_get")
@@ -153,36 +148,15 @@ func (p *Proxy) route(v *View, part int) (id, addr string, reason string, wait t
 	return id, st.Addr, "", 0, nil
 }
 
-// send issues one upstream request under the client's request id.
-func (p *Proxy) send(ctx context.Context, method, url, reqID string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return nil, err
-	}
-	if reqID != "" {
-		req.Header.Set("X-Request-Id", reqID)
-	}
-	resp, err := p.opts.HTTP.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("upstream %s: %w", url, err)
-	}
-	return resp, nil
-}
-
-// fetch is send for a small answer wanted whole: the status and the
-// body, read to its end so the connection is reusable.
-func (p *Proxy) fetch(ctx context.Context, method, url, reqID string, body []byte) (int, []byte, error) {
-	resp, err := p.send(ctx, method, url, reqID, body)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	return resp.StatusCode, raw, err
+// fetch is a request whose answer is wanted whole: its status, its
+// header and its body, read to the end (at most 4 MiB).
+func (p *Proxy) fetch(ctx context.Context, method, url, reqID string, body []byte) (status int, hdr http.Header, raw []byte, err error) {
+	err = p.up.do(ctx, method, url, reqID, body, func(resp *http.Response) (err error) {
+		status, hdr = resp.StatusCode, resp.Header
+		raw, err = io.ReadAll(io.LimitReader(resp.Body, 4<<20))
+		return err
+	})
+	return status, hdr, raw, err
 }
 
 // eachLive fetches path from every live node at once and hands each
@@ -197,7 +171,7 @@ func (p *Proxy) eachLive(ctx context.Context, v *View, method, path, reqID strin
 		wg.Add(1)
 		go func(id, addr string) {
 			defer wg.Done()
-			status, raw, err := p.fetch(ctx, method, addr+path, reqID, body)
+			status, _, raw, err := p.fetch(ctx, method, addr+path, reqID, body)
 			mu.Lock()
 			defer mu.Unlock()
 			fn(id, status, raw, err)
@@ -214,20 +188,6 @@ func healthStatus(raw []byte) string {
 	}
 	_ = json.Unmarshal(raw, &rep)
 	return rep.Status
-}
-
-// relay streams an upstream answer back: status, body, and the
-// contract headers. It returns the status.
-func relay(w http.ResponseWriter, resp *http.Response) int {
-	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Content-Length", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	return resp.StatusCode
 }
 
 // kvHandler forwards /v1/kv/{key} to the key's owner. A 421 from the
@@ -268,52 +228,45 @@ func (p *Proxy) kvHandler(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), p.opts.ReqTimeout)
 	defer cancel()
 
-	// First try the owner we know; a 421 teaches us the real owner
-	// and is retried exactly once.
-	status, err := p.forwardWith421Retry(ctx, w, r.Method, addr+r.URL.RequestURI(), reqID, body)
+	uri := r.URL.RequestURI()
+	status, hdr, raw, err := p.fetch(ctx, r.Method, addr+uri, reqID, body)
+	var hint OwnershipHint
+	if status == http.StatusMisdirectedRequest && json.Unmarshal(raw, &hint) == nil && hint.OwnerAddr != "" {
+		loc := hdr.Get("Location")
+		if loc == "" {
+			loc = hint.OwnerAddr + uri
+		}
+		status, hdr, raw, err = p.fetch(ctx, r.Method, loc, reqID, body)
+	}
 	sp.Mark(span.Forward)
-	if err == nil && status/100 != 2 && status != http.StatusNotFound {
+	if err != nil {
+		op.Done(sp, t0, err)
+		writeErr(w, http.StatusBadGateway, err)
+		return
+	}
+	if status/100 != 2 && status != http.StatusNotFound {
 		err = fmt.Errorf("upstream status %d", status)
 	}
 	op.Done(sp, t0, err)
-}
-
-// forwardWith421Retry forwards, and on a 421 re-resolves via the
-// hint and forwards once more. The second answer is final either
-// way. A transport failure is answered 502 and returned.
-func (p *Proxy) forwardWith421Retry(ctx context.Context, w http.ResponseWriter, method, url, reqID string, body []byte) (status int, err error) {
-	resp, err := p.send(ctx, method, url, reqID, body)
-	if err == nil && resp.StatusCode == http.StatusMisdirectedRequest {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		var hint OwnershipHint
-		if json.Unmarshal(raw, &hint) != nil || hint.OwnerAddr == "" {
-			// No usable hint: pass the 421 through.
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusMisdirectedRequest)
-			_, _ = w.Write(raw)
-			return http.StatusMisdirectedRequest, nil
+	for _, h := range []string{"Content-Type", "Retry-After"} {
+		if v := hdr.Get(h); v != "" {
+			w.Header().Set(h, v)
 		}
-		loc := resp.Header.Get("Location")
-		if loc == "" {
-			loc = hint.OwnerAddr + resp.Request.URL.RequestURI()
-		}
-		resp, err = p.send(ctx, method, loc, reqID, body)
 	}
-	if err != nil {
-		writeErr(w, http.StatusBadGateway, err)
-		return 0, err
-	}
-	return relay(w, resp), nil
+	w.WriteHeader(status)
+	_, _ = w.Write(raw)
 }
 
 // batchLeg is one owning node's share of a fanned-out batch: its
-// sub-request and the node's answer live in buf, and putIdx/getIdx
-// say where in the client's batch each of its results belongs.
+// sub-request and the node's answer live in buf, putIdx/getIdx say
+// where in the client's batch each result belongs, err and took how
+// the round trip went.
 type batchLeg struct {
 	addr           string
 	buf            *wire.Buf
 	putIdx, getIdx []int
+	err            error
+	took           time.Duration
 }
 
 // batchHandler fans one /v1/batch out per owning node and merges the
@@ -322,8 +275,9 @@ type batchLeg struct {
 // whose partitions are unroutable (owner down, adoption in flight)
 // fail in place with a retryable error string; the batch itself stays
 // 200 — the same contract a single node's partially-failing batch
-// has. The merged timing's forward_us is the slowest node leg (the
-// critical path).
+// has. Every leg but the last runs on a goroutine of its own; the
+// last runs on the handler's. The merged timing's forward_us is the
+// slowest node leg (the critical path).
 func (p *Proxy) batchHandler(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
@@ -345,7 +299,7 @@ func (p *Proxy) batchHandler(w http.ResponseWriter, r *http.Request) {
 
 	v := p.reg.View()
 	req, out := &buf.Req, &buf.Resp
-	legs := map[string]*batchLeg{}
+	var legs []*batchLeg
 	// The legs' answers alias their buffers, so those are held until
 	// the merged response is written.
 	defer func() {
@@ -358,11 +312,13 @@ func (p *Proxy) batchHandler(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err.Error() + " (retryable)"
 		}
-		l := legs[addr]
-		if l == nil {
-			l = &batchLeg{addr: addr, buf: wire.Get()}
-			legs[addr] = l
+		for _, l := range legs {
+			if l.addr == addr {
+				return l, ""
+			}
 		}
+		l := &batchLeg{addr: addr, buf: wire.Get()}
+		legs = append(legs, l)
 		return l, ""
 	}
 	for i, pu := range req.Puts {
@@ -388,52 +344,50 @@ func (p *Proxy) batchHandler(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), p.opts.ReqTimeout)
 	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		slowest  time.Duration
-		firstErr error
-	)
-	for _, l := range legs {
+	var wg sync.WaitGroup
+	for i, l := range legs {
+		if i == len(legs)-1 {
+			p.post(ctx, reqID, l)
+			break
+		}
 		wg.Add(1)
-		go func(l *batchLeg) {
+		go func() {
 			defer wg.Done()
-			legStart := time.Now()
-			err := p.postBatch(ctx, l.addr, reqID, l.buf)
-			took := time.Since(legStart)
-			mu.Lock()
-			defer mu.Unlock()
-			if took > slowest {
-				slowest = took
-			}
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				msg := "node " + l.addr + ": " + err.Error() + " (retryable)"
-				for _, i := range l.putIdx {
-					out.Puts[i].Err = msg
-				}
-				for _, i := range l.getIdx {
-					out.Gets[i].Err = msg
-				}
-				return
-			}
-			// Sub-batch results come back in submission order.
-			sub := &l.buf.Resp
-			for j, i := range l.putIdx {
-				if j < len(sub.Puts) {
-					out.Puts[i] = sub.Puts[j]
-				}
-			}
-			for j, i := range l.getIdx {
-				if j < len(sub.Gets) {
-					out.Gets[i] = sub.Gets[j]
-				}
-			}
-		}(l)
+			p.post(ctx, reqID, l)
+		}()
 	}
 	wg.Wait()
+
+	var slowest time.Duration
+	var firstErr error
+	for _, l := range legs {
+		slowest = max(slowest, l.took)
+		if l.err != nil {
+			if firstErr == nil {
+				firstErr = l.err
+			}
+			msg := "node " + l.addr + ": " + l.err.Error() + " (retryable)"
+			for _, i := range l.putIdx {
+				out.Puts[i].Err = msg
+			}
+			for _, i := range l.getIdx {
+				out.Gets[i].Err = msg
+			}
+			continue
+		}
+		// Sub-batch results come back in submission order.
+		sub := &l.buf.Resp
+		for j, i := range l.putIdx {
+			if j < len(sub.Puts) {
+				out.Puts[i] = sub.Puts[j]
+			}
+		}
+		for j, i := range l.getIdx {
+			if j < len(sub.Gets) {
+				out.Gets[i] = sub.Gets[j]
+			}
+		}
+	}
 
 	sp.Add(span.Forward, int64(slowest))
 	sp.Reset()
@@ -442,32 +396,31 @@ func (p *Proxy) batchHandler(w http.ResponseWriter, r *http.Request) {
 	wire.WriteBody(w, buf.Out)
 }
 
-// postBatch sends one node the sub-request gathered in b.Req and
-// decodes its answer into b.Resp. A non-200 answer (whole-node 503)
-// is surfaced as an error so every key of the slice fails retryably
-// in place.
-func (p *Proxy) postBatch(ctx context.Context, addr, reqID string, b *wire.Buf) error {
+// post sends a leg's node the sub-request gathered in its buf's Req and
+// decodes the answer into Resp, timing the round trip. A non-200
+// answer (whole-node 503) is surfaced as an error so every key of the
+// slice fails retryably in place.
+func (p *Proxy) post(ctx context.Context, reqID string, l *batchLeg) {
+	start, b := time.Now(), l.buf
 	b.Out = wire.AppendRequest(b.Out[:0], b.Req.Puts, b.Req.Gets)
-	resp, err := p.send(ctx, http.MethodPost, addr+"/v1/batch", reqID, b.Out)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := b.ReadBody(resp.Body, 2*wire.MaxBatchBody)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error  string `json:"error"`
-			Reason string `json:"reason"`
+	l.err = p.up.do(ctx, http.MethodPost, l.addr+"/v1/batch", reqID, b.Out, func(resp *http.Response) error {
+		raw, err := b.ReadBody(resp.Body, 2*wire.MaxBatchBody)
+		if err != nil {
+			return err
 		}
-		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			return fmt.Errorf("%s (%s)", e.Error, e.Reason)
+		if resp.StatusCode != http.StatusOK {
+			var e struct {
+				Error  string `json:"error"`
+				Reason string `json:"reason"`
+			}
+			if json.Unmarshal(raw, &e) == nil && e.Error != "" {
+				return fmt.Errorf("%s (%s)", e.Error, e.Reason)
+			}
+			return fmt.Errorf("status %d", resp.StatusCode)
 		}
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return b.Resp.Decode(raw)
+		return b.Resp.Decode(raw)
+	})
+	l.took = time.Since(start)
 }
 
 // nodeHealth is one node's slice of the aggregated /v1/health.
@@ -609,7 +562,7 @@ func (p *Proxy) migrateHandler(w http.ResponseWriter, r *http.Request) {
 	sp := p.ops.migrate.Start(reqID)
 	t0 := time.Now()
 	m := &Migrator{
-		HTTP: p.opts.HTTP,
+		up: &p.up,
 		Flip: func(ctx context.Context, part int, to string) error {
 			if err := p.reg.Flip(part, to, time.Now()); err != nil {
 				return err
@@ -651,7 +604,7 @@ func (p *Proxy) Pulse(ctx context.Context, id string, now time.Time) {
 	if !ok {
 		return
 	}
-	_, raw, err := p.fetch(ctx, http.MethodGet, st.Addr+"/v1/health", "", nil)
+	_, _, raw, err := p.fetch(ctx, http.MethodGet, st.Addr+"/v1/health", "", nil)
 	if status := healthStatus(raw); err == nil && status != "" {
 		_, _ = p.reg.Pulse(id, status, now)
 	}
@@ -689,7 +642,7 @@ func (p *Proxy) SweepOnce(ctx context.Context, now time.Time) []Reassign {
 		for _, mv := range moves {
 			url := fmt.Sprintf("%s/v1/migrate/adopt?part=%d", mv.ToAddr, mv.Partition)
 			// A failed adoption stays pending; the next sweep retries.
-			if status, _, err := p.fetch(ctx, http.MethodPost, url, "", nil); err == nil && status == http.StatusOK {
+			if status, _, _, err := p.fetch(ctx, http.MethodPost, url, "", nil); err == nil && status == http.StatusOK {
 				p.reg.AdoptDone(mv.Partition, now)
 				p.adoptions.Add(1)
 			}

@@ -2,32 +2,9 @@ package store
 
 import (
 	"context"
-	"sync"
 
 	"amnt/internal/telemetry/span"
 )
-
-// absorbSlowest folds the slowest (critical-path) leg of a fan-out
-// round into the parent span, so the parent's phase sum still
-// decomposes the client-visible wall time, and marks the parent as a
-// multi-shard request when more than one shard served it.
-func absorbSlowest(parent *span.Span, legs []*span.Span) {
-	if parent == nil || len(legs) == 0 {
-		return
-	}
-	slowest := legs[0]
-	for _, l := range legs[1:] {
-		if l.End() > slowest.End() {
-			slowest = l
-		}
-	}
-	parent.Absorb(slowest)
-	if len(legs) == 1 {
-		// A batch that happened to route to one shard is attributable
-		// to it; a true fan-out stays -1 ("multi").
-		parent.SetShard(slowest.Shard())
-	}
-}
 
 // KV is one key/value pair of a batched put.
 type KV struct {
@@ -81,12 +58,81 @@ func (s *Store) fanOut(n int, key func(i int) uint64, errs []error) []leg {
 	return legs
 }
 
+// call is one leg of a batch on its way through a shard's queue: the
+// request, and the positions in the caller's result slices its
+// entries answer, in order. err is set when it could not be queued.
+type call struct {
+	sh  *shard
+	req request
+	idx []int
+	err error
+}
+
+// send queues c traced by sp; a refusal waits in c.err for collect.
+func (s *Store) send(ctx context.Context, c *call, sp *span.Span) {
+	c.req.sp = sp
+	c.req, c.err = s.enqueue(ctx, c.sh, c.req)
+}
+
+// wait awaits c's answer, or returns why it could not be queued.
+func (c *call) wait(ctx context.Context) (response, error) {
+	if c.err != nil {
+		return response{}, c.err
+	}
+	return await(ctx, c.req)
+}
+
+// collect waits for c and writes its answer at c.idx into errs, and
+// into values for a get. A failed call fails each of its entries.
+func (c *call) collect(ctx context.Context, values [][]byte, errs []error) {
+	resp, err := c.wait(ctx)
+	for k, i := range c.idx {
+		errs[i] = err
+		if err == nil {
+			errs[i] = resp.errs[k]
+		}
+		if values != nil {
+			values[i] = nil
+			if err == nil {
+				values[i] = resp.values[k]
+			}
+		}
+	}
+}
+
+// finish collects a fan-out round's calls and folds the round into the
+// parent span, so its phase sum still decomposes the client-visible
+// wall time: the parent absorbs the leg that ended last (the critical
+// path), and a round one shard served is attributable to that shard;
+// a true fan-out stays -1 ("multi").
+func finish(ctx context.Context, parent *span.Span, legs []leg, calls []call, values [][]byte, errs []error) {
+	spans := make([]*span.Span, len(calls))
+	for i := range calls {
+		calls[i].collect(ctx, values, errs)
+		spans[i] = calls[i].req.sp
+	}
+	parent.Absorb(spans...)
+	var lone *shard
+	for _, l := range legs {
+		if l.sh != nil && lone != nil {
+			parent.SetShard(-1)
+			return
+		} else if l.sh != nil {
+			lone = l.sh
+		}
+	}
+	if lone != nil {
+		parent.SetShard(lone.id)
+	}
+}
+
 // PutBatch stores every pair in kvs, submitting one request per shard
 // (fan-out/fan-in) instead of one queue round-trip per key — the
-// client-side expression of a group-commit epoch. The result is
-// one error per input pair, nil on success; a shard-level failure
-// (ErrOverloaded, ErrClosed, ErrShardFailed, context expiry) is
-// reported on every key routed to that shard. Values are copied;
+// client-side expression of a group-commit epoch; every leg is queued
+// before any is awaited. The result is one error per input pair, nil
+// on success; a shard-level failure (ErrOverloaded, ErrClosed,
+// ErrShardFailed, context expiry) is reported on every key routed to
+// that shard. Values are copied;
 // callers may reuse their buffers. Acknowledgment semantics match Put:
 // a nil error means the write is durable to the same degree a per-op
 // acknowledged write is.
@@ -100,8 +146,7 @@ func (s *Store) PutBatch(ctx context.Context, kvs []KV) []error {
 	parts := uint64(s.cfg.Partitions)
 	parent := span.FromContext(ctx)
 	legs := s.fanOut(len(kvs), func(i int) uint64 { return kvs[i].Key }, errs)
-	spans := make([]*span.Span, 0, len(legs))
-	var wg sync.WaitGroup
+	calls := make([]call, 0, len(legs))
 	for _, l := range legs {
 		if l.sh == nil {
 			continue
@@ -118,24 +163,10 @@ func (s *Store) PutBatch(ctx context.Context, kvs []KV) []error {
 			slab = append(slab, kvs[i].Value...)
 			pairs[j] = kvPair{block: kvs[i].Key / parts, value: slab[off:len(slab):len(slab)]}
 		}
-		sp := parent.Leg()
-		spans = append(spans, sp)
-		wg.Add(1)
-		go func(l leg, sp *span.Span) {
-			defer wg.Done()
-			resp, err := s.submit(ctx, l.sh, request{op: opPut, kvs: pairs, sp: sp})
-			sp.End()
-			for j, i := range l.idx {
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = resp.errs[j]
-			}
-		}(l, sp)
+		calls = append(calls, call{sh: l.sh, req: request{op: opPut, kvs: pairs}, idx: l.idx})
+		s.send(ctx, &calls[len(calls)-1], parent.Leg())
 	}
-	wg.Wait()
-	absorbSlowest(parent, spans)
+	finish(ctx, parent, legs, calls, nil, errs)
 	return errs
 }
 
@@ -143,14 +174,17 @@ func (s *Store) PutBatch(ctx context.Context, kvs []KV) []error {
 // shard. Results are parallel to keys: values[i] is non-nil exactly
 // when errs[i] is nil; a missing key reports ErrNotFound, and a
 // shard-level failure is reported on every key routed to that shard.
+// The read view serves what it can of each leg in turn on the caller's
+// goroutine, so the legs' read_verify times add up on the parent; what
+// it leaves is queued on every shard concerned before any answer is
+// awaited.
 func (s *Store) GetBatch(ctx context.Context, keys []uint64) ([][]byte, []error) {
 	values := make([][]byte, len(keys))
 	errs := make([]error, len(keys))
 	parts := uint64(s.cfg.Partitions)
 	parent := span.FromContext(ctx)
 	legs := s.fanOut(len(keys), func(i int) uint64 { return keys[i] }, errs)
-	spans := make([]*span.Span, 0, len(legs))
-	var wg sync.WaitGroup
+	calls := make([]call, 0, len(legs))
 	for _, l := range legs {
 		if l.sh == nil {
 			continue
@@ -159,20 +193,13 @@ func (s *Store) GetBatch(ctx context.Context, keys []uint64) ([][]byte, []error)
 		for j, i := range l.idx {
 			blocks[j].block = keys[i] / parts
 		}
-		sp := parent.Leg()
-		spans = append(spans, sp)
-		wg.Add(1)
-		go func(l leg, sp *span.Span) {
-			defer wg.Done()
-			defer sp.End()
-			vals, ves := make([][]byte, len(blocks)), make([]error, len(blocks))
-			s.readLeg(ctx, l.sh, blocks, sp, vals, ves)
-			for j, i := range l.idx {
-				values[i], errs[i] = vals[j], ves[j]
-			}
-		}(l, sp)
+		if rest := l.sh.readLeg(ctx, blocks, l.idx, values, errs, parent); len(rest.idx) > 0 {
+			calls = append(calls, rest)
+		}
 	}
-	wg.Wait()
-	absorbSlowest(parent, spans)
+	for i := range calls {
+		s.send(ctx, &calls[i], parent.Leg())
+	}
+	finish(ctx, parent, legs, calls, values, errs)
 	return values, errs
 }

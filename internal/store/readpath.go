@@ -62,80 +62,56 @@ func (sh *shard) readViewBlock(block uint64) (v []byte, fallback bool, err error
 }
 
 // readLeg is the one read route: it serves one shard's share of a
-// read — a GetBatch leg, or a Get as a leg of one — into values/errs,
-// parallel to blocks. The reader pool serves what it can off the read
-// view; the blocks it leaves go to the shard's queue in one request.
-// Only that request holds on to memory, so a Get served off the pool
-// allocates nothing but its value.
-func (s *Store) readLeg(ctx context.Context, sh *shard, blocks []kvPair, sp *span.Span, values [][]byte, errs []error) {
-	left, served, err := sh.viewLeg(ctx, blocks, values, errs)
-	if err != nil {
-		for i := range errs {
-			errs[i] = err
+// read — a GetBatch leg, or a Get as a leg of one — into values/errs
+// at positions idx (parallel to blocks). The reader pool serves what
+// it can off the read view on the caller's goroutine, holding one slot
+// for the leg, and stamps sp with the shard and the time as
+// read_verify; the blocks it leaves come back as rest, one get for the
+// shard's queue. Only rest
+// holds on to memory, so a Get served off the pool allocates nothing
+// but its value. A caller whose ctx expires while it waits for a slot
+// is gone: its entries get ctx.Err() and nothing is queued for it.
+func (sh *shard) readLeg(ctx context.Context, blocks []kvPair, idx []int, values [][]byte, errs []error, sp *span.Span) (rest call) {
+	rest = call{sh: sh, req: request{op: opGet}}
+	served := false
+	if sh.readEligible() {
+		select {
+		case sh.readSem <- struct{}{}:
+			served = sh.viewLeg(blocks, idx, values, errs, &rest)
+			<-sh.readSem
+			sp.SetShard(sh.id)
+			sp.Mark(span.ReadVerify)
+		case <-ctx.Done():
+			for _, i := range idx {
+				errs[i] = ctx.Err()
+			}
+			return call{}
 		}
-		return
 	}
-	if served {
-		// Pool-served gets never enter the write queue: queue_wait stays
-		// 0 and the whole service time (slot wait + snapshot + verify +
-		// decrypt) is attributed to read_verify.
-		sp.SetShard(sh.id)
-		sp.Mark(span.ReadVerify)
-		if len(left) == 0 {
-			return
-		}
+	if !served {
+		rest.req.kvs, rest.idx = append(rest.req.kvs[:0], blocks...), idx
 	}
-	queue := make([]kvPair, 0, len(blocks))
-	if served {
-		for _, i := range left {
-			queue = append(queue, blocks[i])
-		}
-	} else {
-		queue = append(queue, blocks...)
-	}
-	resp, err := s.submit(ctx, sh, request{op: opGet, kvs: queue, sp: sp})
-	for k := range queue {
-		i := k
-		if served {
-			i = left[k]
-		}
-		if err != nil {
-			values[i], errs[i] = nil, err
-			continue
-		}
-		values[i], errs[i] = resp.values[k], resp.errs[k]
-	}
+	return rest
 }
 
-// viewLeg serves blocks off the read view into values/errs, holding
-// one reader-pool slot for the whole leg. served=false means the queue
-// must serve the whole leg: the shard is not eligible, or it detached
-// (migration hand-off) or failed while the reads ran, and the queue
-// answers with the ownership hint or the nack instead of possibly
-// stale data. Otherwise left lists the positions the view could not
-// serve. err is the caller's ctx expiring while it waited for a slot:
-// the caller is gone, so nothing is queued for it.
-func (sh *shard) viewLeg(ctx context.Context, blocks []kvPair, values [][]byte, errs []error) (left []int, served bool, err error) {
+// viewLeg serves blocks off the read view into values/errs at
+// positions idx and adds what the view could not serve to rest. false
+// means the queue must serve the whole leg: the shard stopped being
+// eligible while the caller waited for a slot, or it detached or
+// failed while the reads ran, and the queue answers with the ownership
+// hint or the nack instead of possibly stale data.
+func (sh *shard) viewLeg(blocks []kvPair, idx []int, values [][]byte, errs []error, rest *call) bool {
 	if !sh.readEligible() {
-		return nil, false, nil
+		return false
 	}
-	select {
-	case sh.readSem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
-	}
-	defer func() { <-sh.readSem }()
-	// The state may have flipped while waiting for a slot.
-	if !sh.readEligible() {
-		return nil, false, nil
-	}
-	for i, b := range blocks {
+	for j, b := range blocks {
 		v, fallback, err := sh.readViewBlock(b.block)
 		if fallback {
-			left = append(left, i)
+			rest.req.kvs = append(rest.req.kvs, b)
+			rest.idx = append(rest.idx, idx[j])
 			continue
 		}
-		values[i], errs[i] = v, err
+		values[idx[j]], errs[idx[j]] = v, err
 	}
-	return left, sh.admit(false) == nil, nil
+	return sh.admit(false) == nil
 }

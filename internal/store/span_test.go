@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"testing"
+	"time"
 
 	"amnt/internal/telemetry/span"
 )
@@ -73,8 +74,9 @@ func TestSpanAttributionGet(t *testing.T) {
 }
 
 // TestSpanAttributionBatch verifies fan-out attribution: the parent
-// span absorbs the slowest leg, so a multi-shard batch still reports
-// serving-path phases, and a cross-shard batch is marked multi-shard.
+// span absorbs the leg that ended last, so a multi-shard batch still
+// reports serving-path phases, and a cross-shard batch is marked
+// multi-shard.
 func TestSpanAttributionBatch(t *testing.T) {
 	s := mustOpen(t, testConfig())
 	kvs := make([]KV, 16)
@@ -104,6 +106,25 @@ func TestSpanAttributionBatch(t *testing.T) {
 	}
 	if sp.PhaseNs(span.CommitClimb) <= 0 {
 		t.Fatal("commit_climb never absorbed from a leg")
+	}
+
+	// Shard 0's leg is awaited first, but its worker is held: it is the
+	// slowest put leg, and the others end when their workers answer,
+	// long before the caller awaits them. The parent absorbs the held
+	// leg, queue wait and all.
+	const hold = 30 * time.Millisecond
+	release := holdWorker(t, s, 0)
+	time.AfterFunc(hold, release)
+	sp = spanFor(t, func(ctx context.Context) error {
+		for _, err := range s.PutBatch(ctx, kvs) {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if got := time.Duration(sp.PhaseNs(span.QueueWait)); got < hold*2/3 {
+		t.Fatalf("parent queue_wait %v with shard 0 held %v: the held leg was not absorbed", got, hold)
 	}
 }
 

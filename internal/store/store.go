@@ -288,7 +288,14 @@ type request struct {
 	kvs    []kvPair        // get blocks / put payload, owned by the request
 	chaos  *ChaosSpec
 	migBuf *bytes.Buffer // opMigrateBegin: checkpoint image sink
-	resp   chan response // buffered(1), made by submit: the worker's send never blocks
+	resp   chan response // buffered(1), made by enqueue: the worker's send never blocks
+}
+
+// answer sends r its response. A leg's span closes here, when its
+// worker answers, and not when its caller gets round to awaiting it.
+func (r request) answer(resp response) {
+	r.sp.End()
+	r.resp <- resp
 }
 
 // response answers one request: err is a whole-request failure (nack,
@@ -327,7 +334,7 @@ type shard struct {
 
 	// Migration state. stopped marks a shard detached from the table
 	// (set under the store write lock before its channel closes, so
-	// submit can never send to it). fenced nacks writes during the
+	// enqueue can never send to it). fenced nacks writes during the
 	// hand-off window; noFinalCkpt suppresses the shutdown checkpoint
 	// of a detached shard so it cannot clobber the new owner's image.
 	stopped     atomic.Bool
@@ -553,7 +560,7 @@ func (sh *shard) load() shardState { return shardState(sh.state.Load()) }
 // setState publishes a state transition. Worker-only.
 func (sh *shard) setState(st shardState) { sh.state.Store(int32(st)) }
 
-// admit is the shard's one admission decision, consulted by submit
+// admit is the shard's one admission decision, consulted by enqueue
 // before a request may queue, by the worker again at drain time (the
 // state, the fence or the table may have changed while the request
 // waited), and by the reader pool. nil means serve it.
@@ -585,33 +592,52 @@ func (s *Store) control(ctx context.Context, id int, req request) error {
 	return err
 }
 
-// submit enqueues req on sh, failing fast with ErrOverloaded on a
-// full queue, then waits for the response or ctx. The closed and
-// admission checks and the send share the read lock so Close and
-// MigrateDetach (which hold the write lock while closing channels)
-// can never race a send onto a closed channel.
+// submit enqueues req on sh and awaits its answer.
 func (s *Store) submit(ctx context.Context, sh *shard, req request) (response, error) {
+	c := call{sh: sh, req: req}
+	s.send(ctx, &c, req.sp)
+	return c.wait(ctx)
+}
+
+// enqueue queues req on sh, failing fast with ErrOverloaded on a full
+// queue; a refused leg's span closes here. The closed and admission
+// checks and the send share the read lock so Close and MigrateDetach
+// (which hold the write lock while closing channels) can never race a
+// send onto a closed channel.
+func (s *Store) enqueue(ctx context.Context, sh *shard, req request) (request, error) {
 	req.ctx, req.resp = ctx, make(chan response, 1)
 	if req.sp == nil {
 		req.sp = span.FromContext(ctx)
 	}
 	req.sp.SetShard(sh.id)
 	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return response{}, ErrClosed
+	err := ErrClosed
+	if !s.closed {
+		err = sh.admit(req.op == opPut)
 	}
-	if err := sh.admit(req.op == opPut); err != nil {
-		s.mu.RUnlock()
-		return response{}, err
+	if err == nil {
+		select {
+		case sh.ch <- req:
+		default:
+			sh.m[cOverloads].Add(1)
+			err = ErrOverloaded
+		}
 	}
+	s.mu.RUnlock()
+	if err != nil {
+		req.sp.End()
+	}
+	return req, err
+}
+
+// await waits for the worker's answer to an enqueued req, or for ctx.
+// An answer already there wins over an expired ctx, so a caller
+// awaiting several legs in turn keeps every answer that arrived.
+func await(ctx context.Context, req request) (response, error) {
 	select {
-	case sh.ch <- req:
-		s.mu.RUnlock()
+	case resp := <-req.resp:
+		return resp, resp.err
 	default:
-		s.mu.RUnlock()
-		sh.m[cOverloads].Add(1)
-		return response{}, ErrOverloaded
 	}
 	select {
 	case resp := <-req.resp:
@@ -619,9 +645,13 @@ func (s *Store) submit(ctx context.Context, sh *shard, req request) (response, e
 	case <-ctx.Done():
 		// The worker still serves the request; the buffered response
 		// channel absorbs its send.
+		req.sp.End()
 		return response{}, ctx.Err()
 	}
 }
+
+// firstEntry is the result position of a 1-key read.
+var firstEntry = []int{0}
 
 // Get returns the value stored at key.
 func (s *Store) Get(ctx context.Context, key uint64) ([]byte, error) {
@@ -634,7 +664,11 @@ func (s *Store) Get(ctx context.Context, key uint64) ([]byte, error) {
 	}
 	var v [1][]byte
 	var e [1]error
-	s.readLeg(ctx, sh, []kvPair{{block: block}}, span.FromContext(ctx), v[:], e[:])
+	sp := span.FromContext(ctx)
+	if rest := sh.readLeg(ctx, []kvPair{{block: block}}, firstEntry, v[:], e[:], sp); len(rest.idx) > 0 {
+		s.send(ctx, &rest, sp)
+		rest.collect(ctx, v[:], e[:])
+	}
 	return v[0], e[0]
 }
 
@@ -659,27 +693,23 @@ func (s *Store) Put(ctx context.Context, key uint64, value []byte) error {
 	return resp.errs[0]
 }
 
-// broadcast sends one control op to every hosted shard concurrently
-// and waits for all responses (or ctx). The lowest-numbered failing
-// partition's error wins.
+// broadcast queues one control op on every hosted shard, so they run
+// concurrently, and waits for all answers (or ctx). The lowest-numbered
+// failing partition's error wins.
 func (s *Store) broadcast(ctx context.Context, op opKind) error {
 	shards := s.table().list
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
+	calls := make([]call, len(shards))
 	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			_, errs[i] = s.submit(ctx, sh, request{op: op})
-		}(i, sh)
+		calls[i] = call{sh: sh, req: request{op: op}}
+		s.send(ctx, &calls[i], nil)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", shards[i].id, err)
+	var first error
+	for _, c := range calls {
+		if _, err := c.wait(ctx); err != nil && first == nil {
+			first = fmt.Errorf("shard %d: %w", c.sh.id, err)
 		}
 	}
-	return nil
+	return first
 }
 
 // Flush forces every shard's dirty metadata to SCM (a global persist
@@ -872,7 +902,7 @@ func (sh *shard) serveBatch(batch []request) {
 		if r.ctx != nil && r.ctx.Err() != nil {
 			// The caller already gave up (deadline or cancel); never
 			// report an abandoned request as having succeeded.
-			r.resp <- response{err: r.ctx.Err()}
+			r.answer(response{err: r.ctx.Err()})
 			continue
 		}
 		if r.op > opPut {
@@ -880,11 +910,11 @@ func (sh *shard) serveBatch(batch []request) {
 			sh.barrier()
 		}
 		if err := sh.admit(r.op == opPut); err != nil {
-			r.resp <- response{err: err}
+			r.answer(response{err: err})
 			continue
 		}
 		if r.op != opPut {
-			r.resp <- sh.serve(r)
+			r.answer(sh.serve(r))
 			continue
 		}
 		if ep == nil {
@@ -962,7 +992,7 @@ func (sh *shard) commitStaged(ep *mee.Epoch, acks []stagedAck) {
 		// The ack point: what is now durable goes into an outbound
 		// migration's delta journal, then the answer goes out.
 		sh.journal(a.req.kvs, a.errs)
-		a.req.resp <- response{errs: a.errs}
+		a.req.answer(response{errs: a.errs})
 	}
 }
 
@@ -1214,7 +1244,7 @@ func (sh *shard) quarantineTick() bool {
 			return false
 		}
 		req.sp.Mark(span.QueueWait)
-		req.resp <- response{err: sh.admit(req.op == opPut)}
+		req.answer(response{err: sh.admit(req.op == opPut)})
 	case <-due:
 		sh.healOnce()
 	}

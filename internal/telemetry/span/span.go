@@ -149,8 +149,8 @@ func (s *Span) SetShard(id int) {
 
 // Leg mints a child span for one shard's slice of a fanned-out
 // request (PutBatch/GetBatch). Legs are pure measurement — they are
-// never published; the parent absorbs the slowest one so its phase
-// sum still decomposes the client-visible wall time.
+// never published; the parent absorbs the one that ended last so its
+// phase sum still decomposes the client-visible wall time.
 func (s *Span) Leg() *Span {
 	if s == nil {
 		return nil
@@ -159,25 +159,36 @@ func (s *Span) Leg() *Span {
 }
 
 // End closes a leg and returns its total duration in nanoseconds.
-// Idempotent; the first call wins.
+// Idempotent; the first call wins. A request's own span is closed by
+// Op.Done, so End on it only reads the total (0 while open), and code
+// that closes whatever span a request carries needs no leg test.
 func (s *Span) End() int64 {
 	if s == nil {
 		return 0
 	}
-	if s.finished.CompareAndSwap(false, true) {
+	if s.op == nil && s.finished.CompareAndSwap(false, true) {
 		s.total.Store(s.sinceStart())
 	}
 	return s.total.Load()
 }
 
-// Absorb folds a completed leg's phases into s — callers pass the
-// slowest leg of a fan-out round, the one on the request's critical
-// path. Wall time the parent spent outside the leg (fan-out, goroutine
-// scheduling, fan-in) is attributed to Ack, and the stamp advances to
-// now, so repeated rounds (a put round then a get round) accumulate
-// correctly.
-func (s *Span) Absorb(leg *Span) {
-	if s == nil || leg == nil {
+// Absorb folds the phases of the leg that ended last — the one on the
+// request's critical path — into s; legs are a fan-out round's
+// (nil ones are skipped). Wall time the parent spent outside that leg
+// since its last stamp (fan-out, scheduling, fan-in) is attributed to
+// Ack, and the stamp advances to now, so repeated rounds (a put round
+// then a get round) accumulate correctly.
+func (s *Span) Absorb(legs ...*Span) {
+	if s == nil {
+		return
+	}
+	var leg *Span
+	for _, l := range legs {
+		if l != nil && (leg == nil || l.endedAt().After(leg.endedAt())) {
+			leg = l
+		}
+	}
+	if leg == nil {
 		return
 	}
 	legTotal := leg.End()
@@ -192,6 +203,9 @@ func (s *Span) Absorb(leg *Span) {
 		s.phase[Ack].Add(over)
 	}
 }
+
+// endedAt closes a leg and returns when it ended.
+func (s *Span) endedAt() time.Time { return s.start.Add(time.Duration(s.End())) }
 
 // PhaseNs returns the nanoseconds attributed to p so far.
 func (s *Span) PhaseNs(p Phase) int64 {

@@ -56,6 +56,10 @@ mode_race() {
 	# Serving metric surfaces agree and survive scrapes under load.
 	go test -race -count=2 -run 'TestSurfaceParity|TestSurfaceScrapeHammer' -v ./internal/store
 	go test -race -run 'TestProxyServesMetrics' -v ./internal/cluster
+	# Pooled proxy connections: no answer reaches another request, and
+	# dropped or restarted nodes cost nothing; store fan-out semantics.
+	go test -race -count=2 -run 'TestProxyPooledConnectionsHammer|TestProxyStaleConnections|TestProxyNodeGone' -v ./internal/cluster
+	go test -race -count=2 -run 'TestBatchOverloadFailsOnlyThatShard|TestBatchCtxExpiryFailsOutstandingKeys|TestSpanAttributionBatch' -v ./internal/store
 	go test -race -run 'TestServeSamplesOnScrape' -v ./internal/telemetry
 	# Concurrent verified-read hammers.
 	go test -race -count=2 -run 'TestReadViewHammer' -v ./internal/mee
